@@ -524,7 +524,7 @@ impl Consensus {
         if m.ballot > self.bal && self.role != Role::Follower {
             self.step_down();
         }
-        vec![(m.from, SwishMsg::CtrlPromise(reply))]
+        vec![(m.from, SwishMsg::CtrlPromise(Box::new(reply)))]
     }
 
     fn accepted_for(&mut self, m: CtrlAccept) -> CtrlAccepted {
@@ -898,7 +898,7 @@ mod tests {
             delivered += 1;
             let out = match msg {
                 SwishMsg::CtrlPrepare(m) => rep.on_prepare(m),
-                SwishMsg::CtrlPromise(m) => rep.on_promise(m),
+                SwishMsg::CtrlPromise(m) => rep.on_promise(*m),
                 SwishMsg::CtrlAccept(m) => rep.on_accept(m),
                 SwishMsg::CtrlAccepted(m) => rep.on_accepted(m),
                 SwishMsg::CtrlLearn(m) => rep.on_learn(m),

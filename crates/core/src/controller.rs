@@ -753,7 +753,7 @@ impl Controller {
                 // suffix must keep its register cells). The snapshot that
                 // makes the prefix recoverable is costed in wire bytes as
                 // if persisted to the snapshot register region.
-                let snap_len = SwishMsg::CtrlSnap(self.make_snapshot()).wire_len() as u64;
+                let snap_len = SwishMsg::CtrlSnap(Box::new(self.make_snapshot())).wire_len() as u64;
                 let journal = io.emit && io.ctx.journaling();
                 let Some(rep) = self.rep.as_mut() else { return };
                 if rep.cons.compact_to(upto) {
@@ -1678,7 +1678,7 @@ impl Controller {
         if needs_snap {
             let snap = self.make_snapshot();
             let base = snap.base;
-            let msg = SwishMsg::CtrlSnap(snap);
+            let msg = SwishMsg::CtrlSnap(Box::new(snap));
             if ctx.journaling() {
                 CtrlEvent::SnapshotSent {
                     base,
@@ -2025,7 +2025,7 @@ impl Node for Controller {
             SwishMsg::CtrlPromise(m) => {
                 self.note_peer(m.from, ctx.now());
                 let Some(rep) = self.rep.as_mut() else { return };
-                let out = rep.cons.on_promise(m);
+                let out = rep.cons.on_promise(*m);
                 self.send_consensus(out, ctx);
                 self.drain_chosen(ctx);
             }
@@ -2051,7 +2051,7 @@ impl Node for Controller {
                 self.drain_chosen(ctx);
             }
             SwishMsg::CtrlHb(hb) => self.on_ctrl_hb(hb, ctx),
-            SwishMsg::CtrlSnap(s) => self.on_ctrl_snap(s, ctx),
+            SwishMsg::CtrlSnap(s) => self.on_ctrl_snap(*s, ctx),
             _ => {}
         }
     }

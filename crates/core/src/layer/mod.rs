@@ -160,6 +160,15 @@ impl Handles {
         &self.regs[reg as usize]
     }
 
+    /// Whether writes to `reg` ride the chain protocol (SRO/ERO) rather
+    /// than being applied locally and mirrored (EWO).
+    pub(crate) fn is_chain(&self, reg: RegId) -> bool {
+        matches!(
+            self.entry(reg).spec.class,
+            RegisterClass::Sro | RegisterClass::Ero
+        )
+    }
+
     /// The range-table handle for a partitioned register.
     pub(crate) fn rangeblk(&self, reg: RegId) -> Option<RegHandle> {
         self.rangeblks

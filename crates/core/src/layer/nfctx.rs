@@ -21,7 +21,9 @@ pub struct NfCtx<'a, 'v> {
     pub(crate) handles: &'a Handles,
     pub(crate) cfg: &'a SwishConfig,
     pub(crate) me: NodeId,
-    pub(crate) staged: Vec<StagedWrite>,
+    /// The write set, staged into a buffer the program keeps across
+    /// packets (handed over empty).
+    pub(crate) staged: &'a mut Vec<StagedWrite>,
     pub(crate) need_tail: bool,
     /// Read operations issued (for access-pattern accounting, E1).
     pub(crate) read_ops: u64,
@@ -72,7 +74,7 @@ impl<'a, 'v> SharedState for NfCtx<'a, 'v> {
         self.read_ops += 1;
         let mut v = self.base_read(reg, key);
         // Overlay this packet's own staged writes, in order.
-        for w in &self.staged {
+        for w in self.staged.iter() {
             if w.reg == reg && w.key == key {
                 match w.op {
                     WriteOp::Set(x) => v = x,
@@ -164,13 +166,18 @@ mod tests {
         (h, cfg)
     }
 
-    fn ctx<'a, 'v>(dp: &'a mut DpView<'v>, h: &'a Handles, cfg: &'a SwishConfig) -> NfCtx<'a, 'v> {
+    fn ctx<'a, 'v>(
+        dp: &'a mut DpView<'v>,
+        h: &'a Handles,
+        cfg: &'a SwishConfig,
+        staged: &'a mut Vec<StagedWrite>,
+    ) -> NfCtx<'a, 'v> {
         NfCtx {
             dp,
             handles: h,
             cfg,
             me: NodeId(1),
-            staged: vec![],
+            staged,
             need_tail: false,
             read_ops: 0,
         }
@@ -181,7 +188,8 @@ mod tests {
         let mut dp = DataPlane::standard();
         let (h, cfg) = setup(&mut dp);
         let mut view = DpView::new(&mut dp, SimTime::ZERO);
-        let mut c = ctx(&mut view, &h, &cfg);
+        let mut staged = Vec::new();
+        let mut c = ctx(&mut view, &h, &cfg, &mut staged);
         assert_eq!(c.read(0, 5), 0);
         c.write(0, 5, 42);
         assert_eq!(c.read(0, 5), 42);
@@ -200,7 +208,8 @@ mod tests {
             dp.pair_mut(slots[2]).write(3, 1, 5);
         }
         let mut view = DpView::new(&mut dp, SimTime::ZERO);
-        let mut c = ctx(&mut view, &h, &cfg);
+        let mut staged = Vec::new();
+        let mut c = ctx(&mut view, &h, &cfg, &mut staged);
         assert_eq!(c.read(1, 3), 15);
         c.add(1, 3, 7); // staged on top
         assert_eq!(c.read(1, 3), 22);
@@ -217,12 +226,14 @@ mod tests {
             dp.reg_mut(*p).write(7, 9); // in-flight write, seq 9
         }
         let mut view = DpView::new(&mut dp, SimTime::ZERO);
-        let mut c = ctx(&mut view, &h, &cfg);
+        let mut staged = Vec::new();
+        let mut c = ctx(&mut view, &h, &cfg, &mut staged);
         let _ = c.read(0, 7);
         assert!(c.need_tail);
         // A different key (different group slot) is unaffected.
         let mut view = DpView::new(&mut dp, SimTime::ZERO);
-        let mut c = ctx(&mut view, &h, &cfg);
+        let mut staged = Vec::new();
+        let mut c = ctx(&mut view, &h, &cfg, &mut staged);
         let _ = c.read(0, 8);
         assert!(!c.need_tail);
     }
@@ -235,7 +246,8 @@ mod tests {
             dp.pair_mut(slots[0]).write(0, 1, 100);
         }
         let mut view = DpView::new(&mut dp, SimTime::ZERO);
-        let mut c = ctx(&mut view, &h, &cfg);
+        let mut staged = Vec::new();
+        let mut c = ctx(&mut view, &h, &cfg, &mut staged);
         c.add(2, 0, 5);
         assert_eq!(c.staged[0].op, WriteOp::Set(105));
     }

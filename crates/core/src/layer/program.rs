@@ -7,7 +7,7 @@ use super::{
     PENDING_SWEEP_PKTGEN_TOKEN, REPLICA_GROUP, SYNC_PKTGEN_TOKEN,
 };
 use crate::api::{NfApp, NfDecision};
-use crate::config::{MergePolicy, RegisterClass, SwishConfig};
+use crate::config::{MergePolicy, SwishConfig};
 use crate::metrics::DpMetrics;
 use crate::reconfig::{encode_ranges, RangeView};
 use crate::version::SwitchClock;
@@ -18,7 +18,7 @@ use swishmem_wire::swish::{
     MigrateBegin, MigrateChunk, OwnershipCommit, PendingClear, ReadForward, RegId, SnapshotChunk,
     SyncEntry, SyncUpdate, WriteOp, WriteRequest,
 };
-use swishmem_wire::{DataPacket, NodeId, Packet, PacketBody, SwishMsg, TraceId};
+use swishmem_wire::{DataPacket, NodeId, Packet, PacketBody, Shared, SwishMsg, TraceId};
 
 /// The data-plane program of one SwiShmem switch.
 pub struct SwishProgram {
@@ -35,6 +35,14 @@ pub struct SwishProgram {
     sweep_cursor: (usize, u32),
     /// Eager-mirror entries awaiting a batch flush.
     mirror_buf: Vec<(RegId, SyncEntry)>,
+    /// Pooled write set: lent to each packet's [`NfCtx`] and cleared per
+    /// packet, so staging writes allocates nothing in steady state.
+    staged: Vec<StagedWrite>,
+    /// Indices into `handles.regs` of the EWO registers (the periodic
+    /// sync walk) and of the SRO registers (the pending sweep). The
+    /// register layout is fixed at build, so neither is rebuilt per tick.
+    ewo_regs: Vec<usize>,
+    sro_regs: Vec<usize>,
     /// Per-switch causal-trace counter: each logical operation entering
     /// the NF at this switch gets `TraceId::new(me, counter)`. Pure
     /// bookkeeping — advancing it draws no randomness and schedules no
@@ -51,6 +59,20 @@ impl SwishProgram {
         app: Box<dyn NfApp>,
         clock: SwitchClock,
     ) -> SwishProgram {
+        let regs_where = |pred: fn(&RegKind) -> bool| -> Vec<usize> {
+            let all = 0..handles.regs.len();
+            all.filter(|&i| pred(&handles.regs[i].kind)).collect()
+        };
+        let ewo_regs = regs_where(|k| matches!(k, RegKind::Ewo { .. }));
+        let sro_regs = regs_where(|k| {
+            matches!(
+                k,
+                RegKind::Chain {
+                    pending: Some(_),
+                    ..
+                }
+            )
+        });
         SwishProgram {
             me,
             me_slot: me.index(),
@@ -62,6 +84,9 @@ impl SwishProgram {
             sync_cursor: (0, 0),
             sweep_cursor: (0, 0),
             mirror_buf: Vec::new(),
+            staged: Vec::new(),
+            ewo_regs,
+            sro_regs,
             next_trace: 0,
         }
     }
@@ -135,20 +160,21 @@ impl SwishProgram {
         dp: &mut DpView<'_>,
         eff: &mut Effects,
     ) {
-        let (decision, staged, need_tail) = {
+        self.staged.clear();
+        let (decision, need_tail) = {
             let mut ctx = NfCtx {
                 dp,
                 handles: &self.handles,
                 cfg: &self.cfg,
                 me: self.me,
-                staged: Vec::new(),
+                staged: &mut self.staged,
                 need_tail: false,
                 read_ops: 0,
             };
             let decision = self.app.process(&d, ingress, &mut ctx);
             self.metrics.nf_reads += ctx.read_ops;
             self.metrics.nf_writes += ctx.staged.len() as u64;
-            (decision, ctx.staged, ctx.need_tail)
+            (decision, ctx.need_tail)
         };
 
         if need_tail && may_redirect {
@@ -174,22 +200,21 @@ impl SwishProgram {
         }
         self.metrics.reads_local += 1;
 
-        let (chain_writes, ewo_writes): (Vec<StagedWrite>, Vec<StagedWrite>) =
-            staged.into_iter().partition(|w| {
-                matches!(
-                    self.handles.entry(w.reg).spec.class,
-                    RegisterClass::Sro | RegisterClass::Ero
-                )
-            });
+        let n_chain = self
+            .staged
+            .iter()
+            .filter(|w| self.handles.is_chain(w.reg))
+            .count();
 
-        if !ewo_writes.is_empty() {
-            let entries = self.apply_ewo(&ewo_writes, dp);
-            self.queue_mirror(entries, trace, eff);
+        if n_chain < self.staged.len() {
+            self.apply_ewo(trace, dp, eff);
         }
 
-        if !chain_writes.is_empty() {
+        if n_chain > 0 {
             // P' is buffered by the control plane until the chain acks
             // (§6.1: "both P' and Q are forwarded to the control plane").
+            // The write set moves into the punt item, so it is the one
+            // buffer built per chain-writing packet.
             self.metrics.sro_jobs_punted += 1;
             let decision = match decision {
                 NfDecision::Forward { dst, pkt } => Some((dst, pkt)),
@@ -197,7 +222,9 @@ impl SwishProgram {
             };
             eff.punt_traced(
                 CpItem::WriteJob {
-                    writes: chain_writes,
+                    writes: (self.staged.iter().copied())
+                        .filter(|w| self.handles.is_chain(w.reg))
+                        .collect(),
                     decision,
                     trace,
                     ingress: dp.now(),
@@ -213,37 +240,26 @@ impl SwishProgram {
         }
     }
 
-    /// Apply EWO writes to this switch's own slots; returns the sync
-    /// entries describing the new state for eager mirroring.
-    fn apply_ewo(
-        &mut self,
-        writes: &[StagedWrite],
-        dp: &mut DpView<'_>,
-    ) -> Vec<(RegId, SyncEntry)> {
-        let mut out = Vec::with_capacity(writes.len());
-        for w in writes {
+    /// Apply the staged EWO writes to this switch's own slots and queue
+    /// the sync entries describing the new state for eager mirroring,
+    /// flushing when the batch threshold is reached (§7: batching trades
+    /// bandwidth for staleness).
+    fn apply_ewo(&mut self, trace: TraceId, dp: &mut DpView<'_>, eff: &mut Effects) {
+        let queued_before = self.mirror_buf.len();
+        for i in 0..self.staged.len() {
+            let w = self.staged[i];
             let entry = self.handles.entry(w.reg);
             let RegKind::Ewo { slots } = &entry.kind else {
-                continue;
+                continue; // a chain write: the control plane drives it
             };
             let key = w.key as usize;
-            match entry.spec.policy {
+            let (h, slot, version, value) = match entry.spec.policy {
                 MergePolicy::GCounter => {
                     let WriteOp::Add(delta) = w.op else { continue };
                     debug_assert!(delta >= 0);
                     let h = slots[self.me_slot % slots.len()];
                     let (v, c) = dp.pair_read(h, key);
-                    let (nv, nc) = (v + 1, c + delta as u64);
-                    dp.pair_write(h, key, nv, nc);
-                    out.push((
-                        w.reg,
-                        SyncEntry {
-                            key: w.key,
-                            slot: self.me_slot as u8,
-                            version: nv,
-                            value: nc,
-                        },
-                    ));
+                    (h, self.me_slot as u8, v + 1, c + delta as u64)
                 }
                 MergePolicy::Windowed { window } => {
                     let WriteOp::Add(delta) = w.op else { continue };
@@ -251,58 +267,35 @@ impl SwishProgram {
                     let epoch = dp.now().nanos() / window.as_nanos().max(1);
                     let h = slots[self.me_slot % slots.len()];
                     let (e, c) = dp.pair_read(h, key);
-                    let (ne, nc) = if epoch > e {
-                        (epoch, delta as u64)
+                    if epoch > e {
+                        (h, self.me_slot as u8, epoch, delta as u64)
                     } else {
-                        (e, c + delta as u64)
-                    };
-                    dp.pair_write(h, key, ne, nc);
-                    out.push((
-                        w.reg,
-                        SyncEntry {
-                            key: w.key,
-                            slot: self.me_slot as u8,
-                            version: ne,
-                            value: nc,
-                        },
-                    ));
+                        (h, self.me_slot as u8, e, c + delta as u64)
+                    }
                 }
                 MergePolicy::Lww => {
                     let value = match w.op {
                         WriteOp::Set(v) => v,
                         WriteOp::Add(d) => dp.pair_read(slots[0], key).1.wrapping_add(d as u64),
                     };
-                    let version = self.clock.next_version(dp.now());
-                    dp.pair_write(slots[0], key, version, value);
-                    out.push((
-                        w.reg,
-                        SyncEntry {
-                            key: w.key,
-                            slot: 0,
-                            version,
-                            value,
-                        },
-                    ));
+                    (slots[0], 0, self.clock.next_version(dp.now()), value)
                 }
-            }
+            };
+            dp.pair_write(h, key, version, value);
             self.metrics.ewo_writes += 1;
+            if self.cfg.eager_updates {
+                let e = SyncEntry {
+                    key: w.key,
+                    slot,
+                    version,
+                    value,
+                };
+                self.mirror_buf.push((w.reg, e));
+            }
         }
-        out
-    }
-
-    /// Queue eager-mirror entries, flushing when the batch threshold is
-    /// reached (§7: batching trades bandwidth for staleness).
-    fn queue_mirror(
-        &mut self,
-        entries: Vec<(RegId, SyncEntry)>,
-        trace: TraceId,
-        eff: &mut Effects,
-    ) {
-        if !self.cfg.eager_updates || entries.is_empty() {
-            return;
-        }
-        self.mirror_buf.extend(entries);
-        if self.mirror_buf.len() >= self.cfg.batch_size.max(1) {
+        if self.mirror_buf.len() > queued_before
+            && self.mirror_buf.len() >= self.cfg.batch_size.max(1)
+        {
             self.flush_mirror(trace, eff);
         }
     }
@@ -310,18 +303,18 @@ impl SwishProgram {
     /// `trace` attributes the flush: the packet that tipped the batch
     /// over, or the sync round that drained a lingering batch.
     fn flush_mirror(&mut self, trace: TraceId, eff: &mut Effects) {
-        if self.mirror_buf.is_empty() {
-            return;
-        }
-        // Group entries by register, one SyncUpdate per register.
-        let mut by_reg: Vec<(RegId, Vec<SyncEntry>)> = Vec::new();
-        for (reg, e) in self.mirror_buf.drain(..) {
-            match by_reg.iter_mut().find(|(r, _)| *r == reg) {
-                Some((_, v)) => v.push(e),
-                None => by_reg.push((reg, vec![e])),
-            }
-        }
-        for (reg, entries) in by_reg {
+        // One SyncUpdate per register, in order of first appearance. A
+        // batch (or its last group) whose entries share a register drains
+        // straight into the shared body — the one allocation of the pass.
+        while let Some(&(reg, _)) = self.mirror_buf.first() {
+            let entries: Shared<SyncEntry> = if self.mirror_buf.iter().all(|(r, _)| *r == reg) {
+                self.mirror_buf.drain(..).map(|(_, e)| e).collect()
+            } else {
+                let of_reg = self.mirror_buf.iter().filter(|(r, _)| *r == reg);
+                let entries = of_reg.map(|(_, e)| *e).collect();
+                self.mirror_buf.retain(|(r, _)| *r != reg);
+                entries
+            };
             self.metrics.mirror_packets += 1;
             eff.multicast(
                 REPLICA_GROUP,
@@ -329,7 +322,7 @@ impl SwishProgram {
                     reg,
                     origin: self.me,
                     trace,
-                    entries: entries.into(),
+                    entries,
                 })),
             );
         }
@@ -462,22 +455,7 @@ impl SwishProgram {
         if chain.tail() != Some(self.me) || chain.chain.len() < 2 {
             return; // only the tail sweeps, and only for a real chain
         }
-        let sro_regs: Vec<usize> = self
-            .handles
-            .regs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| {
-                matches!(
-                    r.kind,
-                    RegKind::Chain {
-                        pending: Some(_),
-                        ..
-                    }
-                )
-            })
-            .map(|(i, _)| i)
-            .collect();
+        let sro_regs = &self.sro_regs;
         if sro_regs.is_empty() {
             return;
         }
@@ -542,7 +520,6 @@ impl SwishProgram {
             return;
         };
         eff.span(u.trace, SpanPhase::SyncMerge);
-        let slots = slots.clone();
         for e in &u.entries {
             let changed = match entry.spec.policy {
                 MergePolicy::GCounter => {
@@ -576,14 +553,7 @@ impl SwishProgram {
     /// forming write update packets ... forwarding each one to a
     /// randomly-selected switch in the replica group").
     fn periodic_sync(&mut self, trace: TraceId, dp: &mut DpView<'_>, eff: &mut Effects) {
-        let ewo_regs: Vec<usize> = self
-            .handles
-            .regs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| matches!(r.kind, RegKind::Ewo { .. }))
-            .map(|(i, _)| i)
-            .collect();
+        let ewo_regs = &self.ewo_regs;
         if ewo_regs.is_empty() {
             return;
         }

@@ -130,12 +130,13 @@ mod tests {
         ];
         let h = Handles::build(&mut dp, &specs, &cfg, 2).unwrap();
         let mut view = DpView::new(&mut dp, SimTime::ZERO);
+        let mut staged = Vec::new();
         let mut ctx = NfCtx {
             dp: &mut view,
             handles: &h,
             cfg: &cfg,
             me: NodeId(0),
-            staged: vec![],
+            staged: &mut staged,
             need_tail: false,
             read_ops: 0,
         };

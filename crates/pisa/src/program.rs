@@ -97,12 +97,21 @@ impl Effects {
         Effects::default()
     }
 
-    /// Empty effect set with span collection switched on or off.
-    pub fn with_tracing(tracing: bool) -> Effects {
+    /// Effect set collecting into `buf`, a (cleared) buffer the caller
+    /// keeps across passes so a pass allocates nothing, with span
+    /// collection switched on or off. [`Effects::into_buf`] hands the
+    /// buffer back.
+    pub fn over(mut buf: Vec<Effect>, tracing: bool) -> Effects {
+        buf.clear();
         Effects {
-            items: Vec::new(),
+            items: buf,
             tracing,
         }
+    }
+
+    /// Take the collected effects together with the buffer's capacity.
+    pub fn into_buf(self) -> Vec<Effect> {
+        self.items
     }
 
     /// Emit a frame toward `dst`.

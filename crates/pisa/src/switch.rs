@@ -78,6 +78,10 @@ pub struct Switch<P: DataPlaneProgram, C: ControlApp> {
     next_work_id: u64,
     pktgens: Vec<(SimDuration, u64)>,
     stats: SwitchStats,
+    /// Pooled effect buffer: lent to the [`Effects`] of each pipeline
+    /// pass and taken back drained, so a pass allocates nothing once the
+    /// buffer has grown to the widest pass seen.
+    effect_buf: Vec<Effect>,
 }
 
 impl<P: DataPlaneProgram, C: ControlApp> Switch<P, C> {
@@ -96,6 +100,7 @@ impl<P: DataPlaneProgram, C: ControlApp> Switch<P, C> {
             next_work_id: 0,
             pktgens: Vec::new(),
             stats: SwitchStats::default(),
+            effect_buf: Vec::new(),
         }
     }
 
@@ -151,17 +156,18 @@ impl<P: DataPlaneProgram, C: ControlApp> Switch<P, C> {
     where
         F: FnOnce(&mut P, &mut DpView<'_>, &mut Effects),
     {
-        let mut eff = Effects::with_tracing(ctx.tracing());
+        let mut eff = Effects::over(std::mem::take(&mut self.effect_buf), ctx.tracing());
         {
             let mut view = DpView::new(&mut self.dp, ctx.now());
             f(&mut self.program, &mut view, &mut eff);
         }
-        self.apply_effects(eff, ctx);
+        let mut effects = eff.into_buf();
+        self.apply_effects(&mut effects, ctx);
+        self.effect_buf = effects;
     }
 
-    fn apply_effects(&mut self, mut eff: Effects, ctx: &mut Ctx<'_>) {
-        let effects: Vec<Effect> = eff.drain().collect();
-        for e in effects {
+    fn apply_effects(&mut self, effects: &mut Vec<Effect>, ctx: &mut Ctx<'_>) {
+        for e in effects.drain(..) {
             match e {
                 Effect::Forward { dst, body } => ctx.send(dst, body),
                 Effect::Multicast { group, body } => ctx.multicast(group, body),

@@ -154,6 +154,11 @@ impl Writer {
         self.buf.put_slice(b);
     }
 
+    /// Append `n` zero bytes (payload padding) without a scratch buffer.
+    pub fn zeros(&mut self, n: usize) {
+        self.buf.put_bytes(0, n);
+    }
+
     /// Overwrite a previously written big-endian u16 at `offset` (used for
     /// checksum and length back-patching).
     pub fn patch_u16(&mut self, offset: usize, v: u16) {
@@ -186,6 +191,7 @@ mod tests {
         w.u64(0x0102_0304_0506_0708);
         w.i64(-42);
         w.bytes(&[9, 9, 9]);
+        w.zeros(2);
 
         let buf = w.finish();
         let mut r = Reader::new(&buf);
@@ -195,6 +201,7 @@ mod tests {
         assert_eq!(r.u64().unwrap(), 0x0102_0304_0506_0708);
         assert_eq!(r.i64().unwrap(), -42);
         assert_eq!(r.bytes(3).unwrap(), &[9, 9, 9]);
+        assert_eq!(r.bytes(2).unwrap(), &[0, 0]);
         assert!(r.expect_end().is_ok());
     }
 

@@ -99,7 +99,7 @@ impl DataPacket {
             .encode(w);
         }
         // Zero-filled payload.
-        w.bytes(&vec![0u8; self.payload_len as usize]);
+        w.zeros(self.payload_len as usize);
     }
 
     /// Decode IPv4 + L4 headers + payload from `r`.
@@ -175,6 +175,15 @@ pub struct Packet {
     pub body: PacketBody,
 }
 
+// Size budget: the simulator moves packets by value through every event,
+// effect and slab slot. A message author who grows a `SwishMsg` variant
+// gets a compile error here, not a silent event-core regression (see the
+// boxing rule next to `SwishMsg`).
+const _: () = assert!(
+    std::mem::size_of::<Packet>() <= 72,
+    "Packet outgrew its 72-byte budget: box the new CP-only message variant"
+);
+
 impl Packet {
     /// Wrap a data packet.
     pub fn data(src: NodeId, dst: NodeId, dp: DataPacket) -> Packet {
@@ -220,7 +229,7 @@ impl Packet {
             PacketBody::Data(d) => d.encode(&mut w),
             PacketBody::Swish(m) => m.encode(&mut w),
         }
-        w.finish().to_vec()
+        w.finish().into_vec()
     }
 
     /// Parse a full frame.

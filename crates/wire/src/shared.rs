@@ -19,9 +19,11 @@ use std::sync::Arc;
 pub struct Shared<T>(Arc<[T]>);
 
 impl<T> Shared<T> {
-    /// An empty slice (no allocation).
+    /// An empty slice. Not free: `Arc<[T]>` has no shared empty
+    /// singleton, so this allocates the (element-less) reference-count
+    /// header — keep it off per-packet paths.
     pub fn empty() -> Shared<T> {
-        Shared(Arc::from(Vec::new()))
+        Shared(Arc::from([]))
     }
 
     /// View as a plain slice.
@@ -58,13 +60,16 @@ impl<T> From<Vec<T>> for Shared<T> {
 
 impl<T: Clone> From<&[T]> for Shared<T> {
     fn from(v: &[T]) -> Shared<T> {
-        Shared(Arc::from(v.to_vec()))
+        Shared(Arc::from(v))
     }
 }
 
+/// Collects straight into the shared allocation: an iterator of trusted
+/// length (slices, `Vec::drain`, `map` over either) costs exactly one
+/// allocation; others fall back to std's intermediate buffer.
 impl<T> FromIterator<T> for Shared<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Shared<T> {
-        Shared(iter.into_iter().collect::<Vec<T>>().into())
+        Shared(iter.into_iter().collect::<Arc<[T]>>())
     }
 }
 

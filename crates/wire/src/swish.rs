@@ -818,8 +818,9 @@ pub enum SwishMsg {
     LoadReport(LoadReport),
     /// Controller-consensus phase-1 request.
     CtrlPrepare(CtrlPrepare),
-    /// Controller-consensus phase-1 reply.
-    CtrlPromise(CtrlPromise),
+    /// Controller-consensus phase-1 reply. Boxed: control-plane only and
+    /// wider than any data-plane message (72 B against ≤ 56 B).
+    CtrlPromise(Box<CtrlPromise>),
     /// Controller-consensus phase-2 request.
     CtrlAccept(CtrlAccept),
     /// Controller-consensus phase-2 reply.
@@ -830,9 +831,20 @@ pub enum SwishMsg {
     CtrlHb(CtrlHb),
     /// Leader announcement to switches.
     CtrlLead(CtrlLead),
-    /// Controller-state snapshot for lagging-replica catch-up.
-    CtrlSnap(CtrlSnap),
+    /// Controller-state snapshot for lagging-replica catch-up. Boxed:
+    /// control-plane only and variable-length (four inline `Vec`s).
+    CtrlSnap(Box<CtrlSnap>),
 }
+
+// Size budget. Every event, effect, slab slot and recorder entry moves a
+// `SwishMsg` by value, so the widest variant is paid by every data-plane
+// packet. Messages a switch pipeline handles are small fixed-width field
+// lists and fit inline; a variant that would not — control-plane only,
+// variable-length — is boxed instead of raising this number.
+const _: () = assert!(
+    std::mem::size_of::<SwishMsg>() <= 64,
+    "SwishMsg outgrew its 64-byte budget: box the new CP-only variant"
+);
 
 const TAG_WRITE: u8 = 0x01;
 const TAG_ACK: u8 = 0x02;
@@ -1337,7 +1349,7 @@ impl SwishMsg {
                 } else {
                     None
                 };
-                SwishMsg::CtrlPromise(CtrlPromise {
+                SwishMsg::CtrlPromise(Box::new(CtrlPromise {
                     from,
                     ballot,
                     slot,
@@ -1346,7 +1358,7 @@ impl SwishMsg {
                     max_slot,
                     acc_ballot,
                     acc,
-                })
+                }))
             }
             TAG_CTRL_ACCEPT => SwishMsg::CtrlAccept(CtrlAccept {
                 from: decode_node(r)?,
@@ -1424,7 +1436,7 @@ impl SwishMsg {
                     }
                     regs.push(CtrlSnapReg { reg, ranges });
                 }
-                SwishMsg::CtrlSnap(CtrlSnap {
+                SwishMsg::CtrlSnap(Box::new(CtrlSnap {
                     from,
                     base,
                     epoch,
@@ -1435,7 +1447,7 @@ impl SwishMsg {
                     leader_changes,
                     boot_done,
                     regs,
-                })
+                }))
             }
             t => return Err(WireError::UnknownTag(t)),
         };
@@ -1695,7 +1707,7 @@ mod tests {
                 ballot: (3 << 8) | 1,
                 slot: 7,
             }),
-            SwishMsg::CtrlPromise(CtrlPromise {
+            SwishMsg::CtrlPromise(Box::new(CtrlPromise {
                 from: NodeId(u16::MAX),
                 ballot: (3 << 8) | 1,
                 slot: 7,
@@ -1704,8 +1716,8 @@ mod tests {
                 max_slot: 9,
                 acc_ballot: (2 << 8),
                 acc: Some(CtrlCmd::Fail { node: NodeId(4) }),
-            }),
-            SwishMsg::CtrlPromise(CtrlPromise {
+            })),
+            SwishMsg::CtrlPromise(Box::new(CtrlPromise {
                 from: NodeId(u16::MAX - 2),
                 ballot: (3 << 8) | 1,
                 slot: 7,
@@ -1714,7 +1726,7 @@ mod tests {
                 max_slot: 0,
                 acc_ballot: 0,
                 acc: None,
-            }),
+            })),
             SwishMsg::CtrlAccept(CtrlAccept {
                 from: NodeId(u16::MAX - 1),
                 ballot: (3 << 8) | 1,
@@ -1759,7 +1771,7 @@ mod tests {
                 slot: 260,
                 cmd: CtrlCmd::Compact { upto: 256 },
             }),
-            SwishMsg::CtrlSnap(CtrlSnap {
+            SwishMsg::CtrlSnap(Box::new(CtrlSnap {
                 from: NodeId(u16::MAX - 1),
                 base: (1 << 32) | 17,
                 epoch: 5,
@@ -1796,8 +1808,8 @@ mod tests {
                         },
                     ],
                 }],
-            }),
-            SwishMsg::CtrlSnap(CtrlSnap {
+            })),
+            SwishMsg::CtrlSnap(Box::new(CtrlSnap {
                 from: NodeId(u16::MAX),
                 base: 0,
                 epoch: 0,
@@ -1808,7 +1820,7 @@ mod tests {
                 leader_changes: 0,
                 boot_done: false,
                 regs: vec![],
-            }),
+            })),
         ]
     }
 
@@ -1897,6 +1909,40 @@ mod tests {
             r.expect_end().unwrap();
             assert_eq!(back, msg);
         }
+    }
+
+    #[test]
+    fn boxed_variants_keep_their_encoding() {
+        // Boxing is an in-memory layout choice only: the bytes below are
+        // written out from the field layout, not produced by `encode`.
+        let samples = samples();
+        let refusal = samples
+            .iter()
+            .find(|m| matches!(m, SwishMsg::CtrlPromise(p) if !p.granted))
+            .unwrap();
+        let mut want = vec![WIRE_VERSION, TAG_CTRL_PROMISE, 0xff, 0xfd];
+        want.extend_from_slice(&0x0301u64.to_be_bytes()); // ballot
+        want.extend_from_slice(&7u64.to_be_bytes()); // slot
+        want.push(0); // granted
+        want.extend_from_slice(&0x0502u64.to_be_bytes()); // floor
+        want.extend_from_slice(&[0; 16]); // max_slot, acc_ballot
+        want.push(0); // no accepted value
+        let mut w = Writer::new();
+        refusal.encode(&mut w);
+        assert_eq!(w.as_slice(), &want[..]);
+
+        let empty_snap = samples
+            .iter()
+            .find(|m| matches!(m, SwishMsg::CtrlSnap(s) if s.regs.is_empty()))
+            .unwrap();
+        let mut want = vec![WIRE_VERSION, TAG_CTRL_SNAP, 0xff, 0xff];
+        want.extend_from_slice(&[0; 8 + 4]); // base, epoch
+        want.extend_from_slice(&[0; 2 + 2 + 2]); // chain, learners, group
+        want.push(0); // no leader
+        want.extend_from_slice(&[0; 8 + 1 + 2]); // leader_changes, boot_done, regs
+        let mut w = Writer::new();
+        empty_snap.encode(&mut w);
+        assert_eq!(w.as_slice(), &want[..]);
     }
 
     #[test]

@@ -90,6 +90,17 @@ cargo test -q -p swishmem-replay --test scenario_packs
 echo "==> cargo test --release --test replay_lab (E24 smoke: digest invariance + ring parity)"
 cargo test -q --release -p swishmem-bench --test replay_lab
 
+# Performance-model gates (DESIGN.md "Performance model"), by name: the
+# per-packet paths must stay inside their allocation budget (0 per event
+# on the bare engine, <= 2 per EWO packet, <= 1 per SRO read hit), and the
+# repo benchmark — a separate package, so the workspace build above never
+# compiles it — must still build against the crates and catch every
+# sabotaged reference in its own self-test.
+echo "==> cargo test --release --test alloc_budget (per-packet allocation budget)"
+cargo test -q --release --test alloc_budget
+echo "==> bash benchmark/run.sh --self-test (benchmark builds + sabotage gate)"
+bash benchmark/run.sh --self-test
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

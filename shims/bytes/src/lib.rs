@@ -248,17 +248,28 @@ pub trait BufMut {
     fn put_i64(&mut self, v: i64) {
         self.put_slice(&v.to_be_bytes());
     }
+
+    /// Append `cnt` copies of `val`.
+    fn put_bytes(&mut self, val: u8, cnt: usize);
 }
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
     }
+
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.buf.resize(self.buf.len() + cnt, val);
+    }
 }
 
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.resize(self.len() + cnt, val);
     }
 }
 
@@ -287,7 +298,9 @@ mod tests {
         m.put_u64(7);
         m.put_i64(-1);
         m.put_slice(&[9, 9]);
-        assert_eq!(m.len(), 1 + 2 + 4 + 8 + 8 + 2);
+        m.put_bytes(0, 3);
+        assert_eq!(m.len(), 1 + 2 + 4 + 8 + 8 + 2 + 3);
+        assert_eq!(m[m.len() - 4..], [9, 0, 0, 0]);
         let frozen = m.freeze();
         assert_eq!(frozen[0], 0xab);
         assert_eq!(frozen[1..3], [0x12, 0x34]);
