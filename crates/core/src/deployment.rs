@@ -11,7 +11,7 @@ use crate::controller::{ConfigEvent, ConsensusMetrics, Controller};
 use crate::layer::cp::SwishCp;
 use crate::layer::program::SwishProgram;
 use crate::layer::{ChainView, Handles, RegKind, PENDING_SWEEP_PKTGEN_TOKEN, SYNC_PKTGEN_TOKEN};
-use crate::metrics::SwitchMetrics;
+use crate::metrics::{CpMetrics, DpMetrics, SwitchMetrics, SwitchMetricsRef};
 use crate::version::SwitchClock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -430,18 +430,36 @@ impl Deployment {
         sw.program().peek(sw.dp(), reg, key, now)
     }
 
-    /// Combined protocol metrics of switch `i`.
+    /// Data-plane protocol metrics of switch `i`, borrowed.
+    pub fn dp_metrics(&self, i: usize) -> &DpMetrics {
+        self.switch(i).program().metrics()
+    }
+
+    /// Control-plane protocol metrics of switch `i`, borrowed.
+    pub fn cp_metrics(&self, i: usize) -> &CpMetrics {
+        self.switch(i).cp_app().metrics()
+    }
+
+    /// Combined protocol metrics of switch `i`, as an owned snapshot
+    /// (clones both structs, latency histograms included; a caller that
+    /// only reads wants [`Deployment::dp_metrics`] / `cp_metrics`).
     pub fn metrics(&self, i: usize) -> SwitchMetrics {
-        let sw = self.switch(i);
         SwitchMetrics {
-            dp: sw.program().metrics().clone(),
-            cp: sw.cp_app().metrics().clone(),
+            dp: self.dp_metrics(i).clone(),
+            cp: self.cp_metrics(i).clone(),
         }
     }
 
     /// Sum of a `u64` metric across switches.
-    pub fn sum_metric<F: Fn(&SwitchMetrics) -> u64>(&self, f: F) -> u64 {
-        (0..self.switches.len()).map(|i| f(&self.metrics(i))).sum()
+    pub fn sum_metric<F: Fn(SwitchMetricsRef<'_>) -> u64>(&self, f: F) -> u64 {
+        (0..self.switches.len())
+            .map(|i| {
+                f(SwitchMetricsRef {
+                    dp: self.dp_metrics(i),
+                    cp: self.cp_metrics(i),
+                })
+            })
+            .sum()
     }
 
     /// Controller node ids: `[NodeId::CONTROLLER]` for a singleton, the
@@ -483,7 +501,7 @@ impl Deployment {
     /// replicated): per-replica access plus group-level summaries.
     pub fn controller(&self) -> ReplicatedController<'_> {
         ReplicatedController {
-            ids: self.ctrls.clone(),
+            ids: &self.ctrls,
             n_active: self.n_ctrl_active,
             reps: self
                 .ctrls
@@ -828,7 +846,7 @@ impl Deployment {
 /// the paper's singleton or a replica group. Obtained from
 /// [`Deployment::controller`].
 pub struct ReplicatedController<'a> {
-    ids: Vec<NodeId>,
+    ids: &'a [NodeId],
     n_active: usize,
     reps: Vec<Option<&'a Controller>>,
     failed: Vec<bool>,
@@ -836,8 +854,8 @@ pub struct ReplicatedController<'a> {
 
 impl<'a> ReplicatedController<'a> {
     /// Replica node ids, index order.
-    pub fn ids(&self) -> &[NodeId] {
-        &self.ids
+    pub fn ids(&self) -> &'a [NodeId] {
+        self.ids
     }
 
     /// Group size (1 for a singleton).

@@ -226,23 +226,68 @@ impl ChainView {
     }
 }
 
-/// Read the configuration block from the pipeline.
+/// The configuration block as the pipeline reads it on the packet path:
+/// a fixed-capacity copy with the write order laid out contiguously (chain
+/// members, then learners), so a chain write, a tail redirect and a
+/// pending sweep allocate nothing. The owning [`ChainView`] remains for
+/// the controller, the control plane and
+/// [`program::SwishProgram::chain_view`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChainRead {
+    /// Configuration epoch.
+    pub epoch: u32,
+    order: [NodeId; MAX_NODES + MAX_LEARNERS],
+    chain_len: usize,
+    order_len: usize,
+}
+
+impl ChainRead {
+    /// Read the configuration block from the pipeline.
+    pub fn read(dp: &DpView<'_>, h: RegHandle) -> ChainRead {
+        let chain_len = (dp.reg_read(h, 1) as usize).min(MAX_NODES);
+        let learn_len = (dp.reg_read(h, 2) as usize).min(MAX_LEARNERS);
+        let mut order = [NodeId(0); MAX_NODES + MAX_LEARNERS];
+        for (i, slot) in order[..chain_len].iter_mut().enumerate() {
+            *slot = NodeId(dp.reg_read(h, 3 + i) as u16);
+        }
+        for (i, slot) in order[chain_len..chain_len + learn_len]
+            .iter_mut()
+            .enumerate()
+        {
+            *slot = NodeId(dp.reg_read(h, 3 + MAX_NODES + i) as u16);
+        }
+        ChainRead {
+            epoch: dp.reg_read(h, 0) as u32,
+            order,
+            chain_len,
+            order_len: chain_len + learn_len,
+        }
+    }
+
+    /// Number of chain members (learners excluded).
+    pub fn chain_len(&self) -> usize {
+        self.chain_len
+    }
+
+    /// The tail (ack source and authoritative reader), if any.
+    pub fn tail(&self) -> Option<NodeId> {
+        self.order[..self.chain_len].last().copied()
+    }
+
+    /// Write-propagation order: chain members then learners.
+    pub fn write_order(&self) -> &[NodeId] {
+        &self.order[..self.order_len]
+    }
+}
+
+/// Read the configuration block into an owning [`ChainView`].
 pub(crate) fn read_chain(dp: &DpView<'_>, h: RegHandle) -> ChainView {
-    let epoch = dp.reg_read(h, 0) as u32;
-    let chain_len = (dp.reg_read(h, 1) as usize).min(MAX_NODES);
-    let learn_len = (dp.reg_read(h, 2) as usize).min(MAX_LEARNERS);
-    let mut chain = Vec::with_capacity(chain_len);
-    for i in 0..chain_len {
-        chain.push(NodeId(dp.reg_read(h, 3 + i) as u16));
-    }
-    let mut learners = Vec::with_capacity(learn_len);
-    for i in 0..learn_len {
-        learners.push(NodeId(dp.reg_read(h, 3 + MAX_NODES + i) as u16));
-    }
+    let c = ChainRead::read(dp, h);
+    let (chain, learners) = c.write_order().split_at(c.chain_len());
     ChainView {
-        epoch,
-        chain,
-        learners,
+        epoch: c.epoch,
+        chain: chain.to_vec(),
+        learners: learners.to_vec(),
     }
 }
 
@@ -467,6 +512,18 @@ mod tests {
             got.write_order(),
             vec![NodeId(0), NodeId(2), NodeId(1), NodeId(3)]
         );
+        // The packet path's allocation-free view agrees with the owning
+        // one, on this block and on an empty (not yet installed) one.
+        let mut blank = DataPlane::standard();
+        let hb = Handles::build(&mut blank, &[], &cfg, 2).unwrap();
+        for (dp, h) in [(&mut dp, &h), (&mut blank, &hb)] {
+            let dpv = DpView::new(dp, swishmem_simnet::SimTime::ZERO);
+            let (owned, fast) = (read_chain(&dpv, h.cfgblk), ChainRead::read(&dpv, h.cfgblk));
+            assert_eq!(fast.epoch, owned.epoch);
+            assert_eq!(fast.tail(), owned.tail());
+            assert_eq!(fast.chain_len(), owned.chain.len());
+            assert_eq!(fast.write_order(), owned.write_order());
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use super::nfctx::NfCtx;
 use super::{
-    read_chain, read_ranges, ChainView, CpItem, Handles, RegKind, StagedWrite,
+    read_chain, read_ranges, ChainRead, ChainView, CpItem, Handles, RegKind, StagedWrite,
     PENDING_SWEEP_PKTGEN_TOKEN, REPLICA_GROUP, SYNC_PKTGEN_TOKEN,
 };
 use crate::api::{NfApp, NfDecision};
@@ -178,7 +178,7 @@ impl SwishProgram {
         };
 
         if need_tail && may_redirect {
-            let chain = read_chain(dp, self.handles.cfgblk);
+            let chain = ChainRead::read(dp, self.handles.cfgblk);
             if let Some(tail) = chain.tail() {
                 if tail != self.me {
                     // Discard this pass entirely; the tail re-executes the
@@ -333,7 +333,7 @@ impl SwishProgram {
     // ------------------------------------------------------------------
 
     fn on_chain_write(&mut self, req: WriteRequest, dp: &mut DpView<'_>, eff: &mut Effects) {
-        let chain = read_chain(dp, self.handles.cfgblk);
+        let chain = ChainRead::read(dp, self.handles.cfgblk);
         let order = chain.write_order();
         let Some(pos) = order.iter().position(|&n| n == self.me) else {
             self.metrics.chain_stale += 1;
@@ -451,8 +451,8 @@ impl SwishProgram {
     /// writes pending, preserving SRO linearizability. Cursor-bounded to
     /// `sync_chunk` slots per tick, like the EWO sync walk.
     fn pending_sweep(&mut self, dp: &mut DpView<'_>, eff: &mut Effects) {
-        let chain = read_chain(dp, self.handles.cfgblk);
-        if chain.tail() != Some(self.me) || chain.chain.len() < 2 {
+        let chain = ChainRead::read(dp, self.handles.cfgblk);
+        if chain.tail() != Some(self.me) || chain.chain_len() < 2 {
             return; // only the tail sweeps, and only for a real chain
         }
         let sro_regs = &self.sro_regs;

@@ -70,7 +70,9 @@ pub use deployment::{
 };
 pub use directory::DirectoryService;
 pub use layer::{ChainView, REPLICA_GROUP};
-pub use metrics::{CpMetrics, DpMetrics, Histogram, HistogramSummary, SwitchMetrics};
+pub use metrics::{
+    CpMetrics, DpMetrics, Histogram, HistogramSummary, SwitchMetrics, SwitchMetricsRef,
+};
 pub use oracle::{OracleConfig, OracleSuite, ReplayGuard, SloBudgets, Violation, ViolationKind};
 pub use reconfig::{
     decode_trigger, trigger_token, trigger_token_op, MigrationPhase, RangeView, ReconfigEvent,

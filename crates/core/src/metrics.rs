@@ -252,6 +252,17 @@ pub struct SwitchMetrics {
     pub cp: CpMetrics,
 }
 
+/// Combined per-switch metrics, borrowed in place: what
+/// [`crate::Deployment::sum_metric`] hands its closure, so summing one
+/// counter never clones the histograms beside it.
+#[derive(Debug, Clone, Copy)]
+pub struct SwitchMetricsRef<'a> {
+    /// Data-plane counters.
+    pub dp: &'a DpMetrics,
+    /// Control-plane counters.
+    pub cp: &'a CpMetrics,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -70,7 +70,7 @@ use swishmem_simnet::{JournalHandle, NetEvent, NetObserver, ObserverHandle, SimD
 use swishmem_wire::swish::{Key, RegId, WriteOp};
 use swishmem_wire::{NodeId, PacketBody, SwishMsg};
 
-use crate::config::{RegisterClass, SwishConfig};
+use crate::config::{RegisterClass, RegisterSpec, SwishConfig};
 use crate::deployment::Deployment;
 use crate::telemetry::journal::{CtrlEvent, Journal};
 
@@ -825,6 +825,19 @@ pub struct OracleSuite {
     first: Option<Violation>,
 }
 
+/// Install `seqs` as the new per-slot baseline and return the slots where
+/// it is below the old one, as `(slot, from, to)`. The old vector is
+/// compared in place, not cloned, and the (normally empty) result does
+/// not allocate: this runs per switch per register on every poll.
+fn replace_baseline(base: &mut Vec<u64>, seqs: Vec<u64>) -> Vec<(u32, u64, u64)> {
+    let regressed = (base.iter().zip(&seqs).enumerate())
+        .filter(|(_, (b, s))| s < b)
+        .map(|(slot, (&b, &s))| (slot as u32, b, s))
+        .collect();
+    *base = seqs;
+    regressed
+}
+
 impl OracleSuite {
     /// Build a suite and register its wire observer on the deployment.
     pub fn attach(dep: &mut Deployment, cfg: OracleConfig) -> OracleSuite {
@@ -923,6 +936,14 @@ impl OracleSuite {
     /// Returns the first violation (sticky across polls).
     pub fn poll(&mut self, dep: &Deployment) -> Option<&Violation> {
         let now = dep.now();
+        // Borrowed from the deployment, not from `self`: held across the
+        // `&mut self` calls below without a copy.
+        let specs = dep.register_specs();
+        let chain_specs = || {
+            let is_chain =
+                |s: &&RegisterSpec| matches!(s.class, RegisterClass::Sro | RegisterClass::Ero);
+            specs.iter().filter(is_chain)
+        };
 
         // 1. Wire-level violation detected since the last poll, and crash
         //    notifications (crashes reset per-switch baselines: recovered
@@ -1043,10 +1064,7 @@ impl OracleSuite {
             for kind in replica_epoch_conflicts(&logs) {
                 self.record(now, kind);
             }
-            for spec in dep.register_specs().to_vec() {
-                if !spec.is_partitioned() {
-                    continue;
-                }
+            for spec in specs.iter().filter(|s| s.is_partitioned()) {
                 let tables: Vec<(NodeId, Vec<crate::reconfig::RangeView>)> = ctrl
                     .ids()
                     .iter()
@@ -1059,13 +1077,7 @@ impl OracleSuite {
             }
         }
 
-        let specs = dep.register_specs().to_vec();
         let swish = *dep.config();
-        let chain_regs: Vec<(RegId, RegisterClass)> = specs
-            .iter()
-            .filter(|s| matches!(s.class, RegisterClass::Sro | RegisterClass::Ero))
-            .map(|s| (s.id, s.class))
-            .collect();
 
         // 2c. Partitioned range tables: the controller's master table
         //     covers the key space exactly at every poll; switch-installed
@@ -1210,26 +1222,20 @@ impl OracleSuite {
                 }
                 self.epoch_seen[i] = e;
             }
-            for &(reg, _) in &chain_regs {
-                let seqs = dep.chain_seqs(i, reg);
-                let base = self.seq_seen.get(&(i, reg)).cloned().unwrap_or_default();
-                for (slot, &s) in seqs.iter().enumerate() {
-                    if let Some(&b) = base.get(slot) {
-                        if s < b {
-                            self.record(
-                                now,
-                                ViolationKind::SeqRegressed {
-                                    switch: sw_id,
-                                    reg,
-                                    slot: slot as u32,
-                                    from: b,
-                                    to: s,
-                                },
-                            );
-                        }
-                    }
+            for reg in chain_specs().map(|s| s.id) {
+                let base = self.seq_seen.entry((i, reg)).or_default();
+                for (slot, from, to) in replace_baseline(base, dep.chain_seqs(i, reg)) {
+                    self.record(
+                        now,
+                        ViolationKind::SeqRegressed {
+                            switch: sw_id,
+                            reg,
+                            slot,
+                            from,
+                            to,
+                        },
+                    );
                 }
-                self.seq_seen.insert((i, reg), seqs);
             }
         }
 
@@ -1244,33 +1250,23 @@ impl OracleSuite {
             .and_then(|t| dep.switch_index(t))
             .filter(|&i| !dep.is_switch_failed(i));
         if let (Some(t), Some(ti)) = (tail, tail_alive) {
-            for &(reg, _) in &chain_regs {
-                // Partitioned registers have per-range tails, not the
-                // global chain tail; their commit authority is checked by
-                // the partitioned convergence block instead.
-                if specs.iter().any(|s| s.id == reg && s.is_partitioned()) {
-                    continue;
+            // Partitioned registers have per-range tails, not the global
+            // chain tail; their commit authority is checked by the
+            // partitioned convergence block instead.
+            for reg in chain_specs().filter(|s| !s.is_partitioned()).map(|s| s.id) {
+                let base = self.commit_seen.entry(reg).or_default();
+                for (slot, from, to) in replace_baseline(base, dep.chain_seqs(ti, reg)) {
+                    self.record(
+                        now,
+                        ViolationKind::CommitRegressed {
+                            tail: t,
+                            reg,
+                            slot,
+                            from,
+                            to,
+                        },
+                    );
                 }
-                let seqs = dep.chain_seqs(ti, reg);
-                if let Some(base) = self.commit_seen.get(&reg).cloned() {
-                    for (slot, &s) in seqs.iter().enumerate() {
-                        if let Some(&b) = base.get(slot) {
-                            if s < b {
-                                self.record(
-                                    now,
-                                    ViolationKind::CommitRegressed {
-                                        tail: t,
-                                        reg,
-                                        slot: slot as u32,
-                                        from: b,
-                                        to: s,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-                self.commit_seen.insert(reg, seqs);
             }
         }
 
@@ -1317,7 +1313,7 @@ impl OracleSuite {
 
         // 6. Convergence once faults have ceased and the grace elapsed.
         if now.nanos() >= self.cfg.quiesce_at.nanos() + self.cfg.convergence_grace.as_nanos() {
-            self.check_convergence(dep, &specs, &swish, now);
+            self.check_convergence(dep, specs, &swish, now);
         }
 
         self.first.as_ref()
@@ -1326,7 +1322,7 @@ impl OracleSuite {
     fn check_convergence(
         &mut self,
         dep: &Deployment,
-        specs: &[crate::config::RegisterSpec],
+        specs: &[RegisterSpec],
         swish: &SwishConfig,
         now: SimTime,
     ) {
@@ -1338,7 +1334,7 @@ impl OracleSuite {
             if dep.is_switch_failed(i) {
                 continue;
             }
-            for &(reg, key) in &dep.metrics(i).cp.abandoned_writes {
+            for &(reg, key) in &dep.cp_metrics(i).abandoned_writes {
                 if let Some(spec) = specs.iter().find(|s| s.id == reg) {
                     abandoned.insert((reg, key % swish.group_slots(spec.keys)));
                 }
@@ -1358,7 +1354,7 @@ impl OracleSuite {
             if dep.is_switch_failed(i) {
                 continue;
             }
-            for &(reg, key) in &dep.metrics(i).cp.abandoned_writes {
+            for &(reg, key) in &dep.cp_metrics(i).abandoned_writes {
                 part_excluded.insert((reg, key));
             }
         }

@@ -51,6 +51,7 @@ pub mod stats;
 pub mod time;
 pub mod topology;
 pub mod trace;
+mod wire_check;
 
 pub use capture::{CaptureBuffer, CaptureHandle};
 pub use ctx::{Ctx, GroupId};

@@ -49,12 +49,14 @@ use crate::stats::{DropReason, NetStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::TraceHandle;
+use crate::wire_check::wire_fidelity_check;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
+use swishmem_wire::cursor::Writer;
 use swishmem_wire::{NodeId, Packet, PacketBody};
 
 /// External events keep keys below this bit; node-origin keys sit above,
@@ -162,6 +164,8 @@ struct Engine {
     member_scratch: Vec<NodeId>,
     map: Arc<ShardMap>,
     wire_check: bool,
+    /// Pooled encode buffer of the wire check (empty until armed).
+    wire_scratch: Writer,
 }
 
 impl Engine {
@@ -202,6 +206,7 @@ impl Engine {
             member_scratch: Vec::new(),
             map,
             wire_check: false,
+            wire_scratch: Writer::new(),
         }
     }
 
@@ -336,49 +341,41 @@ impl Engine {
             self.events_processed += 1;
         }
         match kind {
-            EventKind::Deliver { to, pkt, corrupt } => match self.slot_of(to) {
-                None => {
-                    self.stats.record_drop(DropReason::NoRoute, pkt.wire_len());
-                }
-                Some(slot) if self.nodes[slot].failed => {
-                    self.stats.record_drop(DropReason::NodeDown, pkt.wire_len());
-                }
-                Some(slot) if corrupt => {
-                    self.stats.record_drop(DropReason::Corrupt, pkt.wire_len());
-                    self.dispatch(slot, |node, ctx| node.on_corrupt_packet(pkt, ctx));
-                }
-                Some(slot) => {
-                    self.stats.record_delivery(&pkt, to, pkt.wire_len());
-                    if self.wire_check {
-                        let bytes = pkt.to_bytes();
-                        assert_eq!(bytes.len(), pkt.wire_len(), "wire_len drift: {pkt:?}");
-                        let mut reparsed = Packet::from_bytes(&bytes)
-                            .unwrap_or_else(|e| panic!("undecodable frame {pkt:?}: {e}"));
-                        if let (PacketBody::Data(a), PacketBody::Data(b)) =
-                            (&pkt.body, &mut reparsed.body)
-                        {
-                            if a.flow.proto == 17 {
-                                b.flow_seq = a.flow_seq;
-                            }
+            EventKind::Deliver { to, pkt, corrupt } => {
+                let len = pkt.wire_len();
+                match self.slot_of(to) {
+                    None => {
+                        self.stats.record_drop(DropReason::NoRoute, len);
+                    }
+                    Some(slot) if self.nodes[slot].failed => {
+                        self.stats.record_drop(DropReason::NodeDown, len);
+                    }
+                    Some(slot) if corrupt => {
+                        self.stats.record_drop(DropReason::Corrupt, len);
+                        self.dispatch(slot, |node, ctx| node.on_corrupt_packet(pkt, ctx));
+                    }
+                    Some(slot) => {
+                        self.stats.record_delivery(&pkt, to, len);
+                        if self.wire_check {
+                            wire_fidelity_check(&pkt, len, &mut self.wire_scratch);
                         }
-                        assert_eq!(reparsed, pkt, "codec round-trip drift");
+                        if let Some(buf) = &mut self.trace_buf {
+                            buf.push((time.0, key, pkt.clone()));
+                        }
+                        if let Some(buf) = &mut self.obs_buf {
+                            buf.push((
+                                time.0,
+                                key,
+                                OwnedNetEvent::Delivered {
+                                    to,
+                                    pkt: pkt.clone(),
+                                },
+                            ));
+                        }
+                        self.dispatch(slot, |node, ctx| node.on_packet(pkt, ctx));
                     }
-                    if let Some(buf) = &mut self.trace_buf {
-                        buf.push((time.0, key, pkt.clone()));
-                    }
-                    if let Some(buf) = &mut self.obs_buf {
-                        buf.push((
-                            time.0,
-                            key,
-                            OwnedNetEvent::Delivered {
-                                to,
-                                pkt: pkt.clone(),
-                            },
-                        ));
-                    }
-                    self.dispatch(slot, |node, ctx| node.on_packet(pkt, ctx));
                 }
-            },
+            }
             EventKind::Timer { node, token } => {
                 if let Some(slot) = self.slot_of(node) {
                     if !self.nodes[slot].failed {

@@ -26,9 +26,11 @@ use crate::stats::{DropReason, NetStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::TraceHandle;
+use crate::wire_check::wire_fidelity_check;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
+use swishmem_wire::cursor::Writer;
 use swishmem_wire::{NodeId, Packet, PacketBody};
 
 /// Blanket `Any`-access helper so the engine can hand out typed references
@@ -82,6 +84,8 @@ pub struct Simulator {
     capture: Option<CaptureHandle>,
     observers: Vec<ObserverHandle>,
     wire_check: bool,
+    /// Pooled encode buffer of the wire check (empty until armed).
+    wire_scratch: Writer,
     /// Pooled command buffer reused across dispatches.
     cmd_scratch: Vec<Command>,
     /// Pooled member buffer reused across multicast/anycast fan-outs.
@@ -109,6 +113,7 @@ impl Simulator {
             capture: None,
             observers: Vec::new(),
             wire_check: false,
+            wire_scratch: Writer::new(),
             cmd_scratch: Vec::new(),
             member_scratch: Vec::new(),
         }
@@ -425,33 +430,22 @@ impl Simulator {
         self.events_processed += 1;
         match kind {
             EventKind::Deliver { to, pkt, corrupt } => {
+                let len = pkt.wire_len();
                 match self.slot_of(to) {
                     None => {
-                        self.stats.record_drop(DropReason::NoRoute, pkt.wire_len());
+                        self.stats.record_drop(DropReason::NoRoute, len);
                     }
                     Some(slot) if self.nodes[slot].failed => {
-                        self.stats.record_drop(DropReason::NodeDown, pkt.wire_len());
+                        self.stats.record_drop(DropReason::NodeDown, len);
                     }
                     Some(slot) if corrupt => {
-                        self.stats.record_drop(DropReason::Corrupt, pkt.wire_len());
+                        self.stats.record_drop(DropReason::Corrupt, len);
                         self.dispatch(slot, |node, ctx| node.on_corrupt_packet(pkt, ctx));
                     }
                     Some(slot) => {
-                        self.stats.record_delivery(&pkt, to, pkt.wire_len());
+                        self.stats.record_delivery(&pkt, to, len);
                         if self.wire_check {
-                            let bytes = pkt.to_bytes();
-                            assert_eq!(bytes.len(), pkt.wire_len(), "wire_len drift: {pkt:?}");
-                            let mut reparsed = Packet::from_bytes(&bytes)
-                                .unwrap_or_else(|e| panic!("undecodable frame {pkt:?}: {e}"));
-                            // UDP has no sequence field on the wire.
-                            if let (PacketBody::Data(a), PacketBody::Data(b)) =
-                                (&pkt.body, &mut reparsed.body)
-                            {
-                                if a.flow.proto == 17 {
-                                    b.flow_seq = a.flow_seq;
-                                }
-                            }
-                            assert_eq!(reparsed, pkt, "codec round-trip drift");
+                            wire_fidelity_check(&pkt, len, &mut self.wire_scratch);
                         }
                         if let Some(trace) = &self.trace {
                             trace.borrow_mut().record(self.now, &pkt);

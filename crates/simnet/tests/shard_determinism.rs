@@ -148,13 +148,14 @@ impl NetObserver for Collector {
 // sharded engine. Single-shard mode must reproduce the golden values.
 // ---------------------------------------------------------------------
 
+#[derive(Clone, Copy)]
 enum EngineUnderTest {
     Legacy,
     Sharded(usize),
 }
 
 fn run_churn(seed: u64, engine: EngineUnderTest, faults: Option<&FaultSchedule>) -> Fingerprint {
-    run_churn_full(seed, engine, faults, None)
+    run_churn_full(seed, engine, faults, None, false)
 }
 
 fn run_churn_full(
@@ -162,6 +163,7 @@ fn run_churn_full(
     engine: EngineUnderTest,
     faults: Option<&FaultSchedule>,
     journal: Option<JournalHandle>,
+    wire_check: bool,
 ) -> Fingerprint {
     let ids: Vec<NodeId> = (0..5).map(NodeId).collect();
     let trace = Trace::new(200_000);
@@ -194,6 +196,7 @@ fn run_churn_full(
         EngineUnderTest::Legacy => {
             let mut sim = Simulator::new(seed);
             sim.set_trace(trace.clone());
+            sim.set_wire_check(wire_check);
             if let Some(j) = journal {
                 sim.set_journal(j);
             }
@@ -235,6 +238,7 @@ fn run_churn_full(
         EngineUnderTest::Sharded(shards) => {
             let mut sim = ShardedEngine::new(seed, shards);
             sim.set_trace(trace.clone());
+            sim.set_wire_check(wire_check);
             if let Some(j) = journal {
                 sim.set_journal(j);
             }
@@ -299,6 +303,24 @@ fn single_shard_matches_golden_fingerprint() {
     assert_eq!(got, golden, "single-shard mode diverged from the golden");
 }
 
+/// Arming the wire-fidelity check is invisible under every engine: the
+/// sequential engine and S = 1 still reproduce the golden trace hash, and
+/// S = 2 its own unarmed fingerprint. Every delivered frame here is a UDP
+/// data packet, most with a non-zero simulator-side `flow_seq`, so the
+/// run also drives the shared helper's one exemption through both engines.
+#[test]
+fn wire_check_is_invisible_at_one_and_two_shards() {
+    use EngineUnderTest::{Legacy, Sharded};
+    for (engine, golden) in [(Legacy, true), (Sharded(1), true), (Sharded(2), false)] {
+        let checked = run_churn_full(1234, engine, None, None, true);
+        assert_eq!(checked, run_churn(1234, engine, None));
+        assert!(checked.delivered_pkts > 3000);
+        if golden {
+            assert_eq!(checked.trace_hash, 11_977_170_304_909_245_025);
+        }
+    }
+}
+
 /// Field-by-field equality against a live `Simulator` run, with a
 /// generated fault schedule layered on to also cover the fault plane.
 #[test]
@@ -328,6 +350,7 @@ fn single_shard_journal_attach_matches_golden_fingerprint() {
         EngineUnderTest::Sharded(1),
         None,
         Some(journal.clone()),
+        false,
     );
     let detached = run_churn(1234, EngineUnderTest::Sharded(1), None);
     assert_eq!(
@@ -357,6 +380,7 @@ fn journal_is_shard_count_invariant() {
             EngineUnderTest::Sharded(shards),
             None,
             Some(journal.clone()),
+            false,
         );
         let mut recs = journal.borrow().records().to_vec();
         // Multi-shard drains merge per-shard sinks in full-field order;

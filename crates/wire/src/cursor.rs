@@ -2,9 +2,15 @@
 //!
 //! All wire formats in this workspace are big-endian (network byte order),
 //! matching the conventions of the real protocols being modeled.
+//!
+//! Every accessor is a leaf called once per field, from this crate's
+//! codecs and from other crates, so each carries `#[inline]`: no profile
+//! here uses LTO, and an out-of-line call per field is most of a
+//! fixed-width message's cost (DESIGN.md "Performance model"). The
+//! reader's fixed-width accessors are `#[inline(always)]`: as a hint alone
+//! it is declined inside the one large `SwishMsg::decode`.
 
 use crate::WireError;
-use bytes::{BufMut, BytesMut};
 
 /// A bounds-checked big-endian reader over a byte slice.
 ///
@@ -12,168 +18,209 @@ use bytes::{BufMut, BytesMut};
 /// at which truncation occurred, which makes decode errors diagnosable.
 #[derive(Debug)]
 pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet read.
+    rest: &'a [u8],
+    /// Length of the whole buffer; the read offset is `len - rest.len()`.
+    len: usize,
 }
 
 impl<'a> Reader<'a> {
     /// Wrap a byte slice.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader {
+            rest: buf,
+            len: buf.len(),
+        }
     }
 
     /// Current read offset.
+    #[inline]
     pub fn position(&self) -> usize {
-        self.pos
+        self.len - self.rest.len()
     }
 
     /// Bytes remaining.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated {
-                offset: self.pos,
-                needed: n - self.remaining(),
-            });
+    #[cold]
+    fn truncated(&self, wanted: usize) -> WireError {
+        WireError::Truncated {
+            offset: self.position(),
+            needed: wanted - self.remaining(),
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    }
+
+    /// Read exactly `N` raw bytes as an array.
+    #[inline(always)]
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        match self.rest.split_first_chunk::<N>() {
+            Some((a, rest)) => {
+                self.rest = rest;
+                Ok(*a)
+            }
+            None => Err(self.truncated(N)),
+        }
     }
 
     /// Read one byte.
+    #[inline(always)]
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        self.array().map(|[b]| b)
     }
 
     /// Read a big-endian u16.
+    #[inline(always)]
     pub fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
+        self.array().map(u16::from_be_bytes)
     }
 
     /// Read a big-endian u32.
+    #[inline(always)]
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        self.array().map(u32::from_be_bytes)
     }
 
     /// Read a big-endian u64.
+    #[inline(always)]
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_be_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        self.array().map(u64::from_be_bytes)
     }
 
     /// Read a big-endian i64 (two's complement).
+    #[inline(always)]
     pub fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(self.u64()? as i64)
+        self.array().map(i64::from_be_bytes)
     }
 
     /// Read exactly `n` raw bytes.
+    #[inline]
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        self.take(n)
+        match self.rest.split_at_checked(n) {
+            Some((s, rest)) => {
+                self.rest = rest;
+                Ok(s)
+            }
+            None => Err(self.truncated(n)),
+        }
     }
 
     /// Fail unless the reader is exhausted. Used by top-level decoders to
     /// reject trailing garbage.
+    #[inline]
     pub fn expect_end(&self) -> Result<(), WireError> {
-        if self.remaining() == 0 {
+        if self.rest.is_empty() {
             Ok(())
         } else {
             Err(WireError::LengthMismatch {
-                declared: self.pos,
-                actual: self.buf.len(),
+                declared: self.position(),
+                actual: self.len,
             })
         }
     }
 }
 
-/// A big-endian writer appending to a `BytesMut`.
+/// A big-endian writer appending to a byte vector.
+///
+/// Reusable: [`Writer::clear`] keeps the allocation, so a caller that
+/// encodes frame after frame into one writer allocates only while the
+/// buffer grows to the longest frame.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
     /// Create an empty writer.
     pub fn new() -> Self {
-        Writer {
-            buf: BytesMut::new(),
-        }
+        Writer::default()
     }
 
     /// Create a writer with a pre-reserved capacity.
     pub fn with_capacity(n: usize) -> Self {
         Writer {
-            buf: BytesMut::with_capacity(n),
+            buf: Vec::with_capacity(n),
         }
     }
 
+    /// Forget the bytes written so far, keeping the allocation.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Make room for `additional` more bytes in one step, so the appends
+    /// that follow never grow the buffer.
+    #[inline]
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Bytes written so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// True when nothing has been written.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Append one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Append a big-endian u16.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
-        self.buf.put_u16(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian u32.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
-        self.buf.put_u32(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian u64.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
-        self.buf.put_u64(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian i64 (two's complement).
+    #[inline]
     pub fn i64(&mut self, v: i64) {
-        self.buf.put_u64(v as u64);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Append raw bytes.
+    #[inline]
     pub fn bytes(&mut self, b: &[u8]) {
-        self.buf.put_slice(b);
+        self.buf.extend_from_slice(b);
     }
 
     /// Append `n` zero bytes (payload padding) without a scratch buffer.
+    #[inline]
     pub fn zeros(&mut self, n: usize) {
-        self.buf.put_bytes(0, n);
-    }
-
-    /// Overwrite a previously written big-endian u16 at `offset` (used for
-    /// checksum and length back-patching).
-    pub fn patch_u16(&mut self, offset: usize, v: u16) {
-        let b = v.to_be_bytes();
-        self.buf[offset] = b[0];
-        self.buf[offset + 1] = b[1];
+        self.buf.resize(self.buf.len() + n, 0);
     }
 
     /// View of the bytes written so far.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
     }
 
     /// Consume the writer, yielding the bytes.
-    pub fn finish(self) -> BytesMut {
+    pub fn finish(self) -> Vec<u8> {
         self.buf
     }
 }
@@ -232,11 +279,14 @@ mod tests {
     }
 
     #[test]
-    fn patch_u16_overwrites_in_place() {
-        let mut w = Writer::new();
-        w.u16(0);
-        w.u8(7);
-        w.patch_u16(0, 0xbeef);
-        assert_eq!(w.as_slice(), &[0xbe, 0xef, 7]);
+    fn clear_keeps_the_allocation() {
+        let mut w = Writer::with_capacity(8);
+        w.u64(1);
+        let at = w.as_slice().as_ptr();
+        w.clear();
+        assert!(w.is_empty());
+        w.u32(0xdead_beef);
+        assert_eq!(w.as_slice(), &[0xde, 0xad, 0xbe, 0xef]);
+        assert_eq!(w.as_slice().as_ptr(), at);
     }
 }

@@ -16,6 +16,7 @@ impl MacAddr {
 
     /// Deterministic locally-administered MAC for a simulated node index,
     /// `02:00:00:00:hh:ll`.
+    #[inline]
     pub fn for_node(index: u16) -> MacAddr {
         let [hi, lo] = index.to_be_bytes();
         MacAddr([0x02, 0, 0, 0, hi, lo])
@@ -47,6 +48,7 @@ pub enum EtherType {
 
 impl EtherType {
     /// Raw 16-bit value.
+    #[inline]
     pub fn raw(self) -> u16 {
         match self {
             EtherType::Ipv4 => 0x0800,
@@ -56,6 +58,7 @@ impl EtherType {
     }
 
     /// Classify a raw value.
+    #[inline]
     pub fn from_raw(v: u16) -> EtherType {
         match v {
             0x0800 => EtherType::Ipv4,
@@ -86,15 +89,10 @@ impl EthernetHeader {
 
     /// Decode a header from `r`.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut dst = [0u8; 6];
-        dst.copy_from_slice(r.bytes(6)?);
-        let mut src = [0u8; 6];
-        src.copy_from_slice(r.bytes(6)?);
-        let ethertype = EtherType::from_raw(r.u16()?);
         Ok(EthernetHeader {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
-            ethertype,
+            dst: MacAddr(r.array()?),
+            src: MacAddr(r.array()?),
+            ethertype: EtherType::from_raw(r.u16()?),
         })
     }
 }

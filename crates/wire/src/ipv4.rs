@@ -26,6 +26,7 @@ pub enum IpProto {
 
 impl IpProto {
     /// Raw protocol number.
+    #[inline]
     pub fn raw(self) -> u8 {
         match self {
             IpProto::Tcp => 6,
@@ -35,6 +36,7 @@ impl IpProto {
     }
 
     /// Classify a raw protocol number.
+    #[inline]
     pub fn from_raw(v: u8) -> IpProto {
         match v {
             6 => IpProto::Tcp,
@@ -62,27 +64,35 @@ pub struct Ipv4Header {
 }
 
 impl Ipv4Header {
+    /// The 20 header bytes, checksum included. The one serialisation both
+    /// [`Ipv4Header::encode`] and the checksum comparison in
+    /// [`Ipv4Header::decode`] go through.
+    fn to_array(self) -> [u8; IPV4_HEADER_LEN] {
+        // Left zero: DSCP/ECN (byte 1) and flags + fragment offset (bytes
+        // 6..8) — never fragmented in sim.
+        let mut b = [0u8; IPV4_HEADER_LEN];
+        b[0] = 0x45; // version 4, IHL 5
+        b[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        b[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        b[8] = self.ttl;
+        b[9] = self.proto.raw();
+        b[12..16].copy_from_slice(&self.src.octets());
+        b[16..20].copy_from_slice(&self.dst.octets());
+        let ck = internet_checksum(&b);
+        b[10..12].copy_from_slice(&ck.to_be_bytes());
+        b
+    }
+
     /// Append this header to `w`, computing the header checksum.
+    #[inline]
     pub fn encode(&self, w: &mut Writer) {
-        let start = w.len();
-        w.u8(0x45); // version 4, IHL 5
-        w.u8(0); // DSCP/ECN
-        w.u16(self.total_len);
-        w.u16(self.ident);
-        w.u16(0); // flags + fragment offset: never fragmented in sim
-        w.u8(self.ttl);
-        w.u8(self.proto.raw());
-        w.u16(0); // checksum placeholder
-        w.u32(u32::from(self.src));
-        w.u32(u32::from(self.dst));
-        let ck = internet_checksum(&w.as_slice()[start..start + IPV4_HEADER_LEN]);
-        w.patch_u16(start + 10, ck);
+        w.bytes(&self.to_array());
     }
 
     /// Decode a header from `r`, verifying version, IHL and checksum.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let start = r.position();
-        let ver_ihl = r.u8()?;
+        let b: [u8; IPV4_HEADER_LEN] = r.array()?;
+        let ver_ihl = b[0];
         if ver_ihl >> 4 != 4 {
             return Err(WireError::InvalidField {
                 field: "version",
@@ -95,44 +105,44 @@ impl Ipv4Header {
                 value: u64::from(ver_ihl & 0x0f),
             });
         }
-        let _dscp = r.u8()?;
-        let total_len = r.u16()?;
+        if b[1] != 0 {
+            return Err(WireError::InvalidField {
+                field: "dscp",
+                value: u64::from(b[1]),
+            });
+        }
+        let total_len = u16::from_be_bytes([b[2], b[3]]);
         if (total_len as usize) < IPV4_HEADER_LEN {
             return Err(WireError::InvalidField {
                 field: "total_len",
                 value: u64::from(total_len),
             });
         }
-        let ident = r.u16()?;
-        let flags_frag = r.u16()?;
-        if flags_frag & 0x3fff != 0 {
+        let flags_frag = u16::from_be_bytes([b[6], b[7]]);
+        if flags_frag != 0 {
             return Err(WireError::InvalidField {
                 field: "fragment",
                 value: u64::from(flags_frag),
             });
         }
-        let ttl = r.u8()?;
-        let proto = IpProto::from_raw(r.u8()?);
-        let got_ck = r.u16()?;
-        let src = Ipv4Addr::from(r.u32()?);
-        let dst = Ipv4Addr::from(r.u32()?);
-
-        // Recompute the checksum over the raw header bytes.
         let hdr = Ipv4Header {
             total_len,
-            ident,
-            ttl,
-            proto,
-            src,
-            dst,
+            ident: u16::from_be_bytes([b[4], b[5]]),
+            ttl: b[8],
+            proto: IpProto::from_raw(b[9]),
+            src: Ipv4Addr::new(b[12], b[13], b[14], b[15]),
+            dst: Ipv4Addr::new(b[16], b[17], b[18], b[19]),
         };
-        let mut w = Writer::with_capacity(IPV4_HEADER_LEN);
-        hdr.encode(&mut w);
-        let want = u16::from_be_bytes([w.as_slice()[10], w.as_slice()[11]]);
-        if got_ck != want {
-            return Err(WireError::BadChecksum { got: got_ck, want });
+        // Every byte that is not a field has been checked above, so the
+        // received header is one this codec emits exactly when its checksum
+        // is the checksum of the *re-encoded fields*. (Summing the received
+        // bytes instead would also pass the 0xffff negative zero.)
+        let got = u16::from_be_bytes([b[10], b[11]]);
+        let again = hdr.to_array();
+        let want = u16::from_be_bytes([again[10], again[11]]);
+        if got != want {
+            return Err(WireError::BadChecksum { got, want });
         }
-        debug_assert_eq!(r.position() - start, IPV4_HEADER_LEN);
         Ok(hdr)
     }
 }
@@ -203,6 +213,27 @@ mod tests {
             Ipv4Header::decode(&mut r),
             Err(WireError::InvalidField { field: "ihl", .. })
         ));
+    }
+
+    /// Bytes no field covers: a bit set there, with the checksum field
+    /// left as the canonical header's, used to decode.
+    #[test]
+    fn rejects_dscp_and_flag_bits_the_codec_never_sets() {
+        for (byte, bit, field) in [
+            (1, 0x01, "dscp"),
+            (6, 0x40, "fragment"),
+            (6, 0x80, "fragment"),
+        ] {
+            let mut w = Writer::new();
+            sample().encode(&mut w);
+            let mut buf = w.finish();
+            buf[byte] |= bit;
+            let got = Ipv4Header::decode(&mut Reader::new(&buf));
+            assert!(
+                matches!(got, Err(WireError::InvalidField { field: f, .. }) if f == field),
+                "byte {byte} bit {bit:#04x}: {got:?}"
+            );
+        }
     }
 
     #[test]

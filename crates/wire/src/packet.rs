@@ -66,6 +66,7 @@ impl DataPacket {
     }
 
     /// Encoded length (IPv4 + L4 + payload).
+    #[inline]
     pub fn wire_len(&self) -> usize {
         IPV4_HEADER_LEN + self.l4_len() + self.payload_len as usize
     }
@@ -204,6 +205,7 @@ impl Packet {
     }
 
     /// Full frame length in bytes: Ethernet header + body.
+    #[inline]
     pub fn wire_len(&self) -> usize {
         ETHERNET_HEADER_LEN
             + match &self.body {
@@ -212,9 +214,9 @@ impl Packet {
             }
     }
 
-    /// Serialize to the full frame bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(self.wire_len());
+    /// Append the full frame to `w`. Does not reserve: a caller that
+    /// knows [`Packet::wire_len`] reserves it once, up front.
+    pub fn encode(&self, w: &mut Writer) {
         let ethertype = match &self.body {
             PacketBody::Data(_) => EtherType::Ipv4,
             PacketBody::Swish(_) => EtherType::Swish,
@@ -224,12 +226,18 @@ impl Packet {
             src: MacAddr::for_node(self.src.0),
             ethertype,
         }
-        .encode(&mut w);
+        .encode(w);
         match &self.body {
-            PacketBody::Data(d) => d.encode(&mut w),
-            PacketBody::Swish(m) => m.encode(&mut w),
+            PacketBody::Data(d) => d.encode(w),
+            PacketBody::Swish(m) => m.encode(w),
         }
-        w.finish().into_vec()
+    }
+
+    /// Serialize to the full frame bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::with_capacity(self.wire_len());
+        self.encode(&mut w);
+        w.finish()
     }
 
     /// Parse a full frame.

@@ -777,6 +777,44 @@ pub struct CtrlSnap {
     pub regs: Vec<CtrlSnapReg>,
 }
 
+impl CtrlSnap {
+    /// Encoded length after the version and tag bytes. Out of line: the
+    /// only [`SwishMsg::wire_len`] arm that walks nested vectors, kept
+    /// out of the inlined match the per-packet paths pay for.
+    fn body_len(&self) -> usize {
+        let nodes = |v: &[NodeId]| 2 + v.len() * 2;
+        let ranges: usize = self
+            .regs
+            .iter()
+            .map(|rg| {
+                2 + 2
+                    + rg.ranges
+                        .iter()
+                        .map(|r| {
+                            16 + nodes(&r.owners)
+                                + 1
+                                + r.mig
+                                    .as_ref()
+                                    .map(|g| 2 + 2 + 4 + 1 + nodes(&g.commit_owners))
+                                    .unwrap_or(0)
+                        })
+                        .sum::<usize>()
+            })
+            .sum();
+        2 + 8
+            + 4
+            + nodes(&self.chain)
+            + nodes(&self.learners)
+            + nodes(&self.group)
+            + 1
+            + if self.leader.is_some() { 2 } else { 0 }
+            + 8
+            + 1
+            + 2
+            + ranges
+    }
+}
+
 /// Every SwiShmem protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SwishMsg {
@@ -900,6 +938,50 @@ fn decode_nodes(r: &mut Reader<'_>) -> Result<Vec<NodeId>, WireError> {
         out.push(decode_node(r)?);
     }
     Ok(out)
+}
+
+/// Encoded size of one [`SyncEntry`].
+const SYNC_ENTRY_LEN: usize = 4 + 1 + 8 + 8;
+
+/// Encoded size of one [`SnapEntry`].
+const SNAP_ENTRY_LEN: usize = 4 + 8 + 8;
+
+/// The `W` bytes at offset `at` of a fixed-size entry.
+#[inline]
+fn field<const W: usize>(entry: &[u8], at: usize) -> [u8; W] {
+    *entry[at..]
+        .first_chunk()
+        .expect("a field of a fixed-size entry lies inside it")
+}
+
+fn sync_entry(b: &[u8; SYNC_ENTRY_LEN]) -> SyncEntry {
+    SyncEntry {
+        key: u32::from_be_bytes(field(b, 0)),
+        slot: b[4],
+        version: u64::from_be_bytes(field(b, 5)),
+        value: u64::from_be_bytes(field(b, 13)),
+    }
+}
+
+fn snap_entry(b: &[u8; SNAP_ENTRY_LEN]) -> SnapEntry {
+    SnapEntry {
+        key: u32::from_be_bytes(field(b, 0)),
+        seq: u64::from_be_bytes(field(b, 4)),
+        value: u64::from_be_bytes(field(b, 12)),
+    }
+}
+
+/// Decode a `u16`-counted batch of `N`-byte entries straight into the
+/// shared slice. The claimed count is checked against the buffer before
+/// anything is allocated, and the slice iterator has a trusted length, so
+/// the `Shared` is the one allocation.
+fn decode_entries<T, const N: usize>(
+    r: &mut Reader<'_>,
+    entry: impl Fn(&[u8; N]) -> T,
+) -> Result<Shared<T>, WireError> {
+    let n = r.u16()? as usize;
+    let (entries, _) = r.bytes(n * N)?.as_chunks::<N>();
+    Ok(entries.iter().map(entry).collect())
 }
 
 impl SwishMsg {
@@ -1190,51 +1272,22 @@ impl SwishMsg {
                 key: r.u32()?,
                 seq: r.u64()?,
             }),
-            TAG_SYNC => {
-                let reg = r.u16()?;
-                let origin = decode_node(r)?;
-                let trace = TraceId(r.u64()?);
-                let n = r.u16()? as usize;
-                let mut entries = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    entries.push(SyncEntry {
-                        key: r.u32()?,
-                        slot: r.u8()?,
-                        version: r.u64()?,
-                        value: r.u64()?,
-                    });
-                }
-                SwishMsg::Sync(SyncUpdate {
-                    reg,
-                    origin,
-                    trace,
-                    entries: entries.into(),
-                })
-            }
+            TAG_SYNC => SwishMsg::Sync(SyncUpdate {
+                reg: r.u16()?,
+                origin: decode_node(r)?,
+                trace: TraceId(r.u64()?),
+                entries: decode_entries(r, sync_entry)?,
+            }),
             TAG_SNAP_REQ => SwishMsg::SnapReq(SnapshotRequest {
                 target: decode_node(r)?,
                 epoch: r.u32()?,
             }),
-            TAG_SNAP_CHUNK => {
-                let reg = r.u16()?;
-                let origin = decode_node(r)?;
-                let last = r.u8()? != 0;
-                let n = r.u16()? as usize;
-                let mut entries = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    entries.push(SnapEntry {
-                        key: r.u32()?,
-                        seq: r.u64()?,
-                        value: r.u64()?,
-                    });
-                }
-                SwishMsg::SnapChunk(SnapshotChunk {
-                    reg,
-                    origin,
-                    entries: entries.into(),
-                    last,
-                })
-            }
+            TAG_SNAP_CHUNK => SwishMsg::SnapChunk(SnapshotChunk {
+                reg: r.u16()?,
+                origin: decode_node(r)?,
+                last: r.u8()? != 0,
+                entries: decode_entries(r, snap_entry)?,
+            }),
             TAG_CATCHUP => SwishMsg::CatchupDone(CatchupComplete {
                 node: decode_node(r)?,
                 epoch: r.u32()?,
@@ -1275,34 +1328,16 @@ impl SwishMsg {
                 to: decode_node(r)?,
                 epoch: r.u32()?,
             }),
-            TAG_MIG_CHUNK => {
-                let reg = r.u16()?;
-                let start = r.u32()?;
-                let end = r.u32()?;
-                let origin = decode_node(r)?;
-                let pass = r.u32()?;
-                let idx = r.u16()?;
-                let last = r.u8()? != 0;
-                let n = r.u16()? as usize;
-                let mut entries = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    entries.push(SnapEntry {
-                        key: r.u32()?,
-                        seq: r.u64()?,
-                        value: r.u64()?,
-                    });
-                }
-                SwishMsg::MigrateChunk(MigrateChunk {
-                    reg,
-                    start,
-                    end,
-                    origin,
-                    pass,
-                    idx,
-                    last,
-                    entries: entries.into(),
-                })
-            }
+            TAG_MIG_CHUNK => SwishMsg::MigrateChunk(MigrateChunk {
+                reg: r.u16()?,
+                start: r.u32()?,
+                end: r.u32()?,
+                origin: decode_node(r)?,
+                pass: r.u32()?,
+                idx: r.u16()?,
+                last: r.u8()? != 0,
+                entries: decode_entries(r, snap_entry)?,
+            }),
             TAG_OWN_COMMIT => SwishMsg::OwnershipCommit(OwnershipCommit {
                 reg: r.u16()?,
                 start: r.u32()?,
@@ -1455,15 +1490,16 @@ impl SwishMsg {
     }
 
     /// Encoded length in bytes, without allocating.
+    #[inline]
     pub fn wire_len(&self) -> usize {
         // version + tag
         2 + match self {
             SwishMsg::Write(_) => 8 + 2 + 4 + 2 + 4 + 8 + 9 + 8,
             SwishMsg::Ack(_) => 8 + 2 + 2 + 4 + 8 + 8,
             SwishMsg::Clear(_) => 4 + 2 + 4 + 8,
-            SwishMsg::Sync(m) => 2 + 2 + 8 + 2 + m.entries.len() * (4 + 1 + 8 + 8),
+            SwishMsg::Sync(m) => 2 + 2 + 8 + 2 + m.entries.len() * SYNC_ENTRY_LEN,
             SwishMsg::SnapReq(_) => 2 + 4,
-            SwishMsg::SnapChunk(m) => 2 + 2 + 1 + 2 + m.entries.len() * (4 + 8 + 8),
+            SwishMsg::SnapChunk(m) => 2 + 2 + 1 + 2 + m.entries.len() * SNAP_ENTRY_LEN,
             SwishMsg::CatchupDone(_) => 2 + 4,
             SwishMsg::Chain(m) => 4 + 2 + m.chain.len() * 2 + 2 + m.learners.len() * 2,
             SwishMsg::Group(m) => 4 + 2 + m.members.len() * 2,
@@ -1473,7 +1509,7 @@ impl SwishMsg {
             SwishMsg::ReadForward(m) => 2 + 8 + m.inner.wire_len(),
             SwishMsg::MigrateBegin(_) => 2 + 4 + 4 + 2 + 2 + 4,
             SwishMsg::MigrateChunk(m) => {
-                2 + 4 + 4 + 2 + 4 + 2 + 1 + 2 + m.entries.len() * (4 + 8 + 8)
+                2 + 4 + 4 + 2 + 4 + 2 + 1 + 2 + m.entries.len() * SNAP_ENTRY_LEN
             }
             SwishMsg::OwnershipCommit(m) => 2 + 4 + 4 + 4 + 2 + m.owners.len() * 2,
             SwishMsg::MigrateDone(_) => 2 + 4 + 4 + 2 + 4 + 4,
@@ -1487,38 +1523,7 @@ impl SwishMsg {
             SwishMsg::CtrlLearn(_) => 2 + 8 + CTRL_CMD_LEN,
             SwishMsg::CtrlHb(_) => 2 + 8 + 8 + 1,
             SwishMsg::CtrlLead(_) => 2 + 8,
-            SwishMsg::CtrlSnap(m) => {
-                let nodes = |v: &[NodeId]| 2 + v.len() * 2;
-                let ranges: usize = m
-                    .regs
-                    .iter()
-                    .map(|rg| {
-                        2 + 2
-                            + rg.ranges
-                                .iter()
-                                .map(|r| {
-                                    16 + nodes(&r.owners)
-                                        + 1
-                                        + r.mig
-                                            .as_ref()
-                                            .map(|g| 2 + 2 + 4 + 1 + nodes(&g.commit_owners))
-                                            .unwrap_or(0)
-                                })
-                                .sum::<usize>()
-                    })
-                    .sum();
-                2 + 8
-                    + 4
-                    + nodes(&m.chain)
-                    + nodes(&m.learners)
-                    + nodes(&m.group)
-                    + 1
-                    + if m.leader.is_some() { 2 } else { 0 }
-                    + 8
-                    + 1
-                    + 2
-                    + ranges
-            }
+            SwishMsg::CtrlSnap(m) => m.body_len(),
         }
     }
 }
@@ -1527,6 +1532,7 @@ impl SwishMsg {
 mod tests {
     use super::*;
     use crate::l4::TcpFlags;
+    use crate::{Packet, PacketBody};
     use std::net::Ipv4Addr;
 
     fn samples() -> Vec<SwishMsg> {
@@ -1951,6 +1957,117 @@ mod tests {
             let mut w = Writer::new();
             msg.encode(&mut w);
             assert_eq!(w.len(), msg.wire_len(), "wire_len mismatch for {msg:?}");
+        }
+    }
+
+    /// Every sample as a full frame, plus one TCP and one UDP data frame.
+    fn sample_frames() -> Vec<Packet> {
+        let tcp = crate::FlowKey::tcp(
+            Ipv4Addr::new(10, 0, 0, 1),
+            4000,
+            Ipv4Addr::new(10, 0, 0, 2),
+            80,
+        );
+        let udp = crate::FlowKey::udp(
+            Ipv4Addr::new(10, 0, 1, 1),
+            5000,
+            Ipv4Addr::new(10, 0, 1, 2),
+            53,
+        );
+        let body = samples().into_iter().map(PacketBody::Swish);
+        body.chain([
+            PacketBody::Data(DataPacket::tcp(tcp, TcpFlags::fin(), 7, 120)),
+            PacketBody::Data(DataPacket::udp(udp, 0, 40)),
+        ])
+        .map(|body| Packet {
+            src: NodeId(1),
+            dst: NodeId::CONTROLLER,
+            body,
+        })
+        .collect()
+    }
+
+    #[test]
+    fn one_writer_reused_across_frames_matches_to_bytes() {
+        // Longest first, so every later frame is written over stale bytes
+        // of a longer one: a `clear` that kept old content, or an encode
+        // that assumed a fresh buffer, would show.
+        let mut frames = sample_frames();
+        frames.sort_by_key(|f| std::cmp::Reverse(f.wire_len()));
+        let mut w = Writer::new();
+        for f in &frames {
+            w.clear();
+            w.reserve(f.wire_len());
+            f.encode(&mut w);
+            assert_eq!(w.len(), f.wire_len(), "{f:?}");
+            assert_eq!(w.as_slice(), &f.to_bytes()[..], "{f:?}");
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_and_every_extension_is_a_typed_error() {
+        for f in sample_frames() {
+            let mut bytes = f.to_bytes();
+            assert_eq!(Packet::from_bytes(&bytes).as_ref(), Ok(&f));
+            for n in 0..bytes.len() {
+                let got = Packet::from_bytes(&bytes[..n]);
+                assert!(got.is_err(), "{n}-byte prefix of {f:?} decoded: {got:?}");
+            }
+            bytes.push(0);
+            assert!(
+                matches!(
+                    Packet::from_bytes(&bytes),
+                    Err(WireError::LengthMismatch { .. })
+                ),
+                "trailing byte accepted after {f:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn entry_batches_round_trip_at_0_1_and_4096_entries() {
+        for n in [0u32, 1, 4096] {
+            let sync = |key| SyncEntry {
+                key,
+                slot: (key % 7) as u8,
+                version: u64::from(key) << 33 | 5,
+                value: !u64::from(key),
+            };
+            let snap = |key| SnapEntry {
+                key,
+                seq: u64::from(key) << 40 | 9,
+                value: u64::MAX - u64::from(key),
+            };
+            let msgs = [
+                SwishMsg::Sync(SyncUpdate {
+                    reg: 9,
+                    origin: NodeId(4),
+                    trace: TraceId::new(NodeId(4), 1),
+                    entries: (0..n).map(sync).collect(),
+                }),
+                SwishMsg::SnapChunk(SnapshotChunk {
+                    reg: 1,
+                    origin: NodeId(0),
+                    entries: (0..n).map(snap).collect(),
+                    last: n == 1,
+                }),
+                SwishMsg::MigrateChunk(MigrateChunk {
+                    reg: 2,
+                    start: 16,
+                    end: 16 + n,
+                    origin: NodeId(0),
+                    pass: 3,
+                    idx: 4,
+                    last: n != 1,
+                    entries: (0..n).map(snap).collect(),
+                }),
+            ];
+            for msg in msgs {
+                let p = Packet::swish(NodeId(0), NodeId(1), msg);
+                let bytes = p.to_bytes();
+                assert_eq!(bytes.len(), p.wire_len());
+                assert_eq!(Packet::from_bytes(&bytes).unwrap(), p, "{n} entries");
+            }
         }
     }
 

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
+use swishmem_wire::checksum::internet_checksum;
 use swishmem_wire::cursor::{Reader, Writer};
+use swishmem_wire::ipv4::{Ipv4Header, IPV4_HEADER_LEN};
 use swishmem_wire::l4::TcpFlags;
 use swishmem_wire::swish::*;
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, SwishMsg};
@@ -223,6 +225,51 @@ proptest! {
             if let Ok(back) = SwishMsg::decode(&mut r) {
                 prop_assert!(r.expect_end().is_err() || back != msg);
             }
+        }
+    }
+
+    /// Any 20 bytes whose checksum field was fixed up to verify. `force`
+    /// picks which of the codec's canonical choices are imposed on the
+    /// random bytes (version/IHL, zero DSCP, zero flags + fragment, a
+    /// total length that covers the header): all four make a header the
+    /// codec would emit, any subset probes what else it might accept.
+    #[test]
+    fn ipv4_decode_accepts_only_what_encode_emits(
+        raw in prop::collection::vec(any::<u8>(), IPV4_HEADER_LEN),
+        force in 0u8..16,
+    ) {
+        let mut b = raw;
+        if force & 1 != 0 {
+            b[0] = 0x45;
+        }
+        if force & 2 != 0 {
+            b[1] = 0;
+        }
+        if force & 4 != 0 {
+            b[6] = 0;
+            b[7] = 0;
+        }
+        if force & 8 != 0 && usize::from(u16::from_be_bytes([b[2], b[3]])) < IPV4_HEADER_LEN {
+            b[3] |= 0x20;
+        }
+        b[10] = 0;
+        b[11] = 0;
+        let ck = internet_checksum(&b).to_be_bytes();
+        b[10..12].copy_from_slice(&ck);
+
+        let decode = |b: &[u8]| Ipv4Header::decode(&mut Reader::new(b));
+        match decode(&b) {
+            Ok(h) => {
+                let mut w = Writer::new();
+                h.encode(&mut w);
+                prop_assert_eq!(w.as_slice(), &b[..], "decoded to {:?}", h);
+                for bit in 0..8 * IPV4_HEADER_LEN {
+                    let mut flipped = b.clone();
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    prop_assert!(decode(&flipped).is_err(), "bit {} of {:02x?}", bit, b);
+                }
+            }
+            Err(e) => prop_assert!(force != 15, "canonical {:02x?} rejected: {}", b, e),
         }
     }
 

@@ -92,12 +92,19 @@ cargo test -q --release -p swishmem-bench --test replay_lab
 
 # Performance-model gates (DESIGN.md "Performance model"), by name: the
 # per-packet paths must stay inside their allocation budget (0 per event
-# on the bare engine, <= 2 per EWO packet, <= 1 per SRO read hit), and the
-# repo benchmark — a separate package, so the workspace build above never
-# compiles it — must still build against the crates and catch every
+# on the bare engine, <= 2 per EWO packet, <= 1 per SRO read hit, <= 5 per
+# SRO chain write), the verification regime inside its own (the wire
+# check: 0 per fixed-width frame, <= 1 per Sync; a fault_sweep-shaped run
+# with oracles, spans, journal and wire check armed: <= 9 per write), and
+# the repo benchmark — a separate package, so the workspace build above
+# never compiles it — must still build against the crates and catch every
 # sabotaged reference in its own self-test.
 echo "==> cargo test --release --test alloc_budget (per-packet allocation budget)"
 cargo test -q --release --test alloc_budget
+echo "==> cargo test --release --test alloc_budget wire_check_allocates_only_the_entries_of_a_sync"
+cargo test -q --release --test alloc_budget wire_check_allocates_only_the_entries_of_a_sync
+echo "==> cargo test --release --test alloc_budget fault_sweep_shaped_run_stays_within_nine_allocations_per_write"
+cargo test -q --release --test alloc_budget fault_sweep_shaped_run_stays_within_nine_allocations_per_write
 echo "==> bash benchmark/run.sh --self-test (benchmark builds + sabotage gate)"
 bash benchmark/run.sh --self-test
 
