@@ -40,7 +40,7 @@ fn main() {
         }
         eprintln!(
             "companion bins (cargo run -p swishmem-bench --release --bin <name>): \
-             trace_explain, ctrl_explain, perf_baseline"
+             trace_explain, ctrl_explain"
         );
         return;
     }

@@ -1,7 +1,6 @@
 //! Shared sharded leaf-spine scenario for the parallel-engine
-//! experiments: the E20 scaling fabric, the `perf_baseline --shards`
-//! scenarios, and the verify-gate smoke all drive the same builder so
-//! their numbers are comparable.
+//! experiments: the E20 scaling fabric and the verify-gate smoke drive
+//! the same builder so their numbers are comparable.
 //!
 //! The workload is an NF-flavored sketch: every leaf maintains a 4-row
 //! count-min array over Zipf-distributed flow keys and reports to a
@@ -193,7 +192,7 @@ impl NetObserver for ShardOracle {
 pub struct ShardRunConfig {
     /// Fabric shape.
     pub spec: LeafSpineSpec,
-    /// Shard count (1 = legacy bit-exact mode).
+    /// Shard count (1 = the global-RNG regime, bit-exact with `Simulator`).
     pub shards: usize,
     /// Worker-thread cap for the windowed loop.
     pub workers: usize,

@@ -43,10 +43,9 @@ pub struct Ctx<'a> {
     pub(crate) node: NodeId,
     pub(crate) rng: &'a mut StdRng,
     pub(crate) commands: &'a mut Vec<Command>,
-    /// The span sink, when one is attached. A plain `&RefCell` so both
-    /// engines can supply it: the sequential simulator derefs its shared
-    /// `SpanHandle` (an `Rc<RefCell<..>>`), a shard core lends its owned
-    /// collector.
+    /// The span sink, when one is attached. A plain `&RefCell` so either
+    /// `Sink` can lend it: `Direct` derefs its shared `SpanHandle` (an
+    /// `Rc<RefCell<..>>`), `Buffered` lends the collector it owns.
     pub(crate) spans: Option<&'a RefCell<SpanCollector>>,
     /// The control-plane journal sink, when one is attached. Same
     /// lending scheme as `spans`.

@@ -1,12 +1,12 @@
-//! The event core shared by the sequential [`crate::sim::Simulator`] and
-//! the sharded [`crate::shard::ShardedEngine`]: event payloads, flat heap
+//! What the event loop in `core.rs` pops: event payloads, flat heap
 //! entries, and the slab-backed priority queue.
 //!
-//! The queue orders events by a 128-bit `(time, key)` pair. The legacy
-//! engine uses a single global insertion sequence as the key; the sharded
-//! engine uses origin-derived keys (see `shard.rs`), which are unique
-//! across shards so the pop order of any queue — and of any merge of
-//! per-shard outputs — is a total order independent of insertion order.
+//! The queue orders events by a 128-bit `(time, key)` pair. In the
+//! global-RNG regime (`Simulator`, one shard) the key is a single
+//! insertion sequence; with `S ≥ 2` shards keys are origin-derived (see
+//! `shard.rs`) and unique across shards, so the pop order of any queue —
+//! and of any merge of per-shard outputs — is a total order independent
+//! of insertion order.
 
 use crate::fault::LinkOverlay;
 use crate::time::SimTime;
@@ -35,9 +35,9 @@ pub(crate) enum EventKind {
         b: NodeId,
         down: bool,
         /// Whether processing this event reports it to observers. Always
-        /// true in the sequential engine; the sharded engine schedules a
-        /// link event into both endpoint-owning shards and marks exactly
-        /// one copy as the observable one.
+        /// true under `Simulator`; the sharded engine schedules a link
+        /// event into both endpoint-owning shards and marks exactly one
+        /// copy as the observable one.
         notify: bool,
     },
     LinkDegrade {

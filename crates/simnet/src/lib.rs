@@ -4,11 +4,17 @@
 //! fabric with lossy links" substrate of the SwiShmem reproduction (see
 //! DESIGN.md §2 for the substitution argument).
 //!
+//! There is one event loop, `Core` in `core.rs`, and two engines built on
+//! it: [`Simulator`] (one core, collectors written in place, topology
+//! mutable at any time) and [`ShardedEngine`] (a partition of cores run
+//! in lockstep windows, for `Send` nodes). A single-shard `ShardedEngine`
+//! and a `Simulator` produce bit-identical runs.
+//!
 //! Key properties:
 //!
-//! * **Deterministic**: a single engine RNG, a total event order
-//!   `(time, insertion-seq)`, and sorted node-start order mean identical
-//!   seeds produce identical runs — every experiment is replayable.
+//! * **Deterministic**: engine-owned RNG, a total event order
+//!   `(time, key)`, and sorted node-start order mean identical seeds
+//!   produce identical runs — every experiment is replayable.
 //! * **Faithful link costs**: links charge serialization delay from the
 //!   true encoded frame length (computed by `swishmem-wire`), model
 //!   transmitter queueing, and inject loss, jitter (reordering) and
@@ -36,6 +42,7 @@
 //! ```
 
 pub mod capture;
+pub(crate) mod core;
 pub mod ctx;
 pub(crate) mod events;
 pub mod fault;

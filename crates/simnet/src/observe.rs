@@ -1,11 +1,13 @@
 //! Engine observer hooks.
 //!
-//! Observers are notified synchronously from `Simulator::process` as
-//! events are applied; they see deliveries and fault-plane transitions
-//! but cannot influence the run (no RNG access, no event injection), so
-//! attaching or detaching an observer never perturbs the determinism
-//! fingerprint. The online consistency oracles in `swishmem-core` are
-//! the primary consumer.
+//! Observers are notified as the event loop applies events —
+//! synchronously under `Simulator`, replayed in `(time, key, shard)`
+//! order after each run call under `ShardedEngine`. They see deliveries
+//! and fault-plane transitions but cannot influence the run (no RNG
+//! access, no event injection), so attaching or detaching an observer
+//! never perturbs the determinism fingerprint. The online consistency
+//! oracles in `swishmem-core` are the primary consumer; the packet
+//! [`crate::Trace`] is another.
 
 use crate::time::SimTime;
 use std::cell::RefCell;
@@ -13,7 +15,7 @@ use std::rc::Rc;
 use swishmem_wire::{NodeId, Packet};
 
 /// One observable engine transition.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub enum NetEvent<'a> {
     /// A packet was delivered intact to `to` (about to be dispatched).
     Delivered {
@@ -55,38 +57,6 @@ pub enum NetEvent<'a> {
         /// The other endpoint.
         b: NodeId,
     },
-}
-
-/// An owned [`NetEvent`], buffered by the sharded engine's worker cores
-/// (which cannot call `Rc`-held observers from other threads) and
-/// replayed through [`NetObserver::on_net_event`] on the control thread
-/// after each run segment.
-#[derive(Debug, Clone)]
-pub(crate) enum OwnedNetEvent {
-    Delivered { to: NodeId, pkt: Packet },
-    NodeFailed { node: NodeId },
-    NodeRecovered { node: NodeId },
-    LinkChanged { a: NodeId, b: NodeId, down: bool },
-    LinkDegraded { a: NodeId, b: NodeId },
-    LinkRestored { a: NodeId, b: NodeId },
-}
-
-impl OwnedNetEvent {
-    /// Borrowed view, for replay through the observer trait.
-    pub(crate) fn as_net_event(&self) -> NetEvent<'_> {
-        match self {
-            OwnedNetEvent::Delivered { to, pkt } => NetEvent::Delivered { to: *to, pkt },
-            OwnedNetEvent::NodeFailed { node } => NetEvent::NodeFailed { node: *node },
-            OwnedNetEvent::NodeRecovered { node } => NetEvent::NodeRecovered { node: *node },
-            OwnedNetEvent::LinkChanged { a, b, down } => NetEvent::LinkChanged {
-                a: *a,
-                b: *b,
-                down: *down,
-            },
-            OwnedNetEvent::LinkDegraded { a, b } => NetEvent::LinkDegraded { a: *a, b: *b },
-            OwnedNetEvent::LinkRestored { a, b } => NetEvent::LinkRestored { a: *a, b: *b },
-        }
-    }
 }
 
 /// Passive observer of engine transitions.

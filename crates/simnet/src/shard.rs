@@ -2,15 +2,17 @@
 //! barriers.
 //!
 //! [`ShardedEngine`] partitions the topology into shards that each own a
-//! slice of nodes and run a private event heap (optionally on a dedicated
+//! slice of nodes and run a private [`Core`] (optionally on a dedicated
 //! worker thread), exchanging cross-shard frames at deterministic
-//! time-window barriers. The lookahead bound is the minimum one-way link
-//! latency Δ over the whole topology: a frame sent at `t` cannot arrive
-//! before `t + Δ`, so shards that process windows `[kΔ, (k+1)Δ)` in
-//! lockstep and trade mail between windows never receive an event behind
-//! their local clock — the classic conservative-PDES argument, with the
-//! window grid anchored at absolute zero so it is identical for every
-//! shard count.
+//! time-window barriers. Event processing lives in [`crate::core`]; this
+//! file is the partition, the windows, the barriers and the sink merge.
+//!
+//! The lookahead bound is the minimum one-way link latency Δ over the
+//! whole topology: a frame sent at `t` cannot arrive before `t + Δ`, so
+//! shards that process windows `[kΔ, (k+1)Δ)` in lockstep and trade mail
+//! between windows never receive an event behind their local clock — the
+//! classic conservative-PDES argument, with the window grid anchored at
+//! absolute zero so it is identical for every shard count.
 //!
 //! # Determinism contract
 //!
@@ -18,12 +20,12 @@
 //!   owns an RNG stream forked from the run seed via splitmix64 and every
 //!   scheduled event carries a globally unique `(time, key)` pair whose
 //!   key encodes its origin, so the processing order seen by any one node
-//!   — and the merged stats/trace/span/observer output — is identical for
-//!   `S = 2, 4, 8, …` and for any worker-thread count.
-//! * **`S = 1` is bit-exact with [`crate::sim::Simulator`].** The single
-//!   shard runs the legacy algorithm verbatim: one global RNG seeded
-//!   `seed_from_u64(seed)` and one global insertion sequence, reproducing
-//!   the golden determinism fingerprint unchanged.
+//!   — and the merged stats/span/journal/observer output — is identical
+//!   for `S = 2, 4, 8, …` and for any worker-thread count.
+//! * **`S = 1` is bit-exact with [`crate::sim::Simulator`].** Both are the
+//!   same `Core` in the global-RNG regime (one RNG seeded
+//!   `seed_from_u64(seed)`, one insertion sequence); they differ only in
+//!   sink and in topology freezing, so the golden fingerprint is shared.
 //!
 //! The two regimes necessarily differ from each other (a global RNG
 //! cannot be partitioned), which is why the contract is stated this way:
@@ -38,561 +40,26 @@
 //! heap's pop order is insertion-independent ([`crate::events`] pins
 //! this) and the barrier's mailbox drain order is irrelevant.
 
-use crate::ctx::{Command, Ctx, GroupId};
-use crate::events::{EventKind, EventQueue};
+use crate::core::{Buffered, Core, GroupCmd, Held, Mail, ShardMap, ORIGIN_SHIFT};
+use crate::ctx::GroupId;
+use crate::events::EventKind;
 use crate::fault::{FaultAction, FaultSchedule, LinkOverlay};
-use crate::journal::{JournalCollector, JournalRecord};
-use crate::observe::{ObserverHandle, OwnedNetEvent};
+use crate::journal::{JournalCollector, JournalHandle, JournalRecord};
+use crate::observe::ObserverHandle;
 use crate::sim::NodeObj;
-use crate::span::{SpanCollector, SpanEvent};
-use crate::stats::{DropReason, NetStats};
+use crate::span::{SpanCollector, SpanEvent, SpanHandle};
+use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::TraceHandle;
-use crate::wire_check::wire_fidelity_check;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
-use swishmem_wire::cursor::Writer;
-use swishmem_wire::{NodeId, Packet, PacketBody};
+use swishmem_wire::{NodeId, Packet};
 
-/// External events keep keys below this bit; node-origin keys sit above,
-/// so the two spaces never collide.
-const ORIGIN_SHIFT: u32 = 47;
-
-/// splitmix64 finalizer — the standard seed-stream splitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Per-node RNG seed: a splitmix64 fork of the run seed by node id. A
-/// pure function of `(seed, id)`, so it is independent of the partition.
-fn node_seed(seed: u64, id: NodeId) -> u64 {
-    splitmix64(seed ^ splitmix64(0x5157_4d45_4d00_0000 | u64::from(id.0)))
-}
-
-/// Node-id → shard lookup, shared by all shard cores.
-#[derive(Default)]
-struct ShardMap {
-    /// `NodeId.index()` → shard. Unregistered ids map to shard 0, which
-    /// makes their `NoRoute` accounting land deterministically.
-    of: Vec<u32>,
-}
-
-impl ShardMap {
-    #[inline]
-    fn shard_of(&self, id: NodeId) -> u32 {
-        self.of.get(id.index()).copied().unwrap_or(0)
-    }
-}
-
-/// A cross-shard frame in flight, parked in a mailbox until the barrier.
-struct Mail {
-    time: u64,
-    key: u64,
-    to: NodeId,
-    pkt: Packet,
-    corrupt: bool,
-}
-
-/// A deferred multicast-group update (PDES mode): collected at the
-/// barrier, sorted by `(time, key)`, and applied to every shard's
-/// topology copy uniformly, so group membership is replicated and takes
-/// effect from the next window regardless of which shard issued it.
-#[derive(Clone)]
-struct GroupCmd {
-    time: u64,
-    key: u64,
-    group: GroupId,
-    members: Vec<NodeId>,
-}
-
-/// How a shard core allocates event keys and randomness.
-enum Mode {
-    /// `S = 1`: the legacy algorithm — one global RNG, one global
-    /// insertion sequence shared by external and internal events.
-    Legacy { rng: StdRng, seq: u64 },
-    /// `S ≥ 2`: per-node RNG streams and per-origin key counters,
-    /// indexed by local slot.
-    Pdes { rngs: Vec<StdRng>, ctrs: Vec<u64> },
-}
-
-struct ShardSlot {
-    id: NodeId,
-    node: Box<dyn NodeObj + Send>,
-    failed: bool,
-}
-
-/// Sentinel in the id → slot table.
-const ABSENT: u32 = u32::MAX;
-
-/// One shard core: a self-contained event loop over the nodes it owns.
-/// `Send`, so the windowed run loop can hand cores to worker threads.
-struct Engine {
-    shard: u32,
-    now: SimTime,
-    queue: EventQueue,
-    node_index: Vec<u32>,
-    nodes: Vec<ShardSlot>,
-    topo: Topology,
-    mode: Mode,
-    stats: NetStats,
-    events_processed: u64,
-    peak_queue_depth: usize,
-    /// Delivered-frame buffer `(time, key, pkt)`, when a trace handle is
-    /// attached upstream; merged into it after each run segment.
-    trace_buf: Option<Vec<(u64, u64, Packet)>>,
-    /// Owned span sink, when a span handle is attached upstream.
-    spans: Option<RefCell<SpanCollector>>,
-    /// Owned journal sink, when a journal handle is attached upstream.
-    journal: Option<RefCell<JournalCollector>>,
-    /// Observer-event buffer `(time, key, event)`, when observers are
-    /// registered upstream; replayed through them after each run segment.
-    obs_buf: Option<Vec<(u64, u64, OwnedNetEvent)>>,
-    /// Per-destination-shard mailboxes, drained at window barriers.
-    outbox: Vec<Vec<Mail>>,
-    /// Deferred group updates (PDES mode).
-    group_out: Vec<GroupCmd>,
-    cmd_scratch: Vec<Command>,
-    member_scratch: Vec<NodeId>,
-    map: Arc<ShardMap>,
-    wire_check: bool,
-    /// Pooled encode buffer of the wire check (empty until armed).
-    wire_scratch: Writer,
-}
-
-impl Engine {
-    fn new(
-        shard: u32,
-        shards: usize,
-        topo: Topology,
-        legacy_seed: Option<u64>,
-        map: Arc<ShardMap>,
-    ) -> Engine {
-        Engine {
-            shard,
-            now: SimTime::ZERO,
-            queue: EventQueue::default(),
-            node_index: Vec::new(),
-            nodes: Vec::new(),
-            topo,
-            mode: match legacy_seed {
-                Some(seed) => Mode::Legacy {
-                    rng: StdRng::seed_from_u64(seed),
-                    seq: 0,
-                },
-                None => Mode::Pdes {
-                    rngs: Vec::new(),
-                    ctrs: Vec::new(),
-                },
-            },
-            stats: NetStats::default(),
-            events_processed: 0,
-            peak_queue_depth: 0,
-            trace_buf: None,
-            spans: None,
-            journal: None,
-            obs_buf: None,
-            outbox: (0..shards).map(|_| Vec::new()).collect(),
-            group_out: Vec::new(),
-            cmd_scratch: Vec::new(),
-            member_scratch: Vec::new(),
-            map,
-            wire_check: false,
-            wire_scratch: Writer::new(),
-        }
-    }
-
-    fn add_node(&mut self, id: NodeId, node: Box<dyn NodeObj + Send>, run_seed: u64) {
-        let i = id.index();
-        if i >= self.node_index.len() {
-            self.node_index.resize(i + 1, ABSENT);
-        }
-        assert!(self.node_index[i] == ABSENT, "duplicate node id {id}");
-        self.node_index[i] = self.nodes.len() as u32;
-        self.nodes.push(ShardSlot {
-            id,
-            node,
-            failed: false,
-        });
-        if let Mode::Pdes { rngs, ctrs } = &mut self.mode {
-            rngs.push(StdRng::seed_from_u64(node_seed(run_seed, id)));
-            ctrs.push(0);
-        }
-    }
-
-    #[inline]
-    fn slot_of(&self, id: NodeId) -> Option<usize> {
-        match self.node_index.get(id.index()) {
-            Some(&s) if s != ABSENT => Some(s as usize),
-            _ => None,
-        }
-    }
-
-    fn node<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        self.slot_of(id)
-            .and_then(|s| (*self.nodes[s].node).as_any().downcast_ref())
-    }
-
-    fn node_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        let s = self.slot_of(id)?;
-        (*self.nodes[s].node).as_any_mut().downcast_mut()
-    }
-
-    /// Allocate the key for an event originated by the node in
-    /// `origin_slot`. Legacy mode draws the global sequence; PDES mode
-    /// draws the origin's counter, which advances identically under any
-    /// partition because a node's processing is partition-invariant.
-    fn alloc_key(&mut self, origin_slot: usize) -> u64 {
-        match &mut self.mode {
-            Mode::Legacy { seq, .. } => {
-                let k = *seq;
-                *seq += 1;
-                k
-            }
-            Mode::Pdes { ctrs, .. } => {
-                let c = ctrs[origin_slot];
-                ctrs[origin_slot] += 1;
-                (u64::from(self.nodes[origin_slot].id.0) + 1) << ORIGIN_SHIFT | c
-            }
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, time: SimTime, key: u64, kind: EventKind) {
-        self.queue.push(time, key, kind);
-        self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len());
-    }
-
-    /// Schedule an externally keyed event. Legacy mode substitutes its
-    /// global sequence so `S = 1` reproduces the sequential engine's
-    /// key stream bit-for-bit.
-    fn push_ext(&mut self, time: SimTime, key: u64, kind: EventKind) {
-        match &mut self.mode {
-            Mode::Legacy { seq, .. } => {
-                let k = *seq;
-                *seq += 1;
-                self.queue.push(time, k, kind);
-            }
-            Mode::Pdes { .. } => self.queue.push(time, key, kind),
-        }
-        self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len());
-    }
-
-    #[inline]
-    fn push_mail(&mut self, m: Mail) {
-        self.push(
-            SimTime(m.time),
-            m.key,
-            EventKind::Deliver {
-                to: m.to,
-                pkt: m.pkt,
-                corrupt: m.corrupt,
-            },
-        );
-    }
-
-    /// `on_start` for every owned node, in id order (matches the
-    /// sequential engine's sorted start order when `S = 1`).
-    fn start(&mut self) {
-        let mut order: Vec<(NodeId, usize)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(s, n)| (n.id, s))
-            .collect();
-        order.sort();
-        for (_, slot) in order {
-            self.dispatch(slot, |node, ctx| node.on_start(ctx));
-        }
-    }
-
-    /// Process every pending event strictly before `end_excl`.
-    fn run_window(&mut self, end_excl: u64) {
-        while let Some(t) = self.queue.peek_time() {
-            if t.0 >= end_excl {
-                break;
-            }
-            let (time, key, kind) = self.queue.pop().expect("peeked");
-            self.process(time, key, kind);
-        }
-    }
-
-    fn process(&mut self, time: SimTime, key: u64, kind: EventKind) {
-        debug_assert!(time >= self.now, "time went backwards");
-        self.now = time;
-        // Link events are replicated to both endpoint-owning shards; only
-        // the observable copy (`notify`) counts, so `events_processed`
-        // tallies logical events and stays shard-count-invariant.
-        let replica = matches!(
-            kind,
-            EventKind::LinkSet { notify: false, .. }
-                | EventKind::LinkDegrade { notify: false, .. }
-                | EventKind::LinkRestore { notify: false, .. }
-        );
-        if !replica {
-            self.events_processed += 1;
-        }
-        match kind {
-            EventKind::Deliver { to, pkt, corrupt } => {
-                let len = pkt.wire_len();
-                match self.slot_of(to) {
-                    None => {
-                        self.stats.record_drop(DropReason::NoRoute, len);
-                    }
-                    Some(slot) if self.nodes[slot].failed => {
-                        self.stats.record_drop(DropReason::NodeDown, len);
-                    }
-                    Some(slot) if corrupt => {
-                        self.stats.record_drop(DropReason::Corrupt, len);
-                        self.dispatch(slot, |node, ctx| node.on_corrupt_packet(pkt, ctx));
-                    }
-                    Some(slot) => {
-                        self.stats.record_delivery(&pkt, to, len);
-                        if self.wire_check {
-                            wire_fidelity_check(&pkt, len, &mut self.wire_scratch);
-                        }
-                        if let Some(buf) = &mut self.trace_buf {
-                            buf.push((time.0, key, pkt.clone()));
-                        }
-                        if let Some(buf) = &mut self.obs_buf {
-                            buf.push((
-                                time.0,
-                                key,
-                                OwnedNetEvent::Delivered {
-                                    to,
-                                    pkt: pkt.clone(),
-                                },
-                            ));
-                        }
-                        self.dispatch(slot, |node, ctx| node.on_packet(pkt, ctx));
-                    }
-                }
-            }
-            EventKind::Timer { node, token } => {
-                if let Some(slot) = self.slot_of(node) {
-                    if !self.nodes[slot].failed {
-                        self.dispatch(slot, |n, ctx| n.on_timer(token, ctx));
-                    }
-                }
-            }
-            EventKind::Fail { node } => {
-                if let Some(slot) = self.slot_of(node) {
-                    let s = &mut self.nodes[slot];
-                    if !s.failed {
-                        s.failed = true;
-                        s.node.on_fail();
-                        if let Some(buf) = &mut self.obs_buf {
-                            buf.push((time.0, key, OwnedNetEvent::NodeFailed { node }));
-                        }
-                    }
-                }
-            }
-            EventKind::Recover { node } => {
-                if let Some(slot) = self.slot_of(node) {
-                    if std::mem::replace(&mut self.nodes[slot].failed, false) {
-                        if let Some(buf) = &mut self.obs_buf {
-                            buf.push((time.0, key, OwnedNetEvent::NodeRecovered { node }));
-                        }
-                        self.dispatch(slot, |n, ctx| n.on_start(ctx));
-                    }
-                }
-            }
-            EventKind::LinkSet { a, b, down, notify } => {
-                self.topo.set_link_down(a, b, down);
-                if notify {
-                    if let Some(buf) = &mut self.obs_buf {
-                        buf.push((time.0, key, OwnedNetEvent::LinkChanged { a, b, down }));
-                    }
-                }
-            }
-            EventKind::LinkDegrade {
-                a,
-                b,
-                overlay,
-                notify,
-            } => {
-                self.topo.degrade_link(a, b, &overlay);
-                if notify {
-                    if let Some(buf) = &mut self.obs_buf {
-                        buf.push((time.0, key, OwnedNetEvent::LinkDegraded { a, b }));
-                    }
-                }
-            }
-            EventKind::LinkRestore { a, b, notify } => {
-                self.topo.restore_link(a, b);
-                if notify {
-                    if let Some(buf) = &mut self.obs_buf {
-                        buf.push((time.0, key, OwnedNetEvent::LinkRestored { a, b }));
-                    }
-                }
-            }
-            EventKind::Vacant => unreachable!("vacant slab slot in the event queue"),
-        }
-    }
-
-    fn dispatch<F>(&mut self, slot: usize, f: F)
-    where
-        F: FnOnce(&mut dyn NodeObj, &mut Ctx<'_>),
-    {
-        let mut commands = std::mem::take(&mut self.cmd_scratch);
-        debug_assert!(commands.is_empty());
-        let id = self.nodes[slot].id;
-        {
-            let rng = match &mut self.mode {
-                Mode::Legacy { rng, .. } => rng,
-                Mode::Pdes { rngs, .. } => &mut rngs[slot],
-            };
-            let mut ctx = Ctx {
-                now: self.now,
-                node: id,
-                rng,
-                commands: &mut commands,
-                spans: self.spans.as_ref(),
-                journal: self.journal.as_ref(),
-            };
-            f(self.nodes[slot].node.as_mut(), &mut ctx);
-        }
-        for cmd in commands.drain(..) {
-            self.apply(id, slot, cmd);
-        }
-        self.cmd_scratch = commands;
-    }
-
-    fn take_members(&mut self, group: GroupId, from: NodeId) -> Vec<NodeId> {
-        let mut members = std::mem::take(&mut self.member_scratch);
-        members.clear();
-        members.extend(
-            self.topo
-                .group(group)
-                .iter()
-                .copied()
-                .filter(|&m| m != from),
-        );
-        members
-    }
-
-    fn apply(&mut self, from: NodeId, from_slot: usize, cmd: Command) {
-        match cmd {
-            Command::Send { to, body } => self.transmit(from, from_slot, to, body),
-            Command::Multicast { group, body } => {
-                let members = self.take_members(group, from);
-                for &m in &members {
-                    self.transmit(from, from_slot, m, body.clone());
-                }
-                self.member_scratch = members;
-            }
-            Command::Timer { delay, token } => {
-                let t = self.now + delay;
-                let key = self.alloc_key(from_slot);
-                self.push(t, key, EventKind::Timer { node: from, token });
-            }
-            Command::SendRandom { group, body } => {
-                let candidates = self.take_members(group, from);
-                if !candidates.is_empty() {
-                    let rng = match &mut self.mode {
-                        Mode::Legacy { rng, .. } => rng,
-                        Mode::Pdes { rngs, .. } => &mut rngs[from_slot],
-                    };
-                    let pick = candidates[rng.gen_range(0..candidates.len())];
-                    self.member_scratch = candidates;
-                    self.transmit(from, from_slot, pick, body);
-                } else {
-                    self.member_scratch = candidates;
-                }
-            }
-            Command::SetGroup { group, members } => match &mut self.mode {
-                Mode::Legacy { .. } => self.topo.set_group(group, members),
-                Mode::Pdes { .. } => {
-                    let key = self.alloc_key(from_slot);
-                    self.group_out.push(GroupCmd {
-                        time: self.now.0,
-                        key,
-                        group,
-                        members,
-                    });
-                }
-            },
-        }
-    }
-
-    fn transmit(&mut self, from: NodeId, from_slot: usize, to: NodeId, body: PacketBody) {
-        let pkt = Packet {
-            src: from,
-            dst: to,
-            body,
-        };
-        let bytes = pkt.wire_len();
-        if self.nodes[from_slot].failed {
-            self.stats.record_drop(DropReason::NodeDown, bytes);
-            return;
-        }
-        let (hop, link_ref) = match self.topo.resolve(from, to) {
-            Some(r) => r,
-            None => {
-                self.stats.record_drop(DropReason::NoRoute, bytes);
-                return;
-            }
-        };
-        let link = self.topo.link_at(link_ref);
-        if link.state.down {
-            self.stats.record_drop(DropReason::LinkDown, bytes);
-            return;
-        }
-        let params = link.params;
-        // RNG draw order mirrors the sequential engine exactly.
-        let rng = match &mut self.mode {
-            Mode::Legacy { rng, .. } => rng,
-            Mode::Pdes { rngs, .. } => &mut rngs[from_slot],
-        };
-        if params.drop_prob > 0.0 && rng.gen::<f64>() < params.drop_prob {
-            self.stats.record_drop(DropReason::Loss, bytes);
-            return;
-        }
-        let jitter = if params.jitter.as_nanos() > 0 {
-            SimDuration::nanos(rng.gen_range(0..=params.jitter.as_nanos()))
-        } else {
-            SimDuration::ZERO
-        };
-        let corrupt = params.corrupt_prob > 0.0 && rng.gen::<f64>() < params.corrupt_prob;
-        if let Some(arrival) = self
-            .topo
-            .link_at_mut(link_ref)
-            .transmit(self.now, bytes, jitter)
-        {
-            let key = self.alloc_key(from_slot);
-            let dest = self.map.shard_of(hop);
-            if dest == self.shard {
-                self.push(
-                    arrival,
-                    key,
-                    EventKind::Deliver {
-                        to: hop,
-                        pkt,
-                        corrupt,
-                    },
-                );
-            } else {
-                self.outbox[dest as usize].push(Mail {
-                    time: arrival.0,
-                    key,
-                    to: hop,
-                    pkt,
-                    corrupt,
-                });
-            }
-        } else {
-            self.stats.record_drop(DropReason::LinkDown, bytes);
-        }
-    }
-}
+/// One shard core. `Send` (boxed `Send` nodes, owned sink buffers), so
+/// the windowed run loop can hand cores to worker threads.
+type Engine = Core<dyn NodeObj + Send, Buffered>;
 
 /// Barrier decision shared between worker threads.
 #[derive(Clone, Copy)]
@@ -640,9 +107,7 @@ pub struct ShardedEngine {
     window: u64,
     now: SimTime,
     ext_ctr: u64,
-    started: bool,
     frozen: bool,
-    trace: Option<TraceHandle>,
     spans: Option<SpanHandle>,
     journal: Option<JournalHandle>,
     observers: Vec<ObserverHandle>,
@@ -650,12 +115,9 @@ pub struct ShardedEngine {
     crit_ns: u64,
 }
 
-use crate::journal::JournalHandle;
-use crate::span::SpanHandle;
-
 impl ShardedEngine {
     /// Create an engine that will partition its nodes into (at most)
-    /// `shards` shards. `shards = 1` selects the legacy bit-exact mode.
+    /// `shards` shards. `shards = 1` selects the global-RNG regime.
     pub fn new(seed: u64, shards: usize) -> ShardedEngine {
         ShardedEngine {
             seed,
@@ -671,9 +133,7 @@ impl ShardedEngine {
             window: 1,
             now: SimTime::ZERO,
             ext_ctr: 0,
-            started: false,
             frozen: false,
-            trace: None,
             spans: None,
             journal: None,
             observers: Vec::new(),
@@ -732,12 +192,6 @@ impl ShardedEngine {
     /// See [`crate::sim::Simulator::set_wire_check`].
     pub fn set_wire_check(&mut self, on: bool) {
         self.wire_check = on;
-    }
-
-    /// Attach a packet trace; per-shard buffers are merged into it in
-    /// deterministic `(time, key, shard)` order after each run call.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
     }
 
     /// Attach a span collector (merged deterministically per run call).
@@ -845,10 +299,7 @@ impl ShardedEngine {
         if !self.frozen {
             return false;
         }
-        self.engines[self.map.shard_of(id) as usize]
-            .slot_of(id)
-            .map(|s| self.engines[self.map.shard_of(id) as usize].nodes[s].failed)
-            .unwrap_or(false)
+        self.engines[self.map.shard_of(id) as usize].is_failed(id)
     }
 
     /// Compute the partition, the lookahead bound, and the shard cores.
@@ -890,21 +341,14 @@ impl ShardedEngine {
         );
         self.window = delta.max(1);
 
-        let legacy = shards == 1;
         self.engines = (0..shards)
             .map(|s| {
-                Engine::new(
-                    s as u32,
-                    shards,
-                    self.master_topo.clone(),
-                    legacy.then_some(self.seed),
-                    self.map.clone(),
-                )
+                let topo = self.master_topo.clone();
+                Core::new(s as u32, shards, self.map.clone(), topo, self.seed)
             })
             .collect();
-        let seed = self.seed;
         for (i, (id, node)) in self.pending.drain(..).enumerate() {
-            self.engines[assign[i] as usize].add_node(id, node, seed);
+            self.engines[assign[i] as usize].add_node(id, node);
         }
     }
 
@@ -1045,36 +489,30 @@ impl ShardedEngine {
         }
     }
 
+    /// Give every shard's sink a buffer for each handle attached here.
     fn sync_sinks(&mut self) {
-        let trace_on = self.trace.is_some();
-        let spans_on = self.spans.is_some();
-        let journal_on = self.journal.is_some();
-        let obs_on = !self.observers.is_empty();
-        let wc = self.wire_check;
         for e in &mut self.engines {
-            if trace_on && e.trace_buf.is_none() {
-                e.trace_buf = Some(Vec::new());
+            // Per-shard collectors are unbounded; the attached handle
+            // enforces its own capacity at merge time.
+            if self.spans.is_some() {
+                let new = || RefCell::new(SpanCollector::detached(usize::MAX));
+                e.sink.spans.get_or_insert_with(new);
             }
-            if spans_on && e.spans.is_none() {
-                // Per-shard collectors are unbounded; the attached handle
-                // enforces its own capacity at merge time.
-                e.spans = Some(RefCell::new(SpanCollector::detached(usize::MAX)));
+            if self.journal.is_some() {
+                let new = || RefCell::new(JournalCollector::detached(usize::MAX));
+                e.sink.journal.get_or_insert_with(new);
             }
-            if journal_on && e.journal.is_none() {
-                e.journal = Some(RefCell::new(JournalCollector::detached(usize::MAX)));
+            if !self.observers.is_empty() {
+                e.sink.events.get_or_insert_with(Vec::new);
             }
-            if obs_on && e.obs_buf.is_none() {
-                e.obs_buf = Some(Vec::new());
-            }
-            e.wire_check = wc;
+            e.wire_check = self.wire_check;
         }
     }
 
     fn start_once(&mut self) {
-        if self.started {
+        if self.engines[0].started {
             return;
         }
-        self.started = true;
         for e in &mut self.engines {
             e.start();
         }
@@ -1262,30 +700,14 @@ impl ShardedEngine {
         self.crit_ns += crit.load(Ordering::SeqCst);
     }
 
-    /// Merge per-shard trace/span/observer buffers into the attached
+    /// Merge per-shard span/journal/observer buffers into the attached
     /// handles, in deterministic order.
     fn drain_sinks(&mut self) {
         let single = self.engines.len() == 1;
-        if let Some(handle) = &self.trace {
-            let mut all: Vec<(u64, u64, u32, Packet)> = Vec::new();
-            for e in &mut self.engines {
-                if let Some(buf) = &mut e.trace_buf {
-                    let shard = e.shard;
-                    all.extend(buf.drain(..).map(|(t, k, p)| (t, k, shard, p)));
-                }
-            }
-            if !single {
-                all.sort_by_key(|a| (a.0, a.1, a.2));
-            }
-            let mut tr = handle.borrow_mut();
-            for (t, _, _, p) in &all {
-                tr.record(SimTime(*t), p);
-            }
-        }
         if let Some(handle) = &self.spans {
             let mut all: Vec<SpanEvent> = Vec::new();
             for e in &mut self.engines {
-                if let Some(col) = &e.spans {
+                if let Some(col) = &e.sink.spans {
                     all.append(&mut col.borrow_mut().take_events());
                 }
             }
@@ -1304,7 +726,7 @@ impl ShardedEngine {
         if let Some(handle) = &self.journal {
             let mut all: Vec<JournalRecord> = Vec::new();
             for e in &mut self.engines {
-                if let Some(col) = &e.journal {
+                if let Some(col) = &e.sink.journal {
                     all.append(&mut col.borrow_mut().take_records());
                 }
             }
@@ -1321,9 +743,9 @@ impl ShardedEngine {
             }
         }
         if !self.observers.is_empty() {
-            let mut all: Vec<(u64, u64, u32, OwnedNetEvent)> = Vec::new();
+            let mut all: Vec<(u64, u64, u32, Held)> = Vec::new();
             for e in &mut self.engines {
-                if let Some(buf) = &mut e.obs_buf {
+                if let Some(buf) = &mut e.sink.events {
                     let shard = e.shard;
                     all.extend(buf.drain(..).map(|(t, k, ev)| (t, k, shard, ev)));
                 }
@@ -1331,26 +753,26 @@ impl ShardedEngine {
             if !single {
                 all.sort_by_key(|a| (a.0, a.1, a.2));
             }
-            for (t, _, _, ev) in &all {
-                let view = ev.as_net_event();
+            for (t, _, _, held) in &all {
                 for obs in &self.observers {
-                    obs.borrow_mut().on_net_event(SimTime(*t), &view);
+                    obs.borrow_mut().on_net_event(SimTime(*t), &held.view());
                 }
             }
         }
     }
 
-    /// Run until simulated time reaches `t` (inclusive of events at `t`).
-    pub fn run_until(&mut self, t: SimTime) {
-        self.freeze();
-        self.sync_sinks();
-        self.start_once();
-        self.run_span(t.0);
+    /// Advance every clock to at least `t`; no clock ever moves back.
+    fn advance_to(&mut self, t: SimTime) {
+        self.now = self.now.max(t);
         for e in &mut self.engines {
             e.now = e.now.max(t);
         }
-        self.now = self.now.max(t);
-        self.drain_sinks();
+    }
+
+    /// Run until simulated time reaches `t` (inclusive of events at `t`).
+    pub fn run_until(&mut self, t: SimTime) {
+        self.run_until_quiescent(t);
+        self.advance_to(t);
     }
 
     /// Run for `d` more simulated time.
@@ -1366,15 +788,11 @@ impl ShardedEngine {
         self.sync_sinks();
         self.start_once();
         self.run_span(limit.0);
-        let remaining = self.engines.iter().any(|e| !e.queue.is_empty());
-        if remaining {
-            self.now = limit;
-            for e in &mut self.engines {
-                e.now = e.now.max(limit);
-            }
+        if self.engines.iter().any(|e| !e.queue.is_empty()) {
+            self.advance_to(limit);
         } else {
-            let last = self.engines.iter().map(|e| e.now).max().unwrap_or(self.now);
-            self.now = self.now.max(last);
+            let last = self.engines.iter().map(|e| e.now).max();
+            self.now = self.now.max(last.unwrap_or(self.now));
         }
         self.drain_sinks();
         self.now
@@ -1384,22 +802,27 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Ctx, Node};
 
-    #[test]
-    fn node_seeds_are_distinct_and_stable() {
-        let a = node_seed(1234, NodeId(0));
-        let b = node_seed(1234, NodeId(1));
-        let c = node_seed(1235, NodeId(0));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, node_seed(1234, NodeId(0)));
+    /// Arms one timer 12 ms out and otherwise does nothing.
+    struct Sleeper;
+    impl Node for Sleeper {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::millis(12), 0);
+        }
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
     }
 
+    /// A limit in the past must not rewind the clock, at one shard or two.
     #[test]
-    fn shard_map_defaults_unknown_ids_to_zero() {
-        let m = ShardMap { of: vec![2, 1] };
-        assert_eq!(m.shard_of(NodeId(0)), 2);
-        assert_eq!(m.shard_of(NodeId(1)), 1);
-        assert_eq!(m.shard_of(NodeId(999)), 0);
+    fn run_until_quiescent_never_rewinds_the_clock() {
+        for shards in [1, 2] {
+            let mut sim = ShardedEngine::new(1, shards);
+            sim.add_node(NodeId(0), Box::new(Sleeper));
+            sim.add_node(NodeId(1), Box::new(Sleeper));
+            sim.run_until(SimTime(10_000_000));
+            let end = sim.run_until_quiescent(SimTime(5_000_000));
+            assert_eq!((end, sim.now()), (SimTime(10_000_000), SimTime(10_000_000)));
+        }
     }
 }

@@ -1,37 +1,32 @@
-//! The discrete-event simulation engine.
+//! The sequential engine: a façade over one [`Core`] in the global-RNG
+//! regime with a [`Direct`] sink.
 //!
 //! Determinism contract: given the same seed, node set, topology, and
 //! schedule of external events, two runs produce identical event orders,
 //! identical RNG draws, and therefore identical statistics. This is
 //! guaranteed by (a) a total order on events — `(time, insertion seq)` —
 //! and (b) a single engine-owned RNG consumed only during deterministic
-//! event processing.
-//!
-//! Hot-path layout: event payloads live in a slab and the priority queue
-//! orders flat `(time, seq, slab index)` triples, so heap sifts move
-//! 24-byte entries instead of full packets; node ids resolve through a
-//! dense index table instead of a hash map; and per-dispatch command
-//! buffers are pooled. See DESIGN.md's "Performance model" for the
-//! measurements behind these choices.
+//! event processing. The loop itself lives in [`crate::core`]; what this
+//! file adds is the surface a single-threaded caller gets to keep: a
+//! topology that stays mutable mid-run, `stats()` by reference,
+//! collectors written synchronously through their `Rc` handles, and the
+//! ingress capture tap.
 
 use crate::capture::CaptureHandle;
-use crate::ctx::{Command, Ctx, GroupId};
-use crate::events::{EventKind, EventQueue};
+use crate::core::{Core, Direct};
+use crate::ctx::GroupId;
+use crate::events::EventKind;
 use crate::fault::{FaultAction, FaultSchedule, LinkOverlay};
 use crate::journal::JournalHandle;
 use crate::node::Node;
-use crate::observe::{NetEvent, ObserverHandle};
+use crate::observe::ObserverHandle;
 use crate::span::SpanHandle;
-use crate::stats::{DropReason, NetStats};
+use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::TraceHandle;
-use crate::wire_check::wire_fidelity_check;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::any::Any;
-use swishmem_wire::cursor::Writer;
-use swishmem_wire::{NodeId, Packet, PacketBody};
+use std::sync::Arc;
+use swishmem_wire::{NodeId, Packet};
 
 /// Blanket `Any`-access helper so the engine can hand out typed references
 /// to nodes after a run (e.g. to read a switch's registers or metrics).
@@ -51,71 +46,23 @@ impl<T: 'static> AsAny for T {
     }
 }
 
-struct NodeSlot {
-    id: NodeId,
-    node: Box<dyn NodeObj>,
-    failed: bool,
-}
-
-/// Sentinel in the id -> slot table.
-const ABSENT: u32 = u32::MAX;
-
 /// Object-safe supertrait combining [`Node`] and [`AsAny`].
 pub trait NodeObj: Node + AsAny {}
 impl<T: Node + AsAny> NodeObj for T {}
 
 /// The simulation engine.
 pub struct Simulator {
-    now: SimTime,
-    seq: u64,
-    queue: EventQueue,
-    /// `NodeId.0` -> slot in `nodes` (`ABSENT` when unregistered).
-    node_index: Vec<u32>,
-    nodes: Vec<NodeSlot>,
-    topo: Topology,
-    rng: StdRng,
-    stats: NetStats,
-    started: bool,
-    events_processed: u64,
-    peak_queue_depth: usize,
-    trace: Option<TraceHandle>,
-    spans: Option<SpanHandle>,
-    journal: Option<JournalHandle>,
+    core: Core<dyn NodeObj, Direct>,
     capture: Option<CaptureHandle>,
-    observers: Vec<ObserverHandle>,
-    wire_check: bool,
-    /// Pooled encode buffer of the wire check (empty until armed).
-    wire_scratch: Writer,
-    /// Pooled command buffer reused across dispatches.
-    cmd_scratch: Vec<Command>,
-    /// Pooled member buffer reused across multicast/anycast fan-outs.
-    member_scratch: Vec<NodeId>,
 }
 
 impl Simulator {
     /// Create a simulator with a deterministic seed.
     pub fn new(seed: u64) -> Simulator {
         Simulator {
-            now: SimTime::ZERO,
-            seq: 0,
-            queue: EventQueue::default(),
-            node_index: Vec::new(),
-            nodes: Vec::new(),
-            topo: Topology::new(),
-            rng: StdRng::seed_from_u64(seed),
-            stats: NetStats::default(),
-            started: false,
-            events_processed: 0,
-            peak_queue_depth: 0,
-            trace: None,
-            spans: None,
-            journal: None,
+            // Shard 0 of 1 under the empty shard map: every hop is local.
+            core: Core::new(0, 1, Arc::default(), Topology::new(), seed),
             capture: None,
-            observers: Vec::new(),
-            wire_check: false,
-            wire_scratch: Writer::new(),
-            cmd_scratch: Vec::new(),
-            member_scratch: Vec::new(),
         }
     }
 
@@ -125,17 +72,12 @@ impl Simulator {
     /// (UDP data packets legitimately drop their simulator-side `flow_seq`
     /// on the wire, which the check accounts for.)
     pub fn set_wire_check(&mut self, on: bool) {
-        self.wire_check = on;
-    }
-
-    /// Attach a packet trace: every delivered frame is recorded into it.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
+        self.core.wire_check = on;
     }
 
     /// Attach an ingress capture tap: every externally [`Simulator::inject`]ed
     /// packet is recorded (scheduled time + clone). Strictly passive,
-    /// like the trace/span/journal collectors — attaching it never
+    /// like the span/journal collectors — attaching it never
     /// changes the event order or the RNG stream.
     pub fn set_capture(&mut self, capture: CaptureHandle) {
         self.capture = Some(capture);
@@ -151,148 +93,114 @@ impl Simulator {
         self.capture.as_ref()
     }
 
-    /// Attach a span collector: [`Ctx::span`] markers emitted by nodes
-    /// are recorded into it. Like the packet trace and observers this is
-    /// strictly passive — attaching it never changes the event order or
-    /// the RNG stream (`tests/determinism.rs` pins this).
+    /// Attach a span collector: [`crate::Ctx::span`] markers emitted by
+    /// nodes are recorded into it. Like the observers this is strictly
+    /// passive — attaching it never changes the event order or the RNG
+    /// stream (`tests/determinism.rs` pins this).
     pub fn set_spans(&mut self, spans: SpanHandle) {
-        self.spans = Some(spans);
+        self.core.sink.spans = Some(spans);
     }
 
     /// Detach the span collector (span emission becomes a no-op again).
     pub fn clear_spans(&mut self) {
-        self.spans = None;
+        self.core.sink.spans = None;
     }
 
     /// The attached span collector, if any.
     pub fn spans(&self) -> Option<&SpanHandle> {
-        self.spans.as_ref()
+        self.core.sink.spans.as_ref()
     }
 
-    /// Attach a journal collector: [`Ctx::journal`] records emitted by
-    /// nodes are recorded into it. Strictly passive, exactly like the
+    /// Attach a journal collector: [`crate::Ctx::journal`] records emitted
+    /// by nodes are recorded into it. Strictly passive, exactly like the
     /// span collector — attaching it never changes the event order or
     /// the RNG stream (`tests/determinism.rs` pins this).
     pub fn set_journal(&mut self, journal: JournalHandle) {
-        self.journal = Some(journal);
+        self.core.sink.journal = Some(journal);
     }
 
     /// Detach the journal collector (journal emission becomes a no-op).
     pub fn clear_journal(&mut self) {
-        self.journal = None;
+        self.core.sink.journal = None;
     }
 
     /// The attached journal collector, if any.
     pub fn journal(&self) -> Option<&JournalHandle> {
-        self.journal.as_ref()
+        self.core.sink.journal.as_ref()
     }
 
     /// Attach a passive observer notified of deliveries and fault-plane
-    /// transitions. Observers cannot influence the run; attaching one
-    /// never changes the event order or RNG stream.
+    /// transitions (a [`crate::Trace`] is one). Observers cannot influence
+    /// the run; attaching one never changes the event order or RNG stream.
     pub fn add_observer(&mut self, obs: ObserverHandle) {
-        self.observers.push(obs);
-    }
-
-    #[inline]
-    fn notify(&self, ev: &NetEvent<'_>) {
-        for obs in &self.observers {
-            obs.borrow_mut().on_net_event(self.now, ev);
-        }
+        self.core.sink.observers.push(obs);
     }
 
     /// Register a node under `id`. Panics if `id` is already taken.
     pub fn add_node(&mut self, id: NodeId, node: Box<dyn NodeObj>) {
-        let i = id.index();
-        if i >= self.node_index.len() {
-            self.node_index.resize(i + 1, ABSENT);
-        }
-        assert!(self.node_index[i] == ABSENT, "duplicate node id {id}");
-        self.node_index[i] = self.nodes.len() as u32;
-        self.nodes.push(NodeSlot {
-            id,
-            node,
-            failed: false,
-        });
-    }
-
-    /// Slot index of `id`, if registered.
-    #[inline]
-    fn slot_of(&self, id: NodeId) -> Option<usize> {
-        match self.node_index.get(id.index()) {
-            Some(&s) if s != ABSENT => Some(s as usize),
-            _ => None,
-        }
+        self.core.add_node(id, node);
     }
 
     /// Mutable access to the topology (add links/groups before or during a
     /// run).
     pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.topo
+        &mut self.core.topo
     }
 
     /// Read access to the topology.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.core.topo
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now
     }
 
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.core.events_processed
     }
 
     /// High-water mark of the pending event queue.
     pub fn peak_queue_depth(&self) -> usize {
-        self.peak_queue_depth
+        self.core.peak_queue_depth
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Mutable statistics (for windowed measurements via `reset`).
     pub fn stats_mut(&mut self) -> &mut NetStats {
-        &mut self.stats
+        &mut self.core.stats
     }
 
     /// Typed read access to a node (post-run inspection).
     pub fn node<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        // Deref through the Box explicitly: the blanket AsAny impl would
-        // otherwise resolve on `Box<dyn NodeObj>` itself.
-        self.slot_of(id)
-            .and_then(|s| (*self.nodes[s].node).as_any().downcast_ref())
+        self.core.node(id)
     }
 
     /// Typed mutable access to a node.
     pub fn node_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        let s = self.slot_of(id)?;
-        (*self.nodes[s].node).as_any_mut().downcast_mut()
+        self.core.node_mut(id)
     }
 
     /// Whether `id` is currently failed.
     pub fn is_failed(&self, id: NodeId) -> bool {
-        self.slot_of(id)
-            .map(|s| self.nodes[s].failed)
-            .unwrap_or(false)
+        self.core.is_failed(id)
     }
 
     fn push(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(time, seq, kind);
-        self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len());
+        // The global regime draws its own key; the argument is unused.
+        self.core.push_ext(time, 0, kind);
     }
 
     /// Schedule delivery of `pkt` to `pkt.dst` at absolute time `t`,
     /// bypassing links. Used to inject external (ingress) traffic.
     pub fn inject(&mut self, t: SimTime, pkt: Packet) {
-        assert!(t >= self.now, "cannot inject into the past");
+        assert!(t >= self.core.now, "cannot inject into the past");
         if let Some(cap) = &self.capture {
             cap.borrow_mut().record(t, &pkt);
         }
@@ -374,268 +282,36 @@ impl Simulator {
     /// Call `on_start` on every node (idempotent; run methods call it
     /// automatically).
     pub fn start(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        let mut order: Vec<(NodeId, usize)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(s, n)| (n.id, s))
-            .collect();
-        order.sort(); // deterministic start order
-        for (_, slot) in order {
-            self.dispatch(slot, |node, ctx| node.on_start(ctx));
-        }
+        self.core.start();
     }
 
     /// Run until simulated time reaches `t` (inclusive of events at `t`).
     pub fn run_until(&mut self, t: SimTime) {
-        self.start();
-        while let Some(et) = self.queue.peek_time() {
-            if et > t {
-                break;
-            }
-            let (time, _, kind) = self.queue.pop().expect("peeked");
-            self.process(time, kind);
-        }
-        self.now = self.now.max(t);
+        self.run_until_quiescent(t);
+        self.core.now = self.core.now.max(t);
     }
 
     /// Run for `d` more simulated time.
     pub fn run_for(&mut self, d: SimDuration) {
-        let t = self.now + d;
+        let t = self.core.now + d;
         self.run_until(t);
     }
 
     /// Run until the event queue drains or `limit` is reached; returns the
-    /// final simulated time.
+    /// final simulated time (which never moves backwards).
     pub fn run_until_quiescent(&mut self, limit: SimTime) -> SimTime {
-        self.start();
-        while let Some(et) = self.queue.peek_time() {
-            if et > limit {
-                self.now = limit;
-                return self.now;
-            }
-            let (time, _, kind) = self.queue.pop().expect("peeked");
-            self.process(time, kind);
+        self.core.start();
+        self.core.run_window(limit.0.saturating_add(1));
+        if !self.core.queue.is_empty() {
+            self.core.now = self.core.now.max(limit);
         }
-        self.now
-    }
-
-    fn process(&mut self, time: SimTime, kind: EventKind) {
-        debug_assert!(time >= self.now, "time went backwards");
-        self.now = time;
-        self.events_processed += 1;
-        match kind {
-            EventKind::Deliver { to, pkt, corrupt } => {
-                let len = pkt.wire_len();
-                match self.slot_of(to) {
-                    None => {
-                        self.stats.record_drop(DropReason::NoRoute, len);
-                    }
-                    Some(slot) if self.nodes[slot].failed => {
-                        self.stats.record_drop(DropReason::NodeDown, len);
-                    }
-                    Some(slot) if corrupt => {
-                        self.stats.record_drop(DropReason::Corrupt, len);
-                        self.dispatch(slot, |node, ctx| node.on_corrupt_packet(pkt, ctx));
-                    }
-                    Some(slot) => {
-                        self.stats.record_delivery(&pkt, to, len);
-                        if self.wire_check {
-                            wire_fidelity_check(&pkt, len, &mut self.wire_scratch);
-                        }
-                        if let Some(trace) = &self.trace {
-                            trace.borrow_mut().record(self.now, &pkt);
-                        }
-                        if !self.observers.is_empty() {
-                            self.notify(&NetEvent::Delivered { to, pkt: &pkt });
-                        }
-                        self.dispatch(slot, |node, ctx| node.on_packet(pkt, ctx));
-                    }
-                }
-            }
-            EventKind::Timer { node, token } => {
-                if let Some(slot) = self.slot_of(node) {
-                    if !self.nodes[slot].failed {
-                        self.dispatch(slot, |n, ctx| n.on_timer(token, ctx));
-                    }
-                }
-            }
-            EventKind::Fail { node } => {
-                if let Some(slot) = self.slot_of(node) {
-                    let s = &mut self.nodes[slot];
-                    if !s.failed {
-                        s.failed = true;
-                        s.node.on_fail();
-                        self.notify(&NetEvent::NodeFailed { node });
-                    }
-                }
-            }
-            EventKind::Recover { node } => {
-                if let Some(slot) = self.slot_of(node) {
-                    if std::mem::replace(&mut self.nodes[slot].failed, false) {
-                        self.notify(&NetEvent::NodeRecovered { node });
-                        self.dispatch(slot, |n, ctx| n.on_start(ctx));
-                    }
-                }
-            }
-            EventKind::LinkSet { a, b, down, .. } => {
-                self.topo.set_link_down(a, b, down);
-                self.notify(&NetEvent::LinkChanged { a, b, down });
-            }
-            EventKind::LinkDegrade { a, b, overlay, .. } => {
-                self.topo.degrade_link(a, b, &overlay);
-                self.notify(&NetEvent::LinkDegraded { a, b });
-            }
-            EventKind::LinkRestore { a, b, .. } => {
-                self.topo.restore_link(a, b);
-                self.notify(&NetEvent::LinkRestored { a, b });
-            }
-            EventKind::Vacant => unreachable!("vacant slab slot in the event queue"),
-        }
-    }
-
-    /// Run a node callback and apply the commands it issued. The command
-    /// buffer is pooled: steady-state dispatches allocate nothing.
-    fn dispatch<F>(&mut self, slot: usize, f: F)
-    where
-        F: FnOnce(&mut dyn NodeObj, &mut Ctx<'_>),
-    {
-        let mut commands = std::mem::take(&mut self.cmd_scratch);
-        debug_assert!(commands.is_empty());
-        let id = self.nodes[slot].id;
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                node: id,
-                rng: &mut self.rng,
-                commands: &mut commands,
-                spans: self.spans.as_deref(),
-                journal: self.journal.as_deref(),
-            };
-            f(self.nodes[slot].node.as_mut(), &mut ctx);
-        }
-        for cmd in commands.drain(..) {
-            self.apply(id, cmd);
-        }
-        self.cmd_scratch = commands;
-    }
-
-    /// Collect `group` members other than `from` into the pooled member
-    /// buffer; the caller must hand the buffer back afterwards.
-    fn take_members(&mut self, group: GroupId, from: NodeId) -> Vec<NodeId> {
-        let mut members = std::mem::take(&mut self.member_scratch);
-        members.clear();
-        members.extend(
-            self.topo
-                .group(group)
-                .iter()
-                .copied()
-                .filter(|&m| m != from),
-        );
-        members
-    }
-
-    fn apply(&mut self, from: NodeId, cmd: Command) {
-        match cmd {
-            Command::Send { to, body } => self.transmit(from, to, body),
-            Command::Multicast { group, body } => {
-                let members = self.take_members(group, from);
-                for &m in &members {
-                    // Fan-out clones are reference-count bumps for the
-                    // shared message bodies (see `swishmem_wire::Shared`).
-                    self.transmit(from, m, body.clone());
-                }
-                self.member_scratch = members;
-            }
-            Command::Timer { delay, token } => {
-                let t = self.now + delay;
-                self.push(t, EventKind::Timer { node: from, token });
-            }
-            Command::SendRandom { group, body } => {
-                let candidates = self.take_members(group, from);
-                if !candidates.is_empty() {
-                    let pick = candidates[self.rng.gen_range(0..candidates.len())];
-                    self.member_scratch = candidates;
-                    self.transmit(from, pick, body);
-                } else {
-                    self.member_scratch = candidates;
-                }
-            }
-            Command::SetGroup { group, members } => {
-                self.topo.set_group(group, members);
-            }
-        }
+        self.core.now
     }
 
     /// Update a multicast group's membership (also reachable from node
     /// context via the deployment layer's controller).
     pub fn set_group(&mut self, group: GroupId, members: Vec<NodeId>) {
-        self.topo.set_group(group, members);
-    }
-
-    fn transmit(&mut self, from: NodeId, to: NodeId, body: PacketBody) {
-        let pkt = Packet {
-            src: from,
-            dst: to,
-            body,
-        };
-        let bytes = pkt.wire_len();
-        // A failed source cannot transmit (its events shouldn't fire, but a
-        // command applied the instant of failure is also suppressed).
-        if self
-            .slot_of(from)
-            .map(|s| self.nodes[s].failed)
-            .unwrap_or(false)
-        {
-            self.stats.record_drop(DropReason::NodeDown, bytes);
-            return;
-        }
-        // Resolve the next hop (direct link, or a static route through a
-        // relay in leaf-spine fabrics) and the outgoing link in one pass.
-        let (hop, link_ref) = match self.topo.resolve(from, to) {
-            Some(r) => r,
-            None => {
-                self.stats.record_drop(DropReason::NoRoute, bytes);
-                return;
-            }
-        };
-        let link = self.topo.link_at(link_ref);
-        if link.state.down {
-            self.stats.record_drop(DropReason::LinkDown, bytes);
-            return;
-        }
-        let params = link.params;
-        // Sample faults deterministically from the engine RNG.
-        if params.drop_prob > 0.0 && self.rng.gen::<f64>() < params.drop_prob {
-            self.stats.record_drop(DropReason::Loss, bytes);
-            return;
-        }
-        let jitter = if params.jitter.as_nanos() > 0 {
-            SimDuration::nanos(self.rng.gen_range(0..=params.jitter.as_nanos()))
-        } else {
-            SimDuration::ZERO
-        };
-        let corrupt = params.corrupt_prob > 0.0 && self.rng.gen::<f64>() < params.corrupt_prob;
-        if let Some(arrival) = self
-            .topo
-            .link_at_mut(link_ref)
-            .transmit(self.now, bytes, jitter)
-        {
-            self.push(
-                arrival,
-                EventKind::Deliver {
-                    to: hop,
-                    pkt,
-                    corrupt,
-                },
-            );
-        } else {
-            self.stats.record_drop(DropReason::LinkDown, bytes);
-        }
+        self.core.topo.set_group(group, members);
     }
 }
 
@@ -643,9 +319,10 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::link::LinkParams;
+    use crate::{Ctx, DropReason};
     use std::net::Ipv4Addr;
     use std::rc::Rc;
-    use swishmem_wire::{DataPacket, FlowKey};
+    use swishmem_wire::{DataPacket, FlowKey, PacketBody};
 
     /// Echoes every received data packet back to its source.
     struct Echo;
@@ -712,6 +389,20 @@ mod tests {
         sim.add_node(NodeId(0), Box::new(Ticker::default()));
         sim.run_until(SimTime(10_000_000));
         assert_eq!(sim.node::<Ticker>(NodeId(0)).unwrap().fired, 5);
+    }
+
+    /// A limit in the past must not rewind the clock: the fifth tick is
+    /// still pending at 5 ms when the run has already reached 4.5 ms.
+    #[test]
+    fn run_until_quiescent_never_rewinds_the_clock() {
+        let mut sim = Simulator::new(1);
+        sim.add_node(NodeId(0), Box::new(Ticker::default()));
+        sim.run_until(SimTime(4_500_000));
+        assert_eq!(
+            sim.run_until_quiescent(SimTime(2_000_000)),
+            SimTime(4_500_000)
+        );
+        assert_eq!(sim.now(), SimTime(4_500_000));
     }
 
     #[test]

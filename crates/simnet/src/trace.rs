@@ -1,8 +1,9 @@
-//! Packet tracing: an optional tap that records delivered frames for
+//! Packet tracing: a [`NetObserver`] that records delivered frames for
 //! offline inspection — the smoltcp `--pcap` idiom adapted to the
-//! simulator. Traces render as human-readable text and can be filtered
-//! by traffic class or endpoint.
+//! simulator. Attach with `add_observer(trace.clone())`. Traces render as
+//! human-readable text and can be filtered by traffic class or endpoint.
 
+use crate::observe::{NetEvent, NetObserver};
 use crate::stats::TrafficClass;
 use crate::time::SimTime;
 use std::cell::RefCell;
@@ -28,6 +29,14 @@ pub struct Trace {
 
 /// Shared handle to a [`Trace`] (the simulator holds one side).
 pub type TraceHandle = Rc<RefCell<Trace>>;
+
+impl NetObserver for Trace {
+    fn on_net_event(&mut self, now: SimTime, ev: &NetEvent<'_>) {
+        if let NetEvent::Delivered { pkt, .. } = ev {
+            self.record(now, pkt);
+        }
+    }
+}
 
 impl Trace {
     /// A trace keeping at most `capacity` entries (older entries are
@@ -215,7 +224,7 @@ mod tests {
 
         let mut sim = Simulator::new(7);
         let trace = Trace::new(4);
-        sim.set_trace(trace.clone());
+        sim.add_observer(trace.clone());
         sim.add_node(NodeId(0), Box::new(Echo));
         sim.add_node(NodeId(1), Box::new(Echo));
         sim.topology_mut()

@@ -1,10 +1,8 @@
-//! The wire-fidelity check both engines run on every delivered frame when
-//! `set_wire_check(true)` is armed.
+//! The wire-fidelity check the event loop runs on every delivered frame
+//! when `set_wire_check(true)` is armed.
 //!
 //! The simulator moves packets in structured form; this is the one place
-//! that proves the structured form and the byte encodings agree, so it
-//! exists once: the pooled encode, the panic messages and the UDP
-//! exemption are the same under the sequential and the sharded engine.
+//! that proves the structured form and the byte encodings agree.
 
 use swishmem_wire::cursor::Writer;
 use swishmem_wire::ipv4::IpProto;

@@ -130,7 +130,7 @@ fn run_scenario_full(
 ) -> Fingerprint {
     let mut sim = Simulator::new(seed);
     let trace = Trace::new(200_000);
-    sim.set_trace(trace.clone());
+    sim.add_observer(trace.clone());
     if let Some(s) = spans {
         sim.set_spans(s);
     }

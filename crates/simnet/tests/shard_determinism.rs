@@ -3,9 +3,10 @@
 //! Three guarantees are pinned here:
 //!
 //! 1. **`S = 1` is bit-exact with the sequential engine** — a single-shard
-//!    [`ShardedEngine`] reproduces the legacy [`Simulator`]'s golden
-//!    determinism fingerprint unchanged (same RNG stream, same event
-//!    keys, same trace order).
+//!    [`ShardedEngine`] reproduces the [`Simulator`]'s golden determinism
+//!    fingerprint unchanged (same RNG stream, same event keys, same trace
+//!    order), and its buffered sinks hand every attached collector the
+//!    stream the `Simulator`'s direct ones do.
 //! 2. **Shard count is a pure performance knob** — for `S ≥ 2` the merged
 //!    stats, delivery-trace hash, and observer event stream are identical
 //!    for any shard count and any worker-thread count.
@@ -18,15 +19,14 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 use swishmem_simnet::{
     Ctx, DropReason, FaultGen, FaultSchedule, GroupId, JournalCollector, JournalHandle,
-    JournalRecord, LinkParams, NetEvent, NetObserver, Node, RelayNode, ShardedEngine, SimDuration,
-    SimTime, Simulator, Trace,
+    JournalRecord, LinkParams, NetEvent, NetObserver, Node, ObserverHandle, RelayNode,
+    ShardedEngine, SimDuration, SimTime, Simulator, SpanCollector, SpanHandle, SpanPhase, Trace,
+    TraceHandle,
 };
-use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody};
+use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, TraceId};
 
 /// Mirrors the `Churn` node in `tests/determinism.rs`: echoes data
 /// packets with a TTL, multicasts and anycasts on a re-arming timer.
-/// (Span markers are omitted — span invariance has its own pinning via
-/// the sequential harness; this harness pins stats/trace/observers.)
 struct Churn {
     ttl: u32,
     timer_rounds: u64,
@@ -47,8 +47,12 @@ impl Node for Churn {
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         if let PacketBody::Data(d) = pkt.body {
-            // Unconditional journal emission: a no-op unless a collector
-            // is attached (the journal-invariance tests below exploit it).
+            // Unconditional span and journal emission: no-ops unless a
+            // collector is attached (the invariance tests below exploit it).
+            ctx.span(
+                TraceId::new(ctx.self_id(), u64::from(d.flow_seq) + 1),
+                SpanPhase::Ingress,
+            );
             ctx.journal(
                 1,
                 u64::from(d.flow_seq),
@@ -65,6 +69,10 @@ impl Node for Churn {
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
         assert_eq!(token, 1);
         self.timer_rounds += 1;
+        ctx.span(
+            TraceId::new(ctx.self_id(), 1_000 + self.timer_rounds),
+            SpanPhase::SyncRound,
+        );
         ctx.journal(2, self.timer_rounds, 0, 0, 0);
         ctx.multicast(GroupId(1), body(0, 100));
         ctx.send_random(GroupId(1), body(0, 40));
@@ -150,132 +158,101 @@ impl NetObserver for Collector {
 
 #[derive(Clone, Copy)]
 enum EngineUnderTest {
-    Legacy,
+    Sequential,
     Sharded(usize),
 }
 
+/// What a Churn run attaches besides the packet trace.
+#[derive(Default)]
+struct Taps {
+    journal: Option<JournalHandle>,
+    spans: Option<SpanHandle>,
+    observer: Option<ObserverHandle>,
+    wire_check: bool,
+}
+
 fn run_churn(seed: u64, engine: EngineUnderTest, faults: Option<&FaultSchedule>) -> Fingerprint {
-    run_churn_full(seed, engine, faults, None, false)
+    run_churn_full(seed, engine, faults, &Taps::default()).0
+}
+
+/// The Churn scenario on an already constructed engine. `Simulator` and
+/// `ShardedEngine` share these method names but no trait, hence a macro.
+macro_rules! churn_scenario {
+    ($engine:expr, $faults:expr, $taps:expr) => {{
+        let mut sim = $engine;
+        let taps: &Taps = $taps;
+        let ids: Vec<NodeId> = (0..5).map(NodeId).collect();
+        let trace = Trace::new(200_000);
+        sim.add_observer(trace.clone());
+        sim.set_wire_check(taps.wire_check);
+        if let Some(j) = &taps.journal {
+            sim.set_journal(j.clone());
+        }
+        if let Some(s) = &taps.spans {
+            sim.set_spans(s.clone());
+        }
+        if let Some(o) = &taps.observer {
+            sim.add_observer(o.clone());
+        }
+        for &id in &ids {
+            sim.add_node(
+                id,
+                Box::new(Churn {
+                    ttl: 6,
+                    timer_rounds: 0,
+                }),
+            );
+        }
+        let params = LinkParams::lossy(0.08).with_jitter(SimDuration::micros(2));
+        sim.topology_mut().full_mesh(&ids, params);
+        sim.topology_mut().set_group(GroupId(1), ids.clone());
+        for i in 0..200u64 {
+            let flow = FlowKey::udp(
+                Ipv4Addr::new(10, 0, 0, 1),
+                (100 + i) as u16,
+                Ipv4Addr::new(10, 0, 0, 2),
+                6,
+            );
+            let (src, dst) = (NodeId((i % 5) as u16), NodeId(((i + 1) % 5) as u16));
+            let pkt = Packet::data(src, dst, DataPacket::udp(flow, 0, 64));
+            sim.inject(SimTime(i * 7_000), pkt);
+        }
+        sim.schedule_fail(SimTime(300_000), NodeId(2));
+        sim.schedule_recover(SimTime(900_000), NodeId(2));
+        sim.schedule_link_set(SimTime(400_000), NodeId(0), NodeId(1), true);
+        sim.schedule_link_set(SimTime(1_000_000), NodeId(0), NodeId(1), false);
+        if let Some(sched) = $faults {
+            sim.schedule_faults(SimTime::ZERO, sched);
+        }
+        sim.run_until_quiescent(SimTime(30_000_000));
+        let s = sim.stats();
+        let fp = Fingerprint {
+            events: sim.events_processed(),
+            end_ns: sim.now().nanos(),
+            delivered_pkts: s.delivered_total().packets,
+            delivered_bytes: s.delivered_total().bytes,
+            lost: s.dropped(DropReason::Loss).packets,
+            no_route: s.dropped(DropReason::NoRoute).packets,
+            node_down: s.dropped(DropReason::NodeDown).packets,
+            link_down: s.dropped(DropReason::LinkDown).packets,
+            corrupt: s.dropped(DropReason::Corrupt).packets,
+            trace_len: trace.borrow().entries().len(),
+            trace_hash: trace_hash(&trace.borrow()),
+        };
+        (fp, trace)
+    }};
 }
 
 fn run_churn_full(
     seed: u64,
     engine: EngineUnderTest,
     faults: Option<&FaultSchedule>,
-    journal: Option<JournalHandle>,
-    wire_check: bool,
-) -> Fingerprint {
-    let ids: Vec<NodeId> = (0..5).map(NodeId).collect();
-    let trace = Trace::new(200_000);
-    let params = LinkParams::lossy(0.08).with_jitter(SimDuration::micros(2));
-    let inject_all = |f: &mut dyn FnMut(SimTime, Packet)| {
-        for i in 0..200u64 {
-            let src = NodeId((i % 5) as u16);
-            let dst = NodeId(((i + 1) % 5) as u16);
-            f(
-                SimTime(i * 7_000),
-                Packet::data(
-                    src,
-                    dst,
-                    DataPacket::udp(
-                        FlowKey::udp(
-                            Ipv4Addr::new(10, 0, 0, 1),
-                            (100 + i) as u16,
-                            Ipv4Addr::new(10, 0, 0, 2),
-                            6,
-                        ),
-                        0,
-                        64,
-                    ),
-                ),
-            );
-        }
-    };
-
+    taps: &Taps,
+) -> (Fingerprint, TraceHandle) {
     match engine {
-        EngineUnderTest::Legacy => {
-            let mut sim = Simulator::new(seed);
-            sim.set_trace(trace.clone());
-            sim.set_wire_check(wire_check);
-            if let Some(j) = journal {
-                sim.set_journal(j);
-            }
-            for &id in &ids {
-                sim.add_node(
-                    id,
-                    Box::new(Churn {
-                        ttl: 6,
-                        timer_rounds: 0,
-                    }),
-                );
-            }
-            sim.topology_mut().full_mesh(&ids, params);
-            sim.topology_mut().set_group(GroupId(1), ids.clone());
-            inject_all(&mut |t, p| sim.inject(t, p));
-            sim.schedule_fail(SimTime(300_000), NodeId(2));
-            sim.schedule_recover(SimTime(900_000), NodeId(2));
-            sim.schedule_link_set(SimTime(400_000), NodeId(0), NodeId(1), true);
-            sim.schedule_link_set(SimTime(1_000_000), NodeId(0), NodeId(1), false);
-            if let Some(sched) = faults {
-                sim.schedule_faults(SimTime::ZERO, sched);
-            }
-            sim.run_until_quiescent(SimTime(30_000_000));
-            let s = sim.stats();
-            Fingerprint {
-                events: sim.events_processed(),
-                end_ns: sim.now().nanos(),
-                delivered_pkts: s.delivered_total().packets,
-                delivered_bytes: s.delivered_total().bytes,
-                lost: s.dropped(DropReason::Loss).packets,
-                no_route: s.dropped(DropReason::NoRoute).packets,
-                node_down: s.dropped(DropReason::NodeDown).packets,
-                link_down: s.dropped(DropReason::LinkDown).packets,
-                corrupt: s.dropped(DropReason::Corrupt).packets,
-                trace_len: trace.borrow().entries().len(),
-                trace_hash: trace_hash(&trace.borrow()),
-            }
-        }
+        EngineUnderTest::Sequential => churn_scenario!(Simulator::new(seed), faults, taps),
         EngineUnderTest::Sharded(shards) => {
-            let mut sim = ShardedEngine::new(seed, shards);
-            sim.set_trace(trace.clone());
-            sim.set_wire_check(wire_check);
-            if let Some(j) = journal {
-                sim.set_journal(j);
-            }
-            for &id in &ids {
-                sim.add_node(
-                    id,
-                    Box::new(Churn {
-                        ttl: 6,
-                        timer_rounds: 0,
-                    }),
-                );
-            }
-            sim.topology_mut().full_mesh(&ids, params);
-            sim.topology_mut().set_group(GroupId(1), ids.clone());
-            inject_all(&mut |t, p| sim.inject(t, p));
-            sim.schedule_fail(SimTime(300_000), NodeId(2));
-            sim.schedule_recover(SimTime(900_000), NodeId(2));
-            sim.schedule_link_set(SimTime(400_000), NodeId(0), NodeId(1), true);
-            sim.schedule_link_set(SimTime(1_000_000), NodeId(0), NodeId(1), false);
-            if let Some(sched) = faults {
-                sim.schedule_faults(SimTime::ZERO, sched);
-            }
-            sim.run_until_quiescent(SimTime(30_000_000));
-            let s = sim.stats();
-            Fingerprint {
-                events: sim.events_processed(),
-                end_ns: sim.now().nanos(),
-                delivered_pkts: s.delivered_total().packets,
-                delivered_bytes: s.delivered_total().bytes,
-                lost: s.dropped(DropReason::Loss).packets,
-                no_route: s.dropped(DropReason::NoRoute).packets,
-                node_down: s.dropped(DropReason::NodeDown).packets,
-                link_down: s.dropped(DropReason::LinkDown).packets,
-                corrupt: s.dropped(DropReason::Corrupt).packets,
-                trace_len: trace.borrow().entries().len(),
-                trace_hash: trace_hash(&trace.borrow()),
-            }
+            churn_scenario!(ShardedEngine::new(seed, shards), faults, taps)
         }
     }
 }
@@ -310,9 +287,13 @@ fn single_shard_matches_golden_fingerprint() {
 /// run also drives the shared helper's one exemption through both engines.
 #[test]
 fn wire_check_is_invisible_at_one_and_two_shards() {
-    use EngineUnderTest::{Legacy, Sharded};
-    for (engine, golden) in [(Legacy, true), (Sharded(1), true), (Sharded(2), false)] {
-        let checked = run_churn_full(1234, engine, None, None, true);
+    use EngineUnderTest::{Sequential, Sharded};
+    for (engine, golden) in [(Sequential, true), (Sharded(1), true), (Sharded(2), false)] {
+        let armed = Taps {
+            wire_check: true,
+            ..Taps::default()
+        };
+        let checked = run_churn_full(1234, engine, None, &armed).0;
         assert_eq!(checked, run_churn(1234, engine, None));
         assert!(checked.delivered_pkts > 3000);
         if golden {
@@ -332,10 +313,77 @@ fn single_shard_matches_legacy_simulator_under_faults() {
     let sched = FaultGen::new(99).generate(&ids, &links, SimDuration::millis(2), 5);
     assert!(!sched.is_empty());
     for seed in [1234u64, 4321, 7] {
-        let legacy = run_churn(seed, EngineUnderTest::Legacy, Some(&sched));
+        let legacy = run_churn(seed, EngineUnderTest::Sequential, Some(&sched));
         let sharded = run_churn(seed, EngineUnderTest::Sharded(1), Some(&sched));
         assert_eq!(legacy, sharded, "seed {seed}: S=1 diverged from Simulator");
     }
+}
+
+/// `Direct` vs `Buffered`, proven equivalent once: the same seed and
+/// fault schedule through `Simulator` (observations written in place)
+/// and a single-shard `ShardedEngine` (observations buffered, merged
+/// after the run) must hand every attached collector the same stream,
+/// element for element — observer log, packet trace, spans, journal.
+#[test]
+fn direct_and_buffered_sinks_see_identical_streams() {
+    let ids: Vec<NodeId> = (0..5).map(NodeId).collect();
+    let links: Vec<(NodeId, NodeId)> = (0..5u16)
+        .flat_map(|i| ((i + 1)..5).map(move |j| (NodeId(i), NodeId(j))))
+        .collect();
+    let sched = FaultGen::new(99).generate(&ids, &links, SimDuration::millis(2), 5);
+
+    let run = |engine: EngineUnderTest| {
+        let collector = Rc::new(RefCell::new(Collector::default()));
+        let taps = Taps {
+            journal: Some(JournalCollector::new(1_000_000)),
+            spans: Some(SpanCollector::new(1_000_000)),
+            observer: Some(collector.clone()),
+            wire_check: false,
+        };
+        let (fp, trace) = run_churn_full(1234, engine, Some(&sched), &taps);
+        let trace: Vec<(SimTime, Packet)> = trace
+            .borrow()
+            .entries()
+            .iter()
+            .map(|e| (e.time, e.pkt.clone()))
+            .collect();
+        let spans = taps.spans.unwrap().borrow().events().to_vec();
+        let journal = taps.journal.unwrap().borrow().records().to_vec();
+        let log = collector.borrow().log.clone();
+        (fp, log, trace, spans, journal)
+    };
+    let direct = run(EngineUnderTest::Sequential);
+    let buffered = run(EngineUnderTest::Sharded(1));
+
+    let (_, log, trace, spans, journal) = &direct;
+    for (what, seen) in [
+        (
+            "NodeFailed",
+            log.iter().any(|o| matches!(o, Obs::NodeFailed(..))),
+        ),
+        (
+            "LinkChanged",
+            log.iter().any(|o| matches!(o, Obs::LinkChanged(..))),
+        ),
+        (
+            "LinkDegraded",
+            log.iter().any(|o| matches!(o, Obs::LinkDegraded(..))),
+        ),
+        (
+            "a delivery",
+            log.iter().any(|o| matches!(o, Obs::Delivered(..))),
+        ),
+        ("a traced frame", !trace.is_empty()),
+        ("a span", !spans.is_empty()),
+        ("a journal record", !journal.is_empty()),
+    ] {
+        assert!(seen, "scenario must exercise {what}");
+    }
+    assert_eq!(direct.0, buffered.0, "fingerprints diverged");
+    assert_eq!(direct.1, buffered.1, "observer logs diverged");
+    assert_eq!(direct.2, buffered.2, "packet traces diverged");
+    assert_eq!(direct.3, buffered.3, "span streams diverged");
+    assert_eq!(direct.4, buffered.4, "journal streams diverged");
 }
 
 /// Attaching the flight-recorder journal to a single-shard run must be
@@ -345,13 +393,11 @@ fn single_shard_matches_legacy_simulator_under_faults() {
 #[test]
 fn single_shard_journal_attach_matches_golden_fingerprint() {
     let journal = JournalCollector::new(1_000_000);
-    let attached = run_churn_full(
-        1234,
-        EngineUnderTest::Sharded(1),
-        None,
-        Some(journal.clone()),
-        false,
-    );
+    let taps = Taps {
+        journal: Some(journal.clone()),
+        ..Taps::default()
+    };
+    let attached = run_churn_full(1234, EngineUnderTest::Sharded(1), None, &taps).0;
     let detached = run_churn(1234, EngineUnderTest::Sharded(1), None);
     assert_eq!(
         attached, detached,
@@ -375,13 +421,11 @@ fn single_shard_journal_attach_matches_golden_fingerprint() {
 fn journal_is_shard_count_invariant() {
     let canonical = |shards: usize| -> (Fingerprint, Vec<JournalRecord>) {
         let journal = JournalCollector::new(1_000_000);
-        let fp = run_churn_full(
-            1234,
-            EngineUnderTest::Sharded(shards),
-            None,
-            Some(journal.clone()),
-            false,
-        );
+        let taps = Taps {
+            journal: Some(journal.clone()),
+            ..Taps::default()
+        };
+        let fp = run_churn_full(1234, EngineUnderTest::Sharded(shards), None, &taps).0;
         let mut recs = journal.borrow().records().to_vec();
         // Multi-shard drains merge per-shard sinks in full-field order;
         // sort both streams to that canonical order before comparing.
@@ -433,7 +477,7 @@ fn run_leaf_spine(
     let mut sim = ShardedEngine::new(seed, shards);
     sim.set_workers(workers);
     let trace = Trace::new(500_000);
-    sim.set_trace(trace.clone());
+    sim.add_observer(trace.clone());
     let collector = Rc::new(RefCell::new(Collector::default()));
     sim.add_observer(collector.clone());
 
