@@ -1,12 +1,14 @@
 //! Traffic accounting: per-class and per-link byte/packet counters.
 //!
 //! The bandwidth-overhead experiments (E2, E13, E14 in DESIGN.md) are
-//! computed entirely from these counters, so classification must cover
-//! every message type.
+//! computed entirely from these counters. Classification covers every
+//! message type by construction: a message's [`TrafficClass`] is part of
+//! its row in the wire crate's message table.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use swishmem_wire::{NodeId, Packet, PacketBody, SwishMsg};
+pub use swishmem_wire::TrafficClass;
+use swishmem_wire::{NodeId, Packet};
 
 /// Multiply-and-rotate hasher (FxHash-style) for the small integer keys
 /// used below. `record_delivery` runs once per delivered frame, so the
@@ -53,75 +55,6 @@ impl Hasher for FxHasher {
 }
 
 type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// Traffic classes, for attribution of bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum TrafficClass {
-    /// NF data packets.
-    Data,
-    /// SRO/ERO chain write requests.
-    SroWrite,
-    /// SRO/ERO acks and pending-clears.
-    SroControl,
-    /// EWO sync updates (eager mirrors and periodic sync alike).
-    EwoSync,
-    /// Snapshot/recovery transfer.
-    Snapshot,
-    /// Reads forwarded to the tail.
-    ReadForward,
-    /// Range-migration state transfer (reconfiguration engine).
-    Migration,
-    /// Heartbeats, configuration, directory.
-    Management,
-}
-
-impl TrafficClass {
-    /// Classify a packet.
-    pub fn of(pkt: &Packet) -> TrafficClass {
-        match &pkt.body {
-            PacketBody::Data(_) => TrafficClass::Data,
-            PacketBody::Swish(m) => match m {
-                SwishMsg::Write(_) => TrafficClass::SroWrite,
-                SwishMsg::Ack(_) | SwishMsg::Clear(_) => TrafficClass::SroControl,
-                SwishMsg::Sync(_) => TrafficClass::EwoSync,
-                SwishMsg::SnapReq(_) | SwishMsg::SnapChunk(_) | SwishMsg::CatchupDone(_) => {
-                    TrafficClass::Snapshot
-                }
-                SwishMsg::ReadForward(_) => TrafficClass::ReadForward,
-                SwishMsg::MigrateChunk(_) => TrafficClass::Migration,
-                SwishMsg::Chain(_)
-                | SwishMsg::Group(_)
-                | SwishMsg::Heartbeat(_)
-                | SwishMsg::DirLookup(_)
-                | SwishMsg::DirReply(_)
-                | SwishMsg::MigrateBegin(_)
-                | SwishMsg::OwnershipCommit(_)
-                | SwishMsg::MigrateDone(_)
-                | SwishMsg::LoadReport(_)
-                | SwishMsg::CtrlPrepare(_)
-                | SwishMsg::CtrlPromise(_)
-                | SwishMsg::CtrlAccept(_)
-                | SwishMsg::CtrlAccepted(_)
-                | SwishMsg::CtrlLearn(_)
-                | SwishMsg::CtrlHb(_)
-                | SwishMsg::CtrlLead(_)
-                | SwishMsg::CtrlSnap(_) => TrafficClass::Management,
-            },
-        }
-    }
-
-    /// All classes, for iteration in reports.
-    pub const ALL: [TrafficClass; 8] = [
-        TrafficClass::Data,
-        TrafficClass::SroWrite,
-        TrafficClass::SroControl,
-        TrafficClass::EwoSync,
-        TrafficClass::Snapshot,
-        TrafficClass::ReadForward,
-        TrafficClass::Migration,
-        TrafficClass::Management,
-    ];
-}
 
 /// Packet/byte counter pair.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -261,7 +194,7 @@ mod tests {
     use super::*;
     use std::net::Ipv4Addr;
     use swishmem_wire::swish::{Heartbeat, SyncUpdate, WriteAck, WriteOp, WriteRequest};
-    use swishmem_wire::{DataPacket, FlowKey};
+    use swishmem_wire::{DataPacket, FlowKey, SwishMsg};
 
     fn data() -> Packet {
         Packet::data(

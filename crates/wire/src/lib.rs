@@ -26,12 +26,13 @@ pub mod flow;
 pub mod ipv4;
 pub mod l4;
 pub mod packet;
+mod schema;
 pub mod shared;
 pub mod swish;
 
 pub use error::WireError;
 pub use flow::FlowKey;
-pub use packet::{DataPacket, Packet, PacketBody};
+pub use packet::{DataPacket, Packet, PacketBody, TrafficClass};
 pub use shared::Shared;
 pub use swish::{SwishMsg, TraceId};
 

@@ -165,6 +165,51 @@ pub enum PacketBody {
     Swish(SwishMsg),
 }
 
+/// Traffic classes, for attribution of bandwidth. A protocol message's
+/// class is declared on its row of the [`SwishMsg`] table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum TrafficClass {
+    /// NF data packets.
+    Data,
+    /// SRO/ERO chain write requests.
+    SroWrite,
+    /// SRO/ERO acks and pending-clears.
+    SroControl,
+    /// EWO sync updates (eager mirrors and periodic sync alike).
+    EwoSync,
+    /// Snapshot/recovery transfer.
+    Snapshot,
+    /// Reads forwarded to the tail.
+    ReadForward,
+    /// Range-migration state transfer (reconfiguration engine).
+    Migration,
+    /// Heartbeats, configuration, directory.
+    Management,
+}
+
+impl TrafficClass {
+    /// Classify a packet.
+    #[inline]
+    pub fn of(pkt: &Packet) -> TrafficClass {
+        match &pkt.body {
+            PacketBody::Data(_) => TrafficClass::Data,
+            PacketBody::Swish(m) => m.class(),
+        }
+    }
+
+    /// All classes, for iteration in reports.
+    pub const ALL: [TrafficClass; 8] = [
+        TrafficClass::Data,
+        TrafficClass::SroWrite,
+        TrafficClass::SroControl,
+        TrafficClass::EwoSync,
+        TrafficClass::Snapshot,
+        TrafficClass::ReadForward,
+        TrafficClass::Migration,
+        TrafficClass::Management,
+    ];
+}
+
 /// A frame traveling over a simulated link.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {

@@ -40,7 +40,11 @@ cargo build --workspace --release
 #     fingerprint, the Direct and Buffered sinks hand every collector the
 #     same stream, shard/worker count are pure performance knobs;
 #     swishmem-bench `shardnet::` — a 2-shard fault sweep runs oracle-clean.
-#   replay lab (§15)                swishmem-replay/roundtrip — `.swtrace`
+#   wire format (§3)                wire_golden — every frame of a seeded
+#     run that emits all 26 messages hashes to the recorded constant;
+#     swishmem-wire `swish::tests` — the message table has a sample per
+#     row, and decode accepts only what encode emits (corpus mutation).
+#   replay lab (§15)              swishmem-replay/roundtrip — `.swtrace`
 #     round-trips a million records and rejects truncation/corruption with
 #     typed errors; swishmem-replay/scenario_packs — five oracle-armed
 #     packs pass clean and the sabotaged feed fails (the gate is live).
