@@ -120,7 +120,7 @@ fn run_crash(seed: u64) -> RunOutput {
         .map(|e| e.time.since(t_crash).0);
     let col = handle.borrow();
     RunOutput {
-        journal: Journal::decode(col.records()),
+        journal: Journal::decode(col.events()),
         records: col.len(),
         overflowed: col.overflowed(),
         t_crash,

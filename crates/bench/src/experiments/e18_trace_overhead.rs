@@ -1,9 +1,9 @@
 //! E18 — tracing overhead: the span-telemetry fast path must be free
-//! when no collector is attached. Two identical ping-pong simulations
+//! when nobody subscribes to spans. Two identical ping-pong simulations
 //! (the `simnet_engine` bench workload) are timed wall-clock: both
 //! allocate a `TraceId` per packet (unconditional protocol work — the id
 //! rides the wire either way), but only one emits a span marker per
-//! packet into the **detached** collector slot, the layer's common-case
+//! packet with **no** span subscriber attached, the layer's common-case
 //! instrumentation density. The gate is <2% events/s regression — the
 //! compiled-in-but-disabled cost of instrumenting every protocol hot
 //! path (DESIGN.md §9).
@@ -39,7 +39,7 @@ impl Node for PlainEcho {
 
 /// Same ping-pong plus the telemetry hook under test: one `Ingress`
 /// marker per packet (the layer's common-case instrumentation density).
-/// With no collector attached the marker hits the detached early-out.
+/// With no span subscriber the marker stops at the family check.
 struct TracedEcho {
     ttl: u32,
     next_trace: u64,
@@ -150,8 +150,8 @@ pub fn run(quick: bool) -> ExperimentResult {
             "disabled tracing costs {overhead_pct:+.2}% events/s on the ping-pong engine \
              workload (gate: <2% — {verdict})"
         ),
-        "span emission with no collector attached is a branch on an Option; the protocol \
-         layers stay instrumented in every build"
+        "span emission with no span subscriber is one family check; the protocol layers \
+         stay instrumented in every build"
             .into(),
     ];
     ExperimentResult {

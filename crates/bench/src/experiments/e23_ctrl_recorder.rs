@@ -1,9 +1,9 @@
 //! E23 — control-plane flight recorder overhead and fidelity: the
-//! journal fast path must be free when no collector is attached, and an
+//! journal fast path must be free when nobody subscribes to it, and an
 //! attached journal must reconstruct control-plane timings exactly. Two
 //! identical ping-pong simulations are timed wall-clock (mirroring E18's
 //! methodology): both do the same protocol work per packet, but only one
-//! encodes and emits a `CtrlEvent` into the **detached** journal slot —
+//! encodes and emits a `CtrlEvent` with **no** journal subscriber —
 //! the controller's instrumentation density on its hottest paths. The
 //! gate is <2% events/s regression (DESIGN.md §14). A second table
 //! replays E22's leader-crash scenario with the journal attached and
@@ -40,8 +40,8 @@ impl Node for PlainEcho {
 }
 
 /// Same ping-pong plus the recorder hook under test: one typed journal
-/// event per packet (encode + emit). With no collector attached the
-/// emission hits the detached early-out.
+/// event per packet (encode + emit). With no journal subscriber the
+/// emission stops at the family check.
 struct JournaledEcho {
     ttl: u32,
     seq: u64,
@@ -180,7 +180,7 @@ pub fn crash_gaps(seed: u64) -> Option<(u64, u64)> {
         .iter()
         .find(|e| e.time >= t_crash)
         .map(|e| e.time.since(t_crash).0)?;
-    let decoded = Journal::decode(journal.borrow().records());
+    let decoded = Journal::decode(journal.borrow().events());
     let reconstructed = decoded
         .failovers()
         .iter()
@@ -257,8 +257,8 @@ pub fn run(quick: bool) -> ExperimentResult {
     let findings = vec![
         format!(
             "detached journaling costs {overhead_pct:+.2}% events/s on the ping-pong engine \
-             workload (gate: <2% — {overhead_verdict}); emission with no collector attached \
-             is an encode plus a branch on an Option"
+             workload (gate: <2% — {overhead_verdict}); emission with no journal subscriber \
+             is an encode plus one family check"
         ),
         format!(
             "the journal reconstructed the crash-to-election gap on {reconstructed}/{} seeds \

@@ -183,6 +183,8 @@ impl NetObserver for ShardOracle {
             NetEvent::LinkChanged { .. } => {
                 self.transitions += 1;
             }
+            // Outside the default families, so never delivered here.
+            NetEvent::Injected { .. } | NetEvent::Span(_) | NetEvent::Journal(_) => {}
         }
     }
 }

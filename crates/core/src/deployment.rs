@@ -19,7 +19,7 @@ use std::rc::Rc;
 use swishmem_pisa::{DataPlane, MemoryBudget, Switch, SwitchConfig};
 use swishmem_simnet::{
     FaultSchedule, LinkParams, ObserverHandle, RecorderNode, Recording, SimDuration, SimTime,
-    Simulator,
+    Simulator, Tap,
 };
 use swishmem_wire::swish::{Key, RegId};
 use swishmem_wire::{DataPacket, NodeId, Packet};
@@ -406,14 +406,9 @@ impl Deployment {
     /// [`Deployment::inject`] (and any raw `sim.inject`) is recorded so
     /// the run's input stream can be exported as a `.swtrace`.
     pub fn attach_capture(&mut self, capacity: usize) -> swishmem_simnet::CaptureHandle {
-        let h = swishmem_simnet::CaptureBuffer::handle(capacity);
-        self.sim.set_capture(h.clone());
+        let h = Tap::new(capacity);
+        self.sim.add_observer(h.clone());
         h
-    }
-
-    /// Detach the ingress capture tap.
-    pub fn detach_capture(&mut self) {
-        self.sim.clear_capture();
     }
 
     /// Typed access to switch `i` (panics if the node is missing).
@@ -697,35 +692,26 @@ impl Deployment {
 
     /// Attach a causal span collector: every protocol phase marker
     /// (ingress, punt, chain hops, ack, release, …) is recorded into the
-    /// returned handle, capped at `capacity` events. Purely passive —
-    /// attaching changes no simulation outcome (see the determinism
-    /// tests).
+    /// returned handle, which keeps the earliest `capacity` events and
+    /// counts the rest. Purely passive — attaching changes no simulation
+    /// outcome (see the determinism tests).
     pub fn attach_tracing(&mut self, capacity: usize) -> swishmem_simnet::SpanHandle {
-        let h = swishmem_simnet::SpanCollector::new(capacity);
-        self.sim.set_spans(h.clone());
+        let h = Tap::new(capacity);
+        self.sim.add_observer(h.clone());
         h
-    }
-
-    /// Detach the span collector; span emission reverts to a no-op.
-    pub fn detach_tracing(&mut self) {
-        self.sim.clear_spans();
     }
 
     /// Attach the control-plane flight recorder: every consensus
     /// transition, leadership/lease change, detector edge, membership
     /// decree and migration lifecycle step is journaled into the
-    /// returned handle, capped at `capacity` records. Purely passive —
-    /// attaching changes no simulation outcome (see the determinism
-    /// tests). Decode with [`crate::telemetry::journal::Journal`].
+    /// returned handle, which keeps the earliest `capacity` records and
+    /// counts the rest. Purely passive — attaching changes no simulation
+    /// outcome (see the determinism tests). Decode with
+    /// [`crate::telemetry::journal::Journal`].
     pub fn attach_journal(&mut self, capacity: usize) -> swishmem_simnet::JournalHandle {
-        let h = swishmem_simnet::JournalCollector::new(capacity);
-        self.sim.set_journal(h.clone());
+        let h = Tap::new(capacity);
+        self.sim.add_observer(h.clone());
         h
-    }
-
-    /// Detach the flight recorder; journal emission reverts to a no-op.
-    pub fn detach_journal(&mut self) {
-        self.sim.clear_journal();
     }
 
     /// Run to absolute time `t`, pausing every `sampler.interval()` to

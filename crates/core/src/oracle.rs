@@ -925,7 +925,7 @@ impl OracleSuite {
     fn record(&mut self, at: SimTime, kind: ViolationKind) {
         if self.first.is_none() {
             if let Some(h) = &self.journal {
-                let decoded = Journal::decode(h.borrow().records());
+                let decoded = Journal::decode(h.borrow().events());
                 self.first_context = decoded.tail_strings_at(at, VIOLATION_CONTEXT_EVENTS);
             }
             self.first = Some(Violation { at, kind });
@@ -1180,7 +1180,7 @@ impl OracleSuite {
         if let Some(h) = self.journal.clone() {
             let len = h.borrow().len();
             if len != self.journal_seen {
-                self.journal_cache = Journal::decode(h.borrow().records());
+                self.journal_cache = Journal::decode(h.borrow().events());
                 self.journal_seen = len;
                 for (at, kind) in
                     failover_gap_violations(&self.journal_cache, self.slo.failover_gap)
@@ -2151,9 +2151,8 @@ mod tests {
         });
 
         let leader = NodeId(u16::MAX - 1);
-        {
-            let mut col = handle.borrow_mut();
-            col.record(jrec(
+        for rec in [
+            jrec(
                 1_000,
                 leader.0,
                 CtrlEvent::Suspect {
@@ -2161,16 +2160,16 @@ mod tests {
                     silence_ns: 400,
                     timeout_ns: 350,
                 },
-            ));
-            col.record(jrec(
+            ),
+            jrec(
                 1_100,
                 leader.0,
                 CtrlEvent::ElectionStart {
                     ballot: 257,
                     timeout_ns: 350,
                 },
-            ));
-            col.record(jrec(
+            ),
+            jrec(
                 1_200,
                 leader.0,
                 CtrlEvent::LeaderElected {
@@ -2178,7 +2177,11 @@ mod tests {
                     epoch: 2,
                     slot: 8,
                 },
-            ));
+            ),
+        ] {
+            handle
+                .borrow_mut()
+                .on_net_event(rec.time, &NetEvent::Journal(rec));
         }
         suite.poll(&dep);
         let v = suite.violation().expect("budget violation must fire");

@@ -7,7 +7,9 @@
 //! time it snapshots each switch's `DpMetrics`/`CpMetrics`, records the
 //! delta since the previous snapshot plus instantaneous queue-depth
 //! gauges, and appends the sample to a per-switch ring buffer (bounded
-//! memory for arbitrarily long runs, like [`swishmem_simnet::Trace`]).
+//! memory for arbitrarily long runs). The ring keeps the **newest**
+//! samples and evicts the oldest, the opposite of a
+//! [`swishmem_simnet::Tap`], which keeps the earliest records.
 //!
 //! Sampling is pure observation — it reads switch state between engine
 //! steps and never injects events or draws randomness — so a sampled run

@@ -918,7 +918,6 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swishmem_simnet::JournalCollector;
 
     fn rec(time: u64, node: u16, ev: CtrlEvent) -> JournalRecord {
         let (kind, cause, a, b, c) = ev.encode();
@@ -1226,23 +1225,10 @@ mod tests {
 
     #[test]
     fn tail_strings_bound_and_render() {
-        let handle = JournalCollector::new(16);
-        {
-            let mut col = handle.borrow_mut();
-            for i in 0..5u64 {
-                let (kind, cause, a, b, c) = CtrlEvent::Learned { slot: i }.encode();
-                col.record(JournalRecord {
-                    time: SimTime(i * 10),
-                    node: NodeId(9),
-                    kind,
-                    cause,
-                    a,
-                    b,
-                    c,
-                });
-            }
-        }
-        let j = Journal::decode(handle.borrow().records());
+        let records: Vec<JournalRecord> = (0..5u64)
+            .map(|i| rec(i * 10, 9, CtrlEvent::Learned { slot: i }))
+            .collect();
+        let j = Journal::decode(&records);
         let tail = j.tail_strings(2);
         assert_eq!(tail.len(), 2);
         assert!(tail[1].contains("learned slot 4"), "{tail:?}");

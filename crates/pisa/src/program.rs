@@ -58,8 +58,8 @@ pub enum Effect {
         /// markers stamped with the modeled CP queue times.
         trace: TraceId,
     },
-    /// Emit a causal span phase marker (pure telemetry: recorded against
-    /// the simulator's span collector, produces no packet or event).
+    /// Emit a causal span phase marker (pure telemetry: handed to the
+    /// simulator's span observers, produces no packet or event).
     Span {
         /// The operation the marker belongs to.
         trace: TraceId,
@@ -75,8 +75,8 @@ pub enum Effect {
 #[derive(Debug)]
 pub struct Effects {
     items: Vec<Effect>,
-    /// Whether span markers are collected. The switch sets this from the
-    /// engine's collector-attached state so a detached run never pays the
+    /// Whether span markers are collected. The switch sets this from
+    /// `Ctx::tracing` so a run without span observers never pays the
     /// per-packet push/dispatch of `Effect::Span` entries.
     tracing: bool,
 }

@@ -117,29 +117,14 @@ impl<P: DataPlaneProgram, C: ControlApp> Switch<P, C> {
         &self.dp
     }
 
-    /// Mutable data plane (test setup).
-    pub fn dp_mut(&mut self) -> &mut DataPlane {
-        &mut self.dp
-    }
-
     /// The data-plane program.
     pub fn program(&self) -> &P {
         &self.program
     }
 
-    /// Mutable program access.
-    pub fn program_mut(&mut self) -> &mut P {
-        &mut self.program
-    }
-
     /// The control app.
     pub fn cp_app(&self) -> &C {
         &self.cp_app
-    }
-
-    /// Mutable control app access.
-    pub fn cp_app_mut(&mut self) -> &mut C {
-        &mut self.cp_app
     }
 
     /// Activity counters.

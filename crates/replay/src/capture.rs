@@ -58,7 +58,7 @@ pub fn captured_to_records(
 /// Drain a capture tap into trace records (see [`captured_to_records`]).
 pub fn capture_deployment_trace(dep: &Deployment, tap: &CaptureHandle) -> (Vec<TraceRecord>, u64) {
     let buf = tap.borrow();
-    captured_to_records(dep, buf.records())
+    captured_to_records(dep, buf.events())
 }
 
 #[cfg(test)]

@@ -1,104 +1,27 @@
-//! Ingress capture tap: records externally injected packets so a run's
-//! input stream can be exported as a replayable trace.
+//! Ingress capture: the `(scheduled time, packet)` record of every
+//! externally injected packet, so a run's input stream can be exported
+//! as a replayable trace.
 //!
-//! Like the packet trace, span, and journal collectors, the tap is
-//! **strictly passive**: it observes [`crate::sim::Simulator::inject`]
-//! calls (the scheduled time and a clone of the packet) and never
+//! A capture is a [`crate::Tap`] subscribed to [`NetEvent::Injected`],
+//! which both engines emit from `inject`; like every observer it never
 //! touches the event queue or the engine RNG, so attaching it cannot
-//! perturb a deterministic run. Capacity is bounded — once full, further
-//! packets are counted as dropped rather than grown into.
+//! perturb a deterministic run.
 
+use crate::observe::{Family, NetEvent};
+use crate::tap::{Record, TapHandle};
 use crate::time::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
 use swishmem_wire::Packet;
 
-/// Shared handle to a capture buffer.
-pub type CaptureHandle = Rc<RefCell<CaptureBuffer>>;
-
-/// A bounded buffer of `(scheduled time, packet)` ingress records.
-#[derive(Debug)]
-pub struct CaptureBuffer {
-    records: Vec<(SimTime, Packet)>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl CaptureBuffer {
-    /// A buffer holding at most `capacity` records.
-    pub fn handle(capacity: usize) -> CaptureHandle {
-        Rc::new(RefCell::new(CaptureBuffer {
-            records: Vec::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }))
-    }
-
-    /// Record one injected packet (called by the simulator).
-    pub fn record(&mut self, t: SimTime, pkt: &Packet) {
-        if self.records.len() < self.capacity {
-            self.records.push((t, pkt.clone()));
-        } else {
-            self.dropped += 1;
+impl Record for (SimTime, Packet) {
+    const FAMILY: Family = Family::Injected;
+    fn of(now: SimTime, ev: &NetEvent<'_>) -> Option<Self> {
+        match ev {
+            NetEvent::Injected { pkt } => Some((now, (*pkt).clone())),
+            _ => None,
         }
     }
-
-    /// The captured records, in injection order.
-    pub fn records(&self) -> &[(SimTime, Packet)] {
-        &self.records
-    }
-
-    /// Records turned away after the buffer filled.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Records captured.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::net::Ipv4Addr;
-    use swishmem_wire::{DataPacket, FlowKey, NodeId};
-
-    fn pkt(seq: u32) -> Packet {
-        Packet::data(
-            NodeId(1000),
-            NodeId(0),
-            DataPacket::udp(
-                FlowKey::udp(
-                    Ipv4Addr::new(10, 0, 0, 1),
-                    1000,
-                    Ipv4Addr::new(20, 0, 0, 1),
-                    53,
-                ),
-                seq,
-                64,
-            ),
-        )
-    }
-
-    #[test]
-    fn bounded_capture_counts_overflow() {
-        let h = CaptureBuffer::handle(2);
-        {
-            let mut b = h.borrow_mut();
-            b.record(SimTime(1), &pkt(0));
-            b.record(SimTime(2), &pkt(1));
-            b.record(SimTime(3), &pkt(2));
-        }
-        let b = h.borrow();
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.dropped(), 1);
-        assert_eq!(b.records()[0].0, SimTime(1));
-    }
-}
+/// Shared handle to a capture [`crate::Tap`] (what
+/// `Deployment::attach_capture` returns).
+pub type CaptureHandle = TapHandle<(SimTime, Packet)>;

@@ -12,27 +12,26 @@
 //!   `Simulator`, and a single shard) draws one RNG and one insertion
 //!   sequence; `Pdes` (`S ≥ 2`) gives every node its own RNG stream and
 //!   key counter so the run is independent of the partition.
-//! * **[`Sink`]** — where observations go. A sink is handed deliveries,
-//!   fault-plane transitions, span markers and journal records and can
-//!   reach neither the queue nor an RNG, so passivity (attaching a
-//!   collector never perturbs a run) holds by construction. [`Direct`]
-//!   calls the shared `Rc` handles in place; [`Buffered`] owns its
-//!   buffers, which makes the core `Send`, and the sharded engine merges
-//!   them in `(time, key, shard)` order after each run call.
+//! * **[`Sink`]** — where the one observation stream goes. Every
+//!   [`NetEvent`] the core or a node callback emits is stamped with the
+//!   `(time, key)` of the event it belongs to and handed to the sink,
+//!   which can reach neither the queue nor an RNG, so passivity
+//!   (attaching an observer never perturbs a run) holds by construction.
+//!   [`Direct`] calls the observers in place; [`Buffered`] holds the
+//!   events of subscribed families, which makes the core `Send`, and the
+//!   sharded engine merges the buffers in `(time, key, shard)` order
+//!   after each run call.
 
 use crate::ctx::{Command, Ctx, GroupId};
 use crate::events::{EventKind, EventQueue};
-use crate::journal::{JournalCollector, JournalHandle};
-use crate::observe::{NetEvent, ObserverHandle};
+use crate::observe::{Family, NetEvent, ObserverHandle};
 use crate::sim::NodeObj;
-use crate::span::{SpanCollector, SpanHandle};
 use crate::stats::{DropReason, NetStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::wire_check::wire_fidelity_check;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
 use std::sync::Arc;
 use swishmem_wire::cursor::Writer;
 use swishmem_wire::{NodeId, Packet, PacketBody};
@@ -64,97 +63,99 @@ fn post_inc(c: &mut u64) -> u64 {
 
 /// Where a core's observations go (see the module docs).
 pub(crate) trait Sink {
-    /// A frame reached `to` intact and is about to be dispatched.
-    fn delivered(&mut self, time: SimTime, key: u64, to: NodeId, pkt: &Packet);
-    /// A fault-plane transition (any [`NetEvent`] but `Delivered`).
-    fn fault(&mut self, time: SimTime, key: u64, ev: NetEvent<'static>);
-    /// The span collector lent to node callbacks, when one is attached.
-    fn spans(&self) -> Option<&RefCell<SpanCollector>>;
-    /// The journal collector lent to node callbacks, when one is attached.
-    fn journal(&self) -> Option<&RefCell<JournalCollector>>;
+    /// Whether some observer subscribes to `family`.
+    fn wants(&self, family: Family) -> bool;
+    /// One observation, belonging to the event at `(time, key)`. Callers
+    /// hand over only events of a family the sink [`Self::wants`].
+    fn emit(&mut self, time: SimTime, key: u64, ev: NetEvent<'_>);
 }
 
-/// The `Simulator`'s sink: shared handles, called in place.
+/// The attached observers, listed per family in attach order, so an
+/// event costs one lookup plus one call per subscriber. The `Simulator`'s
+/// sink; the `ShardedEngine` replays its merged shard buffers through
+/// one.
 #[derive(Default)]
 pub(crate) struct Direct {
-    pub(crate) observers: Vec<ObserverHandle>,
-    pub(crate) spans: Option<SpanHandle>,
-    pub(crate) journal: Option<JournalHandle>,
+    by_family: [Vec<ObserverHandle>; Family::ALL.len()],
 }
 
 impl Direct {
-    #[inline]
-    fn notify(&self, time: SimTime, ev: &NetEvent<'_>) {
-        for obs in &self.observers {
-            obs.borrow_mut().on_net_event(time, ev);
+    /// Attach `obs` to every family it wants.
+    pub(crate) fn add(&mut self, obs: ObserverHandle) {
+        for f in Family::ALL {
+            if obs.borrow().wants(f) {
+                self.by_family[f as usize].push(obs.clone());
+            }
         }
     }
 }
 
 impl Sink for Direct {
     #[inline]
-    fn delivered(&mut self, time: SimTime, _key: u64, to: NodeId, pkt: &Packet) {
-        self.notify(time, &NetEvent::Delivered { to, pkt });
-    }
-    fn fault(&mut self, time: SimTime, _key: u64, ev: NetEvent<'static>) {
-        self.notify(time, &ev);
+    fn wants(&self, family: Family) -> bool {
+        !self.by_family[family as usize].is_empty()
     }
     #[inline]
-    fn spans(&self) -> Option<&RefCell<SpanCollector>> {
-        self.spans.as_deref()
-    }
-    #[inline]
-    fn journal(&self) -> Option<&RefCell<JournalCollector>> {
-        self.journal.as_deref()
+    fn emit(&mut self, time: SimTime, _key: u64, ev: NetEvent<'_>) {
+        for obs in &self.by_family[ev.family() as usize] {
+            obs.borrow_mut().on_net_event(time, &ev);
+        }
     }
 }
 
-/// An observer event held by a [`Buffered`] sink until the merge.
+/// An observation held by a [`Buffered`] sink until the merge.
 pub(crate) enum Held {
     Delivered { to: NodeId, pkt: Packet },
-    Fault(NetEvent<'static>),
+    Injected(Packet),
+    Owned(NetEvent<'static>),
 }
 
 impl Held {
+    fn of(ev: NetEvent<'_>) -> Held {
+        match ev {
+            NetEvent::Delivered { to, pkt } => Held::Delivered {
+                to,
+                pkt: pkt.clone(),
+            },
+            NetEvent::Injected { pkt } => Held::Injected(pkt.clone()),
+            NetEvent::NodeFailed { node } => Held::Owned(NetEvent::NodeFailed { node }),
+            NetEvent::NodeRecovered { node } => Held::Owned(NetEvent::NodeRecovered { node }),
+            NetEvent::LinkChanged { a, b, down } => {
+                Held::Owned(NetEvent::LinkChanged { a, b, down })
+            }
+            NetEvent::LinkDegraded { a, b } => Held::Owned(NetEvent::LinkDegraded { a, b }),
+            NetEvent::LinkRestored { a, b } => Held::Owned(NetEvent::LinkRestored { a, b }),
+            NetEvent::Span(e) => Held::Owned(NetEvent::Span(e)),
+            NetEvent::Journal(r) => Held::Owned(NetEvent::Journal(r)),
+        }
+    }
+
     /// The event as observers are shown it.
     pub(crate) fn view(&self) -> NetEvent<'_> {
         match self {
             Held::Delivered { to, pkt } => NetEvent::Delivered { to: *to, pkt },
-            Held::Fault(ev) => *ev,
+            Held::Injected(pkt) => NetEvent::Injected { pkt },
+            Held::Owned(ev) => *ev,
         }
     }
 }
 
-/// A shard core's sink: owned buffers, each present only while the
-/// matching handle is attached upstream.
+/// A shard core's sink: the events of the families the engine's
+/// observers subscribe to, as `(time, key, event)`.
 #[derive(Default)]
 pub(crate) struct Buffered {
-    /// Observer events as `(time, key, event)`.
-    pub(crate) events: Option<Vec<(u64, u64, Held)>>,
-    pub(crate) spans: Option<RefCell<SpanCollector>>,
-    pub(crate) journal: Option<RefCell<JournalCollector>>,
+    pub(crate) wants: [bool; Family::ALL.len()],
+    pub(crate) held: Vec<(u64, u64, Held)>,
 }
 
 impl Sink for Buffered {
     #[inline]
-    fn delivered(&mut self, time: SimTime, key: u64, to: NodeId, pkt: &Packet) {
-        if let Some(buf) = &mut self.events {
-            let pkt = pkt.clone();
-            buf.push((time.0, key, Held::Delivered { to, pkt }));
-        }
-    }
-    fn fault(&mut self, time: SimTime, key: u64, ev: NetEvent<'static>) {
-        if let Some(buf) = &mut self.events {
-            buf.push((time.0, key, Held::Fault(ev)));
-        }
+    fn wants(&self, family: Family) -> bool {
+        self.wants[family as usize]
     }
     #[inline]
-    fn spans(&self) -> Option<&RefCell<SpanCollector>> {
-        self.spans.as_ref()
-    }
-    #[inline]
-    fn journal(&self) -> Option<&RefCell<JournalCollector>> {
-        self.journal.as_ref()
+    fn emit(&mut self, time: SimTime, key: u64, ev: NetEvent<'_>) {
+        self.held.push((time.0, key, Held::of(ev)));
     }
 }
 
@@ -378,6 +379,15 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
         self.push(time, key, kind);
     }
 
+    /// Hand `ev` to the sink if some observer wants its family: one
+    /// branch when nobody does.
+    #[inline]
+    pub(crate) fn emit(&mut self, time: SimTime, key: u64, ev: NetEvent<'_>) {
+        if self.sink.wants(ev.family()) {
+            self.sink.emit(time, key, ev);
+        }
+    }
+
     /// Enqueue a frame another shard mailed here.
     #[inline]
     pub(crate) fn push_mail(&mut self, m: Mail) {
@@ -404,8 +414,11 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
             .map(|(s, n)| (n.id, s))
             .collect();
         order.sort(); // deterministic start order
-        for (_, slot) in order {
-            self.dispatch(slot, |node, ctx| node.on_start(ctx));
+        for (id, slot) in order {
+            // What a node emits from `on_start` sorts under a key of its
+            // own origin space, so ties never break by shard.
+            let key = (u64::from(id.0) + 1) << ORIGIN_SHIFT;
+            self.dispatch(slot, key, |node, ctx| node.on_start(ctx));
         }
     }
 
@@ -447,22 +460,23 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
                     }
                     Some(slot) if corrupt => {
                         self.stats.record_drop(DropReason::Corrupt, len);
-                        self.dispatch(slot, |node, ctx| node.on_corrupt_packet(pkt, ctx));
+                        self.dispatch(slot, key, |node, ctx| node.on_corrupt_packet(pkt, ctx));
                     }
                     Some(slot) => {
                         self.stats.record_delivery(&pkt, to, len);
                         if self.wire_check {
                             wire_fidelity_check(&pkt, len, &mut self.wire_scratch);
                         }
-                        self.sink.delivered(time, key, to, &pkt);
-                        self.dispatch(slot, |node, ctx| node.on_packet(pkt, ctx));
+                        let ev = NetEvent::Delivered { to, pkt: &pkt };
+                        self.emit(time, key, ev);
+                        self.dispatch(slot, key, |node, ctx| node.on_packet(pkt, ctx));
                     }
                 }
             }
             EventKind::Timer { node, token } => {
                 if let Some(slot) = self.slot_of(node) {
                     if !self.nodes[slot].failed {
-                        self.dispatch(slot, |n, ctx| n.on_timer(token, ctx));
+                        self.dispatch(slot, key, |n, ctx| n.on_timer(token, ctx));
                     }
                 }
             }
@@ -472,15 +486,15 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
                     if !s.failed {
                         s.failed = true;
                         s.node.on_fail();
-                        self.sink.fault(time, key, NetEvent::NodeFailed { node });
+                        self.emit(time, key, NetEvent::NodeFailed { node });
                     }
                 }
             }
             EventKind::Recover { node } => {
                 if let Some(slot) = self.slot_of(node) {
                     if std::mem::replace(&mut self.nodes[slot].failed, false) {
-                        self.sink.fault(time, key, NetEvent::NodeRecovered { node });
-                        self.dispatch(slot, |n, ctx| n.on_start(ctx));
+                        self.emit(time, key, NetEvent::NodeRecovered { node });
+                        self.dispatch(slot, key, |n, ctx| n.on_start(ctx));
                     }
                 }
             }
@@ -488,7 +502,7 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
                 self.topo.set_link_down(a, b, down);
                 if notify {
                     let ev = NetEvent::LinkChanged { a, b, down };
-                    self.sink.fault(time, key, ev);
+                    self.emit(time, key, ev);
                 }
             }
             EventKind::LinkDegrade {
@@ -499,22 +513,23 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
             } => {
                 self.topo.degrade_link(a, b, &overlay);
                 if notify {
-                    self.sink.fault(time, key, NetEvent::LinkDegraded { a, b });
+                    self.emit(time, key, NetEvent::LinkDegraded { a, b });
                 }
             }
             EventKind::LinkRestore { a, b, notify } => {
                 self.topo.restore_link(a, b);
                 if notify {
-                    self.sink.fault(time, key, NetEvent::LinkRestored { a, b });
+                    self.emit(time, key, NetEvent::LinkRestored { a, b });
                 }
             }
             EventKind::Vacant => unreachable!("vacant slab slot in the event queue"),
         }
     }
 
-    /// Run a node callback and apply the commands it issued. The command
-    /// buffer is pooled: steady-state dispatches allocate nothing.
-    fn dispatch<F>(&mut self, slot: usize, f: F)
+    /// Run a node callback for the event at `(now, key)` and apply the
+    /// commands it issued. The command buffer is pooled: steady-state
+    /// dispatches allocate nothing.
+    fn dispatch<F>(&mut self, slot: usize, key: u64, f: F)
     where
         F: FnOnce(&mut N, &mut Ctx<'_>),
     {
@@ -525,10 +540,12 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
             let mut ctx = Ctx {
                 now: self.now,
                 node: id,
+                key,
                 rng: self.mode.rng(slot),
                 commands: &mut commands,
-                spans: self.sink.spans(),
-                journal: self.sink.journal(),
+                tracing: self.sink.wants(Family::Span),
+                journaling: self.sink.wants(Family::Journal),
+                sink: &mut self.sink,
             };
             f(self.nodes[slot].node.as_mut(), &mut ctx);
         }

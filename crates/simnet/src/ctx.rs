@@ -1,11 +1,12 @@
 //! The per-callback context handed to nodes.
 
-use crate::journal::{JournalCollector, JournalRecord};
-use crate::span::{SpanCollector, SpanPhase};
+use crate::core::Sink;
+use crate::journal::JournalRecord;
+use crate::observe::NetEvent;
+use crate::span::{SpanEvent, SpanPhase};
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::cell::RefCell;
 use swishmem_wire::{NodeId, PacketBody, TraceId};
 
 /// A multicast group identifier.
@@ -41,15 +42,17 @@ pub(crate) enum Command {
 pub struct Ctx<'a> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
+    /// Key of the event this callback runs for; stamps what it emits.
+    pub(crate) key: u64,
     pub(crate) rng: &'a mut StdRng,
     pub(crate) commands: &'a mut Vec<Command>,
-    /// The span sink, when one is attached. A plain `&RefCell` so either
-    /// `Sink` can lend it: `Direct` derefs its shared `SpanHandle` (an
-    /// `Rc<RefCell<..>>`), `Buffered` lends the collector it owns.
-    pub(crate) spans: Option<&'a RefCell<SpanCollector>>,
-    /// The control-plane journal sink, when one is attached. Same
-    /// lending scheme as `spans`.
-    pub(crate) journal: Option<&'a RefCell<JournalCollector>>,
+    /// The core's observation sink: span markers and journal records go
+    /// there, and only while some observer subscribes to them.
+    pub(crate) sink: &'a mut dyn Sink,
+    /// Whether the sink wants spans and journal records, read once per
+    /// callback so that an emission nobody reads costs one branch.
+    pub(crate) tracing: bool,
+    pub(crate) journaling: bool,
 }
 
 impl<'a> Ctx<'a> {
@@ -103,11 +106,11 @@ impl<'a> Ctx<'a> {
 
     /// Emit a span phase marker for `trace` at the current time.
     ///
-    /// A pure observation: the marker goes to the attached
-    /// [`crate::span::SpanCollector`] (if any) and nowhere else — no
-    /// event is scheduled and no RNG is consumed, so emitting spans never
-    /// perturbs the deterministic event order. No-op when `trace` is
-    /// [`TraceId::NONE`] or no collector is attached.
+    /// A pure observation: the marker goes to the span subscribers as a
+    /// [`NetEvent::Span`] and nowhere else — no event is scheduled and no
+    /// RNG is consumed, so emitting spans never perturbs the
+    /// deterministic event order. No-op when `trace` is
+    /// [`TraceId::NONE`] or nobody subscribes to spans.
     #[inline]
     pub fn span(&mut self, trace: TraceId, phase: SpanPhase) {
         self.span_at(self.now, trace, phase);
@@ -118,26 +121,30 @@ impl<'a> Ctx<'a> {
     /// CP punt path stamps `punt`/`cp_dequeue` with their modeled times).
     #[inline]
     pub fn span_at(&mut self, at: SimTime, trace: TraceId, phase: SpanPhase) {
-        if trace.is_some() {
-            if let Some(s) = self.spans {
-                s.borrow_mut().record(at, trace, self.node, phase);
-            }
+        if trace.is_some() && self.tracing() {
+            let ev = SpanEvent {
+                time: at,
+                trace,
+                node: self.node,
+                phase,
+            };
+            self.sink.emit(self.now, self.key, NetEvent::Span(ev));
         }
     }
 
-    /// Whether a span collector is attached (lets callers skip building
+    /// Whether anybody subscribes to spans (lets callers skip building
     /// expensive span payloads when nobody is listening).
     #[inline]
     pub fn tracing(&self) -> bool {
-        self.spans.is_some()
+        self.tracing
     }
 
     /// Emit a journal record stamped at the current time.
     ///
     /// A pure observation, exactly like [`Self::span`]: the record goes
-    /// to the attached [`crate::journal::JournalCollector`] (if any) and
-    /// nowhere else — no event is scheduled and no RNG is consumed, so
-    /// journaling never perturbs the deterministic event order.
+    /// to the journal subscribers as a [`NetEvent::Journal`] and nowhere
+    /// else — no event is scheduled and no RNG is consumed, so journaling
+    /// never perturbs the deterministic event order.
     #[inline]
     pub fn journal(&mut self, kind: u16, cause: u64, a: u64, b: u64, c: u64) {
         self.journal_at(self.now, kind, cause, a, b, c);
@@ -146,8 +153,8 @@ impl<'a> Ctx<'a> {
     /// Emit a journal record stamped with an explicit time.
     #[inline]
     pub fn journal_at(&mut self, at: SimTime, kind: u16, cause: u64, a: u64, b: u64, c: u64) {
-        if let Some(j) = self.journal {
-            j.borrow_mut().record(JournalRecord {
+        if self.journaling() {
+            let rec = JournalRecord {
                 time: at,
                 node: self.node,
                 kind,
@@ -155,14 +162,15 @@ impl<'a> Ctx<'a> {
                 a,
                 b,
                 c,
-            });
+            };
+            self.sink.emit(self.now, self.key, NetEvent::Journal(rec));
         }
     }
 
-    /// Whether a journal collector is attached (lets callers skip
+    /// Whether anybody subscribes to the journal (lets callers skip
     /// assembling payload words when nobody is listening).
     #[inline]
     pub fn journaling(&self) -> bool {
-        self.journal.is_some()
+        self.journaling
     }
 }

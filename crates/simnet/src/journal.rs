@@ -1,12 +1,12 @@
-//! Control-plane journal telemetry: a bounded collector of fixed-width
-//! structured records that protocol layers emit to narrate state-machine
-//! transitions (consensus decrees, leadership changes, migrations).
+//! Control-plane journal telemetry: fixed-width structured records that
+//! protocol layers emit to narrate state-machine transitions (consensus
+//! decrees, leadership changes, migrations), kept by a [`JournalHandle`].
 //!
-//! Sits beside the [`crate::span::SpanCollector`] and obeys the same
-//! passivity contract: the collector is written to, never read, during a
-//! run; it holds no RNG, schedules no events, and every record is
-//! stamped with `SimTime` only — so attaching or detaching it cannot
-//! perturb the engine's `(time, seq)` event order or its RNG stream. The
+//! A record reaches observers as [`NetEvent::Journal`], beside the span
+//! markers, and obeys the same passivity contract: emitters never read
+//! the journal back, no RNG is drawn and no event scheduled, and every
+//! record is stamped with `SimTime` only — so subscribing cannot perturb
+//! the engine's `(time, key)` event order or its RNG stream. The
 //! determinism fingerprint tests (`tests/determinism.rs`,
 //! `tests/shard_determinism.rs`) prove this bit-for-bit.
 //!
@@ -21,9 +21,9 @@
 //! back, which is what keeps emission passive; readers join records on
 //! equal correlation keys after the run.
 
+use crate::observe::{Family, NetEvent};
+use crate::tap::{Record, TapHandle};
 use crate::time::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
 use swishmem_wire::NodeId;
 
 /// One journal record: a SimTime-stamped, fixed-width structured event.
@@ -47,122 +47,16 @@ pub struct JournalRecord {
     pub c: u64,
 }
 
-/// A bounded in-memory journal collector.
-///
-/// Mirrors [`crate::span::SpanCollector`]: at most `capacity` records
-/// are kept, later ones are counted in `overflowed()` and discarded, so
-/// long runs stay bounded.
-#[derive(Debug)]
-pub struct JournalCollector {
-    records: Vec<JournalRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-/// Shared handle to a [`JournalCollector`] (the simulator holds one side).
-pub type JournalHandle = Rc<RefCell<JournalCollector>>;
-
-impl JournalCollector {
-    /// A collector keeping at most `capacity` records.
-    pub fn new(capacity: usize) -> JournalHandle {
-        Rc::new(RefCell::new(JournalCollector::detached(capacity)))
-    }
-
-    /// An owned (non-shared) collector. The sharded engine gives each
-    /// shard core one of these; their contents are merged into the
-    /// attached [`JournalHandle`] after each run.
-    pub fn detached(capacity: usize) -> JournalCollector {
-        JournalCollector {
-            records: Vec::new(),
-            capacity,
-            dropped: 0,
+impl Record for JournalRecord {
+    const FAMILY: Family = Family::Journal;
+    fn of(_now: SimTime, ev: &NetEvent<'_>) -> Option<Self> {
+        match ev {
+            NetEvent::Journal(r) => Some(*r),
+            _ => None,
         }
-    }
-
-    /// Take all recorded records out of the collector, leaving it empty
-    /// (the overflow counter is reset too).
-    pub fn take_records(&mut self) -> Vec<JournalRecord> {
-        self.dropped = 0;
-        std::mem::take(&mut self.records)
-    }
-
-    /// Record one transition.
-    pub fn record(&mut self, rec: JournalRecord) {
-        if self.records.len() < self.capacity {
-            self.records.push(rec);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// All recorded records, in emission order.
-    pub fn records(&self) -> &[JournalRecord] {
-        &self.records
-    }
-
-    /// Records not kept because the collector was full.
-    pub fn overflowed(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the collector holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Clear all records and the overflow counter.
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.dropped = 0;
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn rec(t: u64, kind: u16) -> JournalRecord {
-        JournalRecord {
-            time: SimTime(t),
-            node: NodeId(7),
-            kind,
-            cause: 42,
-            a: 1,
-            b: 2,
-            c: 3,
-        }
-    }
-
-    #[test]
-    fn records_and_bounds() {
-        let h = JournalCollector::new(2);
-        let mut c = h.borrow_mut();
-        c.record(rec(1, 0));
-        c.record(rec(2, 1));
-        c.record(rec(3, 2));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.overflowed(), 1);
-        assert_eq!(c.records()[1].kind, 1);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.overflowed(), 0);
-    }
-
-    #[test]
-    fn take_records_resets() {
-        let h = JournalCollector::new(1);
-        let mut c = h.borrow_mut();
-        c.record(rec(1, 0));
-        c.record(rec(2, 1));
-        assert_eq!(c.overflowed(), 1);
-        let out = c.take_records();
-        assert_eq!(out.len(), 1);
-        assert!(c.is_empty());
-        assert_eq!(c.overflowed(), 0);
-    }
-}
+/// Shared handle to a journal [`crate::Tap`] (what
+/// `Deployment::attach_journal` returns).
+pub type JournalHandle = TapHandle<JournalRecord>;

@@ -5,10 +5,16 @@
 //! DESIGN.md §2 for the substitution argument).
 //!
 //! There is one event loop, `Core` in `core.rs`, and two engines built on
-//! it: [`Simulator`] (one core, collectors written in place, topology
+//! it: [`Simulator`] (one core, observers called in place, topology
 //! mutable at any time) and [`ShardedEngine`] (a partition of cores run
 //! in lockstep windows, for `Send` nodes). A single-shard `ShardedEngine`
 //! and a `Simulator` produce bit-identical runs.
+//!
+//! There is one way to observe a run: a [`NetObserver`] receives the
+//! [`NetEvent`]s of each [`Family`] it subscribes to — deliveries,
+//! injections, fault-plane transitions, span markers, journal records.
+//! The bounded collectors (packet [`Trace`], ingress capture, spans,
+//! journal) are all one [`Tap`] type over a per-family [`Record`].
 //!
 //! Key properties:
 //!
@@ -55,23 +61,25 @@ pub mod shard;
 pub mod sim;
 pub mod span;
 pub mod stats;
+pub mod tap;
 pub mod time;
 pub mod topology;
 pub mod trace;
 mod wire_check;
 
-pub use capture::{CaptureBuffer, CaptureHandle};
+pub use capture::CaptureHandle;
 pub use ctx::{Ctx, GroupId};
 pub use fault::{FaultAction, FaultEvent, FaultGen, FaultSchedule, LinkOverlay};
-pub use journal::{JournalCollector, JournalHandle, JournalRecord};
+pub use journal::{JournalHandle, JournalRecord};
 pub use link::{Link, LinkParams, LinkState};
 pub use node::{Node, NodeId, RelayNode};
-pub use observe::{NetEvent, NetObserver, ObserverHandle};
+pub use observe::{Family, NetEvent, NetObserver, ObserverHandle};
 pub use recorder::{RecorderNode, Recording};
 pub use shard::ShardedEngine;
 pub use sim::{AsAny, NodeObj, Simulator};
-pub use span::{SpanCollector, SpanEvent, SpanHandle, SpanPhase};
+pub use span::{SpanEvent, SpanHandle, SpanPhase};
 pub use stats::{Counter, DropReason, NetStats, TrafficClass};
+pub use tap::{Record, Tap, TapHandle};
 pub use time::{SimDuration, SimTime};
 pub use topology::Topology;
 pub use trace::{Trace, TraceEntry, TraceHandle};

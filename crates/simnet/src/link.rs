@@ -52,12 +52,6 @@ impl LinkParams {
         self
     }
 
-    /// Builder-style: set drop probability.
-    pub fn with_drop(mut self, p: f64) -> Self {
-        self.drop_prob = p;
-        self
-    }
-
     /// Builder-style: set jitter bound.
     pub fn with_jitter(mut self, j: SimDuration) -> Self {
         self.jitter = j;

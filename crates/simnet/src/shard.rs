@@ -5,7 +5,8 @@
 //! slice of nodes and run a private [`Core`] (optionally on a dedicated
 //! worker thread), exchanging cross-shard frames at deterministic
 //! time-window barriers. Event processing lives in [`crate::core`]; this
-//! file is the partition, the windows, the barriers and the sink merge.
+//! file is the partition, the windows, the barriers and the merge of the
+//! shards' observation buffers.
 //!
 //! The lookahead bound is the minimum one-way link latency Δ over the
 //! whole topology: a frame sent at `t` cannot arrive before `t + Δ`, so
@@ -20,8 +21,9 @@
 //!   owns an RNG stream forked from the run seed via splitmix64 and every
 //!   scheduled event carries a globally unique `(time, key)` pair whose
 //!   key encodes its origin, so the processing order seen by any one node
-//!   — and the merged stats/span/journal/observer output — is identical
-//!   for `S = 2, 4, 8, …` and for any worker-thread count.
+//!   — and the merged stats and observation stream, spans and journal
+//!   records included — is identical for `S = 2, 4, 8, …` and for any
+//!   worker-thread count.
 //! * **`S = 1` is bit-exact with [`crate::sim::Simulator`].** Both are the
 //!   same `Core` in the global-RNG regime (one RNG seeded
 //!   `seed_from_u64(seed)`, one insertion sequence); they differ only in
@@ -36,22 +38,21 @@
 //! In PDES mode a node-originated event gets the key
 //! `(origin_id + 1) << 47 | per-origin-counter`; externally scheduled
 //! events (injections, fault schedules) draw from an engine-level counter
-//! and stay below `2^47`. Keys are unique across shards, so the event
+//! and stay below `2^47`; what a node emits from `on_start` carries the
+//! key `(id + 1) << 47`. Keys are unique across shards, so the event
 //! heap's pop order is insertion-independent ([`crate::events`] pins
-//! this) and the barrier's mailbox drain order is irrelevant.
+//! this), the barrier's mailbox drain order is irrelevant, and the
+//! observation merge never breaks a tie by shard.
 
-use crate::core::{Buffered, Core, GroupCmd, Held, Mail, ShardMap, ORIGIN_SHIFT};
+use crate::core::{Buffered, Core, Direct, GroupCmd, Mail, ShardMap, Sink, ORIGIN_SHIFT};
 use crate::ctx::GroupId;
 use crate::events::EventKind;
 use crate::fault::{FaultAction, FaultSchedule, LinkOverlay};
-use crate::journal::{JournalCollector, JournalHandle, JournalRecord};
-use crate::observe::ObserverHandle;
+use crate::observe::{Family, NetEvent, ObserverHandle};
 use crate::sim::NodeObj;
-use crate::span::{SpanCollector, SpanEvent, SpanHandle};
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
@@ -108,9 +109,8 @@ pub struct ShardedEngine {
     now: SimTime,
     ext_ctr: u64,
     frozen: bool,
-    spans: Option<SpanHandle>,
-    journal: Option<JournalHandle>,
-    observers: Vec<ObserverHandle>,
+    /// The attached observers; the merged shard buffers replay through it.
+    observers: Direct,
     wire_check: bool,
     crit_ns: u64,
 }
@@ -134,9 +134,7 @@ impl ShardedEngine {
             now: SimTime::ZERO,
             ext_ctr: 0,
             frozen: false,
-            spans: None,
-            journal: None,
-            observers: Vec::new(),
+            observers: Direct::default(),
             wire_check: false,
             crit_ns: 0,
         }
@@ -194,25 +192,15 @@ impl ShardedEngine {
         self.wire_check = on;
     }
 
-    /// Attach a span collector (merged deterministically per run call).
-    pub fn set_spans(&mut self, spans: SpanHandle) {
-        self.spans = Some(spans);
-    }
-
-    /// Attach a journal collector (merged deterministically per run
-    /// call, like the span collector).
-    pub fn set_journal(&mut self, journal: JournalHandle) {
-        self.journal = Some(journal);
-    }
-
-    /// Attach a passive observer. Events are buffered per shard during a
-    /// run and replayed through the observer in deterministic
-    /// `(time, key)` order after each run call — the same contract as
-    /// the sequential engine except for the deferred delivery, which the
-    /// passivity rule (observers cannot influence the run) makes
-    /// equivalent.
+    /// Attach a passive observer of the families it wants. Events are
+    /// buffered per shard during a run and replayed through the observer
+    /// in deterministic `(time, key, shard)` order after each run call —
+    /// the same contract as the sequential engine except for the deferred
+    /// delivery, which the passivity rule (observers cannot influence the
+    /// run) makes equivalent.
     pub fn add_observer(&mut self, obs: ObserverHandle) {
-        self.observers.push(obs);
+        self.observers.add(obs);
+        self.sync_sinks();
     }
 
     /// Number of shards (after freezing; the requested count before).
@@ -350,6 +338,7 @@ impl ShardedEngine {
         for (i, (id, node)) in self.pending.drain(..).enumerate() {
             self.engines[assign[i] as usize].add_node(id, node);
         }
+        self.sync_sinks();
     }
 
     fn next_ext_key(&mut self) -> u64 {
@@ -364,17 +353,15 @@ impl ShardedEngine {
         self.freeze();
         assert!(t >= self.now, "cannot inject into the past");
         let key = self.next_ext_key();
-        let shard = self.map.shard_of(pkt.dst) as usize;
+        let e = &mut self.engines[self.map.shard_of(pkt.dst) as usize];
+        e.emit(t, key, NetEvent::Injected { pkt: &pkt });
         let to = pkt.dst;
-        self.engines[shard].push_ext(
-            t,
-            key,
-            EventKind::Deliver {
-                to,
-                pkt,
-                corrupt: false,
-            },
-        );
+        let kind = EventKind::Deliver {
+            to,
+            pkt,
+            corrupt: false,
+        };
+        e.push_ext(t, key, kind);
     }
 
     /// Schedule a fail-stop failure of `node` at `t` (owner shard).
@@ -489,22 +476,11 @@ impl ShardedEngine {
         }
     }
 
-    /// Give every shard's sink a buffer for each handle attached here.
+    /// Tell every shard's sink which families to hold, and arm the wire
+    /// check as configured.
     fn sync_sinks(&mut self) {
         for e in &mut self.engines {
-            // Per-shard collectors are unbounded; the attached handle
-            // enforces its own capacity at merge time.
-            if self.spans.is_some() {
-                let new = || RefCell::new(SpanCollector::detached(usize::MAX));
-                e.sink.spans.get_or_insert_with(new);
-            }
-            if self.journal.is_some() {
-                let new = || RefCell::new(JournalCollector::detached(usize::MAX));
-                e.sink.journal.get_or_insert_with(new);
-            }
-            if !self.observers.is_empty() {
-                e.sink.events.get_or_insert_with(Vec::new);
-            }
+            e.sink.wants = Family::ALL.map(|f| self.observers.wants(f));
             e.wire_check = self.wire_check;
         }
     }
@@ -700,64 +676,22 @@ impl ShardedEngine {
         self.crit_ns += crit.load(Ordering::SeqCst);
     }
 
-    /// Merge per-shard span/journal/observer buffers into the attached
-    /// handles, in deterministic order.
+    /// Replay the shards' buffered observations through the observers,
+    /// merged in `(time, key, shard)` order; the sort is stable, so what
+    /// one event's callback emitted keeps its emission order. Single-shard
+    /// runs keep emission order outright — bit-exact with the sequential
+    /// engine.
     fn drain_sinks(&mut self) {
-        let single = self.engines.len() == 1;
-        if let Some(handle) = &self.spans {
-            let mut all: Vec<SpanEvent> = Vec::new();
-            for e in &mut self.engines {
-                if let Some(col) = &e.sink.spans {
-                    all.append(&mut col.borrow_mut().take_events());
-                }
-            }
-            if !single {
-                // Span events carry no key; sort on all fields (exact
-                // duplicates are interchangeable, so this is still a
-                // shard-count-invariant order). Single-shard runs keep
-                // emission order — bit-exact with the sequential engine.
-                all.sort_by_key(|e| (e.time, e.trace.0, e.node.0, e.phase));
-            }
-            let mut sp = handle.borrow_mut();
-            for e in &all {
-                sp.record(e.time, e.trace, e.node, e.phase);
-            }
+        let mut all = Vec::new();
+        for e in &mut self.engines {
+            let shard = e.shard;
+            all.extend(e.sink.held.drain(..).map(|(t, k, ev)| (t, k, shard, ev)));
         }
-        if let Some(handle) = &self.journal {
-            let mut all: Vec<JournalRecord> = Vec::new();
-            for e in &mut self.engines {
-                if let Some(col) = &e.sink.journal {
-                    all.append(&mut col.borrow_mut().take_records());
-                }
-            }
-            if !single {
-                // Journal records carry no key; sort on all fields (exact
-                // duplicates are interchangeable, so this order is still
-                // shard-count-invariant). Single-shard runs keep emission
-                // order — bit-exact with the sequential engine.
-                all.sort();
-            }
-            let mut j = handle.borrow_mut();
-            for r in &all {
-                j.record(*r);
-            }
+        if self.engines.len() > 1 {
+            all.sort_by_key(|a| (a.0, a.1, a.2));
         }
-        if !self.observers.is_empty() {
-            let mut all: Vec<(u64, u64, u32, Held)> = Vec::new();
-            for e in &mut self.engines {
-                if let Some(buf) = &mut e.sink.events {
-                    let shard = e.shard;
-                    all.extend(buf.drain(..).map(|(t, k, ev)| (t, k, shard, ev)));
-                }
-            }
-            if !single {
-                all.sort_by_key(|a| (a.0, a.1, a.2));
-            }
-            for (t, _, _, held) in &all {
-                for obs in &self.observers {
-                    obs.borrow_mut().on_net_event(SimTime(*t), &held.view());
-                }
-            }
+        for (t, k, _, held) in &all {
+            self.observers.emit(SimTime(*t), *k, held.view());
         }
     }
 

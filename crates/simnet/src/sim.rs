@@ -8,19 +8,15 @@
 //! and (b) a single engine-owned RNG consumed only during deterministic
 //! event processing. The loop itself lives in [`crate::core`]; what this
 //! file adds is the surface a single-threaded caller gets to keep: a
-//! topology that stays mutable mid-run, `stats()` by reference,
-//! collectors written synchronously through their `Rc` handles, and the
-//! ingress capture tap.
+//! topology that stays mutable mid-run, `stats()` by reference, and
+//! observers called synchronously as each event is applied.
 
-use crate::capture::CaptureHandle;
 use crate::core::{Core, Direct};
 use crate::ctx::GroupId;
 use crate::events::EventKind;
 use crate::fault::{FaultAction, FaultSchedule, LinkOverlay};
-use crate::journal::JournalHandle;
 use crate::node::Node;
-use crate::observe::ObserverHandle;
-use crate::span::SpanHandle;
+use crate::observe::{NetEvent, ObserverHandle};
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
@@ -53,7 +49,6 @@ impl<T: Node + AsAny> NodeObj for T {}
 /// The simulation engine.
 pub struct Simulator {
     core: Core<dyn NodeObj, Direct>,
-    capture: Option<CaptureHandle>,
 }
 
 impl Simulator {
@@ -62,7 +57,6 @@ impl Simulator {
         Simulator {
             // Shard 0 of 1 under the empty shard map: every hop is local.
             core: Core::new(0, 1, Arc::default(), Topology::new(), seed),
-            capture: None,
         }
     }
 
@@ -75,65 +69,13 @@ impl Simulator {
         self.core.wire_check = on;
     }
 
-    /// Attach an ingress capture tap: every externally [`Simulator::inject`]ed
-    /// packet is recorded (scheduled time + clone). Strictly passive,
-    /// like the span/journal collectors — attaching it never
-    /// changes the event order or the RNG stream.
-    pub fn set_capture(&mut self, capture: CaptureHandle) {
-        self.capture = Some(capture);
-    }
-
-    /// Detach the capture tap.
-    pub fn clear_capture(&mut self) {
-        self.capture = None;
-    }
-
-    /// The attached capture tap, if any.
-    pub fn capture(&self) -> Option<&CaptureHandle> {
-        self.capture.as_ref()
-    }
-
-    /// Attach a span collector: [`crate::Ctx::span`] markers emitted by
-    /// nodes are recorded into it. Like the observers this is strictly
-    /// passive — attaching it never changes the event order or the RNG
-    /// stream (`tests/determinism.rs` pins this).
-    pub fn set_spans(&mut self, spans: SpanHandle) {
-        self.core.sink.spans = Some(spans);
-    }
-
-    /// Detach the span collector (span emission becomes a no-op again).
-    pub fn clear_spans(&mut self) {
-        self.core.sink.spans = None;
-    }
-
-    /// The attached span collector, if any.
-    pub fn spans(&self) -> Option<&SpanHandle> {
-        self.core.sink.spans.as_ref()
-    }
-
-    /// Attach a journal collector: [`crate::Ctx::journal`] records emitted
-    /// by nodes are recorded into it. Strictly passive, exactly like the
-    /// span collector — attaching it never changes the event order or
-    /// the RNG stream (`tests/determinism.rs` pins this).
-    pub fn set_journal(&mut self, journal: JournalHandle) {
-        self.core.sink.journal = Some(journal);
-    }
-
-    /// Detach the journal collector (journal emission becomes a no-op).
-    pub fn clear_journal(&mut self) {
-        self.core.sink.journal = None;
-    }
-
-    /// The attached journal collector, if any.
-    pub fn journal(&self) -> Option<&JournalHandle> {
-        self.core.sink.journal.as_ref()
-    }
-
-    /// Attach a passive observer notified of deliveries and fault-plane
-    /// transitions (a [`crate::Trace`] is one). Observers cannot influence
-    /// the run; attaching one never changes the event order or RNG stream.
+    /// Attach a passive observer, notified of the event families it
+    /// wants (deliveries and fault-plane transitions by default; a
+    /// [`crate::Tap`] wants its record's). Observers cannot influence
+    /// the run; attaching one never changes the event order or RNG stream
+    /// (`tests/determinism.rs` pins this).
     pub fn add_observer(&mut self, obs: ObserverHandle) {
-        self.core.sink.observers.push(obs);
+        self.core.sink.add(obs);
     }
 
     /// Register a node under `id`. Panics if `id` is already taken.
@@ -198,12 +140,12 @@ impl Simulator {
     }
 
     /// Schedule delivery of `pkt` to `pkt.dst` at absolute time `t`,
-    /// bypassing links. Used to inject external (ingress) traffic.
+    /// bypassing links. Used to inject external (ingress) traffic;
+    /// injection observers see it at once, stamped `t`.
     pub fn inject(&mut self, t: SimTime, pkt: Packet) {
         assert!(t >= self.core.now, "cannot inject into the past");
-        if let Some(cap) = &self.capture {
-            cap.borrow_mut().record(t, &pkt);
-        }
+        // A `Direct` sink ignores keys.
+        self.core.emit(t, 0, NetEvent::Injected { pkt: &pkt });
         let to = pkt.dst;
         self.push(
             t,

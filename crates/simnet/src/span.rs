@@ -1,13 +1,12 @@
-//! Causal span telemetry: a bounded collector of phase markers that
-//! cross-switch protocol layers emit against a [`TraceId`].
+//! Causal span telemetry: phase markers that cross-switch protocol
+//! layers emit against a [`TraceId`], kept by a [`SpanHandle`].
 //!
-//! Sits beside the packet [`crate::trace::Trace`] tap and the
-//! [`crate::observe::NetObserver`] hook and obeys the same passivity
-//! contract: the collector is written to, never read, during a run; it
-//! holds no RNG, schedules no events, and every marker is stamped with
-//! `SimTime` only — so attaching or detaching it cannot perturb the
-//! engine's `(time, seq)` event order or its RNG stream. The determinism
-//! fingerprint test (`tests/determinism.rs`) proves this bit-for-bit.
+//! A marker reaches observers as [`NetEvent::Span`] — one more family
+//! of the single observation stream — so it obeys the same passivity
+//! contract as every observer: it holds no RNG, schedules no events, and
+//! every marker is stamped with `SimTime` only, so subscribing cannot
+//! perturb the engine's `(time, key)` event order or its RNG stream
+//! (`tests/determinism.rs` proves this bit-for-bit).
 //!
 //! A *span* here is a point marker, not an interval: one logical
 //! operation (one `TraceId`) accumulates a time-ordered sequence of
@@ -18,9 +17,9 @@
 //! lets `trace_explain` reconcile its breakdown against the
 //! `write_latency` histogram with zero slack.
 
+use crate::observe::{Family, NetEvent};
+use crate::tap::{Record, Tap, TapHandle};
 use crate::time::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
 use swishmem_wire::{NodeId, TraceId};
 
 /// A phase marker within a logical operation's lifetime.
@@ -109,82 +108,25 @@ pub struct SpanEvent {
     pub phase: SpanPhase,
 }
 
-/// A bounded in-memory span collector.
-///
-/// Mirrors [`crate::trace::Trace`]: at most `capacity` events are kept,
-/// later ones are counted in `overflowed()` and discarded, so long runs
-/// stay bounded.
-#[derive(Debug)]
-pub struct SpanCollector {
-    events: Vec<SpanEvent>,
-    capacity: usize,
-    dropped: u64,
+impl Record for SpanEvent {
+    const FAMILY: Family = Family::Span;
+    fn of(_now: SimTime, ev: &NetEvent<'_>) -> Option<Self> {
+        match ev {
+            NetEvent::Span(e) => Some(*e),
+            _ => None,
+        }
+    }
 }
 
-/// Shared handle to a [`SpanCollector`] (the simulator holds one side).
-pub type SpanHandle = Rc<RefCell<SpanCollector>>;
+/// Shared handle to a span [`Tap`] (what `Deployment::attach_tracing`
+/// returns).
+pub type SpanHandle = TapHandle<SpanEvent>;
 
-impl SpanCollector {
-    /// A collector keeping at most `capacity` events.
-    pub fn new(capacity: usize) -> SpanHandle {
-        Rc::new(RefCell::new(SpanCollector::detached(capacity)))
-    }
-
-    /// An owned (non-shared) collector. The sharded engine gives each
-    /// shard core one of these; their contents are merged into the
-    /// attached [`SpanHandle`] after each run.
-    pub fn detached(capacity: usize) -> SpanCollector {
-        SpanCollector {
-            events: Vec::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Take all recorded events out of the collector, leaving it empty
-    /// (the overflow counter is reset too).
-    pub fn take_events(&mut self) -> Vec<SpanEvent> {
-        self.dropped = 0;
-        std::mem::take(&mut self.events)
-    }
-
-    /// Record one marker. Untraced markers ([`TraceId::NONE`]) are the
-    /// caller's responsibility to filter (the `Ctx` helpers do).
-    pub fn record(&mut self, time: SimTime, trace: TraceId, node: NodeId, phase: SpanPhase) {
-        if self.events.len() < self.capacity {
-            self.events.push(SpanEvent {
-                time,
-                trace,
-                node,
-                phase,
-            });
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// All recorded events, in emission order.
-    pub fn events(&self) -> &[SpanEvent] {
-        &self.events
-    }
-
-    /// Events not recorded because the collector was full.
-    pub fn overflowed(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of distinct trace ids recorded.
-    pub fn trace_count(&self) -> usize {
-        let mut ids: Vec<u64> = self.events.iter().map(|e| e.trace.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
-
+impl Tap<SpanEvent> {
     /// Events of one trace, sorted by time (ties keep emission order).
     pub fn by_trace(&self, trace: TraceId) -> Vec<SpanEvent> {
         let mut out: Vec<SpanEvent> = self
-            .events
+            .events()
             .iter()
             .copied()
             .filter(|e| e.trace == trace)
@@ -192,38 +134,37 @@ impl SpanCollector {
         out.sort_by_key(|e| e.time);
         out
     }
-
-    /// Clear all events and the overflow counter.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::NetObserver;
 
     #[test]
-    fn records_filters_and_bounds() {
-        let h = SpanCollector::new(3);
+    fn by_trace_sorts_by_time() {
+        let h: SpanHandle = Tap::new(8);
         let mut c = h.borrow_mut();
         let t1 = TraceId::new(NodeId(0), 1);
         let t2 = TraceId::new(NodeId(1), 1);
-        c.record(SimTime(5), t1, NodeId(0), SpanPhase::Punt);
-        c.record(SimTime(1), t1, NodeId(0), SpanPhase::Ingress);
-        c.record(SimTime(2), t2, NodeId(1), SpanPhase::Ingress);
-        c.record(SimTime(9), t2, NodeId(1), SpanPhase::Release);
-        assert_eq!(c.events().len(), 3);
-        assert_eq!(c.overflowed(), 1);
-        assert_eq!(c.trace_count(), 2);
+        for (t, trace, phase) in [
+            (5, t1, SpanPhase::Punt),
+            (1, t1, SpanPhase::Ingress),
+            (2, t2, SpanPhase::Ingress),
+        ] {
+            let e = SpanEvent {
+                time: SimTime(t),
+                trace,
+                node: NodeId(0),
+                phase,
+            };
+            c.on_net_event(SimTime(t), &NetEvent::Span(e));
+        }
         // by_trace sorts by time even when emission order differed.
         let t1_events = c.by_trace(t1);
+        assert_eq!(t1_events.len(), 2);
         assert_eq!(t1_events[0].phase, SpanPhase::Ingress);
         assert_eq!(t1_events[1].phase, SpanPhase::Punt);
-        c.clear();
-        assert!(c.events().is_empty());
-        assert_eq!(c.overflowed(), 0);
     }
 
     #[test]

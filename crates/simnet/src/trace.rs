@@ -1,13 +1,12 @@
-//! Packet tracing: a [`NetObserver`] that records delivered frames for
-//! offline inspection — the smoltcp `--pcap` idiom adapted to the
-//! simulator. Attach with `add_observer(trace.clone())`. Traces render as
-//! human-readable text and can be filtered by traffic class or endpoint.
+//! Packet tracing: a [`Tap`] of delivered frames for offline inspection —
+//! the smoltcp `--pcap` idiom adapted to the simulator. Attach with
+//! `add_observer(trace.clone())`. Traces render as human-readable text
+//! and can be filtered by traffic class or endpoint.
 
-use crate::observe::{NetEvent, NetObserver};
+use crate::observe::{Family, NetEvent};
 use crate::stats::TrafficClass;
+use crate::tap::{Record, Tap, TapHandle};
 use crate::time::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
 use swishmem_wire::{NodeId, Packet};
 
 /// One traced delivery.
@@ -19,61 +18,29 @@ pub struct TraceEntry {
     pub pkt: Packet,
 }
 
-/// A bounded in-memory packet trace.
-#[derive(Debug)]
-pub struct Trace {
-    entries: Vec<TraceEntry>,
-    capacity: usize,
-    dropped: u64,
+impl Record for TraceEntry {
+    const FAMILY: Family = Family::Delivered;
+    fn of(time: SimTime, ev: &NetEvent<'_>) -> Option<Self> {
+        match ev {
+            NetEvent::Delivered { pkt, .. } => Some(TraceEntry {
+                time,
+                pkt: (*pkt).clone(),
+            }),
+            _ => None,
+        }
+    }
 }
+
+/// A bounded in-memory packet trace: the first `capacity` deliveries.
+pub type Trace = Tap<TraceEntry>;
 
 /// Shared handle to a [`Trace`] (the simulator holds one side).
-pub type TraceHandle = Rc<RefCell<Trace>>;
+pub type TraceHandle = TapHandle<TraceEntry>;
 
-impl NetObserver for Trace {
-    fn on_net_event(&mut self, now: SimTime, ev: &NetEvent<'_>) {
-        if let NetEvent::Delivered { pkt, .. } = ev {
-            self.record(now, pkt);
-        }
-    }
-}
-
-impl Trace {
-    /// A trace keeping at most `capacity` entries (older entries are
-    /// counted but discarded once full — bounded memory for long runs).
-    pub fn new(capacity: usize) -> TraceHandle {
-        Rc::new(RefCell::new(Trace {
-            entries: Vec::new(),
-            capacity,
-            dropped: 0,
-        }))
-    }
-
-    /// Record a delivery.
-    pub fn record(&mut self, time: SimTime, pkt: &Packet) {
-        if self.entries.len() < self.capacity {
-            self.entries.push(TraceEntry {
-                time,
-                pkt: pkt.clone(),
-            });
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// All recorded entries.
-    pub fn entries(&self) -> &[TraceEntry] {
-        &self.entries
-    }
-
-    /// Entries not recorded because the trace was full.
-    pub fn overflowed(&self) -> u64 {
-        self.dropped
-    }
-
+impl Tap<TraceEntry> {
     /// Entries matching a traffic class.
     pub fn by_class(&self, class: TrafficClass) -> Vec<&TraceEntry> {
-        self.entries
+        self.events()
             .iter()
             .filter(|e| TrafficClass::of(&e.pkt) == class)
             .collect()
@@ -81,7 +48,7 @@ impl Trace {
 
     /// Entries to or from a node.
     pub fn by_endpoint(&self, node: NodeId) -> Vec<&TraceEntry> {
-        self.entries
+        self.events()
             .iter()
             .filter(|e| e.pkt.src == node || e.pkt.dst == node)
             .collect()
@@ -90,7 +57,7 @@ impl Trace {
     /// Render as text, one line per frame (tcpdump-style).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for e in &self.entries {
+        for e in self.events() {
             out.push_str(&format!(
                 "{} {} -> {} [{}] {} B {:?}\n",
                 e.time,
@@ -101,19 +68,13 @@ impl Trace {
                 short(&e.pkt),
             ));
         }
-        if self.dropped > 0 {
+        if self.overflowed() > 0 {
             out.push_str(&format!(
                 "... {} more frames not recorded (trace full)\n",
-                self.dropped
+                self.overflowed()
             ));
         }
         out
-    }
-
-    /// Clear the trace.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.dropped = 0;
     }
 }
 
@@ -143,6 +104,7 @@ fn short(pkt: &Packet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::NetObserver;
     use std::net::Ipv4Addr;
     use swishmem_wire::swish::Heartbeat;
     use swishmem_wire::{DataPacket, FlowKey, SwishMsg};
@@ -159,43 +121,30 @@ mod tests {
         )
     }
 
+    fn deliver(t: &mut Trace, time: u64, pkt: &Packet) {
+        let ev = NetEvent::Delivered { to: pkt.dst, pkt };
+        t.on_net_event(SimTime(time), &ev);
+    }
+
     #[test]
     fn records_and_filters() {
         let h = Trace::new(10);
         let mut t = h.borrow_mut();
-        t.record(SimTime(1), &data(0, 1));
-        t.record(
-            SimTime(2),
-            &Packet::swish(
-                NodeId(2),
-                NodeId::CONTROLLER,
-                SwishMsg::Heartbeat(Heartbeat {
-                    from: NodeId(2),
-                    epoch: 1,
-                }),
-            ),
+        deliver(&mut t, 1, &data(0, 1));
+        let hb = Heartbeat {
+            from: NodeId(2),
+            epoch: 1,
+        };
+        deliver(
+            &mut t,
+            2,
+            &Packet::swish(NodeId(2), NodeId::CONTROLLER, SwishMsg::Heartbeat(hb)),
         );
-        assert_eq!(t.entries().len(), 2);
+        assert_eq!(t.events().len(), 2);
         assert_eq!(t.by_class(TrafficClass::Data).len(), 1);
         assert_eq!(t.by_class(TrafficClass::Management).len(), 1);
         assert_eq!(t.by_endpoint(NodeId(1)).len(), 1);
         assert_eq!(t.by_endpoint(NodeId(2)).len(), 1);
-    }
-
-    #[test]
-    fn capacity_bounds_memory() {
-        let h = Trace::new(2);
-        let mut t = h.borrow_mut();
-        for i in 0..5 {
-            t.record(SimTime(i), &data(0, 1));
-        }
-        assert_eq!(t.entries().len(), 2);
-        assert_eq!(t.overflowed(), 3);
-        let text = t.render();
-        assert!(text.contains("3 more frames"));
-        t.clear();
-        assert!(t.entries().is_empty());
-        assert_eq!(t.overflowed(), 0);
     }
 
     /// End-to-end drop accounting: when a live engine delivers more
@@ -235,18 +184,22 @@ mod tests {
         let delivered = sim.stats().delivered_total().packets;
         let t = trace.borrow();
         assert!(delivered > 4, "scenario must exceed trace capacity");
-        assert_eq!(t.entries().len(), 4);
-        assert_eq!(t.entries().len() as u64 + t.overflowed(), delivered);
+        assert_eq!(t.events().len(), 4);
+        assert_eq!(t.events().len() as u64 + t.overflowed(), delivered);
     }
 
     #[test]
     fn render_is_line_per_frame() {
-        let h = Trace::new(10);
+        let h = Trace::new(1);
         let mut t = h.borrow_mut();
-        t.record(SimTime(1_000), &data(3, 4));
+        for i in 0..4 {
+            deliver(&mut t, 1_000 + i, &data(3, 4));
+        }
         let text = t.render();
         assert!(text.contains("n3 -> n4"));
         assert!(text.contains("[data]"));
         assert!(text.contains("1.1.1.1:1 -> 2.2.2.2:2"));
+        assert_eq!(text.lines().count(), 2, "{text}");
+        assert!(text.contains("3 more frames"));
     }
 }

@@ -25,8 +25,9 @@
 
 use std::net::Ipv4Addr;
 use swishmem_simnet::{
-    Ctx, DropReason, FaultGen, FaultSchedule, GroupId, JournalCollector, JournalHandle, LinkParams,
-    Node, SimDuration, SimTime, Simulator, SpanCollector, SpanHandle, SpanPhase, Trace,
+    Ctx, DropReason, Family, FaultGen, FaultSchedule, GroupId, JournalHandle, JournalRecord,
+    LinkParams, NetEvent, Node, ObserverHandle, Record, SimDuration, SimTime, Simulator, SpanEvent,
+    SpanPhase, Tap, Trace, TraceEntry,
 };
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, TraceId};
 
@@ -53,14 +54,14 @@ impl Node for Churn {
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         if let PacketBody::Data(d) = pkt.body {
-            // Unconditional span emission: a no-op unless a collector is
-            // attached, which the spanned-fingerprint test exploits.
+            // Unconditional span emission: a no-op unless a span tap is
+            // attached, which the passivity table exploits.
             ctx.span(
                 TraceId::new(ctx.self_id(), u64::from(d.flow_seq) + 1),
                 SpanPhase::Ingress,
             );
             // Likewise unconditional journal emission: a no-op unless a
-            // collector is attached (the journal-invariance tests below).
+            // journal tap is attached.
             ctx.journal(
                 1,
                 u64::from(d.flow_seq),
@@ -115,27 +116,23 @@ fn fnv(h: &mut u64, v: u64) {
 }
 
 fn run_scenario(seed: u64) -> Fingerprint {
-    run_scenario_full(seed, None, None, None)
+    run_scenario_full(seed, None, &[])
 }
 
 fn run_scenario_with(seed: u64, faults: Option<&FaultSchedule>) -> Fingerprint {
-    run_scenario_full(seed, faults, None, None)
+    run_scenario_full(seed, faults, &[])
 }
 
 fn run_scenario_full(
     seed: u64,
     faults: Option<&FaultSchedule>,
-    spans: Option<SpanHandle>,
-    journal: Option<JournalHandle>,
+    observers: &[ObserverHandle],
 ) -> Fingerprint {
     let mut sim = Simulator::new(seed);
     let trace = Trace::new(200_000);
     sim.add_observer(trace.clone());
-    if let Some(s) = spans {
-        sim.set_spans(s);
-    }
-    if let Some(j) = journal {
-        sim.set_journal(j);
+    for obs in observers {
+        sim.add_observer(obs.clone());
     }
 
     for i in 0..5u16 {
@@ -188,7 +185,7 @@ fn run_scenario_full(
     sim.run_until_quiescent(SimTime(30_000_000));
 
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in trace.borrow().entries() {
+    for e in trace.borrow().events() {
         fnv(&mut h, e.time.nanos());
         fnv(&mut h, u64::from(e.pkt.src.0));
         fnv(&mut h, u64::from(e.pkt.dst.0));
@@ -199,7 +196,7 @@ fn run_scenario_full(
         }
     }
 
-    let trace_len = trace.borrow().entries().len();
+    let trace_len = trace.borrow().len();
     let s = sim.stats();
     Fingerprint {
         events: sim.events_processed(),
@@ -233,27 +230,28 @@ fn different_seeds_diverge() {
     );
 }
 
+/// Recorded on the engine before the zero-copy/indexed rework (HashMap
+/// node table, BinaryHeap<Reverse<Event>>, per-member body clones).
+const GOLDEN: Fingerprint = Fingerprint {
+    events: 3290,
+    end_ns: 2_086_870,
+    delivered_pkts: 3115,
+    delivered_bytes: 386_866,
+    lost: 240,
+    no_route: 0,
+    node_down: 70,
+    link_down: 38,
+    corrupt: 0,
+    trace_len: 3115,
+    trace_hash: 11_977_170_304_909_245_025,
+};
+
 #[test]
 fn matches_pre_optimization_golden_fingerprint() {
     let got = run_scenario(1234);
     println!("fingerprint: {got:?}");
-    // Recorded on the engine before the zero-copy/indexed rework
-    // (HashMap node table, BinaryHeap<Reverse<Event>>, per-member body
-    // clones). The optimized engine must reproduce it exactly.
-    let golden = Fingerprint {
-        events: 3290,
-        end_ns: 2_086_870,
-        delivered_pkts: 3115,
-        delivered_bytes: 386_866,
-        lost: 240,
-        no_route: 0,
-        node_down: 70,
-        link_down: 38,
-        corrupt: 0,
-        trace_len: 3115,
-        trace_hash: 11_977_170_304_909_245_025,
-    };
-    assert_eq!(got, golden, "event order / RNG draw sites changed");
+    // The optimized engine must reproduce the golden exactly.
+    assert_eq!(got, GOLDEN, "event order / RNG draw sites changed");
 }
 
 #[test]
@@ -290,71 +288,84 @@ fn empty_fault_schedule_is_a_no_op() {
     assert_eq!(a, clean, "an empty schedule must not perturb the run");
 }
 
-/// Attaching a span collector must be invisible to the run: the nodes
-/// emit `ctx.span(..)` markers on every packet and timer either way, and
-/// the fingerprint — including the golden one — must not move by a bit.
-#[test]
-fn span_collector_attach_is_invisible() {
-    let spans = SpanCollector::new(1_000_000);
-    let attached = run_scenario_full(1234, None, Some(spans.clone()), None);
-    let detached = run_scenario(1234);
-    assert_eq!(
-        attached, detached,
-        "attaching the span collector perturbed the event order"
-    );
-
-    let c = spans.borrow();
-    assert!(
-        !c.events().is_empty(),
-        "the scenario should have recorded spans while attached"
-    );
-    assert_eq!(c.overflowed(), 0);
-    // Every delivered data packet records exactly one ingress marker.
-    let ingress = c
-        .events()
-        .iter()
-        .filter(|e| e.phase == SpanPhase::Ingress)
-        .count() as u64;
-    assert_eq!(ingress, attached.delivered_pkts);
-    assert!(c.trace_count() > 5, "expected many distinct trace ids");
+/// A fault-plane transition as a test-local record: a subscriber to a
+/// family needs nothing but a `Record` impl.
+struct Fault;
+impl Record for Fault {
+    const FAMILY: Family = Family::Fault;
+    fn of(_now: SimTime, ev: &NetEvent<'_>) -> Option<Self> {
+        (ev.family() == Family::Fault).then_some(Fault)
+    }
 }
 
-/// A tiny span collector must bound memory and count the overflow, while
-/// still not perturbing the run.
-#[test]
-fn span_collector_overflow_is_counted_and_passive() {
-    let spans = SpanCollector::new(16);
-    let attached = run_scenario_full(1234, None, Some(spans.clone()), None);
-    assert_eq!(attached, run_scenario(1234));
-    let c = spans.borrow();
-    assert_eq!(c.events().len(), 16);
-    assert!(c.overflowed() > 0);
+/// One family's tap on a run: the observer to attach, and a reader of
+/// `(kept, overflowed, pinned)` after it — `pinned` counts the kept
+/// records the family's row pins.
+struct Probe {
+    observer: ObserverHandle,
+    read: Box<dyn Fn() -> (usize, u64, u64)>,
 }
 
-/// Attaching the flight-recorder journal must be invisible to the run:
-/// the nodes emit `ctx.journal(..)` on every packet and timer either
-/// way, and the fingerprint — including the golden one — must not move
-/// by a bit. The journal-only counterpart of
-/// `span_collector_attach_is_invisible`.
-#[test]
-fn journal_collector_attach_is_invisible() {
-    let journal = JournalCollector::new(1_000_000);
-    let attached = run_scenario_full(1234, None, None, Some(journal.clone()));
-    let detached = run_scenario(1234);
-    assert_eq!(
-        attached, detached,
-        "attaching the journal collector perturbed the event order"
-    );
+fn probe<T: Record + 'static>(capacity: usize, pinned: fn(&T) -> bool) -> Probe {
+    let tap = Tap::<T>::new(capacity);
+    let t = tap.clone();
+    let read = move || {
+        let t = t.borrow();
+        let n = t.events().iter().filter(|r| pinned(r)).count();
+        (t.len(), t.overflowed(), n as u64)
+    };
+    Probe {
+        observer: tap,
+        read: Box::new(read),
+    }
+}
 
-    let j = journal.borrow();
-    assert!(
-        !j.records().is_empty(),
-        "the scenario should have recorded journal entries while attached"
-    );
-    assert_eq!(j.overflowed(), 0);
-    // Every delivered data packet records exactly one kind-1 entry.
-    let ingress = j.records().iter().filter(|r| r.kind == 1).count() as u64;
-    assert_eq!(ingress, attached.delivered_pkts);
+/// Passivity, proven once for the mechanism: a tap of each family —
+/// deliveries (the packet trace), injections (the capture), spans,
+/// journal, and fault-plane transitions — attached alone and then all at
+/// once, at a capacity that keeps everything and at 16, never moves the
+/// golden fingerprint; every tap accounts for each record it was offered
+/// (kept or counted as overflow); and a full tap pins its family: one
+/// frame per delivery, the 200 injections, one ingress marker and one
+/// kind-1 record per delivered packet, the four scheduled transitions.
+#[test]
+fn every_family_is_passive_alone_and_together() {
+    let probes = |capacity: usize| {
+        vec![
+            probe::<TraceEntry>(capacity, |_| true),
+            probe::<(SimTime, Packet)>(capacity, |_| true),
+            probe::<SpanEvent>(capacity, |e| e.phase == SpanPhase::Ingress),
+            probe::<JournalRecord>(capacity, |r| r.kind == 1),
+            probe::<Fault>(capacity, |_| true),
+        ]
+    };
+    let d = GOLDEN.delivered_pkts;
+    let pinned = [d, 200, d, d, 4];
+    let mut offered = [0u64; 5];
+    let rows: Vec<Vec<usize>> = (0..5)
+        .map(|f| vec![f])
+        .chain([vec![0, 1, 2, 3, 4]])
+        .collect();
+    for capacity in [1 << 20, 16] {
+        for row in &rows {
+            let all = probes(capacity);
+            let observers: Vec<ObserverHandle> =
+                row.iter().map(|&f| all[f].observer.clone()).collect();
+            let fp = run_scenario_full(1234, None, &observers);
+            assert_eq!(fp, GOLDEN, "families {row:?} at capacity {capacity}");
+            for &f in row {
+                let (kept, overflowed, n) = (all[f].read)();
+                if capacity == 16 {
+                    let want = (offered[f].min(16) as usize, offered[f].saturating_sub(16));
+                    assert_eq!((kept, overflowed), want, "family {f} at capacity 16");
+                } else {
+                    assert_eq!((overflowed, n), (0, pinned[f]), "family {f}");
+                    offered[f] = kept as u64;
+                }
+            }
+        }
+    }
+    assert!(offered[..4].iter().all(|&n| n > 16), "{offered:?}");
 }
 
 /// Replaying a fault-swept run with the same seed must reproduce the
@@ -370,9 +381,10 @@ fn journal_replay_is_byte_identical_under_fault_sweep() {
     assert!(!sched.is_empty());
 
     let run = || {
-        let journal = JournalCollector::new(1_000_000);
-        let fp = run_scenario_full(1234, Some(&sched), None, Some(journal.clone()));
-        let records = journal.borrow().records().to_vec();
+        let journal: JournalHandle = Tap::new(1_000_000);
+        let obs: ObserverHandle = journal.clone();
+        let fp = run_scenario_full(1234, Some(&sched), &[obs]);
+        let records = journal.borrow().events().to_vec();
         (fp, records)
     };
     let (fp_a, rec_a) = run();
@@ -383,18 +395,6 @@ fn journal_replay_is_byte_identical_under_fault_sweep() {
         rec_a, rec_b,
         "same seed + same FaultSchedule must reproduce the journal byte-for-byte"
     );
-    // And the collector itself must stay passive under faults too.
+    // And the journal tap must stay passive under faults too.
     assert_eq!(fp_a, run_scenario_with(1234, Some(&sched)));
-}
-
-/// A tiny journal must bound memory and count the overflow, while still
-/// not perturbing the run.
-#[test]
-fn journal_collector_overflow_is_counted_and_passive() {
-    let journal = JournalCollector::new(16);
-    let attached = run_scenario_full(1234, None, None, Some(journal.clone()));
-    assert_eq!(attached, run_scenario(1234));
-    let j = journal.borrow();
-    assert_eq!(j.records().len(), 16);
-    assert!(j.overflowed() > 0);
 }

@@ -5,11 +5,11 @@
 //! 1. **`S = 1` is bit-exact with the sequential engine** — a single-shard
 //!    [`ShardedEngine`] reproduces the [`Simulator`]'s golden determinism
 //!    fingerprint unchanged (same RNG stream, same event keys, same trace
-//!    order), and its buffered sinks hand every attached collector the
-//!    stream the `Simulator`'s direct ones do.
+//!    order), and its buffered sink hands observers of every family the
+//!    stream the `Simulator`'s direct one does.
 //! 2. **Shard count is a pure performance knob** — for `S ≥ 2` the merged
-//!    stats, delivery-trace hash, and observer event stream are identical
-//!    for any shard count and any worker-thread count.
+//!    stats, delivery-trace hash, and observation stream (every family)
+//!    are identical for any shard count and any worker-thread count.
 //! 3. **The fault plane shards cleanly** — externally scheduled fault
 //!    events (including cross-shard link outages) fire at the same
 //!    `SimTime` under any shard count.
@@ -18,18 +18,29 @@ use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 use swishmem_simnet::{
-    Ctx, DropReason, FaultGen, FaultSchedule, GroupId, JournalCollector, JournalHandle,
-    JournalRecord, LinkParams, NetEvent, NetObserver, Node, ObserverHandle, RelayNode,
-    ShardedEngine, SimDuration, SimTime, Simulator, SpanCollector, SpanHandle, SpanPhase, Trace,
-    TraceHandle,
+    Ctx, DropReason, Family, FaultGen, FaultSchedule, GroupId, JournalRecord, LinkParams, NetEvent,
+    NetObserver, Node, ObserverHandle, RelayNode, ShardedEngine, SimDuration, SimTime, Simulator,
+    SpanEvent, SpanPhase, Trace, TraceHandle,
 };
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, TraceId};
 
 /// Mirrors the `Churn` node in `tests/determinism.rs`: echoes data
-/// packets with a TTL, multicasts and anycasts on a re-arming timer.
+/// packets with a TTL, multicasts and anycasts on a re-arming timer. It
+/// also spans and journals from `on_start`, whose emissions have no
+/// event of their own to sort under, and notes whether it was ever asked
+/// for either.
+#[derive(Default)]
 struct Churn {
     ttl: u32,
     timer_rounds: u64,
+    listened: bool,
+}
+
+fn churn(ttl: u32) -> Box<Churn> {
+    Box::new(Churn {
+        ttl,
+        ..Churn::default()
+    })
 }
 
 fn body(seq: u32, len: u16) -> PacketBody {
@@ -42,13 +53,16 @@ fn body(seq: u32, len: u16) -> PacketBody {
 
 impl Node for Churn {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.span(TraceId::new(ctx.self_id(), 999), SpanPhase::JobStart);
+        ctx.journal(3, u64::from(ctx.self_id().0), 0, 0, 0);
         ctx.set_timer(SimDuration::micros(50), 1);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+        self.listened |= ctx.tracing() || ctx.journaling();
         if let PacketBody::Data(d) = pkt.body {
-            // Unconditional span and journal emission: no-ops unless a
-            // collector is attached (the invariance tests below exploit it).
+            // Unconditional span and journal emission: no-ops unless an
+            // observer wants them (the invariance tests below exploit it).
             ctx.span(
                 TraceId::new(ctx.self_id(), u64::from(d.flow_seq) + 1),
                 SpanPhase::Ingress,
@@ -106,7 +120,7 @@ fn fnv(h: &mut u64, v: u64) {
 
 fn trace_hash(trace: &Trace) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in trace.entries() {
+    for e in trace.events() {
         fnv(&mut h, e.time.nanos());
         fnv(&mut h, u64::from(e.pkt.src.0));
         fnv(&mut h, u64::from(e.pkt.dst.0));
@@ -123,30 +137,43 @@ fn trace_hash(trace: &Trace) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Obs {
     Delivered(u64, u16, u16, u16, usize),
+    Injected(u64, u16, u16, usize),
     NodeFailed(u64, u16),
     NodeRecovered(u64, u16),
     LinkChanged(u64, u16, u16, bool),
     LinkDegraded(u64, u16, u16),
     LinkRestored(u64, u16, u16),
+    Span(u64, SpanEvent),
+    Journal(u64, JournalRecord),
 }
 
+/// Logs every event it receives: of the default families, or of `every`
+/// family.
 #[derive(Default)]
 struct Collector {
+    every: bool,
     log: Vec<Obs>,
 }
 
 impl NetObserver for Collector {
+    fn wants(&self, family: Family) -> bool {
+        self.every || matches!(family, Family::Delivered | Family::Fault)
+    }
+
     fn on_net_event(&mut self, now: SimTime, ev: &NetEvent<'_>) {
         let t = now.nanos();
         self.log.push(match *ev {
             NetEvent::Delivered { to, pkt } => {
                 Obs::Delivered(t, to.0, pkt.src.0, pkt.dst.0, pkt.wire_len())
             }
+            NetEvent::Injected { pkt } => Obs::Injected(t, pkt.src.0, pkt.dst.0, pkt.wire_len()),
             NetEvent::NodeFailed { node } => Obs::NodeFailed(t, node.0),
             NetEvent::NodeRecovered { node } => Obs::NodeRecovered(t, node.0),
             NetEvent::LinkChanged { a, b, down } => Obs::LinkChanged(t, a.0, b.0, down),
             NetEvent::LinkDegraded { a, b } => Obs::LinkDegraded(t, a.0, b.0),
             NetEvent::LinkRestored { a, b } => Obs::LinkRestored(t, a.0, b.0),
+            NetEvent::Span(e) => Obs::Span(t, e),
+            NetEvent::Journal(r) => Obs::Journal(t, r),
         });
     }
 }
@@ -156,7 +183,7 @@ impl NetObserver for Collector {
 // sharded engine. Single-shard mode must reproduce the golden values.
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum EngineUnderTest {
     Sequential,
     Sharded(usize),
@@ -165,8 +192,6 @@ enum EngineUnderTest {
 /// What a Churn run attaches besides the packet trace.
 #[derive(Default)]
 struct Taps {
-    journal: Option<JournalHandle>,
-    spans: Option<SpanHandle>,
     observer: Option<ObserverHandle>,
     wire_check: bool,
 }
@@ -174,6 +199,10 @@ struct Taps {
 fn run_churn(seed: u64, engine: EngineUnderTest, faults: Option<&FaultSchedule>) -> Fingerprint {
     run_churn_full(seed, engine, faults, &Taps::default()).0
 }
+
+/// A Churn run's fingerprint, packet trace, and whether any node was
+/// ever told that spans or the journal have a subscriber.
+type ChurnRun = (Fingerprint, TraceHandle, bool);
 
 /// The Churn scenario on an already constructed engine. `Simulator` and
 /// `ShardedEngine` share these method names but no trait, hence a macro.
@@ -185,23 +214,11 @@ macro_rules! churn_scenario {
         let trace = Trace::new(200_000);
         sim.add_observer(trace.clone());
         sim.set_wire_check(taps.wire_check);
-        if let Some(j) = &taps.journal {
-            sim.set_journal(j.clone());
-        }
-        if let Some(s) = &taps.spans {
-            sim.set_spans(s.clone());
-        }
         if let Some(o) = &taps.observer {
             sim.add_observer(o.clone());
         }
         for &id in &ids {
-            sim.add_node(
-                id,
-                Box::new(Churn {
-                    ttl: 6,
-                    timer_rounds: 0,
-                }),
-            );
+            sim.add_node(id, churn(6));
         }
         let params = LinkParams::lossy(0.08).with_jitter(SimDuration::micros(2));
         sim.topology_mut().full_mesh(&ids, params);
@@ -236,10 +253,13 @@ macro_rules! churn_scenario {
             node_down: s.dropped(DropReason::NodeDown).packets,
             link_down: s.dropped(DropReason::LinkDown).packets,
             corrupt: s.dropped(DropReason::Corrupt).packets,
-            trace_len: trace.borrow().entries().len(),
+            trace_len: trace.borrow().len(),
             trace_hash: trace_hash(&trace.borrow()),
         };
-        (fp, trace)
+        let listened = ids
+            .iter()
+            .any(|&id| sim.node::<Churn>(id).unwrap().listened);
+        (fp, trace, listened)
     }};
 }
 
@@ -248,7 +268,7 @@ fn run_churn_full(
     engine: EngineUnderTest,
     faults: Option<&FaultSchedule>,
     taps: &Taps,
-) -> (Fingerprint, TraceHandle) {
+) -> ChurnRun {
     match engine {
         EngineUnderTest::Sequential => churn_scenario!(Simulator::new(seed), faults, taps),
         EngineUnderTest::Sharded(shards) => {
@@ -319,13 +339,18 @@ fn single_shard_matches_legacy_simulator_under_faults() {
     }
 }
 
-/// `Direct` vs `Buffered`, proven equivalent once: the same seed and
-/// fault schedule through `Simulator` (observations written in place)
-/// and a single-shard `ShardedEngine` (observations buffered, merged
-/// after the run) must hand every attached collector the same stream,
-/// element for element — observer log, packet trace, spans, journal.
+/// `Direct` vs `Buffered`, proven equivalent once for every family: the
+/// same seed and fault schedule through `Simulator` (observations handed
+/// over in place) and a single-shard `ShardedEngine` (buffered, merged
+/// after the run) give an all-family observer the same stream, element
+/// for element — deliveries, injections, fault transitions, spans and
+/// journal records, interleaved. Under S = 2 and S = 4 the merged stream
+/// is identical across shard counts, `on_start` emissions included, and
+/// attaching stays passive. Every run pins one kind-1 record per
+/// delivered packet.
 #[test]
 fn direct_and_buffered_sinks_see_identical_streams() {
+    use EngineUnderTest::{Sequential, Sharded};
     let ids: Vec<NodeId> = (0..5).map(NodeId).collect();
     let links: Vec<(NodeId, NodeId)> = (0..5u16)
         .flat_map(|i| ((i + 1)..5).map(move |j| (NodeId(i), NodeId(j))))
@@ -333,29 +358,32 @@ fn direct_and_buffered_sinks_see_identical_streams() {
     let sched = FaultGen::new(99).generate(&ids, &links, SimDuration::millis(2), 5);
 
     let run = |engine: EngineUnderTest| {
-        let collector = Rc::new(RefCell::new(Collector::default()));
+        let collector = Rc::new(RefCell::new(Collector {
+            every: true,
+            log: Vec::new(),
+        }));
         let taps = Taps {
-            journal: Some(JournalCollector::new(1_000_000)),
-            spans: Some(SpanCollector::new(1_000_000)),
             observer: Some(collector.clone()),
             wire_check: false,
         };
-        let (fp, trace) = run_churn_full(1234, engine, Some(&sched), &taps);
-        let trace: Vec<(SimTime, Packet)> = trace
-            .borrow()
-            .entries()
+        let (fp, trace, listened) = run_churn_full(1234, engine, Some(&sched), &taps);
+        assert!(listened, "{engine:?}: spans and journal have a subscriber");
+        assert_eq!(fp, run_churn(1234, engine, Some(&sched)), "{engine:?}");
+        let log = collector.borrow().log.clone();
+        let kind1 = log
             .iter()
+            .filter(|o| matches!(o, Obs::Journal(_, r) if r.kind == 1));
+        assert_eq!(kind1.count() as u64, fp.delivered_pkts, "{engine:?}");
+        let trace: Vec<(SimTime, Packet)> = (trace.borrow().events().iter())
             .map(|e| (e.time, e.pkt.clone()))
             .collect();
-        let spans = taps.spans.unwrap().borrow().events().to_vec();
-        let journal = taps.journal.unwrap().borrow().records().to_vec();
-        let log = collector.borrow().log.clone();
-        (fp, log, trace, spans, journal)
+        (fp, log, trace)
     };
-    let direct = run(EngineUnderTest::Sequential);
-    let buffered = run(EngineUnderTest::Sharded(1));
+    let direct = run(Sequential);
+    let buffered = run(Sharded(1));
 
-    let (_, log, trace, spans, journal) = &direct;
+    let (_, log, trace) = &direct;
+    let on_start = |o: &Obs| matches!(o, Obs::Span(_, e) if e.phase == SpanPhase::JobStart);
     for (what, seen) in [
         (
             "NodeFailed",
@@ -373,78 +401,45 @@ fn direct_and_buffered_sinks_see_identical_streams() {
             "a delivery",
             log.iter().any(|o| matches!(o, Obs::Delivered(..))),
         ),
+        (
+            "an injection",
+            log.iter().any(|o| matches!(o, Obs::Injected(..))),
+        ),
+        ("a span from on_start", log.iter().any(on_start)),
+        (
+            "a journal record",
+            log.iter().any(|o| matches!(o, Obs::Journal(..))),
+        ),
         ("a traced frame", !trace.is_empty()),
-        ("a span", !spans.is_empty()),
-        ("a journal record", !journal.is_empty()),
     ] {
         assert!(seen, "scenario must exercise {what}");
     }
-    assert_eq!(direct.0, buffered.0, "fingerprints diverged");
-    assert_eq!(direct.1, buffered.1, "observer logs diverged");
-    assert_eq!(direct.2, buffered.2, "packet traces diverged");
-    assert_eq!(direct.3, buffered.3, "span streams diverged");
-    assert_eq!(direct.4, buffered.4, "journal streams diverged");
+    assert_eq!(direct, buffered, "S=1 diverged from the Simulator");
+
+    let two = run(Sharded(2));
+    let four = run(Sharded(4));
+    assert!(two.1.iter().any(on_start));
+    assert_eq!(two, four, "S=4 diverged from S=2");
 }
 
-/// Attaching the flight-recorder journal to a single-shard run must be
-/// invisible: the golden fingerprint — the same constants as the
-/// sequential harness — must not move by a bit, while the collector
-/// fills with one kind-1 record per delivered packet.
+/// Only a default-family observer attached: no node is ever told that
+/// spans or the journal have a subscriber, so no layer builds their
+/// payloads — under either engine.
 #[test]
-fn single_shard_journal_attach_matches_golden_fingerprint() {
-    let journal = JournalCollector::new(1_000_000);
-    let taps = Taps {
-        journal: Some(journal.clone()),
-        ..Taps::default()
-    };
-    let attached = run_churn_full(1234, EngineUnderTest::Sharded(1), None, &taps).0;
-    let detached = run_churn(1234, EngineUnderTest::Sharded(1), None);
-    assert_eq!(
-        attached, detached,
-        "attaching the journal perturbed the single-shard run"
-    );
-    assert_eq!(attached.trace_hash, 11_977_170_304_909_245_025);
-    let j = journal.borrow();
-    assert!(!j.records().is_empty());
-    assert_eq!(j.overflowed(), 0);
-    let ingress = j.records().iter().filter(|r| r.kind == 1).count() as u64;
-    assert_eq!(ingress, attached.delivered_pkts);
-}
-
-/// The journal record stream is shard-count invariant for S >= 2 (like
-/// stats and traces, per guarantee 2 — S = 1 is its own RNG-partitioning
-/// regime, pinned against the golden above): S = 2 and S = 4 attached
-/// runs produce the same fingerprint and — after canonical full-field
-/// ordering — the identical record stream, and attaching at S >= 2 is
-/// just as passive as at S = 1.
-#[test]
-fn journal_is_shard_count_invariant() {
-    let canonical = |shards: usize| -> (Fingerprint, Vec<JournalRecord>) {
-        let journal = JournalCollector::new(1_000_000);
+fn default_observers_leave_tracing_and_journaling_off() {
+    use EngineUnderTest::{Sequential, Sharded};
+    for engine in [Sequential, Sharded(1), Sharded(2)] {
         let taps = Taps {
-            journal: Some(journal.clone()),
-            ..Taps::default()
+            observer: Some(Rc::new(RefCell::new(Collector::default()))),
+            wire_check: false,
         };
-        let fp = run_churn_full(1234, EngineUnderTest::Sharded(shards), None, &taps).0;
-        let mut recs = journal.borrow().records().to_vec();
-        // Multi-shard drains merge per-shard sinks in full-field order;
-        // sort both streams to that canonical order before comparing.
-        recs.sort();
-        (fp, recs)
-    };
-    let (fp2, rec2) = canonical(2);
-    let (fp4, rec4) = canonical(4);
-    assert_eq!(fp2, fp4, "S=4 attached fingerprint diverged from S=2");
-    assert_eq!(
-        fp2,
-        run_churn(1234, EngineUnderTest::Sharded(2), None),
-        "attaching the journal perturbed the 2-shard run"
-    );
-    assert!(!rec2.is_empty());
-    assert_eq!(
-        rec2, rec4,
-        "journal record stream diverged across shard counts"
-    );
+        let (fp, _, listened) = run_churn_full(1234, engine, None, &taps);
+        assert!(fp.delivered_pkts > 0);
+        assert!(
+            !listened,
+            "{engine:?}: a default observer turned tracing on"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -483,13 +478,7 @@ fn run_leaf_spine(
 
     let leaves: Vec<NodeId> = (0..LEAVES).map(NodeId).collect();
     for &id in &leaves {
-        sim.add_node(
-            id,
-            Box::new(Churn {
-                ttl: 4,
-                timer_rounds: 0,
-            }),
-        );
+        sim.add_node(id, churn(4));
     }
     for s in 0..SPINES {
         sim.add_node(NodeId(SPINE_BASE + s), Box::new(RelayNode));
@@ -553,7 +542,7 @@ fn run_leaf_spine(
         node_down: s.dropped(DropReason::NodeDown).packets,
         link_down: s.dropped(DropReason::LinkDown).packets,
         corrupt: s.dropped(DropReason::Corrupt).packets,
-        trace_len: trace.borrow().entries().len(),
+        trace_len: trace.borrow().len(),
         trace_hash: trace_hash(&trace.borrow()),
     };
     let obs = collector.borrow().log.clone();
@@ -623,13 +612,7 @@ fn cross_shard_link_outage_fires_at_identical_time() {
         sim.add_observer(collector.clone());
         let ids: Vec<NodeId> = (0..8).map(NodeId).collect();
         for &id in &ids {
-            sim.add_node(
-                id,
-                Box::new(Churn {
-                    ttl: 3,
-                    timer_rounds: 0,
-                }),
-            );
+            sim.add_node(id, churn(3));
             // Pin node i to shard i (mod shards): nodes 0 and 1 land on
             // different shards whenever shards > 1.
             sim.assign_shard(id, id.0 as u32 % shards as u32);

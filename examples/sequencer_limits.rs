@@ -86,9 +86,8 @@ fn main() {
         .hosts(1)
         .register(RegisterSpec::sro(0, "seq", 4))
         .build(|_| Box::new(Sequencer));
-    dep.sim.add_observer(trace.clone());
     dep.settle();
-    trace.borrow_mut().clear();
+    dep.sim.add_observer(trace.clone());
     let t = dep.now();
     dep.inject(t, 0, 0, pkt(0));
     dep.run_for(SimDuration::millis(5));

@@ -30,15 +30,20 @@ cargo build --workspace --release
 #     membership decree to one group; detector_cuts_failover_gap and
 #     gray_links_cause_no_spurious_elections: the adaptive detector beats
 #     the static timeout on real crashes and stays silent under gray links.
-#   observability (§9, §14)         swishmem-simnet/determinism — attaching
-#     spans or the journal leaves the golden fingerprint bit-identical and
-#     a fault-swept replay reproduces the journal byte for byte;
-#     swishmem-simnet/shard_determinism `journal` — the same under the
-#     sharded engine, record stream shard-count invariant.
+#   observability (§3, §9, §14)     observers (root) — spans, journal,
+#     capture, a packet trace and the oracles attached at once leave a
+#     fault-swept deployment bit-identical, tap counts and stream hashes
+#     pinned; swishmem-simnet/determinism
+#     every_family_is_passive_alone_and_together — a tap of each event
+#     family, alone and together, keeps the golden fingerprint, and a
+#     fault-swept replay reproduces the journal byte for byte;
+#     swishmem-simnet `tap::tests` — the one overflow rule.
 #   one event loop (§3, §11)        swishmem-simnet/shard_determinism — a
 #     single-shard ShardedEngine reproduces the sequential golden
-#     fingerprint, the Direct and Buffered sinks hand every collector the
-#     same stream, shard/worker count are pure performance knobs;
+#     fingerprint, the Direct and Buffered sinks hand an all-family
+#     observer the same stream (S = 2 and 4 equal to each other), a
+#     default observer never turns tracing on, shard/worker count are
+#     pure performance knobs;
 #     swishmem-bench `shardnet::` — a 2-shard fault sweep runs oracle-clean.
 #   wire format (§3)                wire_golden — every frame of a seeded
 #     run that emits all 26 messages hashes to the recorded constant;
