@@ -35,6 +35,9 @@ pub struct SwishProgram {
     sweep_cursor: (usize, u32),
     /// Eager-mirror entries awaiting a batch flush.
     mirror_buf: Vec<(RegId, SyncEntry)>,
+    /// Periodic-sync entries of the current tick, staged in walk order
+    /// and drained before the tick ends.
+    sync_buf: Vec<(RegId, SyncEntry)>,
     /// Pooled write set: lent to each packet's [`NfCtx`] and cleared per
     /// packet, so staging writes allocates nothing in steady state.
     staged: Vec<StagedWrite>,
@@ -64,6 +67,18 @@ impl SwishProgram {
             all.filter(|&i| pred(&handles.regs[i].kind)).collect()
         };
         let ewo_regs = regs_where(|k| matches!(k, RegKind::Ewo { .. }));
+        // A counter register has one slot per switch; this switch writes
+        // its own and advertises that index unwrapped on the wire.
+        for entry in &handles.regs {
+            if let RegKind::Ewo { slots } = &entry.kind {
+                assert!(
+                    entry.spec.policy == MergePolicy::Lww || me.index() < slots.len(),
+                    "{me} has no slot in counter register {} ({} slots)",
+                    entry.spec.name,
+                    slots.len()
+                );
+            }
+        }
         let sro_regs = regs_where(|k| {
             matches!(
                 k,
@@ -84,6 +99,7 @@ impl SwishProgram {
             sync_cursor: (0, 0),
             sweep_cursor: (0, 0),
             mirror_buf: Vec::new(),
+            sync_buf: Vec::new(),
             staged: Vec::new(),
             ewo_regs,
             sro_regs,
@@ -257,7 +273,7 @@ impl SwishProgram {
                 MergePolicy::GCounter => {
                     let WriteOp::Add(delta) = w.op else { continue };
                     debug_assert!(delta >= 0);
-                    let h = slots[self.me_slot % slots.len()];
+                    let h = slots[self.me_slot];
                     let (v, c) = dp.pair_read(h, key);
                     (h, self.me_slot as u8, v + 1, c + delta as u64)
                 }
@@ -265,7 +281,7 @@ impl SwishProgram {
                     let WriteOp::Add(delta) = w.op else { continue };
                     debug_assert!(delta >= 0);
                     let epoch = dp.now().nanos() / window.as_nanos().max(1);
-                    let h = slots[self.me_slot % slots.len()];
+                    let h = slots[self.me_slot];
                     let (e, c) = dp.pair_read(h, key);
                     if epoch > e {
                         (h, self.me_slot as u8, epoch, delta as u64)
@@ -303,29 +319,11 @@ impl SwishProgram {
     /// `trace` attributes the flush: the packet that tipped the batch
     /// over, or the sync round that drained a lingering batch.
     fn flush_mirror(&mut self, trace: TraceId, eff: &mut Effects) {
-        // One SyncUpdate per register, in order of first appearance. A
-        // batch (or its last group) whose entries share a register drains
-        // straight into the shared body — the one allocation of the pass.
-        while let Some(&(reg, _)) = self.mirror_buf.first() {
-            let entries: Shared<SyncEntry> = if self.mirror_buf.iter().all(|(r, _)| *r == reg) {
-                self.mirror_buf.drain(..).map(|(_, e)| e).collect()
-            } else {
-                let of_reg = self.mirror_buf.iter().filter(|(r, _)| *r == reg);
-                let entries = of_reg.map(|(_, e)| *e).collect();
-                self.mirror_buf.retain(|(r, _)| *r != reg);
-                entries
-            };
-            self.metrics.mirror_packets += 1;
-            eff.multicast(
-                REPLICA_GROUP,
-                PacketBody::Swish(SwishMsg::Sync(SyncUpdate {
-                    reg,
-                    origin: self.me,
-                    trace,
-                    entries,
-                })),
-            );
-        }
+        let (me, metrics) = (self.me, &mut self.metrics);
+        drain_by_reg(&mut self.mirror_buf, |reg, entries| {
+            metrics.mirror_packets += 1;
+            eff.multicast(REPLICA_GROUP, sync_body(reg, me, trace, entries));
+        });
     }
 
     // ------------------------------------------------------------------
@@ -521,17 +519,22 @@ impl SwishProgram {
         };
         eff.span(u.trace, SpanPhase::SyncMerge);
         for e in &u.entries {
-            let changed = match entry.spec.policy {
-                MergePolicy::GCounter => {
-                    let h = slots[e.slot as usize % slots.len()];
-                    dp.pair_merge_max(h, e.key as usize, e.version, e.value)
-                }
-                MergePolicy::Lww => {
+            // A counter entry must name a replica's slot; one past the
+            // group would otherwise land in another replica's cell.
+            let slot = slots.get(e.slot as usize).copied();
+            let changed = match (entry.spec.policy, slot) {
+                (MergePolicy::Lww, _) => {
                     self.clock.observe(e.version);
                     dp.pair_merge_lww(slots[0], e.key as usize, e.version, e.value)
                 }
-                MergePolicy::Windowed { .. } => {
-                    let h = slots[e.slot as usize % slots.len()];
+                (_, None) => {
+                    self.metrics.merge_rejected += 1;
+                    continue;
+                }
+                (MergePolicy::GCounter, Some(h)) => {
+                    dp.pair_merge_max(h, e.key as usize, e.version, e.value)
+                }
+                (MergePolicy::Windowed { .. }, Some(h)) => {
                     let (le, lc) = dp.pair_read(h, e.key as usize);
                     // Newer epoch supersedes; same epoch merges by max.
                     let wins = e.version > le || (e.version == le && e.value > lc);
@@ -563,7 +566,6 @@ impl SwishProgram {
             key = 0;
         }
         let mut budget = self.cfg.sync_chunk.max(1);
-        let mut per_reg: Vec<(RegId, Vec<SyncEntry>)> = Vec::new();
         let mut visited_keys = 0usize;
         let total_keys: usize = ewo_regs
             .iter()
@@ -591,38 +593,24 @@ impl SwishProgram {
                 if v == 0 && x == 0 {
                     continue; // nothing to say about this slot
                 }
-                let reg_id = entry.spec.id;
                 let e = SyncEntry {
                     key,
                     slot: si as u8,
                     version: v,
                     value: x,
                 };
-                match per_reg.iter_mut().find(|(r, _)| *r == reg_id) {
-                    Some((_, list)) => list.push(e),
-                    None => per_reg.push((reg_id, vec![e])),
-                }
+                self.sync_buf.push((entry.spec.id, e));
                 budget = budget.saturating_sub(1);
             }
             key += 1;
             visited_keys += 1;
         }
         self.sync_cursor = (reg_i, key);
-        for (reg, entries) in per_reg {
-            if entries.is_empty() {
-                continue;
-            }
-            self.metrics.sync_packets += 1;
-            eff.anycast_random(
-                REPLICA_GROUP,
-                PacketBody::Swish(SwishMsg::Sync(SyncUpdate {
-                    reg,
-                    origin: self.me,
-                    trace,
-                    entries: entries.into(),
-                })),
-            );
-        }
+        let (me, metrics) = (self.me, &mut self.metrics);
+        drain_by_reg(&mut self.sync_buf, |reg, entries| {
+            metrics.sync_packets += 1;
+            eff.anycast_random(REPLICA_GROUP, sync_body(reg, me, trace, entries));
+        });
     }
 
     // ------------------------------------------------------------------
@@ -841,6 +829,36 @@ impl SwishProgram {
     }
 }
 
+/// Drain `buf` into one batch per register, in order of first
+/// appearance, handing each to `emit`. A buffer (or its last group) whose
+/// entries share a register drains straight into the batch: a single
+/// entry allocates nothing, more cost the one shared slice.
+fn drain_by_reg(buf: &mut Vec<(RegId, SyncEntry)>, mut emit: impl FnMut(RegId, Shared<SyncEntry>)) {
+    while let Some(&(reg, _)) = buf.first() {
+        let entries = if buf.iter().all(|(r, _)| *r == reg) {
+            buf.drain(..).map(|(_, e)| e).collect()
+        } else {
+            let entries = buf
+                .iter()
+                .filter(|(r, _)| *r == reg)
+                .map(|(_, e)| *e)
+                .collect();
+            buf.retain(|(r, _)| *r != reg);
+            entries
+        };
+        emit(reg, entries);
+    }
+}
+
+fn sync_body(reg: RegId, origin: NodeId, trace: TraceId, entries: Shared<SyncEntry>) -> PacketBody {
+    PacketBody::Swish(SwishMsg::Sync(SyncUpdate {
+        reg,
+        origin,
+        trace,
+        entries,
+    }))
+}
+
 impl DataPlaneProgram for SwishProgram {
     fn on_packet(&mut self, pkt: Packet, dp: &mut DpView<'_>, eff: &mut Effects) {
         match pkt.body {
@@ -899,6 +917,7 @@ impl DataPlaneProgram for SwishProgram {
         self.sync_cursor = (0, 0);
         self.sweep_cursor = (0, 0);
         self.mirror_buf.clear();
+        self.sync_buf.clear();
         self.next_trace = 0;
         self.clock.reset();
         self.app.reset();

@@ -160,6 +160,9 @@ pub struct DpMetrics {
     pub merge_entries: u64,
     /// EWO entries that actually changed state on merge.
     pub merge_applied: u64,
+    /// EWO counter entries rejected, unmerged, for naming a slot outside
+    /// the replica group (malformed input).
+    pub merge_rejected: u64,
     /// Periodic sync packets emitted.
     pub sync_packets: u64,
     /// Eager mirror packets emitted.

@@ -182,6 +182,31 @@ fn relayed_sync_carries_third_party_slots() {
 }
 
 #[test]
+fn sync_entry_naming_a_slot_past_the_group_is_rejected() {
+    // Four switches, so counter slots 0..4. Slot 4 must not wrap into
+    // slot 0 (switch 0's counter), where the max-merge would keep it
+    // raised for the rest of the run; its well-formed neighbour merges.
+    let mut r = rig(1, SwishConfig::default(), false);
+    let entry = |slot, value| SyncEntry {
+        key: 3,
+        slot,
+        version: 9,
+        value,
+    };
+    deliver(&mut r, sync(2, vec![entry(4, 90), entry(2, 5)]), 100);
+    assert_eq!(peek(&r, 3), 5);
+    let m = r.prog.metrics();
+    assert_eq!(m.merge_rejected, 1);
+    assert_eq!((m.merge_entries, m.merge_applied), (1, 1));
+}
+
+#[test]
+#[should_panic(expected = "has no slot in counter register")]
+fn a_switch_without_a_counter_slot_is_refused_at_build() {
+    rig(4, SwishConfig::default(), false);
+}
+
+#[test]
 fn eager_mirror_batches_until_threshold() {
     let mut cfg = SwishConfig::default();
     cfg.batch_size = 3;

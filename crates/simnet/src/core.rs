@@ -182,6 +182,7 @@ pub(crate) struct Mail {
     to: NodeId,
     pkt: Packet,
     corrupt: bool,
+    len: u32,
 }
 
 /// A deferred multicast-group update (PDES mode): collected at the
@@ -398,6 +399,7 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
                 to: m.to,
                 pkt: m.pkt,
                 corrupt: m.corrupt,
+                len: m.len,
             },
         );
     }
@@ -449,8 +451,13 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
             self.events_processed += 1;
         }
         match kind {
-            EventKind::Deliver { to, pkt, corrupt } => {
-                let len = pkt.wire_len();
+            EventKind::Deliver {
+                to,
+                pkt,
+                corrupt,
+                len,
+            } => {
+                let len = len as usize;
                 match self.slot_of(to) {
                     None => {
                         self.stats.record_drop(DropReason::NoRoute, len);
@@ -463,7 +470,7 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
                         self.dispatch(slot, key, |node, ctx| node.on_corrupt_packet(pkt, ctx));
                     }
                     Some(slot) => {
-                        self.stats.record_delivery(&pkt, to, len);
+                        self.stats.record_delivery(&pkt, len);
                         if self.wire_check {
                             wire_fidelity_check(&pkt, len, &mut self.wire_scratch);
                         }
@@ -576,8 +583,9 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
             Command::Multicast { group, body } => {
                 let members = self.take_members(group, from);
                 for &m in &members {
-                    // Fan-out clones are reference-count bumps for the
-                    // shared message bodies (see `swishmem_wire::Shared`).
+                    // Fan-out clones never deep-copy an entry batch: one
+                    // entry is a copy, more a reference-count bump (see
+                    // `swishmem_wire::Shared`).
                     self.transmit(from, from_slot, m, body.clone());
                 }
                 self.member_scratch = members;
@@ -670,6 +678,7 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
                     to: hop,
                     pkt,
                     corrupt,
+                    len: bytes as u32,
                 },
             );
         } else {
@@ -679,6 +688,7 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
                 to: hop,
                 pkt,
                 corrupt,
+                len: bytes as u32,
             });
         }
     }

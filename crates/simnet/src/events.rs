@@ -19,6 +19,8 @@ pub(crate) enum EventKind {
         to: NodeId,
         pkt: Packet,
         corrupt: bool,
+        /// `pkt.wire_len()`, computed once when the frame was sent.
+        len: u32,
     },
     Timer {
         node: NodeId,
@@ -54,6 +56,14 @@ pub(crate) enum EventKind {
     /// Slab slot whose payload was popped (free-listed).
     Vacant,
 }
+
+// Every event is moved into and out of a slab slot of this size. The
+// widest variant is `LinkDegrade` (its inline `LinkOverlay` is 80 bytes);
+// `Deliver` must stay within it.
+const _: () = assert!(
+    std::mem::size_of::<EventKind>() <= 88,
+    "EventKind outgrew its 88-byte slab slot"
+);
 
 /// Flat heap entry: the payload stays in the slab, so sifting moves 24
 /// bytes regardless of how large the packet inside the event is.
@@ -134,15 +144,14 @@ impl EventQueue {
     }
 
     pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, EventKind)> {
-        let n = self.heap.len();
-        if n == 0 {
-            return None;
-        }
-        self.heap.swap(0, n - 1);
-        let top = self.heap.pop().expect("non-empty");
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
+        let last = self.heap.pop()?;
+        let top = match self.heap.first() {
+            Some(&top) => {
+                self.sift_down_from_root(last);
+                top
+            }
+            None => last,
+        };
         let kind = std::mem::replace(&mut self.slab[top.idx as usize], EventKind::Vacant);
         self.free.push(top.idx);
         Some((SimTime(top.time), top.key, kind))
@@ -162,10 +171,12 @@ impl EventQueue {
         self.heap[i] = e;
     }
 
-    fn sift_down(&mut self, mut i: usize) {
+    /// Fill the hole at the root with `e`, which is not in the heap: it is
+    /// carried down in registers and stored once, where it lands.
+    fn sift_down_from_root(&mut self, e: HeapEntry) {
         let heap = &mut self.heap[..];
         let n = heap.len();
-        let e = heap[i];
+        let mut i = 0;
         let ek = e.key();
         loop {
             let first = ARITY * i + 1;

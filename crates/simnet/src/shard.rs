@@ -355,11 +355,12 @@ impl ShardedEngine {
         let key = self.next_ext_key();
         let e = &mut self.engines[self.map.shard_of(pkt.dst) as usize];
         e.emit(t, key, NetEvent::Injected { pkt: &pkt });
-        let to = pkt.dst;
+        let (to, len) = (pkt.dst, pkt.wire_len() as u32);
         let kind = EventKind::Deliver {
             to,
             pkt,
             corrupt: false,
+            len,
         };
         e.push_ext(t, key, kind);
     }

@@ -146,13 +146,14 @@ impl Simulator {
         assert!(t >= self.core.now, "cannot inject into the past");
         // A `Direct` sink ignores keys.
         self.core.emit(t, 0, NetEvent::Injected { pkt: &pkt });
-        let to = pkt.dst;
+        let (to, len) = (pkt.dst, pkt.wire_len() as u32);
         self.push(
             t,
             EventKind::Deliver {
                 to,
                 pkt,
                 corrupt: false,
+                len,
             },
         );
     }

@@ -1,60 +1,16 @@
-//! Traffic accounting: per-class and per-link byte/packet counters.
+//! Traffic accounting: byte/packet counters per traffic class delivered
+//! and per drop reason.
 //!
 //! The bandwidth-overhead experiments (E2, E13, E14 in DESIGN.md) are
 //! computed entirely from these counters. Classification covers every
 //! message type by construction: a message's [`TrafficClass`] is part of
-//! its row in the wire crate's message table.
+//! its row in the wire crate's message table. Both breakdowns are flat
+//! arrays indexed by enum discriminant, so accounting a frame is one add;
+//! a question about one link or node is asked of an observer instead
+//! (a [`crate::Trace`], say).
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use swishmem_wire::Packet;
 pub use swishmem_wire::TrafficClass;
-use swishmem_wire::{NodeId, Packet};
-
-/// Multiply-and-rotate hasher (FxHash-style) for the small integer keys
-/// used below. `record_delivery` runs once per delivered frame, so the
-/// default SipHash cost dominates otherwise.
-#[derive(Default)]
-struct FxHasher(u64);
-
-const FX_SEED: u64 = 0x517c_c1b7_2722_0a95;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.add(u64::from(v));
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Packet/byte counter pair.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -100,25 +56,17 @@ impl DropReason {
 }
 
 /// Aggregate simulation statistics.
-///
-/// Per-class and per-reason counters are flat arrays indexed by the enum
-/// discriminant; only the per-link and per-node breakdowns (unbounded key
-/// spaces) stay in hash maps, behind the cheap hasher above.
 #[derive(Debug, Default, Clone)]
 pub struct NetStats {
     delivered: [Counter; TrafficClass::ALL.len()],
     dropped: [Counter; DropReason::ALL.len()],
-    per_link: FxMap<(NodeId, NodeId), Counter>,
-    per_node_rx: FxMap<NodeId, Counter>,
 }
 
 impl NetStats {
-    /// Record a successful delivery of `pkt` at hop `to` (equal to
-    /// `pkt.dst` except when a relay forwards the frame).
-    pub(crate) fn record_delivery(&mut self, pkt: &Packet, to: NodeId, bytes: usize) {
+    /// Record a successful delivery of `pkt` (at its destination or at a
+    /// relay on the way).
+    pub(crate) fn record_delivery(&mut self, pkt: &Packet, bytes: usize) {
         self.delivered[TrafficClass::of(pkt) as usize].add(bytes);
-        self.per_link.entry((pkt.src, to)).or_default().add(bytes);
-        self.per_node_rx.entry(to).or_default().add(bytes);
     }
 
     /// Record a drop.
@@ -146,16 +94,6 @@ impl NetStats {
         self.dropped[reason as usize]
     }
 
-    /// Bytes delivered over the directed link `src -> dst`.
-    pub fn link(&self, src: NodeId, dst: NodeId) -> Counter {
-        self.per_link.get(&(src, dst)).copied().unwrap_or_default()
-    }
-
-    /// Bytes received by `node`.
-    pub fn node_rx(&self, node: NodeId) -> Counter {
-        self.per_node_rx.get(&node).copied().unwrap_or_default()
-    }
-
     /// Fold another stats block into this one (sum every counter). Used
     /// by the sharded engine to merge per-shard accounting; addition is
     /// commutative, so merge order never affects the result.
@@ -168,24 +106,11 @@ impl NetStats {
             d.packets += s.packets;
             d.bytes += s.bytes;
         }
-        for (k, c) in &other.per_link {
-            let e = self.per_link.entry(*k).or_default();
-            e.packets += c.packets;
-            e.bytes += c.bytes;
-        }
-        for (k, c) in &other.per_node_rx {
-            let e = self.per_node_rx.entry(*k).or_default();
-            e.packets += c.packets;
-            e.bytes += c.bytes;
-        }
     }
 
     /// Reset all counters (used to scope measurements to a window).
     pub fn reset(&mut self) {
-        self.delivered = Default::default();
-        self.dropped = Default::default();
-        self.per_link.clear();
-        self.per_node_rx.clear();
+        *self = NetStats::default();
     }
 }
 
@@ -194,7 +119,7 @@ mod tests {
     use super::*;
     use std::net::Ipv4Addr;
     use swishmem_wire::swish::{Heartbeat, SyncUpdate, WriteAck, WriteOp, WriteRequest};
-    use swishmem_wire::{DataPacket, FlowKey, SwishMsg};
+    use swishmem_wire::{DataPacket, FlowKey, NodeId, SwishMsg};
 
     fn data() -> Packet {
         Packet::data(
@@ -265,8 +190,8 @@ mod tests {
     fn counters_accumulate_and_reset() {
         let mut st = NetStats::default();
         let p = data();
-        st.record_delivery(&p, p.dst, 100);
-        st.record_delivery(&p, p.dst, 50);
+        st.record_delivery(&p, 100);
+        st.record_delivery(&p, 50);
         st.record_drop(DropReason::Loss, 60);
 
         assert_eq!(
@@ -284,8 +209,6 @@ mod tests {
                 bytes: 60
             }
         );
-        assert_eq!(st.link(NodeId(0), NodeId(1)).packets, 2);
-        assert_eq!(st.node_rx(NodeId(1)).bytes, 150);
 
         st.reset();
         assert_eq!(st.delivered_total().packets, 0);

@@ -10,8 +10,8 @@ use swishmem_wire::{Packet, PacketBody};
 
 /// Round-trip `pkt` through the production codec and panic, with the
 /// frame in the message, on any drift: the full [`Packet::encode`] must
-/// produce exactly `len` (= [`Packet::wire_len`], which the caller has
-/// already computed for its statistics) bytes, and the full
+/// produce exactly `len` (= [`Packet::wire_len`], computed once when the
+/// frame was sent and carried with it) bytes, and the full
 /// [`Packet::from_bytes`] — checksum verified, trailing bytes rejected —
 /// must give back a packet `==` to the one sent.
 ///

@@ -273,10 +273,10 @@ impl<T: Wire> Wire for Shared<T> {
     fn put(&self, w: &mut Writer) {
         put_counted(self, w);
     }
-    /// Decodes straight into the shared slice. The claimed count is
-    /// checked against the buffer before anything is allocated, and the
-    /// chunk iterator has a trusted length, so the `Shared` is the one
-    /// allocation.
+    /// Decodes straight into the batch. The claimed count is checked
+    /// against the buffer before anything is allocated, and the chunk
+    /// iterator has a trusted length, so a one-entry batch allocates
+    /// nothing and a longer one is the one allocation.
     #[inline]
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = const { fixed::<T>() };

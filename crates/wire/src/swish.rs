@@ -407,8 +407,9 @@ wire_struct! {
         /// Causal trace of the sync round (or mirror burst) that produced this
         /// batch ([`TraceId::NONE`] when tracing is off).
         pub trace: TraceId,
-        /// The entries. Shared so multicast fan-out / mirroring clone by
-        /// reference-count bump; receivers must not mutate them in place.
+        /// The entries: inline when there is one, else shared, so
+        /// multicast fan-out / mirroring never deep-copies a batch;
+        /// receivers must not mutate them in place.
         pub entries: Shared<SyncEntry>,
     }
 

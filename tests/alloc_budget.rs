@@ -144,8 +144,9 @@ fn bare_event_core_allocates_nothing_per_event() {
 
 /// The wire check on the bare engine: every delivered frame is encoded
 /// into the engine's pooled scratch and decoded back. A fixed-width frame
-/// costs the allocator nothing; a `Sync` costs the one shared entry slice
-/// its decode builds.
+/// and a one-entry `Sync` (its entry decodes inline) cost the allocator
+/// nothing; a longer `Sync` costs the one shared entry slice its decode
+/// builds.
 #[test]
 fn wire_check_allocates_only_the_entries_of_a_sync() {
     let tcp = FlowKey::tcp(
@@ -154,6 +155,20 @@ fn wire_check_allocates_only_the_entries_of_a_sync() {
         Ipv4Addr::new(10, 1, 0, 2),
         80,
     );
+    let entry = |key| SyncEntry {
+        key,
+        slot: 1,
+        version: 8,
+        value: u64::from(key),
+    };
+    let sync_of = |n: u32| {
+        PacketBody::Swish(SwishMsg::Sync(SyncUpdate {
+            reg: 0,
+            origin: NodeId(1),
+            trace: TraceId::NONE,
+            entries: (0..n).map(entry).collect(),
+        }))
+    };
     let fixed = [
         PacketBody::Swish(SwishMsg::Write(WriteRequest {
             write_id: 42,
@@ -181,19 +196,9 @@ fn wire_check_allocates_only_the_entries_of_a_sync() {
         })),
         PacketBody::Data(DataPacket::tcp(tcp, TcpFlags::data(), 77, 120)),
         PacketBody::Data(data(5)),
+        sync_of(1),
     ];
-    let entry = |key| SyncEntry {
-        key,
-        slot: 1,
-        version: 8,
-        value: u64::from(key),
-    };
-    let sync = [PacketBody::Swish(SwishMsg::Sync(SyncUpdate {
-        reg: 0,
-        origin: NodeId(1),
-        trace: TraceId::NONE,
-        entries: (0..16).map(entry).collect(),
-    }))];
+    let sync = [sync_of(16)];
 
     let (mut sim, arrived) = relay_chain();
     sim.set_wire_check(true);
@@ -204,7 +209,10 @@ fn wire_check_allocates_only_the_entries_of_a_sync() {
     let before = delivered(&sim);
     let allocs = allocations_in(|| relay_round(&mut sim, &fixed));
     assert_eq!(delivered(&sim) - before, 5 * PACKETS);
-    assert_eq!(allocs, 0, "a fixed-width frame's wire check allocated");
+    assert_eq!(
+        allocs, 0,
+        "a fixed-width or one-entry frame's wire check allocated"
+    );
 
     let before = delivered(&sim);
     let allocs = allocations_in(|| relay_round(&mut sim, &sync));
@@ -255,7 +263,7 @@ fn round(dep: &mut Deployment) {
 }
 
 #[test]
-fn ewo_write_path_stays_within_two_allocations_per_packet() {
+fn ewo_write_path_allocates_only_for_background_ticks_and_recordings() {
     let mut dep = DeploymentBuilder::new(3)
         .hosts(2)
         .seed(11)
@@ -273,10 +281,12 @@ fn ewo_write_path_stays_within_two_allocations_per_packet() {
         dep.sum_metric(|m| m.dp.mirror_packets) - mirrors_before,
         PACKETS
     );
-    // One shared mirror body per packet, plus the background ticks
-    // (heartbeats, periodic sync) and the hosts' growing recordings.
+    // Nothing per packet: a one-entry mirror body is inline. What is left
+    // is the background ticks (heartbeats, periodic sync) and the hosts'
+    // growing recordings: 37 measured for this seeded run, and the run
+    // repeats exactly.
     assert!(
-        allocs <= 2 * PACKETS,
+        allocs <= 37,
         "{allocs} allocations for {PACKETS} EWO packets"
     );
 }
