@@ -1,5 +1,5 @@
-//! What the event loop in `core.rs` pops: event payloads, flat heap
-//! entries, and the slab-backed priority queue.
+//! What the event loop in `core.rs` pops: event payloads, flat queue
+//! entries, and the slab-backed two-tier priority queue.
 //!
 //! The queue orders events by a 128-bit `(time, key)` pair. In the
 //! global-RNG regime (`Simulator`, one shard) the key is a single
@@ -65,8 +65,9 @@ const _: () = assert!(
     "EventKind outgrew its 88-byte slab slot"
 );
 
-/// Flat heap entry: the payload stays in the slab, so sifting moves 24
-/// bytes regardless of how large the packet inside the event is.
+/// Flat queue entry: the payload stays in the slab, so sifting and
+/// re-bucketing move 24 bytes regardless of how large the packet inside
+/// the event is.
 #[derive(Clone, Copy)]
 struct HeapEntry {
     time: u64,
@@ -81,47 +82,118 @@ impl HeapEntry {
     fn key(&self) -> u128 {
         (u128::from(self.time) << 64) | u128::from(self.key)
     }
+
+    /// The time epoch the entry falls in: the far tier's radix.
+    #[inline]
+    fn epoch(&self) -> u64 {
+        self.time >> EPOCH_SHIFT
+    }
 }
 
-/// Heap fan-out. Four children per node halves the depth of a binary heap
-/// (18 → 9 levels at a 200k-deep queue), and picking the least of four
-/// siblings is a two-round tournament of branch-free compares.
+/// Near-heap fan-out. Four children per node halves the depth of a binary
+/// heap, and picking the least of four siblings is a two-round tournament
+/// of branch-free compares.
 const ARITY: usize = 4;
 const _: () = assert!(ARITY == 4, "sift_down's tournament is unrolled for four");
 
-/// 4-ary min-heap over `(time, key)` with slab-allocated payloads.
+/// An epoch is `2^EPOCH_SHIFT` ns (≈8 µs). The width trades near-heap
+/// depth against how often an entry re-buckets, and the optimum is flat:
+/// on the `fabric_fwd` benchmark (2-core Xeon) 2^6 and 2^16 ns ran within
+/// noise of 2^13, and 2^16 ns read 10 MB more peak RSS.
+const EPOCH_SHIFT: u32 = 13;
+/// One far-tier bucket per bit an epoch can first differ from `cur` in.
+const BUCKETS: usize = 64;
+/// Far-tier entries per arena chunk.
+const CHUNK: usize = 32;
+/// The end of a bucket's chunk list.
+const NIL: u32 = u32::MAX;
+
+/// A block of far-tier entries, linked into one bucket's list. Every chunk
+/// of a list is full but its head, the one pushes fill.
+struct Chunk {
+    entries: [HeapEntry; CHUNK],
+    len: u32,
+    next: u32,
+}
+
+/// Two-tier min-queue over `(time, key)` with slab-allocated payloads: a
+/// small exact heap for the current time epoch in front of radix buckets
+/// keyed by epoch. This is the shape of the radix heap (Ahuja, Mehlhorn,
+/// Orlin & Tarjan, JACM 1990) and of the ladder queue's bottom rung (Tang,
+/// Goh & Thng, TOMACS 2005).
+///
+/// - **Near tier**: a 4-ary heap of every entry whose epoch is at most
+///   `cur`. A push into the current or an earlier epoch lands here, so an
+///   injection at `now` or a PDES zero-delay event with a lower key needs
+///   no special path.
+/// - **Far tier**: an entry with epoch `ep > cur` waits in bucket
+///   `63 − lz(ep ^ cur)`, the highest bit where `ep` and `cur` differ;
+///   `mask` marks the non-empty buckets.
+/// - **Refill**: when the near heap empties, the lowest non-empty bucket
+///   opens: `cur` becomes its least epoch, that epoch's entries move into
+///   the near heap and the rest re-bucket strictly lower. Every higher
+///   bucket stays valid, because the new `cur` agrees with the old one on
+///   all bits above the opened bucket's. Refill is eager, so the near
+///   heap's root is always the queue's minimum and `peek_time` borrows.
 ///
 /// `(time, key)` pairs are unique, so the pop order is the one total order
-/// over them whatever the heap's shape: arity is a pure performance knob,
-/// invisible to determinism fingerprints.
+/// over them whatever the tiers' shapes: arity, epoch width and chunk size
+/// are pure performance knobs, invisible to determinism fingerprints.
 ///
-/// Chosen over a timer wheel by measurement: event delays span nanosecond
-/// serialization gaps to millisecond CP timers (six orders of magnitude),
-/// which a wheel only covers hierarchically, and flattening the heap
-/// entries already removes the dominant cost (moving packet-sized events
-/// during sifts). Chosen over the binary heap it replaced by measurement
-/// too: pops dominate, and a pop's sift-down walks the full depth.
-#[derive(Default)]
+/// Why two tiers: a single heap 200k entries deep walks 9 levels per pop,
+/// the bottom ones missing L2 one after another. The near heap holds only
+/// the open epoch (on `fabric_fwd`, about 23k of 204,800 entries), and
+/// an entry only ever re-buckets lower, in sequential chunk scans. A timer
+/// wheel would cover the six orders of magnitude between serialization
+/// gaps and CP timers only hierarchically, and a pure radix heap over
+/// `(time, key)` refills on every pop because keys are unique.
+///
+/// Far-tier storage is one pooled chunk arena with a free list, like the
+/// payload slab, rather than a `Vec` per bucket: as the clock advances,
+/// entries carry into bucket bits they never used before, and per-bucket
+/// vectors would allocate afresh at a depth the queue already reached.
 pub(crate) struct EventQueue {
-    heap: Vec<HeapEntry>,
+    near: Vec<HeapEntry>,
+    cur: u64,
+    heads: [u32; BUCKETS],
+    mask: u64,
+    chunks: Vec<Chunk>,
+    free_chunks: Vec<u32>,
     slab: Vec<EventKind>,
     free: Vec<u32>,
 }
 
+impl Default for EventQueue {
+    fn default() -> EventQueue {
+        EventQueue {
+            near: Vec::new(),
+            cur: 0,
+            heads: [NIL; BUCKETS],
+            mask: 0,
+            chunks: Vec::new(),
+            free_chunks: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
 impl EventQueue {
+    /// Pending events in both tiers: every one holds a slab slot.
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.heap.len()
+        self.slab.len() - self.free.len()
     }
 
+    /// Refill is eager, so an empty near heap means an empty queue.
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.near.is_empty()
     }
 
     #[inline]
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| SimTime(e.time))
+        self.near.first().map(|e| SimTime(e.time))
     }
 
     pub(crate) fn push(&mut self, time: SimTime, key: u64, kind: EventKind) {
@@ -132,49 +204,141 @@ impl EventQueue {
             }
             None => {
                 self.slab.push(kind);
+                self.reserve_chunks();
                 (self.slab.len() - 1) as u32
             }
         };
-        self.heap.push(HeapEntry {
+        let e = HeapEntry {
             time: time.nanos(),
             key,
             idx,
-        });
-        self.sift_up(self.heap.len() - 1);
+        };
+        if self.near.is_empty() {
+            // The queue is empty: the entry's own epoch opens.
+            self.cur = e.epoch();
+        }
+        self.place(e);
     }
 
     pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, EventKind)> {
-        let last = self.heap.pop()?;
-        let top = match self.heap.first() {
+        let last = self.near.pop()?;
+        let top = match self.near.first() {
             Some(&top) => {
                 self.sift_down_from_root(last);
                 top
             }
-            None => last,
+            None => {
+                if self.mask != 0 {
+                    self.refill();
+                }
+                last
+            }
         };
         let kind = std::mem::replace(&mut self.slab[top.idx as usize], EventKind::Vacant);
         self.free.push(top.idx);
         Some((SimTime(top.time), top.key, kind))
     }
 
+    /// The slab just grew to a depth the queue never reached before:
+    /// reserve the chunk arena for that depth too, so no later push or
+    /// refill allocates at a depth already reached. Every chunk is full but
+    /// the head of its list, and there are at most `BUCKETS` lists (during
+    /// a refill, the opened one among them), so `n` far entries occupy at
+    /// most `n / CHUNK + BUCKETS` chunks. A refill frees a chunk only after
+    /// reading it, so the entries it has already moved count twice; they
+    /// still fit, since either that chunk is the opened list's partly
+    /// filled head or the list has none left.
+    fn reserve_chunks(&mut self) {
+        let want = self.slab.len() / CHUNK + BUCKETS;
+        if self.chunks.capacity() < want {
+            self.chunks.reserve(want - self.chunks.len());
+            self.free_chunks.reserve(want - self.free_chunks.len());
+        }
+    }
+
+    /// File `e` in the near heap if its epoch is open, else in its bucket.
+    #[inline]
+    fn place(&mut self, e: HeapEntry) {
+        let ep = e.epoch();
+        if ep <= self.cur {
+            self.near.push(e);
+            self.sift_up(self.near.len() - 1);
+            return;
+        }
+        let b = 63 - (ep ^ self.cur).leading_zeros() as usize;
+        let mut head = self.heads[b];
+        if head == NIL || self.chunks[head as usize].len as usize == CHUNK {
+            head = match self.free_chunks.pop() {
+                Some(c) => {
+                    // A reused chunk's stale entries lie past `len`, unread.
+                    let chunk = &mut self.chunks[c as usize];
+                    (chunk.len, chunk.next) = (0, head);
+                    c
+                }
+                None => {
+                    self.chunks.push(Chunk {
+                        entries: [e; CHUNK],
+                        len: 0,
+                        next: head,
+                    });
+                    (self.chunks.len() - 1) as u32
+                }
+            };
+            self.heads[b] = head;
+            self.mask |= 1 << b;
+        }
+        let chunk = &mut self.chunks[head as usize];
+        chunk.entries[chunk.len as usize] = e;
+        chunk.len += 1;
+    }
+
+    /// Open the least non-empty epoch into the empty near heap.
+    fn refill(&mut self) {
+        let b = self.mask.trailing_zeros() as usize;
+        self.mask &= !(1 << b);
+        let head = std::mem::replace(&mut self.heads[b], NIL);
+        let mut least = u64::MAX;
+        let mut c = head;
+        while c != NIL {
+            let chunk = &self.chunks[c as usize];
+            for e in &chunk.entries[..chunk.len as usize] {
+                least = least.min(e.epoch());
+            }
+            c = chunk.next;
+        }
+        self.cur = least;
+        // Every entry lands in the near heap or a bucket below `b`. The
+        // chunk being read joins the free list only once it has been read,
+        // so no placement can overwrite it.
+        let mut c = head;
+        while c != NIL {
+            let Chunk { len, next, .. } = self.chunks[c as usize];
+            for i in 0..len as usize {
+                self.place(self.chunks[c as usize].entries[i]);
+            }
+            self.free_chunks.push(c);
+            c = next;
+        }
+    }
+
     fn sift_up(&mut self, mut i: usize) {
-        let e = self.heap[i];
+        let e = self.near[i];
         let ek = e.key();
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if self.heap[parent].key() <= ek {
+            if self.near[parent].key() <= ek {
                 break;
             }
-            self.heap[i] = self.heap[parent];
+            self.near[i] = self.near[parent];
             i = parent;
         }
-        self.heap[i] = e;
+        self.near[i] = e;
     }
 
     /// Fill the hole at the root with `e`, which is not in the heap: it is
     /// carried down in registers and stored once, where it lands.
     fn sift_down_from_root(&mut self, e: HeapEntry) {
-        let heap = &mut self.heap[..];
+        let heap = &mut self.near[..];
         let n = heap.len();
         let mut i = 0;
         let ek = e.key();
@@ -221,6 +385,7 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn pops_in_time_key_order() {
@@ -296,51 +461,86 @@ mod tests {
         }
     }
 
+    /// Every pop is the least pending `(time, key)` of a sorted reference,
+    /// and `len` / `peek_time` agree with it after every operation. Pushes
+    /// mix ties at the current instant, steps that straddle epoch
+    /// boundaries, spans of many epochs, timers 2^40 ns and more ahead and
+    /// times near `u64::MAX / 2`; at the current instant half the pushes
+    /// carry a key below the last popped one (the PDES zero-delay case).
+    /// Each round drains to empty, so the next round's first push lands
+    /// in an empty queue and opens its own epoch.
     #[test]
-    fn pops_ten_thousand_interleaved_entries_in_sorted_order() {
-        // Few distinct times (long runs of ties broken by key) and pops
-        // interleaved with pushes. Like the engines, a push never lands
-        // before the last pop — keys grow, so a tie with the popped time
-        // still sorts after it — hence the whole pop sequence must equal
-        // the sorted push sequence.
+    fn pops_match_a_sorted_reference_across_epochs_and_tiers() {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = || {
+        let mut next = move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
         };
+        let epoch = 1u64 << EPOCH_SHIFT;
         let mut q = EventQueue::default();
-        let mut pushed = Vec::new();
-        let mut popped = Vec::new();
-        let mut floor = 0u64;
-        for key in 0..10_000u64 {
-            let time = floor + next() % 16;
-            q.push(
-                SimTime(time),
-                key,
-                EventKind::Timer {
-                    node: NodeId(0),
-                    token: key,
-                },
-            );
-            pushed.push((time, key));
-            if next() % 3 == 0 {
-                for _ in 0..next() % 4 + 1 {
-                    let Some((t, k, EventKind::Timer { token, .. })) = q.pop() else {
-                        break;
-                    };
-                    assert_eq!(token, k, "payload stayed with its heap entry");
-                    popped.push((t.nanos(), k));
-                    floor = t.nanos();
+        let mut reference = BTreeSet::new();
+        let (mut now, mut last_key) = (0u64, 0u64);
+        let mut pops = 0;
+        for _round in 0..6 {
+            for _ in 0..10_000 {
+                if next() % 5 < 2 {
+                    if let Some(popped) = pop_checked(&mut q, &mut reference) {
+                        (now, last_key) = popped;
+                        pops += 1;
+                    }
+                    continue;
                 }
+                let time = match next() % 8 {
+                    0 => now,
+                    1 => now + next() % 16,
+                    2 => (now | (epoch - 1)) + next() % 8,
+                    3 => now + next() % (64 * epoch),
+                    4 => now + (1 << 40) + next() % (1 << 42),
+                    5 => u64::MAX / 2 - next() % (4 * epoch),
+                    _ => now + next() % epoch,
+                };
+                let key = if time == now && next() % 2 == 0 {
+                    next() % last_key.max(1)
+                } else {
+                    next()
+                };
+                if !reference.insert((time, key)) {
+                    continue;
+                }
+                let token = key;
+                let node = NodeId(0);
+                q.push(SimTime(time), key, EventKind::Timer { node, token });
+                check_against(&q, &reference);
             }
+            while let Some(popped) = pop_checked(&mut q, &mut reference) {
+                (now, last_key) = popped;
+                pops += 1;
+            }
+            assert!(q.is_empty());
         }
-        while let Some((t, k, _)) = q.pop() {
-            popped.push((t.nanos(), k));
-        }
-        pushed.sort_unstable();
-        assert_eq!(popped.len(), 10_000);
-        assert_eq!(popped, pushed);
+        assert!(pops > 30_000, "only {pops} pops");
+    }
+
+    /// Pop one entry, check it is the reference's least and carries its
+    /// own payload, and return it.
+    fn pop_checked(q: &mut EventQueue, reference: &mut BTreeSet<(u64, u64)>) -> Option<(u64, u64)> {
+        let popped = q.pop().map(|(t, k, kind)| {
+            let EventKind::Timer { token, .. } = kind else {
+                panic!("only timers were pushed");
+            };
+            assert_eq!(token, k, "payload stayed with its entry");
+            (t.nanos(), k)
+        });
+        assert_eq!(popped, reference.pop_first());
+        check_against(q, reference);
+        popped
+    }
+
+    fn check_against(q: &EventQueue, reference: &BTreeSet<(u64, u64)>) {
+        assert_eq!(q.len(), reference.len());
+        let least = reference.first().map(|&(t, _)| SimTime(t));
+        assert_eq!(q.peek_time(), least);
     }
 }

@@ -341,7 +341,11 @@ impl ShardedEngine {
         self.sync_sinks();
     }
 
-    fn next_ext_key(&mut self) -> u64 {
+    /// Draw the key of an external event at `t`. Every external event
+    /// draws one, so this is where the past is refused: an event before
+    /// `now` would run a shard's clock backwards when processed.
+    fn next_ext_key(&mut self, t: SimTime) -> u64 {
+        assert!(t >= self.now, "cannot inject into the past");
         let k = self.ext_ctr;
         self.ext_ctr += 1;
         debug_assert!(k < 1 << ORIGIN_SHIFT, "external key space exhausted");
@@ -351,8 +355,7 @@ impl ShardedEngine {
     /// Schedule delivery of `pkt` to `pkt.dst` at `t`, bypassing links.
     pub fn inject(&mut self, t: SimTime, pkt: Packet) {
         self.freeze();
-        assert!(t >= self.now, "cannot inject into the past");
-        let key = self.next_ext_key();
+        let key = self.next_ext_key(t);
         let e = &mut self.engines[self.map.shard_of(pkt.dst) as usize];
         e.emit(t, key, NetEvent::Injected { pkt: &pkt });
         let (to, len) = (pkt.dst, pkt.wire_len() as u32);
@@ -368,7 +371,7 @@ impl ShardedEngine {
     /// Schedule a fail-stop failure of `node` at `t` (owner shard).
     pub fn schedule_fail(&mut self, t: SimTime, node: NodeId) {
         self.freeze();
-        let key = self.next_ext_key();
+        let key = self.next_ext_key(t);
         let shard = self.map.shard_of(node) as usize;
         self.engines[shard].push_ext(t, key, EventKind::Fail { node });
     }
@@ -376,7 +379,7 @@ impl ShardedEngine {
     /// Schedule recovery of `node` at `t` (owner shard).
     pub fn schedule_recover(&mut self, t: SimTime, node: NodeId) {
         self.freeze();
-        let key = self.next_ext_key();
+        let key = self.next_ext_key(t);
         let shard = self.map.shard_of(node) as usize;
         self.engines[shard].push_ext(t, key, EventKind::Recover { node });
     }
@@ -384,7 +387,7 @@ impl ShardedEngine {
     /// Fire timer `token` on `node` at `t` (owner shard).
     pub fn schedule_trigger(&mut self, t: SimTime, node: NodeId, token: u64) {
         self.freeze();
-        let key = self.next_ext_key();
+        let key = self.next_ext_key(t);
         let shard = self.map.shard_of(node) as usize;
         self.engines[shard].push_ext(t, key, EventKind::Timer { node, token });
     }
@@ -399,7 +402,7 @@ impl ShardedEngine {
         b: NodeId,
         make: impl Fn(bool) -> EventKind,
     ) {
-        let key = self.next_ext_key();
+        let key = self.next_ext_key(t);
         let sa = self.map.shard_of(a) as usize;
         let sb = self.map.shard_of(b) as usize;
         self.engines[sa].push_ext(t, key, make(true));
@@ -759,5 +762,18 @@ mod tests {
             let end = sim.run_until_quiescent(SimTime(5_000_000));
             assert_eq!((end, sim.now()), (SimTime(10_000_000), SimTime(10_000_000)));
         }
+    }
+
+    /// A fault schedule based before `now` would hand its trigger a
+    /// rewound clock; it panics in every build profile, like `inject`.
+    #[test]
+    #[should_panic(expected = "cannot inject into the past")]
+    fn external_event_before_now_panics() {
+        let mut sim = ShardedEngine::new(1, 2);
+        sim.add_node(NodeId(0), Box::new(Sleeper));
+        sim.add_node(NodeId(1), Box::new(Sleeper));
+        sim.run_until(SimTime(1_000_000));
+        let sched = FaultSchedule::new().trigger(SimDuration::ZERO, NodeId(1), 0);
+        sim.schedule_faults(SimTime(500_000), &sched);
     }
 }

@@ -134,7 +134,14 @@ impl Simulator {
         self.core.is_failed(id)
     }
 
+    /// Every external event enters the queue here. None may land before
+    /// `now`: processing it would run the clock backwards.
     fn push(&mut self, time: SimTime, kind: EventKind) {
+        assert!(time >= self.core.now, "cannot inject into the past");
+        if let EventKind::Deliver { pkt, .. } = &kind {
+            // A `Direct` sink ignores keys.
+            self.core.emit(time, 0, NetEvent::Injected { pkt });
+        }
         // The global regime draws its own key; the argument is unused.
         self.core.push_ext(time, 0, kind);
     }
@@ -143,9 +150,6 @@ impl Simulator {
     /// bypassing links. Used to inject external (ingress) traffic;
     /// injection observers see it at once, stamped `t`.
     pub fn inject(&mut self, t: SimTime, pkt: Packet) {
-        assert!(t >= self.core.now, "cannot inject into the past");
-        // A `Direct` sink ignores keys.
-        self.core.emit(t, 0, NetEvent::Injected { pkt: &pkt });
         let (to, len) = (pkt.dst, pkt.wire_len() as u32);
         self.push(
             t,
@@ -429,6 +433,18 @@ mod tests {
         assert!(sim.node::<Echo>(NodeId(0)).is_none());
         sim.node_mut::<Ticker>(NodeId(0)).unwrap().fired = 99;
         assert_eq!(sim.node::<Ticker>(NodeId(0)).unwrap().fired, 99);
+    }
+
+    /// A fault schedule based before `now` would hand its trigger a
+    /// rewound clock; it panics in every build profile, like `inject`.
+    #[test]
+    #[should_panic(expected = "cannot inject into the past")]
+    fn external_event_before_now_panics() {
+        let mut sim = Simulator::new(1);
+        sim.add_node(NodeId(0), Box::new(Ticker::default()));
+        sim.run_until(SimTime(1_000_000));
+        let sched = FaultSchedule::new().trigger(SimDuration::ZERO, NodeId(0), 7);
+        sim.schedule_faults(SimTime(500_000), &sched);
     }
 
     #[test]

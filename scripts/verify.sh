@@ -4,10 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --workspace --release"
-cargo build --workspace --release
-
-# One debug-profile run of every suite in the workspace. The gates below
+# Tier-1 itself. The root manifest's `default-members` lists every crate,
+# so these two plain commands build the whole workspace in release and run
+# every suite in it once, in the debug profile. The gates below
 # are part of it; when one of these names fails, this is what it guards
 # (re-run it alone with `cargo test [-p <crate>] --test <suite> <name>`):
 #
@@ -53,8 +52,9 @@ cargo build --workspace --release
 #     round-trips a million records and rejects truncation/corruption with
 #     typed errors; swishmem-replay/scenario_packs — five oracle-armed
 #     packs pass clean and the sabotaged feed fails (the gate is live).
-echo "==> cargo test --workspace"
-cargo test -q --workspace
+echo "==> cargo build --release && cargo test -q (tier-1)"
+cargo build --release
+cargo test -q
 
 # Release-profile gates: host-time or allocation measurements that mean
 # nothing in a debug build, so the workspace run above does not cover them.
@@ -64,7 +64,8 @@ cargo test -q --workspace
 #   replay_lab (§15, E24 smoke): digest shard-invariance exactly, ring
 #     ingest parity within its CI bound.
 #   alloc_budget ("Performance model"): 0 allocations per event on the bare
-#     engine, <= 2 per EWO packet, <= 1 per SRO read hit, <= 5 per SRO chain
+#     engine, also in rounds that shift the clock into event-queue buckets
+#     unused before, <= 37 per EWO round, <= 1 per SRO read hit, <= 5 per SRO chain
 #     write; the wire check 0 per fixed-width frame and <= 1 per Sync; a
 #     fault_sweep-shaped run with oracles, spans, journal and wire check
 #     armed <= 9 per write.

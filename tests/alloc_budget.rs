@@ -132,7 +132,7 @@ fn relay_round(sim: &mut Simulator, bodies: &[PacketBody]) {
 fn bare_event_core_allocates_nothing_per_event() {
     let (mut sim, arrived) = relay_chain();
     let bodies: Vec<PacketBody> = (0..PACKETS).map(|i| PacketBody::Data(data(i))).collect();
-    // Warm-up: grows the event slab, the heap and the command scratch to
+    // Warm-up: grows the event slab, the queue and the command scratch to
     // the depth the measured round needs.
     relay_round(&mut sim, &bodies);
     let events_before = sim.events_processed();
@@ -140,6 +140,22 @@ fn bare_event_core_allocates_nothing_per_event() {
     assert_eq!(arrived.get(), 2 * PACKETS, "every frame crossed the chain");
     assert_eq!(sim.events_processed() - events_before, 5 * PACKETS);
     assert_eq!(allocs, 0, "the bare event core allocated after warm-up");
+}
+
+/// Each round starts where the last one drained, at a later clock and a
+/// new offset into the event queue's time epochs, so its pending events
+/// spread over far-tier buckets the earlier rounds left unused. Storage
+/// pooled for the warm-up's depth must serve them all.
+#[test]
+fn event_queue_allocates_nothing_across_time_shifted_rounds() {
+    let (mut sim, arrived) = relay_chain();
+    let bodies: Vec<PacketBody> = (0..PACKETS).map(|i| PacketBody::Data(data(i))).collect();
+    relay_round(&mut sim, &bodies);
+    for round in 1..=10 {
+        let allocs = allocations_in(|| relay_round(&mut sim, &bodies));
+        assert_eq!(allocs, 0, "measured round {round} allocated");
+    }
+    assert_eq!(arrived.get(), 11 * PACKETS, "every frame crossed the chain");
 }
 
 /// The wire check on the bare engine: every delivered frame is encoded
