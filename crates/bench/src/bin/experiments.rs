@@ -38,10 +38,7 @@ fn main() {
         for (id, _) in &all {
             println!("{id}");
         }
-        eprintln!(
-            "companion bins (cargo run -p swishmem-bench --release --bin <name>): \
-             trace_explain, ctrl_explain"
-        );
+        eprintln!("companion bin (cargo run -p swishmem-bench --release --bin <name>): explain");
         return;
     }
     let known: Vec<&str> = all.iter().map(|(id, _)| *id).collect();

@@ -5,34 +5,12 @@
 //! quantified: zero oracle violations, plus the cost the control plane
 //! paid to get there (retries, sheds, sweep repairs).
 
-use crate::scenarios::udp_write;
+use crate::scenarios::{udp_write, CounterNf, WriteNf};
 use crate::table::{ExperimentResult, Table};
 use swishmem::oracle::{OracleConfig, OracleSuite};
 use swishmem::prelude::*;
-use swishmem::{NfApp, NfDecision, RegisterSpec, SharedState};
+use swishmem::{NfApp, RegisterSpec};
 use swishmem_simnet::FaultGen;
-
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-struct CountNf;
-impl NfApp for CountNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.add(0, u32::from(pkt.flow.dst_port), 1);
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
 
 struct SweepOutcome {
     events: usize,
@@ -55,7 +33,7 @@ fn sweep(kind: &str, seed: u64) -> SweepOutcome {
         .register(spec)
         .build(move |_| -> Box<dyn NfApp> {
             if is_ewo {
-                Box::new(CountNf)
+                Box::new(CounterNf)
             } else {
                 Box::new(WriteNf)
             }

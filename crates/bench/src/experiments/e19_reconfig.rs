@@ -8,25 +8,14 @@
 //! disruption paid during the transfer, and the migration's wire cost —
 //! with every consistency oracle armed on the reconfiguring run.
 
-use crate::scenarios::udp_write;
+use crate::scenarios::{udp_write, WriteNf};
 use crate::table::{ExperimentResult, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use swishmem::oracle::{OracleConfig, OracleSuite};
 use swishmem::prelude::*;
-use swishmem::{MigrationPhase, NfApp, NfDecision, RegisterSpec, SharedState};
+use swishmem::{MigrationPhase, RegisterSpec};
 use swishmem_nf::workload::Zipf;
-
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
 
 const KEYS: u32 = 64;
 /// All traffic enters at this switch — the bootstrap owner of the *last*

@@ -9,25 +9,11 @@
 //! itself recovers. The steady-state consensus message overhead is
 //! reported from the no-crash runs.
 
-use crate::scenarios::udp_write;
+use crate::scenarios::{min_mean_max, udp_write, WriteNf};
 use crate::table::{ExperimentResult, Table};
 use swishmem::prelude::*;
-use swishmem::{
-    ConfigEventKind, Deployment, NfApp, NfDecision, ReconfigEvent, RegisterSpec, SharedState,
-    TriggerOp,
-};
+use swishmem::{ConfigEventKind, Deployment, ReconfigEvent, RegisterSpec, TriggerOp};
 use swishmem_wire::NodeId as WireNodeId;
-
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
 
 const KEYS: u32 = 48;
 const RECOVER_AFTER: SimDuration = SimDuration::millis(25);
@@ -197,18 +183,9 @@ pub fn run(quick: bool) -> ExperimentResult {
         single_total.2 += single.failed;
     }
 
-    let stats = |xs: &[f64]| -> (f64, f64, f64) {
-        if xs.is_empty() {
-            return (0.0, 0.0, 0.0);
-        }
-        let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().cloned().fold(0.0f64, f64::max);
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        (min, mean, max)
-    };
-    let (gmin, gmean, gmax) = stats(&gaps);
-    let (_, rc_mean, rc_max) = stats(&rep_commit);
-    let (_, sc_mean, sc_max) = stats(&single_commit);
+    let (gmin, gmean, gmax) = min_mean_max(&gaps);
+    let (_, rc_mean, rc_max) = min_mean_max(&rep_commit);
+    let (_, sc_mean, sc_max) = min_mean_max(&single_commit);
 
     let mut gap_table = Table::new(
         "Leader failover, crash mid-migration (3 replicas, majority quorum)",

@@ -9,68 +9,26 @@
 //! horizon: the slot window stays bounded by snapshots while lookups are
 //! load-spread across the replica group.
 
-use crate::scenarios::udp_write;
+use crate::scenarios::{
+    crash_leader, election_gap, inject_writes, min_mean_max, replicated_deployment, CRASH_KEYS,
+};
 use crate::table::{ExperimentResult, Table};
 use swishmem::prelude::*;
-use swishmem::{Deployment, NfApp, NfDecision, RegisterSpec, SharedState, TriggerOp};
+use swishmem::{Deployment, TriggerOp};
 use swishmem_simnet::{FaultSchedule, LinkOverlay};
 
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-const KEYS: u32 = 48;
-
 fn build(seed: u64, tweak: impl FnOnce(&mut SwishConfig)) -> Deployment {
-    let mut cfg = SwishConfig {
-        ctrl_replicas: 3,
-        ..Default::default()
-    };
-    tweak(&mut cfg);
-    let mut dep = DeploymentBuilder::new(3)
-        .hosts(1)
-        .seed(seed)
-        .swish_config(cfg)
-        .register(RegisterSpec::partitioned(0, "p", KEYS))
-        .build(|_| Box::new(WriteNf));
+    let mut dep = replicated_deployment(seed, tweak);
     dep.settle();
     dep
-}
-
-fn inject_writes(dep: &mut Deployment, t0: SimTime, n: u64, window: SimDuration) {
-    let step = window.as_nanos() / n.max(1);
-    for i in 0..n {
-        let key = (i % u64::from(KEYS)) as u16;
-        dep.inject(
-            t0 + SimDuration::nanos(i * step),
-            (i % 3) as usize,
-            0,
-            udp_write(key, 100 + (i % 400) as u16),
-        );
-    }
 }
 
 /// Crash the warmed-up leader and return the crash-to-committed-election
 /// gap under the given detector mode.
 fn crash_gap(seed: u64, adaptive: bool) -> Option<SimDuration> {
     let mut dep = build(seed, |c| c.adaptive_detector = adaptive);
-    dep.run_for(SimDuration::millis(30)); // detector warm-up: ≥3 beacon gaps
-    let t_crash = dep.now();
-    dep.schedule_ctrl_fail(t_crash, 0);
-    inject_writes(&mut dep, t_crash, 24, SimDuration::millis(20));
-    dep.run_for(SimDuration::millis(60));
-    dep.controller()
-        .elections()
-        .iter()
-        .find(|e| e.time >= t_crash)
-        .map(|e| e.time.since(t_crash))
+    let t_crash = crash_leader(&mut dep);
+    election_gap(&dep, t_crash)
 }
 
 /// Jitter every replica-replica link for 50 ms (beacons arrive late and
@@ -136,7 +94,7 @@ fn compaction_run(seed: u64) -> CompactionOutcome {
             t0 + SimDuration::millis(5 * i),
             (i % 3) as usize,
             0,
-            (i % u64::from(KEYS)) as u32,
+            (i % u64::from(CRASH_KEYS)) as u32,
         );
     }
     dep.run_for(SimDuration::millis(340));
@@ -158,16 +116,6 @@ fn compaction_run(seed: u64) -> CompactionOutcome {
 
 fn ms(d: SimDuration) -> f64 {
     d.as_nanos() as f64 / 1e6
-}
-
-fn stats(xs: &[f64]) -> (f64, f64, f64) {
-    if xs.is_empty() {
-        return (0.0, 0.0, 0.0);
-    }
-    let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = xs.iter().cloned().fold(0.0f64, f64::max);
-    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-    (min, mean, max)
 }
 
 /// Run E22.
@@ -197,8 +145,8 @@ pub fn run(quick: bool) -> ExperimentResult {
     }
     let comp = compaction_run(seeds[0]);
 
-    let (amin, amean, amax) = stats(&adaptive_gaps);
-    let (smin, smean, smax) = stats(&static_gaps);
+    let (amin, amean, amax) = min_mean_max(&adaptive_gaps);
+    let (smin, smean, smax) = min_mean_max(&static_gaps);
     let mut gap_table = Table::new(
         "Failover gap by detector (leader crash after warm-up)",
         &["detector", "min ms", "mean ms", "max ms", "elections"],

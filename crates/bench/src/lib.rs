@@ -13,10 +13,13 @@
 //! cargo run -p swishmem-bench --release --bin experiments -- --json out.json
 //! ```
 //!
-//! Criterion micro-benchmarks for the hot paths live under `benches/`.
+//! `explain` makes one traced, journaled, oracle-checked run and gates
+//! what its collectors recorded (`explain` module, `--bin explain`). The
+//! repo's perf instrument is the `benchmark/` ladder, not this crate.
 #![allow(clippy::field_reassign_with_default)] // experiment configs read clearer as sequential overrides
 
 pub mod experiments;
+pub mod explain;
 pub mod json;
 pub mod scenarios;
 pub mod shardnet;

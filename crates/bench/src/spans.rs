@@ -1,18 +1,18 @@
 //! Span analysis: reconstruct per-operation latency breakdowns from the
 //! simulator's causal span markers, aggregate per-phase percentiles, and
-//! export Chrome/Perfetto `trace_event` JSON.
+//! export spans and the control-plane journal as one Chrome/Perfetto
+//! `trace_event` document.
 //!
 //! Span markers are *points*, not intervals; a phase's duration is the
 //! gap from the previous marker, attributed to the **later** marker's
 //! kind ("the time it took to reach this phase"). Consecutive gaps
 //! telescope, so a completed operation's per-phase durations sum exactly
-//! to its end-to-end latency — the property `trace_explain` uses to
-//! reconcile breakdowns against the `write_latency` histogram with zero
-//! slack.
+//! to its end-to-end latency — the property `explain` uses to reconcile
+//! breakdowns against the `write_latency` histogram with zero slack.
 
 use crate::json::Json;
 use std::collections::BTreeMap;
-use swishmem::{CtrlEvent, Histogram, Journal};
+use swishmem::{CtrlEvent, Histogram, Journal, MigrationTimeline};
 use swishmem_simnet::{SpanEvent, SpanPhase};
 use swishmem_wire::TraceId;
 
@@ -94,168 +94,174 @@ pub fn phase_histograms(breakdowns: &[TraceBreakdown]) -> Vec<(String, Histogram
     out
 }
 
-/// Render span events as a Chrome/Perfetto `trace_event` JSON document
-/// (loadable in ui.perfetto.dev or chrome://tracing).
-///
-/// Layout: one Perfetto *thread* per trace (named after its TraceId),
-/// grouped under one *process* per originating switch. Each phase slice
-/// is a complete (`"X"`) event whose `ts`/`dur` are the gap from the
-/// previous marker, so the rendered track mirrors the telescoping
-/// breakdown; the opening marker is an instant (`"i"`) event.
-pub fn to_perfetto(events: &[SpanEvent]) -> Json {
-    // Chrome trace_event timestamps are microseconds; keep sub-µs
-    // precision by emitting fractional values.
-    let us = |ns: u64| Json::Num(ns as f64 / 1000.0);
+/// How a migration ended: `committed`, `aborted: <reason>` or `open`.
+pub fn migration_outcome(m: &MigrationTimeline) -> String {
+    if m.commit_at.is_some() {
+        "committed".into()
+    } else if let Some(r) = m.abort_reason {
+        format!(
+            "aborted: {}",
+            swishmem::telemetry::journal::abort_reason_str(r)
+        )
+    } else {
+        "open".into()
+    }
+}
 
+/// A Chrome/Perfetto `trace_event` document under construction. Tracks
+/// are addressed by name: the first use of a process name takes the
+/// next pid, the first use of a thread name within it the next tid, and
+/// each emits its one `process_name` / `thread_name` record. Renderers
+/// of different streams therefore share one timeline without clashing.
+#[derive(Default)]
+struct Tracks {
+    events: Vec<Json>,
+    /// Per process name: its pid and how many threads it has.
+    procs: BTreeMap<String, (u64, u64)>,
+    /// Per `(process, thread)` name: its `(pid, tid)`.
+    threads: BTreeMap<(String, String), (u64, u64)>,
+}
+
+impl Tracks {
+    /// The `(pid, tid)` of `thread` under `process`, declared on first use.
+    fn track(&mut self, process: &str, thread: &str) -> (u64, u64) {
+        let key = (process.to_string(), thread.to_string());
+        if let Some(&ids) = self.threads.get(&key) {
+            return ids;
+        }
+        let next_pid = self.procs.len() as u64 + 1;
+        let (pid, n_threads) = self.procs.entry(key.0.clone()).or_insert((next_pid, 0));
+        *n_threads += 1;
+        let ids = (*pid, *n_threads);
+        if ids.0 == next_pid {
+            // A process name seen for the first time.
+            self.meta("process_name", ids.0, None, process);
+        }
+        self.meta("thread_name", ids.0, Some(ids.1), thread);
+        self.threads.insert(key, ids);
+        ids
+    }
+
+    fn meta(&mut self, kind: &str, pid: u64, tid: Option<u64>, name: &str) {
+        let mut fields = vec![
+            ("name", Json::str(kind)),
+            ("ph", Json::str("M")),
+            ("pid", Json::from(pid)),
+        ];
+        fields.extend(tid.map(|tid| ("tid", Json::from(tid))));
+        fields.push(("args", Json::obj(vec![("name", Json::str(name))])));
+        self.events.push(Json::obj(fields));
+    }
+
+    /// One event on `(process, thread)`: an instant (`"i"`) when `dur_ns`
+    /// is `None`, else a complete (`"X"`) slice. Timestamps are
+    /// microseconds; fractional values keep sub-µs precision.
+    fn event(
+        &mut self,
+        (process, thread): (&str, &str),
+        cat: &str,
+        name: String,
+        ts_ns: u64,
+        dur_ns: Option<u64>,
+        arg: (&str, String),
+    ) {
+        let us = |ns: u64| Json::Num(ns as f64 / 1000.0);
+        let (pid, tid) = self.track(process, thread);
+        let mut fields = vec![("name", Json::str(name)), ("cat", Json::str(cat))];
+        match dur_ns {
+            None => fields.extend([("ph", Json::str("i")), ("s", Json::str("t"))]),
+            Some(_) => fields.push(("ph", Json::str("X"))),
+        }
+        fields.push(("ts", us(ts_ns)));
+        fields.extend(dur_ns.map(|d| ("dur", us(d))));
+        fields.extend([
+            ("pid", Json::from(pid)),
+            ("tid", Json::from(tid)),
+            ("args", Json::obj(vec![(arg.0, Json::str(arg.1))])),
+        ]);
+        self.events.push(Json::obj(fields));
+    }
+
+    fn finish(self) -> Json {
+        Json::obj(vec![
+            ("traceEvents", Json::Arr(self.events)),
+            ("displayTimeUnit", Json::str("ns")),
+        ])
+    }
+}
+
+/// Render span markers and a decoded control-plane journal as one
+/// Chrome/Perfetto `trace_event` document on one timeline (loadable in
+/// ui.perfetto.dev or chrome://tracing).
+///
+/// Write spans: one thread per trace (named after its TraceId) under one
+/// process per originating switch. Each phase slice is a complete event
+/// whose `ts`/`dur` are the gap from the previous marker, so the track
+/// mirrors the telescoping breakdown; the opening marker is an instant.
+///
+/// Control plane: a "control plane" process carries the fabric-global
+/// timelines — leadership reigns (one slice per epoch, from its election
+/// decree to the next), migration lifecycles (begin→terminal, with the
+/// dual-owner window nested) and compaction / snapshot instants. Every
+/// replica gets a process with a detector thread (suspicion slices from
+/// `Suspect` to the clearing `Unsuspect`; open suspicions run to the end
+/// of the journal) and a leadership thread (campaign / election / lease
+/// instants).
+pub fn to_perfetto(spans: &[SpanEvent], journal: &Journal) -> Json {
+    let mut tracks = Tracks::default();
+    span_tracks(&mut tracks, spans);
+    journal_tracks(&mut tracks, journal);
+    tracks.finish()
+}
+
+fn span_tracks(tracks: &mut Tracks, events: &[SpanEvent]) {
     let mut by_trace: BTreeMap<u64, Vec<SpanEvent>> = BTreeMap::new();
     for e in events {
         by_trace.entry(e.trace.0).or_default().push(*e);
     }
-
-    let mut out: Vec<Json> = Vec::new();
-    let mut named_pids: Vec<u64> = Vec::new();
-    for (tid_seq, (id, tl)) in by_trace.iter_mut().enumerate() {
+    for (id, mut tl) in by_trace {
         tl.sort_by_key(|e| e.time);
-        let trace = TraceId(*id);
-        let pid = tl[0].trace.0 >> 48; // origin node + 1
-        let tid = tid_seq as u64 + 1;
-        if !named_pids.contains(&pid) {
-            named_pids.push(pid);
-            out.push(Json::obj(vec![
-                ("name", Json::str("process_name")),
-                ("ph", Json::str("M")),
-                ("pid", Json::from(pid)),
-                (
-                    "args",
-                    Json::obj(vec![(
-                        "name",
-                        Json::str(format!("switch n{}", pid.saturating_sub(1))),
-                    )]),
-                ),
-            ]));
-        }
-        out.push(Json::obj(vec![
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::from(pid)),
-            ("tid", Json::from(tid)),
-            (
-                "args",
-                Json::obj(vec![("name", Json::str(format!("{trace}")))]),
-            ),
-        ]));
-        out.push(Json::obj(vec![
-            ("name", Json::str(tl[0].phase.label())),
-            ("cat", Json::str("span")),
-            ("ph", Json::str("i")),
-            ("s", Json::str("t")),
-            ("ts", us(tl[0].time.nanos())),
-            ("pid", Json::from(pid)),
-            ("tid", Json::from(tid)),
-            (
-                "args",
-                Json::obj(vec![("node", Json::str(format!("{}", tl[0].node)))]),
-            ),
-        ]));
+        let trace = TraceId(id);
+        let process = format!("switch n{}", (id >> 48).saturating_sub(1)); // origin node + 1
+        let thread = format!("{trace}");
+        let track = (process.as_str(), thread.as_str());
+        tracks.event(
+            track,
+            "span",
+            tl[0].phase.label(),
+            tl[0].time.nanos(),
+            None,
+            ("node", format!("{}", tl[0].node)),
+        );
         for w in tl.windows(2) {
-            out.push(Json::obj(vec![
-                ("name", Json::str(w[1].phase.label())),
-                ("cat", Json::str("span")),
-                ("ph", Json::str("X")),
-                ("ts", us(w[0].time.nanos())),
-                ("dur", us((w[1].time - w[0].time).as_nanos())),
-                ("pid", Json::from(pid)),
-                ("tid", Json::from(tid)),
-                (
-                    "args",
-                    Json::obj(vec![("node", Json::str(format!("{}", w[1].node)))]),
-                ),
-            ]));
+            tracks.event(
+                track,
+                "span",
+                w[1].phase.label(),
+                w[0].time.nanos(),
+                Some((w[1].time - w[0].time).as_nanos()),
+                ("node", format!("{}", w[1].node)),
+            );
         }
     }
-    Json::obj(vec![
-        ("traceEvents", Json::Arr(out)),
-        ("displayTimeUnit", Json::str("ns")),
-    ])
 }
 
-/// Render a decoded control-plane journal as Chrome/Perfetto
-/// `trace_event` JSON, alongside-loadable with [`to_perfetto`]'s
-/// write-phase tracks.
-///
-/// Layout: a synthetic "control plane" process carries the fabric-global
-/// timelines — leadership reigns (one complete slice per epoch, from the
-/// election decree to the next), migration lifecycles (begin→terminal,
-/// with the dual-owner window as a nested slice) and compaction /
-/// snapshot instants. Every replica that journaled an event additionally
-/// gets its own process with a detector thread (suspicion slices from
-/// `Suspect` to the clearing `Unsuspect`, open suspicions run to the end
-/// of the journal) and a leadership thread (campaign / election / lease
-/// instants).
-pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
-    let us = |ns: u64| Json::Num(ns as f64 / 1000.0);
+fn journal_tracks(tracks: &mut Tracks, journal: &Journal) {
+    const CTRL: &str = "control plane";
+    let leadership = (CTRL, "leadership");
+    let migrations = (CTRL, "migrations");
+    let compaction = (CTRL, "compaction");
+    // Declared up front, so the three keep this order and exist even
+    // for an empty journal.
+    for (p, t) in [leadership, migrations, compaction] {
+        tracks.track(p, t);
+    }
     let entries = journal.entries();
     let end_ns = entries.last().map(|e| e.time.nanos()).unwrap_or(0);
-
-    const CTRL_PID: u64 = 1;
-    const TID_LEADERSHIP: u64 = 1;
-    const TID_MIGRATIONS: u64 = 2;
-    const TID_COMPACTION: u64 = 3;
-
-    let mut out: Vec<Json> = Vec::new();
-    let proc_meta = |out: &mut Vec<Json>, pid: u64, name: String| {
-        out.push(Json::obj(vec![
-            ("name", Json::str("process_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::from(pid)),
-            ("args", Json::obj(vec![("name", Json::str(name))])),
-        ]));
-    };
-    let thread_meta = |out: &mut Vec<Json>, pid: u64, tid: u64, name: &str| {
-        out.push(Json::obj(vec![
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::from(pid)),
-            ("tid", Json::from(tid)),
-            ("args", Json::obj(vec![("name", Json::str(name))])),
-        ]));
-    };
-    let instant =
-        |out: &mut Vec<Json>, pid: u64, tid: u64, ts: u64, name: String, detail: String| {
-            out.push(Json::obj(vec![
-                ("name", Json::str(name)),
-                ("cat", Json::str("ctrl")),
-                ("ph", Json::str("i")),
-                ("s", Json::str("t")),
-                ("ts", us(ts)),
-                ("pid", Json::from(pid)),
-                ("tid", Json::from(tid)),
-                ("args", Json::obj(vec![("detail", Json::str(detail))])),
-            ]));
+    let mut emit =
+        |track: (&str, &str), name: String, ts: u64, dur: Option<u64>, detail: String| {
+            tracks.event(track, "ctrl", name, ts, dur, ("detail", detail))
         };
-    let slice = |out: &mut Vec<Json>,
-                 pid: u64,
-                 tid: u64,
-                 ts: u64,
-                 dur: u64,
-                 name: String,
-                 detail: String| {
-        out.push(Json::obj(vec![
-            ("name", Json::str(name)),
-            ("cat", Json::str("ctrl")),
-            ("ph", Json::str("X")),
-            ("ts", us(ts)),
-            ("dur", us(dur)),
-            ("pid", Json::from(pid)),
-            ("tid", Json::from(tid)),
-            ("args", Json::obj(vec![("detail", Json::str(detail))])),
-        ]));
-    };
-
-    proc_meta(&mut out, CTRL_PID, "control plane".into());
-    thread_meta(&mut out, CTRL_PID, TID_LEADERSHIP, "leadership");
-    thread_meta(&mut out, CTRL_PID, TID_MIGRATIONS, "migrations");
-    thread_meta(&mut out, CTRL_PID, TID_COMPACTION, "compaction");
 
     // Leadership reigns: each epoch's earliest election decree opens a
     // slice that runs until the next epoch's decree (or journal end).
@@ -267,13 +273,11 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
             .map(|n| n.elected_at.nanos())
             .unwrap_or(end_ns)
             .max(start);
-        slice(
-            &mut out,
-            CTRL_PID,
-            TID_LEADERSHIP,
-            start,
-            stop - start,
+        emit(
+            leadership,
             format!("leader n{} (epoch {})", f.leader.0, f.epoch),
+            start,
+            Some(stop - start),
             format!("decree slot {}", f.slot),
         );
     }
@@ -287,34 +291,25 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
             .map(|t| t.nanos())
             .unwrap_or(end_ns)
             .max(begin);
-        let outcome = if m.commit_at.is_some() {
-            "committed".to_string()
-        } else if let Some(r) = m.abort_reason {
-            format!(
-                "aborted: {}",
-                swishmem::telemetry::journal::abort_reason_str(r)
-            )
-        } else {
-            "open".to_string()
-        };
-        slice(
-            &mut out,
-            CTRL_PID,
-            TID_MIGRATIONS,
-            begin,
-            stop - begin,
+        emit(
+            migrations,
             format!("mig reg{}@{} n{}->n{}", m.reg, m.start, m.from.0, m.to.0),
-            format!("epoch {}, {} passes, {outcome}", m.epoch, m.passes),
+            begin,
+            Some(stop - begin),
+            format!(
+                "epoch {}, {} passes, {}",
+                m.epoch,
+                m.passes,
+                migration_outcome(&m)
+            ),
         );
         if let Some(d) = m.dual_owner_at {
             let d_ns = d.nanos();
-            slice(
-                &mut out,
-                CTRL_PID,
-                TID_MIGRATIONS,
-                d_ns,
-                stop.max(d_ns) - d_ns,
+            emit(
+                migrations,
                 "dual-owner".into(),
+                d_ns,
+                Some(stop.max(d_ns) - d_ns),
                 format!("reg {} start {}", m.reg, m.start),
             );
         }
@@ -322,57 +317,37 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
 
     // Compaction boundaries and snapshot traffic.
     for c in journal.compactions() {
-        instant(
-            &mut out,
-            CTRL_PID,
-            TID_COMPACTION,
-            c.at.nanos(),
+        emit(
+            compaction,
             format!("compact@{}", c.upto),
+            c.at.nanos(),
+            None,
             format!("n{}: {} B snapshot", c.node.0, c.snap_bytes),
         );
     }
-    for e in entries {
-        match e.event {
-            CtrlEvent::SnapshotSent { base, bytes, to } => instant(
-                &mut out,
-                CTRL_PID,
-                TID_COMPACTION,
-                e.time.nanos(),
-                format!("snapshot@{base} -> n{}", to.0),
-                format!("{bytes} B"),
-            ),
-            CtrlEvent::SnapshotInstalled { base } => instant(
-                &mut out,
-                CTRL_PID,
-                TID_COMPACTION,
-                e.time.nanos(),
-                format!("snapshot@{base} installed"),
-                format!("n{}", e.node.0),
-            ),
-            _ => {}
-        }
-    }
 
-    // Per-replica tracks: detector suspicion slices + leadership/lease
-    // instants. pid = 2 + dense replica index, in first-seen order.
-    const TID_DETECTOR: u64 = 1;
-    const TID_REPLICA_LEAD: u64 = 2;
-    let mut pids: BTreeMap<u16, u64> = BTreeMap::new();
-    for e in entries {
-        let next = 2 + pids.len() as u64;
-        pids.entry(e.node.0).or_insert(next);
-    }
-    for (&node, &pid) in &pids {
-        proc_meta(&mut out, pid, format!("replica n{node}"));
-        thread_meta(&mut out, pid, TID_DETECTOR, "detector");
-        thread_meta(&mut out, pid, TID_REPLICA_LEAD, "leadership");
-    }
-    // Open suspicions per (observer, target).
+    // Per-replica tracks, plus the control plane's snapshot instants.
     let mut open: BTreeMap<(u16, u16), (u64, u64, u64)> = BTreeMap::new();
     for e in entries {
-        let pid = pids[&e.node.0];
+        let replica = format!("replica n{}", e.node.0);
+        let detector = (replica.as_str(), "detector");
+        let lead = (replica.as_str(), "leadership");
         let t = e.time.nanos();
         match e.event {
+            CtrlEvent::SnapshotSent { base, bytes, to } => emit(
+                compaction,
+                format!("snapshot@{base} -> n{}", to.0),
+                t,
+                None,
+                format!("{bytes} B"),
+            ),
+            CtrlEvent::SnapshotInstalled { base } => emit(
+                compaction,
+                format!("snapshot@{base} installed"),
+                t,
+                None,
+                format!("n{}", e.node.0),
+            ),
             CtrlEvent::Suspect {
                 target,
                 silence_ns,
@@ -382,51 +357,45 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
             }
             CtrlEvent::Unsuspect { target } => {
                 if let Some((t0, silence, budget)) = open.remove(&(e.node.0, target.0)) {
-                    slice(
-                        &mut out,
-                        pid,
-                        TID_DETECTOR,
-                        t0,
-                        t.max(t0) - t0,
+                    emit(
+                        detector,
                         format!("suspect n{}", target.0),
+                        t0,
+                        Some(t.max(t0) - t0),
                         format!("{silence} ns silent vs {budget} ns budget"),
                     );
                 }
             }
-            CtrlEvent::ElectionStart { ballot, timeout_ns } => instant(
-                &mut out,
-                pid,
-                TID_REPLICA_LEAD,
-                t,
+            CtrlEvent::ElectionStart { ballot, timeout_ns } => emit(
+                lead,
                 format!("election start (ballot {ballot})"),
+                t,
+                None,
                 format!("after {timeout_ns} ns silence"),
             ),
             CtrlEvent::LeaderElected {
                 leader,
                 epoch,
                 slot,
-            } => instant(
-                &mut out,
-                pid,
-                TID_REPLICA_LEAD,
-                t,
+            } => emit(
+                lead,
                 format!("leader n{} elected (epoch {epoch})", leader.0),
+                t,
+                None,
                 format!("decree slot {slot}"),
             ),
-            CtrlEvent::StepDown { slot, ballot } => instant(
-                &mut out,
-                pid,
-                TID_REPLICA_LEAD,
-                t,
+            CtrlEvent::StepDown { slot, ballot } => emit(
+                lead,
                 "step down".into(),
+                t,
+                None,
                 format!("slot {slot}, ballot {ballot}"),
             ),
-            CtrlEvent::LeaseLost { heard, quorum } => instant(
-                &mut out,
-                pid,
-                TID_REPLICA_LEAD,
-                t,
+            CtrlEvent::LeaseLost { heard, quorum } => emit(
+                lead,
                 "lease lost".into(),
+                t,
+                None,
                 format!("heard {heard} of quorum {quorum}"),
             ),
             _ => {}
@@ -434,21 +403,15 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
     }
     // Suspicions never cleared run to the end of the journal.
     for ((node, target), (t0, silence, budget)) in open {
-        slice(
-            &mut out,
-            pids[&node],
-            TID_DETECTOR,
-            t0,
-            end_ns.max(t0) - t0,
+        let replica = format!("replica n{node}");
+        emit(
+            (replica.as_str(), "detector"),
             format!("suspect n{target} (uncleared)"),
+            t0,
+            Some(end_ns.max(t0) - t0),
             format!("{silence} ns silent vs {budget} ns budget"),
         );
     }
-
-    Json::obj(vec![
-        ("traceEvents", Json::Arr(out)),
-        ("displayTimeUnit", Json::str("ns")),
-    ])
 }
 
 #[cfg(test)]
@@ -523,7 +486,7 @@ mod tests {
     #[test]
     fn perfetto_document_shape() {
         let t = TraceId::new(NodeId(0), 1);
-        let doc = to_perfetto(&write_timeline(t)).pretty();
+        let doc = to_perfetto(&write_timeline(t), &Journal::default()).pretty();
         assert!(doc.contains("\"traceEvents\""));
         assert!(doc.contains("\"ph\": \"X\""));
         assert!(doc.contains("\"ph\": \"M\""));
@@ -547,8 +510,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ctrl_perfetto_renders_leadership_detector_and_migration_tracks() {
+    fn sample_journal() -> Journal {
         let leader = 65534u16;
         let records = vec![
             jrec(
@@ -623,8 +585,13 @@ mod tests {
                 },
             ),
         ];
-        let journal = Journal::decode(&records);
-        let doc = ctrl_to_perfetto(&journal).pretty();
+        Journal::decode(&records)
+    }
+
+    #[test]
+    fn ctrl_perfetto_renders_leadership_detector_and_migration_tracks() {
+        let journal = sample_journal();
+        let doc = to_perfetto(&[], &journal).pretty();
         assert!(doc.contains("\"traceEvents\""));
         assert!(doc.contains("control plane"));
         assert!(doc.contains("leader n65534 (epoch 2)"));
@@ -640,8 +607,47 @@ mod tests {
 
     #[test]
     fn ctrl_perfetto_empty_journal_is_well_formed() {
-        let doc = ctrl_to_perfetto(&Journal::default()).pretty();
+        let doc = to_perfetto(&[], &Journal::default()).pretty();
         assert!(doc.contains("\"traceEvents\""));
         assert!(doc.contains("control plane"));
+    }
+
+    #[test]
+    fn spans_and_journal_share_one_timeline_with_one_name_per_pid() {
+        let mut spans = write_timeline(TraceId::new(NodeId(0), 1));
+        spans.extend(write_timeline(TraceId::new(NodeId(1), 1)));
+        let doc = to_perfetto(&spans, &sample_journal());
+        let Json::Obj(fields) = &doc else {
+            panic!("a document is an object")
+        };
+        let Json::Arr(events) = &fields[0].1 else {
+            panic!("traceEvents is an array")
+        };
+        let field = |e: &Json, key: &str| -> Option<String> {
+            let Json::Obj(kv) = e else { return None };
+            let (_, v) = kv.iter().find(|(k, _)| k == key)?;
+            Some(v.pretty().trim_end().to_string())
+        };
+        let mut names: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        for e in events {
+            if field(e, "name").as_deref() == Some("\"process_name\"") {
+                let pid = field(e, "pid").unwrap();
+                names
+                    .entry(pid)
+                    .or_default()
+                    .push(field(e, "args").unwrap());
+            }
+        }
+        // Two switches, the control plane and one replica.
+        assert_eq!(names.len(), 4, "{names:?}");
+        assert!(names.values().all(|n| n.len() == 1), "{names:?}");
+        for e in events {
+            let pid = field(e, "pid").unwrap();
+            assert!(names.contains_key(&pid), "pid {pid} has no process_name");
+        }
+        let doc = doc.pretty();
+        for want in ["switch n0", "switch n1", "control plane", "replica n65534"] {
+            assert!(doc.contains(want), "missing {want}");
+        }
     }
 }

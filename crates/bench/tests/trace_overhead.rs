@@ -4,14 +4,15 @@
 //! tolerate noisy shared runners; the experiments themselves report
 //! against the real <2% targets.
 
-use swishmem_bench::experiments::{e18_trace_overhead, e23_ctrl_recorder};
+use swishmem_bench::scenarios::measure_pair;
+use swishmem_simnet::Family;
 
 #[test]
 fn detached_tracing_overhead_is_small() {
     const EVENTS: u64 = 20_000;
     // Interleaved best-of-5 each — min wall-clock of a deterministic
     // workload is robust to scheduler noise.
-    let (plain, traced) = e18_trace_overhead::measure_pair(EVENTS, 5);
+    let (plain, traced) = measure_pair(Family::Span, EVENTS, 5);
     let ratio = plain / traced;
     assert!(
         ratio < 1.25,
@@ -25,7 +26,7 @@ fn detached_tracing_overhead_is_small() {
 #[test]
 fn detached_journal_overhead_is_small() {
     const EVENTS: u64 = 20_000;
-    let (plain, journaled) = e23_ctrl_recorder::measure_pair(EVENTS, 5);
+    let (plain, journaled) = measure_pair(Family::Journal, EVENTS, 5);
     let ratio = plain / journaled;
     assert!(
         ratio < 1.25,

@@ -49,7 +49,10 @@ pub struct SwishProgram {
     /// Per-switch causal-trace counter: each logical operation entering
     /// the NF at this switch gets `TraceId::new(me, counter)`. Pure
     /// bookkeeping — advancing it draws no randomness and schedules no
-    /// events, so tracing never perturbs the simulation.
+    /// events, so tracing never perturbs the simulation. It is
+    /// observability state, not modeled switch state, so it survives
+    /// `reset`: a restarted switch never reissues an id from before its
+    /// crash.
     next_trace: u64,
 }
 
@@ -918,7 +921,6 @@ impl DataPlaneProgram for SwishProgram {
         self.sweep_cursor = (0, 0);
         self.mirror_buf.clear();
         self.sync_buf.clear();
-        self.next_trace = 0;
         self.clock.reset();
         self.app.reset();
     }

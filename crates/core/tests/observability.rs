@@ -6,8 +6,9 @@ use std::net::Ipv4Addr;
 use swishmem::prelude::*;
 use swishmem::telemetry::TimeSeriesSampler;
 use swishmem::RegisterSpec;
-use swishmem_simnet::SpanPhase;
+use swishmem_simnet::{FaultSchedule, SpanPhase};
 use swishmem_wire::l4::TcpFlags;
+use swishmem_wire::TraceId;
 
 /// NF: UDP writes payload_len into SRO reg 0 at key = dst_port; TCP reads
 /// the key and forwards the value to host 1.
@@ -210,6 +211,40 @@ fn sro_span_phases_sum_to_write_latency() {
     let m = dep.metrics(1);
     assert_eq!(m.cp.write_latency.count(), 1);
     assert_eq!(m.cp.write_latency.max_ns(), end_to_end);
+}
+
+/// A switch that crashes and restarts keeps allocating fresh trace ids:
+/// no id issued after the restart repeats one from before the crash, so
+/// each operation keeps its own breakdown.
+#[test]
+fn restarted_switch_never_reissues_a_trace_id() {
+    let mut dep = sro_dep(5);
+    let spans = dep.attach_tracing(100_000);
+    dep.settle();
+    let t = dep.now();
+    let crashed = dep.switch_ids()[1];
+    let sched =
+        FaultSchedule::new().crash_for(crashed, SimDuration::millis(20), SimDuration::millis(2));
+    dep.schedule_faults(t, &sched);
+    for i in 0..40u64 {
+        if !(20..22).contains(&i) {
+            dep.inject(t + SimDuration::millis(i), 1, 0, udp(i as u16, 100));
+        }
+    }
+    dep.run_for(SimDuration::millis(80));
+
+    let mut ingress: Vec<TraceId> = spans
+        .borrow()
+        .events()
+        .iter()
+        .filter(|e| e.phase == SpanPhase::Ingress && e.node == crashed)
+        .map(|e| e.trace)
+        .collect();
+    let n = ingress.len();
+    assert!(n >= 30, "writes ingressed on both sides of the crash: {n}");
+    ingress.sort_unstable_by_key(|t| t.0);
+    ingress.dedup();
+    assert_eq!(ingress.len(), n, "a trace id opened two operations");
 }
 
 /// A read arriving while the write is pending carries its trace through

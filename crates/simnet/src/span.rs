@@ -14,7 +14,7 @@
 //! release), and interval durations fall out of consecutive-marker gaps.
 //! Point markers telescope — the per-phase durations of a completed
 //! operation always sum to exactly its end-to-end latency, which is what
-//! lets `trace_explain` reconcile its breakdown against the
+//! lets the `explain` bin reconcile its breakdown against the
 //! `write_latency` histogram with zero slack.
 
 use crate::observe::{Family, NetEvent};

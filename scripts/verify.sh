@@ -36,7 +36,11 @@ cd "$(dirname "$0")/.."
 #     every_family_is_passive_alone_and_together — a tap of each event
 #     family, alone and together, keeps the golden fingerprint, and a
 #     fault-swept replay reproduces the journal byte for byte;
-#     swishmem-simnet `tap::tests` — the one overflow rule.
+#     swishmem-simnet `tap::tests` — the one overflow rule;
+#     swishmem-bench/explain — the `explain` run over seeds 801–808: span
+#     breakdowns reconcile with write_latency, the journal's failover gap
+#     matches the election log within 1 µs, the oracles stay clean, and a
+#     seed's Perfetto and summary artifacts repeat byte for byte.
 #   one event loop (§3, §11)        swishmem-simnet/shard_determinism — a
 #     single-shard ShardedEngine reproduces the sequential golden
 #     fingerprint, the Direct and Buffered sinks hand an all-family

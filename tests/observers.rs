@@ -185,7 +185,9 @@ fn attaching_every_tap_is_invisible_and_their_streams_are_pinned() {
         journal: 71,
         capture: 48,
         trace: 2387,
-        span_hash: 13_264_006_870_841_626_329,
+        // Re-recorded when a restarted switch stopped reissuing trace ids
+        // from before its crash.
+        span_hash: 5_550_096_544_354_866_790,
         journal_hash: 13_490_132_266_774_153_034,
     };
     assert_eq!(seen, want, "a tap's stream moved");
