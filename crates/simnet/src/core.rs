@@ -633,15 +633,11 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
             return;
         }
         // Resolve the next hop (direct link, or a static route through a
-        // relay in leaf-spine fabrics) and the outgoing link in one pass.
-        let (hop, link_ref) = match self.topo.resolve(from, to) {
-            Some(r) => r,
-            None => {
-                self.stats.record_drop(DropReason::NoRoute, bytes);
-                return;
-            }
+        // relay in leaf-spine fabrics) and the outgoing link in one lookup.
+        let Some((hop, link)) = self.topo.resolve(from, to) else {
+            self.stats.record_drop(DropReason::NoRoute, bytes);
+            return;
         };
-        let link = self.topo.link_at(link_ref);
         if link.state.down {
             self.stats.record_drop(DropReason::LinkDown, bytes);
             return;
@@ -660,11 +656,7 @@ impl<N: ?Sized + NodeObj, K: Sink> Core<N, K> {
             SimDuration::ZERO
         };
         let corrupt = params.corrupt_prob > 0.0 && rng.gen::<f64>() < params.corrupt_prob;
-        let Some(arrival) = self
-            .topo
-            .link_at_mut(link_ref)
-            .transmit(self.now, bytes, jitter)
-        else {
+        let Some(arrival) = link.transmit(self.now, bytes, jitter) else {
             self.stats.record_drop(DropReason::LinkDown, bytes);
             return;
         };

@@ -3,7 +3,6 @@
 //! reordering, corruption) in the style of smoltcp's example fault
 //! injectors.
 
-use crate::fault::LinkOverlay;
 use crate::time::{SimDuration, SimTime};
 
 /// Immutable link characteristics.
@@ -58,12 +57,6 @@ impl LinkParams {
         self
     }
 
-    /// Builder-style: set bandwidth.
-    pub fn with_bandwidth(mut self, bps: u64) -> Self {
-        self.bandwidth_bps = bps;
-        self
-    }
-
     /// Serialization delay for a frame of `bytes` bytes.
     pub fn serialization(&self, bytes: usize) -> SimDuration {
         if self.bandwidth_bps == 0 {
@@ -97,9 +90,6 @@ pub struct Link {
     pub params: LinkParams,
     /// Live state.
     pub state: LinkState,
-    /// Pristine parameters saved by the first fault-plane degrade, restored
-    /// by [`Link::restore`]. `None` while the link is undegraded.
-    saved: Option<LinkParams>,
 }
 
 impl Link {
@@ -108,30 +98,7 @@ impl Link {
         Link {
             params,
             state: LinkState::default(),
-            saved: None,
         }
-    }
-
-    /// Overlay fault parameters on this link, saving the pristine ones on
-    /// the first degrade (overlapping degrades stack; restore undoes all).
-    pub fn degrade(&mut self, overlay: &LinkOverlay) {
-        if self.saved.is_none() {
-            self.saved = Some(self.params);
-        }
-        self.params = overlay.apply(self.params);
-    }
-
-    /// Restore the parameters saved by the first [`Link::degrade`]; no-op
-    /// on an undegraded link.
-    pub fn restore(&mut self) {
-        if let Some(p) = self.saved.take() {
-            self.params = p;
-        }
-    }
-
-    /// True while fault-plane degradation is in effect.
-    pub fn is_degraded(&self) -> bool {
-        self.saved.is_some()
     }
 
     /// Compute the arrival time of a frame of `bytes` bytes transmitted at

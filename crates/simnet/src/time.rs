@@ -74,12 +74,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Duration as a float number of microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Multiply by an integer factor.
     #[inline]
     pub fn times(self, k: u64) -> SimDuration {

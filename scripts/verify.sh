@@ -47,6 +47,9 @@ cd "$(dirname "$0")/.."
 #     observer the same stream (S = 2 and 4 equal to each other), a
 #     default observer never turns tracing on, shard/worker count are
 #     pure performance knobs;
+#     swishmem-simnet `topology::tests` — every forwarding-row lookup
+#     agrees with the direct-link-else-route rule under random link and
+#     route edits in any order, and degrades stack and restore at once;
 #     swishmem-bench `shardnet::` — a 2-shard fault sweep runs oracle-clean.
 #   wire format (§3)                wire_golden — every frame of a seeded
 #     run that emits all 26 messages hashes to the recorded constant;
