@@ -1,6 +1,6 @@
 //! Capture workloads into `.swtrace` binary flow traces.
 //!
-//! Three sources, one sink:
+//! Two sources, one sink:
 //!
 //! ```text
 //! # Synthesize a CAIDA-style heavy-tail trace (streams to disk, memory
@@ -11,10 +11,6 @@
 //! # Record a live deployment's ingress stream through the capture tap:
 //! cargo run -p swishmem-bench --release --bin capture -- \
 //!     --run --seed 7 --out run.swtrace
-//!
-//! # Convert a text trace (nf::workload::tracefile debug format):
-//! cargo run -p swishmem-bench --release --bin capture -- \
-//!     --import-text sched.txt --out sched.swtrace
 //! ```
 //!
 //! A summary of the capture (records, bytes, clock span) is appended to
@@ -27,8 +23,7 @@ use swishmem::{NfDecision, RegisterSpec, SharedState};
 use swishmem_bench::json::Json;
 use swishmem_nf::workload::{EcmpRouter, FlowGen, FlowGenConfig, RoutingMode};
 use swishmem_replay::{
-    capture_deployment_trace, records_from_text, synth_to_writer, SynthConfig, TraceMeta,
-    TraceRecord, TraceWriter,
+    capture_deployment_trace, synth_to_writer, SynthConfig, TraceMeta, TraceRecord, TraceWriter,
 };
 
 struct CountNf;
@@ -143,19 +138,8 @@ fn main() {
         let records = record_live_run(seed, rate);
         let (n, meta) = write_records(&out, &records, TraceMeta::new(3, seed, "live-run"));
         ("live-run", n, meta)
-    } else if let Some(text_path) = get("--import-text") {
-        let text = std::fs::read_to_string(&text_path).expect("read text trace");
-        let records = records_from_text(&text).unwrap_or_else(|e| panic!("parse {text_path}: {e}"));
-        let ingress = records
-            .iter()
-            .map(|r| u32::from(r.ingress))
-            .max()
-            .unwrap_or(0)
-            + 1;
-        let (n, meta) = write_records(&out, &records, TraceMeta::new(ingress, seed, "text-import"));
-        ("text-import", n, meta)
     } else {
-        eprintln!("usage: capture (--synth [--flows N] | --run [--rate F] | --import-text PATH)");
+        eprintln!("usage: capture (--synth [--flows N] | --run [--rate F])");
         eprintln!("               [--seed S] [--out PATH.swtrace] [--json PATH]");
         std::process::exit(2);
     };

@@ -54,7 +54,6 @@ pub struct DeploymentBuilder {
     n_hosts: usize,
     seed: u64,
     link: LinkParams,
-    switch_cfg: SwitchConfig,
     swish_cfg: SwishConfig,
     registers: Vec<RegisterSpec>,
     memory: usize,
@@ -70,7 +69,6 @@ impl DeploymentBuilder {
             n_hosts: 2,
             seed: 1,
             link: LinkParams::datacenter(),
-            switch_cfg: SwitchConfig::default(),
             swish_cfg: SwishConfig::default(),
             registers: Vec::new(),
             memory: swishmem_pisa::memory::DEFAULT_CAPACITY,
@@ -100,12 +98,6 @@ impl DeploymentBuilder {
     /// Inter-switch (and host/controller) link parameters.
     pub fn link(mut self, link: LinkParams) -> Self {
         self.link = link;
-        self
-    }
-
-    /// Switch cost model (control-plane latency etc.).
-    pub fn switch_config(mut self, cfg: SwitchConfig) -> Self {
-        self.switch_cfg = cfg;
         self
     }
 
@@ -202,7 +194,7 @@ impl DeploymentBuilder {
                 // lookups at them would only burn retries.
                 cp.set_ctrl_group(active_ids.clone());
             }
-            let mut sw = Switch::new(self.switch_cfg, dp, program, cp);
+            let mut sw = Switch::new(SwitchConfig::default(), dp, program, cp);
             sw.add_pktgen(self.swish_cfg.sync_period, SYNC_PKTGEN_TOKEN);
             if self.swish_cfg.pending_sweep_period.as_nanos() > 0 {
                 sw.add_pktgen(
@@ -340,8 +332,7 @@ pub struct Deployment {
     recordings: Vec<Recording>,
     cfg: SwishConfig,
     specs: Vec<RegisterSpec>,
-    /// Trace records fed into the fabric by a replay engine (cumulative;
-    /// sampled into `MetricsSample::ingest_records` deltas).
+    /// Trace records fed into the fabric by a replay engine (cumulative).
     ingest_records: u64,
     /// Ring-ingest backpressure stalls observed while feeding this
     /// deployment (cumulative).
@@ -712,16 +703,6 @@ impl Deployment {
         let h = Tap::new(capacity);
         self.sim.add_observer(h.clone());
         h
-    }
-
-    /// Run to absolute time `t`, pausing every `sampler.interval()` to
-    /// take a metrics sample of every switch.
-    pub fn run_sampled(&mut self, t: SimTime, sampler: &mut crate::telemetry::TimeSeriesSampler) {
-        while self.now() < t {
-            let next = (self.now() + sampler.interval()).min(t);
-            self.sim.run_until(next);
-            sampler.sample(self);
-        }
     }
 
     /// Fault-plane link targets of this deployment: every inter-switch

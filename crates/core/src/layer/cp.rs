@@ -230,36 +230,9 @@ impl SwishCp {
         &self.metrics
     }
 
-    /// Writes currently awaiting acknowledgment (blocked-write window
-    /// measurements in E7 read this).
-    pub fn outstanding_writes(&self) -> usize {
-        self.writes.len()
-    }
-
-    /// Jobs currently buffered (output packet held in DRAM). The
-    /// time-series sampler records this as the CP queue depth.
-    pub fn buffered_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Snapshot chunks queued toward a recovering switch.
-    pub fn snapshot_backlog(&self) -> usize {
-        self.snap_out.len()
-    }
-
     /// The chain configuration this switch currently operates under.
     pub fn view(&self) -> &ChainView {
         &self.view
-    }
-
-    /// Migration streams this switch is currently sourcing.
-    pub fn migration_streams_out(&self) -> usize {
-        self.mig_out.len()
-    }
-
-    /// Migration transfers this switch is currently receiving.
-    pub fn migration_streams_in(&self) -> usize {
-        self.mig_in.len()
     }
 
     /// Capped exponential backoff with deterministic jitter: base

@@ -81,7 +81,6 @@ pub use reconfig::{
 pub use telemetry::journal::{
     CompactionRecord, CtrlEvent, Failover, Journal, JournalEntry, MigrationTimeline,
 };
-pub use telemetry::{MetricsSample, RingBuffer, TimeSeriesSampler};
 pub use typed::{SharedCounter, SharedValue};
 pub use version::SwitchClock;
 

@@ -1,10 +1,9 @@
 //! Observability integration tests: causal span tracing across the full
-//! SRO write path, tracing passivity at deployment level, metrics
-//! aggregation, and time-series sampling.
+//! SRO write path, tracing passivity at deployment level, and metrics
+//! aggregation.
 
 use std::net::Ipv4Addr;
 use swishmem::prelude::*;
-use swishmem::telemetry::TimeSeriesSampler;
 use swishmem::RegisterSpec;
 use swishmem_simnet::{FaultSchedule, SpanPhase};
 use swishmem_wire::l4::TcpFlags;
@@ -277,52 +276,4 @@ fn redirected_read_trace_spans_both_switches() {
         .expect("tail_serve span on the same trace");
     assert_ne!(redirect.node, serve.node, "served on a different switch");
     assert!(serve.time > redirect.time);
-}
-
-/// Time-series sampling: window deltas accumulate to the cumulative
-/// counters, gauges drain back to zero, and sampling is itself passive.
-#[test]
-fn sampler_deltas_accumulate_to_cumulative_totals() {
-    let mut plain = sro_dep(99);
-    run_workload(&mut plain);
-
-    let mut sampled = sro_dep(99);
-    sampled.settle();
-    let t = sampled.now();
-    for (i, port) in [(0usize, 7u16), (1, 8), (0, 9), (1, 7)]
-        .into_iter()
-        .enumerate()
-    {
-        sampled.inject(
-            t + SimDuration::millis(i as u64),
-            port.0,
-            0,
-            udp(port.1, 100 + i as u16),
-        );
-    }
-    sampled.inject(t + SimDuration::millis(10), 2, 0, tcp(7));
-    let mut sampler = TimeSeriesSampler::new(3, SimDuration::millis(2), 1024);
-    let end = sampled.now() + SimDuration::millis(40);
-    sampled.run_sampled(end, &mut sampler);
-
-    for i in 0..3 {
-        let series = sampler.series(i);
-        assert!(!series.is_empty());
-        assert_eq!(sampler.evicted(i), 0);
-        let m = sampled.metrics(i);
-        let sum = |f: fn(&swishmem::MetricsSample) -> u64| -> u64 { series.iter().map(f).sum() };
-        assert_eq!(sum(|s| s.nf_writes), m.dp.nf_writes, "switch {i} nf_writes");
-        assert_eq!(sum(|s| s.chain_applies), m.dp.chain_applies);
-        assert_eq!(sum(|s| s.jobs_punted), m.dp.sro_jobs_punted);
-        assert_eq!(sum(|s| s.jobs_completed), m.cp.jobs_completed);
-        assert_eq!(sum(|s| s.retries), m.cp.retries);
-        // All writes acked by the end: gauges drained.
-        let last = series.last().unwrap();
-        assert_eq!(last.outstanding_writes, 0);
-        assert_eq!(last.buffered_jobs, 0);
-        // Sampling never perturbed the run.
-        let p = plain.metrics(i);
-        assert_eq!(m.dp.chain_applies, p.dp.chain_applies);
-        assert_eq!(m.cp.jobs_completed, p.cp.jobs_completed);
-    }
 }

@@ -3,11 +3,9 @@
 pub mod attack;
 pub mod flowgen;
 pub mod routing;
-pub mod tracefile;
 pub mod zipf;
 
 pub use attack::{generate_attack, AttackConfig};
 pub use flowgen::{FlowGen, FlowGenConfig, ScheduledPacket};
 pub use routing::{EcmpRouter, RoutingMode};
-pub use tracefile::{from_text, to_text, TraceParseError, TraceParseReason};
 pub use zipf::Zipf;

@@ -18,7 +18,7 @@
 
 use crate::dataplane::DataPlane;
 use std::any::Any;
-use swishmem_simnet::{Ctx, GroupId, SimDuration, SimTime, SpanPhase};
+use swishmem_simnet::{Ctx, SimDuration, SimTime, SpanPhase};
 use swishmem_wire::{NodeId, PacketBody, TraceId};
 
 /// Cost parameters of the control-plane co-processor.
@@ -69,11 +69,6 @@ impl<'a, 'b> CpCtx<'a, 'b> {
     /// Emit a packet-out: inject a frame into the egress toward `dst`.
     pub fn packet_out(&mut self, dst: NodeId, body: PacketBody) {
         self.net.send(dst, body);
-    }
-
-    /// Emit a packet-out to a multicast group.
-    pub fn multicast_out(&mut self, group: GroupId, body: PacketBody) {
-        self.net.multicast(group, body);
     }
 
     /// Arm a control-plane timer. `token` must fit in 48 bits (the switch

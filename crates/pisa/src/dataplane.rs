@@ -2,14 +2,12 @@
 //! restricted view handed to data-plane programs.
 //!
 //! Access control mirrors P4 (§2): programs get a [`DpView`] that can
-//! read/write registers, counters and meters and *look up* tables; only
-//! the control plane (which holds `&mut DataPlane` via
+//! read/write registers and *look up* tables; only the control plane
+//! (which holds `&mut DataPlane` via
 //! [`crate::control::CpCtx::dataplane`]) can install or remove table
 //! entries.
 
-use crate::counter::{CounterArray, CounterCell};
 use crate::memory::{MemoryBudget, OutOfMemory};
-use crate::meter::{MeterArray, MeterColor};
 use crate::register::{PairRegisterArray, RegisterArray};
 use crate::table::{MatchTable, TableFull};
 use swishmem_simnet::SimTime;
@@ -26,14 +24,6 @@ pub struct PairRegHandle(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TableHandle(usize);
 
-/// Handle to a [`CounterArray`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CounterHandle(usize);
-
-/// Handle to a [`MeterArray`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MeterHandle(usize);
-
 /// All data-plane state of one switch.
 #[derive(Debug)]
 pub struct DataPlane {
@@ -41,8 +31,6 @@ pub struct DataPlane {
     regs: Vec<RegisterArray>,
     pairs: Vec<PairRegisterArray>,
     tables: Vec<MatchTable>,
-    counters: Vec<CounterArray>,
-    meters: Vec<MeterArray>,
 }
 
 impl DataPlane {
@@ -53,8 +41,6 @@ impl DataPlane {
             regs: Vec::new(),
             pairs: Vec::new(),
             tables: Vec::new(),
-            counters: Vec::new(),
-            meters: Vec::new(),
         }
     }
 
@@ -92,27 +78,6 @@ impl DataPlane {
             .alloc(name, max_entries * MatchTable::ENTRY_BYTES)?;
         self.tables.push(MatchTable::new(name, max_entries));
         Ok(TableHandle(self.tables.len() - 1))
-    }
-
-    /// Allocate a counter array.
-    pub fn alloc_counter(&mut self, name: &str, len: usize) -> Result<CounterHandle, OutOfMemory> {
-        self.budget.alloc(name, len * CounterArray::CELL_BYTES)?;
-        self.counters.push(CounterArray::new(name, len));
-        Ok(CounterHandle(self.counters.len() - 1))
-    }
-
-    /// Allocate a meter array.
-    pub fn alloc_meter(
-        &mut self,
-        name: &str,
-        len: usize,
-        rate_bytes_per_sec: u64,
-        burst_bytes: u64,
-    ) -> Result<MeterHandle, OutOfMemory> {
-        self.budget.alloc(name, len * MeterArray::CELL_BYTES)?;
-        self.meters
-            .push(MeterArray::new(name, len, rate_bytes_per_sec, burst_bytes));
-        Ok(MeterHandle(self.meters.len() - 1))
     }
 
     /// The memory books.
@@ -157,11 +122,6 @@ impl DataPlane {
         self.tables[h.0].insert(key, value)
     }
 
-    /// Counter array behind `h`.
-    pub fn counter(&self, h: CounterHandle) -> &CounterArray {
-        &self.counters[h.0]
-    }
-
     /// Wipe every structure: fail-stop failure loses all data-plane state.
     pub fn clear_all(&mut self) {
         for r in &mut self.regs {
@@ -172,12 +132,6 @@ impl DataPlane {
         }
         for t in &mut self.tables {
             t.clear();
-        }
-        for c in &mut self.counters {
-            c.clear();
-        }
-        for m in &mut self.meters {
-            m.clear();
         }
     }
 }
@@ -254,39 +208,10 @@ impl<'a> DpView<'a> {
         self.dp.pairs[h.0].merge_max(idx, version, value)
     }
 
-    /// Number of cells in a pair register array.
-    pub fn pair_len(&self, h: PairRegHandle) -> usize {
-        self.dp.pairs[h.0].len()
-    }
-
-    /// Number of cells in a register array.
-    pub fn reg_len(&self, h: RegHandle) -> usize {
-        self.dp.regs[h.0].len()
-    }
-
     /// Table lookup (the only table operation the pipeline may perform).
     #[inline]
     pub fn table_lookup(&mut self, h: TableHandle, key: u64) -> Option<u64> {
         self.dp.tables[h.0].lookup(key)
-    }
-
-    /// Count a packet.
-    #[inline]
-    pub fn count(&mut self, h: CounterHandle, idx: usize, bytes: usize) {
-        self.dp.counters[h.0].count(idx, bytes);
-    }
-
-    /// Read a counter.
-    #[inline]
-    pub fn counter_read(&self, h: CounterHandle, idx: usize) -> CounterCell {
-        self.dp.counters[h.0].read(idx)
-    }
-
-    /// Meter a packet.
-    #[inline]
-    pub fn meter(&mut self, h: MeterHandle, idx: usize, bytes: usize) -> MeterColor {
-        let now = self.now;
-        self.dp.meters[h.0].meter(idx, now, bytes)
     }
 }
 
@@ -300,9 +225,7 @@ mod tests {
         let r = dp.alloc_register("r", 16).unwrap(); // 128 B
         let p = dp.alloc_pair_register("p", 16).unwrap(); // 256 B
         let t = dp.alloc_table("t", 8).unwrap(); // 256 B
-        let c = dp.alloc_counter("c", 8).unwrap(); // 128 B
-        let m = dp.alloc_meter("m", 8, 1000, 100).unwrap(); // 128 B
-        assert_eq!(dp.budget().used(), 128 + 256 + 256 + 128 + 128);
+        assert_eq!(dp.budget().used(), 128 + 256 + 256);
         // Views work through handles.
         let mut v = DpView::new(&mut dp, SimTime::ZERO);
         v.reg_write(r, 0, 7);
@@ -310,9 +233,6 @@ mod tests {
         v.pair_write(p, 1, 2, 3);
         assert_eq!(v.pair_read(p, 1), (2, 3));
         assert_eq!(v.table_lookup(t, 5), None);
-        v.count(c, 0, 99);
-        assert_eq!(v.counter_read(c, 0).bytes, 99);
-        assert_eq!(v.meter(m, 0, 10), MeterColor::Green);
     }
 
     #[test]

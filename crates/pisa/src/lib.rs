@@ -10,8 +10,7 @@
 //! * **data-plane state** under a 10 MB [`memory::MemoryBudget`]:
 //!   [`register::RegisterArray`]s and `(version, value)`
 //!   [`register::PairRegisterArray`]s writable from the pipeline,
-//!   [`table::MatchTable`]s writable only from the control plane,
-//!   [`counter::CounterArray`]s and [`meter::MeterArray`]s;
+//!   and [`table::MatchTable`]s writable only from the control plane;
 //! * a **control-plane co-processor** ([`control::ControlApp`]) with punt
 //!   latency and serial per-item service time — slow but with unbounded
 //!   DRAM, exactly the asymmetry SRO exploits (§6.1, §7);
@@ -22,7 +21,7 @@
 //! node.
 //!
 //! ```
-//! use swishmem_pisa::{DataPlane, DpView, MemoryBudget, MeterColor};
+//! use swishmem_pisa::{DataPlane, DpView};
 //! use swishmem_simnet::SimTime;
 //!
 //! // Build a data plane, allocate state against the 10 MB budget, and
@@ -30,7 +29,6 @@
 //! let mut dp = DataPlane::standard();
 //! let conns = dp.alloc_register("conn_state", 1024).unwrap();
 //! let table = dp.alloc_table("routes", 256).unwrap();
-//! let meter = dp.alloc_meter("user_meters", 64, 1_000_000, 10_000).unwrap();
 //!
 //! // The control plane installs a table entry (P4Runtime role)...
 //! dp.table_insert(table, 42, 7).unwrap();
@@ -40,15 +38,13 @@
 //! assert_eq!(view.table_lookup(table, 42), Some(7));
 //! view.reg_write(conns, 5, 2);
 //! assert_eq!(view.reg_read(conns, 5), 2);
-//! assert_eq!(view.meter(meter, 3, 500), MeterColor::Green);
+//! assert_eq!(view.reg_add(conns, 5, 3), 5);
 //! assert!(dp.budget().used() > 0);
 //! ```
 
 pub mod control;
-pub mod counter;
 pub mod dataplane;
 pub mod memory;
-pub mod meter;
 pub mod program;
 pub mod register;
 pub mod stages;
@@ -56,12 +52,8 @@ pub mod switch;
 pub mod table;
 
 pub use control::{ControlApp, CpCtx, CpParams, NullControlApp};
-pub use counter::{CounterArray, CounterCell};
-pub use dataplane::{
-    CounterHandle, DataPlane, DpView, MeterHandle, PairRegHandle, RegHandle, TableHandle,
-};
+pub use dataplane::{DataPlane, DpView, PairRegHandle, RegHandle, TableHandle};
 pub use memory::{MemoryBudget, OutOfMemory};
-pub use meter::{MeterArray, MeterColor};
 pub use program::{DataPlaneProgram, Effect, Effects};
 pub use register::{PairRegisterArray, RegisterArray};
 pub use stages::{Placement, PlacementError, StagePlanner};

@@ -1,10 +1,11 @@
 //! Data-plane memory accounting.
 //!
 //! PISA switches expose on the order of 10 MB of SRAM to the pipeline
-//! (paper §1, §2). Every register array, table, counter and meter in this
-//! model must be allocated against a [`MemoryBudget`]; exceeding it fails
-//! exactly the way a P4 program that does not fit fails to compile. The
-//! SRO state-overhead experiment (E10) reads these books directly.
+//! (paper §1, §2). Every register array, pair register array and table
+//! in this model must be allocated against a [`MemoryBudget`]; exceeding
+//! it fails exactly the way a P4 program that does not fit fails to
+//! compile. The SRO state-overhead experiment (E10) reads these books
+//! directly.
 
 use std::fmt;
 
@@ -37,7 +38,7 @@ impl std::error::Error for OutOfMemory {}
 /// One recorded allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
-    /// Object name (register/table/counter name).
+    /// Object name (register or table name).
     pub name: String,
     /// Bytes consumed.
     pub bytes: usize,

@@ -3,7 +3,7 @@
 //! §2: "The small (~10 MB) switch memory is split between pipeline
 //! stages." A PISA pipeline has a fixed number of match-action stages
 //! (12 per direction on Tofino-class ASICs); each stateful object — a
-//! register array, a table, a meter bank — occupies (part of) a stage,
+//! register array, a pair register array, a table — occupies (part of) a stage,
 //! and an object cannot span more SRAM than one stage provides.
 //!
 //! This module models that second resource dimension beside the byte

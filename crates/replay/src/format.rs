@@ -3,10 +3,9 @@
 //! the PSHM superblock/slot discipline (SNIPPETS.md 2–3) applied to
 //! packet schedules instead of shared-memory rings.
 //!
-//! Compared to the text format in `swishmem_nf::workload::tracefile`
-//! (kept as the debug import/export path), `.swtrace` is 5–10× denser,
-//! O(1) seekable, and cheap enough to stream at millions of records: a
-//! record parses with fixed-offset loads, no allocation, no UTF-8.
+//! `.swtrace` is O(1) seekable and cheap enough to stream at millions of
+//! records: a record parses with fixed-offset loads, no allocation, no
+//! UTF-8.
 //!
 //! ## Superblock (128 bytes)
 //!
@@ -41,8 +40,6 @@
 use std::fmt;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::net::Ipv4Addr;
-use swishmem_nf::workload::ScheduledPacket;
-use swishmem_simnet::SimTime;
 use swishmem_wire::l4::TcpFlags;
 use swishmem_wire::{DataPacket, FlowKey};
 
@@ -271,31 +268,6 @@ impl TraceRecord {
             tcp_flags: b[23],
             flow_seq: u32le(24),
             payload_len: u16le(28),
-        }
-    }
-
-    /// Convert a generator/capture [`ScheduledPacket`] into a record.
-    pub fn from_scheduled(p: &ScheduledPacket) -> TraceRecord {
-        TraceRecord {
-            time_ns: p.time.nanos(),
-            src_ip: u32::from(p.pkt.flow.src),
-            dst_ip: u32::from(p.pkt.flow.dst),
-            src_port: p.pkt.flow.src_port,
-            dst_port: p.pkt.flow.dst_port,
-            ingress: p.ingress as u16,
-            proto: p.pkt.flow.proto,
-            tcp_flags: p.pkt.tcp_flags.raw(),
-            flow_seq: p.pkt.flow_seq,
-            payload_len: p.pkt.payload_len,
-        }
-    }
-
-    /// Convert back into a [`ScheduledPacket`] for injection.
-    pub fn to_scheduled(&self) -> ScheduledPacket {
-        ScheduledPacket {
-            time: SimTime(self.time_ns),
-            ingress: usize::from(self.ingress),
-            pkt: self.to_packet(),
         }
     }
 
@@ -751,31 +723,6 @@ mod tests {
                 actual: 6
             })
         ));
-    }
-
-    #[test]
-    fn scheduled_packet_conversion_is_lossless() {
-        let p = ScheduledPacket {
-            time: SimTime(777),
-            ingress: 3,
-            pkt: DataPacket {
-                flow: FlowKey {
-                    src: Ipv4Addr::new(1, 2, 3, 4),
-                    dst: Ipv4Addr::new(5, 6, 7, 8),
-                    src_port: 1234,
-                    dst_port: 80,
-                    proto: 6,
-                },
-                tcp_flags: TcpFlags::fin(),
-                flow_seq: 9,
-                payload_len: 512,
-            },
-        };
-        let r = TraceRecord::from_scheduled(&p);
-        let back = r.to_scheduled();
-        assert_eq!(back.time, p.time);
-        assert_eq!(back.ingress, p.ingress);
-        assert_eq!(back.pkt, p.pkt);
     }
 
     #[test]

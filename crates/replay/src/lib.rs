@@ -1,7 +1,7 @@
 //! Workload capture + replay lab.
 //!
 //! The other crates *generate* workloads; this one makes workloads
-//! **artifacts**: a compact binary flow-trace format ([`format`]), a
+//! **artifacts**: a compact binary flow-trace format ([`mod@format`]), a
 //! heavy-tail synthesizer that writes millions of flows without holding
 //! them in memory ([`synth`]), a zero-allocation ring-buffer ingest path
 //! ([`ring`]), a deterministic replay engine that streams a trace
@@ -32,18 +32,3 @@ pub use replay::{replay_digest, replay_records, replay_trace, ReplayConfig, Repl
 pub use ring::FlowRing;
 pub use scenario::{run_pack, PackConfig, PackKind, PackReport, Sabotage};
 pub use synth::{synth_to_writer, synth_trace_bytes, SynthConfig};
-
-/// Convert text-format trace lines (the debug import path from
-/// `swishmem_nf::workload::tracefile`) into binary records.
-pub fn records_from_text(
-    text: &str,
-) -> Result<Vec<TraceRecord>, swishmem_nf::workload::TraceParseError> {
-    let pkts = swishmem_nf::workload::from_text(text)?;
-    Ok(pkts.iter().map(TraceRecord::from_scheduled).collect())
-}
-
-/// Convert binary records into text-format trace lines (debug export).
-pub fn records_to_text(records: &[TraceRecord]) -> String {
-    let pkts: Vec<_> = records.iter().map(|r| r.to_scheduled()).collect();
-    swishmem_nf::workload::to_text(&pkts)
-}

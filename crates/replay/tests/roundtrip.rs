@@ -1,11 +1,10 @@
-//! Trace round-trip gates (ISSUE 10 satellite): binary write→read
-//! identity at one million records, text↔binary conversion equivalence,
-//! and typed rejection of truncated or corrupt traces. These run as an
+//! Trace round-trip gates: binary write→read identity at one million
+//! records and typed rejection of truncated or corrupt traces. These run as an
 //! integration suite so `scripts/verify.sh` can invoke them by name.
 
 use swishmem_replay::{
-    from_swtrace_bytes, records_from_text, records_to_text, to_swtrace_bytes, FormatError,
-    SynthConfig, TraceMeta, TraceReader, TraceRecord, TraceWriter,
+    from_swtrace_bytes, to_swtrace_bytes, FormatError, SynthConfig, TraceMeta, TraceReader,
+    TraceRecord, TraceWriter,
 };
 
 const HEADER_LEN: usize = swishmem_replay::format::HEADER_LEN;
@@ -66,22 +65,6 @@ fn synthesized_trace_round_trips_through_bytes() {
     assert!(records.len() >= cfg.flows as usize);
     let again = to_swtrace_bytes(&records, meta).unwrap();
     assert_eq!(bytes, again);
-}
-
-#[test]
-fn text_and_binary_conversions_are_equivalent() {
-    // Text (debug import/export) and binary must describe the same
-    // schedule: binary -> text -> binary is the identity, and the text
-    // parser enforces the same ordering contract the binary reader does.
-    let records = make_records(2_000);
-    let text = records_to_text(&records);
-    let back = records_from_text(&text).unwrap();
-    assert_eq!(back, records);
-
-    // And the re-imported records still serialize to a valid trace.
-    let bytes = to_swtrace_bytes(&back, TraceMeta::default()).unwrap();
-    let (_, reread) = from_swtrace_bytes(&bytes).unwrap();
-    assert_eq!(reread, records);
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //! barriers.
 //!
 //! [`ShardedEngine`] partitions the topology into shards that each own a
-//! slice of nodes and run a private [`Core`] (optionally on a dedicated
+//! slice of nodes and run a private `Core` (optionally on a dedicated
 //! worker thread), exchanging cross-shard frames at deterministic
-//! time-window barriers. Event processing lives in [`crate::core`]; this
+//! time-window barriers. Event processing lives in `crate::core`; this
 //! file is the partition, the windows, the barriers and the merge of the
 //! shards' observation buffers.
 //!
@@ -40,7 +40,7 @@
 //! events (injections, fault schedules) draw from an engine-level counter
 //! and stay below `2^47`; what a node emits from `on_start` carries the
 //! key `(id + 1) << 47`. Keys are unique across shards, so the event
-//! heap's pop order is insertion-independent ([`crate::events`] pins
+//! heap's pop order is insertion-independent (`crate::events` pins
 //! this), the barrier's mailbox drain order is irrelevant, and the
 //! observation merge never breaks a tie by shard.
 

@@ -1,12 +1,12 @@
-//! The sequential engine: a façade over one [`Core`] in the global-RNG
-//! regime with a [`Direct`] sink.
+//! The sequential engine: a façade over one `Core` in the global-RNG
+//! regime with a `Direct` sink.
 //!
 //! Determinism contract: given the same seed, node set, topology, and
 //! schedule of external events, two runs produce identical event orders,
 //! identical RNG draws, and therefore identical statistics. This is
 //! guaranteed by (a) a total order on events — `(time, insertion seq)` —
 //! and (b) a single engine-owned RNG consumed only during deterministic
-//! event processing. The loop itself lives in [`crate::core`]; what this
+//! event processing. The loop itself lives in `crate::core`; what this
 //! file adds is the surface a single-threaded caller gets to keep: a
 //! topology that stays mutable mid-run, `stats()` by reference, and
 //! observers called synchronously as each event is applied.

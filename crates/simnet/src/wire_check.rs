@@ -6,7 +6,8 @@
 
 use swishmem_wire::cursor::Writer;
 use swishmem_wire::ipv4::IpProto;
-use swishmem_wire::{Packet, PacketBody};
+use swishmem_wire::swish::ReadForward;
+use swishmem_wire::{Packet, PacketBody, SwishMsg};
 
 /// Round-trip `pkt` through the production codec and panic, with the
 /// frame in the message, on any drift: the full [`Packet::encode`] must
@@ -31,13 +32,21 @@ pub(crate) fn wire_fidelity_check(pkt: &Packet, len: usize, scratch: &mut Writer
 
 /// Copy into `reparsed` what `sent` legitimately does not put on the
 /// wire: UDP has no sequence field, so a UDP data packet's simulator-side
-/// `flow_seq` is dropped by the encoding. Nothing else is exempt — a TCP
-/// `flow_seq` rides the sequence number and must round-trip.
+/// `flow_seq` is dropped by the encoding — whether the packet is the
+/// frame's body or the one a [`ReadForward`] tunnels to the chain tail.
+/// Nothing else is exempt — a TCP `flow_seq` rides the sequence number
+/// and must round-trip.
 fn restore_off_wire_fields(sent: &Packet, reparsed: &mut Packet) {
-    if let (PacketBody::Data(a), PacketBody::Data(b)) = (&sent.body, &mut reparsed.body) {
-        if a.flow.proto == IpProto::Udp.raw() {
-            b.flow_seq = a.flow_seq;
-        }
+    let (a, b) = match (&sent.body, &mut reparsed.body) {
+        (PacketBody::Data(a), PacketBody::Data(b)) => (a, b),
+        (
+            PacketBody::Swish(SwishMsg::ReadForward(ReadForward { inner: a, .. })),
+            PacketBody::Swish(SwishMsg::ReadForward(ReadForward { inner: b, .. })),
+        ) => (a, b),
+        _ => return,
+    };
+    if a.flow.proto == IpProto::Udp.raw() {
+        b.flow_seq = a.flow_seq;
     }
 }
 
@@ -47,16 +56,29 @@ mod tests {
     use std::net::Ipv4Addr;
     use swishmem_wire::l4::TcpFlags;
     use swishmem_wire::swish::{PendingClear, SyncEntry, SyncUpdate};
-    use swishmem_wire::{DataPacket, FlowKey, NodeId, SwishMsg, TraceId};
+    use swishmem_wire::{DataPacket, FlowKey, NodeId, TraceId};
 
-    fn udp(flow_seq: u32) -> Packet {
+    fn udp_data(flow_seq: u32) -> DataPacket {
         let flow = FlowKey::udp(
             Ipv4Addr::new(10, 0, 0, 1),
             5000,
             Ipv4Addr::new(10, 0, 0, 2),
             53,
         );
-        Packet::data(NodeId(1), NodeId(2), DataPacket::udp(flow, flow_seq, 40))
+        DataPacket::udp(flow, flow_seq, 40)
+    }
+
+    fn udp(flow_seq: u32) -> Packet {
+        Packet::data(NodeId(1), NodeId(2), udp_data(flow_seq))
+    }
+
+    fn read_forward(inner: DataPacket) -> Packet {
+        let fwd = ReadForward {
+            origin: NodeId(1),
+            trace: TraceId::NONE,
+            inner,
+        };
+        Packet::swish(NodeId(1), NodeId(2), SwishMsg::ReadForward(fwd))
     }
 
     fn tcp(flow_seq: u32) -> Packet {
@@ -76,8 +98,11 @@ mod tests {
 
     #[test]
     fn accepts_udp_with_a_simulator_side_flow_seq() {
-        check(&udp(0), &mut Writer::new());
-        check(&udp(77), &mut Writer::new());
+        for flow_seq in [0, 77] {
+            check(&udp(flow_seq), &mut Writer::new());
+            // Also when a `ReadForward` tunnels it to the chain tail.
+            check(&read_forward(udp_data(flow_seq)), &mut Writer::new());
+        }
     }
 
     #[test]

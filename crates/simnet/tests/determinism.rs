@@ -116,17 +116,20 @@ fn fnv(h: &mut u64, v: u64) {
 }
 
 fn run_scenario(seed: u64) -> Fingerprint {
-    run_scenario_full(seed, None, &[])
+    run_scenario_full(seed, None, &[], None)
 }
 
 fn run_scenario_with(seed: u64, faults: Option<&FaultSchedule>) -> Fingerprint {
-    run_scenario_full(seed, faults, &[])
+    run_scenario_full(seed, faults, &[], None)
 }
 
+/// Run the scenario to quiescence; with `pause_every`, the engine is
+/// stopped and resumed at every multiple of it on the way.
 fn run_scenario_full(
     seed: u64,
     faults: Option<&FaultSchedule>,
     observers: &[ObserverHandle],
+    pause_every: Option<SimDuration>,
 ) -> Fingerprint {
     let mut sim = Simulator::new(seed);
     let trace = Trace::new(200_000);
@@ -182,7 +185,15 @@ fn run_scenario_full(
         sim.schedule_faults(SimTime::ZERO, sched);
     }
 
-    sim.run_until_quiescent(SimTime(30_000_000));
+    let end = SimTime(30_000_000);
+    if let Some(step) = pause_every {
+        let mut t = SimTime::ZERO;
+        while t < end {
+            t = (t + step).min(end);
+            sim.run_until_quiescent(t);
+        }
+    }
+    sim.run_until_quiescent(end);
 
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for e in trace.borrow().events() {
@@ -252,6 +263,10 @@ fn matches_pre_optimization_golden_fingerprint() {
     println!("fingerprint: {got:?}");
     // The optimized engine must reproduce the golden exactly.
     assert_eq!(got, GOLDEN, "event order / RNG draw sites changed");
+    // So must a run paused every 7 µs: stopping and resuming the engine
+    // at intervals leaves the outcome unchanged.
+    let paused = run_scenario_full(1234, None, &[], Some(SimDuration::micros(7)));
+    assert_eq!(paused, GOLDEN, "pausing the run changed its outcome");
 }
 
 #[test]
@@ -351,7 +366,7 @@ fn every_family_is_passive_alone_and_together() {
             let all = probes(capacity);
             let observers: Vec<ObserverHandle> =
                 row.iter().map(|&f| all[f].observer.clone()).collect();
-            let fp = run_scenario_full(1234, None, &observers);
+            let fp = run_scenario_full(1234, None, &observers, None);
             assert_eq!(fp, GOLDEN, "families {row:?} at capacity {capacity}");
             for &f in row {
                 let (kept, overflowed, n) = (all[f].read)();
@@ -383,7 +398,7 @@ fn journal_replay_is_byte_identical_under_fault_sweep() {
     let run = || {
         let journal: JournalHandle = Tap::new(1_000_000);
         let obs: ObserverHandle = journal.clone();
-        let fp = run_scenario_full(1234, Some(&sched), &[obs]);
+        let fp = run_scenario_full(1234, Some(&sched), &[obs], None);
         let records = journal.borrow().events().to_vec();
         (fp, records)
     };

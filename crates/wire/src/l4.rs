@@ -12,8 +12,9 @@ use crate::WireError;
 /// Length of a UDP header in bytes.
 pub const UDP_HEADER_LEN: usize = 8;
 
-/// A UDP header. The checksum is carried but not validated (as permitted
-/// for IPv4 UDP); the simulator's corruption faults target payloads.
+/// A UDP header. The checksum is never computed (0, as permitted for IPv4
+/// UDP) and decode rejects any other value; the simulator's corruption
+/// faults target payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpHeader {
     /// Source port.
@@ -44,7 +45,13 @@ impl UdpHeader {
                 value: u64::from(length),
             });
         }
-        let _ck = r.u16()?;
+        let checksum = r.u16()?;
+        if checksum != 0 {
+            return Err(WireError::InvalidField {
+                field: "udp_checksum",
+                value: u64::from(checksum),
+            });
+        }
         Ok(UdpHeader {
             src_port,
             dst_port,
@@ -147,8 +154,21 @@ impl TcpLiteHeader {
         let dst_port = r.u16()?;
         let seq = r.u32()?;
         let ack = r.u32()?;
-        let flags = TcpFlags::from_raw(r.u8()?);
-        let _pad = r.bytes(3)?;
+        let raw = r.u8()?;
+        let flags = TcpFlags::from_raw(raw);
+        if flags.raw() != raw {
+            return Err(WireError::InvalidField {
+                field: "tcp_flags",
+                value: u64::from(raw),
+            });
+        }
+        let pad: [u8; 3] = r.array()?;
+        if pad != [0; 3] {
+            return Err(WireError::InvalidField {
+                field: "tcp_pad",
+                value: u64::from(u32::from_be_bytes([0, pad[0], pad[1], pad[2]])),
+            });
+        }
         Ok(TcpLiteHeader {
             src_port,
             dst_port,

@@ -103,12 +103,33 @@ impl DataPacket {
         w.zeros(self.payload_len as usize);
     }
 
-    /// Decode IPv4 + L4 headers + payload from `r`.
+    /// Decode IPv4 + L4 headers + payload from `r`, accepting only bytes
+    /// [`DataPacket::encode`] emits. The one field it does not pin is a UDP
+    /// packet's IPv4 `ident`: it carries the low bits of a `flow_seq` that
+    /// UDP decode does not restore.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let ip = Ipv4Header::decode(r)?;
+        if ip.ttl != 64 {
+            return Err(WireError::InvalidField {
+                field: "ttl",
+                value: u64::from(ip.ttl),
+            });
+        }
         let (src_port, dst_port, flags, flow_seq, l4_len) = match ip.proto {
             IpProto::Tcp => {
                 let t = TcpLiteHeader::decode(r)?;
+                if t.ack != 0 {
+                    return Err(WireError::InvalidField {
+                        field: "tcp_ack",
+                        value: u64::from(t.ack),
+                    });
+                }
+                if u32::from(ip.ident) != t.seq & 0xffff {
+                    return Err(WireError::InvalidField {
+                        field: "ident",
+                        value: u64::from(ip.ident),
+                    });
+                }
                 (
                     t.src_port,
                     t.dst_port,
@@ -119,6 +140,12 @@ impl DataPacket {
             }
             IpProto::Udp => {
                 let u = UdpHeader::decode(r)?;
+                if usize::from(u.length) + IPV4_HEADER_LEN != usize::from(ip.total_len) {
+                    return Err(WireError::InvalidField {
+                        field: "udp_length",
+                        value: u64::from(u.length),
+                    });
+                }
                 (
                     u.src_port,
                     u.dst_port,
@@ -140,7 +167,16 @@ impl DataPacket {
                 field: "total_len",
                 value: u64::from(ip.total_len),
             })?;
-        let _payload = r.bytes(payload_len)?;
+        let payload = r.bytes(payload_len)?;
+        // An OR over the payload vectorizes where an early-exit scan does
+        // not; the error carries the OR of the payload bytes.
+        let nonzero = payload.iter().fold(0, |acc, &b| acc | b);
+        if nonzero != 0 {
+            return Err(WireError::InvalidField {
+                field: "payload",
+                value: u64::from(nonzero),
+            });
+        }
         Ok(DataPacket {
             flow: FlowKey {
                 src: ip.src,

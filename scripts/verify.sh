@@ -91,6 +91,11 @@ bash benchmark/run.sh --self-test
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# rustdoc: every intra-doc link resolves, so a doc that names a deleted or
+# private item fails here instead of rendering as dead text.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
