@@ -17,6 +17,7 @@ use crate::scenarios::{percentile, read_arrivals, tcp_read, udp_write};
 use crate::table::{f, ns, ExperimentResult, Table};
 use swishmem::prelude::*;
 use swishmem::{RegisterClass, RegisterSpec, SwishConfig};
+use swishmem_simnet::Trace;
 
 struct Out {
     forwarded_frac: f64,
@@ -39,6 +40,8 @@ fn measure(class: RegisterClass, offset: SimDuration, quick: bool) -> Out {
         .swish_config(SwishConfig::default())
         .register(spec)
         .build(|_| Box::new(crate::scenarios::ProbeNf));
+    let trace = Trace::new(1 << 22);
+    dep.add_observer(trace.clone());
     dep.settle();
     // Seed keys with value 1.
     let probes = if quick { 200u64 } else { 600 };
@@ -67,7 +70,7 @@ fn measure(class: RegisterClass, offset: SimDuration, quick: bool) -> Out {
     }
     dep.run_for(SimDuration::millis(probes + 50));
 
-    let arrivals = read_arrivals(dep.recording(1));
+    let arrivals = read_arrivals(&trace.borrow(), dep.host(1));
     let mut lat = Vec::new();
     let mut stale = 0u64;
     for (t_arr, tag, val) in &arrivals {

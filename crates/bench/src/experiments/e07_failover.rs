@@ -14,6 +14,7 @@ use crate::scenarios::{count_pkt, probe_deployment, udp_write, CounterNf};
 use crate::table::{ns, ExperimentResult, Table};
 use swishmem::prelude::*;
 use swishmem::{ConfigEventKind, RegisterSpec, SwishConfig};
+use swishmem_simnet::Trace;
 use swishmem_wire::PacketBody;
 
 fn sro_block_window(failure_timeout: SimDuration, quick: bool) -> (u64, u64) {
@@ -21,6 +22,8 @@ fn sro_block_window(failure_timeout: SimDuration, quick: bool) -> (u64, u64) {
     cfg.failure_timeout = failure_timeout;
     cfg.heartbeat_interval = SimDuration::nanos(failure_timeout.as_nanos() / 3);
     let mut dep = probe_deployment(3, RegisterSpec::sro(0, "t", 4096), cfg);
+    let trace = Trace::new(1 << 22);
+    dep.add_observer(trace.clone());
     dep.settle();
     let dur = SimDuration::millis(if quick { 60 } else { 150 });
     let gap = SimDuration::micros(100); // 10k writes/s
@@ -39,11 +42,13 @@ fn sro_block_window(failure_timeout: SimDuration, quick: bool) -> (u64, u64) {
     dep.run_for(dur + SimDuration::millis(100));
     // Completed writes release P' to host 0: find the largest release gap
     // in a window around the failure.
-    let log = dep.recording(0).borrow();
-    let mut releases: Vec<u64> = log
-        .iter()
-        .filter(|(_, p)| matches!(p.body, PacketBody::Data(_)))
-        .map(|(t, _)| t.nanos())
+    let trace = trace.borrow();
+    assert_eq!(trace.overflowed(), 0, "packet trace too small for the run");
+    let mut releases: Vec<u64> = trace
+        .received_by(dep.host(0))
+        .into_iter()
+        .filter(|e| matches!(e.pkt.body, PacketBody::Data(_)))
+        .map(|e| e.time.nanos())
         .filter(|&t| {
             t > t_fail.nanos().saturating_sub(5_000_000) && t < t_fail.nanos() + 100_000_000
         })

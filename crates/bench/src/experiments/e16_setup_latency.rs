@@ -14,6 +14,7 @@ use std::net::Ipv4Addr;
 use swishmem::prelude::*;
 use swishmem::RegisterSpec;
 use swishmem_nf::{LbConfig, LbStatsHandle, LoadBalancer, LocalLb};
+use swishmem_simnet::Trace;
 use swishmem_wire::l4::TcpFlags;
 
 const VIP: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 1);
@@ -49,6 +50,8 @@ fn measure(shared: bool, n_switches: usize, quick: bool) -> Out {
                 Box::new(LocalLb::new(lb_cfg(), s2[id.index()].clone()))
             }
         });
+    let trace = Trace::new(1 << 22);
+    dep.add_observer(trace.clone());
     dep.settle();
     let conns = if quick { 50u64 } else { 200 };
     let t0 = dep.now();
@@ -77,11 +80,13 @@ fn measure(shared: bool, n_switches: usize, quick: bool) -> Out {
     }
     dep.run_for(SimDuration::millis(conns + 100));
 
+    let trace = trace.borrow();
+    assert_eq!(trace.overflowed(), 0, "packet trace too small for the run");
     let mut syn_lat = Vec::new();
     let mut data_lat = Vec::new();
     for h in 0..2 {
-        for (t_arr, p) in dep.recording(h).borrow().iter() {
-            let swishmem_wire::PacketBody::Data(d) = &p.body else {
+        for e in trace.received_by(dep.host(h)) {
+            let swishmem_wire::PacketBody::Data(d) = &e.pkt.body else {
                 continue;
             };
             let issue = if d.flow_seq == 0 {
@@ -90,7 +95,7 @@ fn measure(shared: bool, n_switches: usize, quick: bool) -> Out {
                 &data_issue
             };
             if let Some((_, t_iss)) = issue.iter().find(|(port, _)| *port == d.flow.src_port) {
-                let lat = t_arr.since(*t_iss).as_nanos() as f64;
+                let lat = e.time.since(*t_iss).as_nanos() as f64;
                 if d.flow_seq == 0 {
                     syn_lat.push(lat);
                 } else {

@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 use std::time::Instant;
 use swishmem::prelude::*;
 use swishmem::{CtrlEvent, RegisterSpec, SharedState};
-use swishmem_simnet::{Ctx, Family, Node, Recording, Simulator, SpanPhase};
+use swishmem_simnet::{Ctx, Family, Node, Simulator, SpanPhase, Trace};
 use swishmem_wire::l4::TcpFlags;
 use swishmem_wire::{Packet, PacketBody, TraceId};
 
@@ -278,13 +278,17 @@ pub fn measure_pair(family: Family, events: u64, reps: usize) -> (f64, f64) {
     (events as f64 / best_p, events as f64 / best_e)
 }
 
-/// Extract `(arrival_time, tag, value)` triples from a read-probe host
-/// recording (tag = src_port, value = flow_seq).
-pub fn read_arrivals(rec: &Recording) -> Vec<(SimTime, u16, u32)> {
-    rec.borrow()
-        .iter()
-        .filter_map(|(t, p)| match &p.body {
-            PacketBody::Data(d) => Some((*t, d.flow.src_port, d.flow_seq)),
+/// Extract `(arrival_time, tag, value)` triples for the read-probe host
+/// `host` from a packet trace of the run (tag = src_port, value =
+/// flow_seq). Panics if the trace overflowed, so a trace too small for
+/// the run cannot silently drop arrivals.
+pub fn read_arrivals(trace: &Trace, host: NodeId) -> Vec<(SimTime, u16, u32)> {
+    assert_eq!(trace.overflowed(), 0, "packet trace too small for the run");
+    trace
+        .received_by(host)
+        .into_iter()
+        .filter_map(|e| match &e.pkt.body {
+            PacketBody::Data(d) => Some((e.time, d.flow.src_port, d.flow_seq)),
             _ => None,
         })
         .collect()
@@ -328,6 +332,8 @@ mod tests {
     #[test]
     fn probe_write_then_read_round_trip() {
         let mut dep = probe_deployment(3, RegisterSpec::sro(0, "t", 128), SwishConfig::default());
+        let trace = Trace::new(1 << 12);
+        dep.add_observer(trace.clone());
         dep.settle();
         let t = dep.now();
         dep.inject(t, 0, 0, udp_write(17, 321));
@@ -335,7 +341,7 @@ mod tests {
         let t = dep.now();
         dep.inject(t, 2, 0, tcp_read(17, 42));
         dep.run_for(SimDuration::millis(10));
-        let arrivals = read_arrivals(dep.recording(1));
+        let arrivals = read_arrivals(&trace.borrow(), dep.host(1));
         assert_eq!(arrivals.len(), 1);
         assert_eq!(arrivals[0].1, 42);
         assert_eq!(arrivals[0].2, 321);

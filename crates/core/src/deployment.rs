@@ -362,7 +362,10 @@ impl Deployment {
         self.hosts[i]
     }
 
-    /// Packets received by host `i`.
+    /// How many packets host `i` received. Hosts count and keep no
+    /// packets; to read what a host received, attach a packet
+    /// [`swishmem_simnet::Trace`] with [`Deployment::add_observer`]
+    /// before the run and filter it with `received_by(dep.host(i))`.
     pub fn recording(&self, i: usize) -> &Recording {
         &self.recordings[i]
     }

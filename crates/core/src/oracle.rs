@@ -1149,7 +1149,10 @@ impl OracleSuite {
         //     carries a sticky typed error; every delivered directory
         //     reply must match an owner set that was authoritative at
         //     some instant within the staleness bound (the leader lease
-        //     plus the demotion window of a deposed leader).
+        //     plus the demotion window of a deposed leader). The reply
+        //     buffer is drained on every poll, so a single-controller run
+        //     does not keep each reply forever.
+        let replies = std::mem::take(&mut self.wire.borrow_mut().dir_replies);
         if ctrl.len() > 1 {
             for (replica, e) in ctrl.consensus_errors() {
                 let crate::consensus::ConsensusError::LogOverflow { slot, base } = e;
@@ -1165,7 +1168,6 @@ impl OracleSuite {
             let bound = SimDuration::nanos(
                 swish.dir_lease.as_nanos() + 2 * swish.failure_timeout.as_nanos(),
             );
-            let replies = std::mem::take(&mut self.wire.borrow_mut().dir_replies);
             for kind in stale_read_errors(&replies, &self.table_hist, bound) {
                 self.record(now, kind);
             }
@@ -2200,6 +2202,55 @@ mod tests {
         let report = suite.violation_report().unwrap();
         assert!(report.contains("failover SLO broken"), "{report}");
         assert!(report.contains("election started"), "{report}");
+    }
+
+    /// With one controller there is no follower read to check, but the
+    /// suite still drains the directory replies it buffered: each poll
+    /// leaves the buffer empty, so a long run's memory does not grow
+    /// with every lookup.
+    #[test]
+    fn single_controller_directory_replies_are_drained_by_poll() {
+        use crate::api::{NfApp, NfDecision, SharedState};
+        use crate::config::RegisterSpec;
+        use crate::deployment::DeploymentBuilder;
+        use swishmem_wire::DataPacket;
+
+        struct DropNf;
+        impl NfApp for DropNf {
+            fn process(
+                &mut self,
+                _pkt: &DataPacket,
+                _i: NodeId,
+                _st: &mut dyn SharedState,
+            ) -> NfDecision {
+                NfDecision::Drop
+            }
+        }
+
+        let mut dep = DeploymentBuilder::new(3)
+            .register(RegisterSpec::sro(0, "t", 64))
+            .build(|_| Box::new(DropNf));
+        let owners = dep.switch_ids().to_vec();
+        dep.partition_register(0, 64, &owners);
+        let mut suite = OracleSuite::attach(&mut dep, OracleConfig::new(SimTime(1 << 60)));
+        dep.settle();
+        assert_eq!(dep.controller_ids().len(), 1);
+        for round in 0..3u32 {
+            let t = dep.now();
+            for key in 0..4 {
+                dep.dir_lookup(
+                    t + SimDuration::micros(u64::from(key)),
+                    0,
+                    0,
+                    round * 4 + key,
+                );
+            }
+            dep.run_for(SimDuration::millis(2));
+            assert_eq!(suite.wire.borrow().dir_replies.len(), 4, "round {round}");
+            assert!(suite.poll(&dep).is_none());
+            assert!(suite.wire.borrow().dir_replies.is_empty(), "round {round}");
+        }
+        assert!(dep.dir_owners(0, 0, 11).is_some());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::net::Ipv4Addr;
 use swishmem::prelude::*;
 use swishmem::{ConfigEventKind, RegisterSpec};
-use swishmem_simnet::{DropReason, TrafficClass};
+use swishmem_simnet::{DropReason, Trace, TraceHandle, TrafficClass};
 use swishmem_wire::l4::TcpFlags;
 use swishmem_wire::PacketBody;
 
@@ -72,6 +72,28 @@ fn sro_dep(n: usize) -> Deployment {
         .build(|_| Box::new(RwNf))
 }
 
+/// A packet trace of every delivery in the run, attached before it.
+fn trace(dep: &mut Deployment) -> TraceHandle {
+    let trace = Trace::new(1 << 12);
+    dep.add_observer(trace.clone());
+    trace
+}
+
+/// The values host 1 read back (`flow_seq` of each packet it received),
+/// read off the trace.
+fn values_read(dep: &Deployment, trace: &TraceHandle) -> Vec<u32> {
+    let trace = trace.borrow();
+    assert_eq!(trace.overflowed(), 0);
+    trace
+        .received_by(dep.host(1))
+        .into_iter()
+        .map(|e| match &e.pkt.body {
+            PacketBody::Data(d) => d.flow_seq,
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect()
+}
+
 #[test]
 fn sro_write_replicates_to_every_switch() {
     let mut dep = sro_dep(3);
@@ -109,6 +131,7 @@ fn sro_output_packet_held_until_ack() {
 #[test]
 fn sro_reads_are_local_when_no_write_in_flight() {
     let mut dep = sro_dep(3);
+    let trace = trace(&mut dep);
     dep.settle();
     let t = dep.now();
     dep.inject(t, 0, 0, udp(3, 77));
@@ -117,12 +140,7 @@ fn sro_reads_are_local_when_no_write_in_flight() {
     let t = dep.now();
     dep.inject(t, 0, 0, tcp(3));
     dep.run_for(SimDuration::millis(5));
-    let log = dep.recording(1).borrow();
-    assert_eq!(log.len(), 1);
-    match &log[0].1.body {
-        PacketBody::Data(d) => assert_eq!(d.flow_seq, 77),
-        other => panic!("unexpected {other:?}"),
-    }
+    assert_eq!(values_read(&dep, &trace), [77]);
     let forwarded: u64 = (0..3).map(|i| dep.metrics(i).dp.reads_forwarded).sum();
     assert_eq!(forwarded, 0, "no read should have been redirected");
 }
@@ -130,6 +148,7 @@ fn sro_reads_are_local_when_no_write_in_flight() {
 #[test]
 fn sro_read_during_write_redirects_to_tail_and_sees_committed_value() {
     let mut dep = sro_dep(3);
+    let trace = trace(&mut dep);
     dep.settle();
     let t = dep.now();
     dep.inject(t, 0, 0, udp(5, 200));
@@ -141,14 +160,11 @@ fn sro_read_during_write_redirects_to_tail_and_sees_committed_value() {
     dep.inject(t2, 0, 0, tcp(5));
     dep.run_for(SimDuration::millis(20));
 
-    let log = dep.recording(1).borrow();
-    assert_eq!(log.len(), 1);
-    match &log[0].1.body {
-        // Either the read waited out the pending bit at the tail (sees
-        // 200) — never a torn/stale mix.
-        PacketBody::Data(d) => assert!(d.flow_seq == 200 || d.flow_seq == 0),
-        other => panic!("unexpected {other:?}"),
-    }
+    let read = values_read(&dep, &trace);
+    assert_eq!(read.len(), 1);
+    // Either the read waited out the pending bit at the tail (sees
+    // 200) — never a torn/stale mix.
+    assert!(read[0] == 200 || read[0] == 0);
     let m: u64 = (0..3).map(|i| dep.metrics(i).dp.reads_forwarded).sum();
     let served: u64 = (0..3).map(|i| dep.metrics(i).dp.tail_reads_served).sum();
     assert_eq!(m, served);

@@ -115,6 +115,7 @@ mod tests {
     use super::*;
     use swishmem::prelude::*;
     use swishmem::RegisterSpec;
+    use swishmem_simnet::Trace;
     use swishmem_wire::l4::TcpFlags;
     use swishmem_wire::{FlowKey, PacketBody};
 
@@ -162,6 +163,8 @@ mod tests {
     #[test]
     fn connection_sticks_to_one_backend_across_switches() {
         let (mut dep, stats) = deployment(3);
+        let trace = Trace::new(1 << 12);
+        dep.add_observer(trace.clone());
         dep.settle();
         let t = dep.now();
         dep.inject(t, 0, 0, pkt(5000, TcpFlags::syn(), 0));
@@ -189,10 +192,12 @@ mod tests {
         assert_eq!(drops, 0);
         // All delivered to the same DIP.
         let nonzero = counts.iter().position(|&c| c > 0).unwrap();
-        let log = dep.recording(nonzero).borrow();
-        let dips: std::collections::HashSet<Ipv4Addr> = log
-            .iter()
-            .map(|(_, p)| match &p.body {
+        let trace = trace.borrow();
+        assert_eq!(trace.overflowed(), 0);
+        let dips: std::collections::HashSet<Ipv4Addr> = trace
+            .received_by(dep.host(nonzero))
+            .into_iter()
+            .map(|e| match &e.pkt.body {
                 PacketBody::Data(d) => d.flow.dst,
                 _ => panic!(),
             })

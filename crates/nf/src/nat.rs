@@ -168,7 +168,7 @@ mod tests {
     use super::*;
     use swishmem::prelude::*;
     use swishmem::RegisterSpec;
-    use swishmem_simnet::SimDuration;
+    use swishmem_simnet::{SimDuration, Trace, TraceHandle};
 
     fn config() -> NatConfig {
         NatConfig {
@@ -195,6 +195,29 @@ mod tests {
         (dep, stats)
     }
 
+    /// A packet trace of every delivery in the run, attached before it.
+    fn trace(dep: &mut Deployment) -> TraceHandle {
+        let trace = Trace::new(1 << 12);
+        dep.add_observer(trace.clone());
+        trace
+    }
+
+    /// The data packets host `h` received, read off the trace.
+    fn received(dep: &Deployment, trace: &TraceHandle, h: usize) -> Vec<DataPacket> {
+        let trace = trace.borrow();
+        assert_eq!(trace.overflowed(), 0);
+        let got: Vec<DataPacket> = trace
+            .received_by(dep.host(h))
+            .into_iter()
+            .map(|e| match &e.pkt.body {
+                swishmem_wire::PacketBody::Data(d) => *d,
+                _ => panic!("hosts receive data packets only"),
+            })
+            .collect();
+        assert_eq!(got.len(), dep.recording(h).borrow().len());
+        got
+    }
+
     fn outbound(src_port: u16) -> DataPacket {
         DataPacket::udp(
             FlowKey::udp(
@@ -211,16 +234,15 @@ mod tests {
     #[test]
     fn outbound_allocates_and_translates() {
         let (mut dep, stats) = deployment(3);
+        let trace = trace(&mut dep);
         dep.settle();
         let t = dep.now();
         dep.inject(t, 0, 1, outbound(5555));
         dep.run_for(SimDuration::millis(20));
         // The translated packet reached the outside host with NAT source.
-        let log = dep.recording(0).borrow();
+        let log = received(&dep, &trace, 0);
         assert_eq!(log.len(), 1);
-        let swishmem_wire::PacketBody::Data(d) = &log[0].1.body else {
-            panic!()
-        };
+        let d = &log[0];
         assert_eq!(d.flow.src, Ipv4Addr::new(203, 0, 113, 1));
         assert!(d.flow.src_port >= 10000);
         assert_eq!(stats[0].borrow().allocations, 1);
@@ -229,18 +251,13 @@ mod tests {
     #[test]
     fn inbound_translates_back_from_any_switch() {
         let (mut dep, stats) = deployment(3);
+        let trace = trace(&mut dep);
         dep.settle();
         let t = dep.now();
         dep.inject(t, 0, 1, outbound(5555));
         dep.run_for(SimDuration::millis(30));
         // Find the allocated external port from the outside host's view.
-        let ext_port = {
-            let log = dep.recording(0).borrow();
-            let swishmem_wire::PacketBody::Data(d) = &log[0].1.body else {
-                panic!()
-            };
-            d.flow.src_port
-        };
+        let ext_port = received(&dep, &trace, 0)[0].flow.src_port;
         // Reply arrives at a DIFFERENT switch (multipath): mapping must be
         // there thanks to SRO replication.
         let reply = DataPacket::udp(
@@ -256,11 +273,9 @@ mod tests {
         let t = dep.now();
         dep.inject(t, 2, 0, reply);
         dep.run_for(SimDuration::millis(20));
-        let log = dep.recording(1).borrow();
+        let log = received(&dep, &trace, 1);
         assert_eq!(log.len(), 1, "reply should reach the inside host");
-        let swishmem_wire::PacketBody::Data(d) = &log[0].1.body else {
-            panic!()
-        };
+        let d = &log[0];
         assert_eq!(d.flow.dst, Ipv4Addr::new(10, 0, 0, 5));
         assert_eq!(d.flow.dst_port, 5555);
         assert_eq!(stats[2].borrow().inbound_hits, 1);

@@ -7,8 +7,33 @@ use std::net::Ipv4Addr;
 use swishmem::prelude::*;
 use swishmem::RegisterSpec;
 use swishmem_nf::*;
+use swishmem_simnet::{Trace, TraceHandle};
 use swishmem_wire::l4::TcpFlags;
 use swishmem_wire::PacketBody;
+
+/// A packet trace of every delivery in the run, attached before it.
+fn trace(dep: &mut Deployment) -> TraceHandle {
+    let trace = Trace::new(1 << 12);
+    dep.add_observer(trace.clone());
+    trace
+}
+
+/// The data packets host `h` received, read off the trace; the trace
+/// holds all of them and agrees with the host's count.
+fn received(dep: &Deployment, trace: &TraceHandle, h: usize) -> Vec<DataPacket> {
+    let trace = trace.borrow();
+    assert_eq!(trace.overflowed(), 0);
+    let got: Vec<DataPacket> = trace
+        .received_by(dep.host(h))
+        .into_iter()
+        .map(|e| match &e.pkt.body {
+            PacketBody::Data(d) => *d,
+            _ => panic!("hosts receive data packets only"),
+        })
+        .collect();
+    assert_eq!(got.len(), dep.recording(h).borrow().len());
+    got
+}
 
 // ---------------------------------------------------------------- NAT
 
@@ -35,6 +60,7 @@ fn nat_port_pool_wraps_without_panicking() {
         .register(RegisterSpec::sro(0, "fwd", 512))
         .register(RegisterSpec::sro(1, "rev", 512))
         .build(move |_| Box::new(Nat::new(nat_cfg(), s2.clone())));
+    let trace = trace(&mut dep);
     dep.settle();
     let t = dep.now();
     // 10 distinct flows through a 4-port pool: allocation wraps; old
@@ -54,17 +80,11 @@ fn nat_port_pool_wraps_without_panicking() {
         dep.inject(t + SimDuration::millis(u64::from(i)), 0, 0, f);
     }
     dep.run_for(SimDuration::millis(100));
-    assert_eq!(
-        dep.recording(0).borrow().len(),
-        10,
-        "all outbound packets translated"
-    );
+    let out = received(&dep, &trace, 0);
+    assert_eq!(out.len(), 10, "all outbound packets translated");
     assert_eq!(stats.borrow().allocations, 10);
     // Every translated source port stayed within switch 0's range.
-    for (_, p) in dep.recording(0).borrow().iter() {
-        let PacketBody::Data(d) = &p.body else {
-            panic!()
-        };
+    for d in &out {
         assert!((40_000..40_004).contains(&d.flow.src_port));
     }
 }
@@ -78,6 +98,7 @@ fn nat_second_packet_of_flow_reuses_mapping() {
         .register(RegisterSpec::sro(0, "fwd", 512))
         .register(RegisterSpec::sro(1, "rev", 512))
         .build(move |_| Box::new(Nat::new(nat_cfg(), s2.clone())));
+    let trace = trace(&mut dep);
     dep.settle();
     let f = DataPacket::udp(
         FlowKey::udp(
@@ -102,13 +123,9 @@ fn nat_second_packet_of_flow_reuses_mapping() {
         "one mapping for the whole flow"
     );
     assert_eq!(stats.borrow().outbound_hits, 1);
-    let log = dep.recording(0).borrow();
-    let ports: Vec<u16> = log
+    let ports: Vec<u16> = received(&dep, &trace, 0)
         .iter()
-        .map(|(_, p)| match &p.body {
-            PacketBody::Data(d) => d.flow.src_port,
-            _ => panic!(),
-        })
+        .map(|d| d.flow.src_port)
         .collect();
     assert_eq!(ports.len(), 2);
     assert_eq!(ports[0], ports[1], "same external port for both packets");
@@ -224,6 +241,7 @@ fn lb_non_vip_traffic_passes_through_untouched() {
         .hosts(1)
         .register(RegisterSpec::sro(0, "conn", 256))
         .build(move |_| Box::new(LoadBalancer::new(c2.clone(), s2.clone())));
+    let trace = trace(&mut dep);
     dep.settle();
     let direct = DataPacket::tcp(
         FlowKey::tcp(
@@ -239,13 +257,10 @@ fn lb_non_vip_traffic_passes_through_untouched() {
     let t = dep.now();
     dep.inject(t, 0, 0, direct);
     dep.run_for(SimDuration::millis(10));
-    let log = dep.recording(0).borrow();
+    let log = received(&dep, &trace, 0);
     assert_eq!(log.len(), 1);
-    let PacketBody::Data(d) = &log[0].1.body else {
-        panic!()
-    };
     assert_eq!(
-        d.flow.dst,
+        log[0].flow.dst,
         Ipv4Addr::new(5, 6, 7, 8),
         "non-VIP dst must not be rewritten"
     );

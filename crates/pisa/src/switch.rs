@@ -82,6 +82,10 @@ pub struct Switch<P: DataPlaneProgram, C: ControlApp> {
     /// pass and taken back drained, so a pass allocates nothing once the
     /// buffer has grown to the widest pass seen.
     effect_buf: Vec<Effect>,
+    /// Pooled timer-request buffer: lent to the [`CpCtx`] of each
+    /// control-plane callback and drained after it, so arming a timer
+    /// allocates nothing once the buffer has grown.
+    timer_buf: Vec<(SimDuration, u64)>,
 }
 
 impl<P: DataPlaneProgram, C: ControlApp> Switch<P, C> {
@@ -101,6 +105,7 @@ impl<P: DataPlaneProgram, C: ControlApp> Switch<P, C> {
             pktgens: Vec::new(),
             stats: SwitchStats::default(),
             effect_buf: Vec::new(),
+            timer_buf: Vec::new(),
         }
     }
 
@@ -192,16 +197,15 @@ impl<P: DataPlaneProgram, C: ControlApp> Switch<P, C> {
     where
         F: FnOnce(&mut C, &mut CpCtx<'_, '_>),
     {
-        let mut timer_requests = Vec::new();
         {
             let mut cp = CpCtx {
                 dp: &mut self.dp,
                 net: ctx,
-                timer_requests: &mut timer_requests,
+                timer_requests: &mut self.timer_buf,
             };
             f(&mut self.cp_app, &mut cp);
         }
-        for (delay, token) in timer_requests {
+        for (delay, token) in self.timer_buf.drain(..) {
             ctx.set_timer(delay, encode_token(TAG_CP_TIMER, self.incarnation, token));
         }
     }
@@ -278,7 +282,7 @@ mod tests {
     use crate::control::NullControlApp;
     use crate::dataplane::RegHandle;
     use std::net::Ipv4Addr;
-    use swishmem_simnet::{LinkParams, Simulator};
+    use swishmem_simnet::{LinkParams, Simulator, Trace};
     use swishmem_wire::{DataPacket, FlowKey, NodeId};
 
     fn data_pkt(src: u16, dst: u16) -> Packet {
@@ -376,21 +380,26 @@ mod tests {
             },
         );
         sim.add_node(NodeId(1), Box::new(sw));
-        let (rec, log) = swishmem_simnet::RecorderNode::new();
+        let (rec, count) = swishmem_simnet::RecorderNode::new();
         sim.add_node(NodeId(2), Box::new(rec));
         sim.topology_mut()
             .connect(NodeId(1), NodeId(2), LinkParams::datacenter());
+        let trace = Trace::new(16);
+        sim.add_observer(trace.clone());
         // Two packets injected simultaneously: CP handles them serially.
         sim.inject(SimTime::ZERO, data_pkt(0, 1));
         sim.inject(SimTime::ZERO, data_pkt(0, 1));
         sim.run_until_quiescent(SimTime(10_000_000));
-        let log = log.borrow();
-        assert_eq!(log.len(), 2);
-        let d = log[1].0 - log[0].0;
+        let trace = trace.borrow();
+        assert_eq!(trace.overflowed(), 0);
+        let arrivals = trace.received_by(NodeId(2));
+        assert_eq!(arrivals.len(), 2);
+        assert_eq!(count.borrow().len(), 2);
+        let d = arrivals[1].time - arrivals[0].time;
         // Second packet waited one full service slot behind the first.
         assert_eq!(d, cfg.cp.service_time);
         // First arrives no earlier than punt + service + link latency.
-        assert!(log[0].0 >= SimTime::ZERO + cfg.cp.punt_latency + cfg.cp.service_time);
+        assert!(arrivals[0].time >= SimTime::ZERO + cfg.cp.punt_latency + cfg.cp.service_time);
     }
 
     /// Recirculates once, then forwards.

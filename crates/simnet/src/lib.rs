@@ -33,18 +33,24 @@
 //!   its callback returns, mirroring PISA's atomic per-packet processing.
 //!
 //! ```
-//! use swishmem_simnet::{Simulator, SimTime, RecorderNode};
+//! use swishmem_simnet::{Simulator, SimTime, RecorderNode, Trace};
 //! use swishmem_wire::{NodeId, Packet, DataPacket, FlowKey};
 //! use std::net::Ipv4Addr;
 //!
 //! let mut sim = Simulator::new(42);
-//! let (rec, log) = RecorderNode::new();
+//! let trace = Trace::new(16);
+//! sim.add_observer(trace.clone());
+//! let (rec, count) = RecorderNode::new();
 //! sim.add_node(NodeId(1), Box::new(rec));
 //! let pkt = Packet::data(NodeId(0), NodeId(1), DataPacket::udp(
 //!     FlowKey::udp(Ipv4Addr::new(10,0,0,1), 1000, Ipv4Addr::new(10,0,0,2), 53), 0, 64));
-//! sim.inject(SimTime::ZERO, pkt);
+//! sim.inject(SimTime::ZERO, pkt.clone());
 //! sim.run_until_quiescent(SimTime(1_000_000));
-//! assert_eq!(log.borrow().len(), 1);
+//! // The host counts what it received; the trace keeps the packets.
+//! assert_eq!(count.borrow().len(), 1);
+//! let trace = trace.borrow();
+//! assert_eq!(trace.overflowed(), 0);
+//! assert_eq!(trace.received_by(NodeId(1))[0].pkt, pkt);
 //! ```
 
 pub mod capture;

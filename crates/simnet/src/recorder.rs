@@ -1,41 +1,66 @@
-//! A generic sink node that records everything it receives.
+//! A generic sink node that counts everything it receives.
 //!
 //! Hosts at the edge of the simulated fabric (traffic destinations, the
-//! experiment harness's observation points) are `RecorderNode`s; the
-//! harness keeps the shared [`Recording`] handle and inspects it after the
-//! run.
+//! experiment harness's observation points) are `RecorderNode`s. A host
+//! keeps only the number of frames it received, so its memory does not
+//! grow with the run; the harness keeps the shared [`Recording`] handle
+//! and reads the count after the run. A caller that needs the packets
+//! themselves attaches a packet [`crate::Trace`] and filters it with
+//! [`crate::Trace::received_by`].
 
 use crate::ctx::Ctx;
 use crate::node::Node;
-use crate::time::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
 use swishmem_wire::Packet;
 
-/// Shared handle to the packets a [`RecorderNode`] received.
-pub type Recording = Rc<RefCell<Vec<(SimTime, Packet)>>>;
+/// How many frames a [`RecorderNode`] received.
+#[derive(Debug, Default)]
+pub struct Received {
+    frames: usize,
+}
 
-/// A node that stores every delivered packet with its arrival time.
+impl Received {
+    /// Number of frames received.
+    pub fn len(&self) -> usize {
+        self.frames
+    }
+
+    /// Whether no frame was received.
+    pub fn is_empty(&self) -> bool {
+        self.frames == 0
+    }
+}
+
+/// Shared handle to a [`RecorderNode`]'s count.
+pub type Recording = Rc<RefCell<Received>>;
+
+/// A node that counts every delivered packet.
 pub struct RecorderNode {
-    log: Recording,
+    received: Recording,
 }
 
 impl RecorderNode {
-    /// Create a recorder and the shared handle to its log.
+    /// Create a recorder and the shared handle to its count.
     pub fn new() -> (RecorderNode, Recording) {
-        let log: Recording = Rc::new(RefCell::new(Vec::new()));
-        (RecorderNode { log: log.clone() }, log)
+        let received = Recording::default();
+        (
+            RecorderNode {
+                received: received.clone(),
+            },
+            received,
+        )
     }
 }
 
 impl Node for RecorderNode {
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        self.log.borrow_mut().push((ctx.now(), pkt));
+    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {
+        self.received.borrow_mut().frames += 1;
     }
 
     fn on_fail(&mut self) {
-        // A failed recorder keeps its history: the harness still wants to
-        // see what arrived before the failure.
+        // A failed recorder keeps its count: the harness still wants to
+        // know what arrived before the failure.
     }
 }
 
@@ -44,13 +69,19 @@ mod tests {
     use super::*;
     use crate::link::LinkParams;
     use crate::sim::Simulator;
+    use crate::time::SimTime;
+    use crate::trace::Trace;
     use std::net::Ipv4Addr;
     use swishmem_wire::{DataPacket, FlowKey, NodeId};
 
+    /// The count and the trace agree, and a failed recorder keeps its
+    /// count: the second frame arrives after the failure and is dropped.
     #[test]
-    fn records_arrivals_with_time() {
+    fn counts_arrivals_and_the_trace_holds_them() {
         let mut sim = Simulator::new(1);
-        let (rec, log) = RecorderNode::new();
+        let trace = Trace::new(16);
+        sim.add_observer(trace.clone());
+        let (rec, count) = RecorderNode::new();
         sim.add_node(NodeId(5), Box::new(rec));
         sim.topology_mut()
             .connect(NodeId(4), NodeId(5), LinkParams::datacenter());
@@ -64,10 +95,17 @@ mod tests {
             ),
         );
         sim.inject(SimTime(500), p.clone());
+        sim.schedule_fail(SimTime(1_000), NodeId(5));
+        sim.inject(SimTime(2_000), p.clone());
         sim.run_until_quiescent(SimTime(1_000_000));
-        let log = log.borrow();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log[0].0, SimTime(500));
-        assert_eq!(log[0].1, p);
+        assert!(sim.is_failed(NodeId(5)));
+        assert_eq!(count.borrow().len(), 1);
+        assert!(!count.borrow().is_empty());
+        let t = trace.borrow();
+        assert_eq!(t.overflowed(), 0);
+        let got = t.received_by(NodeId(5));
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].time, SimTime(500));
+        assert_eq!(got[0].pkt, p);
     }
 }

@@ -7,6 +7,10 @@
 //! overflow rule is stated once, here: the kept records are the
 //! **earliest** `capacity` ones, [`Tap::overflowed`] counts the rest, and
 //! capacity 0 keeps nothing — so a long run's memory stays bounded.
+//!
+//! An edge host ([`crate::RecorderNode`]) keeps no records: it counts
+//! the frames it receives, and the packets themselves are read from a
+//! packet trace.
 
 use crate::observe::{Family, NetEvent, NetObserver};
 use crate::time::SimTime;

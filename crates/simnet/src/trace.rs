@@ -1,7 +1,14 @@
 //! Packet tracing: a [`Tap`] of delivered frames for offline inspection —
 //! the smoltcp `--pcap` idiom adapted to the simulator. Attach with
 //! `add_observer(trace.clone())`. Traces render as human-readable text
-//! and can be filtered by traffic class or endpoint.
+//! and can be filtered by traffic class, endpoint or receiving node.
+//!
+//! The trace is the one place a run's packets are kept: hosts
+//! ([`crate::RecorderNode`]) only count theirs, so a caller that reads
+//! what a host received attaches a trace before the run and filters it
+//! with [`Trace::received_by`]. A reader that must see every frame
+//! checks [`Tap::overflowed`] is 0, so a capacity that is too small
+//! fails loudly instead of truncating what it reads.
 
 use crate::observe::{Family, NetEvent};
 use crate::stats::TrafficClass;
@@ -14,6 +21,8 @@ use swishmem_wire::{NodeId, Packet};
 pub struct TraceEntry {
     /// Delivery time.
     pub time: SimTime,
+    /// The receiving node.
+    pub to: NodeId,
     /// The delivered frame.
     pub pkt: Packet,
 }
@@ -22,8 +31,9 @@ impl Record for TraceEntry {
     const FAMILY: Family = Family::Delivered;
     fn of(time: SimTime, ev: &NetEvent<'_>) -> Option<Self> {
         match ev {
-            NetEvent::Delivered { pkt, .. } => Some(TraceEntry {
+            NetEvent::Delivered { to, pkt } => Some(TraceEntry {
                 time,
+                to: *to,
                 pkt: (*pkt).clone(),
             }),
             _ => None,
@@ -52,6 +62,11 @@ impl Tap<TraceEntry> {
             .iter()
             .filter(|e| e.pkt.src == node || e.pkt.dst == node)
             .collect()
+    }
+
+    /// Entries delivered to a node, in delivery order.
+    pub fn received_by(&self, node: NodeId) -> Vec<&TraceEntry> {
+        self.events().iter().filter(|e| e.to == node).collect()
     }
 
     /// Render as text, one line per frame (tcpdump-style).
@@ -140,11 +155,24 @@ mod tests {
             2,
             &Packet::swish(NodeId(2), NodeId::CONTROLLER, SwishMsg::Heartbeat(hb)),
         );
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.by_class(TrafficClass::Data).len(), 1);
+        // A relay receives a frame addressed elsewhere: it is an entry of
+        // the relay's, not an endpoint's.
+        let relayed = data(0, 1);
+        let ev = NetEvent::Delivered {
+            to: NodeId(9),
+            pkt: &relayed,
+        };
+        t.on_net_event(SimTime(3), &ev);
+        assert_eq!(t.events().len(), 3);
+        assert_eq!(t.received_by(NodeId(9)).len(), 1);
+        assert!(t.by_endpoint(NodeId(9)).is_empty());
+        assert_eq!(t.by_class(TrafficClass::Data).len(), 2);
         assert_eq!(t.by_class(TrafficClass::Management).len(), 1);
-        assert_eq!(t.by_endpoint(NodeId(1)).len(), 1);
+        assert_eq!(t.by_endpoint(NodeId(1)).len(), 2);
         assert_eq!(t.by_endpoint(NodeId(2)).len(), 1);
+        assert_eq!(t.received_by(NodeId(1)).len(), 1);
+        assert_eq!(t.received_by(NodeId::CONTROLLER).len(), 1);
+        assert!(t.received_by(NodeId(2)).is_empty());
     }
 
     /// End-to-end drop accounting: when a live engine delivers more

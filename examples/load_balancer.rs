@@ -12,6 +12,7 @@ use swishmem::prelude::*;
 use swishmem::RegisterSpec;
 use swishmem_nf::workload::{EcmpRouter, RoutingMode};
 use swishmem_nf::{LbConfig, LbStatsHandle, LoadBalancer};
+use swishmem_simnet::Trace;
 use swishmem_wire::l4::TcpFlags;
 use swishmem_wire::PacketBody;
 
@@ -34,6 +35,9 @@ fn main() {
         .hosts(3)
         .register(RegisterSpec::sro(0, "lb_conn", 8192))
         .build(move |id| Box::new(LoadBalancer::new(cfg.clone(), s2[id.index()].clone())));
+    // Hosts only count what they receive; a packet trace keeps the frames.
+    let trace = Trace::new(1 << 16);
+    dep.add_observer(trace.clone());
     dep.settle();
 
     // 20 client connections, 6 packets each, with 30% per-packet path
@@ -59,14 +63,17 @@ fn main() {
     }
     dep.run_for(SimDuration::millis(120));
 
+    let trace = trace.borrow();
+    assert_eq!(trace.overflowed(), 0, "packet trace too small for the run");
     println!("backend packet counts (each connection must stay on one backend):");
     let mut total = 0usize;
     for (h, (dip, _)) in backends.iter().enumerate() {
-        let log = dep.recording(h).borrow();
+        let log = trace.received_by(dep.host(h));
+        assert_eq!(log.len(), dep.recording(h).borrow().len());
         // Count distinct client ports per backend and verify DIP rewrite.
         let mut conns = std::collections::HashSet::new();
-        for (_, p) in log.iter() {
-            if let PacketBody::Data(d) = &p.body {
+        for e in &log {
+            if let PacketBody::Data(d) = &e.pkt.body {
                 assert_eq!(d.flow.dst, *dip, "packet delivered with wrong DIP");
                 conns.insert(d.flow.src_port);
             }
@@ -84,8 +91,8 @@ fn main() {
     // exactly one backend.
     let mut seen: std::collections::HashMap<u16, usize> = std::collections::HashMap::new();
     for h in 0..3 {
-        for (_, p) in dep.recording(h).borrow().iter() {
-            if let PacketBody::Data(d) = &p.body {
+        for e in trace.received_by(dep.host(h)) {
+            if let PacketBody::Data(d) = &e.pkt.body {
                 if let Some(prev) = seen.insert(d.flow.src_port, h) {
                     assert_eq!(
                         prev, h,

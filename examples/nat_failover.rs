@@ -12,8 +12,22 @@ use std::net::Ipv4Addr;
 use swishmem::prelude::*;
 use swishmem::{ConfigEventKind, RegisterSpec};
 use swishmem_nf::{Nat, NatConfig, NatStatsHandle};
-use swishmem_simnet::FaultSchedule;
+use swishmem_simnet::{FaultSchedule, Trace, TraceHandle};
 use swishmem_wire::PacketBody;
+
+/// The data packets `host` received, read off the packet trace.
+fn received(trace: &TraceHandle, host: NodeId) -> Vec<DataPacket> {
+    let trace = trace.borrow();
+    assert_eq!(trace.overflowed(), 0, "packet trace too small for the run");
+    trace
+        .received_by(host)
+        .into_iter()
+        .map(|e| match &e.pkt.body {
+            PacketBody::Data(d) => *d,
+            _ => panic!("hosts receive data packets only"),
+        })
+        .collect()
+}
 
 fn main() {
     let cfg = NatConfig {
@@ -34,6 +48,9 @@ fn main() {
         .register(RegisterSpec::sro(0, "nat_fwd", 4096))
         .register(RegisterSpec::sro(1, "nat_rev", 4096))
         .build(move |id| Box::new(Nat::new(cfg.clone(), s2[id.index()].clone())));
+    // Hosts only count what they receive; a packet trace keeps the frames.
+    let trace = Trace::new(1 << 16);
+    dep.add_observer(trace.clone());
     dep.settle();
 
     // The whole failure story is declared up front as a fault schedule:
@@ -61,13 +78,7 @@ fn main() {
     let t = dep.now();
     dep.inject(t, 0, 1, out);
     dep.run_for(SimDuration::millis(30));
-    let ext_port = {
-        let log = dep.recording(0).borrow();
-        let PacketBody::Data(d) = &log[0].1.body else {
-            panic!()
-        };
-        d.flow.src_port
-    };
+    let ext_port = received(&trace, dep.host(0))[0].flow.src_port;
     println!("outbound 10.0.0.5:5555 translated to 203.0.113.1:{ext_port} via switch 0");
 
     // 2. Switch 0 (the one that allocated the mapping) fails, per the
@@ -93,18 +104,13 @@ fn main() {
     let t = dep.now();
     dep.inject(t, 2, 0, reply);
     dep.run_for(SimDuration::millis(30));
-    {
-        let log = dep.recording(1).borrow();
-        assert_eq!(log.len(), 1, "reply lost: connection broken");
-        let PacketBody::Data(d) = &log[0].1.body else {
-            panic!()
-        };
-        assert_eq!(
-            (d.flow.dst, d.flow.dst_port),
-            (Ipv4Addr::new(10, 0, 0, 5), 5555)
-        );
-        println!("reply translated back at switch 2 despite the failure ✓");
-    }
+    let log = received(&trace, dep.host(1));
+    assert_eq!(log.len(), 1, "reply lost: connection broken");
+    assert_eq!(
+        (log[0].flow.dst, log[0].flow.dst_port),
+        (Ipv4Addr::new(10, 0, 0, 5), 5555)
+    );
+    println!("reply translated back at switch 2 despite the failure ✓");
 
     // 4. Switch 0 restarts (schedule: t0 + 120 ms) and catches up.
     dep.run_for(SimDuration::millis(200));

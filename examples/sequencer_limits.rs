@@ -92,7 +92,16 @@ fn main() {
     dep.inject(t, 0, 0, pkt(0));
     dep.run_for(SimDuration::millis(5));
     println!("packet trace for ONE sequenced packet (chain of 3):");
-    print!("{}", trace.borrow().render());
-    let log = dep.recording(0).borrow();
-    assert_eq!(log.len(), 1);
+    let trace = trace.borrow();
+    print!("{}", trace.render());
+    assert_eq!(trace.overflowed(), 0, "packet trace too small for the run");
+    // The host counts the released packet; the trace shows it carries
+    // the first sequence number.
+    assert_eq!(dep.recording(0).borrow().len(), 1);
+    let released = trace.received_by(dep.host(0));
+    assert_eq!(released.len(), 1);
+    let swishmem_wire::PacketBody::Data(d) = &released[0].pkt.body else {
+        panic!("hosts receive data packets only")
+    };
+    assert_eq!(d.flow_seq, 1);
 }

@@ -63,6 +63,14 @@ echo "==> cargo build --release && cargo test -q (tier-1)"
 cargo build --release
 cargo test -q
 
+# The examples: `cargo test` builds them but never runs them, so their
+# asserts are checked only here.
+for ex in examples/*.rs; do
+    name="$(basename "$ex" .rs)"
+    echo "==> cargo run -q --release --example $name"
+    cargo run -q --release --example "$name" >/dev/null
+done
+
 # Release-profile gates: host-time or allocation measurements that mean
 # nothing in a debug build, so the workspace run above does not cover them.
 #
@@ -72,10 +80,11 @@ cargo test -q
 #     ingest parity within its CI bound.
 #   alloc_budget ("Performance model"): 0 allocations per event on the bare
 #     engine, also in rounds that shift the clock into event-queue buckets
-#     unused before, <= 37 per EWO round, <= 1 per SRO read hit, <= 5 per SRO chain
-#     write; the wire check 0 per fixed-width frame and <= 1 per Sync; a
-#     fault_sweep-shaped run with oracles, spans, journal and wire check
-#     armed <= 9 per write.
+#     unused before, <= 30 per EWO round, <= 8 per round of SRO read hits,
+#     <= 3 per SRO chain write; neither kind of round retains heap bytes
+#     per delivered packet; the wire check 0 per fixed-width frame and
+#     <= 1 per Sync; a fault_sweep-shaped run with oracles, spans, journal
+#     and wire check armed <= 9 per write.
 #   benchmark self-test: `benchmark/` is a separate package the workspace
 #     build never compiles; it must still build against the crates and
 #     catch every sabotaged reference.

@@ -19,6 +19,7 @@
 use std::net::Ipv4Addr;
 use swishmem::prelude::*;
 use swishmem::{NfApp, NfDecision, RegisterSpec, SharedState};
+use swishmem_simnet::{Trace, TraceHandle};
 use swishmem_wire::l4::TcpFlags;
 use swishmem_wire::PacketBody;
 
@@ -70,6 +71,28 @@ fn read_pkt(tag: u16) -> DataPacket {
     )
 }
 
+/// A packet trace of every delivery in the run, attached before it.
+fn trace(dep: &mut Deployment) -> TraceHandle {
+    let trace = Trace::new(1 << 16);
+    dep.add_observer(trace.clone());
+    trace
+}
+
+/// `(arrival ns, answer)` of every read answer host 1 received, in
+/// arrival order, read off the trace.
+fn answers(dep: &Deployment, trace: &TraceHandle) -> Vec<(u64, DataPacket)> {
+    let trace = trace.borrow();
+    assert_eq!(trace.overflowed(), 0);
+    trace
+        .received_by(dep.host(1))
+        .into_iter()
+        .map(|e| match &e.pkt.body {
+            PacketBody::Data(d) => (e.time.nanos(), *d),
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect()
+}
+
 #[test]
 fn reads_observe_only_written_values_and_never_regress_per_switch() {
     let mut dep = DeploymentBuilder::new(3)
@@ -77,6 +100,7 @@ fn reads_observe_only_written_values_and_never_regress_per_switch() {
         .seed(9)
         .register(RegisterSpec::sro(0, "x", 16))
         .build(|_| Box::new(SeqNf));
+    let trace = trace(&mut dep);
     dep.settle();
     let t0 = dep.now();
     // Writer at switch 1: values 1..=60, one per 300 µs.
@@ -106,13 +130,9 @@ fn reads_observe_only_written_values_and_never_regress_per_switch() {
     dep.run_for(SimDuration::millis(200));
 
     // Collect (arrival, answering switch, value) sorted by arrival.
-    let log = dep.recording(1).borrow();
-    let mut obs: Vec<(u64, u16, u32)> = log
-        .iter()
-        .filter_map(|(t, p)| match &p.body {
-            PacketBody::Data(d) => Some((t.nanos(), d.payload_len, d.flow_seq)),
-            _ => None,
-        })
+    let mut obs: Vec<(u64, u16, u32)> = answers(&dep, &trace)
+        .into_iter()
+        .map(|(t, d)| (t, d.payload_len, d.flow_seq))
         .collect();
     obs.sort_unstable();
     assert!(!obs.is_empty());
@@ -177,6 +197,7 @@ fn tail_answers_forwarded_reads() {
         .link(LinkParams::datacenter().with_latency(SimDuration::micros(30)))
         .register(RegisterSpec::sro(0, "x", 16))
         .build(|_| Box::new(SeqNf));
+    let trace = trace(&mut dep);
     dep.settle();
     let t0 = dep.now();
     dep.inject(t0, 0, 0, write_pkt(7));
@@ -190,15 +211,12 @@ fn tail_answers_forwarded_reads() {
     dep.inject(t0 + SimDuration::micros(70), 0, 0, read_pkt(1));
     dep.inject(t0 + SimDuration::micros(120), 0, 0, read_pkt(2));
     dep.run_for(SimDuration::millis(30));
-    let log = dep.recording(1).borrow();
+    let log = answers(&dep, &trace);
     assert_eq!(log.len(), 2);
     // Both reads were served by the tail (switch 2).
     let answers: Vec<(u16, u32)> = log
         .iter()
-        .map(|(_, p)| {
-            let PacketBody::Data(d) = &p.body else {
-                panic!()
-            };
+        .map(|(_, d)| {
             assert_eq!(d.payload_len, 2, "read should have been served by the tail");
             (d.flow.src_port, d.flow_seq)
         })

@@ -49,6 +49,8 @@ struct Outcome {
     stats: String,
     events: u64,
     end_ns: u64,
+    /// Frames each host counted.
+    hosts: Vec<usize>,
 }
 
 /// What the taps saw: record counts and stream hashes.
@@ -79,6 +81,9 @@ fn outcome(dep: &Deployment) -> Outcome {
         stats: format!("{:?}", dep.sim.stats()),
         events: dep.sim.events_processed(),
         end_ns: dep.now().nanos(),
+        hosts: (0..dep.host_ids().len())
+            .map(|h| dep.recording(h).borrow().len())
+            .collect(),
     }
 }
 
@@ -137,6 +142,7 @@ fn run(observed: bool) -> (Outcome, Option<Seen>) {
         }
     }
 
+    let out = outcome(&dep);
     let seen = taps.map(|(spans, journal, capture, trace)| {
         let (spans, journal) = (spans.borrow(), journal.borrow());
         let mut span_hash = 0xcbf2_9ce4_8422_2325;
@@ -159,7 +165,17 @@ fn run(observed: bool) -> (Outcome, Option<Seen>) {
         }
         assert_eq!(spans.overflowed() + journal.overflowed(), 0);
         let capture = capture.borrow().len();
-        let trace = trace.borrow().len();
+        let trace = trace.borrow();
+        assert_eq!(trace.overflowed(), 0);
+        // Each host's count agrees with the frames the trace saw it receive.
+        assert!(
+            out.hosts.iter().sum::<usize>() > 0,
+            "no frame reached a host"
+        );
+        for (h, &counted) in out.hosts.iter().enumerate() {
+            assert_eq!(counted, trace.received_by(dep.host(h)).len(), "host {h}");
+        }
+        let trace = trace.len();
         Seen {
             spans: spans.events().len(),
             journal: journal.len(),
@@ -169,7 +185,7 @@ fn run(observed: bool) -> (Outcome, Option<Seen>) {
             journal_hash,
         }
     });
-    (outcome(&dep), seen)
+    (out, seen)
 }
 
 #[test]

@@ -7,6 +7,7 @@ use std::net::Ipv4Addr;
 use swishmem::prelude::*;
 use swishmem::{NfApp, NfDecision, RegisterSpec, SharedState};
 use swishmem_nf::workload::{EcmpRouter, FlowGen, FlowGenConfig, RoutingMode};
+use swishmem_simnet::Trace;
 use swishmem_wire::PacketBody;
 
 /// A composed NF: firewall-style connection gate (SRO) + per-destination
@@ -196,6 +197,8 @@ fn traffic_classes_all_present_in_stats() {
 #[test]
 fn host_recordings_carry_wire_exact_packets() {
     let mut dep = deployment(2);
+    let trace = Trace::new(1 << 12);
+    dep.add_observer(trace.clone());
     dep.settle();
     // TCP: the sequence number rides the wire, so the frame round-trips
     // byte-exactly (UDP frames have no seq field to preserve).
@@ -213,13 +216,20 @@ fn host_recordings_carry_wire_exact_packets() {
     let t = dep.now();
     dep.inject(t, 1, 0, out);
     dep.run_for(SimDuration::millis(20));
-    let log = dep.recording(0).borrow();
+    // The host counts the frame; the packet trace holds it.
+    assert_eq!(dep.recording(0).borrow().len(), 1);
+    let trace = trace.borrow();
+    assert_eq!(trace.overflowed(), 0);
+    let log = trace.received_by(dep.host(0));
     assert_eq!(log.len(), 1);
-    let PacketBody::Data(d) = &log[0].1.body else {
+    let PacketBody::Data(d) = &log[0].pkt.body else {
         panic!("expected data")
     };
     assert_eq!(d, &out);
     // And the frame's serialized form round-trips.
-    let bytes = log[0].1.to_bytes();
-    assert_eq!(swishmem_wire::Packet::from_bytes(&bytes).unwrap(), log[0].1);
+    let bytes = log[0].pkt.to_bytes();
+    assert_eq!(
+        swishmem_wire::Packet::from_bytes(&bytes).unwrap(),
+        log[0].pkt
+    );
 }
