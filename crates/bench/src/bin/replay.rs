@@ -1,5 +1,5 @@
-//! Replay `.swtrace` flow traces through a deployment — sequential or
-//! sharded — and run the oracle-armed scenario packs.
+//! Replay `.swtrace` flow traces through the protocol deployment or the
+//! leaf-spine fabric, and run the oracle-armed scenario packs.
 //!
 //! ```text
 //! # Stream a trace through the protocol deployment (ring ingest,
@@ -7,10 +7,10 @@
 //! cargo run -p swishmem-bench --release --bin replay -- \
 //!     --trace big.swtrace --seed 7 --speedup 4
 //!
-//! # Replay through the sharded leaf-spine fabric and check the digest
-//! # is shard-count invariant:
+//! # Replay through the leaf-spine fabric (count-min leaves, relay
+//! # spines; the digest is a pure function of the trace):
 //! cargo run -p swishmem-bench --release --bin replay -- \
-//!     --trace big.swtrace --leafspine 16x4 --shards 2
+//!     --trace big.swtrace --leafspine 16x4
 //!
 //! # Run the scenario packs (all five + sabotage negative):
 //! cargo run -p swishmem-bench --release --bin replay -- --packs [--quick]
@@ -24,9 +24,7 @@ use std::io::BufReader;
 use swishmem::prelude::*;
 use swishmem::{NfDecision, RegisterSpec, SharedState};
 use swishmem_bench::json::Json;
-use swishmem_bench::shardnet::{
-    run_leaf_spine_injected, trace_to_leaf_spine, LeafSpineSpec, ShardRunConfig,
-};
+use swishmem_bench::leafspine::{run_leaf_spine, trace_to_leaf_spine, LeafSpineSpec};
 use swishmem_replay::{
     replay_digest, replay_trace, run_pack, PackConfig, PackKind, ReplayConfig, Sabotage,
     TraceReader,
@@ -79,7 +77,7 @@ fn proto_replay(trace: &str, seed: u64, cfg: &ReplayConfig) -> Json {
     ])
 }
 
-fn leafspine_replay(trace: &str, spec: LeafSpineSpec, shards: usize) -> Json {
+fn leafspine_replay(trace: &str, spec: LeafSpineSpec) -> Json {
     let file = std::fs::File::open(trace).unwrap_or_else(|e| panic!("open {trace}: {e}"));
     let mut reader =
         TraceReader::new(BufReader::new(file)).unwrap_or_else(|e| panic!("parse {trace}: {e}"));
@@ -87,12 +85,11 @@ fn leafspine_replay(trace: &str, spec: LeafSpineSpec, shards: usize) -> Json {
         .read_all()
         .unwrap_or_else(|e| panic!("read {trace}: {e}"));
     let injections = trace_to_leaf_spine(&spec, &records);
-    let o = run_leaf_spine_injected(&ShardRunConfig::scaling(spec, shards, 0), &injections);
+    let o = run_leaf_spine(spec, &injections);
     eprintln!(
-        "leaf-spine replay ({}x{}, {} shards): {} events, digest {:016x}, {:.0} events/s",
+        "leaf-spine replay ({}x{}): {} events, digest {:016x}, {:.0} events/s",
         spec.leaves,
         spec.spines,
-        shards,
         o.events,
         o.digest,
         o.wall_events_per_sec()
@@ -101,7 +98,6 @@ fn leafspine_replay(trace: &str, spec: LeafSpineSpec, shards: usize) -> Json {
         ("mode", Json::str("leafspine")),
         ("leaves", Json::from(u64::from(spec.leaves))),
         ("spines", Json::from(u64::from(spec.spines))),
-        ("shards", Json::from(shards)),
         ("records", Json::from(records.len())),
         ("events", Json::from(o.events)),
         ("digest", Json::str(format!("{:016x}", o.digest))),
@@ -194,8 +190,7 @@ fn main() {
         if let Some(dims) = get("--leafspine") {
             let spec = LeafSpineSpec::parse(&format!("leaf-spine:{dims}"))
                 .unwrap_or_else(|| panic!("bad --leafspine {dims:?} (want <L>x<S>)"));
-            let shards: usize = get("--shards").and_then(|s| s.parse().ok()).unwrap_or(1);
-            sections.push(("leafspine", leafspine_replay(&trace, spec, shards)));
+            sections.push(("leafspine", leafspine_replay(&trace, spec)));
         } else {
             let cfg = ReplayConfig {
                 speedup: get("--speedup").and_then(|s| s.parse().ok()).unwrap_or(1.0),
@@ -212,7 +207,7 @@ fn main() {
         sections.push(("packs", json));
     }
     if sections.is_empty() {
-        eprintln!("usage: replay --trace PATH [--leafspine LxS --shards N | --speedup F --batch N --ring N]");
+        eprintln!("usage: replay --trace PATH [--leafspine LxS | --speedup F --batch N --ring N]");
         eprintln!("       replay --packs [--quick] [--pack NAME] [--seed S] [--json PATH]");
         std::process::exit(2);
     }

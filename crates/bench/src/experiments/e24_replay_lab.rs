@@ -6,9 +6,8 @@
 //! 1. **Synthesis + round-trip at scale** — a heavy-tail trace (1M flows
 //!    in full mode) streams into the `.swtrace` binary format and reads
 //!    back with an identical record count and validated superblock.
-//! 2. **Determinism, sequential and sharded** — the same trace replayed
-//!    through the leaf-spine fabric yields one digest at 1 shard, again
-//!    at 1 shard (repeat), and at 2 shards: *trace + seed = a run*.
+//! 2. **Replay determinism** — the same trace replayed twice through the
+//!    leaf-spine fabric yields one digest: *trace + seed = a run*.
 //! 3. **Ring-ingest parity** — replaying through the protocol deployment
 //!    with the ring buffer in the path sustains ≥ 90% of the
 //!    generator-driven (ring-free) injection rate: backpressure
@@ -18,9 +17,7 @@
 
 use std::time::Instant;
 
-use crate::shardnet::{
-    run_leaf_spine_injected, trace_to_leaf_spine, LeafSpineSpec, ShardRunConfig,
-};
+use crate::leafspine::{run_leaf_spine, trace_to_leaf_spine, LeafSpineSpec};
 use crate::table::{ExperimentResult, Table};
 use swishmem::prelude::*;
 use swishmem::{NfDecision, RegisterSpec, SharedState};
@@ -206,8 +203,8 @@ pub fn run(quick: bool) -> ExperimentResult {
     ]);
 
     // ------------------------------------------------------------------
-    // 2. Determinism: sequential (1 shard, twice) and 2-shard replay of
-    //    the same trace must produce one digest.
+    // 2. Determinism: two replays of the same trace must produce one
+    //    digest.
     // ------------------------------------------------------------------
     let injections = trace_to_leaf_spine(&spec, &records);
     let mut det_t = Table::new(
@@ -217,26 +214,20 @@ pub fn run(quick: bool) -> ExperimentResult {
             spec.spines,
             injections.len()
         ),
-        &["run", "shards", "events", "digest", "wall events/s"],
+        &["run", "events", "digest", "wall events/s"],
     );
     let mut digests = Vec::new();
-    for (label, shards) in [("seq", 1usize), ("seq-repeat", 1), ("sharded", 2)] {
-        let cfg = ShardRunConfig::scaling(spec, shards, 0);
-        let o = run_leaf_spine_injected(&cfg, &injections);
+    for label in ["seq", "seq-repeat"] {
+        let o = run_leaf_spine(spec, &injections);
         det_t.row(vec![
             label.to_string(),
-            shards.to_string(),
             o.events.to_string(),
             format!("{:016x}", o.digest),
             format!("{:.0}", o.wall_events_per_sec()),
         ]);
         digests.push(o.digest);
     }
-    assert_eq!(digests[0], digests[1], "sequential replay must repeat");
-    assert_eq!(
-        digests[0], digests[2],
-        "2-shard replay must match sequential"
-    );
+    assert_eq!(digests[0], digests[1], "replay must repeat");
     drop(injections);
 
     // ------------------------------------------------------------------
@@ -346,9 +337,7 @@ pub fn run(quick: bool) -> ExperimentResult {
              superblock",
             flows, meta.record_count, trace_mb
         ),
-        "one digest across sequential, repeated-sequential, and 2-shard replay — a trace plus \
-         a seed is a run"
-            .into(),
+        "one digest across a replay and its repeat — a trace plus a seed is a run".into(),
         format!(
             "ring-buffer ingest sustains {ratio:.2}x the generator-driven rate (gate: >= 0.90x) \
              — backpressure accounting costs nothing measurable"
@@ -361,7 +350,7 @@ pub fn run(quick: bool) -> ExperimentResult {
         id: "E24".into(),
         title: "Workload capture + replay lab: binary traces, ring ingest, scenario packs".into(),
         paper_anchor: "§7 evaluation workloads (stateful NFs under realistic traffic)".into(),
-        expectation: "deterministic replay at every shard count; ring ingest within 10% of \
+        expectation: "deterministic replay; ring ingest within 10% of \
                       generator-driven; five oracle-armed packs pass, sabotage fails"
             .into(),
         tables: vec![synth_t, det_t, ring_t, pack_t],

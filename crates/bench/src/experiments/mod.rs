@@ -21,7 +21,6 @@ pub mod e16_setup_latency;
 pub mod e17_fault_sweep;
 pub mod e18_trace_overhead;
 pub mod e19_reconfig;
-pub mod e20_shard_scaling;
 pub mod e21_failover;
 pub mod e22_consensus_hardening;
 pub mod e23_ctrl_recorder;
@@ -54,7 +53,6 @@ pub fn all() -> Vec<(&'static str, RunFn)> {
         ("e17", e17_fault_sweep::run),
         ("e18", e18_trace_overhead::run),
         ("e19", e19_reconfig::run),
-        ("e20", e20_shard_scaling::run),
         ("e21", e21_failover::run),
         ("e22", e22_consensus_hardening::run),
         ("e23", e23_ctrl_recorder::run),

@@ -21,8 +21,8 @@
 pub mod experiments;
 pub mod explain;
 pub mod json;
+pub mod leafspine;
 pub mod scenarios;
-pub mod shardnet;
 pub mod spans;
 pub mod table;
 

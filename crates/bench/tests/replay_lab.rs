@@ -6,16 +6,14 @@
 //! `trace_overhead.rs` convention).
 
 use swishmem_bench::experiments::e24_replay_lab;
-use swishmem_bench::shardnet::{
-    run_leaf_spine_injected, trace_to_leaf_spine, LeafSpineSpec, ShardRunConfig,
-};
+use swishmem_bench::leafspine::{run_leaf_spine, trace_to_leaf_spine, LeafSpineSpec};
 use swishmem_replay::{from_swtrace_bytes, synth_trace_bytes, SynthConfig};
 
 /// The core replay-lab contract at smoke scale: the same trace through
-/// the leaf-spine fabric yields one digest sequentially (twice) and at
-/// 2 shards. No timing involved, so this gate is exact.
+/// the leaf-spine fabric yields the recorded digest, event count and end
+/// time, twice. No timing involved, so this gate is exact.
 #[test]
-fn replay_digest_is_shard_invariant() {
+fn leaf_spine_replay_matches_golden() {
     let spec = LeafSpineSpec {
         leaves: 8,
         spines: 2,
@@ -29,17 +27,14 @@ fn replay_digest_is_shard_invariant() {
     let (_, records) = from_swtrace_bytes(&bytes).expect("synthesized trace must parse");
     let injections = trace_to_leaf_spine(&spec, &records);
     assert!(injections.len() >= 3_000);
-    let digests: Vec<u64> = [1usize, 1, 2]
-        .iter()
-        .map(|&shards| {
-            run_leaf_spine_injected(&ShardRunConfig::scaling(spec, shards, 0), &injections).digest
-        })
-        .collect();
-    assert_eq!(digests[0], digests[1], "sequential replay must repeat");
-    assert_eq!(
-        digests[0], digests[2],
-        "2-shard replay must match sequential"
-    );
+    for _ in 0..2 {
+        let o = run_leaf_spine(spec, &injections);
+        assert_eq!(
+            (o.digest, o.events, o.end_ns),
+            (0x5e9c_28b5_4343_9bcf, 13_653, 47_846_346),
+            "leaf-spine replay diverged from the golden"
+        );
+    }
 }
 
 /// Ring-buffer ingest must keep pace with generator-driven injection.

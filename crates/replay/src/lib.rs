@@ -11,7 +11,7 @@
 //!
 //! The invariant the whole crate is built around: **a trace plus a seed
 //! is a run**. Replaying the same `.swtrace` through the same deployment
-//! seed must produce an identical state digest, sequential or sharded —
+//! seed must produce an identical state digest, run after run —
 //! that is what makes a captured incident a regression test.
 
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! The per-callback context handed to nodes.
 
-use crate::core::Sink;
+use crate::core::Direct;
 use crate::journal::JournalRecord;
 use crate::observe::NetEvent;
 use crate::span::{SpanEvent, SpanPhase};
@@ -42,13 +42,11 @@ pub(crate) enum Command {
 pub struct Ctx<'a> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
-    /// Key of the event this callback runs for; stamps what it emits.
-    pub(crate) key: u64,
     pub(crate) rng: &'a mut StdRng,
     pub(crate) commands: &'a mut Vec<Command>,
-    /// The core's observation sink: span markers and journal records go
-    /// there, and only while some observer subscribes to them.
-    pub(crate) sink: &'a mut dyn Sink,
+    /// The engine's observation sink: span markers and journal records
+    /// go there, and only while some observer subscribes to them.
+    pub(crate) sink: &'a mut Direct,
     /// Whether the sink wants spans and journal records, read once per
     /// callback so that an emission nobody reads costs one branch.
     pub(crate) tracing: bool,
@@ -128,7 +126,7 @@ impl<'a> Ctx<'a> {
                 node: self.node,
                 phase,
             };
-            self.sink.emit(self.now, self.key, NetEvent::Span(ev));
+            self.sink.emit(self.now, NetEvent::Span(ev));
         }
     }
 
@@ -163,7 +161,7 @@ impl<'a> Ctx<'a> {
                 b,
                 c,
             };
-            self.sink.emit(self.now, self.key, NetEvent::Journal(rec));
+            self.sink.emit(self.now, NetEvent::Journal(rec));
         }
     }
 

@@ -1,12 +1,10 @@
 //! What the event loop in `core.rs` pops: event payloads, flat queue
 //! entries, and the slab-backed two-tier priority queue.
 //!
-//! The queue orders events by a 128-bit `(time, key)` pair. In the
-//! global-RNG regime (`Simulator`, one shard) the key is a single
-//! insertion sequence; with `S ≥ 2` shards keys are origin-derived (see
-//! `shard.rs`) and unique across shards, so the pop order of any queue —
-//! and of any merge of per-shard outputs — is a total order independent
-//! of insertion order.
+//! The queue orders events by a 128-bit `(time, key)` pair. The
+//! `Simulator` keys every event with its insertion sequence number, so
+//! keys are unique and the pop order is one total order, independent of
+//! how the queue's tiers happen to hold the entries.
 
 use crate::fault::LinkOverlay;
 use crate::time::SimTime;
@@ -36,22 +34,15 @@ pub(crate) enum EventKind {
         a: NodeId,
         b: NodeId,
         down: bool,
-        /// Whether processing this event reports it to observers. Always
-        /// true under `Simulator`; the sharded engine schedules a link
-        /// event into both endpoint-owning shards and marks exactly one
-        /// copy as the observable one.
-        notify: bool,
     },
     LinkDegrade {
         a: NodeId,
         b: NodeId,
         overlay: LinkOverlay,
-        notify: bool,
     },
     LinkRestore {
         a: NodeId,
         b: NodeId,
-        notify: bool,
     },
     /// Slab slot whose payload was popped (free-listed).
     Vacant,
@@ -148,8 +139,7 @@ struct Chunk {
 ///
 /// - **Near tier**: a 4-ary heap of every entry whose epoch is at most
 ///   `cur`. A push into the current or an earlier epoch lands here, so an
-///   injection at `now` or a PDES zero-delay event with a lower key needs
-///   no special path.
+///   injection at `now` needs no special path.
 /// - **Far tier**: an entry with epoch `ep > cur` waits in bucket
 ///   `63 − lz(ep ^ cur)`, the highest bit where `ep` and `cur` differ;
 ///   `mask` marks the non-empty buckets.
@@ -463,9 +453,8 @@ mod tests {
 
     #[test]
     fn pop_order_is_insertion_independent_for_unique_keys() {
-        // The sharded engine relies on this: mail drained from peer
-        // mailboxes in arbitrary arrival order still pops identically
-        // because `(time, key)` pairs are globally unique.
+        // Events pushed in any order pop identically, because
+        // `(time, key)` pairs are unique.
         let events: Vec<(u64, u64)> = vec![(5, 9), (5, 1), (3, 7), (9, 0), (3, 2)];
         let mut orders = Vec::new();
         for rot in 0..events.len() {
@@ -497,7 +486,8 @@ mod tests {
     /// mix ties at the current instant, steps that straddle epoch
     /// boundaries, spans of many epochs, timers 2^40 ns and more ahead and
     /// times near `u64::MAX / 2`; at the current instant half the pushes
-    /// carry a key below the last popped one (the PDES zero-delay case).
+    /// carry a key below the last popped one, which the engine never does
+    /// but the queue's order must not depend on.
     /// Each round drains to empty, so the next round's first push lands
     /// in an empty queue and opens its own epoch.
     #[test]

@@ -402,7 +402,7 @@ impl FaultGen {
         horizon: SimDuration,
         episodes: usize,
     ) -> FaultSchedule {
-        self.generate_impl(nodes, links, horizon, episodes, None, &[])
+        self.generate_with_controllers(nodes, &[], links, horizon, episodes)
     }
 
     /// [`FaultGen::generate`] with controller-replica crash coverage:
@@ -416,9 +416,8 @@ impl FaultGen {
     /// group on one side of the cut, so no schedule can sever two
     /// replicas from each other — switches may lose their controller
     /// path, but the group itself always retains a live, mutually
-    /// connected majority. With `ctrls` empty the sampled schedule is
-    /// byte-identical to [`FaultGen::generate`] — existing seeds replay
-    /// unchanged.
+    /// connected majority. With `ctrls` empty this is
+    /// [`FaultGen::generate`], whose seeds replay unchanged.
     pub fn generate_with_controllers(
         &mut self,
         nodes: &[NodeId],
@@ -426,42 +425,6 @@ impl FaultGen {
         links: &[(NodeId, NodeId)],
         horizon: SimDuration,
         episodes: usize,
-    ) -> FaultSchedule {
-        self.generate_impl(nodes, links, horizon, episodes, None, ctrls)
-    }
-
-    /// [`FaultGen::generate`] for a sharded run: `shard_of[i]` is the
-    /// shard owning `nodes[i]` (see `Topology::partition`), and partition
-    /// episodes cut between whole shards instead of arbitrary node
-    /// splits, so a generated cut-set never severs two nodes the sharded
-    /// engine co-locates. Other episode kinds are unchanged. With every
-    /// node on one shard, partition episodes degrade a link instead
-    /// (mirroring the over-budget crash fallback) so the episode count
-    /// stays deterministic.
-    pub fn generate_for_shards(
-        &mut self,
-        nodes: &[NodeId],
-        shard_of: &[u32],
-        links: &[(NodeId, NodeId)],
-        horizon: SimDuration,
-        episodes: usize,
-    ) -> FaultSchedule {
-        assert_eq!(
-            nodes.len(),
-            shard_of.len(),
-            "shard_of must be parallel to nodes"
-        );
-        self.generate_impl(nodes, links, horizon, episodes, Some(shard_of), &[])
-    }
-
-    fn generate_impl(
-        &mut self,
-        nodes: &[NodeId],
-        links: &[(NodeId, NodeId)],
-        horizon: SimDuration,
-        episodes: usize,
-        shard_of: Option<&[u32]>,
-        ctrls: &[NodeId],
     ) -> FaultSchedule {
         let h = horizon.as_nanos().max(1_000_000); // at least 1 ms
         let heal_by = h * 85 / 100;
@@ -562,76 +525,47 @@ impl FaultGen {
                         sched = sched.degrade_for(a, b, at, lasting, LinkOverlay::slow(lat, bw));
                     }
                 }
-                EpisodeKind::Partition => match shard_of {
-                    None => {
-                        // Controller replicas join the cut pool too, so
-                        // switches can lose their control-plane path mid-
-                        // migration. Empty `ctrls` keeps the draw bounds
-                        // (and so the RNG stream) identical to the
-                        // pre-replica model.
-                        let pool: Vec<NodeId> = nodes.iter().chain(ctrls.iter()).copied().collect();
-                        if pool.len() >= 2 {
-                            let k = self.rng.gen_range(1..pool.len());
-                            let r = self.rng.gen_range(0..pool.len());
-                            let rotated: Vec<NodeId> = (0..pool.len())
-                                .map(|i| pool[(i + r) % pool.len()])
-                                .collect();
-                            let (a, b) = rotated.split_at(k);
-                            // Re-home the replica group onto one side so a
-                            // cut never severs two replicas from each other:
-                            // combined with the crash budget this guarantees
-                            // a live, mutually connected controller majority
-                            // in every sampled schedule. Side with more
-                            // replicas wins (ties go to `a`); pure shuffling,
-                            // no extra RNG draws, and with `ctrls` empty the
-                            // events are byte-identical to the legacy path.
-                            let (mut a, mut b) = (a.to_vec(), b.to_vec());
-                            if !ctrls.is_empty() {
-                                let n_in =
-                                    |s: &[NodeId]| s.iter().filter(|n| ctrls.contains(n)).count();
-                                let (keep, strip) = if n_in(&a) >= n_in(&b) {
-                                    (&mut a, &mut b)
-                                } else {
-                                    (&mut b, &mut a)
-                                };
-                                strip.retain(|n| !ctrls.contains(n));
-                                for &c in ctrls {
-                                    if !keep.contains(&c) {
-                                        keep.push(c);
-                                    }
+                EpisodeKind::Partition => {
+                    // Controller replicas join the cut pool too, so
+                    // switches can lose their control-plane path mid-
+                    // migration. Empty `ctrls` keeps the draw bounds
+                    // (and so the RNG stream) identical to the
+                    // pre-replica model.
+                    let pool: Vec<NodeId> = nodes.iter().chain(ctrls.iter()).copied().collect();
+                    if pool.len() >= 2 {
+                        let k = self.rng.gen_range(1..pool.len());
+                        let r = self.rng.gen_range(0..pool.len());
+                        let rotated: Vec<NodeId> = (0..pool.len())
+                            .map(|i| pool[(i + r) % pool.len()])
+                            .collect();
+                        let (a, b) = rotated.split_at(k);
+                        // Re-home the replica group onto one side so a
+                        // cut never severs two replicas from each other:
+                        // combined with the crash budget this guarantees
+                        // a live, mutually connected controller majority
+                        // in every sampled schedule. Side with more
+                        // replicas wins (ties go to `a`); pure shuffling,
+                        // no extra RNG draws, and with `ctrls` empty the
+                        // events are byte-identical to the legacy path.
+                        let (mut a, mut b) = (a.to_vec(), b.to_vec());
+                        if !ctrls.is_empty() {
+                            let n_in =
+                                |s: &[NodeId]| s.iter().filter(|n| ctrls.contains(n)).count();
+                            let (keep, strip) = if n_in(&a) >= n_in(&b) {
+                                (&mut a, &mut b)
+                            } else {
+                                (&mut b, &mut a)
+                            };
+                            strip.retain(|n| !ctrls.contains(n));
+                            for &c in ctrls {
+                                if !keep.contains(&c) {
+                                    keep.push(c);
                                 }
                             }
-                            sched = sched.partition(&a, &b, at, lasting);
                         }
+                        sched = sched.partition(&a, &b, at, lasting);
                     }
-                    Some(map) => {
-                        // Group nodes by shard (first-appearance order, so
-                        // the grouping is a pure function of the inputs)
-                        // and cut between whole shards.
-                        let mut groups: Vec<(u32, Vec<NodeId>)> = Vec::new();
-                        for (i, &n) in nodes.iter().enumerate() {
-                            match groups.iter_mut().find(|(s, _)| *s == map[i]) {
-                                Some((_, v)) => v.push(n),
-                                None => groups.push((map[i], vec![n])),
-                            }
-                        }
-                        if groups.len() >= 2 {
-                            let k = self.rng.gen_range(1..groups.len());
-                            let r = self.rng.gen_range(0..groups.len());
-                            let side = |range: std::ops::Range<usize>| -> Vec<NodeId> {
-                                range
-                                    .map(|i| &groups[(i + r) % groups.len()].1)
-                                    .flat_map(|v| v.iter().copied())
-                                    .collect()
-                            };
-                            let a = side(0..k);
-                            let b = side(k..groups.len());
-                            sched = sched.partition(&a, &b, at, lasting);
-                        } else if let Some(&(a, b)) = self.pick_link(links) {
-                            sched = sched.degrade_for(a, b, at, lasting, LinkOverlay::loss(0.2));
-                        }
-                    }
-                },
+                }
             }
         }
         sched.sort();
@@ -945,46 +879,6 @@ mod tests {
                 "{n_ctrl} replicas: some schedule partitioned the replica group"
             );
         }
-    }
-
-    #[test]
-    fn shard_aware_cuts_never_split_a_shard() {
-        let nodes: Vec<NodeId> = (0..8).map(NodeId).collect();
-        // Shards of two nodes each: {0,1} {2,3} {4,5} {6,7}.
-        let shard_of: Vec<u32> = (0..8u32).map(|i| i / 2).collect();
-        for seed in 0..30 {
-            let s = FaultGen::new(seed).generate_for_shards(
-                &nodes,
-                &shard_of,
-                &[],
-                SimDuration::millis(40),
-                8,
-            );
-            for e in s.events() {
-                if let FaultAction::LinkDown { a, b } = e.action {
-                    // Every cut severs two *different* shards: with an
-                    // empty link set, LinkDown events only come from
-                    // partition episodes.
-                    assert_ne!(
-                        shard_of[a.0 as usize], shard_of[b.0 as usize],
-                        "seed {seed}: cut {a}<->{b} splits a shard\n{s}"
-                    );
-                }
-            }
-        }
-        // Same seed, same inputs: still deterministic.
-        let mk = || {
-            FaultGen::new(3).generate_for_shards(&nodes, &shard_of, &[], SimDuration::millis(40), 8)
-        };
-        assert_eq!(mk(), mk());
-        // Single shard: no cut is possible, so no LinkDown ever appears
-        // (the node-level generator would still emit partitions here).
-        let one: Vec<u32> = vec![0; 8];
-        let s = FaultGen::new(3).generate_for_shards(&nodes, &one, &[], SimDuration::millis(40), 8);
-        assert!(!s
-            .events()
-            .iter()
-            .any(|e| matches!(e.action, FaultAction::LinkDown { .. })));
     }
 
     #[test]

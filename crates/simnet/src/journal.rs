@@ -7,8 +7,8 @@
 //! the journal back, no RNG is drawn and no event scheduled, and every
 //! record is stamped with `SimTime` only — so subscribing cannot perturb
 //! the engine's `(time, key)` event order or its RNG stream. The
-//! determinism fingerprint tests (`tests/determinism.rs`,
-//! `tests/shard_determinism.rs`) prove this bit-for-bit.
+//! determinism fingerprint tests (`tests/determinism.rs`) prove this
+//! bit-for-bit.
 //!
 //! The record format is deliberately *untyped* at this layer: `kind`
 //! discriminates the event class and `cause`/`a`/`b`/`c` are opaque

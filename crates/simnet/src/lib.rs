@@ -4,11 +4,9 @@
 //! fabric with lossy links" substrate of the SwiShmem reproduction (see
 //! DESIGN.md §2 for the substitution argument).
 //!
-//! There is one event loop, `Core` in `core.rs`, and two engines built on
-//! it: [`Simulator`] (one core, observers called in place, topology
-//! mutable at any time) and [`ShardedEngine`] (a partition of cores run
-//! in lockstep windows, for `Send` nodes). A single-shard `ShardedEngine`
-//! and a `Simulator` produce bit-identical runs.
+//! There is one engine, [`Simulator`]: one event loop over one queue and
+//! one RNG, observers called in place, and a topology that stays mutable
+//! at any time. `sim.rs` holds its surface, `core.rs` its processing.
 //!
 //! There is one way to observe a run: a [`NetObserver`] receives the
 //! [`NetEvent`]s of each [`Family`] it subscribes to — deliveries,
@@ -19,7 +17,7 @@
 //! Key properties:
 //!
 //! * **Deterministic**: engine-owned RNG, a total event order
-//!   `(time, key)`, and sorted node-start order mean identical seeds
+//!   `(time, insertion seq)`, and sorted node-start order mean identical seeds
 //!   produce identical runs — every experiment is replayable.
 //! * **Faithful link costs**: links charge serialization delay from the
 //!   true encoded frame length (computed by `swishmem-wire`), model
@@ -63,7 +61,6 @@ pub mod link;
 pub mod node;
 pub mod observe;
 pub mod recorder;
-pub mod shard;
 pub mod sim;
 pub mod span;
 pub mod stats;
@@ -81,7 +78,6 @@ pub use link::{Link, LinkParams, LinkState};
 pub use node::{Node, NodeId, RelayNode};
 pub use observe::{Family, NetEvent, NetObserver, ObserverHandle};
 pub use recorder::{RecorderNode, Recording};
-pub use shard::ShardedEngine;
 pub use sim::{AsAny, NodeObj, Simulator};
 pub use span::{SpanEvent, SpanHandle, SpanPhase};
 pub use stats::{Counter, DropReason, NetStats, TrafficClass};

@@ -3,9 +3,8 @@
 //! Everything the engine lets the outside see is a [`NetEvent`]: a
 //! delivery, an injection, a fault-plane transition, or a span marker or
 //! journal record a node emitted. Each event belongs to one [`Family`],
-//! and an observer receives the events of the families it wants —
-//! synchronously under `Simulator`, replayed in `(time, key, shard)`
-//! order after each run call under `ShardedEngine`. Observers cannot
+//! and an observer receives the events of the families it wants,
+//! synchronously, as the engine applies each one. Observers cannot
 //! influence the run (no RNG access, no event injection), so attaching
 //! or detaching one never perturbs the determinism fingerprint, and
 //! nodes build span and journal payloads only while a subscriber exists.

@@ -1,27 +1,31 @@
-//! The sequential engine: a façade over one `Core` in the global-RNG
-//! regime with a `Direct` sink.
+//! The simulation engine: [`Simulator`]'s state and the calls that set up
+//! a run.
 //!
 //! Determinism contract: given the same seed, node set, topology, and
 //! schedule of external events, two runs produce identical event orders,
 //! identical RNG draws, and therefore identical statistics. This is
 //! guaranteed by (a) a total order on events — `(time, insertion seq)` —
 //! and (b) a single engine-owned RNG consumed only during deterministic
-//! event processing. The loop itself lives in `crate::core`; what this
-//! file adds is the surface a single-threaded caller gets to keep: a
-//! topology that stays mutable mid-run, `stats()` by reference, and
-//! observers called synchronously as each event is applied.
+//! event processing. The calls that run the engine (`start`,
+//! `run_until_quiescent`) and the processing beneath them live in
+//! `crate::core`; this file holds what a caller sets up and reads back: a
+//! topology that stays mutable mid-run, external events, `stats()` by
+//! reference, and observers called synchronously as each event is
+//! applied.
 
-use crate::core::{Core, Direct};
-use crate::ctx::GroupId;
-use crate::events::EventKind;
+use crate::core::{Direct, Slot, ABSENT};
+use crate::ctx::{Command, GroupId};
+use crate::events::{EventKind, EventQueue};
 use crate::fault::{FaultAction, FaultSchedule, LinkOverlay};
 use crate::node::Node;
 use crate::observe::{NetEvent, ObserverHandle};
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::any::Any;
-use std::sync::Arc;
+use swishmem_wire::cursor::Writer;
 use swishmem_wire::{NodeId, Packet};
 
 /// Blanket `Any`-access helper so the engine can hand out typed references
@@ -48,15 +52,55 @@ impl<T: Node + AsAny> NodeObj for T {}
 
 /// The simulation engine.
 pub struct Simulator {
-    core: Core<dyn NodeObj, Direct>,
+    pub(crate) now: SimTime,
+    pub(crate) queue: EventQueue,
+    /// The one insertion sequence: the key of the next scheduled event.
+    pub(crate) seq: u64,
+    /// The one engine RNG; its draw order is part of the golden
+    /// fingerprints.
+    pub(crate) rng: StdRng,
+    /// `NodeId.0` → slot in `nodes` (`ABSENT` when unregistered).
+    pub(crate) node_index: Vec<u32>,
+    pub(crate) nodes: Vec<Slot>,
+    pub(crate) topo: Topology,
+    pub(crate) stats: NetStats,
+    pub(crate) events_processed: u64,
+    pub(crate) peak_queue_depth: usize,
+    pub(crate) sink: Direct,
+    pub(crate) started: bool,
+    pub(crate) wire_check: bool,
+    /// Pooled encode buffer of the wire check (empty until armed).
+    pub(crate) wire_scratch: Writer,
+    /// Pooled command buffer reused across dispatches.
+    pub(crate) cmd_scratch: Vec<Command>,
+    /// Pooled member buffer reused across multicast/anycast fan-outs.
+    pub(crate) member_scratch: Vec<NodeId>,
 }
 
 impl Simulator {
     /// Create a simulator with a deterministic seed.
     pub fn new(seed: u64) -> Simulator {
         Simulator {
-            // Shard 0 of 1 under the empty shard map: every hop is local.
-            core: Core::new(0, 1, Arc::default(), Topology::new(), seed),
+            now: SimTime::ZERO,
+            queue: EventQueue::default(),
+            seq: 0,
+            rng: StdRng::seed_from_u64(seed),
+            node_index: Vec::new(),
+            nodes: Vec::new(),
+            topo: Topology::new(),
+            stats: NetStats::default(),
+            events_processed: 0,
+            peak_queue_depth: 0,
+            sink: Direct::default(),
+            started: false,
+            wire_check: false,
+            wire_scratch: Writer::new(),
+            // Allocated up front, at the size its first push would grow
+            // it to: where this small block lands decides whether glibc
+            // trims the heap between `fabric_fwd` reps (DESIGN.md
+            // "Payload prefetch"), and here it is not trimmed.
+            cmd_scratch: Vec::with_capacity(4),
+            member_scratch: Vec::new(),
         }
     }
 
@@ -66,7 +110,7 @@ impl Simulator {
     /// (UDP data packets legitimately drop their simulator-side `flow_seq`
     /// on the wire, which the check accounts for.)
     pub fn set_wire_check(&mut self, on: bool) {
-        self.core.wire_check = on;
+        self.wire_check = on;
     }
 
     /// Attach a passive observer, notified of the event families it
@@ -75,75 +119,87 @@ impl Simulator {
     /// the run; attaching one never changes the event order or RNG stream
     /// (`tests/determinism.rs` pins this).
     pub fn add_observer(&mut self, obs: ObserverHandle) {
-        self.core.sink.add(obs);
+        self.sink.add(obs);
     }
 
     /// Register a node under `id`. Panics if `id` is already taken.
     pub fn add_node(&mut self, id: NodeId, node: Box<dyn NodeObj>) {
-        self.core.add_node(id, node);
+        let i = id.index();
+        if i >= self.node_index.len() {
+            self.node_index.resize(i + 1, ABSENT);
+        }
+        assert!(self.node_index[i] == ABSENT, "duplicate node id {id}");
+        self.node_index[i] = self.nodes.len() as u32;
+        self.nodes.push(Slot {
+            id,
+            failed: false,
+            node,
+        });
     }
 
     /// Mutable access to the topology (add links/groups before or during a
     /// run).
     pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.core.topo
+        &mut self.topo
     }
 
     /// Read access to the topology.
     pub fn topology(&self) -> &Topology {
-        &self.core.topo
+        &self.topo
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.core.now
+        self.now
     }
 
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.core.events_processed
+        self.events_processed
     }
 
     /// High-water mark of the pending event queue.
     pub fn peak_queue_depth(&self) -> usize {
-        self.core.peak_queue_depth
+        self.peak_queue_depth
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> &NetStats {
-        &self.core.stats
+        &self.stats
     }
 
     /// Mutable statistics (for windowed measurements via `reset`).
     pub fn stats_mut(&mut self) -> &mut NetStats {
-        &mut self.core.stats
+        &mut self.stats
     }
 
     /// Typed read access to a node (post-run inspection).
     pub fn node<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        self.core.node(id)
+        // Deref through the Box explicitly: the blanket AsAny impl would
+        // otherwise resolve on the `Box` itself.
+        self.slot_of(id)
+            .and_then(|s| (*self.nodes[s].node).as_any().downcast_ref())
     }
 
     /// Typed mutable access to a node.
     pub fn node_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        self.core.node_mut(id)
+        let s = self.slot_of(id)?;
+        (*self.nodes[s].node).as_any_mut().downcast_mut()
     }
 
     /// Whether `id` is currently failed.
     pub fn is_failed(&self, id: NodeId) -> bool {
-        self.core.is_failed(id)
+        self.slot_of(id).is_some_and(|s| self.nodes[s].failed)
     }
 
     /// Every external event enters the queue here. None may land before
     /// `now`: processing it would run the clock backwards.
-    fn push(&mut self, time: SimTime, kind: EventKind) {
-        assert!(time >= self.core.now, "cannot inject into the past");
+    fn push_external(&mut self, time: SimTime, kind: EventKind) {
+        assert!(time >= self.now, "cannot inject into the past");
         if let EventKind::Deliver { pkt, .. } = &kind {
-            // A `Direct` sink ignores keys.
-            self.core.emit(time, 0, NetEvent::Injected { pkt });
+            self.sink.emit(time, NetEvent::Injected { pkt });
         }
-        // The global regime draws its own key; the argument is unused.
-        self.core.push_ext(time, 0, kind);
+        self.schedule(time, kind);
     }
 
     /// Schedule delivery of `pkt` to `pkt.dst` at absolute time `t`,
@@ -151,7 +207,7 @@ impl Simulator {
     /// injection observers see it at once, stamped `t`.
     pub fn inject(&mut self, t: SimTime, pkt: Packet) {
         let (to, len) = (pkt.dst, pkt.wire_len() as u32);
-        self.push(
+        self.push_external(
             t,
             EventKind::Deliver {
                 to,
@@ -164,45 +220,29 @@ impl Simulator {
 
     /// Schedule a fail-stop failure of `node` at time `t`.
     pub fn schedule_fail(&mut self, t: SimTime, node: NodeId) {
-        self.push(t, EventKind::Fail { node });
+        self.push_external(t, EventKind::Fail { node });
     }
 
     /// Schedule recovery (fresh state) of `node` at time `t`.
     pub fn schedule_recover(&mut self, t: SimTime, node: NodeId) {
-        self.push(t, EventKind::Recover { node });
+        self.push_external(t, EventKind::Recover { node });
     }
 
     /// Schedule the duplex link `a <-> b` going down (or up) at time `t`.
     pub fn schedule_link_set(&mut self, t: SimTime, a: NodeId, b: NodeId, down: bool) {
-        self.push(
-            t,
-            EventKind::LinkSet {
-                a,
-                b,
-                down,
-                notify: true,
-            },
-        );
+        self.push_external(t, EventKind::LinkSet { a, b, down });
     }
 
     /// Schedule a parameter overlay on the duplex link `a <-> b` at `t`
     /// (loss/jitter/corruption burst or gray-failure slowness).
     pub fn schedule_degrade(&mut self, t: SimTime, a: NodeId, b: NodeId, overlay: LinkOverlay) {
-        self.push(
-            t,
-            EventKind::LinkDegrade {
-                a,
-                b,
-                overlay,
-                notify: true,
-            },
-        );
+        self.push_external(t, EventKind::LinkDegrade { a, b, overlay });
     }
 
     /// Schedule restoration of the duplex link `a <-> b` to its pristine
     /// parameters at `t`.
     pub fn schedule_restore(&mut self, t: SimTime, a: NodeId, b: NodeId) {
-        self.push(t, EventKind::LinkRestore { a, b, notify: true });
+        self.push_external(t, EventKind::LinkRestore { a, b });
     }
 
     /// Install a [`FaultSchedule`]: each action becomes an ordinary engine
@@ -220,45 +260,28 @@ impl Simulator {
                 FaultAction::Degrade { a, b, overlay } => self.schedule_degrade(t, a, b, overlay),
                 FaultAction::Restore { a, b } => self.schedule_restore(t, a, b),
                 FaultAction::Trigger { node, token } => {
-                    self.push(t, EventKind::Timer { node, token })
+                    self.push_external(t, EventKind::Timer { node, token })
                 }
             }
         }
     }
 
-    /// Call `on_start` on every node (idempotent; run methods call it
-    /// automatically).
-    pub fn start(&mut self) {
-        self.core.start();
-    }
-
     /// Run until simulated time reaches `t` (inclusive of events at `t`).
     pub fn run_until(&mut self, t: SimTime) {
         self.run_until_quiescent(t);
-        self.core.now = self.core.now.max(t);
+        self.now = self.now.max(t);
     }
 
     /// Run for `d` more simulated time.
     pub fn run_for(&mut self, d: SimDuration) {
-        let t = self.core.now + d;
+        let t = self.now + d;
         self.run_until(t);
-    }
-
-    /// Run until the event queue drains or `limit` is reached; returns the
-    /// final simulated time (which never moves backwards).
-    pub fn run_until_quiescent(&mut self, limit: SimTime) -> SimTime {
-        self.core.start();
-        self.core.run_window(limit.0.saturating_add(1));
-        if !self.core.queue.is_empty() {
-            self.core.now = self.core.now.max(limit);
-        }
-        self.core.now
     }
 
     /// Update a multicast group's membership (also reachable from node
     /// context via the deployment layer's controller).
     pub fn set_group(&mut self, group: GroupId, members: Vec<NodeId>) {
-        self.core.topo.set_group(group, members);
+        self.topo.set_group(group, members);
     }
 }
 

@@ -94,20 +94,6 @@ impl NetStats {
         self.dropped[reason as usize]
     }
 
-    /// Fold another stats block into this one (sum every counter). Used
-    /// by the sharded engine to merge per-shard accounting; addition is
-    /// commutative, so merge order never affects the result.
-    pub fn merge_from(&mut self, other: &NetStats) {
-        for (d, s) in self.delivered.iter_mut().zip(other.delivered.iter()) {
-            d.packets += s.packets;
-            d.bytes += s.bytes;
-        }
-        for (d, s) in self.dropped.iter_mut().zip(other.dropped.iter()) {
-            d.packets += s.packets;
-            d.bytes += s.bytes;
-        }
-    }
-
     /// Reset all counters (used to scope measurements to a window).
     pub fn reset(&mut self) {
         *self = NetStats::default();

@@ -14,18 +14,16 @@
 use crate::ctx::GroupId;
 use crate::fault::LinkOverlay;
 use crate::link::{Link, LinkParams};
-use crate::time::SimDuration;
 use swishmem_wire::NodeId;
 
 /// Sentinel in the id -> row table.
 const ABSENT: u32 = u32::MAX;
 
-/// One directed link of the arena, with both of its endpoints: exactly
-/// one cache line, so a hop touches one line of link state.
-#[derive(Debug, Clone)]
+/// One directed link of the arena, with its far endpoint: exactly one
+/// cache line, so a hop touches one line of link state.
+#[derive(Debug)]
 #[repr(align(64))]
 struct Port {
-    from: NodeId,
     to: NodeId,
     link: Link,
 }
@@ -43,12 +41,7 @@ struct Fwd {
 }
 
 /// The set of links and multicast groups of a simulation.
-///
-/// `Clone` exists for the sharded engine: every shard holds a full copy
-/// (the link table is small relative to event state) and only the copy
-/// owned by a directed link's *source* shard is authoritative for that
-/// link's transient state (`busy_until`).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Topology {
     /// `NodeId.0` -> row in `fib` and `routes` (`ABSENT` for a node that
     /// never sends).
@@ -138,7 +131,6 @@ impl Topology {
         let r = self.row_of(src);
         let port = self.ports.len();
         self.ports.push(Port {
-            from: src,
             to: dst,
             link: Link::new(params),
         });
@@ -292,107 +284,12 @@ impl Topology {
         let port = &mut self.ports[p];
         Some((port.to, &mut port.link))
     }
-
-    /// Minimum one-way latency over all configured directed links
-    /// (self-loops excluded). This is the conservative-PDES lookahead
-    /// bound: a cross-shard frame sent at `t` cannot arrive before
-    /// `t + min_latency`, so shards synchronized on a `min_latency`-wide
-    /// window grid never receive an event in their own window. Computed
-    /// from the *pristine* parameters only, which faults cannot lower
-    /// (degrade overlays may raise latency, never reduce it below the
-    /// pristine floor — `ShardedEngine` enforces this at schedule time).
-    pub fn min_latency(&self) -> Option<SimDuration> {
-        self.ports
-            .iter()
-            .filter(|p| p.from != p.to)
-            .map(|p| p.link.params.latency)
-            .min()
-    }
-
-    /// Partition `nodes` into `shards` groups, returning a shard index
-    /// per node (parallel to `nodes`). Greedy edge-cut minimization:
-    /// regions are grown one at a time from an unassigned seed (lowest
-    /// degree breaks toward the fabric edge, then lowest id), each step
-    /// absorbing the unassigned neighbor with the most links into the
-    /// region (ties to the lowest id). Falls back to round-robin when the
-    /// nodes have no links among themselves. Sizes are balanced to within
-    /// one node. Fully deterministic: no RNG, no hash iteration.
-    pub fn partition(&self, nodes: &[NodeId], shards: usize) -> Vec<u32> {
-        let n = nodes.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let shards = shards.clamp(1, n);
-        // Local adjacency among `nodes` only (positions into `nodes`).
-        let mut pos_of = std::collections::HashMap::new();
-        for (i, &id) in nodes.iter().enumerate() {
-            pos_of.insert(id, i);
-        }
-        let mut neigh: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut any_edge = false;
-        for p in &self.ports {
-            if let (Some(&i), Some(&j)) = (pos_of.get(&p.from), pos_of.get(&p.to)) {
-                if j != i && !neigh[i].contains(&j) {
-                    neigh[i].push(j);
-                    any_edge = true;
-                }
-            }
-        }
-        for row in &mut neigh {
-            row.sort_unstable();
-        }
-        if !any_edge {
-            return (0..n).map(|i| (i % shards) as u32).collect();
-        }
-        let mut assign: Vec<u32> = vec![u32::MAX; n];
-        for shard in 0..shards {
-            let target = n / shards + usize::from(shard < n % shards);
-            // Seed: unassigned node with the fewest links, lowest id.
-            let seed = (0..n)
-                .filter(|&i| assign[i] == u32::MAX)
-                .min_by_key(|&i| (neigh[i].len(), nodes[i].0))
-                .expect("sizes sum to n");
-            assign[seed] = shard as u32;
-            let mut size = 1;
-            // Gain: links from a candidate into the growing region.
-            let mut gain: Vec<u32> = vec![0; n];
-            for &j in &neigh[seed] {
-                gain[j] += 1;
-            }
-            while size < target {
-                let pick = (0..n)
-                    .filter(|&i| assign[i] == u32::MAX && gain[i] > 0)
-                    .max_by_key(|&i| (gain[i], std::cmp::Reverse(nodes[i].0)))
-                    .or_else(|| {
-                        // Region has no unassigned frontier (disconnected
-                        // remainder): restart from the best fresh seed.
-                        (0..n)
-                            .filter(|&i| assign[i] == u32::MAX)
-                            .min_by_key(|&i| (neigh[i].len(), nodes[i].0))
-                    });
-                let Some(pick) = pick else { break };
-                assign[pick] = shard as u32;
-                size += 1;
-                for &j in &neigh[pick] {
-                    gain[j] += 1;
-                }
-            }
-        }
-        // Any stragglers (only possible via the `break` above) round-robin.
-        let mut next = 0u32;
-        for a in assign.iter_mut() {
-            if *a == u32::MAX {
-                *a = next % shards as u32;
-                next += 1;
-            }
-        }
-        assign
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     fn ids(n: u16) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()
@@ -549,53 +446,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn min_latency_ignores_self_loops() {
-        let mut t = Topology::new();
-        assert_eq!(t.min_latency(), None);
-        t.add_link(
-            NodeId(0),
-            NodeId(0),
-            LinkParams::datacenter().with_latency(SimDuration(1)),
-        );
-        assert_eq!(t.min_latency(), None);
-        t.connect(NodeId(0), NodeId(1), LinkParams::datacenter());
-        t.connect(
-            NodeId(1),
-            NodeId(2),
-            LinkParams::datacenter().with_latency(SimDuration(250)),
-        );
-        assert_eq!(t.min_latency(), Some(SimDuration(250)));
-    }
-
-    #[test]
-    fn partition_balances_and_is_deterministic() {
-        let mut t = Topology::new();
-        let nodes = ids(10);
-        // Two 5-node cliques joined by one bridge link: the greedy grower
-        // should keep each clique whole.
-        t.full_mesh(&nodes[..5], LinkParams::datacenter());
-        t.full_mesh(&nodes[5..], LinkParams::datacenter());
-        t.connect(NodeId(4), NodeId(5), LinkParams::datacenter());
-        let p = t.partition(&nodes, 2);
-        assert_eq!(p, t.partition(&nodes, 2));
-        assert_eq!(p.iter().filter(|&&s| s == 0).count(), 5);
-        assert_eq!(p.iter().filter(|&&s| s == 1).count(), 5);
-        // Each clique lands wholly in one shard (cut = the bridge only).
-        assert!(p[..5].windows(2).all(|w| w[0] == w[1]));
-        assert!(p[5..].windows(2).all(|w| w[0] == w[1]));
-        assert_ne!(p[0], p[5]);
-    }
-
-    #[test]
-    fn partition_falls_back_to_round_robin_without_edges() {
-        let t = Topology::new();
-        let nodes = ids(5);
-        assert_eq!(t.partition(&nodes, 2), vec![0, 1, 0, 1, 0]);
-        // More shards than nodes clamps to one node per shard.
-        assert_eq!(t.partition(&nodes[..2], 8), vec![0, 1]);
     }
 
     #[test]

@@ -23,20 +23,26 @@
 //! deployments) lives in the workspace test
 //! `reconfig::reconfig_disabled_is_invisible_without_partitioned_registers`.
 
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 use swishmem_simnet::{
     Ctx, DropReason, Family, FaultGen, FaultSchedule, GroupId, JournalHandle, JournalRecord,
-    LinkParams, NetEvent, Node, ObserverHandle, Record, SimDuration, SimTime, Simulator, SpanEvent,
-    SpanPhase, Tap, Trace, TraceEntry,
+    LinkParams, NetEvent, NetObserver, Node, ObserverHandle, Record, SimDuration, SimTime,
+    Simulator, SpanEvent, SpanPhase, Tap, Trace, TraceEntry,
 };
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, TraceId};
 
 /// A node that exercises every command the engine offers: echoes data
 /// packets, multicasts on a timer, anycasts to a random group member,
-/// and keeps re-arming its timer.
+/// and keeps re-arming its timer. It also spans and journals from
+/// `on_start`, and notes whether it was ever told that spans or the
+/// journal have a subscriber.
+#[derive(Default)]
 struct Churn {
     ttl: u32,
     timer_rounds: u64,
+    listened: bool,
 }
 
 fn body(seq: u32, len: u16) -> PacketBody {
@@ -49,10 +55,13 @@ fn body(seq: u32, len: u16) -> PacketBody {
 
 impl Node for Churn {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.span(TraceId::new(ctx.self_id(), 999), SpanPhase::JobStart);
+        ctx.journal(3, u64::from(ctx.self_id().0), 0, 0, 0);
         ctx.set_timer(SimDuration::micros(50), 1);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+        self.listened |= ctx.tracing() || ctx.journaling();
         if let PacketBody::Data(d) = pkt.body {
             // Unconditional span emission: a no-op unless a span tap is
             // attached, which the passivity table exploits.
@@ -116,38 +125,47 @@ fn fnv(h: &mut u64, v: u64) {
 }
 
 fn run_scenario(seed: u64) -> Fingerprint {
-    run_scenario_full(seed, None, &[], None)
+    run_scenario_full(seed, &Setup::default()).0
 }
 
 fn run_scenario_with(seed: u64, faults: Option<&FaultSchedule>) -> Fingerprint {
-    run_scenario_full(seed, faults, &[], None)
+    let setup = Setup {
+        faults,
+        ..Setup::default()
+    };
+    run_scenario_full(seed, &setup).0
 }
 
-/// Run the scenario to quiescence; with `pause_every`, the engine is
-/// stopped and resumed at every multiple of it on the way.
-fn run_scenario_full(
-    seed: u64,
-    faults: Option<&FaultSchedule>,
-    observers: &[ObserverHandle],
+/// What a run varies besides its seed.
+#[derive(Default)]
+struct Setup<'a> {
+    faults: Option<&'a FaultSchedule>,
+    /// Attached after the packet trace, in order.
+    observers: &'a [ObserverHandle],
+    /// Stop and resume the engine at every multiple of this on the way.
     pause_every: Option<SimDuration>,
-) -> Fingerprint {
+    wire_check: bool,
+}
+
+/// Run the scenario to quiescence. Returns its fingerprint and whether
+/// any node was ever told that spans or the journal have a subscriber.
+fn run_scenario_full(seed: u64, setup: &Setup<'_>) -> (Fingerprint, bool) {
     let mut sim = Simulator::new(seed);
     let trace = Trace::new(200_000);
     sim.add_observer(trace.clone());
-    for obs in observers {
+    for obs in setup.observers {
         sim.add_observer(obs.clone());
     }
+    sim.set_wire_check(setup.wire_check);
 
-    for i in 0..5u16 {
-        sim.add_node(
-            NodeId(i),
-            Box::new(Churn {
-                ttl: 6,
-                timer_rounds: 0,
-            }),
-        );
-    }
     let ids: Vec<NodeId> = (0..5).map(NodeId).collect();
+    for &id in &ids {
+        let churn = Churn {
+            ttl: 6,
+            ..Churn::default()
+        };
+        sim.add_node(id, Box::new(churn));
+    }
     sim.topology_mut().full_mesh(
         &ids,
         LinkParams::lossy(0.08).with_jitter(SimDuration::micros(2)),
@@ -181,12 +199,12 @@ fn run_scenario_full(
     sim.schedule_recover(SimTime(900_000), NodeId(2));
     sim.schedule_link_set(SimTime(400_000), NodeId(0), NodeId(1), true);
     sim.schedule_link_set(SimTime(1_000_000), NodeId(0), NodeId(1), false);
-    if let Some(sched) = faults {
+    if let Some(sched) = setup.faults {
         sim.schedule_faults(SimTime::ZERO, sched);
     }
 
     let end = SimTime(30_000_000);
-    if let Some(step) = pause_every {
+    if let Some(step) = setup.pause_every {
         let mut t = SimTime::ZERO;
         while t < end {
             t = (t + step).min(end);
@@ -208,8 +226,11 @@ fn run_scenario_full(
     }
 
     let trace_len = trace.borrow().len();
+    let listened = ids
+        .iter()
+        .any(|&id| sim.node::<Churn>(id).expect("registered").listened);
     let s = sim.stats();
-    Fingerprint {
+    let fp = Fingerprint {
         events: sim.events_processed(),
         end_ns: sim.now().nanos(),
         delivered_pkts: s.delivered_total().packets,
@@ -221,7 +242,8 @@ fn run_scenario_full(
         corrupt: s.dropped(DropReason::Corrupt).packets,
         trace_len,
         trace_hash: h,
-    }
+    };
+    (fp, listened)
 }
 
 #[test]
@@ -265,8 +287,21 @@ fn matches_pre_optimization_golden_fingerprint() {
     assert_eq!(got, GOLDEN, "event order / RNG draw sites changed");
     // So must a run paused every 7 µs: stopping and resuming the engine
     // at intervals leaves the outcome unchanged.
-    let paused = run_scenario_full(1234, None, &[], Some(SimDuration::micros(7)));
+    let paused = Setup {
+        pause_every: Some(SimDuration::micros(7)),
+        ..Setup::default()
+    };
+    let paused = run_scenario_full(1234, &paused).0;
     assert_eq!(paused, GOLDEN, "pausing the run changed its outcome");
+    // And so must a run with the wire check armed. Every delivered frame
+    // is a UDP data packet, most with a non-zero simulator-side
+    // `flow_seq`, so the run also drives the check's one exemption.
+    let armed = Setup {
+        wire_check: true,
+        ..Setup::default()
+    };
+    let armed = run_scenario_full(1234, &armed).0;
+    assert_eq!(armed, GOLDEN, "arming the wire check changed the run");
 }
 
 #[test]
@@ -366,7 +401,11 @@ fn every_family_is_passive_alone_and_together() {
             let all = probes(capacity);
             let observers: Vec<ObserverHandle> =
                 row.iter().map(|&f| all[f].observer.clone()).collect();
-            let fp = run_scenario_full(1234, None, &observers, None);
+            let setup = Setup {
+                observers: &observers,
+                ..Setup::default()
+            };
+            let fp = run_scenario_full(1234, &setup).0;
             assert_eq!(fp, GOLDEN, "families {row:?} at capacity {capacity}");
             for &f in row {
                 let (kept, overflowed, n) = (all[f].read)();
@@ -398,7 +437,12 @@ fn journal_replay_is_byte_identical_under_fault_sweep() {
     let run = || {
         let journal: JournalHandle = Tap::new(1_000_000);
         let obs: ObserverHandle = journal.clone();
-        let fp = run_scenario_full(1234, Some(&sched), &[obs], None);
+        let setup = Setup {
+            faults: Some(&sched),
+            observers: &[obs],
+            ..Setup::default()
+        };
+        let fp = run_scenario_full(1234, &setup).0;
         let records = journal.borrow().events().to_vec();
         (fp, records)
     };
@@ -412,4 +456,57 @@ fn journal_replay_is_byte_identical_under_fault_sweep() {
     );
     // And the journal tap must stay passive under faults too.
     assert_eq!(fp_a, run_scenario_with(1234, Some(&sched)));
+}
+
+/// Counts what reaches an observer of the default families, or of every
+/// family: spans from `on_start`, and kind-1 journal records.
+#[derive(Default)]
+struct Listener {
+    every: bool,
+    start_spans: u64,
+    kind1: u64,
+}
+
+impl NetObserver for Listener {
+    fn wants(&self, family: Family) -> bool {
+        self.every || matches!(family, Family::Delivered | Family::Fault)
+    }
+
+    fn on_net_event(&mut self, _now: SimTime, ev: &NetEvent<'_>) {
+        match ev {
+            NetEvent::Span(e) if e.phase == SpanPhase::JobStart => self.start_spans += 1,
+            NetEvent::Journal(r) if r.kind == 1 => self.kind1 += 1,
+            _ => {}
+        }
+    }
+}
+
+/// A node learns that spans or the journal have a subscriber only when
+/// one exists: a default-family observer never turns either on, so no
+/// layer builds their payloads. An all-family observer does, and sees a
+/// span from every `on_start` (the five starts and node 2's recovery)
+/// and one kind-1 record per delivered packet. Both stay passive.
+#[test]
+fn nodes_hear_of_span_and_journal_subscribers_only_when_they_exist() {
+    for every in [false, true] {
+        let listener = Rc::new(RefCell::new(Listener {
+            every,
+            ..Listener::default()
+        }));
+        let obs: ObserverHandle = listener.clone();
+        let setup = Setup {
+            observers: &[obs],
+            ..Setup::default()
+        };
+        let (fp, listened) = run_scenario_full(1234, &setup);
+        assert_eq!(fp, GOLDEN, "every family: {every}");
+        assert_eq!(listened, every, "every family: {every}");
+        let l = listener.borrow();
+        let want = if every {
+            (6, GOLDEN.delivered_pkts)
+        } else {
+            (0, 0)
+        };
+        assert_eq!((l.start_spans, l.kind1), want, "every family: {every}");
+    }
 }

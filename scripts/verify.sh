@@ -41,16 +41,13 @@ cd "$(dirname "$0")/.."
 #     breakdowns reconcile with write_latency, the journal's failover gap
 #     matches the election log within 1 µs, the oracles stay clean, and a
 #     seed's Perfetto and summary artifacts repeat byte for byte.
-#   one event loop (§3, §11)        swishmem-simnet/shard_determinism — a
-#     single-shard ShardedEngine reproduces the sequential golden
-#     fingerprint, the Direct and Buffered sinks hand an all-family
-#     observer the same stream (S = 2 and 4 equal to each other), a
-#     default observer never turns tracing on, shard/worker count are
-#     pure performance knobs;
+#   one event loop (§3)             swishmem-simnet/determinism — the
+#     golden fingerprint holds plain, paused every 7 µs and with the wire
+#     check armed; a default observer never tells a node that spans or
+#     the journal have a subscriber, an all-family one does;
 #     swishmem-simnet `topology::tests` — every forwarding-row lookup
 #     agrees with the direct-link-else-route rule under random link and
-#     route edits in any order, and degrades stack and restore at once;
-#     swishmem-bench `shardnet::` — a 2-shard fault sweep runs oracle-clean.
+#     route edits in any order, and degrades stack and restore at once.
 #   wire format (§3)                wire_golden — every frame of a seeded
 #     run that emits all 26 messages hashes to the recorded constant;
 #     swishmem-wire `swish::tests` — the message table has a sample per
@@ -71,13 +68,19 @@ for ex in examples/*.rs; do
     cargo run -q --release --example "$name" >/dev/null
 done
 
+# Every experiment at quick scale: no test runs `experiments`, so the
+# asserts inside E01–E24 are checked only here.
+echo "==> cargo run -q --release -p swishmem-bench --bin experiments -- --quick"
+cargo run -q --release -p swishmem-bench --bin experiments -- --quick >/dev/null
+
 # Release-profile gates: host-time or allocation measurements that mean
 # nothing in a debug build, so the workspace run above does not cover them.
 #
 #   trace_overhead (§9, §14, E18/E23 smoke): compiled-in-but-detached span
 #     tracing and journaling stay cheap.
-#   replay_lab (§15, E24 smoke): digest shard-invariance exactly, ring
-#     ingest parity within its CI bound.
+#   replay_lab (§15, E24 smoke): the leaf-spine replay's golden digest,
+#     event count and end time exactly, ring ingest parity within its CI
+#     bound.
 #   alloc_budget ("Performance model"): 0 allocations per event on the bare
 #     engine, also in rounds that shift the clock into event-queue buckets
 #     unused before, <= 30 per EWO round, <= 8 per round of SRO read hits,
@@ -90,7 +93,7 @@ done
 #     catch every sabotaged reference.
 echo "==> cargo test --release --test trace_overhead (detached tracing + journaling overhead)"
 cargo test -q --release -p swishmem-bench --test trace_overhead
-echo "==> cargo test --release --test replay_lab (E24 smoke: digest invariance + ring parity)"
+echo "==> cargo test --release --test replay_lab (E24 smoke: golden digest + ring parity)"
 cargo test -q --release -p swishmem-bench --test replay_lab
 echo "==> cargo test --release --test alloc_budget (per-packet allocation budget)"
 cargo test -q --release --test alloc_budget
