@@ -14,44 +14,24 @@
 //! ```
 //!
 //! A summary of the capture (records, bytes, clock span) is appended to
-//! `results/E24_capture.json` unless `--json` overrides the path.
+//! `results/E24_capture.json` unless `--json` overrides the path. A
+//! malformed value or an unknown flag prints usage and exits 2.
 
 use std::io::BufWriter;
+use std::str::FromStr;
 
 use swishmem::prelude::*;
-use swishmem::{NfDecision, RegisterSpec, SharedState};
 use swishmem_bench::json::Json;
+use swishmem_bench::scenarios::replay_deployment;
 use swishmem_nf::workload::{EcmpRouter, FlowGen, FlowGenConfig, RoutingMode};
 use swishmem_replay::{
     capture_deployment_trace, synth_to_writer, SynthConfig, TraceMeta, TraceRecord, TraceWriter,
 };
 
-struct CountNf;
-
-impl swishmem::NfApp for CountNf {
-    fn process(
-        &mut self,
-        pkt: &DataPacket,
-        _ingress: NodeId,
-        st: &mut dyn SharedState,
-    ) -> NfDecision {
-        st.add(0, u32::from(pkt.flow.dst) % 256, 1);
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-/// Drive a FlowGen workload through a 3-switch deployment with the
+/// Drive a FlowGen workload through the replay deployment with the
 /// capture tap armed and return the taped ingress stream.
 fn record_live_run(seed: u64, flows_per_sec: f64) -> Vec<TraceRecord> {
-    let mut dep = DeploymentBuilder::new(3)
-        .hosts(2)
-        .seed(seed)
-        .register(RegisterSpec::ewo_counter(0, "cnt", 256))
-        .build(|_| Box::new(CountNf));
-    dep.settle();
+    let mut dep = replay_deployment(seed);
     let tap = dep.attach_capture(1 << 22);
 
     let router = EcmpRouter::new(3, RoutingMode::EcmpStable);
@@ -92,58 +72,84 @@ fn write_records(path: &str, records: &[TraceRecord], meta: TraceMeta) -> (u64, 
     (n, meta)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let get = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out = get("--out").unwrap_or_else(|| "capture.swtrace".to_string());
-    let json_path = get("--json").unwrap_or_else(|| "results/E24_capture.json".to_string());
-    let seed: u64 = get("--seed").and_then(|s| s.parse().ok()).unwrap_or(1);
+fn usage(msg: &str) -> ! {
+    eprintln!("capture: {msg}");
+    eprintln!("usage: capture --synth [--flows N] [--clients N] [--servers N] [--ingress N]");
+    eprintln!(
+        "                       [--duration-ns N] [--udp] [--seed S] [--out PATH] [--json PATH]"
+    );
+    eprintln!("       capture --run [--rate F] [--seed S] [--out PATH] [--json PATH]");
+    std::process::exit(2)
+}
 
-    let (source, count, meta) = if has("--synth") {
-        let flows: u64 = get("--flows")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(100_000);
-        let cfg = SynthConfig {
-            flows,
-            clients: get("--clients")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(4_096),
-            servers: get("--servers").and_then(|s| s.parse().ok()).unwrap_or(256),
-            ingress: get("--ingress").and_then(|s| s.parse().ok()).unwrap_or(4),
-            duration: get("--duration-ns")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(flows.max(10_000) * 100),
-            tcp: !has("--udp"),
-            ..SynthConfig::default()
+/// `flag`'s value parsed as a `T`, or usage and exit 2.
+fn parse<T: FromStr>(flag: &str, v: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| usage(&format!("{flag} {v} is not a valid value")))
+}
+
+fn main() {
+    let (mut synth, mut run) = (false, false);
+    let mut out = "capture.swtrace".to_string();
+    let mut json_path = "results/E24_capture.json".to_string();
+    let mut seed = 1u64;
+    let mut cfg = SynthConfig {
+        flows: 100_000,
+        clients: 4_096,
+        servers: 256,
+        ingress: 4,
+        ..SynthConfig::default()
+    };
+    let mut duration = None;
+    let mut rate = 10_000.0f64;
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
         };
+        match flag.as_str() {
+            "--synth" => synth = true,
+            "--run" => run = true,
+            "--out" => out = value(),
+            "--json" => json_path = value(),
+            "--seed" => seed = parse(&flag, &value()),
+            "--flows" => cfg.flows = parse(&flag, &value()),
+            "--clients" => cfg.clients = parse(&flag, &value()),
+            "--servers" => cfg.servers = parse(&flag, &value()),
+            "--ingress" => cfg.ingress = parse(&flag, &value()),
+            "--duration-ns" => duration = Some(parse(&flag, &value())),
+            "--udp" => cfg.tcp = false,
+            "--rate" => rate = parse(&flag, &value()),
+            _ => usage(&format!("unknown argument {flag}")),
+        }
+    }
+    if synth == run {
+        usage("pick one of --synth and --run");
+    }
+    if cfg.flows == 0 || cfg.ingress == 0 {
+        usage("--flows and --ingress must be at least 1");
+    }
+    if rate.is_nan() || rate <= 0.0 {
+        usage(&format!("--rate {rate} must be positive"));
+    }
+
+    let (source, count, meta) = if synth {
+        cfg.duration = duration.unwrap_or(cfg.flows.max(10_000) * 100);
         let file = std::fs::File::create(&out).expect("create output trace");
         let meta_in = TraceMeta {
-            flow_hint: flows,
+            flow_hint: cfg.flows,
             ..TraceMeta::new(cfg.ingress, seed, "synth")
         };
         let mut w = TraceWriter::new(BufWriter::new(file), meta_in).expect("write superblock");
         let n = synth_to_writer(&cfg, seed, &mut w).expect("synthesis");
         let (_, meta) = w.finish().expect("finalize trace");
         ("synth", n, meta)
-    } else if has("--run") {
-        let rate: f64 = get("--rate")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(10_000.0);
+    } else {
         let records = record_live_run(seed, rate);
         let (n, meta) = write_records(&out, &records, TraceMeta::new(3, seed, "live-run"));
         ("live-run", n, meta)
-    } else {
-        eprintln!("usage: capture (--synth [--flows N] | --run [--rate F])");
-        eprintln!("               [--seed S] [--out PATH.swtrace] [--json PATH]");
-        std::process::exit(2);
     };
-
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     eprintln!(
         "captured {count} records ({bytes} bytes) from {source} -> {out} \

@@ -1,113 +1,91 @@
 //! E24 — the workload capture + replay lab: binary flow traces at
 //! millions of flows, ring-buffer ingest, and deterministic replay.
 //!
-//! Four gates, all asserted:
+//! Three gates, all asserted:
 //!
 //! 1. **Synthesis + round-trip at scale** — a heavy-tail trace (1M flows
 //!    in full mode) streams into the `.swtrace` binary format and reads
 //!    back with an identical record count and validated superblock.
-//! 2. **Replay determinism** — the same trace replayed twice through the
-//!    leaf-spine fabric yields one digest: *trace + seed = a run*.
-//! 3. **Ring-ingest parity** — replaying through the protocol deployment
-//!    with the ring buffer in the path sustains ≥ 90% of the
-//!    generator-driven (ring-free) injection rate: backpressure
-//!    accounting is free.
-//! 4. **Scenario packs** — all five oracle-armed packs pass clean, and a
+//! 2. **Ring-ingest parity and replay determinism** — replaying through
+//!    the SwiShmem deployment with the ring buffer in the path sustains
+//!    ≥ 90% of the generator-driven (ring-free) injection rate, so
+//!    backpressure accounting is free; and the three ring replays of the
+//!    same trace yield one digest: *trace + seed = a run*.
+//! 3. **Scenario packs** — all five oracle-armed packs pass clean, and a
 //!    sabotaged feed fails (the oracle is demonstrably live).
 
 use std::time::Instant;
 
-use crate::leafspine::{run_leaf_spine, trace_to_leaf_spine, LeafSpineSpec};
+use crate::scenarios::replay_deployment;
 use crate::table::{ExperimentResult, Table};
 use swishmem::prelude::*;
-use swishmem::{NfDecision, RegisterSpec, SharedState};
 use swishmem_replay::{
     from_swtrace_bytes, replay_digest, replay_trace, run_pack, synth_trace_bytes, to_swtrace_bytes,
-    PackConfig, PackKind, ReplayConfig, Sabotage, SynthConfig, TraceMeta, TraceReader,
+    PackConfig, PackKind, ReplayConfig, Sabotage, SynthConfig, TraceMeta, TraceReader, TraceRecord,
 };
 
-/// Every packet bumps a per-destination EWO counter (the protocol-path
-/// replay workload).
-struct CountNf;
-
-impl swishmem::NfApp for CountNf {
-    fn process(
-        &mut self,
-        pkt: &DataPacket,
-        _ingress: NodeId,
-        st: &mut dyn SharedState,
-    ) -> NfDecision {
-        st.add(0, u32::from(pkt.flow.dst) % 256, 1);
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-fn proto_dep(seed: u64) -> Deployment {
-    let mut dep = DeploymentBuilder::new(3)
-        .hosts(2)
-        .seed(seed)
-        .register(RegisterSpec::ewo_counter(0, "cnt", 256))
-        .build(|_| Box::new(CountNf));
-    dep.settle();
-    dep
-}
-
-/// Generator-driven baseline: parse the trace stream and inject
-/// directly — no ring in the path — batched exactly like the replay
-/// engine. Returns engine events processed and wall ns.
-fn direct_replay(dep: &mut Deployment, bytes: &[u8]) -> (u64, u64) {
+/// Replay `bytes` into `dep` from 1 ms after now: through the replay
+/// engine proper (reader → FlowRing → inject) when `ring`, else
+/// generator-driven, parsing and injecting directly, batched exactly
+/// like the replay engine. Returns engine events processed and wall ns.
+fn timed_replay(dep: &mut Deployment, bytes: &[u8], ring: bool) -> (u64, u64) {
     let pre = dep.sim.events_processed();
     let start = SimTime(dep.now().0 + 1_000_000);
     let wall = Instant::now();
     let mut reader =
         TraceReader::new(std::io::Cursor::new(bytes)).expect("in-memory trace must parse");
-    let base = reader.meta().clock_base_ns;
-    let n_hosts = dep.host_ids().len().max(1);
-    'outer: loop {
-        let mut last = dep.now();
-        for _ in 0..512 {
-            let Some(rec) = reader.next_record().expect("in-memory read") else {
-                dep.run_until(last);
-                break 'outer;
-            };
-            let t = SimTime(start.0 + (rec.time_ns - base)).max(dep.now());
-            let sw = usize::from(rec.ingress) % 3;
-            let from = (rec.flow_hash() as usize) % n_hosts;
-            dep.inject(t, sw, from, rec.to_packet());
-            last = last.max(t);
-        }
-        dep.run_until(last);
-    }
-    (
-        dep.sim.events_processed() - pre,
-        wall.elapsed().as_nanos() as u64,
-    )
-}
-
-/// Ring-path run: the replay engine proper (reader → FlowRing → inject)
-/// over the same trace stream.
-fn ring_replay(dep: &mut Deployment, bytes: &[u8]) -> (u64, u64) {
-    let pre = dep.sim.events_processed();
-    let start = SimTime(dep.now().0 + 1_000_000);
-    let wall = Instant::now();
-    let mut reader =
-        TraceReader::new(std::io::Cursor::new(bytes)).expect("in-memory trace must parse");
-    replay_trace(
-        dep,
-        &mut reader,
-        &ReplayConfig {
+    if ring {
+        let cfg = ReplayConfig {
             start,
             ..ReplayConfig::default()
-        },
-    )
-    .expect("in-memory replay");
+        };
+        replay_trace(dep, &mut reader, &cfg).expect("in-memory replay");
+    } else {
+        let base = reader.meta().clock_base_ns;
+        let n_hosts = dep.host_ids().len().max(1);
+        'outer: loop {
+            let mut last = dep.now();
+            for _ in 0..512 {
+                let Some(rec) = reader.next_record().expect("in-memory read") else {
+                    dep.run_until(last);
+                    break 'outer;
+                };
+                let t = SimTime(start.0 + (rec.time_ns - base)).max(dep.now());
+                let sw = usize::from(rec.ingress) % 3;
+                let from = (rec.flow_hash() as usize) % n_hosts;
+                dep.inject(t, sw, from, rec.to_packet());
+                last = last.max(t);
+            }
+            dep.run_until(last);
+        }
+    }
     (
         dep.sim.events_processed() - pre,
         wall.elapsed().as_nanos() as u64,
     )
+}
+
+/// The first `n` of `records` as `.swtrace` bytes.
+fn slice_bytes(records: &[TraceRecord], n: usize) -> Vec<u8> {
+    let slice = &records[..records.len().min(n)];
+    to_swtrace_bytes(slice, TraceMeta::default()).expect("slice serializes")
+}
+
+/// Best-of-`reps` events/s for the generator-driven path and the ring
+/// path over the same trace `bytes`, each rep on fresh replay
+/// deployments at `seed`, plus the digest of each ring replay 10 ms on.
+fn ring_parity(bytes: &[u8], seed: u64, reps: u32) -> (f64, f64, Vec<u64>) {
+    let rate = |(ev, ns): (u64, u64)| ev as f64 / (ns as f64 / 1e9);
+    let (mut best_direct, mut best_ring, mut digests) = (0.0f64, 0.0f64, Vec::new());
+    for _ in 0..reps {
+        let mut dep = replay_deployment(seed);
+        best_direct = best_direct.max(rate(timed_replay(&mut dep, bytes, false)));
+        let mut dep = replay_deployment(seed);
+        best_ring = best_ring.max(rate(timed_replay(&mut dep, bytes, true)));
+        dep.run_for(SimDuration::millis(10));
+        digests.push(replay_digest(&dep, 256));
+    }
+    (best_direct, best_ring, digests)
 }
 
 /// The §3 parity measurement at smoke scale (the CI gate hook): best-of-
@@ -120,47 +98,26 @@ pub fn measure_ring_parity(n_records: usize, reps: u32) -> (f64, f64) {
         ingress: 3,
         ..SynthConfig::default()
     };
-    let bytes = synth_trace_bytes(&cfg, 7);
-    let (_, records) = from_swtrace_bytes(&bytes).expect("synthesized trace must parse");
-    let slice = &records[..records.len().min(n_records)];
-    let slice_bytes = to_swtrace_bytes(slice, TraceMeta::default()).expect("slice serializes");
-    let mut best_direct: f64 = 0.0;
-    let mut best_ring: f64 = 0.0;
-    for _ in 0..reps {
-        let mut dep = proto_dep(7);
-        let (ev, ns) = direct_replay(&mut dep, &slice_bytes);
-        best_direct = best_direct.max(ev as f64 / (ns as f64 / 1e9));
-        let mut dep = proto_dep(7);
-        let (ev, ns) = ring_replay(&mut dep, &slice_bytes);
-        best_ring = best_ring.max(ev as f64 / (ns as f64 / 1e9));
-    }
-    (best_direct, best_ring)
+    let (_, records) =
+        from_swtrace_bytes(&synth_trace_bytes(&cfg, 7)).expect("synthesized trace must parse");
+    let (direct, ring, _) = ring_parity(&slice_bytes(&records, n_records), 7, reps);
+    (direct, ring)
 }
 
 /// Run E24.
 pub fn run(quick: bool) -> ExperimentResult {
-    let (flows, spec) = if quick {
-        (
-            20_000u64,
-            LeafSpineSpec {
-                leaves: 16,
-                spines: 4,
-            },
-        )
+    // The ingress slot counts are the ones the recorded E24 traces were
+    // synthesized with; changing them changes every record stream.
+    let (flows, ingress) = if quick {
+        (20_000u64, 16)
     } else {
-        (
-            1_000_000u64,
-            LeafSpineSpec {
-                leaves: 56,
-                spines: 4,
-            },
-        )
+        (1_000_000u64, 56)
     };
     let synth_cfg = SynthConfig {
         flows,
         clients: 4_096,
         servers: 256,
-        ingress: u32::from(spec.leaves),
+        ingress,
         duration: flows.max(10_000) * 100, // ~10 flow arrivals / µs
         ..SynthConfig::default()
     };
@@ -203,64 +160,20 @@ pub fn run(quick: bool) -> ExperimentResult {
     ]);
 
     // ------------------------------------------------------------------
-    // 2. Determinism: two replays of the same trace must produce one
-    //    digest.
+    // 2. Ring-ingest parity on the SwiShmem deployment, plus the
+    //    determinism gate: every ring replay yields one digest.
     // ------------------------------------------------------------------
-    let injections = trace_to_leaf_spine(&spec, &records);
-    let mut det_t = Table::new(
-        &format!(
-            "Replay determinism, {}x{} leaf-spine ({} injected records)",
-            spec.leaves,
-            spec.spines,
-            injections.len()
-        ),
-        &["run", "events", "digest", "wall events/s"],
-    );
-    let mut digests = Vec::new();
-    for label in ["seq", "seq-repeat"] {
-        let o = run_leaf_spine(spec, &injections);
-        det_t.row(vec![
-            label.to_string(),
-            o.events.to_string(),
-            format!("{:016x}", o.digest),
-            format!("{:.0}", o.wall_events_per_sec()),
-        ]);
-        digests.push(o.digest);
-    }
-    assert_eq!(digests[0], digests[1], "replay must repeat");
-    drop(injections);
-
-    // ------------------------------------------------------------------
-    // 3. Ring-ingest parity on the protocol deployment, plus the
-    //    protocol-level digest determinism check.
-    // ------------------------------------------------------------------
-    let slice = &records[..records.len().min(if quick { 8_000 } else { 20_000 })];
-    let slice_bytes = to_swtrace_bytes(slice, TraceMeta::default()).expect("slice serializes");
+    let n_slice = records.len().min(if quick { 8_000 } else { 20_000 });
     let reps = 3;
-    let mut best_direct: f64 = 0.0;
-    let mut best_ring: f64 = 0.0;
-    let mut ring_digests = Vec::new();
-    for _ in 0..reps {
-        let mut dep = proto_dep(seed);
-        let (ev, ns) = direct_replay(&mut dep, &slice_bytes);
-        best_direct = best_direct.max(ev as f64 / (ns as f64 / 1e9));
-
-        let mut dep = proto_dep(seed);
-        let (ev, ns) = ring_replay(&mut dep, &slice_bytes);
-        best_ring = best_ring.max(ev as f64 / (ns as f64 / 1e9));
-        dep.run_for(SimDuration::millis(10));
-        ring_digests.push(replay_digest(&dep, 256));
-    }
+    let (best_direct, best_ring, ring_digests) =
+        ring_parity(&slice_bytes(&records, n_slice), seed, reps);
     assert!(
         ring_digests.windows(2).all(|w| w[0] == w[1]),
-        "protocol-path replay digest must be deterministic: {ring_digests:x?}"
+        "replay digest must be deterministic: {ring_digests:x?}"
     );
     let ratio = best_ring / best_direct.max(1.0);
     let mut ring_t = Table::new(
-        &format!(
-            "Ring-ingest parity, protocol deployment ({} records, best of {reps})",
-            slice.len()
-        ),
+        &format!("Ring-ingest parity, protocol deployment ({n_slice} records, best of {reps})"),
         &["path", "events/s", "vs generator-driven", "replay digest"],
     );
     ring_t.row(vec![
@@ -282,7 +195,7 @@ pub fn run(quick: bool) -> ExperimentResult {
     drop(records);
 
     // ------------------------------------------------------------------
-    // 4. Scenario packs: five clean passes + one sabotaged failure.
+    // 3. Scenario packs: five clean passes + one sabotaged failure.
     // ------------------------------------------------------------------
     let mut pack_t = Table::new(
         "Scenario packs (oracle suite + replay guard + state gates armed)",
@@ -337,7 +250,11 @@ pub fn run(quick: bool) -> ExperimentResult {
              superblock",
             flows, meta.record_count, trace_mb
         ),
-        "one digest across a replay and its repeat — a trace plus a seed is a run".into(),
+        format!(
+            "{reps} ring replays of the trace on the SwiShmem deployment give one digest \
+             ({:016x}) — a trace plus a seed is a run",
+            ring_digests[0]
+        ),
         format!(
             "ring-buffer ingest sustains {ratio:.2}x the generator-driven rate (gate: >= 0.90x) \
              — backpressure accounting costs nothing measurable"
@@ -353,7 +270,7 @@ pub fn run(quick: bool) -> ExperimentResult {
         expectation: "deterministic replay; ring ingest within 10% of \
                       generator-driven; five oracle-armed packs pass, sabotage fails"
             .into(),
-        tables: vec![synth_t, det_t, ring_t, pack_t],
+        tables: vec![synth_t, ring_t, pack_t],
         findings,
     }
 }

@@ -14,14 +14,15 @@
 //! ```
 //!
 //! `explain` makes one traced, journaled, oracle-checked run and gates
-//! what its collectors recorded (`explain` module, `--bin explain`). The
-//! repo's perf instrument is the `benchmark/` ladder, not this crate.
+//! what its collectors recorded (`explain` module, `--bin explain`).
+//! `capture` and `replay` record and replay `.swtrace` traces on
+//! `scenarios::replay_deployment`. The repo's perf instrument is the
+//! `benchmark/` ladder, not this crate.
 #![allow(clippy::field_reassign_with_default)] // experiment configs read clearer as sequential overrides
 
 pub mod experiments;
 pub mod explain;
 pub mod json;
-pub mod leafspine;
 pub mod scenarios;
 pub mod spans;
 pub mod table;

@@ -1,7 +1,7 @@
-//! Shared scenario building blocks for the experiments and `explain`:
-//! probe NFs with externally-observable reads, packet constructors, the
-//! leader-crash deployment, the detached-observer echo, and measurement
-//! helpers.
+//! Shared scenario building blocks for the experiments, `explain` and
+//! the replay tools: probe NFs with externally-observable reads, packet
+//! constructors, the replay and leader-crash deployments, the
+//! detached-observer echo, and measurement helpers.
 
 use std::net::Ipv4Addr;
 use std::time::Instant;
@@ -64,6 +64,38 @@ impl swishmem::NfApp for CounterNf {
             pkt: *pkt,
         }
     }
+}
+
+/// The replay workload's NF: every packet adds 1 to EWO register 0 at
+/// key `dst % 256`, forwarding to host 0.
+pub struct CountNf;
+
+impl swishmem::NfApp for CountNf {
+    fn process(
+        &mut self,
+        pkt: &DataPacket,
+        _ingress: NodeId,
+        st: &mut dyn SharedState,
+    ) -> swishmem::NfDecision {
+        st.add(0, u32::from(pkt.flow.dst) % 256, 1);
+        swishmem::NfDecision::Forward {
+            dst: NodeId(HOST_BASE),
+            pkt: *pkt,
+        }
+    }
+}
+
+/// The replay deployment (E24, `capture --run`, `replay --trace`): 3
+/// switches, 2 hosts and one 256-key EWO counter updated by
+/// [`CountNf`], settled.
+pub fn replay_deployment(seed: u64) -> Deployment {
+    let mut dep = DeploymentBuilder::new(3)
+        .hosts(2)
+        .seed(seed)
+        .register(RegisterSpec::ewo_counter(0, "cnt", 256))
+        .build(|_| Box::new(CountNf));
+    dep.settle();
+    dep
 }
 
 /// A writing NF: every packet writes its `payload_len` into register 0

@@ -5,34 +5,46 @@
 //! with gates generous enough for noisy shared runners (the
 //! `trace_overhead.rs` convention).
 
-use swishmem_bench::experiments::e24_replay_lab;
-use swishmem_bench::leafspine::{run_leaf_spine, trace_to_leaf_spine, LeafSpineSpec};
-use swishmem_replay::{from_swtrace_bytes, synth_trace_bytes, SynthConfig};
+use std::io::Cursor;
 
-/// The core replay-lab contract at smoke scale: the same trace through
-/// the leaf-spine fabric yields the recorded digest, event count and end
-/// time, twice. No timing involved, so this gate is exact.
+use swishmem::prelude::*;
+use swishmem_bench::experiments::e24_replay_lab;
+use swishmem_bench::scenarios::replay_deployment;
+use swishmem_replay::{
+    replay_digest, replay_trace, synth_trace_bytes, ReplayConfig, SynthConfig, TraceReader,
+};
+
+/// The core replay-lab contract at smoke scale, on the SwiShmem stack:
+/// the same trace through the replay deployment yields the recorded
+/// digest, record count, event count and end time, twice. No timing
+/// involved, so this gate is exact.
 #[test]
-fn leaf_spine_replay_matches_golden() {
-    let spec = LeafSpineSpec {
-        leaves: 8,
-        spines: 2,
-    };
+fn replay_matches_golden() {
     let cfg = SynthConfig {
         flows: 3_000,
-        ingress: u32::from(spec.leaves),
+        ingress: 3,
         ..SynthConfig::default()
     };
     let bytes = synth_trace_bytes(&cfg, 5);
-    let (_, records) = from_swtrace_bytes(&bytes).expect("synthesized trace must parse");
-    let injections = trace_to_leaf_spine(&spec, &records);
-    assert!(injections.len() >= 3_000);
     for _ in 0..2 {
-        let o = run_leaf_spine(spec, &injections);
+        let mut dep = replay_deployment(24);
+        let mut reader = TraceReader::new(Cursor::new(&bytes[..])).expect("synthesized trace");
+        let start = dep.now() + SimDuration::millis(1);
+        let cfg = ReplayConfig {
+            start,
+            ..ReplayConfig::default()
+        };
+        let stats = replay_trace(&mut dep, &mut reader, &cfg).expect("in-memory replay");
+        dep.run_for(SimDuration::millis(10));
         assert_eq!(
-            (o.digest, o.events, o.end_ns),
-            (0x5e9c_28b5_4343_9bcf, 13_653, 47_846_346),
-            "leaf-spine replay diverged from the golden"
+            (
+                replay_digest(&dep, 256),
+                stats.records,
+                dep.sim.events_processed(),
+                dep.now().nanos()
+            ),
+            (0x2644_a39c_5b84_37bc, 8_751, 35_536, 68_835_328),
+            "replay diverged from the golden"
         );
     }
 }

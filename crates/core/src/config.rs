@@ -176,42 +176,22 @@ pub struct ReconfigPolicy {
     /// Master switch for the telemetry-driven planner. Migrations can
     /// still be triggered explicitly (tests, fault schedules) when false.
     pub enabled: bool,
-    /// How often the planner examines per-range load counters.
-    pub plan_interval: SimDuration,
     /// A range is migration-worthy only when some remote switch ingressed
     /// at least this many writes for it within one planning window.
     pub min_writes: u64,
-    /// Remote load must exceed the current primary's own ingress load by
-    /// this multiple before a move pays for its disruption (cost budget).
-    pub min_advantage: u64,
-    /// Maximum migrations in flight at once.
-    pub max_concurrent: usize,
-    /// Planner cooldown per range after a commit (no flapping).
-    pub cooldown: SimDuration,
-    /// Controller re-broadcast period for the authoritative range table
-    /// (idempotent per-range-epoch reconciliation after lost commits).
-    pub resync_interval: SimDuration,
     /// Keys per migration chunk.
     pub chunk_keys: usize,
     /// Source pacing between chunk transmissions within a pass.
     pub chunk_interval: SimDuration,
-    /// Source delay between full re-stream passes while uncommitted.
-    pub repass_interval: SimDuration,
 }
 
 impl Default for ReconfigPolicy {
     fn default() -> Self {
         ReconfigPolicy {
             enabled: false,
-            plan_interval: SimDuration::millis(10),
             min_writes: 32,
-            min_advantage: 2,
-            max_concurrent: 1,
-            cooldown: SimDuration::millis(50),
-            resync_interval: SimDuration::millis(10),
             chunk_keys: 16,
             chunk_interval: SimDuration::micros(10),
-            repass_interval: SimDuration::millis(2),
         }
     }
 }
@@ -221,21 +201,8 @@ impl Default for ReconfigPolicy {
 pub struct SwishConfig {
     /// Writer control-plane retry timeout for unacknowledged chain writes;
     /// the base of the capped exponential backoff (doubled per attempt
-    /// with deterministic jitter, up to [`SwishConfig::retry_backoff_max`]).
+    /// with deterministic jitter, up to the writer CP's `RETRY_BACKOFF_MAX`).
     pub retry_timeout: SimDuration,
-    /// Ceiling of the exponential retry backoff.
-    pub retry_backoff_max: SimDuration,
-    /// Give up on a write after this many attempts (it stays unreleased;
-    /// counted in metrics). High by default: chain repair should win first.
-    pub max_retries: u32,
-    /// Maximum concurrent write jobs buffered in the writer CP; jobs
-    /// beyond this are shed (counted, buffered packet dropped) rather
-    /// than growing DRAM without bound.
-    pub cp_job_buffer: usize,
-    /// Tail pending-sweep period: the tail periodically re-multicasts
-    /// `Clear` for committed group slots so pending bits orphaned by a
-    /// lost clear still converge. `ZERO` disables the sweep.
-    pub pending_sweep_period: SimDuration,
     /// EWO periodic full-sync period (the paper's example: 1 ms).
     pub sync_period: SimDuration,
     /// Entries per periodic-sync packet (array walked in chunks).
@@ -274,32 +241,16 @@ pub struct SwishConfig {
     /// [`crate::consensus::SLOT_CAP`] so the compaction decree commits
     /// before the window can overflow.
     pub log_compact_threshold: usize,
-    /// Replicated mode: how long after the last leader beacon a
-    /// follower replica may keep answering directory lookups (the
-    /// follower-read lease). Past it the follower drops lookups and the
-    /// querier's retry finds another replica or the leader.
-    pub dir_lease: SimDuration,
     /// Replicated mode: use the phi-accrual-style failure detector over
     /// leader-heartbeat inter-arrival history for election timing.
     /// False falls back to the static staggered `failure_timeout`.
     pub adaptive_detector: bool,
-    /// Suspicion threshold of the adaptive detector, in units of mean
-    /// absolute deviation above the mean inter-arrival gap.
-    pub detector_phi: u32,
-    /// Additive floor margin of the adaptive detector (guards against a
-    /// near-zero deviation history declaring suspicion on the first
-    /// delayed beacon).
-    pub detector_floor: SimDuration,
 }
 
 impl Default for SwishConfig {
     fn default() -> Self {
         SwishConfig {
             retry_timeout: SimDuration::millis(1),
-            retry_backoff_max: SimDuration::millis(16),
-            max_retries: 100,
-            cp_job_buffer: 4096,
-            pending_sweep_period: SimDuration::millis(5),
             sync_period: SimDuration::millis(1),
             sync_chunk: 128,
             eager_updates: true,
@@ -313,10 +264,7 @@ impl Default for SwishConfig {
             reconfig: ReconfigPolicy::default(),
             ctrl_replicas: 1,
             log_compact_threshold: 256,
-            dir_lease: SimDuration::millis(8),
             adaptive_detector: true,
-            detector_phi: 4,
-            detector_floor: SimDuration::millis(2),
         }
     }
 }

@@ -175,6 +175,21 @@ struct Rep {
 /// Leader-beacon inter-arrival samples retained by the detector.
 const HB_HISTORY: usize = 8;
 
+/// Suspicion threshold of the adaptive detector, in units of mean
+/// absolute deviation above the mean inter-arrival gap.
+const DETECTOR_PHI: u64 = 4;
+
+/// Additive floor margin of the adaptive detector (guards against a
+/// near-zero deviation history declaring suspicion on the first
+/// delayed beacon).
+const DETECTOR_FLOOR: SimDuration = SimDuration::millis(2);
+
+/// Replicated mode: how long after the last leader beacon a follower
+/// replica may keep answering directory lookups (the follower-read
+/// lease). Past it the follower drops lookups and the querier's retry
+/// finds another replica or the leader.
+pub(crate) const DIR_LEASE: SimDuration = SimDuration::millis(8);
+
 /// Effect sink for command application: followers apply state changes
 /// silently (`emit == false`); the leader and the singleton also send
 /// the resulting fabric messages.
@@ -236,6 +251,23 @@ const CHECK_TIMER: u64 = 1;
 const PLAN_TIMER: u64 = 2;
 const RESYNC_TIMER: u64 = 3;
 const REP_TICK: u64 = 4;
+
+/// How often the planner examines per-range load counters.
+const PLAN_INTERVAL: SimDuration = SimDuration::millis(10);
+
+/// Remote load must exceed the current primary's own ingress load by
+/// this multiple before a move pays for its disruption (cost budget).
+const MIN_ADVANTAGE: u64 = 2;
+
+/// Maximum migrations in flight at once.
+const MAX_CONCURRENT_MIGRATIONS: usize = 1;
+
+/// Planner cooldown per range after a commit (no flapping).
+pub const PLANNER_COOLDOWN: SimDuration = SimDuration::millis(50);
+
+/// Re-broadcast period for the authoritative range table (idempotent
+/// per-range-epoch reconciliation after lost commits).
+const RESYNC_INTERVAL: SimDuration = SimDuration::millis(10);
 
 impl Controller {
     /// A singleton controller managing `switches` (initial chain =
@@ -971,8 +1003,7 @@ impl Controller {
                 }
                 let hot_n = self.directory.access_count(reg, r.start, hot);
                 let primary_n = self.directory.access_count(reg, r.start, primary);
-                if hot_n < pol.min_writes
-                    || hot_n < pol.min_advantage.saturating_mul(primary_n.max(1))
+                if hot_n < pol.min_writes || hot_n < MIN_ADVANTAGE.saturating_mul(primary_n.max(1))
                 {
                     continue;
                 }
@@ -1118,7 +1149,7 @@ impl Controller {
         if was_dual {
             self.journal_mig(io, CtrlEvent::MigCommit { reg, start, epoch });
         }
-        self.rmeta[i].cooldown_until = Some(now + self.cfg.reconfig.cooldown);
+        self.rmeta[i].cooldown_until = Some(now + PLANNER_COOLDOWN);
         self.directory.set_owners(reg, start, &owners);
         self.log_reconfig(
             now,
@@ -1145,7 +1176,6 @@ impl Controller {
         planned: bool,
         io: &mut Io<'_, '_>,
     ) {
-        let pol = self.cfg.reconfig;
         let Some(range) = self
             .directory
             .ranges(reg)
@@ -1169,7 +1199,7 @@ impl Controller {
             || !self.is_live(from)
             || commit_owners.is_empty()
             || commit_owners.len() > MAX_RANGE_OWNERS
-            || self.open_migrations() >= pol.max_concurrent.max(1)
+            || self.open_migrations() >= MAX_CONCURRENT_MIGRATIONS
         {
             return;
         }
@@ -1581,7 +1611,7 @@ impl Controller {
             let n = rep.hb_gaps.len() as u64;
             let mean = rep.hb_gaps.iter().sum::<u64>() / n;
             let dev = rep.hb_gaps.iter().map(|&g| g.abs_diff(mean)).sum::<u64>() / n;
-            (mean + u64::from(cfg.detector_phi) * dev + cfg.detector_floor.0).min(2 * retry_pace.0)
+            (mean + DETECTOR_PHI * dev + DETECTOR_FLOOR.0).min(2 * retry_pace.0)
         } else {
             retry_pace.0
         };
@@ -1867,9 +1897,9 @@ impl Node for Controller {
             }
             ctx.set_timer(self.cfg.heartbeat_interval, CHECK_TIMER);
             if self.has_partitioned() {
-                ctx.set_timer(self.cfg.reconfig.resync_interval, RESYNC_TIMER);
+                ctx.set_timer(RESYNC_INTERVAL, RESYNC_TIMER);
                 if self.cfg.reconfig.enabled {
-                    ctx.set_timer(self.cfg.reconfig.plan_interval, PLAN_TIMER);
+                    ctx.set_timer(PLAN_INTERVAL, PLAN_TIMER);
                 }
             }
             if let Some(rep) = self.rep.as_mut() {
@@ -1900,9 +1930,9 @@ impl Node for Controller {
                 if self.has_partitioned() {
                     let mut io = Io { ctx, emit: true };
                     self.bootstrap_ranges(&mut io);
-                    ctx.set_timer(self.cfg.reconfig.resync_interval, RESYNC_TIMER);
+                    ctx.set_timer(RESYNC_INTERVAL, RESYNC_TIMER);
                     if self.cfg.reconfig.enabled {
-                        ctx.set_timer(self.cfg.reconfig.plan_interval, PLAN_TIMER);
+                        ctx.set_timer(PLAN_INTERVAL, PLAN_TIMER);
                     }
                 }
             }
@@ -1914,9 +1944,9 @@ impl Node for Controller {
                 }
                 ctx.set_timer(self.cfg.heartbeat_interval, CHECK_TIMER);
                 if has_partitioned {
-                    ctx.set_timer(self.cfg.reconfig.resync_interval, RESYNC_TIMER);
+                    ctx.set_timer(RESYNC_INTERVAL, RESYNC_TIMER);
                     if self.cfg.reconfig.enabled {
-                        ctx.set_timer(self.cfg.reconfig.plan_interval, PLAN_TIMER);
+                        ctx.set_timer(PLAN_INTERVAL, PLAN_TIMER);
                     }
                 }
                 ctx.set_timer(self.cfg.heartbeat_interval, REP_TICK);
@@ -1945,14 +1975,14 @@ impl Node for Controller {
             SwishMsg::DirLookup(q) => {
                 // Follower reads (replicated mode): a non-leading replica
                 // may answer only under a fresh leader lease — a beacon
-                // within `dir_lease` proves its applied prefix is at most
+                // within `DIR_LEASE` proves its applied prefix is at most
                 // one lease behind the leader's commits. Outside the
                 // lease the lookup is dropped; the querier's CP retry
                 // (which also re-targets) recovers. Singletons and
                 // leaders answer unconditionally.
                 if let Some(rep) = self.rep.as_mut() {
                     if rep.cons.role != Role::Leader {
-                        if ctx.now().since(rep.last_leader_hb) > self.cfg.dir_lease {
+                        if ctx.now().since(rep.last_leader_hb) > DIR_LEASE {
                             return;
                         }
                         rep.follower_reads += 1;
@@ -2118,14 +2148,14 @@ impl Node for Controller {
                 } else {
                     self.clear_load_window();
                 }
-                ctx.set_timer(self.cfg.reconfig.plan_interval, PLAN_TIMER);
+                ctx.set_timer(PLAN_INTERVAL, PLAN_TIMER);
             }
             RESYNC_TIMER => {
                 if self.is_acting_leader() {
                     let mut io = Io { ctx, emit: true };
                     self.resync_ranges(&mut io);
                 }
-                ctx.set_timer(self.cfg.reconfig.resync_interval, RESYNC_TIMER);
+                ctx.set_timer(RESYNC_INTERVAL, RESYNC_TIMER);
             }
             REP_TICK => self.rep_tick(ctx),
             _ => {}

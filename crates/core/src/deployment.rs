@@ -30,6 +30,11 @@ pub type SwishSwitch = Switch<SwishProgram, SwishCp>;
 /// First spine (relay) node id in leaf-spine fabrics.
 pub const SPINE_BASE: u16 = 500;
 
+/// Tail pending-sweep period: the tail periodically re-multicasts
+/// `Clear` for committed group slots so pending bits orphaned by a lost
+/// clear still converge.
+const PENDING_SWEEP_PERIOD: SimDuration = SimDuration::millis(5);
+
 /// Inter-switch fabric shape (§3.2's deployment scenarios).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fabric {
@@ -196,12 +201,7 @@ impl DeploymentBuilder {
             }
             let mut sw = Switch::new(SwitchConfig::default(), dp, program, cp);
             sw.add_pktgen(self.swish_cfg.sync_period, SYNC_PKTGEN_TOKEN);
-            if self.swish_cfg.pending_sweep_period.as_nanos() > 0 {
-                sw.add_pktgen(
-                    self.swish_cfg.pending_sweep_period,
-                    PENDING_SWEEP_PKTGEN_TOKEN,
-                );
-            }
+            sw.add_pktgen(PENDING_SWEEP_PERIOD, PENDING_SWEEP_PKTGEN_TOKEN);
             sim.add_node(id, Box::new(sw));
         }
 

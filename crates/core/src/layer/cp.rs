@@ -38,6 +38,22 @@ const TT_MIGRATE: u64 = 4 << 44;
 const TT_MASK: u64 = 0xf << 44;
 const ID_MASK: u64 = (1 << 44) - 1;
 
+/// Ceiling of the exponential retry backoff.
+const RETRY_BACKOFF_MAX: SimDuration = SimDuration::millis(16);
+
+/// Give up on a write after this many attempts (it stays unreleased;
+/// counted in metrics). High: chain repair should win first.
+const MAX_RETRIES: u32 = 100;
+
+/// Maximum concurrent write jobs buffered in the writer CP; jobs beyond
+/// this are shed (counted, buffered packet dropped) rather than growing
+/// DRAM without bound.
+const CP_JOB_BUFFER: usize = 4096;
+
+/// Migration source delay between full re-stream passes while the move
+/// is uncommitted.
+const REPASS_INTERVAL: SimDuration = SimDuration::millis(2);
+
 /// SplitMix64 finalizer: the deterministic hash behind retry jitter.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -236,14 +252,14 @@ impl SwishCp {
     }
 
     /// Capped exponential backoff with deterministic jitter: base
-    /// `retry_timeout` doubled per attempt up to `retry_backoff_max`,
+    /// `retry_timeout` doubled per attempt up to [`RETRY_BACKOFF_MAX`],
     /// plus a hashed jitter in `[0, delay/4]`. Hashed — not drawn from
     /// the engine RNG — so CP retry timing adds no RNG draw sites and
     /// replays bit-for-bit, while still desynchronizing the retry storms
     /// of concurrent writers after a chain outage.
     fn retry_delay(&self, write_id: u64, attempts: u32) -> SimDuration {
         let base = self.cfg.retry_timeout.as_nanos().max(1);
-        let cap = self.cfg.retry_backoff_max.as_nanos().max(base);
+        let cap = RETRY_BACKOFF_MAX.as_nanos().max(base);
         let backed = base.saturating_mul(1u64 << attempts.min(20)).min(cap);
         // Replicated mode folds the believed controller replica into the
         // jitter stream: a failover re-shuffles retry phases per
@@ -318,7 +334,7 @@ impl SwishCp {
         // Bounded buffer: shed (and count) rather than queueing without
         // limit — a dead chain must not OOM the writer CP. The buffered
         // output packet is dropped here, explicitly.
-        if self.jobs.len() >= self.cfg.cp_job_buffer.max(1) {
+        if self.jobs.len() >= CP_JOB_BUFFER {
             self.metrics.jobs_shed += 1;
             if decision.is_some() {
                 self.metrics.packets_shed += 1;
@@ -552,7 +568,7 @@ impl SwishCp {
     /// One tick of the migration streamer: for every due outbound stream,
     /// send the next chunk of the current pass (snapshotting the range at
     /// pass start so a pass is internally consistent). After the last
-    /// chunk of a pass the stream idles for `repass_interval`, then
+    /// chunk of a pass the stream idles for [`REPASS_INTERVAL`], then
     /// re-snapshots and streams again — chunk loss is repaired by
     /// repetition, not acknowledgment, and the seq guard at the
     /// destination makes re-application idempotent.
@@ -597,7 +613,7 @@ impl SwishCp {
                 m.pass += 1;
                 m.next_chunk = 0;
                 m.pass_entries = None;
-                m.next_due = now + pol.repass_interval;
+                m.next_due = now + REPASS_INTERVAL;
             } else {
                 m.next_chunk += 1;
                 m.next_due = now + pol.chunk_interval;
@@ -890,7 +906,7 @@ impl ControlApp for SwishCp {
                     return; // acked (or stale token from before a failure)
                 };
                 ws.attempts += 1;
-                if ws.attempts > self.cfg.max_retries {
+                if ws.attempts > MAX_RETRIES {
                     self.abandon_write(write_id, cp);
                     return;
                 }

@@ -73,7 +73,7 @@ pub use layer::{ChainView, REPLICA_GROUP};
 pub use metrics::{
     CpMetrics, DpMetrics, Histogram, HistogramSummary, SwitchMetrics, SwitchMetricsRef,
 };
-pub use oracle::{OracleConfig, OracleSuite, ReplayGuard, SloBudgets, Violation, ViolationKind};
+pub use oracle::{OracleConfig, OracleSuite, ReplayGuard, Violation, ViolationKind};
 pub use reconfig::{
     decode_trigger, trigger_token, trigger_token_op, MigrationPhase, RangeView, ReconfigEvent,
     ReconfigLogEntry, TriggerOp,

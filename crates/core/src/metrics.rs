@@ -189,7 +189,7 @@ pub struct CpMetrics {
     pub jobs_started: u64,
     /// Write jobs fully acknowledged (output packet released).
     pub jobs_completed: u64,
-    /// Write jobs abandoned after `max_retries`.
+    /// Write jobs abandoned after the writer CP's `MAX_RETRIES` attempts.
     pub jobs_failed: u64,
     /// Write request (re)transmissions.
     pub write_sends: u64,

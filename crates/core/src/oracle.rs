@@ -32,7 +32,7 @@
 //!   authority).
 //! * **No stuck pending bits** — after the fault horizon (`quiesce_at`),
 //!   a pending bit whose sequence is already committed at the tail must
-//!   clear within `pending_bound` (the tail's pending sweep re-multicasts
+//!   clear within `PENDING_BOUND` (the tail's pending sweep re-multicasts
 //!   lost clears). Pending bits with `seq >` the tail's commit belong to
 //!   abandoned in-flight writes and MUST stay set — they are not flagged.
 //! * **Bounded divergence** — once faults cease and a grace period
@@ -71,21 +71,24 @@ use swishmem_wire::swish::{Key, RegId, WriteOp};
 use swishmem_wire::{NodeId, PacketBody, SwishMsg};
 
 use crate::config::{RegisterClass, RegisterSpec, SwishConfig};
+use crate::controller::DIR_LEASE;
 use crate::deployment::Deployment;
 use crate::telemetry::journal::{CtrlEvent, Journal};
 
 /// How many journal entries before a violation are kept as context.
 pub const VIOLATION_CONTEXT_EVENTS: usize = 12;
 
+/// How often the polling oracles inspect switch state.
+pub const POLL_INTERVAL: SimDuration = SimDuration::micros(500);
+
+/// How long a committed-but-pending bit may persist after `quiesce_at`
+/// before it counts as stuck. Must comfortably exceed the tail sweep
+/// period plus delivery latency.
+const PENDING_BOUND: SimDuration = SimDuration::millis(25);
+
 /// Oracle tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct OracleConfig {
-    /// How often the polling oracles inspect switch state.
-    pub poll_interval: SimDuration,
-    /// How long a committed-but-pending bit may persist after
-    /// `quiesce_at` before it counts as stuck. Must comfortably exceed
-    /// the tail sweep period plus delivery latency.
-    pub pending_bound: SimDuration,
     /// Time after which the fault schedule is guaranteed quiet; the
     /// pending-bit and convergence oracles only arm from here.
     pub quiesce_at: SimTime,
@@ -98,43 +101,25 @@ impl OracleConfig {
     /// Defaults for a schedule that is quiet from `quiesce_at` on.
     pub fn new(quiesce_at: SimTime) -> OracleConfig {
         OracleConfig {
-            poll_interval: SimDuration::micros(500),
-            pending_bound: SimDuration::millis(25),
             quiesce_at,
             convergence_grace: SimDuration::millis(150),
         }
     }
 }
 
-/// Latency/stability budgets enforced by the journal SLO monitors
-/// (active only when a flight recorder is attached via
-/// [`OracleSuite::attach_journal`]). Defaults are generous enough that
-/// healthy runs never trip them; diagnosis runs tighten them to turn
-/// "the failover felt slow" into a typed, replayable violation.
-#[derive(Debug, Clone, Copy)]
-pub struct SloBudgets {
-    /// Max reconstructed failover gap: old leader's last beacon (or
-    /// suspicion, for bootstrap elections) to the election decree apply.
-    pub failover_gap: SimDuration,
-    /// Max dual-owner window per migration (flip to commit); still-open
-    /// windows are measured against the poll time.
-    pub dual_owner_window: SimDuration,
-    /// Sliding window for the election-churn budget.
-    pub election_window: SimDuration,
-    /// Max campaign starts allowed inside one `election_window`.
-    pub max_elections_per_window: u32,
-}
+/// Max reconstructed failover gap: old leader's last beacon (or
+/// suspicion, for bootstrap elections) to the election decree apply.
+const FAILOVER_GAP_BUDGET: SimDuration = SimDuration::millis(100);
 
-impl Default for SloBudgets {
-    fn default() -> SloBudgets {
-        SloBudgets {
-            failover_gap: SimDuration::millis(100),
-            dual_owner_window: SimDuration::millis(50),
-            election_window: SimDuration::millis(200),
-            max_elections_per_window: 8,
-        }
-    }
-}
+/// Max dual-owner window per migration (flip to commit); still-open
+/// windows are measured against the poll time.
+const DUAL_OWNER_WINDOW_BUDGET: SimDuration = SimDuration::millis(50);
+
+/// Sliding window for the election-churn budget.
+const ELECTION_WINDOW: SimDuration = SimDuration::millis(200);
+
+/// Max campaign starts allowed inside one [`ELECTION_WINDOW`].
+const MAX_ELECTIONS_PER_WINDOW: u32 = 8;
 
 /// A detected invariant violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -818,8 +803,6 @@ pub struct OracleSuite {
     journal_seen: usize,
     /// The decoded journal as of `journal_seen` records.
     journal_cache: Journal,
-    /// Budgets for the journal SLO monitors.
-    slo: SloBudgets,
     /// The last journal events before the first violation.
     first_context: Vec<String>,
     first: Option<Violation>,
@@ -863,7 +846,6 @@ impl OracleSuite {
             journal: None,
             journal_seen: 0,
             journal_cache: Journal::default(),
-            slo: SloBudgets::default(),
             first_context: Vec::new(),
             first: None,
         }
@@ -874,12 +856,6 @@ impl OracleSuite {
     /// the last journal events before it.
     pub fn attach_journal(&mut self, handle: JournalHandle) {
         self.journal = Some(handle);
-    }
-
-    /// Override the journal SLO budgets (defaults never trip on a
-    /// healthy run).
-    pub fn set_slo(&mut self, slo: SloBudgets) {
-        self.slo = slo;
     }
 
     /// The first violation, if any.
@@ -907,11 +883,11 @@ impl OracleSuite {
         Some(s)
     }
 
-    /// Drive the deployment to `until`, polling every `poll_interval`.
+    /// Drive the deployment to `until`, polling every [`POLL_INTERVAL`].
     /// Returns the first violation found, or `Ok(())`.
     pub fn run(&mut self, dep: &mut Deployment, until: SimTime) -> Result<(), Violation> {
         while dep.now() < until {
-            dep.run_for(self.cfg.poll_interval);
+            dep.run_for(POLL_INTERVAL);
             if self.poll(dep).is_some() {
                 break;
             }
@@ -1165,9 +1141,8 @@ impl OracleSuite {
                     },
                 );
             }
-            let bound = SimDuration::nanos(
-                swish.dir_lease.as_nanos() + 2 * swish.failure_timeout.as_nanos(),
-            );
+            let bound =
+                SimDuration::nanos(DIR_LEASE.as_nanos() + 2 * swish.failure_timeout.as_nanos());
             for kind in stale_read_errors(&replies, &self.table_hist, bound) {
                 self.record(now, kind);
             }
@@ -1184,21 +1159,20 @@ impl OracleSuite {
             if len != self.journal_seen {
                 self.journal_cache = Journal::decode(h.borrow().events());
                 self.journal_seen = len;
-                for (at, kind) in
-                    failover_gap_violations(&self.journal_cache, self.slo.failover_gap)
+                for (at, kind) in failover_gap_violations(&self.journal_cache, FAILOVER_GAP_BUDGET)
                 {
                     self.record(at, kind);
                 }
                 for (at, kind) in election_churn_violations(
                     &self.journal_cache,
-                    self.slo.election_window,
-                    self.slo.max_elections_per_window,
+                    ELECTION_WINDOW,
+                    MAX_ELECTIONS_PER_WINDOW,
                 ) {
                     self.record(at, kind);
                 }
             }
             for (at, kind) in
-                dual_owner_violations(&self.journal_cache, now, self.slo.dual_owner_window)
+                dual_owner_violations(&self.journal_cache, now, DUAL_OWNER_WINDOW_BUDGET)
             {
                 self.record(at, kind);
             }
@@ -1290,7 +1264,7 @@ impl OracleSuite {
                             if p != 0 && p <= commit {
                                 let (seq0, since) =
                                     *self.pending_since.entry(key).or_insert((p, now));
-                                if seq0 == p && now.since(since) > self.cfg.pending_bound {
+                                if seq0 == p && now.since(since) > PENDING_BOUND {
                                     self.record(
                                         now,
                                         ViolationKind::PendingStuck {
@@ -2117,10 +2091,10 @@ mod tests {
         assert!(election_churn_violations(&j, SimDuration::nanos(100), 2).is_empty());
     }
 
-    /// End to end: an attached suite with a tight failover budget and a
-    /// journal carrying a slow failover MUST surface the SLO violation
-    /// through its normal violation machinery, enriched with the journal
-    /// events leading up to it.
+    /// End to end: an attached suite fed a journal whose failover gap
+    /// (100.0006 ms) is above [`FAILOVER_GAP_BUDGET`] MUST surface the
+    /// SLO violation through its normal violation machinery, enriched
+    /// with the journal events leading up to it.
     #[test]
     fn slo_violation_fires_through_the_suite_with_journal_context() {
         use crate::api::{NfApp, NfDecision, SharedState};
@@ -2147,24 +2121,23 @@ mod tests {
         let handle = dep.attach_journal(1 << 12);
         let mut suite = OracleSuite::attach(&mut dep, OracleConfig::new(SimTime(1 << 60)));
         suite.attach_journal(handle.clone());
-        suite.set_slo(SloBudgets {
-            failover_gap: SimDuration::nanos(1),
-            ..SloBudgets::default()
-        });
 
+        // The old leader's last beacon is at 600 ns; the new one applies
+        // its election decree 100 ms + 600 ns later.
+        let late = FAILOVER_GAP_BUDGET.as_nanos();
         let leader = NodeId(u16::MAX - 1);
         for rec in [
             jrec(
-                1_000,
+                late + 1_000,
                 leader.0,
                 CtrlEvent::Suspect {
                     target: NodeId(u16::MAX),
-                    silence_ns: 400,
+                    silence_ns: late + 400,
                     timeout_ns: 350,
                 },
             ),
             jrec(
-                1_100,
+                late + 1_100,
                 leader.0,
                 CtrlEvent::ElectionStart {
                     ballot: 257,
@@ -2172,7 +2145,7 @@ mod tests {
                 },
             ),
             jrec(
-                1_200,
+                late + 1_200,
                 leader.0,
                 CtrlEvent::LeaderElected {
                     leader,
@@ -2192,7 +2165,8 @@ mod tests {
                 v.kind,
                 ViolationKind::FailoverGapExceeded {
                     epoch: 2,
-                    gap_ns: 600,
+                    gap_ns: 100_000_600,
+                    budget_ns: 100_000_000,
                     ..
                 }
             ),

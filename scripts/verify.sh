@@ -55,7 +55,9 @@ cd "$(dirname "$0")/.."
 #   replay lab (§15)              swishmem-replay/roundtrip — `.swtrace`
 #     round-trips a million records and rejects truncation/corruption with
 #     typed errors; swishmem-replay/scenario_packs — five oracle-armed
-#     packs pass clean and the sabotaged feed fails (the gate is live).
+#     packs pass clean and the sabotaged feed fails (the gate is live);
+#     swishmem-bench/cli — `capture` and `replay` exit 2 with usage on a
+#     malformed value, a non-positive `--speedup` or an unknown flag.
 echo "==> cargo build --release && cargo test -q (tier-1)"
 cargo build --release
 cargo test -q
@@ -78,9 +80,9 @@ cargo run -q --release -p swishmem-bench --bin experiments -- --quick >/dev/null
 #
 #   trace_overhead (§9, §14, E18/E23 smoke): compiled-in-but-detached span
 #     tracing and journaling stay cheap.
-#   replay_lab (§15, E24 smoke): the leaf-spine replay's golden digest,
-#     event count and end time exactly, ring ingest parity within its CI
-#     bound.
+#   replay_lab (§15, E24 smoke): the replay deployment's golden digest,
+#     record count, event count and end time exactly, twice; ring ingest
+#     parity within its CI bound.
 #   alloc_budget ("Performance model"): 0 allocations per event on the bare
 #     engine, also in rounds that shift the clock into event-queue buckets
 #     unused before, <= 30 per EWO round, <= 8 per round of SRO read hits,

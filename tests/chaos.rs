@@ -118,7 +118,7 @@ fn sro_writes_complete_under_loss_via_retries() {
         }
     }
     // With retries, the overwhelming majority must complete (writers cap
-    // at max_retries; 15% loss per hop is survivable).
+    // at MAX_RETRIES; 15% loss per hop is survivable).
     assert!(
         completed >= n - 2,
         "only {completed}/{n} writes completed under loss"

@@ -11,7 +11,7 @@
 //! constants recorded before the taps became `NetObserver`s.
 
 use std::net::Ipv4Addr;
-use swishmem::oracle::{OracleConfig, OracleSuite};
+use swishmem::oracle::{OracleConfig, OracleSuite, POLL_INTERVAL};
 use swishmem::prelude::*;
 use swishmem::{Deployment, NfApp, NfDecision, RegisterSpec, SharedState};
 use swishmem_simnet::{FaultGen, Trace};
@@ -134,7 +134,7 @@ fn run(observed: bool) -> (Outcome, Option<Seen>) {
     // Both runs step the engine the same way; only the observed one polls.
     let end = t0 + horizon + ocfg.convergence_grace;
     while dep.now() < end {
-        dep.run_for(ocfg.poll_interval);
+        dep.run_for(POLL_INTERVAL);
         if let Some(suite) = &mut suite {
             if let Some(v) = suite.poll(&dep) {
                 panic!("oracle violation: {v}\n{sched}");

@@ -10,7 +10,8 @@
 use std::net::Ipv4Addr;
 use swishmem::prelude::*;
 use swishmem::{
-    MigrationPhase, NfApp, NfDecision, ReconfigEvent, RegisterSpec, SharedState, TriggerOp,
+    controller::PLANNER_COOLDOWN, MigrationPhase, NfApp, NfDecision, ReconfigEvent, RegisterSpec,
+    SharedState, TriggerOp,
 };
 
 /// `Set(payload_len)` per dst port against register 0.
@@ -325,9 +326,9 @@ fn replica_group_grows_and_shrinks() {
 
     // Cooldown applies to planner flapping, not explicit triggers beyond
     // the per-range guard; wait it out for the shrink.
-    let t3 = dep.now() + dep.config().reconfig.cooldown;
+    let t3 = dep.now() + PLANNER_COOLDOWN;
     dep.schedule_trigger(t3, TriggerOp::Shrink, 0, 0, original[0]);
-    dep.run_for(dep.config().reconfig.cooldown + SimDuration::millis(20));
+    dep.run_for(PLANNER_COOLDOWN + SimDuration::millis(20));
     let shrunk = dep.controller_ranges(0)[0].clone();
     assert_eq!(shrunk.owners, vec![joiner], "group shrank to the joiner");
     assert!(shrunk.epoch > grown.epoch);
@@ -341,7 +342,6 @@ fn planner_moves_hot_range_to_talker() {
     let mut cfg = SwishConfig::default();
     cfg.reconfig.enabled = true;
     cfg.reconfig.min_writes = 16;
-    cfg.reconfig.min_advantage = 2;
     let mut dep = DeploymentBuilder::new(3)
         .hosts(1)
         .seed(12)
