@@ -99,7 +99,7 @@ fn print_writes(x: &Explain) {
 }
 
 fn print_control_plane(x: &Explain) {
-    let failovers = x.journal.failovers();
+    let failovers = x.journal().failovers();
     // The headline narrative: the post-crash failover, causally walked
     // back from the election decree to the dead leader's last beacon.
     match failovers.iter().find(|f| f.elected_at >= x.t_crash) {
@@ -152,7 +152,7 @@ fn print_control_plane(x: &Explain) {
             "outcome",
         ],
     );
-    for m in &x.journal.migrations() {
+    for m in &x.journal().migrations() {
         mt.row(vec![
             format!("reg{}@{}", m.reg, m.start),
             format!("n{}->n{}", m.from.0, m.to.0),
@@ -168,7 +168,7 @@ fn print_control_plane(x: &Explain) {
         "Log compactions (journal)",
         &["at", "node", "upto slot", "snapshot"],
     );
-    for c in &x.journal.compactions() {
+    for c in &x.journal().compactions() {
         ct.row(vec![
             format!("{} ns", c.at.0),
             format!("n{}", c.node.0),

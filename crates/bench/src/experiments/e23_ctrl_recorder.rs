@@ -3,10 +3,10 @@
 //! attached journal must reconstruct control-plane timings exactly. Two
 //! identical ping-pong simulations are timed wall-clock (E18's
 //! estimator, `scenarios::measure_pair`): both do the same protocol work
-//! per packet, but only one encodes and emits a `CtrlEvent` with **no**
-//! journal subscriber — the controller's instrumentation density on its
-//! hottest paths. The
-//! gate is <2% events/s regression (DESIGN.md §14). A second table
+//! per packet, but only one hands a `CtrlEvent` to `Ctx::journal` with
+//! **no** journal subscriber — one family check, the controller's
+//! instrumentation density on its hottest paths. The gate is <2%
+//! events/s regression (DESIGN.md §14). A second table
 //! replays E22's leader-crash scenario with the journal attached and
 //! checks that the journal-reconstructed failover gap agrees with the
 //! controller's own election log to within 1 µs.
@@ -25,8 +25,7 @@ pub fn crash_gaps(seed: u64) -> Option<(u64, u64)> {
     dep.settle();
     let t_crash = crash_leader(&mut dep);
     let measured = election_gap(&dep, t_crash)?.as_nanos();
-    let decoded = Journal::decode(journal.borrow().events());
-    let reconstructed = decoded
+    let reconstructed = Journal::new(journal.borrow().events())
         .failovers()
         .iter()
         .find(|f| f.elected_at >= t_crash)
@@ -103,7 +102,7 @@ pub fn run(quick: bool) -> ExperimentResult {
         format!(
             "detached journaling costs {overhead_pct:+.2}% events/s on the ping-pong engine \
              workload (gate: <2% — {overhead_verdict}); emission with no journal subscriber \
-             is an encode plus one family check"
+             is one family check"
         ),
         format!(
             "the journal reconstructed the crash-to-election gap on {reconstructed}/{} seeds \

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use swishmem::oracle::{OracleConfig, OracleSuite};
 use swishmem::prelude::*;
 use swishmem::{Journal, TriggerOp};
-use swishmem_simnet::{FaultAction, FaultGen, SpanEvent};
+use swishmem_simnet::{FaultAction, FaultGen, JournalRecord, SpanEvent};
 
 /// The write window: writes, and the switch fault schedule laid over
 /// them, span this long from the settled start.
@@ -42,10 +42,8 @@ pub struct Explain {
     pub spans_overflowed: u64,
     /// Per-trace breakdowns of `spans`.
     pub breakdowns: Vec<TraceBreakdown>,
-    /// The decoded control-plane journal.
-    pub journal: Journal,
-    /// Raw journal records kept.
-    pub journal_records: usize,
+    /// The control-plane journal records kept, in emission order.
+    pub journal_records: Vec<JournalRecord>,
     /// Journal records the tap dropped for lack of room.
     pub journal_overflowed: u64,
     /// Switch crashes in the fault schedule.
@@ -123,9 +121,11 @@ impl Explain {
             let tap = span_tap.borrow();
             (tap.events().to_vec(), tap.overflowed())
         };
-        let journal_tap = journal_tap.borrow();
-        let journal = Journal::decode(journal_tap.events());
-        let journal_gap_ns = journal
+        let (journal_records, journal_overflowed) = {
+            let tap = journal_tap.borrow();
+            (tap.events().to_vec(), tap.overflowed())
+        };
+        let journal_gap_ns = Journal::new(&journal_records)
             .failovers()
             .iter()
             .find(|f| f.elected_at >= t_crash)
@@ -138,15 +138,19 @@ impl Explain {
             spans,
             spans_overflowed,
             breakdowns,
-            journal_records: journal_tap.len(),
-            journal_overflowed: journal_tap.overflowed(),
-            journal,
+            journal_records,
+            journal_overflowed,
             switch_crashes,
             t_crash,
             measured_gap_ns,
             journal_gap_ns,
             oracle_report: suite.violation_report(),
         }
+    }
+
+    /// The control-plane journal.
+    pub fn journal(&self) -> Journal<'_> {
+        Journal::new(&self.journal_records)
     }
 
     /// Both gates passed.
@@ -166,7 +170,7 @@ impl Explain {
     /// The Perfetto document: write spans and control-plane tracks on
     /// one timeline.
     pub fn perfetto(&self) -> Json {
-        spans::to_perfetto(&self.spans, &self.journal)
+        spans::to_perfetto(&self.spans, &self.journal())
     }
 
     /// The machine-readable summary: counts, both gates, the per-phase
@@ -192,7 +196,7 @@ impl Explain {
             })
             .collect();
         let failovers = self
-            .journal
+            .journal()
             .failovers()
             .iter()
             .map(|f| {
@@ -208,7 +212,7 @@ impl Explain {
             })
             .collect();
         let migrations = self
-            .journal
+            .journal()
             .migrations()
             .iter()
             .map(|m| {
@@ -225,7 +229,7 @@ impl Explain {
             })
             .collect();
         let compactions = self
-            .journal
+            .journal()
             .compactions()
             .iter()
             .map(|c| {
@@ -244,7 +248,7 @@ impl Explain {
             ("traces", Json::from(self.breakdowns.len())),
             ("completed_writes", Json::from(completed.len())),
             ("switch_crashes", Json::from(self.switch_crashes)),
-            ("journal_records", Json::from(self.journal_records)),
+            ("journal_records", Json::from(self.journal_records.len())),
             ("journal_overflowed", Json::from(self.journal_overflowed)),
             ("t_crash_ns", Json::from(self.t_crash.0)),
             ("measured_gap_ns", opt(self.measured_gap_ns)),

@@ -251,11 +251,10 @@ impl Node for Echo {
                     std::hint::black_box(trace);
                 }
                 Some(Family::Span) => ctx.span(trace, SpanPhase::Ingress),
-                Some(Family::Journal) => CtrlEvent::Applied {
+                Some(Family::Journal) => ctx.journal(CtrlEvent::Applied {
                     slot: self.seq,
                     tag: 3,
-                }
-                .emit(ctx),
+                }),
                 Some(f) => unreachable!("the echo emits spans or journal records, not {f:?}"),
             }
             if d.flow_seq < self.ttl {

@@ -13,6 +13,7 @@
 use crate::json::Json;
 use std::collections::BTreeMap;
 use swishmem::{CtrlEvent, Histogram, Journal, MigrationTimeline};
+use swishmem_simnet::journal::abort_reason_str;
 use swishmem_simnet::{SpanEvent, SpanPhase};
 use swishmem_wire::TraceId;
 
@@ -99,10 +100,7 @@ pub fn migration_outcome(m: &MigrationTimeline) -> String {
     if m.commit_at.is_some() {
         "committed".into()
     } else if let Some(r) = m.abort_reason {
-        format!(
-            "aborted: {}",
-            swishmem::telemetry::journal::abort_reason_str(r)
-        )
+        format!("aborted: {}", abort_reason_str(r))
     } else {
         "open".into()
     }
@@ -190,7 +188,7 @@ impl Tracks {
     }
 }
 
-/// Render span markers and a decoded control-plane journal as one
+/// Render span markers and the control-plane journal as one
 /// Chrome/Perfetto `trace_event` document on one timeline (loadable in
 /// ui.perfetto.dev or chrome://tracing).
 ///
@@ -207,7 +205,7 @@ impl Tracks {
 /// `Suspect` to the clearing `Unsuspect`; open suspicions run to the end
 /// of the journal) and a leadership thread (campaign / election / lease
 /// instants).
-pub fn to_perfetto(spans: &[SpanEvent], journal: &Journal) -> Json {
+pub fn to_perfetto(spans: &[SpanEvent], journal: &Journal<'_>) -> Json {
     let mut tracks = Tracks::default();
     span_tracks(&mut tracks, spans);
     journal_tracks(&mut tracks, journal);
@@ -246,7 +244,7 @@ fn span_tracks(tracks: &mut Tracks, events: &[SpanEvent]) {
     }
 }
 
-fn journal_tracks(tracks: &mut Tracks, journal: &Journal) {
+fn journal_tracks(tracks: &mut Tracks, journal: &Journal<'_>) {
     const CTRL: &str = "control plane";
     let leadership = (CTRL, "leadership");
     let migrations = (CTRL, "migrations");
@@ -256,8 +254,8 @@ fn journal_tracks(tracks: &mut Tracks, journal: &Journal) {
     for (p, t) in [leadership, migrations, compaction] {
         tracks.track(p, t);
     }
-    let entries = journal.entries();
-    let end_ns = entries.last().map(|e| e.time.nanos()).unwrap_or(0);
+    let records = journal.records();
+    let end_ns = records.last().map(|e| e.time.nanos()).unwrap_or(0);
     let mut emit =
         |track: (&str, &str), name: String, ts: u64, dur: Option<u64>, detail: String| {
             tracks.event(track, "ctrl", name, ts, dur, ("detail", detail))
@@ -328,7 +326,7 @@ fn journal_tracks(tracks: &mut Tracks, journal: &Journal) {
 
     // Per-replica tracks, plus the control plane's snapshot instants.
     let mut open: BTreeMap<(u16, u16), (u64, u64, u64)> = BTreeMap::new();
-    for e in entries {
+    for e in records {
         let replica = format!("replica n{}", e.node.0);
         let detector = (replica.as_str(), "detector");
         let lead = (replica.as_str(), "leadership");
@@ -417,7 +415,7 @@ fn journal_tracks(tracks: &mut Tracks, journal: &Journal) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swishmem_simnet::SimTime;
+    use swishmem_simnet::{JournalRecord, SimTime};
     use swishmem_wire::NodeId;
 
     fn ev(t: u64, trace: TraceId, node: u16, phase: SpanPhase) -> SpanEvent {
@@ -486,7 +484,7 @@ mod tests {
     #[test]
     fn perfetto_document_shape() {
         let t = TraceId::new(NodeId(0), 1);
-        let doc = to_perfetto(&write_timeline(t), &Journal::default()).pretty();
+        let doc = to_perfetto(&write_timeline(t), &Journal::new(&[])).pretty();
         assert!(doc.contains("\"traceEvents\""));
         assert!(doc.contains("\"ph\": \"X\""));
         assert!(doc.contains("\"ph\": \"M\""));
@@ -497,22 +495,17 @@ mod tests {
         assert!(doc.contains("\"ts\": 0.1"));
     }
 
-    fn jrec(t: u64, node: u16, ev: CtrlEvent) -> swishmem_simnet::JournalRecord {
-        let (kind, cause, a, b, c) = ev.encode();
-        swishmem_simnet::JournalRecord {
+    fn jrec(t: u64, node: u16, event: CtrlEvent) -> JournalRecord {
+        JournalRecord {
             time: SimTime(t),
             node: NodeId(node),
-            kind,
-            cause,
-            a,
-            b,
-            c,
+            event,
         }
     }
 
-    fn sample_journal() -> Journal {
+    fn sample_journal() -> Vec<JournalRecord> {
         let leader = 65534u16;
-        let records = vec![
+        vec![
             jrec(
                 1_000,
                 leader,
@@ -584,14 +577,12 @@ mod tests {
                     snap_bytes: 640,
                 },
             ),
-        ];
-        Journal::decode(&records)
+        ]
     }
 
     #[test]
     fn ctrl_perfetto_renders_leadership_detector_and_migration_tracks() {
-        let journal = sample_journal();
-        let doc = to_perfetto(&[], &journal).pretty();
+        let doc = to_perfetto(&[], &Journal::new(&sample_journal())).pretty();
         assert!(doc.contains("\"traceEvents\""));
         assert!(doc.contains("control plane"));
         assert!(doc.contains("leader n65534 (epoch 2)"));
@@ -607,7 +598,7 @@ mod tests {
 
     #[test]
     fn ctrl_perfetto_empty_journal_is_well_formed() {
-        let doc = to_perfetto(&[], &Journal::default()).pretty();
+        let doc = to_perfetto(&[], &Journal::new(&[])).pretty();
         assert!(doc.contains("\"traceEvents\""));
         assert!(doc.contains("control plane"));
     }
@@ -616,7 +607,7 @@ mod tests {
     fn spans_and_journal_share_one_timeline_with_one_name_per_pid() {
         let mut spans = write_timeline(TraceId::new(NodeId(0), 1));
         spans.extend(write_timeline(TraceId::new(NodeId(1), 1)));
-        let doc = to_perfetto(&spans, &sample_journal());
+        let doc = to_perfetto(&spans, &Journal::new(&sample_journal()));
         let Json::Obj(fields) = &doc else {
             panic!("a document is an object")
         };

@@ -24,6 +24,7 @@
 //! there is no side channel to disagree over.
 
 use std::collections::VecDeque;
+use swishmem_simnet::CtrlEvent;
 use swishmem_wire::swish::{
     CtrlAccept, CtrlAccepted, CtrlCmd, CtrlLearn, CtrlPrepare, CtrlPromise,
 };
@@ -75,39 +76,6 @@ impl std::fmt::Display for ConsensusError {
 /// Compose a ballot from an election round and a replica index.
 pub fn ballot(round: u64, idx: u8) -> Ballot {
     (round << 8) | u64::from(idx)
-}
-
-/// The class of a consensus transition note (see [`ConsensusNote`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NoteKind {
-    /// The proposer opened phase 1 for a slot (Prepare issued).
-    PrepareIssued,
-    /// This acceptor granted a promise.
-    PromiseGranted,
-    /// This acceptor accepted a value.
-    Accepted,
-    /// The proposer saw an accept quorum — the value is chosen.
-    Chosen,
-    /// A slot entered this replica's chosen log.
-    Learned,
-    /// The proposer retreated (outbid, nacked, or a rival took over).
-    StepDown,
-}
-
-/// A passive record of one consensus transition, for the control-plane
-/// flight recorder (DESIGN.md §14). The state machine only *writes*
-/// notes — it never reads them back — and only while [`Consensus::notes_on`]
-/// is set, so recording cannot perturb any transition: with the flag off
-/// the protocol state evolves identically, which is what keeps the
-/// journal bit-invisible to the determinism fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConsensusNote {
-    /// The transition class.
-    pub kind: NoteKind,
-    /// The slot involved.
-    pub slot: Slot,
-    /// The ballot involved (0 where not meaningful, e.g. `Learned`).
-    pub ballot: Ballot,
 }
 
 /// The election round of a ballot.
@@ -255,10 +223,14 @@ pub struct Consensus {
     /// First capacity violation observed, sticky: the run degrades and
     /// the oracle layer reports it, rather than the process aborting.
     pub error: Option<ConsensusError>,
-    /// Whether to record [`ConsensusNote`]s. Mirrored from the
-    /// controller's journal attachment each callback; off by default.
+    /// Whether to record transition notes for the control-plane flight
+    /// recorder (DESIGN.md §14). Mirrored from the controller's journal
+    /// attachment each callback; off by default. The state machine only
+    /// *writes* notes — it never reads them back — so recording cannot
+    /// perturb any transition, which keeps the journal bit-invisible to
+    /// the determinism fingerprint.
     pub notes_on: bool,
-    notes: Vec<ConsensusNote>,
+    notes: Vec<CtrlEvent>,
 }
 
 impl Consensus {
@@ -289,14 +261,14 @@ impl Consensus {
 
     /// Drain the transition notes recorded since the last drain. Empty
     /// (and allocation-free) while `notes_on` is unset.
-    pub fn take_notes(&mut self) -> Vec<ConsensusNote> {
+    pub fn take_notes(&mut self) -> Vec<CtrlEvent> {
         std::mem::take(&mut self.notes)
     }
 
     #[inline]
-    fn note(&mut self, kind: NoteKind, slot: Slot, ballot: Ballot) {
+    fn note(&mut self, event: CtrlEvent) {
         if self.notes_on {
-            self.notes.push(ConsensusNote { kind, slot, ballot });
+            self.notes.push(event);
         }
     }
 
@@ -393,7 +365,10 @@ impl Consensus {
 
     fn step_down(&mut self) {
         if self.role != Role::Follower {
-            self.note(NoteKind::StepDown, self.commit, self.bal);
+            self.note(CtrlEvent::StepDown {
+                slot: self.commit,
+                ballot: self.bal,
+            });
         }
         self.role = Role::Follower;
         self.inflight = None;
@@ -443,7 +418,10 @@ impl Consensus {
             grants: Vec::new(),
             best: None,
         });
-        self.note(NoteKind::PrepareIssued, slot, self.bal);
+        self.note(CtrlEvent::Propose {
+            slot,
+            ballot: self.bal,
+        });
         let prep = CtrlPrepare {
             from: self.me,
             ballot: self.bal,
@@ -501,7 +479,10 @@ impl Consensus {
         let granted = m.ballot >= self.acceptor.floor && m.slot >= self.acceptor.base;
         if granted {
             self.acceptor.floor = m.ballot;
-            self.note(NoteKind::PromiseGranted, m.slot, m.ballot);
+            self.note(CtrlEvent::Promise {
+                slot: m.slot,
+                ballot: m.ballot,
+            });
         }
         let acc = self.acceptor.cell(m.slot);
         CtrlPromise {
@@ -533,7 +514,10 @@ impl Consensus {
         if granted {
             if self.acceptor.set_cell(m.slot, m.ballot, m.cmd) {
                 self.acceptor.floor = m.ballot;
-                self.note(NoteKind::Accepted, m.slot, m.ballot);
+                self.note(CtrlEvent::Accepted {
+                    slot: m.slot,
+                    ballot: m.ballot,
+                });
             } else {
                 granted = false;
                 self.error.get_or_insert(ConsensusError::LogOverflow {
@@ -671,7 +655,10 @@ impl Consensus {
         let slot = f.slot;
         let value = f.value.expect("phase-2 value");
         self.inflight = None;
-        self.note(NoteKind::Chosen, slot, self.bal);
+        self.note(CtrlEvent::Chosen {
+            slot,
+            ballot: self.bal,
+        });
         let learn = CtrlLearn {
             from: self.me,
             slot,
@@ -733,7 +720,7 @@ impl Consensus {
             "two different values chosen at slot {slot}"
         );
         if self.chosen[i].is_none() {
-            self.note(NoteKind::Learned, slot, 0);
+            self.note(CtrlEvent::Learned { slot });
         }
         self.chosen[i] = Some(cmd);
         self.advance_commit();

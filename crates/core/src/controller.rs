@@ -25,14 +25,14 @@
 //! from the switches' broadcasts.
 
 use crate::config::{RegisterSpec, SwishConfig};
-use crate::consensus::{Consensus, ConsensusError, NoteKind, Role, Slot};
+use crate::consensus::{Consensus, ConsensusError, Role, Slot};
 use crate::directory::{DirectoryService, RangeEntry};
 use crate::layer::{ChainView, REPLICA_GROUP};
 use crate::reconfig::{
     decode_trigger, MigrationPhase, RangeView, ReconfigEvent, ReconfigLogEntry, TriggerOp,
     MAX_RANGE_OWNERS,
 };
-use crate::telemetry::journal::{
+use swishmem_simnet::journal::{
     CtrlEvent, ABORT_DEST_FAILED, ABORT_OWNER_FAILED, ABORT_SOLE_OWNER_PROMOTE,
 };
 use swishmem_simnet::{Ctx, Node, SimDuration, SimTime};
@@ -594,66 +594,41 @@ impl Controller {
         }
     }
 
-    /// Translate buffered consensus transition notes into journal
-    /// events, stamped at the current callback's time (the transitions
-    /// happened inside this callback, so the stamp is exact).
+    /// Journal the buffered consensus transition notes, stamped at the
+    /// current callback's time (the transitions happened inside this
+    /// callback, so the stamp is exact).
     fn drain_notes(&mut self, ctx: &mut Ctx<'_>) {
         let Some(rep) = self.rep.as_mut() else { return };
         if !rep.cons.notes_on {
             return;
         }
-        for n in rep.cons.take_notes() {
-            let ev = match n.kind {
-                NoteKind::PrepareIssued => CtrlEvent::Propose {
-                    slot: n.slot,
-                    ballot: n.ballot,
-                },
-                NoteKind::PromiseGranted => CtrlEvent::Promise {
-                    slot: n.slot,
-                    ballot: n.ballot,
-                },
-                NoteKind::Accepted => CtrlEvent::Accepted {
-                    slot: n.slot,
-                    ballot: n.ballot,
-                },
-                NoteKind::Chosen => CtrlEvent::Chosen {
-                    slot: n.slot,
-                    ballot: n.ballot,
-                },
-                NoteKind::Learned => CtrlEvent::Learned { slot: n.slot },
-                NoteKind::StepDown => CtrlEvent::StepDown {
-                    slot: n.slot,
-                    ballot: n.ballot,
-                },
-            };
-            ev.emit(ctx);
+        for ev in rep.cons.take_notes() {
+            ctx.journal(ev);
         }
     }
 
     /// Journal the semantic effect of a decree after applying it.
     /// Leader/singleton side only so each transition appears once.
     fn journal_decree(&mut self, slot: Slot, cmd: &CtrlCmd, ctx: &mut Ctx<'_>) {
-        match *cmd {
+        let ev = match *cmd {
             CtrlCmd::Reassert { leader } => CtrlEvent::LeaderElected {
                 leader,
                 epoch: self.view.epoch,
                 slot,
-            }
-            .emit(ctx),
+            },
             CtrlCmd::AddReplica { node } => CtrlEvent::MemberChange {
                 node,
                 add: true,
                 slot,
-            }
-            .emit(ctx),
+            },
             CtrlCmd::RemoveReplica { node } => CtrlEvent::MemberChange {
                 node,
                 add: false,
                 slot,
-            }
-            .emit(ctx),
-            _ => {}
-        }
+            },
+            _ => return,
+        };
+        ctx.journal(ev);
     }
 
     /// Apply every newly chosen decree, in slot order. Only the leader
@@ -669,17 +644,13 @@ impl Controller {
             let cmd = rep.cons.chosen_at(slot).expect("slot below commit");
             rep.applied += 1;
             let emit = rep.cons.role == Role::Leader;
-            if ctx.journaling() {
-                CtrlEvent::Applied {
-                    slot,
-                    tag: cmd_tag(&cmd),
-                }
-                .emit(ctx);
-            }
-            let journal_cmd = (emit && ctx.journaling()).then_some(cmd);
+            ctx.journal(CtrlEvent::Applied {
+                slot,
+                tag: cmd_tag(&cmd),
+            });
             let mut io = Io { ctx, emit };
             self.apply_cmd(cmd, &mut io);
-            if let Some(cmd) = journal_cmd {
+            if emit {
                 self.journal_decree(slot, &cmd, ctx);
             }
         }
@@ -786,16 +757,14 @@ impl Controller {
                 // makes the prefix recoverable is costed in wire bytes as
                 // if persisted to the snapshot register region.
                 let snap_len = SwishMsg::CtrlSnap(Box::new(self.make_snapshot())).wire_len() as u64;
-                let journal = io.emit && io.ctx.journaling();
                 let Some(rep) = self.rep.as_mut() else { return };
                 if rep.cons.compact_to(upto) {
                     rep.snapshot_bytes += snap_len;
-                    if journal {
-                        CtrlEvent::Compact {
+                    if io.emit {
+                        io.ctx.journal(CtrlEvent::Compact {
                             upto,
                             snap_bytes: snap_len,
-                        }
-                        .emit(io.ctx);
+                        });
                     }
                 }
             }
@@ -1125,7 +1094,7 @@ impl Controller {
     /// so a replicated apply records each step once).
     fn journal_mig(&self, io: &mut Io<'_, '_>, ev: CtrlEvent) {
         if io.emit {
-            ev.emit(io.ctx);
+            io.ctx.journal(ev);
         }
     }
 
@@ -1531,13 +1500,10 @@ impl Controller {
                 .filter(|(n, t)| *n != me && group.contains(n) && now.since(*t) <= retry_pace)
                 .count();
             if heard + 1 < rep.cons.quorum() {
-                if ctx.journaling() {
-                    CtrlEvent::LeaseLost {
-                        heard: heard as u32,
-                        quorum: rep.cons.quorum() as u32,
-                    }
-                    .emit(ctx);
-                }
+                ctx.journal(CtrlEvent::LeaseLost {
+                    heard: heard as u32,
+                    quorum: rep.cons.quorum() as u32,
+                });
                 rep.cons.on_restart();
                 rep.last_leader_hb = now;
                 rep.last_attempt = now;
@@ -1623,26 +1589,20 @@ impl Controller {
             if !rep.suspected {
                 rep.suspected = true;
                 rep.suspect_events += 1;
-                if ctx.journaling() {
-                    CtrlEvent::Suspect {
-                        target: rep.cons.leader_hint.unwrap_or(me),
-                        silence_ns: now.since(rep.last_leader_hb).0,
-                        timeout_ns: election_timeout.0,
-                    }
-                    .emit(ctx);
-                }
+                ctx.journal(CtrlEvent::Suspect {
+                    target: rep.cons.leader_hint.unwrap_or(me),
+                    silence_ns: now.since(rep.last_leader_hb).0,
+                    timeout_ns: election_timeout.0,
+                });
             }
             if now.since(rep.last_attempt) > retry_pace {
                 rep.last_attempt = now;
                 rep.elections += 1;
                 let out = rep.cons.start_candidacy();
-                if ctx.journaling() {
-                    CtrlEvent::ElectionStart {
-                        ballot: rep.cons.bal,
-                        timeout_ns: election_timeout.0,
-                    }
-                    .emit(ctx);
-                }
+                ctx.journal(CtrlEvent::ElectionStart {
+                    ballot: rep.cons.bal,
+                    timeout_ns: election_timeout.0,
+                });
                 self.send_consensus(out, ctx);
                 self.drain_chosen(ctx);
             }
@@ -1681,8 +1641,8 @@ impl Controller {
                     rep.hb_gaps.remove(0);
                 }
             }
-            if rep.suspected && ctx.journaling() {
-                CtrlEvent::Unsuspect { target: hb.from }.emit(ctx);
+            if rep.suspected {
+                ctx.journal(CtrlEvent::Unsuspect { target: hb.from });
             }
             rep.last_leader_hb = now;
             rep.suspected = false;
@@ -1710,12 +1670,11 @@ impl Controller {
             let base = snap.base;
             let msg = SwishMsg::CtrlSnap(Box::new(snap));
             if ctx.journaling() {
-                CtrlEvent::SnapshotSent {
+                ctx.journal(CtrlEvent::SnapshotSent {
                     base,
                     bytes: msg.wire_len() as u64,
                     to: hb.from,
-                }
-                .emit(ctx);
+                });
             }
             self.send_consensus(vec![(hb.from, msg)], ctx);
         }
@@ -1796,9 +1755,7 @@ impl Controller {
             return;
         }
         rep.applied = s.base;
-        if ctx.journaling() {
-            CtrlEvent::SnapshotInstalled { base: s.base }.emit(ctx);
-        }
+        ctx.journal(CtrlEvent::SnapshotInstalled { base: s.base });
         // Re-key peer liveness to the adopted membership.
         let me = rep.cons.me;
         let group = rep.cons.group.clone();
@@ -1986,13 +1943,10 @@ impl Node for Controller {
                             return;
                         }
                         rep.follower_reads += 1;
-                        if ctx.journaling() {
-                            CtrlEvent::FollowerRead {
-                                reg: q.reg,
-                                key: q.key,
-                            }
-                            .emit(ctx);
-                        }
+                        ctx.journal(CtrlEvent::FollowerRead {
+                            reg: q.reg,
+                            key: q.key,
+                        });
                     }
                 }
                 let owners = self.directory.lookup(q.reg, q.key, q.from);

@@ -700,7 +700,7 @@ impl Deployment {
     /// decree and migration lifecycle step is journaled into the
     /// returned handle, which keeps the earliest `capacity` records and
     /// counts the rest. Purely passive — attaching changes no simulation
-    /// outcome (see the determinism tests). Decode with
+    /// outcome (see the determinism tests). Read with
     /// [`crate::telemetry::journal::Journal`].
     pub fn attach_journal(&mut self, capacity: usize) -> swishmem_simnet::JournalHandle {
         let h = Tap::new(capacity);

@@ -56,7 +56,6 @@ pub mod metrics;
 pub mod oracle;
 pub mod reconfig;
 pub mod telemetry;
-pub mod typed;
 pub mod version;
 
 pub use api::{NfApp, NfDecision, SharedState};
@@ -78,10 +77,8 @@ pub use reconfig::{
     decode_trigger, trigger_token, trigger_token_op, MigrationPhase, RangeView, ReconfigEvent,
     ReconfigLogEntry, TriggerOp,
 };
-pub use telemetry::journal::{
-    CompactionRecord, CtrlEvent, Failover, Journal, JournalEntry, MigrationTimeline,
-};
-pub use typed::{SharedCounter, SharedValue};
+pub use swishmem_simnet::CtrlEvent;
+pub use telemetry::journal::{CompactionRecord, Failover, Journal, MigrationTimeline};
 pub use version::SwitchClock;
 
 /// Convenient glob import for examples and tests.

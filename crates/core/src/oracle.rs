@@ -53,27 +53,29 @@
 //!   (sole-owner crash, or promote-on-source-death during a transfer).
 //! * **Journal SLO budgets** — when a control-plane flight recorder is
 //!   attached ([`OracleSuite::attach_journal`]), three online monitors
-//!   run over the decoded journal: every reconstructed failover must
-//!   close within the failover-gap budget, every migration's dual-owner
-//!   window (including still-open ones) must stay under its budget, and
-//!   election churn (campaign starts per sliding window) must stay
-//!   under the churn budget. The first violation of *any* oracle is
-//!   enriched with the last journal events before it
-//!   ([`OracleSuite::violation_context`]).
+//!   run over the journal: every reconstructed failover must close
+//!   within the failover-gap budget, every migration's dual-owner window
+//!   (including still-open ones, while the tap has not overflowed) must
+//!   stay under its budget, and election churn (campaign starts per
+//!   sliding window) must stay under the churn budget. The first
+//!   violation of *any* oracle is enriched with the last journal events
+//!   before it ([`OracleSuite::violation_context`]).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
-use swishmem_simnet::{JournalHandle, NetEvent, NetObserver, ObserverHandle, SimDuration, SimTime};
+use swishmem_simnet::{
+    CtrlEvent, JournalHandle, NetEvent, NetObserver, ObserverHandle, SimDuration, SimTime,
+};
 use swishmem_wire::swish::{Key, RegId, WriteOp};
 use swishmem_wire::{NodeId, PacketBody, SwishMsg};
 
 use crate::config::{RegisterClass, RegisterSpec, SwishConfig};
 use crate::controller::DIR_LEASE;
 use crate::deployment::Deployment;
-use crate::telemetry::journal::{CtrlEvent, Journal};
+use crate::telemetry::journal::Journal;
 
 /// How many journal entries before a violation are kept as context.
 pub const VIOLATION_CONTEXT_EVENTS: usize = 12;
@@ -799,10 +801,9 @@ pub struct OracleSuite {
     dual_since: Option<SimTime>,
     /// Attached control-plane flight recorder, when diagnosis is on.
     journal: Option<JournalHandle>,
-    /// Record count at the last decode (re-decode only on growth).
+    /// Journal record count at the last poll (the failover and churn
+    /// monitors re-run only on growth).
     journal_seen: usize,
-    /// The decoded journal as of `journal_seen` records.
-    journal_cache: Journal,
     /// The last journal events before the first violation.
     first_context: Vec<String>,
     first: Option<Violation>,
@@ -845,7 +846,6 @@ impl OracleSuite {
             dual_since: None,
             journal: None,
             journal_seen: 0,
-            journal_cache: Journal::default(),
             first_context: Vec::new(),
             first: None,
         }
@@ -901,8 +901,8 @@ impl OracleSuite {
     fn record(&mut self, at: SimTime, kind: ViolationKind) {
         if self.first.is_none() {
             if let Some(h) = &self.journal {
-                let decoded = Journal::decode(h.borrow().events());
-                self.first_context = decoded.tail_strings_at(at, VIOLATION_CONTEXT_EVENTS);
+                self.first_context =
+                    Journal::new(h.borrow().events()).tail_strings_at(at, VIOLATION_CONTEXT_EVENTS);
             }
             self.first = Some(Violation { at, kind });
         }
@@ -1148,31 +1148,29 @@ impl OracleSuite {
             }
         }
 
-        // 2f. Journal SLO monitors: failover gap, dual-owner window and
-        //     election churn over the decoded flight recorder. The
-        //     decode is cached (re-run only when records arrived); the
-        //     dual-owner monitor re-runs every poll regardless because
+        // 2f. Journal SLO monitors over the flight recorder. The
+        //     failover-gap and churn monitors re-run only when records
+        //     arrived; the dual-owner monitor re-runs every poll because
         //     a *still-open* window ages against `now` without emitting
-        //     any new records.
+        //     any new records — unless the tap is full: it has dropped
+        //     the records past its capacity, so a window that looks open
+        //     may have closed among them.
         if let Some(h) = self.journal.clone() {
-            let len = h.borrow().len();
-            if len != self.journal_seen {
-                self.journal_cache = Journal::decode(h.borrow().events());
-                self.journal_seen = len;
-                for (at, kind) in failover_gap_violations(&self.journal_cache, FAILOVER_GAP_BUDGET)
+            let tap = h.borrow();
+            let journal = Journal::new(tap.events());
+            if tap.len() != self.journal_seen {
+                self.journal_seen = tap.len();
+                for (at, kind) in failover_gap_violations(&journal, FAILOVER_GAP_BUDGET) {
+                    self.record(at, kind);
+                }
+                for (at, kind) in
+                    election_churn_violations(&journal, ELECTION_WINDOW, MAX_ELECTIONS_PER_WINDOW)
                 {
                     self.record(at, kind);
                 }
-                for (at, kind) in election_churn_violations(
-                    &self.journal_cache,
-                    ELECTION_WINDOW,
-                    MAX_ELECTIONS_PER_WINDOW,
-                ) {
-                    self.record(at, kind);
-                }
             }
-            for (at, kind) in
-                dual_owner_violations(&self.journal_cache, now, DUAL_OWNER_WINDOW_BUDGET)
+            let open_until = (tap.overflowed() == 0).then_some(now);
+            for (at, kind) in dual_owner_violations(&journal, open_until, DUAL_OWNER_WINDOW_BUDGET)
             {
                 self.record(at, kind);
             }
@@ -1639,7 +1637,7 @@ pub fn range_split_brain_errors(
 /// beacon (falling back to the suspicion or campaign start when the
 /// journal holds no beacon evidence, e.g. a bootstrap election) to the
 /// moment the new leader applied its election decree. Pure over the
-/// decoded journal, so tests can feed hand-built histories.
+/// journal, so tests can feed hand-built histories.
 pub fn failover_gap_violations(
     journal: &Journal,
     budget: SimDuration,
@@ -1667,19 +1665,19 @@ pub fn failover_gap_violations(
 
 /// Dual-owner-window SLO (journal monitor): a migration may hold a
 /// range in dual-owner for at most `budget` — measured flip-to-commit
-/// for closed migrations and flip-to-`now` for ones still open (an
-/// aborted transfer never reaches dual-owner commit accounting). Pure
-/// over the decoded journal.
+/// for closed migrations and flip-to-`open_until` for ones still open,
+/// which go unjudged when `open_until` is `None` (an aborted transfer
+/// never reaches dual-owner commit accounting). Pure over the journal.
 pub fn dual_owner_violations(
     journal: &Journal,
-    now: SimTime,
+    open_until: Option<SimTime>,
     budget: SimDuration,
 ) -> Vec<(SimTime, ViolationKind)> {
     let mut out = Vec::new();
     for m in journal.migrations() {
-        let (at, window) = match (m.dual_owner_at, m.commit_at, m.abort_at) {
-            (Some(d), Some(c), _) => (c, c.since(d).0),
-            (Some(d), None, None) => (now, now.since(d).0),
+        let (at, window) = match (m.dual_owner_at, m.commit_at, m.abort_at, open_until) {
+            (Some(d), Some(c), _, _) => (c, c.since(d).0),
+            (Some(d), None, None, Some(now)) => (now, now.since(d).0),
             _ => continue,
         };
         if window > budget.as_nanos() {
@@ -1699,14 +1697,14 @@ pub fn dual_owner_violations(
 
 /// Election-churn SLO (journal monitor): at most `budget` campaign
 /// starts inside any sliding `window`. Flags the first start that tips
-/// each over-budget window. Pure over the decoded journal.
+/// each over-budget window. Pure over the journal.
 pub fn election_churn_violations(
     journal: &Journal,
     window: SimDuration,
     budget: u32,
 ) -> Vec<(SimTime, ViolationKind)> {
     let starts: Vec<SimTime> = journal
-        .entries()
+        .records()
         .iter()
         .filter(|e| matches!(e.event, CtrlEvent::ElectionStart { .. }))
         .map(|e| e.time)
@@ -1939,16 +1937,11 @@ mod tests {
         assert!(range_split_brain_errors(4, &[(na, mk(5, 1)), (nb, mk(5, 1))]).is_empty());
     }
 
-    fn jrec(time: u64, node: u16, ev: CtrlEvent) -> swishmem_simnet::JournalRecord {
-        let (kind, cause, a, b, c) = ev.encode();
+    fn jrec(time: u64, node: u16, event: CtrlEvent) -> swishmem_simnet::JournalRecord {
         swishmem_simnet::JournalRecord {
             time: SimTime(time),
             node: NodeId(node),
-            kind,
-            cause,
-            a,
-            b,
-            c,
+            event,
         }
     }
 
@@ -1986,7 +1979,7 @@ mod tests {
                 },
             ),
         ];
-        let j = Journal::decode(&records);
+        let j = Journal::new(&records);
         // Gap = 1_200_000 - (1_000_000 - 400_000) = 600_000 ns.
         assert!(failover_gap_violations(&j, SimDuration::micros(600)).is_empty());
         let v = failover_gap_violations(&j, SimDuration::micros(500));
@@ -2004,11 +1997,11 @@ mod tests {
     }
 
     /// Closed, open, and aborted dual-owner windows against the budget:
-    /// only commit closes the clock; an open window ages with `now`; an
-    /// abort stops it.
+    /// only commit closes the clock; an open window ages with `now` (and
+    /// is not judged without one); an abort stops it.
     #[test]
     fn dual_owner_window_slo_fires_for_closed_and_open_windows() {
-        use crate::telemetry::journal::ABORT_DEST_FAILED;
+        use swishmem_simnet::journal::ABORT_DEST_FAILED;
         let begin = CtrlEvent::MigBegin {
             reg: 1,
             start: 0,
@@ -2028,9 +2021,11 @@ mod tests {
             epoch: 2,
         };
         // Closed: dual-owner at 100, commit at 700 → 600 ns window.
-        let j = Journal::decode(&[jrec(50, 0, begin), jrec(100, 0, dual), jrec(700, 0, commit)]);
-        assert!(dual_owner_violations(&j, SimTime(10_000), SimDuration::nanos(600)).is_empty());
-        let v = dual_owner_violations(&j, SimTime(10_000), SimDuration::nanos(500));
+        let closed = [jrec(50, 0, begin), jrec(100, 0, dual), jrec(700, 0, commit)];
+        let j = Journal::new(&closed);
+        let end = Some(SimTime(10_000));
+        assert!(dual_owner_violations(&j, end, SimDuration::nanos(600)).is_empty());
+        let v = dual_owner_violations(&j, end, SimDuration::nanos(500));
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].0, SimTime(700));
         assert!(matches!(
@@ -2042,13 +2037,17 @@ mod tests {
                 ..
             }
         ));
-        // Open: no terminal event yet, the window ages against `now`.
-        let j = Journal::decode(&[jrec(50, 0, begin), jrec(100, 0, dual)]);
-        assert!(dual_owner_violations(&j, SimTime(500), SimDuration::nanos(500)).is_empty());
+        // Open: no terminal event yet, the window ages against `now`,
+        // or goes unjudged without one.
+        let open = [jrec(50, 0, begin), jrec(100, 0, dual)];
+        let j = Journal::new(&open);
+        let budget = SimDuration::nanos(500);
+        assert!(dual_owner_violations(&j, Some(SimTime(500)), budget).is_empty());
         assert_eq!(
-            dual_owner_violations(&j, SimTime(1_000), SimDuration::nanos(500)).len(),
+            dual_owner_violations(&j, Some(SimTime(1_000)), budget).len(),
             1
         );
+        assert!(dual_owner_violations(&j, None, budget).is_empty());
         // Aborted before commit: the clock must stop.
         let abort = CtrlEvent::MigAbort {
             reg: 1,
@@ -2056,8 +2055,9 @@ mod tests {
             epoch: 1,
             reason: ABORT_DEST_FAILED,
         };
-        let j = Journal::decode(&[jrec(50, 0, begin), jrec(100, 0, dual), jrec(200, 0, abort)]);
-        assert!(dual_owner_violations(&j, SimTime(1 << 40), SimDuration::nanos(500)).is_empty());
+        let aborted = [jrec(50, 0, begin), jrec(100, 0, dual), jrec(200, 0, abort)];
+        let j = Journal::new(&aborted);
+        assert!(dual_owner_violations(&j, Some(SimTime(1 << 40)), budget).is_empty());
     }
 
     /// Five campaign starts 100 ns apart: a 400 ns window holds 5, so a
@@ -2076,7 +2076,7 @@ mod tests {
                 )
             })
             .collect();
-        let j = Journal::decode(&records);
+        let j = Journal::new(&records);
         assert!(election_churn_violations(&j, SimDuration::nanos(400), 5).is_empty());
         let v = election_churn_violations(&j, SimDuration::nanos(400), 4);
         assert_eq!(v.len(), 1, "{v:?}");
@@ -2095,8 +2095,9 @@ mod tests {
     /// (100.0006 ms) is above [`FAILOVER_GAP_BUDGET`] MUST surface the
     /// SLO violation through its normal violation machinery, enriched
     /// with the journal events leading up to it.
-    #[test]
-    fn slo_violation_fires_through_the_suite_with_journal_context() {
+    /// A settled 3-switch deployment whose NF forwards everything, and
+    /// a suite with a journal tap of `capacity` attached.
+    fn journaled_suite(capacity: usize) -> (Deployment, OracleSuite, JournalHandle) {
         use crate::api::{NfApp, NfDecision, SharedState};
         use crate::deployment::{DeploymentBuilder, HOST_BASE};
         use swishmem_wire::DataPacket;
@@ -2118,9 +2119,15 @@ mod tests {
 
         let mut dep = DeploymentBuilder::new(3).build(|_| Box::new(NoopNf));
         dep.settle();
-        let handle = dep.attach_journal(1 << 12);
+        let handle = dep.attach_journal(capacity);
         let mut suite = OracleSuite::attach(&mut dep, OracleConfig::new(SimTime(1 << 60)));
         suite.attach_journal(handle.clone());
+        (dep, suite, handle)
+    }
+
+    #[test]
+    fn slo_violation_fires_through_the_suite_with_journal_context() {
+        let (dep, mut suite, handle) = journaled_suite(1 << 12);
 
         // The old leader's last beacon is at 600 ns; the new one applies
         // its election decree 100 ms + 600 ns later.
@@ -2176,6 +2183,54 @@ mod tests {
         let report = suite.violation_report().unwrap();
         assert!(report.contains("failover SLO broken"), "{report}");
         assert!(report.contains("election started"), "{report}");
+    }
+
+    /// A full journal tap drops the records after its first `capacity`:
+    /// a migration whose commit was dropped looks still open, and must
+    /// not be reported as a dual-owner window aging past its budget.
+    #[test]
+    fn an_overflowed_journal_does_not_age_open_dual_owner_windows() {
+        let (mut dep, mut suite, handle) = journaled_suite(2);
+        let t = dep.now().nanos();
+        for rec in [
+            jrec(
+                t,
+                0,
+                CtrlEvent::MigBegin {
+                    reg: 1,
+                    start: 0,
+                    from: NodeId(0),
+                    to: NodeId(2),
+                    epoch: 1,
+                },
+            ),
+            jrec(
+                t + 100,
+                0,
+                CtrlEvent::MigDualOwner {
+                    reg: 1,
+                    start: 0,
+                    epoch: 1,
+                    pass: 1,
+                },
+            ),
+            jrec(
+                t + 200,
+                0,
+                CtrlEvent::MigCommit {
+                    reg: 1,
+                    start: 0,
+                    epoch: 2,
+                },
+            ),
+        ] {
+            handle
+                .borrow_mut()
+                .on_net_event(rec.time, &NetEvent::Journal(rec));
+        }
+        assert_eq!(handle.borrow().overflowed(), 1);
+        dep.run_for(SimDuration::millis(60));
+        assert!(suite.poll(&dep).is_none(), "{:?}", suite.violation_report());
     }
 
     /// With one controller there is no follower read to check, but the

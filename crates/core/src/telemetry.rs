@@ -1,4 +1,3 @@
-//! Control-plane telemetry: the flight recorder's typed event vocabulary
-//! and its causal reader ([`journal`]).
+//! Control-plane telemetry: the flight recorder's reader ([`journal`]).
 
 pub mod journal;

@@ -1,7 +1,7 @@
 //! The per-callback context handed to nodes.
 
 use crate::core::Direct;
-use crate::journal::JournalRecord;
+use crate::journal::{CtrlEvent, JournalRecord};
 use crate::observe::NetEvent;
 use crate::span::{SpanEvent, SpanPhase};
 use crate::time::{SimDuration, SimTime};
@@ -137,36 +137,26 @@ impl<'a> Ctx<'a> {
         self.tracing
     }
 
-    /// Emit a journal record stamped at the current time.
+    /// Journal `event`, stamped at the current time.
     ///
     /// A pure observation, exactly like [`Self::span`]: the record goes
     /// to the journal subscribers as a [`NetEvent::Journal`] and nowhere
     /// else — no event is scheduled and no RNG is consumed, so journaling
     /// never perturbs the deterministic event order.
     #[inline]
-    pub fn journal(&mut self, kind: u16, cause: u64, a: u64, b: u64, c: u64) {
-        self.journal_at(self.now, kind, cause, a, b, c);
-    }
-
-    /// Emit a journal record stamped with an explicit time.
-    #[inline]
-    pub fn journal_at(&mut self, at: SimTime, kind: u16, cause: u64, a: u64, b: u64, c: u64) {
+    pub fn journal(&mut self, event: CtrlEvent) {
         if self.journaling() {
             let rec = JournalRecord {
-                time: at,
+                time: self.now,
                 node: self.node,
-                kind,
-                cause,
-                a,
-                b,
-                c,
+                event,
             };
             self.sink.emit(self.now, NetEvent::Journal(rec));
         }
     }
 
     /// Whether anybody subscribes to the journal (lets callers skip
-    /// assembling payload words when nobody is listening).
+    /// building costly event payloads when nobody is listening).
     #[inline]
     pub fn journaling(&self) -> bool {
         self.journaling

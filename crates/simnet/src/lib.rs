@@ -73,7 +73,7 @@ mod wire_check;
 pub use capture::CaptureHandle;
 pub use ctx::{Ctx, GroupId};
 pub use fault::{FaultAction, FaultEvent, FaultGen, FaultSchedule, LinkOverlay};
-pub use journal::{JournalHandle, JournalRecord};
+pub use journal::{CtrlEvent, JournalHandle, JournalRecord};
 pub use link::{Link, LinkParams, LinkState};
 pub use node::{Node, NodeId, RelayNode};
 pub use observe::{Family, NetEvent, NetObserver, ObserverHandle};

@@ -87,18 +87,14 @@ impl<T: Record> NetObserver for Tap<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::JournalRecord;
+    use crate::journal::{CtrlEvent, JournalRecord};
     use swishmem_wire::NodeId;
 
     fn rec(t: u64) -> JournalRecord {
         JournalRecord {
             time: SimTime(t),
             node: NodeId(7),
-            kind: t as u16,
-            cause: 42,
-            a: 1,
-            b: 2,
-            c: 3,
+            event: CtrlEvent::Learned { slot: t },
         }
     }
 

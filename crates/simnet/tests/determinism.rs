@@ -27,9 +27,9 @@ use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 use swishmem_simnet::{
-    Ctx, DropReason, Family, FaultGen, FaultSchedule, GroupId, JournalHandle, JournalRecord,
-    LinkParams, NetEvent, NetObserver, Node, ObserverHandle, Record, SimDuration, SimTime,
-    Simulator, SpanEvent, SpanPhase, Tap, Trace, TraceEntry,
+    CtrlEvent, Ctx, DropReason, Family, FaultGen, FaultSchedule, GroupId, JournalHandle,
+    JournalRecord, LinkParams, NetEvent, NetObserver, Node, ObserverHandle, Record, SimDuration,
+    SimTime, Simulator, SpanEvent, SpanPhase, Tap, Trace, TraceEntry,
 };
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, TraceId};
 
@@ -56,7 +56,9 @@ fn body(seq: u32, len: u16) -> PacketBody {
 impl Node for Churn {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.span(TraceId::new(ctx.self_id(), 999), SpanPhase::JobStart);
-        ctx.journal(3, u64::from(ctx.self_id().0), 0, 0, 0);
+        ctx.journal(CtrlEvent::Unsuspect {
+            target: ctx.self_id(),
+        });
         ctx.set_timer(SimDuration::micros(50), 1);
     }
 
@@ -71,13 +73,10 @@ impl Node for Churn {
             );
             // Likewise unconditional journal emission: a no-op unless a
             // journal tap is attached.
-            ctx.journal(
-                1,
-                u64::from(d.flow_seq),
-                u64::from(pkt.src.0),
-                u64::from(d.payload_len),
-                0,
-            );
+            ctx.journal(CtrlEvent::Accepted {
+                slot: u64::from(d.flow_seq),
+                ballot: u64::from(pkt.src.0),
+            });
             if d.flow_seq < self.ttl {
                 ctx.send(pkt.src, body(d.flow_seq + 1, d.payload_len));
             }
@@ -91,7 +90,9 @@ impl Node for Churn {
             TraceId::new(ctx.self_id(), 1_000 + self.timer_rounds),
             SpanPhase::SyncRound,
         );
-        ctx.journal(2, self.timer_rounds, 0, 0, 0);
+        ctx.journal(CtrlEvent::Learned {
+            slot: self.timer_rounds,
+        });
         ctx.multicast(GroupId(1), body(0, 100));
         ctx.send_random(GroupId(1), body(0, 40));
         if self.timer_rounds < 20 {
@@ -377,7 +378,7 @@ fn probe<T: Record + 'static>(capacity: usize, pinned: fn(&T) -> bool) -> Probe 
 /// golden fingerprint; every tap accounts for each record it was offered
 /// (kept or counted as overflow); and a full tap pins its family: one
 /// frame per delivery, the 200 injections, one ingress marker and one
-/// kind-1 record per delivered packet, the four scheduled transitions.
+/// `Accepted` record per delivered packet, the four scheduled transitions.
 #[test]
 fn every_family_is_passive_alone_and_together() {
     let probes = |capacity: usize| {
@@ -385,7 +386,7 @@ fn every_family_is_passive_alone_and_together() {
             probe::<TraceEntry>(capacity, |_| true),
             probe::<(SimTime, Packet)>(capacity, |_| true),
             probe::<SpanEvent>(capacity, |e| e.phase == SpanPhase::Ingress),
-            probe::<JournalRecord>(capacity, |r| r.kind == 1),
+            probe::<JournalRecord>(capacity, |r| matches!(r.event, CtrlEvent::Accepted { .. })),
             probe::<Fault>(capacity, |_| true),
         ]
     };
@@ -424,7 +425,7 @@ fn every_family_is_passive_alone_and_together() {
 
 /// Replaying a fault-swept run with the same seed must reproduce the
 /// journal **byte for byte** — not just the aggregate fingerprint, the
-/// full record stream (times, nodes, kinds, causes, payload words).
+/// full record stream (times, nodes, events).
 #[test]
 fn journal_replay_is_byte_identical_under_fault_sweep() {
     let ids: Vec<NodeId> = (0..5).map(NodeId).collect();
@@ -459,12 +460,12 @@ fn journal_replay_is_byte_identical_under_fault_sweep() {
 }
 
 /// Counts what reaches an observer of the default families, or of every
-/// family: spans from `on_start`, and kind-1 journal records.
+/// family: spans from `on_start`, and `Accepted` journal records.
 #[derive(Default)]
 struct Listener {
     every: bool,
     start_spans: u64,
-    kind1: u64,
+    accepted: u64,
 }
 
 impl NetObserver for Listener {
@@ -475,7 +476,9 @@ impl NetObserver for Listener {
     fn on_net_event(&mut self, _now: SimTime, ev: &NetEvent<'_>) {
         match ev {
             NetEvent::Span(e) if e.phase == SpanPhase::JobStart => self.start_spans += 1,
-            NetEvent::Journal(r) if r.kind == 1 => self.kind1 += 1,
+            NetEvent::Journal(r) if matches!(r.event, CtrlEvent::Accepted { .. }) => {
+                self.accepted += 1
+            }
             _ => {}
         }
     }
@@ -485,7 +488,7 @@ impl NetObserver for Listener {
 /// one exists: a default-family observer never turns either on, so no
 /// layer builds their payloads. An all-family observer does, and sees a
 /// span from every `on_start` (the five starts and node 2's recovery)
-/// and one kind-1 record per delivered packet. Both stay passive.
+/// and one `Accepted` record per delivered packet. Both stay passive.
 #[test]
 fn nodes_hear_of_span_and_journal_subscribers_only_when_they_exist() {
     for every in [false, true] {
@@ -507,6 +510,6 @@ fn nodes_hear_of_span_and_journal_subscribers_only_when_they_exist() {
         } else {
             (0, 0)
         };
-        assert_eq!((l.start_spans, l.kind1), want, "every family: {every}");
+        assert_eq!((l.start_spans, l.accepted), want, "every family: {every}");
     }
 }

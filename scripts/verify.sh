@@ -32,15 +32,20 @@ cd "$(dirname "$0")/.."
 #   observability (§3, §9, §14)     observers (root) — spans, journal,
 #     capture, a packet trace and the oracles attached at once leave a
 #     fault-swept deployment bit-identical, tap counts and stream hashes
-#     pinned; swishmem-simnet/determinism
+#     pinned (the journal hash over each record's time, node and rendered
+#     event); swishmem/oracle
+#     an_overflowed_journal_does_not_age_open_dual_owner_windows — a full
+#     journal tap never invents a dual-owner violation;
+#     swishmem-simnet/determinism
 #     every_family_is_passive_alone_and_together — a tap of each event
 #     family, alone and together, keeps the golden fingerprint, and a
 #     fault-swept replay reproduces the journal byte for byte;
 #     swishmem-simnet `tap::tests` — the one overflow rule;
 #     swishmem-bench/explain — the `explain` run over seeds 801–808: span
 #     breakdowns reconcile with write_latency, the journal's failover gap
-#     matches the election log within 1 µs, the oracles stay clean, and a
-#     seed's Perfetto and summary artifacts repeat byte for byte.
+#     matches the election log within 1 µs, the oracles stay clean, and
+#     seed 801's Perfetto and summary documents hash to recorded
+#     constants (the artifact pin).
 #   one event loop (§3)             swishmem-simnet/determinism — the
 #     golden fingerprint holds plain, paused every 7 µs and with the wire
 #     check armed; a default observer never tells a node that spans or

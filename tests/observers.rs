@@ -8,7 +8,9 @@
 //! bare and then observed. Register state, per-switch metrics and the
 //! engine's statistics must agree between the two runs; the record count
 //! of each tap and an FNV-1a hash of the span and journal streams are
-//! constants recorded before the taps became `NetObserver`s.
+//! constants: the span hash recorded before the taps became
+//! `NetObserver`s, the journal hash (over each record's time, node and
+//! rendered event) before the journal became a typed stream.
 
 use std::net::Ipv4Addr;
 use swishmem::oracle::{OracleConfig, OracleSuite, POLL_INTERVAL};
@@ -156,11 +158,10 @@ fn run(observed: bool) -> (Outcome, Option<Seen>) {
         }
         let mut journal_hash = 0xcbf2_9ce4_8422_2325;
         for r in journal.events() {
-            for w in [r.time.nanos(), u64::from(r.node.0), u64::from(r.kind)] {
-                fnv(&mut journal_hash, w);
-            }
-            for w in [r.cause, r.a, r.b, r.c] {
-                fnv(&mut journal_hash, w);
+            fnv(&mut journal_hash, r.time.nanos());
+            fnv(&mut journal_hash, u64::from(r.node.0));
+            for b in r.event.to_string().bytes() {
+                fnv(&mut journal_hash, u64::from(b));
             }
         }
         assert_eq!(spans.overflowed() + journal.overflowed(), 0);
@@ -204,7 +205,8 @@ fn attaching_every_tap_is_invisible_and_their_streams_are_pinned() {
         // Re-recorded when a restarted switch stopped reissuing trace ids
         // from before its crash.
         span_hash: 5_550_096_544_354_866_790,
-        journal_hash: 13_490_132_266_774_153_034,
+        // Over each record's time, node and rendered event line.
+        journal_hash: 8_894_366_574_081_244_697,
     };
     assert_eq!(seen, want, "a tap's stream moved");
 }
