@@ -9,7 +9,9 @@ use swishmem::layer::{write_chain_for_tests, ChainView, Handles};
 use swishmem::{ClockMode, RegisterSpec, SwishConfig, SwitchClock};
 use swishmem_pisa::{DataPlane, DataPlaneProgram, DpView, Effect, Effects};
 use swishmem_simnet::SimTime;
-use swishmem_wire::swish::{PendingClear, TraceId, WriteOp, WriteRequest};
+use swishmem_wire::swish::{
+    MigrateBegin, OwnershipCommit, PendingClear, TraceId, WriteOp, WriteRequest,
+};
 use swishmem_wire::{NodeId, Packet, PacketBody, SwishMsg};
 
 struct Rig {
@@ -18,10 +20,15 @@ struct Rig {
 }
 
 fn rig(me: u16, chain: &[u16], learners: &[u16]) -> Rig {
+    rig_with(RegisterSpec::sro(0, "t", 64), me, chain, learners)
+}
+
+/// Switch `me` holding register 0 as `spec`, with `chain` and `learners`
+/// installed in its config block.
+fn rig_with(spec: RegisterSpec, me: u16, chain: &[u16], learners: &[u16]) -> Rig {
     let cfg = SwishConfig::default();
     let mut dp = DataPlane::standard();
-    let handles =
-        Rc::new(Handles::build(&mut dp, &[RegisterSpec::sro(0, "t", 64)], &cfg, 4).unwrap());
+    let handles = Rc::new(Handles::build(&mut dp, &[spec], &cfg, 4).unwrap());
     let view = ChainView {
         epoch: 1,
         chain: chain.iter().map(|&n| NodeId(n)).collect(),
@@ -257,4 +264,80 @@ fn single_switch_chain_acks_immediately_without_pending() {
         )
     });
     assert!(acked, "head==tail must ack directly");
+}
+
+/// Switch `me` holding partitioned register 0 (keys 0..64) as one range
+/// owned by `[0, 1]` and migrating to 2. Both are installed the way a
+/// switch learns them, by delivering the controller's messages.
+fn part_rig(me: u16) -> Rig {
+    let mut r = rig_with(RegisterSpec::partitioned(0, "p", 64), me, &[], &[]);
+    let ctrl = NodeId(100);
+    let commit = SwishMsg::OwnershipCommit(OwnershipCommit {
+        reg: 0,
+        start: 0,
+        end: 64,
+        epoch: 1,
+        owners: vec![NodeId(0), NodeId(1)],
+    });
+    deliver(&mut r, Packet::swish(ctrl, NodeId(me), commit));
+    let begin = SwishMsg::MigrateBegin(MigrateBegin {
+        reg: 0,
+        start: 0,
+        end: 64,
+        from: NodeId(0),
+        to: NodeId(2),
+        epoch: 2,
+    });
+    deliver(&mut r, Packet::swish(ctrl, NodeId(me), begin));
+    r
+}
+
+/// The protocol messages among `fx`: `(destination, message)` for each
+/// forward, `(None, message)` for each multicast.
+fn sent(fx: &[Effect]) -> Vec<(Option<NodeId>, &SwishMsg)> {
+    fx.iter()
+        .filter_map(|e| match e {
+            Effect::Forward {
+                dst,
+                body: PacketBody::Swish(m),
+            } => Some((Some(*dst), m)),
+            Effect::Multicast {
+                body: PacketBody::Swish(m),
+                ..
+            } => Some((None, m)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn partitioned_last_owner_forwards_to_the_migration_destination() {
+    let mut r = part_rig(1);
+    let fx = deliver(&mut r, write_req(3, 5, 4, 40));
+    assert_eq!(peek(&r, 5), 40);
+    match sent(&fx)[..] {
+        [(Some(NodeId(2)), SwishMsg::Write(w))] => assert_eq!((w.seq, w.op), (4, WriteOp::Set(40))),
+        ref other => panic!("the last owner must forward and not ack: {other:?}"),
+    }
+}
+
+#[test]
+fn partitioned_migration_destination_acks_the_writer() {
+    let mut r = part_rig(2);
+    let fx = deliver(&mut r, write_req(3, 5, 4, 40));
+    assert_eq!(peek(&r, 5), 40);
+    match sent(&fx)[..] {
+        [(Some(NodeId(3)), SwishMsg::Ack(a))] => assert_eq!((a.key, a.seq), (5, 4)),
+        ref other => panic!("the destination must ack the writer, nothing else: {other:?}"),
+    }
+    assert_eq!(r.prog.metrics().chain_applies, 1);
+}
+
+#[test]
+fn partitioned_write_at_a_non_owner_is_stale() {
+    let mut r = part_rig(3);
+    let fx = deliver(&mut r, write_req(0, 5, 4, 40));
+    assert!(fx.is_empty());
+    assert_eq!(peek(&r, 5), 0);
+    assert_eq!(r.prog.metrics().part_stale, 1);
 }

@@ -6,11 +6,12 @@
 //! deployment seed fixes every other random choice).
 
 use std::net::Ipv4Addr;
-use swishmem::oracle::{OracleConfig, OracleSuite};
+use swishmem::oracle::{OracleConfig, OracleSuite, Violation, ViolationKind};
 use swishmem::prelude::*;
-use swishmem::{NfApp, NfDecision, RegisterSpec, SharedState};
+use swishmem::{NfApp, NfDecision, RegisterSpec, SharedState, TriggerOp};
 use swishmem_simnet::{FaultAction, FaultGen};
-use swishmem_wire::NodeId as WireNodeId;
+use swishmem_wire::swish::{MigrateChunk, SnapEntry, SnapshotChunk};
+use swishmem_wire::{NodeId as WireNodeId, Packet, SwishMsg};
 
 /// Linearizable/eventual chain writes: `Set(payload_len)` per dst port.
 struct WriteNf;
@@ -198,4 +199,169 @@ fn oracles_quiet_on_healthy_run() {
     suite
         .run(&mut dep, end)
         .unwrap_or_else(|v| panic!("oracle violation on fault-free run: {v}"));
+}
+
+// Negative controls for the convergence oracle: after the run quiesces,
+// one crafted state-transfer chunk with a sequence number above
+// anything the chain assigned is delivered to a single replica. The
+// chunk's sequence guard accepts it, so exactly that replica diverges,
+// and the oracle must say which one and against whom.
+
+/// The value and sequence number of the crafted chunk entry.
+const FORGED_VALUE: u64 = 0xBAD;
+const FORGED_SEQ: u64 = 1 << 40;
+
+fn forged_entry(key: u32) -> SnapEntry {
+    SnapEntry {
+        key,
+        seq: FORGED_SEQ,
+        value: FORGED_VALUE,
+    }
+}
+
+/// A fault-free 3-switch SRO run with the oracles armed, plus one
+/// `SnapChunk` for key 5 delivered to chain member `victim` at 30 ms.
+fn forged_snapshot_run(victim: usize) -> (Deployment, Result<(), Violation>) {
+    let mut dep = DeploymentBuilder::new(3)
+        .hosts(1)
+        .seed(42)
+        .register(RegisterSpec::sro(0, "t", KEYS))
+        .build(|_| Box::new(WriteNf));
+    dep.settle();
+    let t0 = dep.now();
+    for i in 0..16u64 {
+        dep.inject(
+            t0 + SimDuration::micros(i * 500),
+            (i % 3) as usize,
+            0,
+            wpkt(i as u16, 100 + i as u16),
+        );
+    }
+    let ocfg = OracleConfig::new(t0 + SimDuration::millis(20));
+    let mut suite = OracleSuite::attach(&mut dep, ocfg);
+    let to = dep.controller_view().chain[victim];
+    let chunk = SnapshotChunk {
+        reg: 0,
+        origin: to,
+        last: false,
+        entries: vec![forged_entry(5)].into(),
+    };
+    dep.sim.inject(
+        t0 + SimDuration::millis(30),
+        Packet::swish(to, to, SwishMsg::SnapChunk(chunk)),
+    );
+    let end = t0 + SimDuration::millis(250);
+    let verdict = suite.run(&mut dep, end);
+    (dep, verdict)
+}
+
+#[test]
+fn convergence_oracle_names_a_diverged_chain_member() {
+    let (dep, verdict) = forged_snapshot_run(0);
+    let chain = dep.controller_view().chain;
+    assert_eq!(chain.len(), 3);
+    let v = verdict.expect_err("a forged chunk at the head must be caught");
+    assert_eq!(
+        v,
+        Violation {
+            at: SimTime(180_000_000),
+            kind: ViolationKind::Diverged {
+                reg: 0,
+                key: 5,
+                a: chain[2],
+                va: 105,
+                b: chain[0],
+                vb: FORGED_VALUE,
+            },
+        }
+    );
+}
+
+#[test]
+fn convergence_oracle_names_an_invented_value_at_the_tail() {
+    let (dep, verdict) = forged_snapshot_run(2);
+    assert_eq!(dep.controller_view().chain.len(), 3);
+    let v = verdict.expect_err("a forged chunk at the tail must be caught");
+    assert_eq!(
+        v,
+        Violation {
+            at: SimTime(180_000_000),
+            kind: ViolationKind::InventedValue {
+                reg: 0,
+                key: 5,
+                value: FORGED_VALUE,
+                stage: "state",
+            },
+        }
+    );
+}
+
+#[test]
+fn convergence_oracle_names_a_diverged_range_owner() {
+    let mut dep = DeploymentBuilder::new(3)
+        .hosts(1)
+        .seed(11)
+        .register(RegisterSpec::partitioned(0, "p", KEYS))
+        .build(|_| Box::new(WriteNf));
+    dep.settle();
+    let t0 = dep.now();
+    let ocfg = OracleConfig::new(t0 + SimDuration::millis(30));
+    let mut suite = OracleSuite::attach(&mut dep, ocfg);
+    for key in 0u16..4 {
+        dep.inject(
+            t0 + SimDuration::micros(u64::from(key) * 100),
+            0,
+            0,
+            wpkt(key, 300 + key),
+        );
+    }
+    // Grow the first range to two owners, so it has a member to diverge.
+    let range = dep.controller_ranges(0)[0].clone();
+    let joiner = dep.switch_ids()[2];
+    assert_ne!(range.owners, vec![joiner]);
+    dep.schedule_trigger(
+        t0 + SimDuration::millis(5),
+        TriggerOp::Grow,
+        0,
+        range.start,
+        joiner,
+    );
+    suite
+        .run(&mut dep, t0 + SimDuration::millis(30))
+        .unwrap_or_else(|v| panic!("oracle violation before the forged chunk: {v}"));
+    let grown = dep.controller_ranges(0)[0].clone();
+    assert_eq!(grown.owners, vec![range.owners[0], joiner], "group grew");
+    assert!(grown.mig_to.is_none());
+
+    let chunk = MigrateChunk {
+        reg: 0,
+        start: grown.start,
+        end: grown.end,
+        origin: grown.owners[0],
+        pass: 99,
+        idx: 0,
+        last: false,
+        entries: vec![forged_entry(2)].into(),
+    };
+    dep.sim.inject(
+        dep.now(),
+        Packet::swish(grown.owners[0], joiner, SwishMsg::MigrateChunk(chunk)),
+    );
+    let v = suite
+        .run(&mut dep, t0 + SimDuration::millis(250))
+        .expect_err("a forged chunk at the second owner must be caught");
+    assert_eq!(
+        v,
+        Violation {
+            at: SimTime(190_000_000),
+            kind: ViolationKind::Diverged {
+                reg: 0,
+                key: 2,
+                a: grown.owners[0],
+                va: 302,
+                b: joiner,
+                vb: FORGED_VALUE,
+            },
+        }
+    );
 }
