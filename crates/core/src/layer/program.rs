@@ -393,9 +393,10 @@ impl SwishProgram {
         };
         if is_tail {
             // Tail: acknowledge the writer and clear pending bits
-            // everywhere — ack processing entirely in the data plane
-            // (§3.3). The tail itself never sets a pending bit, so its
-            // reads always reflect committed state (CRAQ).
+            // everywhere (SRO only: ERO has none to clear) — ack
+            // processing entirely in the data plane (§3.3). The tail
+            // itself never sets a pending bit, so its reads always
+            // reflect committed state (CRAQ).
             eff.span(req.trace, SpanPhase::Ack);
             eff.forward(
                 req.writer,
@@ -408,15 +409,17 @@ impl SwishProgram {
                     trace: req.trace,
                 })),
             );
-            eff.multicast(
-                REPLICA_GROUP,
-                PacketBody::Swish(SwishMsg::Clear(PendingClear {
-                    epoch: chain.epoch,
-                    reg: req.reg,
-                    key: req.key,
-                    seq: assigned,
-                })),
-            );
+            if pending.is_some() {
+                eff.multicast(
+                    REPLICA_GROUP,
+                    PacketBody::Swish(SwishMsg::Clear(PendingClear {
+                        epoch: chain.epoch,
+                        reg: req.reg,
+                        key: req.key,
+                        seq: assigned,
+                    })),
+                );
+            }
         } else if let Some(p) = pending {
             // Mark the write in flight (SRO only).
             dp.reg_write(p, g, assigned);

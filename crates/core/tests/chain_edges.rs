@@ -172,6 +172,21 @@ fn tail_acks_clears_and_feeds_learners() {
 }
 
 #[test]
+fn ero_tail_acks_and_feeds_learners_without_a_clear() {
+    // ERO keeps no pending bits, so a `Clear` would reach no replica
+    // that could apply it.
+    let mut r = rig_with(RegisterSpec::ero(0, "t", 64), 2, &[0, 1, 2], &[3]);
+    let fx = deliver(&mut r, write_req(0, 5, 4, 40));
+    assert_eq!(peek(&r, 5), 40);
+    match sent(&fx)[..] {
+        [(Some(NodeId(0)), SwishMsg::Ack(a)), (Some(NodeId(3)), SwishMsg::Write(w))] => {
+            assert_eq!((a.seq, w.seq), (4, 4))
+        }
+        ref other => panic!("an ERO tail acks and feeds the learner, nothing else: {other:?}"),
+    }
+}
+
+#[test]
 fn learner_applies_but_produces_no_protocol_output() {
     let mut r = rig(3, &[0, 1, 2], &[3]);
     let fx = deliver(&mut r, write_req(0, 5, 4, 40));
