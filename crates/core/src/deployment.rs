@@ -562,7 +562,7 @@ impl Deployment {
         let Some(h) = sw.program().handles().rangeblk(reg) else {
             return Vec::new();
         };
-        crate::layer::read_ranges_dp(sw.dp(), h)
+        crate::layer::read_ranges(|i| sw.dp().reg(h).read(i))
     }
 
     /// The controller's master range table for a partitioned register.

@@ -16,14 +16,15 @@
 //! * **Recovery target** — when the pipeline reports the final snapshot
 //!   chunk applied, announce `CatchupComplete` to the controller.
 
-use super::{read_ranges_dp, write_chain, ChainView, CpItem, Handles, RegKind};
+use super::{read_ranges, write_chain, ChainView, CpItem, Handles, RegKind};
 use crate::config::SwishConfig;
 use crate::metrics::CpMetrics;
 use crate::reconfig::RangeView;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::rc::Rc;
-use swishmem_pisa::{ControlApp, CpCtx, RegHandle};
+use swishmem_pisa::{ControlApp, CpCtx, DataPlane, RegHandle};
 use swishmem_simnet::{SimDuration, SimTime, SpanPhase};
 use swishmem_wire::swish::{
     CatchupComplete, Heartbeat, Key, LoadEntry, LoadReport, MigrateBegin, MigrateChunk,
@@ -282,7 +283,8 @@ impl SwishCp {
     /// initial broadcast lands; callers fall back to the retry timer).
     fn part_range(&self, reg: RegId, key: Key, cp: &mut CpCtx<'_, '_>) -> Option<RangeView> {
         let h = self.handles.rangeblk(reg)?;
-        read_ranges_dp(cp.dataplane(), h)
+        let dp = cp.dataplane();
+        read_ranges(|i| dp.reg(h).read(i))
             .into_iter()
             .find(|r| r.contains(key))
     }
@@ -534,25 +536,21 @@ impl SwishCp {
             .retain(|t| !(t.reg == c.reg && t.start == c.start && t.epoch < c.epoch));
     }
 
-    /// Snapshot a key range of a partitioned register for one transfer
-    /// pass: `(key, per-key seq, value)` for every written key.
-    fn snapshot_range(
-        &self,
-        reg: RegId,
-        start: Key,
-        end: Key,
-        cp: &mut CpCtx<'_, '_>,
-    ) -> Vec<SnapEntry> {
+    /// State-transfer entries of chain register `reg` over `keys`:
+    /// `(key, seq, value)` for every written key, the seq being the
+    /// key's group sequence number (the key's own, partitioned). A
+    /// recovery snapshot reads a whole register, a migration pass one
+    /// key range.
+    fn snapshot_range(&self, reg: RegId, keys: Range<Key>, dp: &DataPlane) -> Vec<SnapEntry> {
         let entry = self.handles.entry(reg);
-        let RegKind::Chain { val, seq, .. } = &entry.kind else {
+        let RegKind::Chain { val, seq, .. } = entry.kind else {
             return vec![];
         };
-        let dp = cp.dataplane();
-        let mut out = Vec::new();
-        for key in start..end {
+        let mut out = Vec::with_capacity(keys.len());
+        for key in keys {
             let g = Handles::group_slot(&entry.spec, &self.cfg, key);
-            let s = dp.reg(*seq).read(g);
-            let v = dp.reg(*val).read(key as usize);
+            let s = dp.reg(seq).read(g);
+            let v = dp.reg(val).read(key as usize);
             if s == 0 && v == 0 {
                 continue; // never written
             }
@@ -584,7 +582,7 @@ impl SwishCp {
                     let m = &self.mig_out[i];
                     (m.reg, m.start, m.end)
                 };
-                let entries = self.snapshot_range(reg, start, end, cp);
+                let entries = self.snapshot_range(reg, start..end, cp.dataplane());
                 self.mig_out[i].pass_entries = Some(entries);
             }
             let me = self.me;
@@ -721,32 +719,18 @@ impl SwishCp {
     }
 
     fn handle_snapshot_request(&mut self, target: NodeId, cp: &mut CpCtx<'_, '_>) {
-        // Snapshot every chain register: (key, group seq, value) entries.
+        // Snapshot every chain register, whole.
         let chunk_size = self.cfg.snapshot_chunk.max(1);
-        let mut all: Vec<(RegId, Vec<SnapEntry>)> = Vec::new();
-        {
-            let dp = cp.dataplane();
-            for entry in &self.handles.regs {
-                let RegKind::Chain { val, seq, .. } = &entry.kind else {
-                    continue;
-                };
-                let mut entries = Vec::with_capacity(entry.spec.keys as usize);
-                for key in 0..entry.spec.keys {
-                    let g = Handles::group_slot(&entry.spec, &self.cfg, key);
-                    let s = dp.reg(*seq).read(g);
-                    let v = dp.reg(*val).read(key as usize);
-                    if s == 0 && v == 0 {
-                        continue; // never written
-                    }
-                    entries.push(SnapEntry {
-                        key,
-                        seq: s,
-                        value: v,
-                    });
-                }
-                all.push((entry.spec.id, entries));
-            }
-        }
+        let dp = cp.dataplane();
+        let all: Vec<(RegId, Vec<SnapEntry>)> = (self.handles.regs.iter())
+            .filter(|e| matches!(e.kind, RegKind::Chain { .. }))
+            .map(|e| {
+                (
+                    e.spec.id,
+                    self.snapshot_range(e.spec.id, 0..e.spec.keys, dp),
+                )
+            })
+            .collect();
         // Even with no chain registers, send one empty terminal chunk so
         // the target still reports catch-up completion.
         let was_empty = self.snap_out.is_empty();

@@ -177,6 +177,29 @@ impl Handles {
             .map(|(_, h)| *h)
     }
 
+    /// The chain a write to `(reg, key)` travels, as the pipeline sees
+    /// it. A replicated register's is the config block: the chain, whose
+    /// tail acks, then the learners. A partitioned register's is the
+    /// key's range: its owners, then the migration destination while a
+    /// transfer is open, and the last member acks. `None` when the key
+    /// lies in no installed range.
+    pub(crate) fn write_route(&self, dp: &DpView<'_>, reg: RegId, key: Key) -> Option<ChainRead> {
+        let Some(h) = self.rangeblk(reg) else {
+            return Some(ChainRead::read(dp, self.cfgblk));
+        };
+        let ranges = read_ranges(|i| dp.reg_read(h, i));
+        let r = ranges.iter().find(|r| r.contains(key))?;
+        let members = r.write_chain();
+        let mut order = [NodeId(0); MAX_NODES + MAX_LEARNERS];
+        order[..members.len()].copy_from_slice(&members);
+        Some(ChainRead {
+            epoch: r.epoch,
+            order,
+            chain_len: members.len(),
+            order_len: members.len(),
+        })
+    }
+
     /// Sequence/pending slots for a register: partitioned registers
     /// sequence per key (grouping would alias slots across directory
     /// range boundaries), replicated ones per key group.
@@ -226,11 +249,12 @@ impl ChainView {
     }
 }
 
-/// The configuration block as the pipeline reads it on the packet path:
-/// a fixed-capacity copy with the write order laid out contiguously (chain
-/// members, then learners), so a chain write, a tail redirect and a
-/// pending sweep allocate nothing. The owning [`ChainView`] remains for
-/// the controller, the control plane and
+/// A chain as the pipeline reads it on the packet path: a fixed-capacity
+/// copy with the write order laid out contiguously (chain members, then
+/// learners), so a chain write, a tail redirect and a pending sweep
+/// allocate nothing. Read from the configuration block, or built from a
+/// partitioned key range by [`Handles::write_route`]. The owning
+/// [`ChainView`] remains for the controller, the control plane and
 /// [`program::SwishProgram::chain_view`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChainRead {
@@ -313,23 +337,10 @@ pub(crate) fn write_chain(dp: &mut DataPlane, h: RegHandle, view: &ChainView) {
     }
 }
 
-/// Read a partitioned register's range table from the pipeline.
-pub(crate) fn read_ranges(dp: &DpView<'_>, h: RegHandle) -> Vec<RangeView> {
-    let mut cells = vec![0u64; RANGEBLK_LEN];
-    for (i, c) in cells.iter_mut().enumerate() {
-        *c = dp.reg_read(h, i);
-    }
-    reconfig::decode_ranges(&cells)
-}
-
-/// Read a partitioned register's range table directly from the data
-/// plane (the control-plane-side variant of [`read_ranges`]).
-pub(crate) fn read_ranges_dp(dp: &DataPlane, h: RegHandle) -> Vec<RangeView> {
-    let r = dp.reg(h);
-    let mut cells = vec![0u64; RANGEBLK_LEN];
-    for (i, c) in cells.iter_mut().enumerate() {
-        *c = r.read(i);
-    }
+/// Decode a partitioned register's range table from its cells, read
+/// through `cell` (the pipeline's view or the control plane's).
+pub(crate) fn read_ranges(cell: impl Fn(usize) -> u64) -> Vec<RangeView> {
+    let cells: Vec<u64> = (0..RANGEBLK_LEN).map(cell).collect();
     reconfig::decode_ranges(&cells)
 }
 

@@ -15,8 +15,8 @@ use std::rc::Rc;
 use swishmem_pisa::{DataPlane, DataPlaneProgram, DpView, Effects, RegHandle};
 use swishmem_simnet::{SimTime, SpanPhase};
 use swishmem_wire::swish::{
-    MigrateBegin, MigrateChunk, OwnershipCommit, PendingClear, ReadForward, RegId, SnapshotChunk,
-    SyncEntry, SyncUpdate, WriteOp, WriteRequest,
+    MigrateBegin, OwnershipCommit, PendingClear, ReadForward, RegId, SnapEntry, SyncEntry,
+    SyncUpdate, WriteOp, WriteRequest,
 };
 use swishmem_wire::{DataPacket, NodeId, Packet, PacketBody, Shared, SwishMsg, TraceId};
 
@@ -333,28 +333,33 @@ impl SwishProgram {
     // Chain protocol (SRO/ERO data-plane half, §6.1)
     // ------------------------------------------------------------------
 
+    /// One chain step (§6.1), the same for both placements: resolve the
+    /// order the write travels and the member that acks it
+    /// ([`Handles::write_route`]), then sequence at the head, apply
+    /// monotonically, ack at the acking member (clearing pending bits
+    /// everywhere, for SRO) and forward to the next switch in the order.
+    /// A write reaching a switch off its route was routed from a stale
+    /// view; dropping it makes the writer's retry re-route.
     fn on_chain_write(&mut self, req: WriteRequest, dp: &mut DpView<'_>, eff: &mut Effects) {
-        let chain = ChainRead::read(dp, self.handles.cfgblk);
-        let order = chain.write_order();
-        let Some(pos) = order.iter().position(|&n| n == self.me) else {
-            self.metrics.chain_stale += 1;
-            return;
-        };
         let entry = self.handles.entry(req.reg);
-        let RegKind::Chain { val, seq, pending } = &entry.kind else {
+        let (RegKind::Chain { val, seq, pending }, Some(route)) =
+            (&entry.kind, self.handles.write_route(dp, req.reg, req.key))
+        else {
             self.metrics.chain_stale += 1;
             return;
         };
         let (val, seq, pending) = (*val, *seq, *pending);
+        let order = route.write_order();
+        let Some(pos) = order.iter().position(|&n| n == self.me) else {
+            self.metrics.chain_stale += 1;
+            return;
+        };
         let g = Handles::group_slot(&entry.spec, &self.cfg, req.key);
         let cur = dp.reg_read(seq, g);
 
-        let is_head = pos == 0;
-        let is_tail = chain.tail() == Some(self.me);
-
         // The head sequences unnumbered requests and rewrites Add into Set
         // so every replica applies an identical value.
-        let (assigned, op) = if is_head && req.seq == 0 {
+        let (assigned, op) = if pos == 0 && req.seq == 0 {
             let value = match req.op {
                 WriteOp::Set(v) => v,
                 WriteOp::Add(d) => dp.reg_read(val, req.key as usize).wrapping_add(d as u64),
@@ -386,17 +391,12 @@ impl SwishProgram {
         self.metrics.chain_applies += 1;
         eff.span(req.trace, SpanPhase::ChainHop(pos as u8));
 
-        let fwd = WriteRequest {
-            seq: assigned,
-            op,
-            ..req
-        };
-        if is_tail {
-            // Tail: acknowledge the writer and clear pending bits
-            // everywhere (SRO only: ERO has none to clear) — ack
-            // processing entirely in the data plane (§3.3). The tail
-            // itself never sets a pending bit, so its reads always
-            // reflect committed state (CRAQ).
+        if pos + 1 == route.chain_len() {
+            // The acking member: acknowledge the writer and clear pending
+            // bits everywhere (SRO only: ERO has none to clear) — ack
+            // processing entirely in the data plane (§3.3). It never sets
+            // a pending bit itself, so its reads always reflect committed
+            // state (CRAQ).
             eff.span(req.trace, SpanPhase::Ack);
             eff.forward(
                 req.writer,
@@ -413,7 +413,7 @@ impl SwishProgram {
                 eff.multicast(
                     REPLICA_GROUP,
                     PacketBody::Swish(SwishMsg::Clear(PendingClear {
-                        epoch: chain.epoch,
+                        epoch: route.epoch,
                         reg: req.reg,
                         key: req.key,
                         seq: assigned,
@@ -425,6 +425,11 @@ impl SwishProgram {
             dp.reg_write(p, g, assigned);
         }
         if let Some(&next) = order.get(pos + 1) {
+            let fwd = WriteRequest {
+                seq: assigned,
+                op,
+                ..req
+            };
             eff.forward(next, PacketBody::Swish(SwishMsg::Write(fwd)));
         }
     }
@@ -633,100 +638,13 @@ impl SwishProgram {
         }
     }
 
-    /// The chain-write handler for partitioned registers: the effective
-    /// chain is the *range's* owner set — extended by the migration
-    /// destination as acking tail while a transfer is open — and
-    /// sequencing is per key. A write landing at a switch that is not in
-    /// the key's chain was routed off a stale table; dropping it makes
-    /// the writer's retry re-route through the updated table.
-    fn on_part_write(&mut self, req: WriteRequest, dp: &mut DpView<'_>, eff: &mut Effects) {
-        let entry = self.handles.entry(req.reg);
-        let RegKind::Chain { val, seq, .. } = &entry.kind else {
-            self.metrics.part_stale += 1;
-            return;
-        };
-        let (val, seq) = (*val, *seq);
-        let Some(h) = self.handles.rangeblk(req.reg) else {
-            self.metrics.part_stale += 1;
-            return;
-        };
-        let ranges = read_ranges(dp, h);
-        let Some(r) = ranges.iter().find(|r| r.contains(req.key)) else {
-            self.metrics.part_stale += 1;
-            return;
-        };
-        let chain = r.write_chain();
-        let Some(pos) = chain.iter().position(|&n| n == self.me) else {
-            self.metrics.part_stale += 1;
-            return;
-        };
-        let g = Handles::group_slot(&entry.spec, &self.cfg, req.key);
-        let cur = dp.reg_read(seq, g);
-
-        let is_head = pos == 0;
-        let is_tail = pos + 1 == chain.len();
-
-        let (assigned, op) = if is_head && req.seq == 0 {
-            let value = match req.op {
-                WriteOp::Set(v) => v,
-                WriteOp::Add(d) => dp.reg_read(val, req.key as usize).wrapping_add(d as u64),
-            };
-            (cur + 1, WriteOp::Set(value))
-        } else if req.seq == 0 {
-            // Sequencing request at a non-primary: stale routing.
-            self.metrics.part_stale += 1;
-            return;
-        } else {
-            (req.seq, req.op)
-        };
-
-        if assigned <= cur {
-            self.metrics.chain_stale += 1;
-            return;
-        }
-        let WriteOp::Set(value) = op else {
-            self.metrics.chain_stale += 1;
-            return;
-        };
-        dp.reg_write(val, req.key as usize, value);
-        dp.reg_write(seq, g, assigned);
-        self.metrics.chain_applies += 1;
-        eff.span(req.trace, SpanPhase::ChainHop(pos as u8));
-
-        if is_tail {
-            // Per-range tail acks the writer. No pending bits to clear:
-            // partitioned registers are ERO-class.
-            eff.span(req.trace, SpanPhase::Ack);
-            eff.forward(
-                req.writer,
-                PacketBody::Swish(SwishMsg::Ack(swishmem_wire::swish::WriteAck {
-                    write_id: req.write_id,
-                    writer: req.writer,
-                    reg: req.reg,
-                    key: req.key,
-                    seq: assigned,
-                    trace: req.trace,
-                })),
-            );
-        } else {
-            eff.forward(
-                chain[pos + 1],
-                PacketBody::Swish(SwishMsg::Write(WriteRequest {
-                    seq: assigned,
-                    op,
-                    ..req
-                })),
-            );
-        }
-    }
-
     /// `MigrateBegin`: record the destination as the range's `mig_to` in
     /// the data-plane table (epoch-guarded, so re-broadcasts and stale
     /// duplicates are idempotent), then punt to the control plane, which
     /// starts streaming (source) or pass tracking (destination).
     fn on_migrate_begin(&mut self, m: MigrateBegin, dp: &mut DpView<'_>, eff: &mut Effects) {
         if let Some(h) = self.handles.rangeblk(m.reg) {
-            let mut ranges = read_ranges(dp, h);
+            let mut ranges = read_ranges(|i| dp.reg_read(h, i));
             if let Some(r) = ranges
                 .iter_mut()
                 .find(|r| r.start == m.start && r.end == m.end)
@@ -748,7 +666,7 @@ impl SwishProgram {
     /// periodic resync install themselves.
     fn on_ownership_commit(&mut self, c: OwnershipCommit, dp: &mut DpView<'_>, eff: &mut Effects) {
         if let Some(h) = self.handles.rangeblk(c.reg) {
-            let mut ranges = read_ranges(dp, h);
+            let mut ranges = read_ranges(|i| dp.reg_read(h, i));
             let changed = match ranges
                 .iter_mut()
                 .find(|r| r.start == c.start && r.end == c.end)
@@ -782,56 +700,33 @@ impl SwishProgram {
         eff.punt(CpItem::Proto(SwishMsg::OwnershipCommit(c)));
     }
 
-    /// Apply one migration chunk at the destination: the same seq-guarded
-    /// idempotent apply as snapshot catch-up, but per key (partitioned
-    /// registers sequence per key). The control plane tracks pass
-    /// completeness, so the chunk is punted whole after the apply.
-    fn on_migrate_chunk(&mut self, ch: MigrateChunk, dp: &mut DpView<'_>, eff: &mut Effects) {
-        let entry = self.handles.entry(ch.reg);
-        if let RegKind::Chain { val, seq, .. } = &entry.kind {
-            let (val, seq) = (*val, *seq);
-            for e in &ch.entries {
-                let g = Handles::group_slot(&entry.spec, &self.cfg, e.key);
-                let cur = dp.reg_read(seq, g);
-                if e.seq >= cur {
-                    dp.reg_write(val, e.key as usize, e.value);
-                    dp.reg_write(seq, g, e.seq.max(cur));
-                    self.metrics.migrate_applied += 1;
-                } else {
-                    self.metrics.migrate_stale += 1;
-                }
-            }
-        }
-        eff.punt(CpItem::Proto(SwishMsg::MigrateChunk(ch)));
-    }
-
     // ------------------------------------------------------------------
-    // Recovery (§6.3): guarded snapshot apply
+    // State transfer (§6.3 catch-up, migration): guarded apply
     // ------------------------------------------------------------------
 
-    fn on_snap_chunk(&mut self, ch: &SnapshotChunk, dp: &mut DpView<'_>, eff: &mut Effects) {
-        let entry = self.handles.entry(ch.reg);
-        if let RegKind::Chain { val, seq, .. } = &entry.kind {
-            let (val, seq) = (*val, *seq);
-            for e in &ch.entries {
-                let g = Handles::group_slot(&entry.spec, &self.cfg, e.key);
-                let cur = dp.reg_read(seq, g);
-                // "These writes contain the sequence number at the time of
-                // the snapshot, to prevent overwriting new values with old
-                // ones" (§6.3). Equal seq means the snapshot entry is the
-                // newest write for this group: apply.
-                if e.seq >= cur {
-                    dp.reg_write(val, e.key as usize, e.value);
-                    dp.reg_write(seq, g, e.seq.max(cur));
-                    self.metrics.snapshot_applied += 1;
-                } else {
-                    self.metrics.snapshot_stale += 1;
-                }
+    /// Apply state-transfer entries — a recovery snapshot chunk (§6.3)
+    /// or a migration chunk — to chain register `reg`, and return how
+    /// many were `(applied, stale)`. "These writes contain the sequence
+    /// number at the time of the snapshot, to prevent overwriting new
+    /// values with old ones" (§6.3): an entry applies only if its
+    /// sequence number is at least the local one, so equal means the
+    /// entry is the newest write for the group, and re-applying a chunk
+    /// is idempotent.
+    fn apply_transfer(&self, reg: RegId, entries: &[SnapEntry], dp: &mut DpView<'_>) -> (u64, u64) {
+        let entry = self.handles.entry(reg);
+        let RegKind::Chain { val, seq, .. } = entry.kind else {
+            return (0, 0);
+        };
+        let mut applied = 0;
+        for e in entries {
+            let g = Handles::group_slot(&entry.spec, &self.cfg, e.key);
+            if e.seq >= dp.reg_read(seq, g) {
+                dp.reg_write(val, e.key as usize, e.value);
+                dp.reg_write(seq, g, e.seq);
+                applied += 1;
             }
         }
-        if ch.last {
-            eff.punt(CpItem::SnapshotDone);
-        }
+        (applied, entries.len() as u64 - applied)
     }
 }
 
@@ -876,13 +771,7 @@ impl DataPlaneProgram for SwishProgram {
                 self.handle_data(d, pkt.src, true, trace, dp, eff);
             }
             PacketBody::Swish(msg) => match msg {
-                SwishMsg::Write(req) => {
-                    if self.handles.entry(req.reg).spec.is_partitioned() {
-                        self.on_part_write(req, dp, eff)
-                    } else {
-                        self.on_chain_write(req, dp, eff)
-                    }
-                }
+                SwishMsg::Write(req) => self.on_chain_write(req, dp, eff),
                 SwishMsg::Clear(c) => self.on_clear(c, dp),
                 SwishMsg::Sync(u) => self.on_sync(&u, dp, eff),
                 SwishMsg::ReadForward(rf) => {
@@ -890,10 +779,24 @@ impl DataPlaneProgram for SwishProgram {
                     eff.span(rf.trace, SpanPhase::TailServe);
                     self.handle_data(rf.inner, rf.origin, false, rf.trace, dp, eff);
                 }
-                SwishMsg::SnapChunk(ch) => self.on_snap_chunk(&ch, dp, eff),
+                SwishMsg::SnapChunk(ch) => {
+                    let (applied, stale) = self.apply_transfer(ch.reg, &ch.entries, dp);
+                    self.metrics.snapshot_applied += applied;
+                    self.metrics.snapshot_stale += stale;
+                    if ch.last {
+                        eff.punt(CpItem::SnapshotDone);
+                    }
+                }
                 SwishMsg::MigrateBegin(m) => self.on_migrate_begin(m, dp, eff),
                 SwishMsg::OwnershipCommit(c) => self.on_ownership_commit(c, dp, eff),
-                SwishMsg::MigrateChunk(ch) => self.on_migrate_chunk(ch, dp, eff),
+                SwishMsg::MigrateChunk(ch) => {
+                    // The control plane tracks pass completeness, so the
+                    // chunk is punted whole after the apply.
+                    let (applied, stale) = self.apply_transfer(ch.reg, &ch.entries, dp);
+                    self.metrics.migrate_applied += applied;
+                    self.metrics.migrate_stale += stale;
+                    eff.punt(CpItem::Proto(SwishMsg::MigrateChunk(ch)));
+                }
                 // Control-plane messages move into the punt item whole —
                 // the punt path never deep-copies.
                 other => eff.punt(CpItem::Proto(other)),

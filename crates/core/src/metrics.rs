@@ -152,7 +152,9 @@ pub struct DpMetrics {
     pub sro_jobs_punted: u64,
     /// Chain write requests applied in the data plane.
     pub chain_applies: u64,
-    /// Chain write requests rejected as stale/duplicate.
+    /// Chain write requests dropped: stale or duplicate, or routed off
+    /// the write's chain from a stale view (the writer's retry
+    /// re-routes).
     pub chain_stale: u64,
     /// Pending-clear messages applied.
     pub clears_applied: u64,
@@ -173,9 +175,6 @@ pub struct DpMetrics {
     pub snapshot_stale: u64,
     /// `Clear` messages re-multicast by the tail's pending sweep.
     pub pending_sweep_clears: u64,
-    /// Partitioned writes dropped at a non-owner (stale routing table at
-    /// the writer; its CP retry re-routes via the updated table).
-    pub part_stale: u64,
     /// Migration chunk entries applied (destination side).
     pub migrate_applied: u64,
     /// Migration chunk entries rejected by the per-key sequence guard.

@@ -64,6 +64,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 
 use swishmem_simnet::{
@@ -1300,163 +1301,107 @@ impl OracleSuite {
         swish: &SwishConfig,
         now: SimTime,
     ) {
-        // Key groups with an abandoned (retry-exhausted) or orphaned
-        // (writer crashed pre-ack) write may hold a chain prefix ahead of
-        // the tail forever: exclude them.
-        let mut abandoned: BTreeSet<(RegId, u32)> = BTreeSet::new();
-        for i in 0..dep.switch_ids().len() {
-            if dep.is_switch_failed(i) {
-                continue;
-            }
-            for &(reg, key) in &dep.cp_metrics(i).abandoned_writes {
-                if let Some(spec) = specs.iter().find(|s| s.id == reg) {
-                    abandoned.insert((reg, key % swish.group_slots(spec.keys)));
-                }
-            }
-        }
-        let view = dep.controller_view();
+        let ids = dep.switch_ids();
+        let live = |i: usize| !dep.is_switch_failed(i);
         let wire = self.wire.borrow();
-        for &(reg, key) in &wire.orphaned {
-            if let Some(spec) = specs.iter().find(|s| s.id == reg) {
-                abandoned.insert((reg, key % swish.group_slots(spec.keys)));
+        // A chain-register group with an abandoned (retry-exhausted) or
+        // orphaned (writer crashed pre-ack) write may hold a chain prefix
+        // ahead of the reference forever: exclude it. The group is the
+        // key's sequence group, the key itself for a partitioned register
+        // (it sequences per key).
+        let group = |reg: RegId, key: Key| {
+            let spec = specs
+                .iter()
+                .find(|s| s.id == reg && s.class != RegisterClass::Ewo)?;
+            if spec.is_partitioned() {
+                Some((reg, key))
+            } else {
+                Some((reg, key % swish.group_slots(spec.keys)))
             }
-        }
-        // Partitioned exclusions use exact keys (partitioned registers
-        // sequence per key, so there is no group aliasing to fold).
-        let mut part_excluded: BTreeSet<(RegId, Key)> = BTreeSet::new();
-        for i in 0..dep.switch_ids().len() {
-            if dep.is_switch_failed(i) {
-                continue;
-            }
-            for &(reg, key) in &dep.cp_metrics(i).abandoned_writes {
-                part_excluded.insert((reg, key));
-            }
-        }
-        part_excluded.extend(wire.orphaned.iter().copied());
+        };
+        let abandoned = (0..ids.len())
+            .filter(|&i| live(i))
+            .flat_map(|i| &dep.cp_metrics(i).abandoned_writes);
+        let excluded: BTreeSet<(RegId, Key)> = abandoned
+            .chain(&wire.orphaned)
+            .filter_map(|&(reg, key)| group(reg, key))
+            .collect();
 
-        let mut found: Vec<ViolationKind> = Vec::new();
+        // Each class names a reference replica and the live members that
+        // must agree with it over a key span:
+        // - a partitioned range: its first live owner and the other live
+        //   owners. Skipped while a transfer is open (the destination
+        //   legally lags until its pass completes) and once its whole
+        //   owner set died;
+        // - a chain register: the tail and the other live chain members;
+        // - an EWO register: the first live replica and the rest.
+        let view = dep.controller_view();
+        let alive: Vec<usize> = (0..ids.len()).filter(|&i| live(i)).collect();
+        let mut checks: Vec<(&RegisterSpec, usize, Vec<usize>, Range<Key>)> = Vec::new();
         for spec in specs {
             if spec.is_partitioned() {
-                // Per-range convergence: all live owners agree, and the
-                // primary's value must be requested. Skip ranges with an
-                // open transfer (the destination legally lags until its
-                // pass completes) and ranges whose whole owner set died.
                 for r in dep.controller_ranges(spec.id) {
                     if r.mig_to.is_some() || self.dead_ranges.contains(&(spec.id, r.start)) {
                         continue;
                     }
-                    let live: Vec<usize> = r
-                        .owners
-                        .iter()
+                    let owners: Vec<usize> = (r.owners.iter())
                         .filter_map(|&o| dep.switch_index(o))
-                        .filter(|&i| !dep.is_switch_failed(i))
+                        .filter(|&i| live(i))
                         .collect();
-                    let Some(&p) = live.first() else { continue };
-                    for key in r.start..r.end.min(spec.keys) {
-                        if part_excluded.contains(&(spec.id, key)) {
-                            continue;
-                        }
-                        let vp = dep.peek(p, spec.id, key);
-                        if vp != 0
-                            && !wire.is_tainted(spec.id, key)
-                            && !wire.requested_contains(spec.id, key, vp)
-                        {
-                            found.push(ViolationKind::InventedValue {
-                                reg: spec.id,
-                                key,
-                                value: vp,
-                                stage: "state",
-                            });
-                        }
-                        for &j in &live[1..] {
-                            let vj = dep.peek(j, spec.id, key);
-                            if vj != vp {
-                                found.push(ViolationKind::Diverged {
-                                    reg: spec.id,
-                                    key,
-                                    a: dep.switch_ids()[p],
-                                    va: vp,
-                                    b: dep.switch_ids()[j],
-                                    vb: vj,
-                                });
-                            }
-                        }
+                    if let Some((&first, rest)) = owners.split_first() {
+                        checks.push((spec, first, rest.to_vec(), r.start..r.end.min(spec.keys)));
                     }
                 }
-                continue;
+            } else if spec.class == RegisterClass::Ewo {
+                if let Some((&first, rest)) = alive.split_first() {
+                    checks.push((spec, first, rest.to_vec(), 0..spec.keys));
+                }
+            } else if let Some(tail) = (view.chain.last())
+                .and_then(|&t| dep.switch_index(t))
+                .filter(|&i| live(i))
+            {
+                let members = (view.chain.iter())
+                    .filter_map(|&m| dep.switch_index(m))
+                    .filter(|&j| j != tail && live(j))
+                    .collect();
+                checks.push((spec, tail, members, 0..spec.keys));
             }
-            match spec.class {
-                RegisterClass::Sro | RegisterClass::Ero => {
-                    // All live chain members agree with the tail; the
-                    // tail's value itself must have been requested.
-                    let Some(ti) = view
-                        .chain
-                        .last()
-                        .and_then(|&t| dep.switch_index(t))
-                        .filter(|&i| !dep.is_switch_failed(i))
-                    else {
-                        continue;
-                    };
-                    let slots = swish.group_slots(spec.keys);
-                    for key in 0..spec.keys {
-                        if abandoned.contains(&(spec.id, key % slots)) {
-                            continue;
-                        }
-                        let vt = dep.peek(ti, spec.id, key);
-                        if vt != 0
-                            && !wire.is_tainted(spec.id, key)
-                            && !wire.requested_contains(spec.id, key, vt)
-                        {
-                            found.push(ViolationKind::InventedValue {
-                                reg: spec.id,
-                                key,
-                                value: vt,
-                                stage: "state",
-                            });
-                        }
-                        for &member in &view.chain {
-                            let Some(j) = dep.switch_index(member) else {
-                                continue;
-                            };
-                            if j == ti || dep.is_switch_failed(j) {
-                                continue;
-                            }
-                            let vj = dep.peek(j, spec.id, key);
-                            if vj != vt {
-                                found.push(ViolationKind::Diverged {
-                                    reg: spec.id,
-                                    key,
-                                    a: dep.switch_ids()[ti],
-                                    va: vt,
-                                    b: member,
-                                    vb: vj,
-                                });
-                            }
-                        }
-                    }
+        }
+
+        // The one agreement loop. A chain class's reference value must
+        // also have been requested by some writer.
+        let mut found: Vec<ViolationKind> = Vec::new();
+        for (spec, reference, members, keys) in checks {
+            let reg = spec.id;
+            let chain_class = spec.class != RegisterClass::Ewo;
+            for key in keys {
+                if group(reg, key).is_some_and(|g| excluded.contains(&g)) {
+                    continue;
                 }
-                RegisterClass::Ewo => {
-                    // All live replicas agree pairwise (against the first
-                    // live one as reference).
-                    let alive: Vec<usize> = (0..dep.switch_ids().len())
-                        .filter(|&i| !dep.is_switch_failed(i))
-                        .collect();
-                    let Some(&r) = alive.first() else { continue };
-                    for key in 0..spec.keys {
-                        let vr = dep.peek(r, spec.id, key);
-                        for &j in &alive[1..] {
-                            let vj = dep.peek(j, spec.id, key);
-                            if vj != vr {
-                                found.push(ViolationKind::Diverged {
-                                    reg: spec.id,
-                                    key,
-                                    a: dep.switch_ids()[r],
-                                    va: vr,
-                                    b: dep.switch_ids()[j],
-                                    vb: vj,
-                                });
-                            }
-                        }
+                let va = dep.peek(reference, reg, key);
+                if chain_class
+                    && va != 0
+                    && !wire.is_tainted(reg, key)
+                    && !wire.requested_contains(reg, key, va)
+                {
+                    found.push(ViolationKind::InventedValue {
+                        reg,
+                        key,
+                        value: va,
+                        stage: "state",
+                    });
+                }
+                for &j in &members {
+                    let vb = dep.peek(j, reg, key);
+                    if vb != va {
+                        found.push(ViolationKind::Diverged {
+                            reg,
+                            key,
+                            a: ids[reference],
+                            va,
+                            b: ids[j],
+                            vb,
+                        });
                     }
                 }
             }

@@ -354,5 +354,5 @@ fn partitioned_write_at_a_non_owner_is_stale() {
     let fx = deliver(&mut r, write_req(0, 5, 4, 40));
     assert!(fx.is_empty());
     assert_eq!(peek(&r, 5), 0);
-    assert_eq!(r.prog.metrics().part_stale, 1);
+    assert_eq!(r.prog.metrics().chain_stale, 1);
 }

@@ -3,7 +3,7 @@
 //! as a replayable trace.
 //!
 //! A capture is a [`crate::Tap`] subscribed to [`NetEvent::Injected`],
-//! which both engines emit from `inject`; like every observer it never
+//! which the engine emits from `inject`; like every observer it never
 //! touches the event queue or the engine RNG, so attaching it cannot
 //! perturb a deterministic run.
 

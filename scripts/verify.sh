@@ -12,7 +12,16 @@ cd "$(dirname "$0")/.."
 #
 #   robustness (DESIGN.md §8)       fault_sweep — seeded fault schedules vs
 #     the oracles; a failure prints the deployment seed and the full
-#     schedule needed to replay it.
+#     schedule needed to replay it. Its convergence_oracle_names_* tests
+#     are the oracle's negative controls: one forged state-transfer chunk
+#     at a non-tail member, at the tail and at a range's second owner
+#     must give the pinned Diverged / InventedValue verdict.
+#   chain protocol (§6.1, §6.3)     swishmem/chain_edges — the one chain
+#     step driven message by message: head sequencing, monotonic apply,
+#     tail ack, pending clears; ero_tail_acks_and_feeds_learners_without_a_clear
+#     (an ERO tail sends no Clear); the partitioned_* cases (the last
+#     owner forwards to the migration destination, which acks; a
+#     non-owner drops the write as stale).
 #   reconfiguration (§10)           reconfig_sweep — migrations interleaved
 #     into random fault schedules stay oracle-clean;
 #     swishmem/directory_invariants — range-table coverage and no-overlap
