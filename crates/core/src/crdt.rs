@@ -1,174 +1,107 @@
-//! Pure CRDT reference implementations (§6.2).
+//! The one definition of each EWO merge policy's cell behaviour (§6.2).
 //!
-//! These are the mathematical objects the in-switch EWO register layouts
-//! implement with `(version, value)` pair registers. Keeping a pure,
-//! heap-based implementation beside the register-based one lets the
-//! property-test suite verify the CRDT laws (commutativity, associativity,
-//! idempotence, monotonicity) and lets the experiments compare in-switch
-//! results against an oracle.
+//! An EWO register keeps [`MergePolicy::slots`] `(version, value)` pair
+//! cells per key. Every EWO site goes through the methods here: the local
+//! update `apply_ewo` applies ([`MergePolicy::update`]), the sync merge
+//! ([`MergePolicy::join`]), and both read paths, the NF's and the
+//! management plane's ([`MergePolicy::read`]). The lattice-law tests check
+//! `join` itself, so the laws hold of the merge that runs.
 
-use swishmem_wire::NodeId;
+use crate::config::MergePolicy;
+use crate::version::SwitchClock;
+use swishmem_simnet::{SimDuration, SimTime};
+use swishmem_wire::swish::WriteOp;
 
-/// State-based CRDT interface: a join-semilattice with a monotone `merge`.
-pub trait Crdt: Clone {
-    /// Join this replica's state with another's (least upper bound).
-    fn merge(&mut self, other: &Self);
+/// The window epoch `now` falls in.
+pub fn epoch_at(window: SimDuration, now: SimTime) -> u64 {
+    now.nanos() / window.as_nanos().max(1)
 }
 
-/// Grow-only counter: one non-decreasing slot per switch (§6.2: "an
-/// increment-only counter can be implemented by maintaining a vector of
-/// counter values, one per switch").
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct GCounter {
-    slots: Vec<u64>,
-}
-
-impl GCounter {
-    /// A counter over `n` replicas.
-    pub fn new(n: usize) -> GCounter {
-        GCounter { slots: vec![0; n] }
-    }
-
-    /// Increment this switch's slot.
-    pub fn increment(&mut self, id: NodeId, delta: u64) {
-        let i = id.index() % self.slots.len().max(1);
-        self.slots[i] += delta;
-    }
-
-    /// Read: the sum of all slots.
-    pub fn read(&self) -> u64 {
-        self.slots.iter().sum()
-    }
-
-    /// This replica's slot value.
-    pub fn slot(&self, id: NodeId) -> u64 {
-        self.slots[id.index() % self.slots.len().max(1)]
-    }
-}
-
-impl Crdt for GCounter {
-    fn merge(&mut self, other: &Self) {
-        if other.slots.len() > self.slots.len() {
-            self.slots.resize(other.slots.len(), 0);
-        }
-        for (i, &v) in other.slots.iter().enumerate() {
-            self.slots[i] = self.slots[i].max(v);
-        }
-    }
-}
-
-/// Positive-negative counter: two G-counters ("further extensions support
-/// decrement operations", §6.2).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PnCounter {
-    inc: GCounter,
-    dec: GCounter,
-}
-
-impl PnCounter {
-    /// A counter over `n` replicas.
-    pub fn new(n: usize) -> PnCounter {
-        PnCounter {
-            inc: GCounter::new(n),
-            dec: GCounter::new(n),
+impl MergePolicy {
+    /// Pair cells per key on `n_switches` switches: LWW keeps one shared
+    /// cell, the counters one slot per switch.
+    pub fn slots(self, n_switches: usize) -> usize {
+        match self {
+            MergePolicy::Lww => 1,
+            MergePolicy::GCounter | MergePolicy::Windowed { .. } => n_switches,
         }
     }
 
-    /// Add `delta` (may be negative).
-    pub fn add(&mut self, id: NodeId, delta: i64) {
-        if delta >= 0 {
-            self.inc.increment(id, delta as u64);
-        } else {
-            self.dec.increment(id, delta.unsigned_abs());
+    /// The slot switch `writer`'s updates land in: LWW's one shared cell,
+    /// or the writer's own counter slot.
+    pub fn slot_of(self, writer: usize) -> usize {
+        match self {
+            MergePolicy::Lww => 0,
+            MergePolicy::GCounter | MergePolicy::Windowed { .. } => writer,
         }
     }
 
-    /// Read: increments minus decrements.
-    pub fn read(&self) -> i64 {
-        self.inc.read() as i64 - self.dec.read() as i64
-    }
-}
-
-impl Crdt for PnCounter {
-    fn merge(&mut self, other: &Self) {
-        self.inc.merge(&other.inc);
-        self.dec.merge(&other.dec);
-    }
-}
-
-/// Last-writer-wins cell: value tagged with a totally-ordered version
-/// (timestamp + switch-id tiebreak, see [`crate::version`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LwwCell {
-    /// Current version.
-    pub version: u64,
-    /// Current value.
-    pub value: u64,
-}
-
-impl LwwCell {
-    /// Write with a version produced by a [`crate::version::SwitchClock`].
-    pub fn write(&mut self, version: u64, value: u64) {
-        if version > self.version {
-            self.version = version;
-            self.value = value;
+    /// Feed a received version to the switch clock. LWW versions are clock
+    /// stamps, which a Lamport clock must stay ahead of; counter versions
+    /// are bump counts and epochs, which it ignores.
+    pub fn observe(self, clock: &mut SwitchClock, version: u64) {
+        if self == MergePolicy::Lww {
+            clock.observe(version);
         }
     }
 
-    /// Read the current value.
-    pub fn read(&self) -> u64 {
-        self.value
-    }
-}
-
-impl Crdt for LwwCell {
-    fn merge(&mut self, other: &Self) {
-        if other.version > self.version {
-            *self = *other;
+    /// Join a received cell into the local one (their least upper bound).
+    /// LWW keeps the higher version, the local cell on a tie; the G-counter
+    /// takes the element-wise max ("a switch simply takes the larger of the
+    /// local and received value for each element"); Windowed takes the
+    /// lexicographic max, so a newer epoch supersedes and counts within an
+    /// epoch merge by max.
+    pub fn join(self, local: (u64, u64), incoming: (u64, u64)) -> (u64, u64) {
+        match self {
+            MergePolicy::Lww if incoming.0 > local.0 => incoming,
+            MergePolicy::Lww => local,
+            MergePolicy::GCounter => (local.0.max(incoming.0), local.1.max(incoming.1)),
+            MergePolicy::Windowed { .. } => local.max(incoming),
         }
     }
-}
 
-/// Windowed counter slot: `(epoch, count)` where a higher epoch supersedes
-/// and counts merge by max within an epoch. This is the per-slot lattice
-/// the rate-limiter registers use — it *is* a join-semilattice
-/// (lexicographic product of max-orders), so the standard CRDT laws hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowedSlot {
-    /// Window epoch.
-    pub epoch: u64,
-    /// Count within the epoch.
-    pub count: u64,
-}
-
-impl WindowedSlot {
-    /// Add to the count, rolling the epoch forward if needed.
-    pub fn add(&mut self, epoch: u64, delta: u64) {
-        if epoch > self.epoch {
-            self.epoch = epoch;
-            self.count = delta;
-        } else if epoch == self.epoch {
-            self.count += delta;
-        }
-        // Stale-epoch adds are dropped: the window has already closed.
-    }
-
-    /// Count if the slot is in `epoch`, else 0.
-    pub fn read_at(&self, epoch: u64) -> u64 {
-        if self.epoch == epoch {
-            self.count
-        } else {
-            0
+    /// The register's value from its cells, in slot order, at `now`: LWW
+    /// reads slot 0, the G-counter sums every slot, Windowed sums the slots
+    /// in `now`'s epoch.
+    pub fn read(self, cells: impl IntoIterator<Item = (u64, u64)>, now: SimTime) -> u64 {
+        let mut cells = cells.into_iter();
+        match self {
+            MergePolicy::Lww => cells.next().map_or(0, |(_, x)| x),
+            MergePolicy::GCounter => cells.map(|(_, x)| x).sum(),
+            MergePolicy::Windowed { window } => {
+                let epoch = epoch_at(window, now);
+                cells.filter(|&(e, _)| e == epoch).map(|(_, c)| c).sum()
+            }
         }
     }
-}
 
-impl Crdt for WindowedSlot {
-    fn merge(&mut self, other: &Self) {
-        if other.epoch > self.epoch {
-            *self = *other;
-        } else if other.epoch == self.epoch {
-            self.count = self.count.max(other.count);
+    /// The cell a local `op` at `now` leaves in this switch's own slot, or
+    /// `None` for an op the policy does not take (a `Set` on a counter).
+    /// The G-counter bumps `(version + 1, count + δ)`; Windowed adds δ
+    /// within the cell's epoch and restarts the count at δ once `now`'s
+    /// epoch is newer; LWW stamps the new value with the next clock version.
+    pub fn update(
+        self,
+        (v, x): (u64, u64),
+        op: WriteOp,
+        now: SimTime,
+        clock: &mut SwitchClock,
+    ) -> Option<(u64, u64)> {
+        match (self, op) {
+            (MergePolicy::Lww, WriteOp::Set(value)) => Some((clock.next_version(now), value)),
+            (MergePolicy::Lww, WriteOp::Add(d)) => {
+                Some((clock.next_version(now), x.wrapping_add(d as u64)))
+            }
+            (_, WriteOp::Set(_)) => None,
+            (MergePolicy::GCounter, WriteOp::Add(d)) => Some((v + 1, x + d as u64)),
+            (MergePolicy::Windowed { window }, WriteOp::Add(d)) => {
+                let epoch = epoch_at(window, now);
+                Some(if epoch > v {
+                    (epoch, d as u64)
+                } else {
+                    (v, x + d as u64)
+                })
+            }
         }
     }
 }
@@ -176,100 +109,80 @@ impl Crdt for WindowedSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ClockMode;
+    use swishmem_wire::NodeId;
+
+    const GC: MergePolicy = MergePolicy::GCounter;
+    const LWW: MergePolicy = MergePolicy::Lww;
+    const WIN: MergePolicy = MergePolicy::Windowed {
+        window: SimDuration(10),
+    };
+
+    fn add(p: MergePolicy, cell: (u64, u64), d: i64, at_ns: u64) -> (u64, u64) {
+        let mut clock = SwitchClock::new(NodeId(0), ClockMode::Lamport, 0);
+        p.update(cell, WriteOp::Add(d), SimTime(at_ns), &mut clock)
+            .unwrap()
+    }
 
     #[test]
     fn gcounter_concurrent_increments_all_survive() {
-        let mut a = GCounter::new(3);
-        let mut b = GCounter::new(3);
-        a.increment(NodeId(0), 5);
-        b.increment(NodeId(1), 7);
-        a.merge(&b);
-        b.merge(&a);
-        assert_eq!(a.read(), 12);
-        assert_eq!(a, b);
+        // Switch 0 adds 5 in its slot, switch 1 adds 7 in its own.
+        let a = [add(GC, (0, 0), 5, 0), (0, 0)];
+        let b = [(0, 0), add(GC, (0, 0), 7, 0)];
+        assert_eq!(a[0], (1, 5));
+        let joined = [GC.join(a[0], b[0]), GC.join(a[1], b[1])];
+        assert_eq!(joined, [GC.join(b[0], a[0]), GC.join(b[1], a[1])]);
+        assert_eq!(GC.read(joined, SimTime::ZERO), 12);
     }
 
     #[test]
     fn gcounter_merge_idempotent() {
-        let mut a = GCounter::new(2);
-        a.increment(NodeId(0), 3);
-        let snapshot = a.clone();
-        a.merge(&snapshot);
-        assert_eq!(a, snapshot);
+        let a = add(GC, (2, 3), 4, 0);
+        assert_eq!(GC.join(a, a), a);
     }
 
     #[test]
     fn gcounter_monotone_under_merge() {
-        let mut a = GCounter::new(2);
-        let mut b = GCounter::new(2);
-        a.increment(NodeId(0), 10);
-        b.increment(NodeId(0), 4); // stale view of slot 0
-        let before = a.read();
-        a.merge(&b);
-        assert!(
-            a.read() >= before,
-            "counter must never decrease (§6.2 monotonicity)"
-        );
-        assert_eq!(a.read(), 10);
-    }
-
-    #[test]
-    fn pncounter_supports_decrement() {
-        let mut a = PnCounter::new(2);
-        let mut b = PnCounter::new(2);
-        a.add(NodeId(0), 10);
-        b.add(NodeId(1), -4);
-        a.merge(&b);
-        assert_eq!(a.read(), 6);
+        // A stale view of the slot never lowers the count.
+        assert_eq!(GC.join((3, 10), (2, 4)), (3, 10));
+        assert_eq!(GC.read([GC.join((3, 10), (2, 4))], SimTime::ZERO), 10);
     }
 
     #[test]
     fn lww_higher_version_wins_regardless_of_order() {
-        let mut a = LwwCell::default();
-        let mut b = LwwCell::default();
-        a.write(5, 100);
-        b.write(9, 200);
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.value, 200);
+        assert_eq!(LWW.join((5, 100), (9, 200)), (9, 200));
+        assert_eq!(LWW.join((9, 200), (5, 100)), (9, 200));
     }
 
     #[test]
     fn lww_stale_write_ignored() {
-        let mut a = LwwCell::default();
-        a.write(9, 200);
-        a.write(5, 100);
-        assert_eq!(a.read(), 200);
+        assert_eq!(LWW.join((9, 200), (5, 100)), (9, 200));
+        // An equal version keeps the local cell.
+        assert_eq!(LWW.join((9, 200), (9, 1)), (9, 200));
+    }
+
+    #[test]
+    fn lww_reads_only_slot_0() {
+        assert_eq!(LWW.read([(1, 5), (2, 7)], SimTime::ZERO), 5);
+        assert_eq!(LWW.slots(4), 1);
     }
 
     #[test]
     fn windowed_epoch_roll_resets_count() {
-        let mut s = WindowedSlot::default();
-        s.add(1, 10);
-        s.add(1, 5);
-        assert_eq!(s.read_at(1), 15);
-        s.add(2, 3);
-        assert_eq!(s.read_at(2), 3);
-        assert_eq!(s.read_at(1), 0);
-        // Stale-epoch add is dropped.
-        s.add(1, 100);
-        assert_eq!(s.read_at(2), 3);
+        // A 10 ns window: 15 ns is epoch 1, 25 ns epoch 2.
+        let c = add(WIN, add(WIN, (0, 0), 10, 15), 5, 15);
+        assert_eq!(c, (1, 15));
+        assert_eq!(WIN.read([c], SimTime(15)), 15);
+        let rolled = add(WIN, c, 3, 25);
+        assert_eq!(rolled, (2, 3));
+        // A slot from a past epoch reads 0.
+        assert_eq!(WIN.read([c, rolled], SimTime(25)), 3);
+        assert_eq!(WIN.read([c], SimTime(25)), 0);
     }
 
     #[test]
     fn windowed_merge_same_epoch_takes_max() {
-        let mut a = WindowedSlot {
-            epoch: 3,
-            count: 10,
-        };
-        let b = WindowedSlot { epoch: 3, count: 7 };
-        a.merge(&b);
-        assert_eq!(a.count, 10);
-        let c = WindowedSlot { epoch: 4, count: 1 };
-        a.merge(&c);
-        assert_eq!(a, c);
+        assert_eq!(WIN.join((3, 10), (3, 7)), (3, 10));
+        assert_eq!(WIN.join((3, 10), (4, 1)), (4, 1));
     }
 }

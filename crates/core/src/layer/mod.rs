@@ -121,10 +121,7 @@ impl Handles {
                     RegKind::Chain { val, seq, pending }
                 }
                 RegisterClass::Ewo => {
-                    let n_slots = match spec.policy {
-                        crate::config::MergePolicy::Lww => 1,
-                        _ => n_switches,
-                    };
+                    let n_slots = spec.policy.slots(n_switches);
                     let mut slots = Vec::with_capacity(n_slots);
                     for s in 0..n_slots {
                         slots.push(dp.alloc_pair_register(
@@ -381,10 +378,7 @@ pub fn plan_stages(
                 }
             }
             RegisterClass::Ewo => {
-                let n_slots = match spec.policy {
-                    crate::config::MergePolicy::Lww => 1,
-                    _ => n_switches,
-                };
+                let n_slots = spec.policy.slots(n_switches);
                 for s in 0..n_slots {
                     planner.place(
                         &format!("swish.{}.slot{}", spec.name, s),

@@ -44,27 +44,10 @@ impl<'a, 'v> NfCtx<'a, 'v> {
                 }
                 self.dp.reg_read(*val, key as usize)
             }
-            RegKind::Ewo { slots } => match entry.spec.policy {
-                MergePolicy::Lww => self.dp.pair_read(slots[0], key as usize).1,
-                MergePolicy::GCounter => slots
-                    .iter()
-                    .map(|&h| self.dp.pair_read(h, key as usize).1)
-                    .sum(),
-                MergePolicy::Windowed { window } => {
-                    let epoch = self.dp.now().nanos() / window.as_nanos().max(1);
-                    slots
-                        .iter()
-                        .map(|&h| {
-                            let (e, c) = self.dp.pair_read(h, key as usize);
-                            if e == epoch {
-                                c
-                            } else {
-                                0
-                            }
-                        })
-                        .sum()
-                }
-            },
+            RegKind::Ewo { slots } => {
+                let cells = slots.iter().map(|&h| self.dp.pair_read(h, key as usize));
+                entry.spec.policy.read(cells, self.dp.now())
+            }
         }
     }
 }

@@ -7,7 +7,7 @@ use super::{
     PENDING_SWEEP_PKTGEN_TOKEN, REPLICA_GROUP, SYNC_PKTGEN_TOKEN,
 };
 use crate::api::{NfApp, NfDecision};
-use crate::config::{MergePolicy, SwishConfig};
+use crate::config::SwishConfig;
 use crate::metrics::DpMetrics;
 use crate::reconfig::{encode_ranges, RangeView};
 use crate::version::SwitchClock;
@@ -23,7 +23,6 @@ use swishmem_wire::{DataPacket, NodeId, Packet, PacketBody, Shared, SwishMsg, Tr
 /// The data-plane program of one SwiShmem switch.
 pub struct SwishProgram {
     me: NodeId,
-    me_slot: usize,
     cfg: SwishConfig,
     handles: Rc<Handles>,
     app: Box<dyn NfApp>,
@@ -75,7 +74,7 @@ impl SwishProgram {
         for entry in &handles.regs {
             if let RegKind::Ewo { slots } = &entry.kind {
                 assert!(
-                    entry.spec.policy == MergePolicy::Lww || me.index() < slots.len(),
+                    entry.spec.policy.slot_of(me.index()) < slots.len(),
                     "{me} has no slot in counter register {} ({} slots)",
                     entry.spec.name,
                     slots.len()
@@ -93,7 +92,6 @@ impl SwishProgram {
         });
         SwishProgram {
             me,
-            me_slot: me.index(),
             cfg,
             handles,
             app,
@@ -138,26 +136,10 @@ impl SwishProgram {
         let entry = self.handles.entry(reg);
         match &entry.kind {
             RegKind::Chain { val, .. } => dp.reg(*val).read(key as usize),
-            RegKind::Ewo { slots } => match entry.spec.policy {
-                MergePolicy::Lww => dp.pair(slots[0]).read(key as usize).1,
-                MergePolicy::GCounter => {
-                    slots.iter().map(|&h| dp.pair(h).read(key as usize).1).sum()
-                }
-                MergePolicy::Windowed { window } => {
-                    let epoch = now.nanos() / window.as_nanos().max(1);
-                    slots
-                        .iter()
-                        .map(|&h| {
-                            let (e, c) = dp.pair(h).read(key as usize);
-                            if e == epoch {
-                                c
-                            } else {
-                                0
-                            }
-                        })
-                        .sum()
-                }
-            },
+            RegKind::Ewo { slots } => {
+                let cells = slots.iter().map(|&h| dp.pair(h).read(key as usize));
+                entry.spec.policy.read(cells, now)
+            }
         }
     }
 
@@ -271,41 +253,20 @@ impl SwishProgram {
             let RegKind::Ewo { slots } = &entry.kind else {
                 continue; // a chain write: the control plane drives it
             };
-            let key = w.key as usize;
-            let (h, slot, version, value) = match entry.spec.policy {
-                MergePolicy::GCounter => {
-                    let WriteOp::Add(delta) = w.op else { continue };
-                    debug_assert!(delta >= 0);
-                    let h = slots[self.me_slot];
-                    let (v, c) = dp.pair_read(h, key);
-                    (h, self.me_slot as u8, v + 1, c + delta as u64)
-                }
-                MergePolicy::Windowed { window } => {
-                    let WriteOp::Add(delta) = w.op else { continue };
-                    debug_assert!(delta >= 0);
-                    let epoch = dp.now().nanos() / window.as_nanos().max(1);
-                    let h = slots[self.me_slot];
-                    let (e, c) = dp.pair_read(h, key);
-                    if epoch > e {
-                        (h, self.me_slot as u8, epoch, delta as u64)
-                    } else {
-                        (h, self.me_slot as u8, e, c + delta as u64)
-                    }
-                }
-                MergePolicy::Lww => {
-                    let value = match w.op {
-                        WriteOp::Set(v) => v,
-                        WriteOp::Add(d) => dp.pair_read(slots[0], key).1.wrapping_add(d as u64),
-                    };
-                    (slots[0], 0, self.clock.next_version(dp.now()), value)
-                }
+            let policy = entry.spec.policy;
+            let (key, slot) = (w.key as usize, policy.slot_of(self.me.index()));
+            let h = slots[slot];
+            let cell = dp.pair_read(h, key);
+            let Some((version, value)) = policy.update(cell, w.op, dp.now(), &mut self.clock)
+            else {
+                continue; // a Set on a counter: counters only add
             };
             dp.pair_write(h, key, version, value);
             self.metrics.ewo_writes += 1;
             if self.cfg.eager_updates {
                 let e = SyncEntry {
                     key: w.key,
-                    slot,
+                    slot: slot as u8,
                     version,
                     value,
                 };
@@ -529,34 +490,20 @@ impl SwishProgram {
             return;
         };
         eff.span(u.trace, SpanPhase::SyncMerge);
+        let policy = entry.spec.policy;
         for e in &u.entries {
+            policy.observe(&mut self.clock, e.version);
             // A counter entry must name a replica's slot; one past the
             // group would otherwise land in another replica's cell.
-            let slot = slots.get(e.slot as usize).copied();
-            let changed = match (entry.spec.policy, slot) {
-                (MergePolicy::Lww, _) => {
-                    self.clock.observe(e.version);
-                    dp.pair_merge_lww(slots[0], e.key as usize, e.version, e.value)
-                }
-                (_, None) => {
-                    self.metrics.merge_rejected += 1;
-                    continue;
-                }
-                (MergePolicy::GCounter, Some(h)) => {
-                    dp.pair_merge_max(h, e.key as usize, e.version, e.value)
-                }
-                (MergePolicy::Windowed { .. }, Some(h)) => {
-                    let (le, lc) = dp.pair_read(h, e.key as usize);
-                    // Newer epoch supersedes; same epoch merges by max.
-                    let wins = e.version > le || (e.version == le && e.value > lc);
-                    if wins {
-                        dp.pair_write(h, e.key as usize, e.version, e.value);
-                    }
-                    wins
-                }
+            let Some(&h) = slots.get(policy.slot_of(e.slot as usize)) else {
+                self.metrics.merge_rejected += 1;
+                continue;
             };
+            let local = dp.pair_read(h, e.key as usize);
+            let joined = policy.join(local, (e.version, e.value));
             self.metrics.merge_entries += 1;
-            if changed {
+            if joined != local {
+                dp.pair_write(h, e.key as usize, joined.0, joined.1);
                 self.metrics.merge_applied += 1;
             }
         }

@@ -184,30 +184,6 @@ impl<'a> DpView<'a> {
         self.dp.pairs[h.0].write(idx, version, value);
     }
 
-    /// LWW merge into a pair; true if applied.
-    #[inline]
-    pub fn pair_merge_lww(
-        &mut self,
-        h: PairRegHandle,
-        idx: usize,
-        version: u64,
-        value: u64,
-    ) -> bool {
-        self.dp.pairs[h.0].merge_lww(idx, version, value)
-    }
-
-    /// Element-wise max merge into a pair; true if changed.
-    #[inline]
-    pub fn pair_merge_max(
-        &mut self,
-        h: PairRegHandle,
-        idx: usize,
-        version: u64,
-        value: u64,
-    ) -> bool {
-        self.dp.pairs[h.0].merge_max(idx, version, value)
-    }
-
     /// Table lookup (the only table operation the pipeline may perform).
     #[inline]
     pub fn table_lookup(&mut self, h: TableHandle, key: u64) -> Option<u64> {

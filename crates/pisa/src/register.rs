@@ -138,20 +138,6 @@ impl PairRegisterArray {
         self.cells[s] = (version, value);
     }
 
-    /// Merge `(version, value)` into `idx` keeping the higher version
-    /// (last-writer-wins); ties keep the local pair. Returns true if the
-    /// incoming pair was applied.
-    #[inline]
-    pub fn merge_lww(&mut self, idx: usize, version: u64, value: u64) -> bool {
-        let s = self.slot(idx);
-        if version > self.cells[s].0 {
-            self.cells[s] = (version, value);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Merge keeping the element-wise maximum of `(version, value)` —
     /// the G-counter slot merge ("a switch simply takes the larger of the
     /// local and received value for each element", §6.2). Returns true if
@@ -207,21 +193,6 @@ mod tests {
         r.write(2, 2);
         r.clear();
         assert!(r.iter().all(|(_, v)| v == 0));
-    }
-
-    #[test]
-    fn pair_atomic_write_and_lww_merge() {
-        let mut p = PairRegisterArray::new("p", 2);
-        p.write(0, 5, 100);
-        assert_eq!(p.read(0), (5, 100));
-        // Older version rejected.
-        assert!(!p.merge_lww(0, 4, 999));
-        assert_eq!(p.read(0), (5, 100));
-        // Equal version rejected (local wins ties).
-        assert!(!p.merge_lww(0, 5, 999));
-        // Newer version applied atomically.
-        assert!(p.merge_lww(0, 6, 200));
-        assert_eq!(p.read(0), (6, 200));
     }
 
     #[test]
