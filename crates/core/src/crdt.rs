@@ -6,6 +6,10 @@
 //! ([`MergePolicy::join`]), and both read paths, the NF's and the
 //! management plane's ([`MergePolicy::read`]). The lattice-law tests check
 //! `join` itself, so the laws hold of the merge that runs.
+//!
+//! Counter arithmetic wraps, as a 64-bit register ALU does: a forged sync
+//! entry carrying `u64::MAX` wraps a read or the next add, and never
+//! panics the switch.
 
 use crate::config::MergePolicy;
 use crate::version::SwitchClock;
@@ -67,10 +71,11 @@ impl MergePolicy {
         let mut cells = cells.into_iter();
         match self {
             MergePolicy::Lww => cells.next().map_or(0, |(_, x)| x),
-            MergePolicy::GCounter => cells.map(|(_, x)| x).sum(),
+            MergePolicy::GCounter => cells.fold(0, |sum, (_, x)| sum.wrapping_add(x)),
             MergePolicy::Windowed { window } => {
                 let epoch = epoch_at(window, now);
-                cells.filter(|&(e, _)| e == epoch).map(|(_, c)| c).sum()
+                let current = cells.filter(|&(e, _)| e == epoch);
+                current.fold(0, |sum, (_, c)| sum.wrapping_add(c))
             }
         }
     }
@@ -93,13 +98,15 @@ impl MergePolicy {
                 Some((clock.next_version(now), x.wrapping_add(d as u64)))
             }
             (_, WriteOp::Set(_)) => None,
-            (MergePolicy::GCounter, WriteOp::Add(d)) => Some((v + 1, x + d as u64)),
+            (MergePolicy::GCounter, WriteOp::Add(d)) => {
+                Some((v.wrapping_add(1), x.wrapping_add(d as u64)))
+            }
             (MergePolicy::Windowed { window }, WriteOp::Add(d)) => {
                 let epoch = epoch_at(window, now);
                 Some(if epoch > v {
                     (epoch, d as u64)
                 } else {
-                    (v, x + d as u64)
+                    (v, x.wrapping_add(d as u64))
                 })
             }
         }

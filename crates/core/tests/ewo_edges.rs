@@ -33,10 +33,12 @@ struct Rig {
 }
 
 fn rig(me: u16, cfg: SwishConfig, counter_nf: bool) -> Rig {
+    rig_with(me, cfg, RegisterSpec::ewo_counter(0, "c", 64), counter_nf)
+}
+
+fn rig_with(me: u16, cfg: SwishConfig, spec: RegisterSpec, counter_nf: bool) -> Rig {
     let mut dp = DataPlane::standard();
-    let handles = Rc::new(
-        Handles::build(&mut dp, &[RegisterSpec::ewo_counter(0, "c", 64)], &cfg, 4).unwrap(),
-    );
+    let handles = Rc::new(Handles::build(&mut dp, &[spec], &cfg, 4).unwrap());
     write_chain_for_tests(
         &mut dp,
         &handles,
@@ -198,6 +200,54 @@ fn sync_entry_naming_a_slot_past_the_group_is_rejected() {
     let m = r.prog.metrics();
     assert_eq!(m.merge_rejected, 1);
     assert_eq!((m.merge_entries, m.merge_applied), (1, 1));
+}
+
+#[test]
+fn forged_sync_value_wraps_the_counter_read() {
+    // u64::MAX in another switch's slot on top of one local increment:
+    // the slot sum wraps to 0 instead of panicking (wire input must never
+    // panic a switch).
+    let mut r = rig(0, SwishConfig::default(), true);
+    deliver(&mut r, data(3), 100);
+    let forged = SyncEntry {
+        key: 3,
+        slot: 2,
+        version: 1,
+        value: u64::MAX,
+    };
+    deliver(&mut r, sync(2, vec![forged]), 200);
+    assert_eq!(peek(&r, 3), 0);
+}
+
+#[test]
+fn forged_sync_into_the_own_slot_wraps_the_next_add() {
+    // A forged maximal cell in this switch's own slot: the next local
+    // increment wraps both the version and the count to 0, and the eager
+    // mirror ships exactly that cell.
+    let mut r = rig(0, SwishConfig::default(), true);
+    let forged = SyncEntry {
+        key: 3,
+        slot: 0,
+        version: u64::MAX,
+        value: u64::MAX,
+    };
+    deliver(&mut r, sync(2, vec![forged]), 100);
+    let fx = deliver(&mut r, data(3), 200);
+    assert_eq!(peek(&r, 3), 0);
+    let mirrored = fx.iter().find_map(|e| match e {
+        Effect::Multicast {
+            body: PacketBody::Swish(SwishMsg::Sync(u)),
+            ..
+        } => Some(u.entries[0]),
+        _ => None,
+    });
+    let wrapped = SyncEntry {
+        key: 3,
+        slot: 0,
+        version: 0,
+        value: 0,
+    };
+    assert_eq!(mirrored, Some(wrapped));
 }
 
 #[test]
