@@ -499,11 +499,10 @@ impl SwishProgram {
                 self.metrics.merge_rejected += 1;
                 continue;
             };
-            let local = dp.pair_read(h, e.key as usize);
-            let joined = policy.join(local, (e.version, e.value));
+            let incoming = (e.version, e.value);
+            let (local, joined) = dp.pair_rmw(h, e.key as usize, |c| policy.join(c, incoming));
             self.metrics.merge_entries += 1;
             if joined != local {
-                dp.pair_write(h, e.key as usize, joined.0, joined.1);
                 self.metrics.merge_applied += 1;
             }
         }

@@ -184,6 +184,17 @@ impl<'a> DpView<'a> {
         self.dp.pairs[h.0].write(idx, version, value);
     }
 
+    /// Read-modify-write a pair in one access; returns `(old, new)`.
+    #[inline]
+    pub fn pair_rmw(
+        &mut self,
+        h: PairRegHandle,
+        idx: usize,
+        f: impl FnOnce((u64, u64)) -> (u64, u64),
+    ) -> ((u64, u64), (u64, u64)) {
+        self.dp.pairs[h.0].rmw(idx, f)
+    }
+
     /// Table lookup (the only table operation the pipeline may perform).
     #[inline]
     pub fn table_lookup(&mut self, h: TableHandle, key: u64) -> Option<u64> {
