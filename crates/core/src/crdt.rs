@@ -1,11 +1,11 @@
 //! The one definition of each EWO merge policy's cell behaviour (§6.2).
 //!
-//! An EWO register keeps [`MergePolicy::slots`] `(version, value)` pair
-//! cells per key. Every EWO site goes through the methods here: the local
-//! update `apply_ewo` applies ([`MergePolicy::update`]), the sync merge
-//! ([`MergePolicy::join`]), and both read paths, the NF's and the
-//! management plane's ([`MergePolicy::read`]). The lattice-law tests check
-//! `join` itself, so the laws hold of the merge that runs.
+//! An EWO register keeps `slots` `(version, value)` pair cells per key.
+//! Every EWO site goes through the methods here: the local update
+//! `apply_ewo` applies (`update`), the sync merge ([`MergePolicy::join`]),
+//! and both read paths, the NF's and the management plane's
+//! ([`MergePolicy::read`]). The lattice-law tests check `join` itself, so
+//! the laws hold of the merge that runs.
 //!
 //! Counter arithmetic wraps, as a 64-bit register ALU does: a forged sync
 //! entry carrying `u64::MAX` wraps a read or the next add, and never
@@ -17,14 +17,14 @@ use swishmem_simnet::{SimDuration, SimTime};
 use swishmem_wire::swish::WriteOp;
 
 /// The window epoch `now` falls in.
-pub fn epoch_at(window: SimDuration, now: SimTime) -> u64 {
+pub(crate) fn epoch_at(window: SimDuration, now: SimTime) -> u64 {
     now.nanos() / window.as_nanos().max(1)
 }
 
 impl MergePolicy {
     /// Pair cells per key on `n_switches` switches: LWW keeps one shared
     /// cell, the counters one slot per switch.
-    pub fn slots(self, n_switches: usize) -> usize {
+    pub(crate) fn slots(self, n_switches: usize) -> usize {
         match self {
             MergePolicy::Lww => 1,
             MergePolicy::GCounter | MergePolicy::Windowed { .. } => n_switches,
@@ -33,7 +33,7 @@ impl MergePolicy {
 
     /// The slot switch `writer`'s updates land in: LWW's one shared cell,
     /// or the writer's own counter slot.
-    pub fn slot_of(self, writer: usize) -> usize {
+    pub(crate) fn slot_of(self, writer: usize) -> usize {
         match self {
             MergePolicy::Lww => 0,
             MergePolicy::GCounter | MergePolicy::Windowed { .. } => writer,
@@ -43,7 +43,7 @@ impl MergePolicy {
     /// Feed a received version to the switch clock. LWW versions are clock
     /// stamps, which a Lamport clock must stay ahead of; counter versions
     /// are bump counts and epochs, which it ignores.
-    pub fn observe(self, clock: &mut SwitchClock, version: u64) {
+    pub(crate) fn observe(self, clock: &mut SwitchClock, version: u64) {
         if self == MergePolicy::Lww {
             clock.observe(version);
         }
@@ -81,11 +81,12 @@ impl MergePolicy {
     }
 
     /// The cell a local `op` at `now` leaves in this switch's own slot, or
-    /// `None` for an op the policy does not take (a `Set` on a counter).
-    /// The G-counter bumps `(version + 1, count + δ)`; Windowed adds δ
-    /// within the cell's epoch and restarts the count at δ once `now`'s
-    /// epoch is newer; LWW stamps the new value with the next clock version.
-    pub fn update(
+    /// `None` for an op the policy does not take: counters only add, and
+    /// LWW only sets (`NfCtx::add` stages an LWW add as a `Set`). The
+    /// G-counter bumps `(version + 1, count + δ)`; Windowed adds δ within
+    /// the cell's epoch and restarts the count at δ once `now`'s epoch is
+    /// newer; LWW stamps the value with the next clock version.
+    pub(crate) fn update(
         self,
         (v, x): (u64, u64),
         op: WriteOp,
@@ -94,10 +95,7 @@ impl MergePolicy {
     ) -> Option<(u64, u64)> {
         match (self, op) {
             (MergePolicy::Lww, WriteOp::Set(value)) => Some((clock.next_version(now), value)),
-            (MergePolicy::Lww, WriteOp::Add(d)) => {
-                Some((clock.next_version(now), x.wrapping_add(d as u64)))
-            }
-            (_, WriteOp::Set(_)) => None,
+            (MergePolicy::Lww, WriteOp::Add(_)) | (_, WriteOp::Set(_)) => None,
             (MergePolicy::GCounter, WriteOp::Add(d)) => {
                 Some((v.wrapping_add(1), x.wrapping_add(d as u64)))
             }

@@ -259,7 +259,7 @@ impl SwishProgram {
             let cell = dp.pair_read(h, key);
             let Some((version, value)) = policy.update(cell, w.op, dp.now(), &mut self.clock)
             else {
-                continue; // a Set on a counter: counters only add
+                continue; // an op this policy does not take
             };
             dp.pair_write(h, key, version, value);
             self.metrics.ewo_writes += 1;

@@ -155,9 +155,7 @@ impl PairRegisterArray {
     /// Merge keeping the element-wise maximum of `(version, value)` —
     /// the G-counter slot merge ("a switch simply takes the larger of the
     /// local and received value for each element", §6.2). Returns true if
-    /// anything changed. The protocol merges through `MergePolicy::join`
-    /// over [`PairRegisterArray::rmw`]; the benchmark's `pisa.pair_merge_ns`
-    /// kernel still times this one.
+    /// anything changed.
     #[inline]
     pub fn merge_max(&mut self, idx: usize, version: u64, value: u64) -> bool {
         let s = self.slot(idx);
@@ -209,14 +207,6 @@ mod tests {
         r.write(2, 2);
         r.clear();
         assert!(r.iter().all(|(_, v)| v == 0));
-    }
-
-    #[test]
-    fn pair_rmw_stores_and_returns_both_pairs() {
-        let mut p = PairRegisterArray::new("p", 2);
-        p.write(1, 5, 100);
-        assert_eq!(p.rmw(3, |(v, x)| (v + 1, x * 2)), ((5, 100), (6, 200)));
-        assert_eq!(p.read(1), (6, 200)); // 3 % 2 == 1: the same masked cell
     }
 
     #[test]
