@@ -11,7 +11,7 @@ use swishmem::layer::program::SwishProgram;
 use swishmem::layer::{write_chain_for_tests, ChainView, Handles, SYNC_PKTGEN_TOKEN};
 use swishmem::{ClockMode, RegisterSpec, SwishConfig, SwitchClock};
 use swishmem_pisa::{DataPlane, DataPlaneProgram, DpView, Effect, Effects};
-use swishmem_simnet::SimTime;
+use swishmem_simnet::{SimDuration, SimTime};
 use swishmem_wire::swish::{SyncEntry, SyncUpdate, TraceId};
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, SwishMsg};
 
@@ -106,6 +106,15 @@ fn sync(origin: u16, entries: Vec<SyncEntry>) -> Packet {
     )
 }
 
+fn entry(key: u32, slot: u8, version: u64, value: u64) -> SyncEntry {
+    SyncEntry {
+        key,
+        slot,
+        version,
+        value,
+    }
+}
+
 fn peek(r: &Rig, key: u32) -> u64 {
     r.prog.peek(&r.dp, 0, key, SimTime(0))
 }
@@ -113,12 +122,7 @@ fn peek(r: &Rig, key: u32) -> u64 {
 #[test]
 fn merge_is_idempotent_at_the_register_level() {
     let mut r = rig(0, SwishConfig::default(), false);
-    let e = SyncEntry {
-        key: 3,
-        slot: 2,
-        version: 5,
-        value: 50,
-    };
+    let e = entry(3, 2, 5, 50);
     deliver(&mut r, sync(2, vec![e]), 100);
     assert_eq!(peek(&r, 3), 50);
     assert_eq!(r.prog.metrics().merge_applied, 1);
@@ -132,33 +136,9 @@ fn merge_is_idempotent_at_the_register_level() {
 #[test]
 fn stale_slot_updates_never_regress_the_counter() {
     let mut r = rig(0, SwishConfig::default(), false);
-    deliver(
-        &mut r,
-        sync(
-            2,
-            vec![SyncEntry {
-                key: 3,
-                slot: 2,
-                version: 9,
-                value: 90,
-            }],
-        ),
-        100,
-    );
+    deliver(&mut r, sync(2, vec![entry(3, 2, 9, 90)]), 100);
     // An old view of the same slot must not shrink it.
-    deliver(
-        &mut r,
-        sync(
-            1,
-            vec![SyncEntry {
-                key: 3,
-                slot: 2,
-                version: 4,
-                value: 40,
-            }],
-        ),
-        200,
-    );
+    deliver(&mut r, sync(1, vec![entry(3, 2, 4, 40)]), 200);
     assert_eq!(peek(&r, 3), 90);
 }
 
@@ -167,19 +147,7 @@ fn relayed_sync_carries_third_party_slots() {
     // Periodic sync relays ALL slots a switch knows, not just its own:
     // switch 0 learns slot 2's value from switch 1's relay.
     let mut r = rig(0, SwishConfig::default(), false);
-    deliver(
-        &mut r,
-        sync(
-            1,
-            vec![SyncEntry {
-                key: 7,
-                slot: 2,
-                version: 3,
-                value: 30,
-            }],
-        ),
-        100,
-    );
+    deliver(&mut r, sync(1, vec![entry(7, 2, 3, 30)]), 100);
     assert_eq!(peek(&r, 7), 30);
 }
 
@@ -189,17 +157,38 @@ fn sync_entry_naming_a_slot_past_the_group_is_rejected() {
     // slot 0 (switch 0's counter), where the max-merge would keep it
     // raised for the rest of the run; its well-formed neighbour merges.
     let mut r = rig(1, SwishConfig::default(), false);
-    let entry = |slot, value| SyncEntry {
-        key: 3,
-        slot,
-        version: 9,
-        value,
-    };
-    deliver(&mut r, sync(2, vec![entry(4, 90), entry(2, 5)]), 100);
+    deliver(
+        &mut r,
+        sync(2, vec![entry(3, 4, 9, 90), entry(3, 2, 9, 5)]),
+        100,
+    );
     assert_eq!(peek(&r, 3), 5);
     let m = r.prog.metrics();
     assert_eq!(m.merge_rejected, 1);
     assert_eq!((m.merge_entries, m.merge_applied), (1, 1));
+}
+
+#[test]
+fn windowed_counter_rolls_its_epoch_and_merges_within_it() {
+    // A 1 µs window: local adds in epoch 0, one add in epoch 1 restarts
+    // the count, then a sync merges by the (epoch, count) order.
+    let spec = RegisterSpec::ewo_windowed(0, "w", 64, SimDuration::micros(1));
+    let mut r = rig_with(0, SwishConfig::default(), spec, true);
+    let peek_at = |r: &Rig, ns| r.prog.peek(&r.dp, 0, 3, SimTime(ns));
+    deliver(&mut r, data(3), 500);
+    deliver(&mut r, data(3), 900);
+    assert_eq!(peek_at(&r, 900), 2);
+    deliver(&mut r, data(3), 1_500);
+    assert_eq!(peek_at(&r, 1_500), 1);
+    // A peer's slot in this epoch, a lower count for the own slot, and a
+    // count from the past epoch: the first and last change their cells.
+    let entries = vec![entry(3, 2, 1, 4), entry(3, 0, 1, 0), entry(3, 1, 0, 9)];
+    deliver(&mut r, sync(2, entries), 1_600);
+    let m = r.prog.metrics();
+    assert_eq!((m.merge_entries, m.merge_applied), (3, 2));
+    // The past-epoch slot reads 0; the next epoch reads nothing at all.
+    assert_eq!(peek_at(&r, 1_600), 5);
+    assert_eq!(peek_at(&r, 2_500), 0);
 }
 
 #[test]
@@ -209,13 +198,7 @@ fn forged_sync_value_wraps_the_counter_read() {
     // panic a switch).
     let mut r = rig(0, SwishConfig::default(), true);
     deliver(&mut r, data(3), 100);
-    let forged = SyncEntry {
-        key: 3,
-        slot: 2,
-        version: 1,
-        value: u64::MAX,
-    };
-    deliver(&mut r, sync(2, vec![forged]), 200);
+    deliver(&mut r, sync(2, vec![entry(3, 2, 1, u64::MAX)]), 200);
     assert_eq!(peek(&r, 3), 0);
 }
 
@@ -225,13 +208,7 @@ fn forged_sync_into_the_own_slot_wraps_the_next_add() {
     // increment wraps both the version and the count to 0, and the eager
     // mirror ships exactly that cell.
     let mut r = rig(0, SwishConfig::default(), true);
-    let forged = SyncEntry {
-        key: 3,
-        slot: 0,
-        version: u64::MAX,
-        value: u64::MAX,
-    };
-    deliver(&mut r, sync(2, vec![forged]), 100);
+    deliver(&mut r, sync(2, vec![entry(3, 0, u64::MAX, u64::MAX)]), 100);
     let fx = deliver(&mut r, data(3), 200);
     assert_eq!(peek(&r, 3), 0);
     let mirrored = fx.iter().find_map(|e| match e {
@@ -241,13 +218,7 @@ fn forged_sync_into_the_own_slot_wraps_the_next_add() {
         } => Some(u.entries[0]),
         _ => None,
     });
-    let wrapped = SyncEntry {
-        key: 3,
-        slot: 0,
-        version: 0,
-        value: 0,
-    };
-    assert_eq!(mirrored, Some(wrapped));
+    assert_eq!(mirrored, Some(entry(3, 0, 0, 0)));
 }
 
 #[test]

@@ -22,6 +22,13 @@ cd "$(dirname "$0")/.."
 #     (an ERO tail sends no Clear); the partitioned_* cases (the last
 #     owner forwards to the migration destination, which acks; a
 #     non-owner drops the write as stale).
+#   EWO merges (§6.2)               swishmem/prop — the lattice laws of
+#     each policy's MergePolicy::join, checked exhaustively over every
+#     pair and triple of small cells (gcounter_merge_*, windowed_merge_*,
+#     lww_merge_is_a_semilattice_on_unique_versions); swishmem/ewo_edges
+#     windowed_counter_rolls_its_epoch_and_merges_within_it (the Windowed
+#     data path) and forged_sync_* (a forged u64::MAX Sync value wraps a
+#     read or the next add instead of panicking).
 #   reconfiguration (§10)           reconfig_sweep — migrations interleaved
 #     into random fault schedules stay oracle-clean;
 #     swishmem/directory_invariants — range-table coverage and no-overlap
