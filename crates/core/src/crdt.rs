@@ -17,7 +17,7 @@ use swishmem_simnet::{SimDuration, SimTime};
 use swishmem_wire::swish::WriteOp;
 
 /// The window epoch `now` falls in.
-pub(crate) fn epoch_at(window: SimDuration, now: SimTime) -> u64 {
+fn epoch_at(window: SimDuration, now: SimTime) -> u64 {
     now.nanos() / window.as_nanos().max(1)
 }
 
