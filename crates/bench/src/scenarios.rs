@@ -266,8 +266,10 @@ impl Node for Echo {
     }
 }
 
-/// Wall-clock seconds for two echoes to bounce one packet `events` times.
-fn time_echo(events: u64, emit: Option<Family>) -> f64 {
+/// Two echoes bounce one packet `events` times, emitting one `emit`
+/// record per packet when set. Returns the wall-clock seconds and the
+/// events the engine processed.
+pub fn time_echo(events: u64, emit: Option<Family>) -> (f64, u64) {
     let mut sim = Simulator::new(1);
     for id in [NodeId(0), NodeId(1)] {
         sim.add_node(
@@ -289,7 +291,7 @@ fn time_echo(events: u64, emit: Option<Family>) -> f64 {
     sim.run_until_quiescent(SimTime(u64::MAX / 2));
     let dt = t.elapsed().as_secs_f64();
     assert!(sim.stats().delivered_total().packets >= events);
-    dt
+    (dt, sim.events_processed())
 }
 
 /// Best-of-`reps` events/s of the plain echo and of the echo emitting
@@ -303,8 +305,8 @@ pub fn measure_pair(family: Family, events: u64, reps: usize) -> (f64, f64) {
     time_echo(events.min(10_000), Some(family));
     let (mut best_p, mut best_e) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
-        best_p = best_p.min(time_echo(events, None));
-        best_e = best_e.min(time_echo(events, Some(family)));
+        best_p = best_p.min(time_echo(events, None).0);
+        best_e = best_e.min(time_echo(events, Some(family)).0);
     }
     (events as f64 / best_p, events as f64 / best_e)
 }

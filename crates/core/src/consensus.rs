@@ -678,6 +678,19 @@ impl Consensus {
         out
     }
 
+    /// Handle one protocol message: its sender and the replies, or `None`
+    /// for a message that is not a consensus message.
+    pub(crate) fn on_msg(&mut self, msg: SwishMsg) -> Option<(NodeId, Outbox)> {
+        Some(match msg {
+            SwishMsg::CtrlPrepare(m) => (m.from, self.on_prepare(m)),
+            SwishMsg::CtrlPromise(m) => (m.from, self.on_promise(*m)),
+            SwishMsg::CtrlAccept(m) => (m.from, self.on_accept(m)),
+            SwishMsg::CtrlAccepted(m) => (m.from, self.on_accepted(m)),
+            SwishMsg::CtrlLearn(m) => (m.from, self.on_learn(m)),
+            _ => return None,
+        })
+    }
+
     /// Handle a chosen-value notification (or a locally decided value).
     pub fn on_learn(&mut self, m: CtrlLearn) -> Outbox {
         // If a rival decided the slot we were driving, our command goes
@@ -881,17 +894,10 @@ mod tests {
             if drop(i, &msg) {
                 continue;
             }
-            let rep = &mut reps[i];
             delivered += 1;
-            let out = match msg {
-                SwishMsg::CtrlPrepare(m) => rep.on_prepare(m),
-                SwishMsg::CtrlPromise(m) => rep.on_promise(*m),
-                SwishMsg::CtrlAccept(m) => rep.on_accept(m),
-                SwishMsg::CtrlAccepted(m) => rep.on_accepted(m),
-                SwishMsg::CtrlLearn(m) => rep.on_learn(m),
-                _ => Vec::new(),
-            };
-            bus.extend(out);
+            if let Some((_, out)) = reps[i].on_msg(msg) {
+                bus.extend(out);
+            }
         }
         delivered
     }

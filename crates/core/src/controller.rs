@@ -23,9 +23,17 @@
 //! leader against the same replicated state plus replica-local soft
 //! state (heartbeat times, load counters) that every replica maintains
 //! from the switches' broadcasts.
+//!
+//! # One step behind a thin shell
+//!
+//! Every handler writes its effects (sends, group updates, timers,
+//! journal records) to one ordered sink, `Out`, and `Controller::step`
+//! is the one entry point. `impl Node for Controller` is the shell: it
+//! lends `step` a reused effect buffer and replays the effects into the
+//! engine's `Ctx` in order. Tests drive `step` with no simulator.
 
 use crate::config::{RegisterSpec, SwishConfig};
-use crate::consensus::{Consensus, ConsensusError, Role, Slot};
+use crate::consensus::{Consensus, ConsensusError, Outbox, Role, Slot};
 use crate::directory::{DirectoryService, RangeEntry};
 use crate::layer::{ChainView, REPLICA_GROUP};
 use crate::reconfig::{
@@ -38,7 +46,7 @@ use swishmem_simnet::journal::{
 use swishmem_simnet::{Ctx, Node, SimDuration, SimTime};
 use swishmem_wire::swish::{
     ChainConfig, CtrlCmd, CtrlHb, CtrlLead, CtrlSnap, CtrlSnapMig, CtrlSnapRange, CtrlSnapReg,
-    GroupConfig, Key, MigrateBegin, OwnershipCommit, RegId, SnapshotRequest,
+    DirReply, GroupConfig, Key, MigrateBegin, OwnershipCommit, RegId, SnapshotRequest,
 };
 use swishmem_wire::{NodeId, Packet, PacketBody, SwishMsg};
 
@@ -172,6 +180,21 @@ struct Rep {
     snapshot_bytes: u64,
 }
 
+impl Rep {
+    /// Re-key peer liveness to the current group. A new member starts
+    /// with a live baseline, so the leader-lease check does not count it
+    /// dead.
+    fn rekey_peers(&mut self, now: SimTime) {
+        let group = &self.cons.group;
+        self.peer_hb.retain(|(n, _)| group.contains(n));
+        for &g in group {
+            if g != self.cons.me && !self.peer_hb.iter().any(|(n, _)| *n == g) {
+                self.peer_hb.push((g, now));
+            }
+        }
+    }
+}
+
 /// Leader-beacon inter-arrival samples retained by the detector.
 const HB_HISTORY: usize = 8;
 
@@ -190,29 +213,67 @@ const DETECTOR_FLOOR: SimDuration = SimDuration::millis(2);
 /// finds another replica or the leader.
 pub(crate) const DIR_LEASE: SimDuration = SimDuration::millis(8);
 
-/// Effect sink for command application: followers apply state changes
-/// silently (`emit == false`); the leader and the singleton also send
-/// the resulting fabric messages.
-struct Io<'a, 'b> {
-    ctx: &'a mut Ctx<'b>,
-    emit: bool,
+/// What the engine hands the controller, one [`Controller::step`] each.
+pub(crate) enum Input {
+    Start,
+    Packet(SwishMsg),
+    Timer(u64),
 }
 
-impl Io<'_, '_> {
-    fn now(&self) -> SimTime {
-        self.ctx.now()
+/// One effect a step asks of the network.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Effect {
+    Send(NodeId, SwishMsg),
+    /// Reprogram the replica group's multicast tree.
+    SetGroup(Vec<NodeId>),
+    Timer(SimDuration, u64),
+    Journal(CtrlEvent),
+}
+
+/// The controller's one effect sink: every handler writes its effects
+/// here, in order, and the `Node` shell replays them into the engine.
+pub(crate) struct Out {
+    now: SimTime,
+    /// Whether a journal subscriber exists; records are kept only then.
+    journaling: bool,
+    /// The follower gate, false only while a follower applies a decree:
+    /// its state changes, but only the leader sends the fabric messages
+    /// and journals the transition.
+    emit: bool,
+    pub(crate) effects: Vec<Effect>,
+}
+
+impl Out {
+    pub(crate) fn new(now: SimTime, journaling: bool, effects: Vec<Effect>) -> Out {
+        Out {
+            now,
+            journaling,
+            emit: true,
+            effects,
+        }
     }
 
-    fn send(&mut self, to: NodeId, body: PacketBody) -> bool {
+    /// Send `msg` to `to` unless gated; true if it went out.
+    fn send(&mut self, to: NodeId, msg: SwishMsg) -> bool {
         if self.emit {
-            self.ctx.send(to, body);
+            self.effects.push(Effect::Send(to, msg));
         }
         self.emit
     }
 
     fn set_group(&mut self, members: Vec<NodeId>) {
         if self.emit {
-            self.ctx.set_group(REPLICA_GROUP, members);
+            self.effects.push(Effect::SetGroup(members));
+        }
+    }
+
+    fn timer(&mut self, delay: SimDuration, token: u64) {
+        self.effects.push(Effect::Timer(delay, token));
+    }
+
+    fn journal(&mut self, event: CtrlEvent) {
+        if self.journaling && self.emit {
+            self.effects.push(Effect::Journal(event));
         }
     }
 }
@@ -235,8 +296,8 @@ pub struct Controller {
     directory: DirectoryService,
     rmeta: Vec<RangeMeta>,
     reconfig_log: Vec<ReconfigLogEntry>,
-    /// Guards `on_start` re-entry: the engine re-dispatches `on_start`
-    /// when a crashed node recovers, which must re-arm timers but not
+    /// Guards start re-entry: the engine re-dispatches the start when a
+    /// crashed node recovers, which must re-arm timers but not
     /// re-bootstrap state.
     started: bool,
     /// Whether the `Bootstrap` decree has been applied. Replicated state
@@ -245,6 +306,9 @@ pub struct Controller {
     /// dedup cannot scan it.
     boot_done: bool,
     rep: Option<Rep>,
+    /// The effect buffer each `Node` callback lends its step (reused, so
+    /// a callback allocates nothing for it).
+    fx: Vec<Effect>,
 }
 
 const CHECK_TIMER: u64 = 1;
@@ -290,6 +354,7 @@ impl Controller {
             started: false,
             boot_done: false,
             rep: None,
+            fx: Vec::new(),
         }
     }
 
@@ -513,47 +578,40 @@ impl Controller {
     /// Route a decision: a singleton applies it on the spot; a leading
     /// replica proposes it as the next consensus decree (followers never
     /// submit — their decisions are skipped at the call sites).
-    fn submit(&mut self, cmd: CtrlCmd, ctx: &mut Ctx<'_>) {
-        if self.rep.is_none() {
-            let mut io = Io { ctx, emit: true };
-            self.apply_cmd(cmd, &mut io);
+    fn submit(&mut self, cmd: CtrlCmd, out: &mut Out) {
+        let Some(rep) = self.rep.as_mut() else {
+            self.apply_cmd(cmd, out);
             return;
-        }
-        let rep = self.rep.as_mut().expect("replica");
+        };
         if rep.cons.role != Role::Leader || rep.cons.has_pending(&cmd) {
             return;
         }
-        let out = rep.cons.enqueue(cmd);
-        self.send_consensus(out, ctx);
-        self.drain_chosen(ctx);
+        let msgs = rep.cons.enqueue(cmd);
+        self.send_consensus(msgs, out);
+        self.drain_chosen(out);
     }
 
     /// Record an operator membership change and propose it if leading.
     /// Every replica that saw the trigger keeps the intent; see
     /// [`Controller::flush_member_changes`].
-    fn queue_member_change(&mut self, node: NodeId, add: bool, ctx: &mut Ctx<'_>) {
+    fn queue_member_change(&mut self, node: NodeId, add: bool, out: &mut Out) {
         let Some(rep) = self.rep.as_mut() else {
             // Singleton: membership decrees are meaningless; apply the
             // no-op directly so the event log still records the request.
-            let cmd = if add {
-                CtrlCmd::AddReplica { node }
-            } else {
-                CtrlCmd::RemoveReplica { node }
-            };
-            self.submit(cmd, ctx);
+            self.submit(member_cmd(node, add), out);
             return;
         };
         if !rep.pending_member.contains(&(node, add)) {
             rep.pending_member.push((node, add));
         }
-        self.flush_member_changes(ctx);
+        self.flush_member_changes(out);
     }
 
     /// Drop membership intents the group already reflects; as leader,
     /// propose the rest. Called on the trigger and on every replica
     /// tick, so an intent survives leader crashes and churn: whichever
     /// replica leads next re-proposes it until the decree commits.
-    fn flush_member_changes(&mut self, ctx: &mut Ctx<'_>) {
+    fn flush_member_changes(&mut self, out: &mut Out) {
         let Some(rep) = self.rep.as_mut() else { return };
         rep.pending_member
             .retain(|&(node, add)| rep.cons.group.contains(&node) != add);
@@ -563,53 +621,25 @@ impl Controller {
         let cmds: Vec<CtrlCmd> = rep
             .pending_member
             .iter()
-            .map(|&(node, add)| {
-                if add {
-                    CtrlCmd::AddReplica { node }
-                } else {
-                    CtrlCmd::RemoveReplica { node }
-                }
-            })
+            .map(|&(node, add)| member_cmd(node, add))
             .collect();
         for cmd in cmds {
-            self.submit(cmd, ctx);
+            self.submit(cmd, out);
         }
     }
 
-    fn send_consensus(&mut self, out: Vec<(NodeId, SwishMsg)>, ctx: &mut Ctx<'_>) {
+    fn send_consensus(&mut self, msgs: Outbox, out: &mut Out) {
         if let Some(rep) = self.rep.as_mut() {
-            rep.msgs_sent += out.len() as u64;
+            rep.msgs_sent += msgs.len() as u64;
         }
-        for (to, msg) in out {
-            ctx.send(to, PacketBody::Swish(msg));
-        }
-    }
-
-    /// Mirror the journal attachment into the consensus note buffer.
-    /// Called at the top of every node callback so the pure state
-    /// machine records transitions exactly while a recorder listens.
-    fn sync_notes(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(rep) = self.rep.as_mut() {
-            rep.cons.notes_on = ctx.journaling();
+        for (to, msg) in msgs {
+            out.send(to, msg);
         }
     }
 
-    /// Journal the buffered consensus transition notes, stamped at the
-    /// current callback's time (the transitions happened inside this
-    /// callback, so the stamp is exact).
-    fn drain_notes(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(rep) = self.rep.as_mut() else { return };
-        if !rep.cons.notes_on {
-            return;
-        }
-        for ev in rep.cons.take_notes() {
-            ctx.journal(ev);
-        }
-    }
-
-    /// Journal the semantic effect of a decree after applying it.
-    /// Leader/singleton side only so each transition appears once.
-    fn journal_decree(&mut self, slot: Slot, cmd: &CtrlCmd, ctx: &mut Ctx<'_>) {
+    /// Journal the semantic effect of a decree after applying it (the
+    /// follower gate keeps each transition to one record).
+    fn journal_decree(&self, slot: Slot, cmd: &CtrlCmd, out: &mut Out) {
         let ev = match *cmd {
             CtrlCmd::Reassert { leader } => CtrlEvent::LeaderElected {
                 leader,
@@ -628,13 +658,18 @@ impl Controller {
             },
             _ => return,
         };
-        ctx.journal(ev);
+        out.journal(ev);
     }
 
-    /// Apply every newly chosen decree, in slot order. Only the leader
-    /// emits the resulting fabric messages.
-    fn drain_chosen(&mut self, ctx: &mut Ctx<'_>) {
-        self.drain_notes(ctx);
+    /// Journal the consensus transitions buffered since the last drain,
+    /// then apply every newly chosen decree, in slot order. Only the
+    /// leader emits the resulting fabric messages and decree records.
+    fn drain_chosen(&mut self, out: &mut Out) {
+        if let Some(rep) = self.rep.as_mut() {
+            for ev in rep.cons.take_notes() {
+                out.journal(ev);
+            }
+        }
         loop {
             let Some(rep) = self.rep.as_mut() else { return };
             if rep.applied >= rep.cons.commit {
@@ -643,16 +678,14 @@ impl Controller {
             let slot = rep.applied;
             let cmd = rep.cons.chosen_at(slot).expect("slot below commit");
             rep.applied += 1;
-            let emit = rep.cons.role == Role::Leader;
-            ctx.journal(CtrlEvent::Applied {
+            out.journal(CtrlEvent::Applied {
                 slot,
                 tag: cmd_tag(&cmd),
             });
-            let mut io = Io { ctx, emit };
-            self.apply_cmd(cmd, &mut io);
-            if emit {
-                self.journal_decree(slot, &cmd, ctx);
-            }
+            out.emit = rep.cons.role == Role::Leader;
+            self.apply_cmd(cmd, out);
+            self.journal_decree(slot, &cmd, out);
+            out.emit = true;
         }
     }
 
@@ -660,29 +693,29 @@ impl Controller {
     /// given (command, state): every guard reads replicated state only —
     /// time-based heuristics (cooldown) are checked at decision time
     /// instead.
-    fn apply_cmd(&mut self, cmd: CtrlCmd, io: &mut Io<'_, '_>) {
+    fn apply_cmd(&mut self, cmd: CtrlCmd, out: &mut Out) {
         match cmd {
             CtrlCmd::Bootstrap => {
-                if self.bootstrapped() {
+                if self.boot_done {
                     return;
                 }
-                self.broadcast(io, ConfigEventKind::Bootstrap);
+                self.broadcast(out, ConfigEventKind::Bootstrap);
                 if self.has_partitioned() {
-                    self.bootstrap_ranges(io);
+                    self.bootstrap_ranges(out);
                 }
             }
             CtrlCmd::Reassert { leader } => {
-                self.broadcast(io, ConfigEventKind::LeaderElected(leader));
-                if io.emit {
+                self.broadcast(out, ConfigEventKind::LeaderElected(leader));
+                if self.is_acting_leader() {
                     // The new leader re-announces itself to the switches
                     // and re-asserts the range tables (anti-entropy for
                     // anything the old leader's loss left unconfirmed).
-                    self.announce_lead(io);
-                    self.resync_ranges(io);
+                    self.announce_lead(out);
+                    self.resync_ranges(out);
                     // Failure-detection grace: heartbeat times observed
                     // as a follower may predate a partition; re-baseline
                     // so failover does not mass-expire the fabric.
-                    let now = io.now();
+                    let now = out.now;
                     for (_, t, _) in self.last_hb.iter_mut() {
                         *t = (*t).max(now);
                     }
@@ -694,8 +727,8 @@ impl Controller {
                 }
                 self.view.chain.retain(|&n| n != node);
                 self.view.learners.retain(|&n| n != node);
-                self.broadcast(io, ConfigEventKind::Failed(node));
-                self.handle_partitioned_failure(node, io);
+                self.broadcast(out, ConfigEventKind::Failed(node));
+                self.handle_partitioned_failure(node, out);
             }
             CtrlCmd::Admit { node } => {
                 if self.is_live(node) || !self.switches.contains(&node) {
@@ -707,22 +740,22 @@ impl Controller {
                 // a snapshot").
                 self.view.learners.push(node);
                 let source = self.view.head();
-                self.broadcast(io, ConfigEventKind::LearnerAdded(node));
+                self.broadcast(out, ConfigEventKind::LearnerAdded(node));
                 match source {
                     Some(src) => {
-                        io.send(
+                        out.send(
                             src,
-                            PacketBody::Swish(SwishMsg::SnapReq(SnapshotRequest {
+                            SwishMsg::SnapReq(SnapshotRequest {
                                 target: node,
                                 epoch: self.view.epoch,
-                            })),
+                            }),
                         );
                     }
                     None => {
                         // Nothing to catch up from: promote immediately.
                         self.view.learners.retain(|&n| n != node);
                         self.view.chain.push(node);
-                        self.broadcast(io, ConfigEventKind::Promoted(node));
+                        self.broadcast(out, ConfigEventKind::Promoted(node));
                     }
                 }
             }
@@ -732,23 +765,23 @@ impl Controller {
                 }
                 self.view.learners.retain(|&n| n != node);
                 self.view.chain.push(node);
-                self.broadcast(io, ConfigEventKind::Promoted(node));
+                self.broadcast(out, ConfigEventKind::Promoted(node));
             }
             CtrlCmd::Move {
                 reg,
                 key,
                 to,
                 planned,
-            } => self.start_move(reg, key, to, planned, io),
-            CtrlCmd::Grow { reg, key, to } => self.start_grow(reg, key, to, io),
-            CtrlCmd::Shrink { reg, key, node } => self.start_shrink(reg, key, node, io),
+            } => self.start_move(reg, key, to, planned, out),
+            CtrlCmd::Grow { reg, key, to } => self.start_grow(reg, key, to, out),
+            CtrlCmd::Shrink { reg, key, node } => self.start_shrink(reg, key, node, out),
             CtrlCmd::MigDone {
                 reg,
                 start,
                 node,
                 epoch,
                 pass,
-            } => self.apply_mig_done(reg, start, node, epoch, pass, io),
+            } => self.apply_mig_done(reg, start, node, epoch, pass, out),
             CtrlCmd::Compact { upto } => {
                 // Recycle the log window at the *apply* cursor — the
                 // same boundary on every replica, and never ahead of any
@@ -760,16 +793,14 @@ impl Controller {
                 let Some(rep) = self.rep.as_mut() else { return };
                 if rep.cons.compact_to(upto) {
                     rep.snapshot_bytes += snap_len;
-                    if io.emit {
-                        io.ctx.journal(CtrlEvent::Compact {
-                            upto,
-                            snap_bytes: snap_len,
-                        });
-                    }
+                    out.journal(CtrlEvent::Compact {
+                        upto,
+                        snap_bytes: snap_len,
+                    });
                 }
             }
-            CtrlCmd::AddReplica { node } => self.apply_replica_change(node, true, io),
-            CtrlCmd::RemoveReplica { node } => self.apply_replica_change(node, false, io),
+            CtrlCmd::AddReplica { node } => self.apply_replica_change(node, true, out),
+            CtrlCmd::RemoveReplica { node } => self.apply_replica_change(node, false, out),
         }
     }
 
@@ -777,20 +808,11 @@ impl Controller {
     /// must change the moment the decree is chosen); the controller's
     /// apply side re-keys its replica-liveness table to the new group and
     /// logs the event for the operator.
-    fn apply_replica_change(&mut self, node: NodeId, added: bool, io: &mut Io<'_, '_>) {
-        let now = io.now();
+    fn apply_replica_change(&mut self, node: NodeId, added: bool, out: &mut Out) {
+        let now = out.now;
         let epoch = self.view.epoch;
         let Some(rep) = self.rep.as_mut() else { return };
-        let me = rep.cons.me;
-        let group = rep.cons.group.clone();
-        rep.peer_hb.retain(|(n, _)| group.contains(n));
-        for &g in &group {
-            if g != me && !rep.peer_hb.iter().any(|(n, _)| *n == g) {
-                // A freshly admitted member starts with a live baseline
-                // so the leader-lease check does not count it dead.
-                rep.peer_hb.push((g, now));
-            }
-        }
+        rep.rekey_peers(now);
         self.events.push(ConfigEvent {
             time: now,
             epoch,
@@ -802,42 +824,38 @@ impl Controller {
         });
     }
 
-    fn bootstrapped(&self) -> bool {
-        self.boot_done
-    }
-
     /// Send the current configuration to one switch (idempotent; used for
     /// both broadcasts and per-switch reconciliation of lost messages).
-    fn send_config_to(&self, io: &mut Io<'_, '_>, sw: NodeId) {
-        io.send(
+    fn send_config_to(&self, out: &mut Out, sw: NodeId) {
+        out.send(
             sw,
-            PacketBody::Swish(SwishMsg::Chain(ChainConfig {
+            SwishMsg::Chain(ChainConfig {
                 epoch: self.view.epoch,
                 chain: self.view.chain.clone(),
                 learners: self.view.learners.clone(),
-            })),
+            }),
         );
-        io.send(
+        out.send(
             sw,
-            PacketBody::Swish(SwishMsg::Group(GroupConfig {
+            SwishMsg::Group(GroupConfig {
                 epoch: self.view.epoch,
                 members: self.group_members(),
-            })),
+            }),
         );
         // Replicated mode: piggyback the leader announcement so a switch
         // that missed a failover redirects its controller-bound traffic.
         if let Some(rep) = &self.rep {
-            io.send(
+            out.send(
                 sw,
-                PacketBody::Swish(SwishMsg::CtrlLead(CtrlLead {
+                SwishMsg::CtrlLead(CtrlLead {
                     leader: rep.cons.me,
                     ballot: rep.cons.bal,
-                })),
+                }),
             );
         }
     }
 
-    fn announce_lead(&mut self, io: &mut Io<'_, '_>) {
+    fn announce_lead(&mut self, out: &mut Out) {
         let Some(rep) = &self.rep else { return };
         let lead = CtrlLead {
             leader: rep.cons.me,
@@ -845,7 +863,7 @@ impl Controller {
         };
         let mut sent = 0;
         for &sw in &self.switches {
-            if io.send(sw, PacketBody::Swish(SwishMsg::CtrlLead(lead))) {
+            if out.send(sw, SwishMsg::CtrlLead(lead)) {
                 sent += 1;
             }
         }
@@ -854,20 +872,20 @@ impl Controller {
         }
     }
 
-    fn broadcast(&mut self, io: &mut Io<'_, '_>, kind: ConfigEventKind) {
+    fn broadcast(&mut self, out: &mut Out, kind: ConfigEventKind) {
         self.view.epoch += 1;
         if matches!(kind, ConfigEventKind::Bootstrap) {
             self.boot_done = true;
         }
         self.events.push(ConfigEvent {
-            time: io.now(),
+            time: out.now,
             epoch: self.view.epoch,
             kind,
         });
         // Reprogram the fabric multicast tree (controller privilege).
-        io.set_group(self.group_members());
-        for &sw in &self.switches.clone() {
-            self.send_config_to(io, sw);
+        out.set_group(self.group_members());
+        for &sw in &self.switches {
+            self.send_config_to(out, sw);
         }
     }
 
@@ -875,7 +893,8 @@ impl Controller {
     // Decisions (leader / singleton only)
     // ------------------------------------------------------------------
 
-    fn note_heartbeat(&mut self, from: NodeId, epoch: u32, now: SimTime, ctx: &mut Ctx<'_>) {
+    fn note_heartbeat(&mut self, from: NodeId, epoch: u32, out: &mut Out) {
+        let now = out.now;
         let mut amnesia = false;
         match self.last_hb.iter_mut().find(|(n, _, _)| *n == from) {
             Some((_, t, e)) => {
@@ -896,16 +915,16 @@ impl Controller {
             return;
         }
         if amnesia {
-            self.submit(CtrlCmd::Fail { node: from }, ctx);
+            self.submit(CtrlCmd::Fail { node: from }, out);
         }
         let known = self.view.chain.contains(&from) || self.view.learners.contains(&from);
         if !known && self.switches.contains(&from) {
-            self.submit(CtrlCmd::Admit { node: from }, ctx);
+            self.submit(CtrlCmd::Admit { node: from }, out);
         }
     }
 
-    fn check_liveness(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
+    fn check_liveness(&mut self, out: &mut Out) {
+        let now = out.now;
         let timeout = self.cfg.failure_timeout;
         let dead: Vec<NodeId> = self
             .last_hb
@@ -917,20 +936,15 @@ impl Controller {
             .map(|(n, _, _)| *n)
             .collect();
         for d in dead {
-            self.submit(CtrlCmd::Fail { node: d }, ctx);
+            self.submit(CtrlCmd::Fail { node: d }, out);
         }
         // Reconciliation: configuration messages ride the same lossy
         // fabric as everything else; re-send to any live switch whose
         // heartbeat reports a stale epoch. Pure messaging, no decree.
-        let stale: Vec<NodeId> = self
-            .last_hb
-            .iter()
-            .filter(|(_, _, e)| *e < self.view.epoch)
-            .map(|(n, _, _)| *n)
-            .collect();
-        let mut io = Io { ctx, emit: true };
-        for sw in stale {
-            self.send_config_to(&mut io, sw);
+        for &(sw, _, epoch) in &self.last_hb {
+            if epoch < self.view.epoch {
+                self.send_config_to(out, sw);
+            }
         }
     }
 
@@ -951,9 +965,9 @@ impl Controller {
     /// ingressed decisively more writes than the current primary this
     /// window, migrate the range onto that talker. Counters are drained
     /// per window (per-interval semantics).
-    fn run_planner(&mut self, ctx: &mut Ctx<'_>) {
+    fn run_planner(&mut self, out: &mut Out) {
         let pol = self.cfg.reconfig;
-        let now = ctx.now();
+        let now = out.now;
         let mut moves: Vec<(RegId, Key, NodeId)> = Vec::new();
         for spec in &self.specs {
             if !spec.is_partitioned() {
@@ -991,7 +1005,7 @@ impl Controller {
                         to,
                         planned: true,
                     },
-                    ctx,
+                    out,
                 );
             }
         }
@@ -1021,8 +1035,8 @@ impl Controller {
     /// any partitioned register not explicitly partitioned by the
     /// deployment is spread evenly across all switches, and the initial
     /// table is installed everywhere via epoch-1 `OwnershipCommit`s.
-    fn bootstrap_ranges(&mut self, io: &mut Io<'_, '_>) {
-        let now = io.now();
+    fn bootstrap_ranges(&mut self, out: &mut Out) {
+        let now = out.now;
         for spec in self.specs.clone() {
             if !spec.is_partitioned() {
                 continue;
@@ -1050,14 +1064,14 @@ impl Controller {
                         epoch: 1,
                     },
                 );
-                self.broadcast_commit(io, spec.id, r.start, r.end, 1, &r.owners);
+                self.broadcast_commit(out, spec.id, r.start, r.end, 1, &r.owners);
             }
         }
     }
 
     fn broadcast_commit(
         &self,
-        io: &mut Io<'_, '_>,
+        out: &mut Out,
         reg: RegId,
         start: Key,
         end: Key,
@@ -1065,23 +1079,32 @@ impl Controller {
         owners: &[NodeId],
     ) {
         for &sw in &self.switches {
-            io.send(
+            out.send(
                 sw,
-                PacketBody::Swish(SwishMsg::OwnershipCommit(OwnershipCommit {
+                SwishMsg::OwnershipCommit(OwnershipCommit {
                     reg,
                     start,
                     end,
                     epoch,
                     owners: owners.to_vec(),
-                })),
+                }),
             );
         }
     }
 
-    fn broadcast_begin(&self, io: &mut Io<'_, '_>, m: &MigrateBegin) {
+    fn broadcast_begin(&self, out: &mut Out, m: &MigrateBegin) {
         for &sw in &self.switches {
-            io.send(sw, PacketBody::Swish(SwishMsg::MigrateBegin(*m)));
+            out.send(sw, SwishMsg::MigrateBegin(*m));
         }
+    }
+
+    /// The directory range of `reg` holding `key`.
+    fn range_at(&self, reg: RegId, key: Key) -> Option<RangeEntry> {
+        let ranges = self.directory.ranges(reg);
+        ranges
+            .iter()
+            .find(|r| r.start <= key && key < r.end)
+            .cloned()
     }
 
     fn meta_idx(&self, reg: RegId, start: Key) -> Option<usize> {
@@ -1090,22 +1113,14 @@ impl Controller {
             .position(|m| m.reg == reg && m.start == start)
     }
 
-    /// Journal a migration lifecycle event (leader/singleton side only,
-    /// so a replicated apply records each step once).
-    fn journal_mig(&self, io: &mut Io<'_, '_>, ev: CtrlEvent) {
-        if io.emit {
-            io.ctx.journal(ev);
-        }
-    }
-
     /// Commit `owners` as the range's owner set at a fresh per-range
     /// epoch: update the directory, retire any open migration, start the
     /// planner cooldown, and broadcast the `OwnershipCommit`.
-    fn commit_range(&mut self, reg: RegId, start: Key, owners: Vec<NodeId>, io: &mut Io<'_, '_>) {
+    fn commit_range(&mut self, reg: RegId, start: Key, owners: Vec<NodeId>, out: &mut Out) {
         let Some(i) = self.meta_idx(reg, start) else {
             return;
         };
-        let now = io.now();
+        let now = out.now;
         let was_dual = matches!(
             &self.rmeta[i].mig,
             Some(m) if m.phase == MigrationPhase::DualOwner
@@ -1116,7 +1131,7 @@ impl Controller {
         self.rmeta[i].committed_epoch = epoch;
         self.rmeta[i].mig = None;
         if was_dual {
-            self.journal_mig(io, CtrlEvent::MigCommit { reg, start, epoch });
+            out.journal(CtrlEvent::MigCommit { reg, start, epoch });
         }
         self.rmeta[i].cooldown_until = Some(now + PLANNER_COOLDOWN);
         self.directory.set_owners(reg, start, &owners);
@@ -1129,7 +1144,7 @@ impl Controller {
                 epoch,
             },
         );
-        self.broadcast_commit(io, reg, start, end, epoch, &owners);
+        self.broadcast_commit(out, reg, start, end, epoch, &owners);
     }
 
     /// Open a migration for the range containing `key`: `to` becomes the
@@ -1143,21 +1158,15 @@ impl Controller {
         to: NodeId,
         commit_owners: Vec<NodeId>,
         planned: bool,
-        io: &mut Io<'_, '_>,
+        out: &mut Out,
     ) {
-        let Some(range) = self
-            .directory
-            .ranges(reg)
-            .iter()
-            .find(|r| r.start <= key && key < r.end)
-            .cloned()
-        else {
+        let Some(range) = self.range_at(reg, key) else {
             return;
         };
         let Some(i) = self.meta_idx(reg, range.start) else {
             return;
         };
-        let now = io.now();
+        let now = out.now;
         let Some(&from) = range.owners.first() else {
             return;
         };
@@ -1202,18 +1211,15 @@ impl Controller {
                 epoch,
             },
         );
-        self.journal_mig(
-            io,
-            CtrlEvent::MigBegin {
-                reg,
-                start: range.start,
-                from,
-                to,
-                epoch,
-            },
-        );
+        out.journal(CtrlEvent::MigBegin {
+            reg,
+            start: range.start,
+            from,
+            to,
+            epoch,
+        });
         self.broadcast_begin(
-            io,
+            out,
             &MigrateBegin {
                 reg,
                 start: range.start,
@@ -1226,14 +1232,8 @@ impl Controller {
     }
 
     /// Move the range containing `key` so `to` becomes its primary.
-    fn start_move(&mut self, reg: RegId, key: Key, to: NodeId, planned: bool, io: &mut Io<'_, '_>) {
-        let Some(range) = self
-            .directory
-            .ranges(reg)
-            .iter()
-            .find(|r| r.start <= key && key < r.end)
-            .cloned()
-        else {
+    fn start_move(&mut self, reg: RegId, key: Key, to: NodeId, planned: bool, out: &mut Out) {
+        let Some(range) = self.range_at(reg, key) else {
             return;
         };
         let Some(&from) = range.owners.first() else {
@@ -1244,38 +1244,26 @@ impl Controller {
             .iter()
             .map(|&o| if o == from { to } else { o })
             .collect();
-        self.begin_migration(reg, key, to, commit_owners, planned, io);
+        self.begin_migration(reg, key, to, commit_owners, planned, out);
     }
 
     /// Grow the replica group of the range containing `key`: `node`
     /// joins as an additional owner after a state transfer.
-    fn start_grow(&mut self, reg: RegId, key: Key, node: NodeId, io: &mut Io<'_, '_>) {
-        let Some(range) = self
-            .directory
-            .ranges(reg)
-            .iter()
-            .find(|r| r.start <= key && key < r.end)
-            .cloned()
-        else {
+    fn start_grow(&mut self, reg: RegId, key: Key, node: NodeId, out: &mut Out) {
+        let Some(range) = self.range_at(reg, key) else {
             return;
         };
         let mut commit_owners = range.owners.clone();
         commit_owners.push(node);
-        self.begin_migration(reg, key, node, commit_owners, false, io);
+        self.begin_migration(reg, key, node, commit_owners, false, out);
     }
 
     /// Shrink the replica group of the range containing `key`: `node`
     /// leaves the owner set. No transfer needed — every acked write is
     /// already applied at all owners (chain prefix property) — so this
     /// is a direct commit.
-    fn start_shrink(&mut self, reg: RegId, key: Key, node: NodeId, io: &mut Io<'_, '_>) {
-        let Some(range) = self
-            .directory
-            .ranges(reg)
-            .iter()
-            .find(|r| r.start <= key && key < r.end)
-            .cloned()
-        else {
+    fn start_shrink(&mut self, reg: RegId, key: Key, node: NodeId, out: &mut Out) {
+        let Some(range) = self.range_at(reg, key) else {
             return;
         };
         if !range.owners.contains(&node) || range.owners.len() < 2 {
@@ -1292,7 +1280,7 @@ impl Controller {
             .copied()
             .filter(|&o| o != node)
             .collect();
-        self.commit_range(reg, range.start, owners, io);
+        self.commit_range(reg, range.start, owners, out);
     }
 
     /// Apply a migration-complete decree: flip the range to its commit
@@ -1304,9 +1292,9 @@ impl Controller {
         node: NodeId,
         epoch: u32,
         pass: u32,
-        io: &mut Io<'_, '_>,
+        out: &mut Out,
     ) {
-        let now = io.now();
+        let now = out.now;
         let Some(i) = self.meta_idx(reg, start) else {
             return;
         };
@@ -1331,16 +1319,13 @@ impl Controller {
                     pass,
                 },
             );
-            self.journal_mig(
-                io,
-                CtrlEvent::MigDualOwner {
-                    reg,
-                    start,
-                    epoch,
-                    pass,
-                },
-            );
-            self.commit_range(reg, start, owners, io);
+            out.journal(CtrlEvent::MigDualOwner {
+                reg,
+                start,
+                epoch,
+                pass,
+            });
+            self.commit_range(reg, start, owners, out);
         }
     }
 
@@ -1351,8 +1336,8 @@ impl Controller {
     /// with a live transfer destination → promote the destination (it
     /// holds every write acked during the window; older state it never
     /// received is lost with the sole owner either way).
-    fn handle_partitioned_failure(&mut self, d: NodeId, io: &mut Io<'_, '_>) {
-        let now = io.now();
+    fn handle_partitioned_failure(&mut self, d: NodeId, out: &mut Out) {
+        let now = out.now;
         for i in 0..self.rmeta.len() {
             let (reg, start) = (self.rmeta[i].reg, self.rmeta[i].start);
             let Some(range) = self
@@ -1367,72 +1352,43 @@ impl Controller {
             let mig = self.rmeta[i].mig.clone();
             let survivors: Vec<NodeId> = range.owners.iter().copied().filter(|&o| o != d).collect();
             if let Some(mig) = mig {
-                if mig.to == d {
-                    self.log_reconfig(
-                        now,
-                        ReconfigEvent::Abort {
-                            reg,
-                            start,
-                            reason: "destination failed",
-                        },
-                    );
-                    self.journal_mig(
-                        io,
-                        CtrlEvent::MigAbort {
-                            reg,
-                            start,
-                            epoch: mig.epoch,
-                            reason: ABORT_DEST_FAILED,
-                        },
-                    );
+                let abort = if mig.to == d {
                     // Re-assert the current owners at a fresh epoch:
                     // clears `mig_to` at every switch and stops the
                     // source's streamer.
-                    self.commit_range(reg, start, range.owners.clone(), io);
-                } else if range.owners.contains(&d) {
-                    if survivors.is_empty() {
-                        self.log_reconfig(
-                            now,
-                            ReconfigEvent::Abort {
-                                reg,
-                                start,
-                                reason: "sole owner failed; promoting destination",
-                            },
-                        );
-                        self.journal_mig(
-                            io,
-                            CtrlEvent::MigAbort {
-                                reg,
-                                start,
-                                epoch: mig.epoch,
-                                reason: ABORT_SOLE_OWNER_PROMOTE,
-                            },
-                        );
-                        self.commit_range(reg, start, vec![mig.to], io);
-                    } else {
-                        self.log_reconfig(
-                            now,
-                            ReconfigEvent::Abort {
-                                reg,
-                                start,
-                                reason: "owner failed during transfer",
-                            },
-                        );
-                        self.journal_mig(
-                            io,
-                            CtrlEvent::MigAbort {
-                                reg,
-                                start,
-                                epoch: mig.epoch,
-                                reason: ABORT_OWNER_FAILED,
-                            },
-                        );
-                        self.commit_range(reg, start, survivors, io);
-                    }
+                    Some((
+                        "destination failed",
+                        ABORT_DEST_FAILED,
+                        range.owners.clone(),
+                    ))
+                } else if !range.owners.contains(&d) {
+                    None
+                } else if survivors.is_empty() {
+                    Some((
+                        "sole owner failed; promoting destination",
+                        ABORT_SOLE_OWNER_PROMOTE,
+                        vec![mig.to],
+                    ))
+                } else {
+                    Some((
+                        "owner failed during transfer",
+                        ABORT_OWNER_FAILED,
+                        survivors,
+                    ))
+                };
+                if let Some((reason, code, owners)) = abort {
+                    self.log_reconfig(now, ReconfigEvent::Abort { reg, start, reason });
+                    out.journal(CtrlEvent::MigAbort {
+                        reg,
+                        start,
+                        epoch: mig.epoch,
+                        reason: code,
+                    });
+                    self.commit_range(reg, start, owners, out);
                 }
             } else if range.owners.contains(&d) && !survivors.is_empty() {
                 // Plain owner failure: shrink the replica group.
-                self.commit_range(reg, start, survivors, io);
+                self.commit_range(reg, start, survivors, out);
             }
             // Sole owner failed with no transfer in flight: the range's
             // state dies with it; the table is left pointing at the
@@ -1446,7 +1402,7 @@ impl Controller {
     /// switch. Idempotent at the receivers — per-range epochs guard the
     /// installs — and self-healing for crash-wiped tables and lost
     /// control messages.
-    fn resync_ranges(&mut self, io: &mut Io<'_, '_>) {
+    fn resync_ranges(&mut self, out: &mut Out) {
         for i in 0..self.rmeta.len() {
             let m = self.rmeta[i].clone();
             let Some(range) = self
@@ -1458,10 +1414,10 @@ impl Controller {
             else {
                 continue;
             };
-            self.broadcast_commit(io, m.reg, m.start, m.end, m.committed_epoch, &range.owners);
+            self.broadcast_commit(out, m.reg, m.start, m.end, m.committed_epoch, &range.owners);
             if let Some(mig) = &m.mig {
                 self.broadcast_begin(
-                    io,
+                    out,
                     &MigrateBegin {
                         reg: m.reg,
                         start: m.start,
@@ -1479,12 +1435,12 @@ impl Controller {
     // Replica plumbing
     // ------------------------------------------------------------------
 
-    fn rep_tick(&mut self, ctx: &mut Ctx<'_>) {
+    fn rep_tick(&mut self, out: &mut Out) {
         let hb_interval = self.cfg.heartbeat_interval;
         let retry_pace = self.cfg.failure_timeout;
         let cfg = self.cfg;
         let Some(rep) = self.rep.as_mut() else { return };
-        let now = ctx.now();
+        let now = out.now;
         let me = rep.cons.me;
         // Leader lease: a leader that cannot hear a quorum of peers
         // within `failure_timeout` cannot commit anything either — stop
@@ -1500,7 +1456,7 @@ impl Controller {
                 .filter(|(n, t)| *n != me && group.contains(n) && now.since(*t) <= retry_pace)
                 .count();
             if heard + 1 < rep.cons.quorum() {
-                ctx.journal(CtrlEvent::LeaseLost {
+                out.journal(CtrlEvent::LeaseLost {
                     heard: heard as u32,
                     quorum: rep.cons.quorum() as u32,
                 });
@@ -1518,31 +1474,24 @@ impl Controller {
             commit: rep.cons.commit,
             leader: is_leader,
         };
-        let peers: Vec<NodeId> = rep
-            .cons
-            .group
-            .iter()
-            .copied()
-            .filter(|&p| p != me)
-            .collect();
-        rep.msgs_sent += peers.len() as u64;
-        for p in peers {
-            ctx.send(p, PacketBody::Swish(SwishMsg::CtrlHb(hb)));
+        for &p in rep.cons.group.iter().filter(|&&p| p != me) {
+            rep.msgs_sent += 1;
+            out.send(p, SwishMsg::CtrlHb(hb));
         }
         // Loss recovery for in-flight proposals.
-        let out = rep.cons.retransmit();
-        self.send_consensus(out, ctx);
-        self.drain_chosen(ctx);
+        let msgs = rep.cons.retransmit();
+        self.send_consensus(msgs, out);
+        self.drain_chosen(out);
         // An established leader decrees the initial configuration if the
         // group has not bootstrapped yet (the singleton path does this
-        // directly in `on_start`; here it must ride the log).
+        // directly at start; here it must ride the log).
         if self
             .rep
             .as_ref()
             .is_some_and(|r| r.cons.role == Role::Leader)
-            && !self.bootstrapped()
+            && !self.boot_done
         {
-            self.submit(CtrlCmd::Bootstrap, ctx);
+            self.submit(CtrlCmd::Bootstrap, out);
         }
         // Log compaction: once the window crosses the threshold and the
         // leader's apply cursor has caught up with commit (so the decree
@@ -1558,11 +1507,11 @@ impl Controller {
         });
         if let Some(upto) = compact_upto {
             self.rep.as_mut().expect("replica").last_compact_upto = upto;
-            self.submit(CtrlCmd::Compact { upto }, ctx);
+            self.submit(CtrlCmd::Compact { upto }, out);
         }
         // Re-propose operator membership intents the group does not yet
         // reflect (survives leader crashes between trigger and commit).
-        self.flush_member_changes(ctx);
+        self.flush_member_changes(out);
         // Election timer, phi-accrual style: with enough leader-beacon
         // inter-arrival history the suspicion threshold adapts to the
         // *observed* beacon cadence (mean + phi deviations + floor,
@@ -1589,7 +1538,7 @@ impl Controller {
             if !rep.suspected {
                 rep.suspected = true;
                 rep.suspect_events += 1;
-                ctx.journal(CtrlEvent::Suspect {
+                out.journal(CtrlEvent::Suspect {
                     target: rep.cons.leader_hint.unwrap_or(me),
                     silence_ns: now.since(rep.last_leader_hb).0,
                     timeout_ns: election_timeout.0,
@@ -1598,16 +1547,16 @@ impl Controller {
             if now.since(rep.last_attempt) > retry_pace {
                 rep.last_attempt = now;
                 rep.elections += 1;
-                let out = rep.cons.start_candidacy();
-                ctx.journal(CtrlEvent::ElectionStart {
+                let msgs = rep.cons.start_candidacy();
+                out.journal(CtrlEvent::ElectionStart {
                     ballot: rep.cons.bal,
                     timeout_ns: election_timeout.0,
                 });
-                self.send_consensus(out, ctx);
-                self.drain_chosen(ctx);
+                self.send_consensus(msgs, out);
+                self.drain_chosen(out);
             }
         }
-        ctx.set_timer(hb_interval, REP_TICK);
+        out.timer(hb_interval, REP_TICK);
     }
 
     /// Record liveness contact with a fellow replica (feeds the leader
@@ -1622,8 +1571,8 @@ impl Controller {
         }
     }
 
-    fn on_ctrl_hb(&mut self, hb: CtrlHb, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
+    fn on_ctrl_hb(&mut self, hb: CtrlHb, out: &mut Out) {
+        let now = out.now;
         self.note_peer(hb.from, now);
         let Some(rep) = self.rep.as_mut() else { return };
         if hb.leader {
@@ -1642,7 +1591,7 @@ impl Controller {
                 }
             }
             if rep.suspected {
-                ctx.journal(CtrlEvent::Unsuspect { target: hb.from });
+                out.journal(CtrlEvent::Unsuspect { target: hb.from });
             }
             rep.last_leader_hb = now;
             rep.suspected = false;
@@ -1669,14 +1618,14 @@ impl Controller {
             let snap = self.make_snapshot();
             let base = snap.base;
             let msg = SwishMsg::CtrlSnap(Box::new(snap));
-            if ctx.journaling() {
-                ctx.journal(CtrlEvent::SnapshotSent {
+            if out.journaling {
+                out.journal(CtrlEvent::SnapshotSent {
                     base,
                     bytes: msg.wire_len() as u64,
                     to: hb.from,
                 });
             }
-            self.send_consensus(vec![(hb.from, msg)], ctx);
+            self.send_consensus(vec![(hb.from, msg)], out);
         }
         if needs_replay {
             let rep = self.rep.as_ref().expect("replica");
@@ -1686,7 +1635,7 @@ impl Controller {
                 .into_iter()
                 .map(|l| (hb.from, SwishMsg::CtrlLearn(l)))
                 .collect();
-            self.send_consensus(learns, ctx);
+            self.send_consensus(learns, out);
         }
     }
 
@@ -1744,8 +1693,8 @@ impl Controller {
     /// Install a peer's snapshot: jump the consensus log to its base and
     /// adopt the sender's applied controller state wholesale. Refused
     /// (no-op) unless it actually advances our committed prefix.
-    fn on_ctrl_snap(&mut self, s: CtrlSnap, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
+    fn on_ctrl_snap(&mut self, s: CtrlSnap, out: &mut Out) {
+        let now = out.now;
         self.note_peer(s.from, now);
         let Some(rep) = self.rep.as_mut() else { return };
         if !rep
@@ -1755,16 +1704,8 @@ impl Controller {
             return;
         }
         rep.applied = s.base;
-        ctx.journal(CtrlEvent::SnapshotInstalled { base: s.base });
-        // Re-key peer liveness to the adopted membership.
-        let me = rep.cons.me;
-        let group = rep.cons.group.clone();
-        rep.peer_hb.retain(|(n, _)| group.contains(n));
-        for &g in &group {
-            if g != me && !rep.peer_hb.iter().any(|(n, _)| *n == g) {
-                rep.peer_hb.push((g, now));
-            }
-        }
+        out.journal(CtrlEvent::SnapshotInstalled { base: s.base });
+        rep.rekey_peers(now);
         self.boot_done = s.boot_done;
         self.view.epoch = s.epoch;
         self.view.chain = s.chain;
@@ -1800,7 +1741,7 @@ impl Controller {
             }
         }
         // Apply whatever committed suffix `install_base` retained.
-        self.drain_chosen(ctx);
+        self.drain_chosen(out);
     }
 }
 
@@ -1818,6 +1759,14 @@ fn phase_from_code(c: u8) -> MigrationPhase {
     match c {
         0 => MigrationPhase::Transferring,
         _ => MigrationPhase::DualOwner,
+    }
+}
+
+fn member_cmd(node: NodeId, add: bool) -> CtrlCmd {
+    if add {
+        CtrlCmd::AddReplica { node }
+    } else {
+        CtrlCmd::RemoveReplica { node }
     }
 }
 
@@ -1839,96 +1788,84 @@ fn cmd_tag(cmd: &CtrlCmd) -> u16 {
     }
 }
 
-impl Node for Controller {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.sync_notes(ctx);
-        let now = ctx.now();
-        if self.started {
-            // Recovery re-entry: the engine re-dispatches `on_start`
-            // after a crash heals. Controller state survives (modeling
-            // persistent controller storage; see DESIGN.md §12), but
-            // pending timers were suppressed while down — re-arm them —
-            // and heartbeat ages must not count the downtime.
-            for (_, t, _) in self.last_hb.iter_mut() {
-                *t = now;
-            }
-            ctx.set_timer(self.cfg.heartbeat_interval, CHECK_TIMER);
-            if self.has_partitioned() {
-                ctx.set_timer(RESYNC_INTERVAL, RESYNC_TIMER);
-                if self.cfg.reconfig.enabled {
-                    ctx.set_timer(PLAN_INTERVAL, PLAN_TIMER);
-                }
-            }
-            if let Some(rep) = self.rep.as_mut() {
-                // Whatever we were mid-flight on is stale; rejoin as a
-                // follower and let the election timer sort leadership.
-                rep.cons.on_restart();
-                rep.last_leader_hb = now;
-                rep.last_attempt = now;
-                for (_, t) in rep.peer_hb.iter_mut() {
-                    *t = now;
-                }
-                // Inter-arrival history spans the downtime — discard it
-                // so the detector re-learns the cadence from scratch.
-                rep.hb_gaps.clear();
-                rep.suspected = false;
-                ctx.set_timer(self.cfg.heartbeat_interval, REP_TICK);
-            }
-            return;
+// ----------------------------------------------------------------------
+// The step: the controller's one entry point
+// ----------------------------------------------------------------------
+
+impl Controller {
+    /// Handle one input at `out.now`, writing every effect to `out` in
+    /// emission order. No engine is involved: a test or an explorer can
+    /// drive the controller by calling this directly.
+    pub(crate) fn step(&mut self, input: Input, out: &mut Out) {
+        // The consensus state machine records transition notes exactly
+        // while a journal subscriber listens.
+        if let Some(rep) = self.rep.as_mut() {
+            rep.cons.notes_on = out.journaling;
         }
-        self.started = true;
-        self.last_hb = self.switches.iter().map(|&s| (s, now, 0)).collect();
-        let has_partitioned = self.has_partitioned();
-        match self.rep.as_mut() {
-            None => {
-                let mut io = Io { ctx, emit: true };
-                self.broadcast(&mut io, ConfigEventKind::Bootstrap);
-                ctx.set_timer(self.cfg.heartbeat_interval, CHECK_TIMER);
-                if self.has_partitioned() {
-                    let mut io = Io { ctx, emit: true };
-                    self.bootstrap_ranges(&mut io);
-                    ctx.set_timer(RESYNC_INTERVAL, RESYNC_TIMER);
-                    if self.cfg.reconfig.enabled {
-                        ctx.set_timer(PLAN_INTERVAL, PLAN_TIMER);
-                    }
-                }
-            }
-            Some(rep) => {
-                rep.last_leader_hb = now;
-                rep.last_attempt = now;
-                for (_, t) in rep.peer_hb.iter_mut() {
-                    *t = now;
-                }
-                ctx.set_timer(self.cfg.heartbeat_interval, CHECK_TIMER);
-                if has_partitioned {
-                    ctx.set_timer(RESYNC_INTERVAL, RESYNC_TIMER);
-                    if self.cfg.reconfig.enabled {
-                        ctx.set_timer(PLAN_INTERVAL, PLAN_TIMER);
-                    }
-                }
-                ctx.set_timer(self.cfg.heartbeat_interval, REP_TICK);
-                // Replica 0 bootstraps the group: elect, then decree the
-                // initial configuration (`Bootstrap` follows the win).
-                if rep.cons.idx == 0 {
-                    rep.elections += 1;
-                    let out = rep.cons.start_candidacy();
-                    self.send_consensus(out, ctx);
-                    self.drain_chosen(ctx);
-                }
-            }
+        match input {
+            Input::Start => self.start(out),
+            Input::Packet(msg) => self.on_msg(msg, out),
+            Input::Timer(token) => self.on_tick(token, out),
         }
     }
 
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        self.sync_notes(ctx);
-        let PacketBody::Swish(msg) = pkt.body else {
+    /// Start, or re-enter after a crash heals: the engine re-dispatches
+    /// the start then. Controller state survives (modeling persistent
+    /// controller storage; see DESIGN.md §12), but pending timers were
+    /// suppressed while down, so they are re-armed, and heartbeat ages
+    /// must not count the downtime.
+    fn start(&mut self, out: &mut Out) {
+        let now = out.now;
+        let hb_interval = self.cfg.heartbeat_interval;
+        let recovering = std::mem::replace(&mut self.started, true);
+        if recovering {
+            for (_, t, _) in self.last_hb.iter_mut() {
+                *t = now;
+            }
+        } else {
+            self.last_hb = self.switches.iter().map(|&s| (s, now, 0)).collect();
+        }
+        out.timer(hb_interval, CHECK_TIMER);
+        if self.has_partitioned() {
+            out.timer(RESYNC_INTERVAL, RESYNC_TIMER);
+            if self.cfg.reconfig.enabled {
+                out.timer(PLAN_INTERVAL, PLAN_TIMER);
+            }
+        }
+        let Some(rep) = self.rep.as_mut() else {
+            // The singleton applies the initial configuration directly
+            // (a no-op on re-entry).
+            self.submit(CtrlCmd::Bootstrap, out);
             return;
         };
+        out.timer(hb_interval, REP_TICK);
+        rep.last_leader_hb = now;
+        rep.last_attempt = now;
+        for (_, t) in rep.peer_hb.iter_mut() {
+            *t = now;
+        }
+        if recovering {
+            // Whatever we were mid-flight on is stale; rejoin as a
+            // follower and let the election timer sort leadership. The
+            // inter-arrival history spans the downtime: discard it so the
+            // detector re-learns the cadence from scratch.
+            rep.cons.on_restart();
+            rep.hb_gaps.clear();
+            rep.suspected = false;
+        } else if rep.cons.idx == 0 {
+            // Replica 0 bootstraps the group: elect, then decree the
+            // initial configuration (`Bootstrap` follows the win).
+            rep.elections += 1;
+            let msgs = rep.cons.start_candidacy();
+            self.send_consensus(msgs, out);
+            self.drain_chosen(out);
+        }
+    }
+
+    fn on_msg(&mut self, msg: SwishMsg, out: &mut Out) {
+        let now = out.now;
         match msg {
-            SwishMsg::Heartbeat(hb) => {
-                let now = ctx.now();
-                self.note_heartbeat(hb.from, hb.epoch, now, ctx);
-            }
+            SwishMsg::Heartbeat(hb) => self.note_heartbeat(hb.from, hb.epoch, out),
             SwishMsg::DirLookup(q) => {
                 // Follower reads (replicated mode): a non-leading replica
                 // may answer only under a fresh leader lease — a beacon
@@ -1939,30 +1876,30 @@ impl Node for Controller {
                 // leaders answer unconditionally.
                 if let Some(rep) = self.rep.as_mut() {
                     if rep.cons.role != Role::Leader {
-                        if ctx.now().since(rep.last_leader_hb) > DIR_LEASE {
+                        if now.since(rep.last_leader_hb) > DIR_LEASE {
                             return;
                         }
                         rep.follower_reads += 1;
-                        ctx.journal(CtrlEvent::FollowerRead {
+                        out.journal(CtrlEvent::FollowerRead {
                             reg: q.reg,
                             key: q.key,
                         });
                     }
                 }
                 let owners = self.directory.lookup(q.reg, q.key, q.from);
-                ctx.send(
+                out.send(
                     q.from,
-                    PacketBody::Swish(SwishMsg::DirReply(swishmem_wire::swish::DirReply {
+                    SwishMsg::DirReply(DirReply {
                         reg: q.reg,
                         key: q.key,
                         owners,
-                    })),
+                    }),
                 );
             }
             SwishMsg::CatchupDone(c)
                 if self.view.learners.contains(&c.node) && self.is_acting_leader() =>
             {
-                self.submit(CtrlCmd::Promote { node: c.node }, ctx);
+                self.submit(CtrlCmd::Promote { node: c.node }, out);
             }
             SwishMsg::LoadReport(lr) => {
                 for e in &lr.entries {
@@ -1995,53 +1932,25 @@ impl Node for Controller {
                             epoch: d.epoch,
                             pass: d.pass,
                         },
-                        ctx,
+                        out,
                     );
                 }
             }
-            SwishMsg::CtrlPrepare(m) => {
-                self.note_peer(m.from, ctx.now());
+            SwishMsg::CtrlHb(hb) => self.on_ctrl_hb(hb, out),
+            SwishMsg::CtrlSnap(s) => self.on_ctrl_snap(*s, out),
+            msg => {
                 let Some(rep) = self.rep.as_mut() else { return };
-                let out = rep.cons.on_prepare(m);
-                self.send_consensus(out, ctx);
-                self.drain_chosen(ctx);
+                let Some((from, msgs)) = rep.cons.on_msg(msg) else {
+                    return;
+                };
+                self.note_peer(from, now);
+                self.send_consensus(msgs, out);
+                self.drain_chosen(out);
             }
-            SwishMsg::CtrlPromise(m) => {
-                self.note_peer(m.from, ctx.now());
-                let Some(rep) = self.rep.as_mut() else { return };
-                let out = rep.cons.on_promise(*m);
-                self.send_consensus(out, ctx);
-                self.drain_chosen(ctx);
-            }
-            SwishMsg::CtrlAccept(m) => {
-                self.note_peer(m.from, ctx.now());
-                let Some(rep) = self.rep.as_mut() else { return };
-                let out = rep.cons.on_accept(m);
-                self.send_consensus(out, ctx);
-                self.drain_chosen(ctx);
-            }
-            SwishMsg::CtrlAccepted(m) => {
-                self.note_peer(m.from, ctx.now());
-                let Some(rep) = self.rep.as_mut() else { return };
-                let out = rep.cons.on_accepted(m);
-                self.send_consensus(out, ctx);
-                self.drain_chosen(ctx);
-            }
-            SwishMsg::CtrlLearn(m) => {
-                self.note_peer(m.from, ctx.now());
-                let Some(rep) = self.rep.as_mut() else { return };
-                let out = rep.cons.on_learn(m);
-                self.send_consensus(out, ctx);
-                self.drain_chosen(ctx);
-            }
-            SwishMsg::CtrlHb(hb) => self.on_ctrl_hb(hb, ctx),
-            SwishMsg::CtrlSnap(s) => self.on_ctrl_snap(*s, ctx),
-            _ => {}
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        self.sync_notes(ctx);
+    fn on_tick(&mut self, token: u64, out: &mut Out) {
         if let Some((op, reg, key, to)) = decode_trigger(token) {
             // Replica-group reconfiguration bypasses the leader gate:
             // every replica records the operator's intent and whoever
@@ -2049,77 +1958,93 @@ impl Node for Controller {
             // node field carries the replica *index* (controller ids
             // don't fit 12 bits), mapped back to the `u16::MAX - idx`
             // id scheme used by the deployment.
-            match op {
-                TriggerOp::AddCtrl => {
-                    self.queue_member_change(NodeId(u16::MAX - to.0), true, ctx);
+            let cmd = match op {
+                TriggerOp::AddCtrl | TriggerOp::RemoveCtrl => {
+                    let add = op == TriggerOp::AddCtrl;
+                    self.queue_member_change(NodeId(u16::MAX - to.0), add, out);
                     return;
                 }
-                TriggerOp::RemoveCtrl => {
-                    self.queue_member_change(NodeId(u16::MAX - to.0), false, ctx);
-                    return;
-                }
-                _ => {}
-            }
-            if !self.is_acting_leader() {
-                return;
-            }
-            let now = ctx.now();
-            match op {
-                TriggerOp::Move => {
-                    if self.cooldown_ok(reg, key, now) {
-                        self.submit(
-                            CtrlCmd::Move {
-                                reg,
-                                key,
-                                to,
-                                planned: false,
-                            },
-                            ctx,
-                        );
-                    }
-                }
-                TriggerOp::Grow => {
-                    if self.cooldown_ok(reg, key, now) {
-                        self.submit(CtrlCmd::Grow { reg, key, to }, ctx);
-                    }
-                }
-                TriggerOp::Shrink => self.submit(CtrlCmd::Shrink { reg, key, node: to }, ctx),
-                // Handled above, before the leader gate.
-                TriggerOp::AddCtrl | TriggerOp::RemoveCtrl => unreachable!(),
+                _ if !self.is_acting_leader() => return,
+                TriggerOp::Move => CtrlCmd::Move {
+                    reg,
+                    key,
+                    to,
+                    planned: false,
+                },
+                TriggerOp::Grow => CtrlCmd::Grow { reg, key, to },
+                TriggerOp::Shrink => CtrlCmd::Shrink { reg, key, node: to },
+            };
+            // Moves and grows wait out the planner holdoff; shrinks do not.
+            if matches!(cmd, CtrlCmd::Shrink { .. }) || self.cooldown_ok(reg, key, out.now) {
+                self.submit(cmd, out);
             }
             return;
         }
         match token {
             CHECK_TIMER => {
                 if self.is_acting_leader() {
-                    self.check_liveness(ctx);
+                    self.check_liveness(out);
                 }
-                ctx.set_timer(self.cfg.heartbeat_interval, CHECK_TIMER);
+                out.timer(self.cfg.heartbeat_interval, CHECK_TIMER);
             }
             PLAN_TIMER => {
                 if self.is_acting_leader() {
-                    self.run_planner(ctx);
+                    self.run_planner(out);
                 } else {
                     self.clear_load_window();
                 }
-                ctx.set_timer(PLAN_INTERVAL, PLAN_TIMER);
+                out.timer(PLAN_INTERVAL, PLAN_TIMER);
             }
             RESYNC_TIMER => {
                 if self.is_acting_leader() {
-                    let mut io = Io { ctx, emit: true };
-                    self.resync_ranges(&mut io);
+                    self.resync_ranges(out);
                 }
-                ctx.set_timer(RESYNC_INTERVAL, RESYNC_TIMER);
+                out.timer(RESYNC_INTERVAL, RESYNC_TIMER);
             }
-            REP_TICK => self.rep_tick(ctx),
+            REP_TICK => self.rep_tick(out),
             _ => {}
         }
+    }
+
+    /// The `Node` shell: step on the reused effect buffer, then replay
+    /// the effects into the engine in emission order. `Ctx` holds sends,
+    /// timers and group updates until the callback returns, and journal
+    /// records reach only observers, so the replay changes no run.
+    fn shell(&mut self, input: Input, ctx: &mut Ctx<'_>) {
+        let mut out = Out::new(ctx.now(), ctx.journaling(), std::mem::take(&mut self.fx));
+        self.step(input, &mut out);
+        for effect in out.effects.drain(..) {
+            match effect {
+                Effect::Send(to, msg) => ctx.send(to, PacketBody::Swish(msg)),
+                Effect::SetGroup(members) => ctx.set_group(REPLICA_GROUP, members),
+                Effect::Timer(delay, token) => ctx.set_timer(delay, token),
+                Effect::Journal(event) => ctx.journal(event),
+            }
+        }
+        self.fx = out.effects;
+    }
+}
+
+impl Node for Controller {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.shell(Input::Start, ctx);
+    }
+
+    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+        if let PacketBody::Swish(msg) = pkt.body {
+            self.shell(Input::Packet(msg), ctx);
+        }
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+        self.shell(Input::Timer(token), ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swishmem_wire::swish::Heartbeat;
 
     #[test]
     fn initial_view_uses_declaration_order() {
@@ -2146,5 +2071,139 @@ mod tests {
         );
         assert!(!c.is_acting_leader());
         assert_eq!(c.leader_hint(), None);
+    }
+
+    // Engine-free runs: the tests drive `step` directly, with a journal
+    // subscriber attached, and read the effects it leaves.
+
+    fn step(c: &mut Controller, input: Input, now: SimTime) -> Vec<Effect> {
+        let mut out = Out::new(now, true, Vec::new());
+        c.step(input, &mut out);
+        out.effects
+    }
+
+    /// `(to, epoch, chain)` of every `ChainConfig` and `(to, epoch,
+    /// members)` of every `GroupConfig` in `fx`, in order.
+    type Configs = Vec<(NodeId, u32, Vec<NodeId>)>;
+    fn configs(fx: &[Effect]) -> (Configs, Configs) {
+        let (mut chains, mut groups) = (Vec::new(), Vec::new());
+        for e in fx {
+            match e {
+                Effect::Send(to, SwishMsg::Chain(c)) => {
+                    chains.push((*to, c.epoch, c.chain.clone()))
+                }
+                Effect::Send(to, SwishMsg::Group(g)) => {
+                    groups.push((*to, g.epoch, g.members.clone()))
+                }
+                _ => {}
+            }
+        }
+        (chains, groups)
+    }
+
+    #[test]
+    fn singleton_reconfigures_without_a_silent_switch() {
+        let cfg = SwishConfig::default();
+        let sw: Vec<NodeId> = (0..3).map(NodeId).collect();
+        let mut c = Controller::new(cfg, sw.clone(), vec![]);
+        let fx = step(&mut c, Input::Start, SimTime::ZERO);
+        let epoch1: Configs = sw.iter().map(|&s| (s, 1, sw.clone())).collect();
+        assert_eq!(configs(&fx), (epoch1.clone(), epoch1));
+        assert_eq!(fx[0], Effect::Timer(cfg.heartbeat_interval, CHECK_TIMER));
+        // Switches 0 and 1 heartbeat at the timeout; switch 2 stays silent.
+        let t = SimTime::ZERO + cfg.failure_timeout;
+        for from in [NodeId(0), NodeId(1)] {
+            let hb = SwishMsg::Heartbeat(Heartbeat { from, epoch: 1 });
+            assert_eq!(step(&mut c, Input::Packet(hb), t), vec![]);
+        }
+        let fx = step(&mut c, Input::Timer(CHECK_TIMER), t + SimDuration(1));
+        let survivors = vec![NodeId(0), NodeId(1)];
+        let (chains, groups) = configs(&fx);
+        assert!(fx.contains(&Effect::SetGroup(survivors.clone())));
+        for (to, epoch, members) in chains.iter().chain(&groups) {
+            assert_eq!((*epoch, members), (2, &survivors), "config to {to:?}");
+        }
+        let told: Vec<NodeId> = chains.iter().map(|c| c.0).collect();
+        assert!(sw.iter().all(|s| told.contains(s)), "{told:?}");
+        assert_eq!(c.view().chain, survivors);
+        let last = c.events().last().map(|e| e.kind.clone());
+        assert_eq!(last, Some(ConfigEventKind::Failed(NodeId(2))));
+    }
+
+    /// Three replicas on an in-memory bus: sends between replicas are
+    /// delivered in order; every other effect is kept per replica.
+    struct Bus {
+        group: Vec<NodeId>,
+        reps: Vec<Controller>,
+        fx: Vec<Vec<Effect>>,
+        queue: std::collections::VecDeque<(NodeId, SwishMsg)>,
+    }
+
+    impl Bus {
+        fn step(&mut self, i: usize, input: Input, now: SimTime) {
+            for e in step(&mut self.reps[i], input, now) {
+                match e {
+                    Effect::Send(to, msg) if self.group.contains(&to) => {
+                        self.queue.push_back((to, msg));
+                    }
+                    e => self.fx[i].push(e),
+                }
+            }
+        }
+
+        fn deliver_all(&mut self, now: SimTime) {
+            while let Some((to, msg)) = self.queue.pop_front() {
+                let i = self.group.iter().position(|&g| g == to).unwrap();
+                self.step(i, Input::Packet(msg), now);
+            }
+        }
+    }
+
+    #[test]
+    fn replicas_elect_replica_zero_and_apply_bootstrap_at_one_slot() {
+        let cfg = SwishConfig::default();
+        let sw: Vec<NodeId> = (0..3).map(NodeId).collect();
+        let group: Vec<NodeId> = (0..3).map(|i| NodeId(u16::MAX - i)).collect();
+        let reps = (0..3)
+            .map(|i| Controller::replica(cfg, sw.clone(), vec![], i, group.clone()))
+            .collect();
+        let mut bus = Bus {
+            group: group.clone(),
+            reps,
+            fx: (0..3).map(|_| Vec::new()).collect(),
+            queue: Default::default(),
+        };
+        let now = SimTime(1_000);
+        for i in 0..3 {
+            bus.step(i, Input::Start, now);
+        }
+        bus.deliver_all(now);
+        let leads: Vec<bool> = bus.reps.iter().map(|c| c.is_acting_leader()).collect();
+        assert_eq!(leads, [true, false, false]);
+        // The leader's replica tick decrees the initial configuration.
+        bus.step(0, Input::Timer(REP_TICK), now);
+        bus.deliver_all(now);
+        let boot_slots: Vec<Vec<Slot>> = bus
+            .fx
+            .iter()
+            .map(|fx| {
+                let applied = fx.iter().filter_map(|e| match e {
+                    Effect::Journal(CtrlEvent::Applied { slot, tag: 1 }) => Some(*slot),
+                    _ => None,
+                });
+                applied.collect()
+            })
+            .collect();
+        assert_eq!(boot_slots, vec![vec![1]; 3]);
+        for c in &bus.reps {
+            assert_eq!(c.leader_hint(), Some(group[0]));
+            assert_eq!(c.view(), bus.reps[0].view());
+            assert!(c
+                .events()
+                .iter()
+                .any(|e| e.kind == ConfigEventKind::Bootstrap));
+        }
+        let chains: Vec<usize> = bus.fx.iter().map(|fx| configs(fx).0.len()).collect();
+        assert!(chains[0] > 0 && chains[1..] == [0, 0], "{chains:?}");
     }
 }

@@ -49,6 +49,15 @@ impl MergePolicy {
         }
     }
 
+    /// Whether a received cell `version` can be real at `now`: sim time
+    /// only moves forward, so a Windowed epoch past `now`'s is forged.
+    pub(crate) fn admits(self, version: u64, now: SimTime) -> bool {
+        match self {
+            MergePolicy::Windowed { window } => version <= epoch_at(window, now),
+            _ => true,
+        }
+    }
+
     /// Join a received cell into the local one (their least upper bound).
     /// LWW keeps the higher version, the local cell on a tie; the G-counter
     /// takes the element-wise max ("a switch simply takes the larger of the

@@ -491,11 +491,15 @@ impl SwishProgram {
         };
         eff.span(u.trace, SpanPhase::SyncMerge);
         let policy = entry.spec.policy;
+        let now = dp.now();
         for e in &u.entries {
             policy.observe(&mut self.clock, e.version);
             // A counter entry must name a replica's slot; one past the
-            // group would otherwise land in another replica's cell.
-            let Some(&h) = slots.get(policy.slot_of(e.slot as usize)) else {
+            // group would otherwise land in another replica's cell. A
+            // future Windowed epoch would hold every later local add in
+            // that epoch, out of the current window's reads.
+            let slot = slots.get(policy.slot_of(e.slot as usize));
+            let Some(&h) = slot.filter(|_| policy.admits(e.version, now)) else {
                 self.metrics.merge_rejected += 1;
                 continue;
             };

@@ -162,8 +162,8 @@ pub struct DpMetrics {
     pub merge_entries: u64,
     /// EWO entries that actually changed state on merge.
     pub merge_applied: u64,
-    /// EWO counter entries rejected, unmerged, for naming a slot outside
-    /// the replica group (malformed input).
+    /// EWO entries rejected, unmerged, as malformed input: a counter slot
+    /// outside the replica group, or a Windowed epoch past the current.
     pub merge_rejected: u64,
     /// Periodic sync packets emitted.
     pub sync_packets: u64,

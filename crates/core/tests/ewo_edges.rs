@@ -37,14 +37,19 @@ fn rig(me: u16, cfg: SwishConfig, counter_nf: bool) -> Rig {
 }
 
 fn rig_with(me: u16, cfg: SwishConfig, spec: RegisterSpec, counter_nf: bool) -> Rig {
+    rig_of(4, me, cfg, spec, counter_nf)
+}
+
+/// Switch `me` of an `n`-switch group.
+fn rig_of(n: u16, me: u16, cfg: SwishConfig, spec: RegisterSpec, counter_nf: bool) -> Rig {
     let mut dp = DataPlane::standard();
-    let handles = Rc::new(Handles::build(&mut dp, &[spec], &cfg, 4).unwrap());
+    let handles = Rc::new(Handles::build(&mut dp, &[spec], &cfg, n.into()).unwrap());
     write_chain_for_tests(
         &mut dp,
         &handles,
         &ChainView {
             epoch: 1,
-            chain: (0..4).map(NodeId).collect(),
+            chain: (0..n).map(NodeId).collect(),
             learners: vec![],
         },
     );
@@ -151,9 +156,19 @@ fn relayed_sync_carries_third_party_slots() {
     assert_eq!(peek(&r, 7), 30);
 }
 
+/// Deliver the one-entry `Sync` `e` at `at_ns` and assert that it is
+/// rejected: `merge_rejected` rises by one and no cell changes.
+fn assert_rejected(r: &mut Rig, e: SyncEntry, at_ns: u64) {
+    let cells = format!("{:?}", r.dp);
+    let rejected = r.prog.metrics().merge_rejected;
+    deliver(r, sync(2, vec![e]), at_ns);
+    assert_eq!(r.prog.metrics().merge_rejected, rejected + 1, "{e:?}");
+    assert_eq!(format!("{:?}", r.dp), cells, "{e:?} changed a cell");
+}
+
 #[test]
 fn sync_entry_naming_a_slot_past_the_group_is_rejected() {
-    // Four switches, so counter slots 0..4. Slot 4 must not wrap into
+    // n switches have counter slots 0..n. Slot n must not wrap into
     // slot 0 (switch 0's counter), where the max-merge would keep it
     // raised for the rest of the run; its well-formed neighbour merges.
     let mut r = rig(1, SwishConfig::default(), false);
@@ -166,6 +181,37 @@ fn sync_entry_naming_a_slot_past_the_group_is_rejected() {
     let m = r.prog.metrics();
     assert_eq!(m.merge_rejected, 1);
     assert_eq!((m.merge_entries, m.merge_applied), (1, 1));
+    // One case per malformed entry: every slot from n through 255 on
+    // n = 1..=4 switches, over a live cell in slot 0.
+    for n in 1..=4u8 {
+        let spec = RegisterSpec::ewo_counter(0, "c", 64);
+        let mut r = rig_of(n.into(), 0, SwishConfig::default(), spec, true);
+        deliver(&mut r, data(3), 100);
+        for slot in n..=u8::MAX {
+            assert_rejected(&mut r, entry(3, slot, 9, 90), 200);
+        }
+    }
+    // A Windowed epoch past the receiver's, in its own slot.
+    let spec = RegisterSpec::ewo_windowed(0, "w", 64, SimDuration::micros(1));
+    let mut r = rig_with(0, SwishConfig::default(), spec, true);
+    deliver(&mut r, data(3), 100);
+    assert_rejected(&mut r, entry(3, 0, 1_000_000, 0), 600);
+}
+
+#[test]
+fn windowed_sync_from_a_future_epoch_is_rejected() {
+    // Sim time only moves forward, so a real sender's epoch is never
+    // ahead of the receiver's. Merged, this forged entry would hold every
+    // later local add in epoch 1,000,000, out of each window's reads.
+    let spec = RegisterSpec::ewo_windowed(0, "w", 64, SimDuration::micros(1));
+    let mut r = rig_with(0, SwishConfig::default(), spec, true);
+    deliver(&mut r, sync(2, vec![entry(3, 0, 1_000_000, 0)]), 600);
+    assert_eq!(r.prog.metrics().merge_rejected, 1);
+    for at_ns in [700, 1_700, 2_700, 3_700] {
+        deliver(&mut r, data(3), at_ns);
+        let read = r.prog.peek(&r.dp, 0, 3, SimTime(at_ns));
+        assert_eq!(read, 1, "the add at {at_ns} ns");
+    }
 }
 
 #[test]

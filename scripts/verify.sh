@@ -27,8 +27,13 @@ cd "$(dirname "$0")/.."
 #     pair and triple of small cells (gcounter_merge_*, windowed_merge_*,
 #     lww_merge_is_a_semilattice_on_unique_versions); swishmem/ewo_edges
 #     windowed_counter_rolls_its_epoch_and_merges_within_it (the Windowed
-#     data path) and forged_sync_* (a forged u64::MAX Sync value wraps a
-#     read or the next add instead of panicking).
+#     data path), forged_sync_* (a forged u64::MAX Sync value wraps a
+#     read or the next add instead of panicking),
+#     sync_entry_naming_a_slot_past_the_group_is_rejected (every slot
+#     n..=255 on n = 1..=4 switches, and a Windowed epoch past the
+#     receiver's: each counted in merge_rejected, no cell changed) and
+#     windowed_sync_from_a_future_epoch_is_rejected (later adds still
+#     read in their own window).
 #   reconfiguration (§10)           reconfig_sweep — migrations interleaved
 #     into random fault schedules stay oracle-clean;
 #     swishmem/directory_invariants — range-table coverage and no-overlap
@@ -38,7 +43,12 @@ cd "$(dirname "$0")/.."
 #     the leader dies mid-Transferring and at the dual-owner boundary
 #     across >= 12 seeds; every run keeps all foreground writes, finishes
 #     the migration under the surviving quorum, and stays silent under
-#     the epoch-uniqueness / no-split-brain oracles.
+#     the epoch-uniqueness / no-split-brain oracles; swishmem
+#     `controller::tests` drive Controller::step with no engine:
+#     singleton_reconfigures_without_a_silent_switch (epoch-2 configs
+#     without the silent switch after failure_timeout) and
+#     replicas_elect_replica_zero_and_apply_bootstrap_at_one_slot (three
+#     replicas on an in-memory bus; only the leader sends ChainConfigs).
 #   consensus hardening (§13)       consensus_hardening —
 #     compaction_sweep_long_horizon recycles log slots without tripping
 #     SLOT_CAP; reconfiguration_under_fault_sweep converges every
@@ -100,7 +110,9 @@ cargo run -q --release -p swishmem-bench --bin experiments -- --quick >/dev/null
 # nothing in a debug build, so the workspace run above does not cover them.
 #
 #   trace_overhead (§9, §14, E18/E23 smoke): compiled-in-but-detached span
-#     tracing and journaling stay cheap.
+#     tracing and journaling cost nothing, exactly: the echo emitting a
+#     record per packet processes the same events and allocates as often
+#     as the plain echo (the wall-clock ratio is printed, not asserted).
 #   replay_lab (§15, E24 smoke): the replay deployment's golden digest,
 #     record count, event count and end time exactly, twice; ring ingest
 #     parity within its CI bound.
@@ -114,7 +126,7 @@ cargo run -q --release -p swishmem-bench --bin experiments -- --quick >/dev/null
 #   benchmark self-test: `benchmark/` is a separate package the workspace
 #     build never compiles; it must still build against the crates and
 #     catch every sabotaged reference.
-echo "==> cargo test --release --test trace_overhead (detached tracing + journaling overhead)"
+echo "==> cargo test --release --test trace_overhead (detached tracing + journaling: same events, same allocations)"
 cargo test -q --release -p swishmem-bench --test trace_overhead
 echo "==> cargo test --release --test replay_lab (E24 smoke: golden digest + ring parity)"
 cargo test -q --release -p swishmem-bench --test replay_lab
