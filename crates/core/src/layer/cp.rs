@@ -20,7 +20,6 @@ use super::{read_ranges, write_chain, ChainView, CpItem, Handles, RegKind};
 use crate::config::SwishConfig;
 use crate::metrics::CpMetrics;
 use crate::reconfig::RangeView;
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::rc::Rc;
@@ -281,7 +280,7 @@ impl SwishCp {
     /// The range of a partitioned register containing `key`, read from
     /// this switch's own installed table (empty until the controller's
     /// initial broadcast lands; callers fall back to the retry timer).
-    fn part_range(&self, reg: RegId, key: Key, cp: &mut CpCtx<'_, '_>) -> Option<RangeView> {
+    fn part_range(&self, reg: RegId, key: Key, cp: &mut CpCtx<'_, CpItem>) -> Option<RangeView> {
         let h = self.handles.rangeblk(reg)?;
         let dp = cp.dataplane();
         read_ranges(|i| dp.reg(h).read(i))
@@ -289,7 +288,7 @@ impl SwishCp {
             .find(|r| r.contains(key))
     }
 
-    fn send_write(&mut self, write_id: u64, cp: &mut CpCtx<'_, '_>) {
+    fn send_write(&mut self, write_id: u64, cp: &mut CpCtx<'_, CpItem>) {
         let Some(ws) = self.writes.get(&write_id) else {
             return;
         };
@@ -331,7 +330,7 @@ impl SwishCp {
         decision: Option<(NodeId, DataPacket)>,
         trace: TraceId,
         ingress: SimTime,
-        cp: &mut CpCtx<'_, '_>,
+        cp: &mut CpCtx<'_, CpItem>,
     ) {
         // Bounded buffer: shed (and count) rather than queueing without
         // limit — a dead chain must not OOM the writer CP. The buffered
@@ -381,7 +380,7 @@ impl SwishCp {
 
     /// Count one partitioned-write ingress against the key's range, for
     /// the heartbeat-piggybacked load report feeding the planner.
-    fn note_part_load(&mut self, reg: RegId, key: Key, cp: &mut CpCtx<'_, '_>) {
+    fn note_part_load(&mut self, reg: RegId, key: Key, cp: &mut CpCtx<'_, CpItem>) {
         let Some(start) = self.part_range(reg, key, cp).map(|r| r.start) else {
             return;
         };
@@ -394,7 +393,7 @@ impl SwishCp {
     /// Drain the ingress counts into a `LoadReport`. Sent only when
     /// nonzero, so deployments without partitioned registers emit no new
     /// traffic (the golden determinism fingerprint stays bit-identical).
-    fn flush_load_report(&mut self, cp: &mut CpCtx<'_, '_>) {
+    fn flush_load_report(&mut self, cp: &mut CpCtx<'_, CpItem>) {
         if self.load.is_empty() {
             return;
         }
@@ -417,36 +416,23 @@ impl SwishCp {
     // Live migration: source streamer and destination pass tracker
     // ------------------------------------------------------------------
 
-    fn on_migrate_begin(&mut self, m: MigrateBegin, cp: &mut CpCtx<'_, '_>) {
+    fn on_migrate_begin(&mut self, m: MigrateBegin, cp: &mut CpCtx<'_, CpItem>) {
         if m.to == self.me {
-            match self
-                .mig_in
-                .iter_mut()
-                .find(|t| t.reg == m.reg && t.start == m.start)
-            {
+            let fresh = MigIn {
+                reg: m.reg,
+                start: m.start,
+                end: m.end,
+                epoch: m.epoch,
+                pass: 0,
+                got: 0,
+                last_idx: None,
+                done_sent: false,
+            };
+            let mut known = self.mig_in.iter_mut();
+            match known.find(|t| t.reg == m.reg && t.start == m.start) {
                 Some(t) if t.epoch >= m.epoch => {}
-                Some(t) => {
-                    *t = MigIn {
-                        reg: m.reg,
-                        start: m.start,
-                        end: m.end,
-                        epoch: m.epoch,
-                        pass: 0,
-                        got: 0,
-                        last_idx: None,
-                        done_sent: false,
-                    };
-                }
-                None => self.mig_in.push(MigIn {
-                    reg: m.reg,
-                    start: m.start,
-                    end: m.end,
-                    epoch: m.epoch,
-                    pass: 0,
-                    got: 0,
-                    last_idx: None,
-                    done_sent: false,
-                }),
+                Some(t) => *t = fresh,
+                None => self.mig_in.push(fresh),
             }
         }
         if m.from == self.me {
@@ -479,7 +465,7 @@ impl SwishCp {
     /// Destination bookkeeping for one received chunk (the data plane has
     /// already applied its entries, seq-guarded). When a full pass has
     /// arrived, report `MigrateDone` so the controller can commit.
-    fn on_migrate_chunk(&mut self, ch: &MigrateChunk, cp: &mut CpCtx<'_, '_>) {
+    fn on_migrate_chunk(&mut self, ch: &MigrateChunk, cp: &mut CpCtx<'_, CpItem>) {
         let me = self.me;
         let Some(t) = self
             .mig_in
@@ -570,7 +556,7 @@ impl SwishCp {
     /// re-snapshots and streams again — chunk loss is repaired by
     /// repetition, not acknowledgment, and the seq guard at the
     /// destination makes re-application idempotent.
-    fn pump_migration(&mut self, cp: &mut CpCtx<'_, '_>) {
+    fn pump_migration(&mut self, cp: &mut CpCtx<'_, CpItem>) {
         let now = cp.now();
         let pol = self.cfg.reconfig;
         for i in 0..self.mig_out.len() {
@@ -626,7 +612,7 @@ impl SwishCp {
         }
     }
 
-    fn handle_ack(&mut self, write_id: u64, cp: &mut CpCtx<'_, '_>) {
+    fn handle_ack(&mut self, write_id: u64, cp: &mut CpCtx<'_, CpItem>) {
         let Some(ws) = self.writes.remove(&write_id) else {
             return; // duplicate ack for a retried write: already released
         };
@@ -653,7 +639,7 @@ impl SwishCp {
     /// `(reg, key)` so the convergence oracle can exclude those groups —
     /// an abandoned write may legitimately leave a chain prefix applied
     /// ahead of the tail forever.
-    fn abandon_write(&mut self, write_id: u64, cp: &mut CpCtx<'_, '_>) {
+    fn abandon_write(&mut self, write_id: u64, cp: &mut CpCtx<'_, CpItem>) {
         let Some(ws) = self.writes.remove(&write_id) else {
             return;
         };
@@ -689,7 +675,7 @@ impl SwishCp {
     /// while it was a mid-chain member or a catching-up learner) is
     /// stale. Multicast clears never loop back to their sender, so
     /// nothing else would ever clear them once we are the tail.
-    fn clear_own_pending(&mut self, cp: &mut CpCtx<'_, '_>) {
+    fn clear_own_pending(&mut self, cp: &mut CpCtx<'_, CpItem>) {
         for entry in &self.handles.regs {
             let RegKind::Chain {
                 pending: Some(p), ..
@@ -718,61 +704,44 @@ impl SwishCp {
         self.metrics.snap_chunks_gced += (before - self.snap_out.len()) as u64;
     }
 
-    fn handle_snapshot_request(&mut self, target: NodeId, cp: &mut CpCtx<'_, '_>) {
-        // Snapshot every chain register, whole.
-        let chunk_size = self.cfg.snapshot_chunk.max(1);
-        let dp = cp.dataplane();
-        let all: Vec<(RegId, Vec<SnapEntry>)> = (self.handles.regs.iter())
-            .filter(|e| matches!(e.kind, RegKind::Chain { .. }))
-            .map(|e| {
-                (
-                    e.spec.id,
-                    self.snapshot_range(e.spec.id, 0..e.spec.keys, dp),
-                )
-            })
-            .collect();
-        // Even with no chain registers, send one empty terminal chunk so
-        // the target still reports catch-up completion.
-        let was_empty = self.snap_out.is_empty();
-        let mut chunks: Vec<SnapshotChunk> = Vec::new();
-        for (reg, entries) in all {
-            if entries.is_empty() {
-                chunks.push(SnapshotChunk {
-                    reg,
-                    origin: self.me,
-                    entries: vec![].into(),
-                    last: false,
-                });
+    /// Snapshot every chain register, whole, and queue it for `target`
+    /// in chunks. A register with nothing written still sends one empty
+    /// chunk, and so does a switch with no chain register, so the target
+    /// always sees a last chunk and reports catch-up completion.
+    fn handle_snapshot_request(&mut self, target: NodeId, cp: &mut CpCtx<'_, CpItem>) {
+        let per = self.cfg.snapshot_chunk.max(1);
+        let mut chunks = Vec::new();
+        for e in &self.handles.regs {
+            if !matches!(e.kind, RegKind::Chain { .. }) {
                 continue;
             }
-            for slice in entries.chunks(chunk_size) {
-                chunks.push(SnapshotChunk {
-                    reg,
-                    origin: self.me,
-                    entries: slice.into(),
-                    last: false,
-                });
+            let entries = self.snapshot_range(e.spec.id, 0..e.spec.keys, cp.dataplane());
+            for i in 0..entries.len().div_ceil(per).max(1) {
+                let part = &entries[i * per..entries.len().min((i + 1) * per)];
+                chunks.push((e.spec.id, part.into()));
             }
         }
         if chunks.is_empty() {
-            chunks.push(SnapshotChunk {
-                reg: 0,
-                origin: self.me,
-                entries: vec![].into(),
-                last: true,
-            });
-        } else {
-            chunks.last_mut().expect("nonempty").last = true;
+            chunks.push((0, vec![].into()));
         }
-        for ch in chunks {
-            self.snap_out.push_back((target, ch));
+        let (was_empty, n) = (self.snap_out.is_empty(), chunks.len());
+        for (i, (reg, entries)) in chunks.into_iter().enumerate() {
+            let last = i + 1 == n;
+            let origin = self.me;
+            let chunk = SnapshotChunk {
+                reg,
+                origin,
+                entries,
+                last,
+            };
+            self.snap_out.push_back((target, chunk));
         }
         if was_empty {
             cp.set_timer(self.cfg.snapshot_interval, TT_SNAP);
         }
     }
 
-    fn pump_snapshot(&mut self, cp: &mut CpCtx<'_, '_>) {
+    fn pump_snapshot(&mut self, cp: &mut CpCtx<'_, CpItem>) {
         if let Some((target, chunk)) = self.snap_out.pop_front() {
             self.metrics.snapshot_chunks_sent += 1;
             cp.packet_out(target, PacketBody::Swish(SwishMsg::SnapChunk(chunk)));
@@ -785,24 +754,24 @@ impl SwishCp {
     /// Send liveness heartbeats: the singleton controller, or every
     /// member of the replica group (each replica runs its own failure
     /// detector so the next leader starts with fresh observations).
-    fn send_heartbeats(&mut self, cp: &mut CpCtx<'_, '_>) {
+    fn send_heartbeats(&mut self, cp: &mut CpCtx<'_, CpItem>) {
         let hb = Heartbeat {
             from: self.me,
             epoch: self.view.epoch,
         };
-        if self.ctrl_group.is_empty() {
-            self.metrics.heartbeats += 1;
-            cp.packet_out(self.controller, PacketBody::Swish(SwishMsg::Heartbeat(hb)));
+        let singleton = [self.controller];
+        let to = if self.ctrl_group.is_empty() {
+            &singleton[..]
         } else {
-            for i in 0..self.ctrl_group.len() {
-                let c = self.ctrl_group[i];
-                self.metrics.heartbeats += 1;
-                cp.packet_out(c, PacketBody::Swish(SwishMsg::Heartbeat(hb)));
-            }
+            &self.ctrl_group[..]
+        };
+        for &c in to {
+            self.metrics.heartbeats += 1;
+            cp.packet_out(c, PacketBody::Swish(SwishMsg::Heartbeat(hb)));
         }
     }
 
-    fn send_catchup_done(&mut self, cp: &mut CpCtx<'_, '_>) {
+    fn send_catchup_done(&mut self, cp: &mut CpCtx<'_, CpItem>) {
         cp.packet_out(
             self.believed_leader,
             PacketBody::Swish(SwishMsg::CatchupDone(CatchupComplete {
@@ -814,16 +783,15 @@ impl SwishCp {
 }
 
 impl ControlApp for SwishCp {
-    fn on_start(&mut self, cp: &mut CpCtx<'_, '_>) {
+    type Item = CpItem;
+
+    fn on_start(&mut self, cp: &mut CpCtx<'_, CpItem>) {
         self.send_heartbeats(cp);
         cp.set_timer(self.cfg.heartbeat_interval, TT_HEARTBEAT);
     }
 
-    fn on_item(&mut self, item: Box<dyn Any>, cp: &mut CpCtx<'_, '_>) {
-        let Ok(item) = item.downcast::<CpItem>() else {
-            return;
-        };
-        match *item {
+    fn on_item(&mut self, item: CpItem, cp: &mut CpCtx<'_, CpItem>) {
+        match item {
             CpItem::WriteJob {
                 writes,
                 decision,
@@ -882,7 +850,7 @@ impl ControlApp for SwishCp {
         }
     }
 
-    fn on_timer(&mut self, token: u64, cp: &mut CpCtx<'_, '_>) {
+    fn on_timer(&mut self, token: u64, cp: &mut CpCtx<'_, CpItem>) {
         match token & TT_MASK {
             TT_RETRY => {
                 let write_id = token & ID_MASK;

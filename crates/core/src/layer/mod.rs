@@ -251,8 +251,7 @@ impl ChainView {
 /// learners), so a chain write, a tail redirect and a pending sweep
 /// allocate nothing. Read from the configuration block, or built from a
 /// partitioned key range by [`Handles::write_route`]. The owning
-/// [`ChainView`] remains for the controller, the control plane and
-/// [`program::SwishProgram::chain_view`].
+/// [`ChainView`] remains for the controller and the control plane.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChainRead {
     /// Configuration epoch.
@@ -298,17 +297,6 @@ impl ChainRead {
     /// Write-propagation order: chain members then learners.
     pub fn write_order(&self) -> &[NodeId] {
         &self.order[..self.order_len]
-    }
-}
-
-/// Read the configuration block into an owning [`ChainView`].
-pub(crate) fn read_chain(dp: &DpView<'_>, h: RegHandle) -> ChainView {
-    let c = ChainRead::read(dp, h);
-    let (chain, learners) = c.write_order().split_at(c.chain_len());
-    ChainView {
-        epoch: c.epoch,
-        chain: chain.to_vec(),
-        learners: learners.to_vec(),
     }
 }
 
@@ -391,13 +379,6 @@ pub fn plan_stages(
     Ok(())
 }
 
-/// Install a chain configuration directly into a data plane — the
-/// white-box hook unit tests use to put a [`program::SwishProgram`] into a
-/// known chain position without running a controller.
-pub fn write_chain_for_tests(dp: &mut DataPlane, handles: &Handles, view: &ChainView) {
-    write_chain(dp, handles.cfgblk, view);
-}
-
 /// One staged write from an NF's packet processing (the paper's write set
 /// `Q`, §6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -439,6 +420,17 @@ mod tests {
     use super::*;
     use crate::config::RegisterSpec;
     use swishmem_pisa::MemoryBudget;
+
+    /// Read the configuration block into an owning [`ChainView`].
+    fn read_chain(dp: &DpView<'_>, h: RegHandle) -> ChainView {
+        let c = ChainRead::read(dp, h);
+        let (chain, learners) = c.write_order().split_at(c.chain_len());
+        ChainView {
+            epoch: c.epoch,
+            chain: chain.to_vec(),
+            learners: learners.to_vec(),
+        }
+    }
 
     fn specs() -> Vec<RegisterSpec> {
         vec![

@@ -3,8 +3,8 @@
 
 use super::nfctx::NfCtx;
 use super::{
-    read_chain, read_ranges, ChainRead, ChainView, CpItem, Handles, RegKind, StagedWrite,
-    PENDING_SWEEP_PKTGEN_TOKEN, REPLICA_GROUP, SYNC_PKTGEN_TOKEN,
+    read_ranges, ChainRead, CpItem, Handles, RegKind, StagedWrite, PENDING_SWEEP_PKTGEN_TOKEN,
+    REPLICA_GROUP, SYNC_PKTGEN_TOKEN,
 };
 use crate::api::{NfApp, NfDecision};
 use crate::config::SwishConfig;
@@ -12,13 +12,16 @@ use crate::metrics::DpMetrics;
 use crate::reconfig::{encode_ranges, RangeView};
 use crate::version::SwitchClock;
 use std::rc::Rc;
-use swishmem_pisa::{DataPlane, DataPlaneProgram, DpView, Effects, RegHandle};
+use swishmem_pisa::{DataPlane, DataPlaneProgram, DpView, RegHandle};
 use swishmem_simnet::{SimTime, SpanPhase};
 use swishmem_wire::swish::{
     MigrateBegin, OwnershipCommit, PendingClear, ReadForward, RegId, SnapEntry, SyncEntry,
     SyncUpdate, WriteOp, WriteRequest,
 };
 use swishmem_wire::{DataPacket, NodeId, Packet, PacketBody, Shared, SwishMsg, TraceId};
+
+/// The pipeline's effect sink: its punts carry [`CpItem`]s.
+type Effects = swishmem_pisa::Effects<CpItem>;
 
 /// The data-plane program of one SwiShmem switch.
 pub struct SwishProgram {
@@ -141,11 +144,6 @@ impl SwishProgram {
                 entry.spec.policy.read(cells, now)
             }
         }
-    }
-
-    /// The chain view currently installed in this switch's config block.
-    pub fn chain_view(&self, dp: &mut DataPlane, now: SimTime) -> ChainView {
-        read_chain(&DpView::new(dp, now), self.handles.cfgblk)
     }
 
     // ------------------------------------------------------------------
@@ -710,7 +708,7 @@ fn sync_body(reg: RegId, origin: NodeId, trace: TraceId, entries: Shared<SyncEnt
     }))
 }
 
-impl DataPlaneProgram for SwishProgram {
+impl DataPlaneProgram<CpItem> for SwishProgram {
     fn on_packet(&mut self, pkt: Packet, dp: &mut DpView<'_>, eff: &mut Effects) {
         match pkt.body {
             PacketBody::Data(d) => {

@@ -1,22 +1,45 @@
 //! Chain-protocol edge cases, pinned at the unit level: the SwiShmem
-//! data-plane program is driven directly with crafted protocol messages
-//! and its effects inspected — no simulator in the loop.
+//! data-plane program and its control plane are driven directly with
+//! crafted protocol messages and their effects inspected — no simulator
+//! in the loop.
 
+use std::net::Ipv4Addr;
 use std::rc::Rc;
 use swishmem::api::ForwardAll;
+use swishmem::layer::cp::SwishCp;
 use swishmem::layer::program::SwishProgram;
-use swishmem::layer::{write_chain_for_tests, ChainView, Handles};
+use swishmem::layer::{CpItem, Handles, StagedWrite};
 use swishmem::{ClockMode, RegisterSpec, SwishConfig, SwitchClock};
-use swishmem_pisa::{DataPlane, DataPlaneProgram, DpView, Effect, Effects};
-use swishmem_simnet::SimTime;
+use swishmem_pisa::{ControlApp, CpCtx, DataPlane, DataPlaneProgram, DpView, Effect, Effects};
+use swishmem_simnet::{SimDuration, SimTime};
 use swishmem_wire::swish::{
-    MigrateBegin, OwnershipCommit, PendingClear, TraceId, WriteOp, WriteRequest,
+    ChainConfig, MigrateBegin, OwnershipCommit, PendingClear, TraceId, WriteAck, WriteOp,
+    WriteRequest,
 };
-use swishmem_wire::{NodeId, Packet, PacketBody, SwishMsg};
+use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, SwishMsg};
 
 struct Rig {
     dp: DataPlane,
     prog: SwishProgram,
+    cp: SwishCp,
+}
+
+/// What one control-plane step emitted: its effects, and the timers it
+/// armed as `(delay, token)`.
+type CpStep = (Vec<Effect<CpItem>>, Vec<(SimDuration, u64)>);
+
+/// Run one control-plane step of `r` at `at_ns`.
+fn cp_step(
+    r: &mut Rig,
+    at_ns: u64,
+    f: impl FnOnce(&mut SwishCp, &mut CpCtx<'_, CpItem>),
+) -> CpStep {
+    let (mut eff, mut timers) = (Effects::new(), Vec::new());
+    f(
+        &mut r.cp,
+        &mut CpCtx::new(SimTime(at_ns), &mut r.dp, &mut eff, &mut timers),
+    );
+    (eff.drain().collect(), timers)
 }
 
 fn rig(me: u16, chain: &[u16], learners: &[u16]) -> Rig {
@@ -24,26 +47,24 @@ fn rig(me: u16, chain: &[u16], learners: &[u16]) -> Rig {
 }
 
 /// Switch `me` holding register 0 as `spec`, with `chain` and `learners`
-/// installed in its config block.
+/// installed the way a switch adopts a view: its control plane takes the
+/// controller's epoch-1 `ChainConfig`.
 fn rig_with(spec: RegisterSpec, me: u16, chain: &[u16], learners: &[u16]) -> Rig {
     let cfg = SwishConfig::default();
     let mut dp = DataPlane::standard();
     let handles = Rc::new(Handles::build(&mut dp, &[spec], &cfg, 4).unwrap());
-    let view = ChainView {
+    let clock = SwitchClock::new(NodeId(me), ClockMode::Synced { max_skew_ns: 0 }, 0);
+    let app = Box::new(ForwardAll { dst: NodeId(1000) });
+    let prog = SwishProgram::new(NodeId(me), cfg, handles.clone(), app, clock);
+    let cp = SwishCp::new(NodeId(me), cfg, NodeId(100), handles);
+    let mut r = Rig { dp, prog, cp };
+    let config = SwishMsg::Chain(ChainConfig {
         epoch: 1,
         chain: chain.iter().map(|&n| NodeId(n)).collect(),
         learners: learners.iter().map(|&n| NodeId(n)).collect(),
-    };
-    write_chain_for_tests(&mut dp, &handles, &view);
-    let clock = SwitchClock::new(NodeId(me), ClockMode::Synced { max_skew_ns: 0 }, 0);
-    let prog = SwishProgram::new(
-        NodeId(me),
-        cfg,
-        handles,
-        Box::new(ForwardAll { dst: NodeId(1000) }),
-        clock,
-    );
-    Rig { dp, prog }
+    });
+    cp_step(&mut r, 0, |cp, ctx| cp.on_item(CpItem::Proto(config), ctx));
+    r
 }
 
 fn write_req(writer: u16, key: u32, seq: u64, value: u64) -> Packet {
@@ -63,7 +84,7 @@ fn write_req(writer: u16, key: u32, seq: u64, value: u64) -> Packet {
     )
 }
 
-fn deliver(r: &mut Rig, pkt: Packet) -> Vec<Effect> {
+fn deliver(r: &mut Rig, pkt: Packet) -> Vec<Effect<CpItem>> {
     let mut eff = Effects::new();
     {
         let mut view = DpView::new(&mut r.dp, SimTime(1_000));
@@ -309,7 +330,7 @@ fn part_rig(me: u16) -> Rig {
 
 /// The protocol messages among `fx`: `(destination, message)` for each
 /// forward, `(None, message)` for each multicast.
-fn sent(fx: &[Effect]) -> Vec<(Option<NodeId>, &SwishMsg)> {
+fn sent(fx: &[Effect<CpItem>]) -> Vec<(Option<NodeId>, &SwishMsg)> {
     fx.iter()
         .filter_map(|e| match e {
             Effect::Forward {
@@ -355,4 +376,114 @@ fn partitioned_write_at_a_non_owner_is_stale() {
     assert!(fx.is_empty());
     assert_eq!(peek(&r, 5), 0);
     assert_eq!(r.prog.metrics().chain_stale, 1);
+}
+
+// The writer's control plane (§6.1), stepped by hand: a write job is
+// sent to the head under a retry timer, resent when the timer fires,
+// abandoned after the retry cap, and released by the tail's ack.
+
+/// Switch 1 of chain `[0, 1, 2]`, after its pipeline punted one job: a
+/// `Set` of key 5 and the output packet it buffers. Returns the job's
+/// step.
+fn write_job(r: &mut Rig) -> CpStep {
+    let flow = FlowKey::udp(Ipv4Addr::new(1, 1, 1, 1), 1, Ipv4Addr::new(2, 2, 2, 2), 2);
+    let out = DataPacket::udp(flow, 0, 8);
+    let job = CpItem::WriteJob {
+        writes: vec![StagedWrite {
+            reg: 0,
+            key: 5,
+            op: WriteOp::Set(42),
+        }],
+        decision: Some((NodeId(1000), out)),
+        trace: TraceId::NONE,
+        ingress: SimTime(0),
+    };
+    cp_step(r, 1_000, |cp, ctx| cp.on_item(job, ctx))
+}
+
+/// The `Write` requests among `fx`, as `(destination, write id, seq)`.
+fn writes_sent(fx: &[Effect<CpItem>]) -> Vec<(NodeId, u64, u64)> {
+    let writes = sent(fx).into_iter().filter_map(|(dst, m)| match m {
+        SwishMsg::Write(w) => Some((dst?, w.write_id, w.seq)),
+        _ => None,
+    });
+    writes.collect()
+}
+
+#[test]
+fn cp_write_job_sends_to_the_head_and_arms_a_retry() {
+    let mut r = rig(1, &[0, 1, 2], &[]);
+    let (fx, timers) = write_job(&mut r);
+    assert_eq!(writes_sent(&fx), vec![(NodeId(0), 0, 0)]);
+    assert_eq!(timers.len(), 1, "one retry timer per write: {timers:?}");
+    assert_eq!(r.cp.metrics().jobs_started, 1);
+    assert_eq!(r.cp.metrics().write_sends, 1);
+}
+
+#[test]
+fn cp_retry_timer_resends_the_write() {
+    let mut r = rig(1, &[0, 1, 2], &[]);
+    let (_, timers) = write_job(&mut r);
+    let token = timers[0].1;
+    let (fx, rearmed) = cp_step(&mut r, 2_000_000, |cp, ctx| cp.on_timer(token, ctx));
+    assert_eq!(writes_sent(&fx), vec![(NodeId(0), 0, 0)]);
+    assert_eq!(rearmed.len(), 1);
+    assert_eq!(rearmed[0].1, token, "the retry re-arms the same write");
+    assert!(rearmed[0].0 > timers[0].0, "the backoff grows");
+    assert_eq!(r.cp.metrics().retries, 1);
+}
+
+#[test]
+fn cp_abandons_a_write_after_the_retry_cap() {
+    let mut r = rig(1, &[0, 1, 2], &[]);
+    let (_, timers) = write_job(&mut r);
+    let token = timers[0].1;
+    let mut resends = 0;
+    for i in 1.. {
+        let (fx, rearmed) = cp_step(&mut r, i * 20_000_000, |cp, ctx| cp.on_timer(token, ctx));
+        if rearmed.is_empty() {
+            assert!(fx.is_empty(), "an abandoned write sends nothing: {fx:?}");
+            break;
+        }
+        assert_eq!(writes_sent(&fx).len(), 1);
+        resends += 1;
+    }
+    let m = r.cp.metrics();
+    assert_eq!((resends, m.retries), (100, 100));
+    assert_eq!(
+        (m.writes_exhausted, m.jobs_failed, m.packets_shed),
+        (1, 1, 1)
+    );
+    assert_eq!(m.jobs_completed, 0);
+    // A timer that fires after the abandon finds no write.
+    let late = cp_step(&mut r, u64::MAX / 2, |cp, ctx| cp.on_timer(token, ctx));
+    assert!(late.0.is_empty() && late.1.is_empty());
+}
+
+#[test]
+fn cp_ack_before_the_timer_releases_the_packet_and_voids_the_retry() {
+    let mut r = rig(1, &[0, 1, 2], &[]);
+    let (_, timers) = write_job(&mut r);
+    let ack = CpItem::Proto(SwishMsg::Ack(WriteAck {
+        write_id: 0,
+        writer: NodeId(1),
+        reg: 0,
+        key: 5,
+        seq: 1,
+        trace: TraceId::NONE,
+    }));
+    let (fx, armed) = cp_step(&mut r, 50_000, |cp, ctx| cp.on_item(ack, ctx));
+    assert!(armed.is_empty());
+    match &fx[..] {
+        [Effect::Forward {
+            dst: NodeId(1000),
+            body: PacketBody::Data(_),
+        }] => {}
+        other => panic!("the ack must release the buffered packet, nothing else: {other:?}"),
+    }
+    assert_eq!(r.cp.metrics().jobs_completed, 1);
+    let token = timers[0].1;
+    let (fx, armed) = cp_step(&mut r, 2_000_000, |cp, ctx| cp.on_timer(token, ctx));
+    assert!(fx.is_empty() && armed.is_empty(), "the retry is a no-op");
+    assert_eq!(r.cp.metrics().retries, 0);
 }

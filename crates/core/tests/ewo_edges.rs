@@ -7,12 +7,13 @@
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 use swishmem::api::{ForwardAll, NfApp, NfDecision, SharedState};
+use swishmem::layer::cp::SwishCp;
 use swishmem::layer::program::SwishProgram;
-use swishmem::layer::{write_chain_for_tests, ChainView, Handles, SYNC_PKTGEN_TOKEN};
+use swishmem::layer::{CpItem, Handles, SYNC_PKTGEN_TOKEN};
 use swishmem::{ClockMode, RegisterSpec, SwishConfig, SwitchClock};
-use swishmem_pisa::{DataPlane, DataPlaneProgram, DpView, Effect, Effects};
+use swishmem_pisa::{ControlApp, CpCtx, DataPlane, DataPlaneProgram, DpView, Effect, Effects};
 use swishmem_simnet::{SimDuration, SimTime};
-use swishmem_wire::swish::{SyncEntry, SyncUpdate, TraceId};
+use swishmem_wire::swish::{ChainConfig, SyncEntry, SyncUpdate, TraceId};
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, SwishMsg};
 
 /// Adds 1 to counter register 0 at key = dst_port.
@@ -40,19 +41,20 @@ fn rig_with(me: u16, cfg: SwishConfig, spec: RegisterSpec, counter_nf: bool) -> 
     rig_of(4, me, cfg, spec, counter_nf)
 }
 
-/// Switch `me` of an `n`-switch group.
+/// Switch `me` of an `n`-switch group, which its control plane has
+/// adopted from the controller's epoch-1 `ChainConfig`.
 fn rig_of(n: u16, me: u16, cfg: SwishConfig, spec: RegisterSpec, counter_nf: bool) -> Rig {
     let mut dp = DataPlane::standard();
     let handles = Rc::new(Handles::build(&mut dp, &[spec], &cfg, n.into()).unwrap());
-    write_chain_for_tests(
-        &mut dp,
-        &handles,
-        &ChainView {
-            epoch: 1,
-            chain: (0..n).map(NodeId).collect(),
-            learners: vec![],
-        },
-    );
+    let config = SwishMsg::Chain(ChainConfig {
+        epoch: 1,
+        chain: (0..n).map(NodeId).collect(),
+        learners: vec![],
+    });
+    let (mut eff, mut timers) = (Effects::new(), Vec::new());
+    let mut cp = SwishCp::new(NodeId(me), cfg, NodeId(100), handles.clone());
+    let mut ctx = CpCtx::new(SimTime::ZERO, &mut dp, &mut eff, &mut timers);
+    cp.on_item(CpItem::Proto(config), &mut ctx);
     let clock = SwitchClock::new(NodeId(me), ClockMode::Synced { max_skew_ns: 0 }, 0);
     let app: Box<dyn NfApp> = if counter_nf {
         Box::new(IncNf)
@@ -63,7 +65,7 @@ fn rig_of(n: u16, me: u16, cfg: SwishConfig, spec: RegisterSpec, counter_nf: boo
     Rig { dp, prog }
 }
 
-fn deliver(r: &mut Rig, pkt: Packet, at_ns: u64) -> Vec<Effect> {
+fn deliver(r: &mut Rig, pkt: Packet, at_ns: u64) -> Vec<Effect<CpItem>> {
     let mut eff = Effects::new();
     {
         let mut view = DpView::new(&mut r.dp, SimTime(at_ns));
@@ -72,7 +74,7 @@ fn deliver(r: &mut Rig, pkt: Packet, at_ns: u64) -> Vec<Effect> {
     eff.drain().collect()
 }
 
-fn pktgen(r: &mut Rig, at_ns: u64) -> Vec<Effect> {
+fn pktgen(r: &mut Rig, at_ns: u64) -> Vec<Effect<CpItem>> {
     let mut eff = Effects::new();
     {
         let mut view = DpView::new(&mut r.dp, SimTime(at_ns));

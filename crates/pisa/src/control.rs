@@ -12,13 +12,16 @@
 //! * **service time** — per-item CPU processing, applied serially, which
 //!   caps control-plane throughput at `1/service_time` items per second.
 //!
-//! Control apps hold unbounded (DRAM) private state; they interact with
-//! the world through [`CpCtx`]: packet-out, timers, and full data-plane
-//! access (including table writes, the P4Runtime role).
+//! Control apps hold unbounded (DRAM) private state. A callback is a
+//! step: it reads and writes the data plane directly (snapshots, table
+//! writes — the P4Runtime role) and writes its packet-outs, timers and
+//! span markers to a [`CpCtx`], which the switch then replays. No engine
+//! is involved, so a test can drive any [`ControlApp`] by hand.
 
 use crate::dataplane::DataPlane;
-use std::any::Any;
-use swishmem_simnet::{Ctx, SimDuration, SimTime, SpanPhase};
+use crate::program::Effects;
+use std::convert::Infallible;
+use swishmem_simnet::{SimDuration, SimTime, SpanPhase};
 use swishmem_wire::{NodeId, PacketBody, TraceId};
 
 /// Cost parameters of the control-plane co-processor.
@@ -42,22 +45,37 @@ impl Default for CpParams {
     }
 }
 
-/// Context handed to [`ControlApp`] callbacks.
-pub struct CpCtx<'a, 'b> {
-    pub(crate) dp: &'a mut DataPlane,
-    pub(crate) net: &'a mut Ctx<'b>,
-    pub(crate) timer_requests: &'a mut Vec<(SimDuration, u64)>,
+/// What a [`ControlApp`] callback sees: the time, its switch's data
+/// plane, and the sink its effects go to. Packet-outs and span markers
+/// collect in `eff` in emission order; timers collect apart, and the
+/// switch arms them after replaying `eff`.
+pub struct CpCtx<'a, I = Infallible> {
+    now: SimTime,
+    dp: &'a mut DataPlane,
+    eff: &'a mut Effects<I>,
+    timers: &'a mut Vec<(SimDuration, u64)>,
 }
 
-impl<'a, 'b> CpCtx<'a, 'b> {
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
+impl<'a, I> CpCtx<'a, I> {
+    /// A context at `now` over `dp`, collecting effects into `eff` and
+    /// timer requests `(delay, token)` into `timers`.
+    pub fn new(
+        now: SimTime,
+        dp: &'a mut DataPlane,
+        eff: &'a mut Effects<I>,
+        timers: &'a mut Vec<(SimDuration, u64)>,
+    ) -> CpCtx<'a, I> {
+        CpCtx {
+            now,
+            dp,
+            eff,
+            timers,
+        }
     }
 
-    /// This switch's node id.
-    pub fn self_id(&self) -> NodeId {
-        self.net.self_id()
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.now
     }
 
     /// Full data-plane access: the control plane may read registers
@@ -68,7 +86,7 @@ impl<'a, 'b> CpCtx<'a, 'b> {
 
     /// Emit a packet-out: inject a frame into the egress toward `dst`.
     pub fn packet_out(&mut self, dst: NodeId, body: PacketBody) {
-        self.net.send(dst, body);
+        self.eff.forward(dst, body);
     }
 
     /// Arm a control-plane timer. `token` must fit in 48 bits (the switch
@@ -78,48 +96,46 @@ impl<'a, 'b> CpCtx<'a, 'b> {
             token < (1 << 48),
             "control-plane timer token must fit in 48 bits"
         );
-        self.timer_requests.push((delay, token));
-    }
-
-    /// Deterministic randomness.
-    pub fn rng(&mut self) -> &mut impl rand::Rng {
-        self.net.rng()
+        self.timers.push((delay, token));
     }
 
     /// Emit a causal span phase marker at the current time (passive
-    /// telemetry; see [`Ctx::span`]).
+    /// telemetry; dropped unless the sink collects spans).
     pub fn span(&mut self, trace: TraceId, phase: SpanPhase) {
-        self.net.span(trace, phase);
-    }
-
-    /// Emit a span marker stamped with an explicit time.
-    pub fn span_at(&mut self, at: SimTime, trace: TraceId, phase: SpanPhase) {
-        self.net.span_at(at, trace, phase);
+        self.eff.span(trace, phase);
     }
 }
 
 /// A control-plane application (the switch-local agent).
 pub trait ControlApp: 'static {
+    /// What the pipeline punts to this app.
+    type Item: 'static;
+
     /// Called at switch start (and again on recovery after failure, with
     /// `reset` having run in between).
-    fn on_start(&mut self, _cp: &mut CpCtx<'_, '_>) {}
+    fn on_start(&mut self, _cp: &mut CpCtx<'_, Self::Item>) {}
 
     /// A punted item arrived from the pipeline (after punt latency and
-    /// serial service delay). Downcast to the expected type(s).
-    fn on_item(&mut self, item: Box<dyn Any>, cp: &mut CpCtx<'_, '_>);
+    /// serial service delay).
+    fn on_item(&mut self, item: Self::Item, cp: &mut CpCtx<'_, Self::Item>);
 
     /// A control-plane timer fired. Timers armed before a failure may
     /// fire after recovery with stale tokens; implementations must treat
     /// unknown tokens as no-ops.
-    fn on_timer(&mut self, _token: u64, _cp: &mut CpCtx<'_, '_>) {}
+    fn on_timer(&mut self, _token: u64, _cp: &mut CpCtx<'_, Self::Item>) {}
 
     /// The switch failed: discard all CPU state.
     fn reset(&mut self) {}
 }
 
-/// A no-op control app for switches that never use the control plane.
+/// A no-op control app for switches that never use the control plane:
+/// its item type is uninhabited, so their program cannot punt.
 pub struct NullControlApp;
 
 impl ControlApp for NullControlApp {
-    fn on_item(&mut self, _item: Box<dyn Any>, _cp: &mut CpCtx<'_, '_>) {}
+    type Item = Infallible;
+
+    fn on_item(&mut self, item: Infallible, _cp: &mut CpCtx<'_>) {
+        match item {}
+    }
 }

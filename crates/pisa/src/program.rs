@@ -10,13 +10,15 @@
 //! without locks, exactly the property the SwiShmem protocols exploit.
 
 use crate::dataplane::DpView;
-use std::any::Any;
+use std::convert::Infallible;
 use swishmem_simnet::{GroupId, SpanPhase};
 use swishmem_wire::{NodeId, PacketBody, TraceId};
 
-/// One output action of a packet's processing.
+/// One output action of a packet's processing. `I` is the item type the
+/// switch's control plane takes; the default, [`Infallible`], is for a
+/// switch without one, which then cannot punt.
 #[derive(Debug)]
-pub enum Effect {
+pub enum Effect<I = Infallible> {
     /// Emit a frame toward `dst` (normal egress).
     Forward {
         /// Next hop.
@@ -48,11 +50,12 @@ pub enum Effect {
         body: PacketBody,
     },
     /// Hand an item to the switch-local control plane (packet-in). The
-    /// payload is an arbitrary typed item so programs can attach computed
-    /// context (e.g. SwiShmem's `(P', Q)` output-packet + write-set pair).
+    /// item is the control app's own type, moved in whole, so programs
+    /// can attach computed context (e.g. SwiShmem's `(P', Q)`
+    /// output-packet + write-set pair).
     Punt {
-        /// The work item; the control app downcasts it.
-        item: Box<dyn Any>,
+        /// The work item, handed to the control app as is.
+        item: I,
         /// Causal trace of the punted operation; when not
         /// [`TraceId::NONE`], the switch emits `punt` / `cp_dequeue` span
         /// markers stamped with the modeled CP queue times.
@@ -71,18 +74,19 @@ pub enum Effect {
     Drop,
 }
 
-/// Collector for the effects of one pipeline pass.
+/// Collector for the effects of one pipeline pass (or of one
+/// control-plane callback, which emits only forwards and spans).
 #[derive(Debug)]
-pub struct Effects {
-    items: Vec<Effect>,
+pub struct Effects<I = Infallible> {
+    items: Vec<Effect<I>>,
     /// Whether span markers are collected. The switch sets this from
     /// `Ctx::tracing` so a run without span observers never pays the
     /// per-packet push/dispatch of `Effect::Span` entries.
     tracing: bool,
 }
 
-impl Default for Effects {
-    fn default() -> Effects {
+impl<I> Default for Effects<I> {
+    fn default() -> Effects<I> {
         Effects {
             items: Vec::new(),
             // Direct constructions (tests, tools) keep spans observable.
@@ -91,9 +95,9 @@ impl Default for Effects {
     }
 }
 
-impl Effects {
+impl<I> Effects<I> {
     /// Empty effect set.
-    pub fn new() -> Effects {
+    pub fn new() -> Effects<I> {
         Effects::default()
     }
 
@@ -101,7 +105,7 @@ impl Effects {
     /// keeps across passes so a pass allocates nothing, with span
     /// collection switched on or off. [`Effects::into_buf`] hands the
     /// buffer back.
-    pub fn over(mut buf: Vec<Effect>, tracing: bool) -> Effects {
+    pub fn over(mut buf: Vec<Effect<I>>, tracing: bool) -> Effects<I> {
         buf.clear();
         Effects {
             items: buf,
@@ -110,7 +114,7 @@ impl Effects {
     }
 
     /// Take the collected effects together with the buffer's capacity.
-    pub fn into_buf(self) -> Vec<Effect> {
+    pub fn into_buf(self) -> Vec<Effect<I>> {
         self.items
     }
 
@@ -141,21 +145,15 @@ impl Effects {
         self.items.push(Effect::Recirculate { body });
     }
 
-    /// Punt a typed item to the control plane.
-    pub fn punt<T: Any>(&mut self, item: T) {
-        self.items.push(Effect::Punt {
-            item: Box::new(item),
-            trace: TraceId::NONE,
-        });
+    /// Punt an item to the control plane.
+    pub fn punt(&mut self, item: I) {
+        self.punt_traced(item, TraceId::NONE);
     }
 
-    /// Punt a typed item carrying a causal trace: the switch stamps
-    /// `punt` and `cp_dequeue` markers from its CP queue model.
-    pub fn punt_traced<T: Any>(&mut self, item: T, trace: TraceId) {
-        self.items.push(Effect::Punt {
-            item: Box::new(item),
-            trace,
-        });
+    /// Punt an item carrying a causal trace: the switch stamps `punt` and
+    /// `cp_dequeue` markers from its CP queue model.
+    pub fn punt_traced(&mut self, item: I, trace: TraceId) {
+        self.items.push(Effect::Punt { item, trace });
     }
 
     /// Emit a span phase marker. A no-op when tracing is off for this
@@ -182,26 +180,26 @@ impl Effects {
     }
 
     /// Drain the collected effects (engine use).
-    pub fn drain(&mut self) -> impl Iterator<Item = Effect> + '_ {
+    pub fn drain(&mut self) -> impl Iterator<Item = Effect<I>> + '_ {
         self.items.drain(..)
     }
 }
 
-/// A P4-style data-plane program.
+/// A P4-style data-plane program that punts items of type `I`.
 ///
 /// State access goes through the [`DpView`]; outputs through [`Effects`].
 /// Implementations must be deterministic functions of (packet, state):
 /// the engine may run the same program on several switches and the
 /// SwiShmem read-forwarding path assumes identical processing at the tail.
-pub trait DataPlaneProgram: 'static {
+pub trait DataPlaneProgram<I = Infallible>: 'static {
     /// Process one packet. The program owns the packet: punting or
     /// re-emitting it is a move, never a deep copy.
-    fn on_packet(&mut self, pkt: swishmem_wire::Packet, dp: &mut DpView<'_>, eff: &mut Effects);
+    fn on_packet(&mut self, pkt: swishmem_wire::Packet, dp: &mut DpView<'_>, eff: &mut Effects<I>);
 
     /// A packet-generator tick fired (§7's "periodic background task ...
     /// using the switch's packet generator"). `token` identifies which
     /// generator.
-    fn on_pktgen(&mut self, _token: u64, _dp: &mut DpView<'_>, _eff: &mut Effects) {}
+    fn on_pktgen(&mut self, _token: u64, _dp: &mut DpView<'_>, _eff: &mut Effects<I>) {}
 
     /// The switch failed; clear program-internal state so a recovery
     /// starts fresh.
@@ -232,14 +230,14 @@ mod tests {
     }
 
     #[test]
-    fn punt_items_downcast() {
-        let mut eff = Effects::new();
+    fn punt_items_keep_their_type() {
+        let mut eff = Effects::<String>::new();
         eff.punt(String::from("work"));
         let first = eff.drain().next().unwrap();
         match first {
             Effect::Punt { item, trace } => {
                 assert_eq!(trace, TraceId::NONE);
-                assert_eq!(item.downcast::<String>().unwrap().as_str(), "work");
+                assert_eq!(item, "work");
             }
             other => panic!("unexpected {other:?}"),
         }

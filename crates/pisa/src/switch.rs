@@ -5,12 +5,18 @@
 //! token space; the switch partitions it as `[tag:8][incarnation:8]
 //! [payload:48]`. The incarnation byte is bumped on failure so timers
 //! armed before a crash are ignored if they fire after recovery.
+//!
+//! Punted items and recirculated frames wait in FIFO queues, each entry
+//! with its own timer whose payload is the entry's id. Both queues drain
+//! in order: a punt completes at a CP service time that never decreases,
+//! a recirculation after a constant delay, and the engine fires equal
+//! times in arming order. A timer pops its queue's front only if the ids
+//! match, since the incarnation byte wraps after 256 failures.
 
 use crate::control::{ControlApp, CpCtx, CpParams};
 use crate::dataplane::{DataPlane, DpView};
 use crate::program::{DataPlaneProgram, Effect, Effects};
-use std::any::Any;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use swishmem_simnet::{Ctx, Node, SimDuration, SimTime};
 use swishmem_wire::{Packet, PacketBody};
 
@@ -65,30 +71,31 @@ pub struct SwitchStats {
     pub program_drops: u64,
 }
 
-/// A programmable switch node.
-pub struct Switch<P: DataPlaneProgram, C: ControlApp> {
+/// A programmable switch node: a program punting `C::Item`s to the
+/// control app `C`.
+pub struct Switch<P: DataPlaneProgram<C::Item>, C: ControlApp> {
     dp: DataPlane,
     program: P,
     cp_app: C,
     cfg: SwitchConfig,
     incarnation: u8,
     cp_next_free: SimTime,
-    cp_pending: HashMap<u64, Box<dyn Any>>,
-    recirc_pending: HashMap<u64, PacketBody>,
+    cp_pending: VecDeque<(u64, C::Item)>,
+    recirc_pending: VecDeque<(u64, PacketBody)>,
     next_work_id: u64,
     pktgens: Vec<(SimDuration, u64)>,
     stats: SwitchStats,
     /// Pooled effect buffer: lent to the [`Effects`] of each pipeline
-    /// pass and taken back drained, so a pass allocates nothing once the
-    /// buffer has grown to the widest pass seen.
-    effect_buf: Vec<Effect>,
+    /// pass and control-plane callback and taken back drained, so a step
+    /// allocates nothing once the buffer has grown to the widest seen.
+    effect_buf: Vec<Effect<C::Item>>,
     /// Pooled timer-request buffer: lent to the [`CpCtx`] of each
     /// control-plane callback and drained after it, so arming a timer
     /// allocates nothing once the buffer has grown.
     timer_buf: Vec<(SimDuration, u64)>,
 }
 
-impl<P: DataPlaneProgram, C: ControlApp> Switch<P, C> {
+impl<P: DataPlaneProgram<C::Item>, C: ControlApp> Switch<P, C> {
     /// Compose a switch. The data plane is built (registers allocated,
     /// handles distributed to `program`/`cp_app`) before this call.
     pub fn new(cfg: SwitchConfig, dp: DataPlane, program: P, cp_app: C) -> Switch<P, C> {
@@ -99,8 +106,8 @@ impl<P: DataPlaneProgram, C: ControlApp> Switch<P, C> {
             cfg,
             incarnation: 0,
             cp_next_free: SimTime::ZERO,
-            cp_pending: HashMap::new(),
-            recirc_pending: HashMap::new(),
+            cp_pending: VecDeque::new(),
+            recirc_pending: VecDeque::new(),
             next_work_id: 0,
             pktgens: Vec::new(),
             stats: SwitchStats::default(),
@@ -144,19 +151,18 @@ impl<P: DataPlaneProgram, C: ControlApp> Switch<P, C> {
 
     fn run_program<F>(&mut self, ctx: &mut Ctx<'_>, f: F)
     where
-        F: FnOnce(&mut P, &mut DpView<'_>, &mut Effects),
+        F: FnOnce(&mut P, &mut DpView<'_>, &mut Effects<C::Item>),
     {
         let mut eff = Effects::over(std::mem::take(&mut self.effect_buf), ctx.tracing());
-        {
-            let mut view = DpView::new(&mut self.dp, ctx.now());
-            f(&mut self.program, &mut view, &mut eff);
-        }
-        let mut effects = eff.into_buf();
-        self.apply_effects(&mut effects, ctx);
-        self.effect_buf = effects;
+        let mut view = DpView::new(&mut self.dp, ctx.now());
+        f(&mut self.program, &mut view, &mut eff);
+        self.apply_effects(eff, ctx);
     }
 
-    fn apply_effects(&mut self, effects: &mut Vec<Effect>, ctx: &mut Ctx<'_>) {
+    /// Replay one step's effects into `ctx`, in emission order, and take
+    /// the buffer back.
+    fn apply_effects(&mut self, eff: Effects<C::Item>, ctx: &mut Ctx<'_>) {
+        let mut effects = eff.into_buf();
         for e in effects.drain(..) {
             match e {
                 Effect::Forward { dst, body } => ctx.send(dst, body),
@@ -165,7 +171,7 @@ impl<P: DataPlaneProgram, C: ControlApp> Switch<P, C> {
                 Effect::Recirculate { body } => {
                     self.stats.recircs += 1;
                     let id = self.next_id();
-                    self.recirc_pending.insert(id, body);
+                    self.recirc_pending.push_back((id, body));
                     ctx.set_timer(
                         self.cfg.recirc_delay,
                         encode_token(TAG_RECIRC, self.incarnation, id),
@@ -184,34 +190,41 @@ impl<P: DataPlaneProgram, C: ControlApp> Switch<P, C> {
                     ctx.span_at(arrive, trace, swishmem_simnet::SpanPhase::Punt);
                     ctx.span_at(start, trace, swishmem_simnet::SpanPhase::CpDequeue);
                     let id = self.next_id();
-                    self.cp_pending.insert(id, item);
+                    self.cp_pending.push_back((id, item));
                     ctx.set_timer(done - now, encode_token(TAG_CP_WORK, self.incarnation, id));
                 }
                 Effect::Span { trace, phase } => ctx.span(trace, phase),
                 Effect::Drop => self.stats.program_drops += 1,
             }
         }
+        self.effect_buf = effects;
     }
 
+    /// Run one control-plane step, replay its effects, then arm the
+    /// timers it requested.
     fn run_cp<F>(&mut self, ctx: &mut Ctx<'_>, f: F)
     where
-        F: FnOnce(&mut C, &mut CpCtx<'_, '_>),
+        F: FnOnce(&mut C, &mut CpCtx<'_, C::Item>),
     {
-        {
-            let mut cp = CpCtx {
-                dp: &mut self.dp,
-                net: ctx,
-                timer_requests: &mut self.timer_buf,
-            };
-            f(&mut self.cp_app, &mut cp);
-        }
+        let mut eff = Effects::over(std::mem::take(&mut self.effect_buf), ctx.tracing());
+        let mut cp = CpCtx::new(ctx.now(), &mut self.dp, &mut eff, &mut self.timer_buf);
+        f(&mut self.cp_app, &mut cp);
+        self.apply_effects(eff, ctx);
         for (delay, token) in self.timer_buf.drain(..) {
             ctx.set_timer(delay, encode_token(TAG_CP_TIMER, self.incarnation, token));
         }
     }
 }
 
-impl<P: DataPlaneProgram, C: ControlApp> Node for Switch<P, C> {
+/// Pop `queue`'s front if its id is `id`.
+fn pop_if<T>(queue: &mut VecDeque<(u64, T)>, id: u64) -> Option<T> {
+    match queue.front() {
+        Some(&(front, _)) if front == id => queue.pop_front().map(|(_, t)| t),
+        _ => None,
+    }
+}
+
+impl<P: DataPlaneProgram<C::Item>, C: ControlApp> Node for Switch<P, C> {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         for (i, &(period, _)) in self.pktgens.iter().enumerate() {
             ctx.set_timer(period, encode_token(TAG_PKTGEN, self.incarnation, i as u64));
@@ -240,7 +253,7 @@ impl<P: DataPlaneProgram, C: ControlApp> Node for Switch<P, C> {
                 ctx.set_timer(period, token); // re-arm
             }
             TAG_CP_WORK => {
-                if let Some(item) = self.cp_pending.remove(&payload) {
+                if let Some(item) = pop_if(&mut self.cp_pending, payload) {
                     self.run_cp(ctx, |app, cp| app.on_item(item, cp));
                 }
             }
@@ -248,7 +261,7 @@ impl<P: DataPlaneProgram, C: ControlApp> Node for Switch<P, C> {
                 self.run_cp(ctx, |app, cp| app.on_timer(payload, cp));
             }
             TAG_RECIRC => {
-                if let Some(body) = self.recirc_pending.remove(&payload) {
+                if let Some(body) = pop_if(&mut self.recirc_pending, payload) {
                     let me = ctx.self_id();
                     let pkt = Packet {
                         src: me,
@@ -349,8 +362,8 @@ mod tests {
 
     /// Punts every packet; the CP echoes it out after the CP costs.
     struct PuntAll;
-    impl DataPlaneProgram for PuntAll {
-        fn on_packet(&mut self, pkt: Packet, _dp: &mut DpView<'_>, eff: &mut Effects) {
+    impl DataPlaneProgram<Packet> for PuntAll {
+        fn on_packet(&mut self, pkt: Packet, _dp: &mut DpView<'_>, eff: &mut Effects<Packet>) {
             eff.punt(pkt); // moved, not cloned: the pipeline owns the packet
         }
     }
@@ -359,8 +372,9 @@ mod tests {
         handled: u64,
     }
     impl ControlApp for EchoCp {
-        fn on_item(&mut self, item: Box<dyn Any>, cp: &mut CpCtx<'_, '_>) {
-            let pkt = item.downcast::<Packet>().unwrap();
+        type Item = Packet;
+
+        fn on_item(&mut self, pkt: Packet, cp: &mut CpCtx<'_, Packet>) {
             self.handled += 1;
             cp.packet_out(self.out, pkt.body);
         }

@@ -5,13 +5,13 @@
 //! paper's Observation 1 ("most of these examples use switch data
 //! structures that must be modified through the control plane").
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// An exact-match table mapping a 64-bit key to a 64-bit action parameter.
 #[derive(Debug, Clone)]
 pub struct MatchTable {
     name: String,
-    entries: HashMap<u64, u64>,
+    entries: BTreeMap<u64, u64>,
     max_entries: usize,
     lookups: u64,
     hits: u64,
@@ -46,7 +46,7 @@ impl MatchTable {
     pub(crate) fn new(name: &str, max_entries: usize) -> MatchTable {
         MatchTable {
             name: name.to_string(),
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
             max_entries,
             lookups: 0,
             hits: 0,
@@ -100,7 +100,8 @@ impl MatchTable {
         (self.lookups, self.hits)
     }
 
-    /// Iterate all `(key, value)` entries (control-plane snapshot).
+    /// Iterate all `(key, value)` entries in key order (control-plane
+    /// snapshot).
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.entries.iter().map(|(&k, &v)| (k, v))
     }
