@@ -811,7 +811,7 @@ impl ControlApp for SwishCp {
                         learners: c.learners,
                     };
                     let cfgblk: RegHandle = self.handles.cfgblk;
-                    write_chain(cp.dataplane(), cfgblk, &self.view);
+                    write_chain(cp.dataplane(), cfgblk, &self.view, self.me);
                     self.metrics.epochs_adopted += 1;
                     if self.view.chain.contains(&self.me) {
                         // Promoted (or already a member): stop the

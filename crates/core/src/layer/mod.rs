@@ -72,8 +72,9 @@ pub(crate) struct RegEntry {
 #[derive(Debug)]
 pub struct Handles {
     pub(crate) regs: Vec<RegEntry>,
-    /// The configuration block register (chain/learners/epoch), installed
-    /// by the control plane, read by the pipeline.
+    /// The configuration block register (chain, learners, epoch and this
+    /// switch's membership), installed by the control plane, read by the
+    /// pipeline.
     pub(crate) cfgblk: RegHandle,
     /// Per-partitioned-register range tables (`rangeblk`), same idiom as
     /// the config block: installed by control messages, consulted by the
@@ -83,8 +84,13 @@ pub struct Handles {
     pub(crate) rangeblks: Vec<(RegId, RegHandle)>,
 }
 
+/// Config-block cell telling the pipeline whether this switch is a
+/// member of its installed chain (1) or not (0: a learner, or no view
+/// adopted yet). The control plane writes it with the view.
+const CFG_MEMBER: usize = 3 + MAX_NODES + MAX_LEARNERS;
+
 /// Length of the configuration block register array.
-const CFGBLK_LEN: usize = 3 + MAX_NODES + MAX_LEARNERS;
+const CFGBLK_LEN: usize = CFG_MEMBER + 1;
 
 impl Handles {
     /// Allocate the layer's data-plane state for `specs` on `dp`.
@@ -164,6 +170,11 @@ impl Handles {
             self.entry(reg).spec.class,
             RegisterClass::Sro | RegisterClass::Ero
         )
+    }
+
+    /// Whether this switch is a member of its installed chain: one cell.
+    pub(crate) fn in_chain(&self, dp: &DpView<'_>) -> bool {
+        dp.reg_read(self.cfgblk, CFG_MEMBER) != 0
     }
 
     /// The range-table handle for a partitioned register.
@@ -300,8 +311,8 @@ impl ChainRead {
     }
 }
 
-/// Install a configuration block from the control plane.
-pub(crate) fn write_chain(dp: &mut DataPlane, h: RegHandle, view: &ChainView) {
+/// Install a configuration block from the control plane of switch `me`.
+pub(crate) fn write_chain(dp: &mut DataPlane, h: RegHandle, view: &ChainView, me: NodeId) {
     assert!(view.chain.len() <= MAX_NODES);
     assert!(view.learners.len() <= MAX_LEARNERS);
     let r = dp.reg_mut(h);
@@ -320,6 +331,7 @@ pub(crate) fn write_chain(dp: &mut DataPlane, h: RegHandle, view: &ChainView) {
             view.learners.get(i).map(|n| u64::from(n.0)).unwrap_or(0),
         );
     }
+    r.write(CFG_MEMBER, u64::from(view.chain.contains(&me)));
 }
 
 /// Decode a partitioned register's range table from its cells, read
@@ -497,7 +509,7 @@ mod tests {
             chain: vec![NodeId(0), NodeId(2), NodeId(1)],
             learners: vec![NodeId(3)],
         };
-        write_chain(&mut dp, h.cfgblk, &view);
+        write_chain(&mut dp, h.cfgblk, &view, NodeId(2));
         let got = read_chain(
             &DpView::new(&mut dp, swishmem_simnet::SimTime::ZERO),
             h.cfgblk,

@@ -4,8 +4,9 @@
 //! Writes are *staged* (the paper's write set `Q`); reads come from the
 //! local replica overlaid with this packet's own staged writes
 //! (read-your-writes). A read that touches an SRO key whose pending bit is
-//! set flips `need_tail`: the layer will discard this packet's outcome and
-//! forward the original packet to the chain tail (§6.1).
+//! set, or any SRO key at a switch outside its installed chain, flips
+//! `need_tail`: the layer will discard this packet's outcome and forward
+//! the original packet to the chain tail (§6.1).
 
 use super::{Handles, RegKind, StagedWrite};
 use crate::api::SharedState;
@@ -36,9 +37,11 @@ impl<'a, 'v> NfCtx<'a, 'v> {
         let entry = self.handles.entry(reg);
         match &entry.kind {
             RegKind::Chain { val, pending, .. } => {
+                // Only a chain member serves an SRO read locally: a
+                // learner applies a write only after the tail acked it.
                 if let Some(p) = pending {
                     let g = Handles::group_slot(&entry.spec, self.cfg, key);
-                    if self.dp.reg_read(*p, g) != 0 {
+                    if self.dp.reg_read(*p, g) != 0 || !self.handles.in_chain(self.dp) {
                         self.need_tail = true;
                     }
                 }
@@ -146,6 +149,13 @@ mod tests {
             RegisterSpec::ewo_lww(2, "l", 16),
         ];
         let h = Handles::build(dp, &specs, &cfg, 3).unwrap();
+        // Switch 1 is a chain member: it serves SRO reads locally.
+        let view = super::super::ChainView {
+            epoch: 1,
+            chain: vec![NodeId(0), NodeId(1), NodeId(2)],
+            learners: vec![],
+        };
+        super::super::write_chain(dp, h.cfgblk, &view, NodeId(1));
         (h, cfg)
     }
 

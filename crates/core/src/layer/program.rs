@@ -379,8 +379,9 @@ impl SwishProgram {
                     })),
                 );
             }
-        } else if let Some(p) = pending {
-            // Mark the write in flight (SRO only).
+        } else if let Some(p) = pending.filter(|_| pos < route.chain_len()) {
+            // Mark the write in flight (SRO only) before the acking
+            // member. A learner serves no reads, so it keeps no bits.
             dp.reg_write(p, g, assigned);
         }
         if let Some(&next) = order.get(pos + 1) {

@@ -5,7 +5,7 @@
 
 use std::net::Ipv4Addr;
 use std::rc::Rc;
-use swishmem::api::ForwardAll;
+use swishmem::api::{NfApp, NfDecision, SharedState};
 use swishmem::layer::cp::SwishCp;
 use swishmem::layer::program::SwishProgram;
 use swishmem::layer::{CpItem, Handles, StagedWrite};
@@ -17,6 +17,19 @@ use swishmem_wire::swish::{
     WriteRequest,
 };
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, SwishMsg};
+
+/// Reads key 5 of register 0, then forwards the packet to host 1000.
+struct ReadKey5;
+
+impl NfApp for ReadKey5 {
+    fn process(&mut self, pkt: &DataPacket, _: NodeId, st: &mut dyn SharedState) -> NfDecision {
+        st.read(0, 5);
+        NfDecision::Forward {
+            dst: NodeId(1000),
+            pkt: *pkt,
+        }
+    }
+}
 
 struct Rig {
     dp: DataPlane,
@@ -54,7 +67,7 @@ fn rig_with(spec: RegisterSpec, me: u16, chain: &[u16], learners: &[u16]) -> Rig
     let mut dp = DataPlane::standard();
     let handles = Rc::new(Handles::build(&mut dp, &[spec], &cfg, 4).unwrap());
     let clock = SwitchClock::new(NodeId(me), ClockMode::Synced { max_skew_ns: 0 }, 0);
-    let app = Box::new(ForwardAll { dst: NodeId(1000) });
+    let app = Box::new(ReadKey5);
     let prog = SwishProgram::new(NodeId(me), cfg, handles.clone(), app, clock);
     let cp = SwishCp::new(NodeId(me), cfg, NodeId(100), handles);
     let mut r = Rig { dp, prog, cp };
@@ -300,6 +313,50 @@ fn single_switch_chain_acks_immediately_without_pending() {
         )
     });
     assert!(acked, "head==tail must ack directly");
+}
+
+/// A host's data packet arriving at switch `me`, which reads key 5.
+fn read_at(me: u16) -> Packet {
+    let flow = FlowKey::udp(Ipv4Addr::new(1, 1, 1, 1), 1, Ipv4Addr::new(2, 2, 2, 2), 2);
+    Packet::data(NodeId(1000), NodeId(me), DataPacket::udp(flow, 0, 8))
+}
+
+fn clear(key: u32, seq: u64) -> Packet {
+    let c = PendingClear {
+        epoch: 1,
+        reg: 0,
+        key,
+        seq,
+    };
+    Packet::swish(NodeId(2), NodeId(0), SwishMsg::Clear(c))
+}
+
+#[test]
+fn learner_forwards_sro_reads_to_the_tail() {
+    // Learner 3 holds seq 3 = 30 and has applied its clear. The tail has
+    // acked seq 4 = 40, and its forward to 3 is still in flight: a read
+    // served at 3 now would see 30 after 40 committed.
+    let mut r = rig(3, &[0, 1, 2], &[3]);
+    deliver(&mut r, write_req(0, 5, 3, 30));
+    deliver(&mut r, clear(5, 3));
+    let fx = deliver(&mut r, read_at(3));
+    match sent(&fx)[..] {
+        [(Some(NodeId(2)), SwishMsg::ReadForward(rf))] => assert_eq!(rf.origin, NodeId(3)),
+        ref other => panic!("a learner must send the read to the tail: {other:?}"),
+    }
+    let m = r.prog.metrics();
+    assert_eq!((m.reads_local, m.reads_forwarded), (0, 1));
+}
+
+#[test]
+fn chain_member_serves_a_clear_read_locally() {
+    let mut r = rig(1, &[0, 1, 2], &[3]);
+    deliver(&mut r, write_req(0, 5, 3, 30));
+    deliver(&mut r, clear(5, 3));
+    let fx = deliver(&mut r, read_at(1));
+    assert!(sent(&fx).is_empty(), "{fx:?}");
+    let m = r.prog.metrics();
+    assert_eq!((m.reads_local, m.reads_forwarded), (1, 0));
 }
 
 /// Switch `me` holding partitioned register 0 (keys 0..64) as one range

@@ -229,3 +229,84 @@ fn tail_answers_forwarded_reads() {
         }
     }
 }
+
+/// `(arrival ns, value)` of every write the writer released to host 0:
+/// a write completes when its output packet leaves the control plane.
+fn completed_writes(dep: &Deployment, trace: &TraceHandle) -> Vec<(u64, u32)> {
+    let trace = trace.borrow();
+    assert_eq!(trace.overflowed(), 0);
+    (trace.received_by(dep.host(0)).into_iter())
+        .map(|e| match &e.pkt.body {
+            PacketBody::Data(d) => (e.time.nanos(), d.flow_seq),
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect()
+}
+
+/// Write `v` at switch 0 and run until the write completes: one write
+/// at a time, so values commit in increasing order.
+fn write_and_wait(dep: &mut Deployment, trace: &TraceHandle, v: u32) {
+    let deadline = dep.now() + SimDuration::millis(50);
+    dep.inject(dep.now(), 0, 0, write_pkt(v));
+    while !completed_writes(dep, trace).iter().any(|&(_, w)| w == v) {
+        assert!(dep.now() < deadline, "write {v} never completed");
+        dep.run_for(SimDuration::micros(5));
+    }
+}
+
+#[test]
+fn a_rejoining_switch_never_unsees_a_committed_value() {
+    let mut dep = DeploymentBuilder::new(3)
+        .hosts(2)
+        .seed(12)
+        .register(RegisterSpec::sro(0, "x", 16))
+        .build(|_| Box::new(SeqNf));
+    let trace = trace(&mut dep);
+    dep.settle();
+    for v in 1..=10 {
+        write_and_wait(&mut dep, &trace, v);
+    }
+    // Switch 1 crashes and restarts: it rejoins as a learner, its wiped
+    // data plane refilled by a snapshot and the tail's forwards. Probe
+    // it with a read every 5 µs from the moment it adopts that view,
+    // while writes go on.
+    let t = dep.now();
+    dep.schedule_fail(t + SimDuration::micros(100), 1);
+    dep.schedule_recover(t + SimDuration::millis(1), 1);
+    let me = dep.switch_ids()[1];
+    while !dep.switch(1).cp_app().view().learners.contains(&me) {
+        assert!(dep.now() < t + SimDuration::millis(50), "no learner view");
+        dep.run_for(SimDuration::micros(5));
+    }
+    let from = dep.now();
+    let issued: Vec<u64> = (0..100u64)
+        .map(|i| (from + SimDuration::micros(i * 5)).nanos())
+        .collect();
+    for (tag, &at) in (1u16..).zip(&issued) {
+        dep.inject(SimTime(at), 1, 0, read_pkt(tag));
+    }
+    for v in 11..=30 {
+        write_and_wait(&mut dep, &trace, v);
+    }
+    dep.run_for(SimDuration::millis(20));
+
+    // Axiom 2 across switches: no read returns a value older than one
+    // whose write completed before the read was issued.
+    let completed = completed_writes(&dep, &trace);
+    let answers = answers(&dep, &trace);
+    assert_eq!(answers.len(), issued.len(), "every probe is answered");
+    for (_, d) in answers {
+        let at = issued[usize::from(d.flow.src_port) - 1];
+        let committed = (completed.iter())
+            .filter(|&&(t, _)| t < at)
+            .map(|&(_, v)| v)
+            .max()
+            .unwrap_or(0);
+        assert!(
+            d.flow_seq >= committed,
+            "a read issued at {at} ns saw {} from switch {}, after {committed} committed",
+            d.flow_seq,
+            d.payload_len
+        );
+    }
+}

@@ -165,12 +165,13 @@ fn golden_run() -> Golden {
 fn wire_bytes_of_a_seeded_run_are_pinned() {
     let got = golden_run();
     let want = Golden {
-        // Re-recorded when a restarted switch stopped reissuing trace ids
-        // from before its crash: the ids ride in the frames.
-        hash: 12_440_714_704_619_850_416,
+        // Re-recorded when a learner stopped serving SRO reads locally:
+        // three reads at the restarted switch 2 now tunnel to the tail,
+        // which re-executes them, writes included. No codec changed.
+        hash: 8_147_917_915_487_420_839,
         // In `TrafficClass::ALL` order: data, chain writes, acks + clears,
         // EWO sync, snapshot, tunneled reads, migration chunks, management.
-        frames: [519, 703, 850, 1197, 4, 1, 3, 1132],
+        frames: [519, 705, 850, 1194, 4, 4, 3, 1132],
         // Every tag of the message table: no message is out of this
         // run's reach, so each row's bytes are under the hash.
         tags: (0x01..=0x1a).collect(),
