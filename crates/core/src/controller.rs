@@ -193,6 +193,19 @@ impl Rep {
             }
         }
     }
+
+    /// Drop any proposer role, journaling the `StepDown` at this step.
+    fn restart_consensus(&mut self, out: &mut Out) {
+        self.cons.on_restart();
+        self.journal_notes(out);
+    }
+
+    /// Journal the consensus transitions recorded since the last drain.
+    fn journal_notes(&mut self, out: &mut Out) {
+        for ev in self.cons.take_notes() {
+            out.journal(ev);
+        }
+    }
 }
 
 /// Leader-beacon inter-arrival samples retained by the detector.
@@ -666,9 +679,7 @@ impl Controller {
     /// leader emits the resulting fabric messages and decree records.
     fn drain_chosen(&mut self, out: &mut Out) {
         if let Some(rep) = self.rep.as_mut() {
-            for ev in rep.cons.take_notes() {
-                out.journal(ev);
-            }
+            rep.journal_notes(out);
         }
         loop {
             let Some(rep) = self.rep.as_mut() else { return };
@@ -1460,7 +1471,7 @@ impl Controller {
                     heard: heard as u32,
                     quorum: rep.cons.quorum() as u32,
                 });
-                rep.cons.on_restart();
+                rep.restart_consensus(out);
                 rep.last_leader_hb = now;
                 rep.last_attempt = now;
             }
@@ -1849,7 +1860,7 @@ impl Controller {
             // follower and let the election timer sort leadership. The
             // inter-arrival history spans the downtime: discard it so the
             // detector re-learns the cadence from scratch.
-            rep.cons.on_restart();
+            rep.restart_consensus(out);
             rep.hb_gaps.clear();
             rep.suspected = false;
         } else if rep.cons.idx == 0 {
@@ -2159,8 +2170,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replicas_elect_replica_zero_and_apply_bootstrap_at_one_slot() {
+    /// Three replicas of a three-switch deployment, started at 1 µs with
+    /// every message between them delivered.
+    fn started_bus() -> Bus {
         let cfg = SwishConfig::default();
         let sw: Vec<NodeId> = (0..3).map(NodeId).collect();
         let group: Vec<NodeId> = (0..3).map(|i| NodeId(u16::MAX - i)).collect();
@@ -2168,7 +2180,7 @@ mod tests {
             .map(|i| Controller::replica(cfg, sw.clone(), vec![], i, group.clone()))
             .collect();
         let mut bus = Bus {
-            group: group.clone(),
+            group,
             reps,
             fx: (0..3).map(|_| Vec::new()).collect(),
             queue: Default::default(),
@@ -2178,6 +2190,14 @@ mod tests {
             bus.step(i, Input::Start, now);
         }
         bus.deliver_all(now);
+        bus
+    }
+
+    #[test]
+    fn replicas_elect_replica_zero_and_apply_bootstrap_at_one_slot() {
+        let mut bus = started_bus();
+        let group = bus.group.clone();
+        let now = SimTime(1_000);
         let leads: Vec<bool> = bus.reps.iter().map(|c| c.is_acting_leader()).collect();
         assert_eq!(leads, [true, false, false]);
         // The leader's replica tick decrees the initial configuration.
@@ -2205,5 +2225,24 @@ mod tests {
         }
         let chains: Vec<usize> = bus.fx.iter().map(|fx| configs(fx).0.len()).collect();
         assert!(chains[0] > 0 && chains[1..] == [0, 0], "{chains:?}");
+    }
+
+    #[test]
+    fn a_restarted_leader_journals_its_step_down_at_the_restart() {
+        let mut bus = started_bus();
+        assert!(bus.reps[0].is_acting_leader());
+        // The leader crashes and the engine re-dispatches its start at
+        // 2 ms: it rejoins as a follower, and says so then, not at its
+        // next replica tick.
+        let fx = step(&mut bus.reps[0], Input::Start, SimTime(2_000_000));
+        let step_down = |e: &Effect| matches!(e, Effect::Journal(CtrlEvent::StepDown { .. }));
+        assert_eq!(fx.iter().filter(|e| step_down(e)).count(), 1, "{fx:?}");
+        assert!(!bus.reps[0].is_acting_leader());
+        let tick = step(
+            &mut bus.reps[0],
+            Input::Timer(REP_TICK),
+            SimTime(12_000_000),
+        );
+        assert!(!tick.iter().any(step_down), "{tick:?}");
     }
 }
