@@ -1,10 +1,14 @@
-//! Smoke tests for the E24 replay-lab gates: the determinism and
-//! ring-parity checks at CI scale. The full-size gates (1M flows, five
-//! scenario packs, the 0.90x parity floor) live in the experiment
-//! itself; these keep the invariants on every `scripts/verify.sh` run
-//! with gates generous enough for noisy shared runners (the
-//! `trace_overhead.rs` convention).
+//! Smoke tests for the E24 replay-lab gates at CI scale: the replay
+//! deployment's golden run, and ring ingest against generator-driven
+//! injection. Every gate is exact; the full-size run (1M flows, five
+//! scenario packs) lives in the experiment itself.
+//!
+//! A counting `#[global_allocator]` is armed only around each replay,
+//! and only on the running thread, so the parallel test runner stays out
+//! of the count (as in `trace_overhead.rs`).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Cursor;
 
 use swishmem::prelude::*;
@@ -13,6 +17,34 @@ use swishmem_bench::scenarios::replay_deployment;
 use swishmem_replay::{
     replay_digest, replay_trace, synth_trace_bytes, ReplayConfig, SynthConfig, TraceReader,
 };
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the bookkeeping touches only const-initialised
+// thread-locals without destructors, which never allocate or unwind.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if ARMED.with(Cell::get) {
+            ALLOCS.with(|c| c.set(c.get() + 1));
+        }
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// The core replay-lab contract at smoke scale, on the SwiShmem stack:
 /// the same trace through the replay deployment yields the recorded
@@ -49,18 +81,46 @@ fn replay_matches_golden() {
     }
 }
 
-/// Ring-buffer ingest must keep pace with generator-driven injection.
-/// The experiment gates at 0.90x; the CI smoke allows 0.75x to tolerate
-/// scheduler noise on shared runners.
+/// Allocations ring ingest makes beyond generator-driven injection of
+/// the same trace: the ring itself. 1 measured (193 against 192), in
+/// debug and release alike.
+const RING_ALLOCS: u64 = 1;
+
+/// One E24 replay of `bytes` on a fresh replay deployment, through the
+/// ring or generator-driven: `(digest 10 ms on, events, wall ns,
+/// allocations during the replay)`.
+fn replay(bytes: &[u8], ring: bool) -> (u64, u64, u64, u64) {
+    let mut dep = replay_deployment(7);
+    ALLOCS.with(|c| c.set(0));
+    ARMED.with(|a| a.set(true));
+    let (events, ns) = e24_replay_lab::timed_replay(&mut dep, bytes, ring);
+    ARMED.with(|a| a.set(false));
+    dep.run_for(SimDuration::millis(10));
+    (replay_digest(&dep, 256), events, ns, ALLOCS.with(Cell::get))
+}
+
+/// Ring ingest reproduces generator-driven injection of the same trace:
+/// the same events, the same digest, and the ring costs a fixed number
+/// of allocations for its buffers, none per record. The wall-clock ratio
+/// is printed, not asserted: it moves with host load (E24 reports it).
 #[test]
-fn ring_ingest_keeps_pace_with_generator_driven() {
-    let (direct, ring) = e24_replay_lab::measure_ring_parity(6_000, 3);
-    let ratio = ring / direct.max(1.0);
+fn ring_ingest_matches_generator_driven_exactly() {
+    let cfg = SynthConfig {
+        flows: 3_000,
+        ingress: 3,
+        ..SynthConfig::default()
+    };
+    let bytes = synth_trace_bytes(&cfg, 7);
+    let (direct_digest, direct_events, direct_ns, direct_allocs) = replay(&bytes, false);
+    let (ring_digest, ring_events, ring_ns, ring_allocs) = replay(&bytes, true);
+    println!(
+        "ring/generator-driven events/s {:.3} ({ring_events} events; {ring_allocs} vs \
+         {direct_allocs} allocations)",
+        direct_ns as f64 / ring_ns as f64
+    );
+    assert_eq!((ring_digest, ring_events), (direct_digest, direct_events));
     assert!(
-        ratio >= 0.75,
-        "ring ingest fell to {ratio:.2}x of generator-driven \
-         (direct {:.2}M ev/s, ring {:.2}M ev/s)",
-        direct / 1e6,
-        ring / 1e6,
+        ring_allocs <= direct_allocs + RING_ALLOCS,
+        "ring ingest made {ring_allocs} allocations against {direct_allocs} generator-driven"
     );
 }
