@@ -84,13 +84,14 @@ pub struct Handles {
     pub(crate) rangeblks: Vec<(RegId, RegHandle)>,
 }
 
-/// Config-block cell telling the pipeline whether this switch is a
-/// member of its installed chain (1) or not (0: a learner, or no view
-/// adopted yet). The control plane writes it with the view.
-const CFG_MEMBER: usize = 3 + MAX_NODES + MAX_LEARNERS;
-
 /// Length of the configuration block register array.
-const CFGBLK_LEN: usize = CFG_MEMBER + 1;
+const CFGBLK_LEN: usize = 3 + MAX_NODES + MAX_LEARNERS;
+
+/// Bit of config-block cell 0, above the 32-bit epoch, telling the
+/// pipeline whether this switch is a member of its installed chain (set)
+/// or not (a learner, or no view adopted yet). The control plane writes
+/// it with the view.
+const CFG_MEMBER_BIT: u64 = 1 << 32;
 
 impl Handles {
     /// Allocate the layer's data-plane state for `specs` on `dp`.
@@ -174,7 +175,7 @@ impl Handles {
 
     /// Whether this switch is a member of its installed chain: one cell.
     pub(crate) fn in_chain(&self, dp: &DpView<'_>) -> bool {
-        dp.reg_read(self.cfgblk, CFG_MEMBER) != 0
+        dp.reg_read(self.cfgblk, 0) & CFG_MEMBER_BIT != 0
     }
 
     /// The range-table handle for a partitioned register.
@@ -316,7 +317,12 @@ pub(crate) fn write_chain(dp: &mut DataPlane, h: RegHandle, view: &ChainView, me
     assert!(view.chain.len() <= MAX_NODES);
     assert!(view.learners.len() <= MAX_LEARNERS);
     let r = dp.reg_mut(h);
-    r.write(0, u64::from(view.epoch));
+    let member = if view.chain.contains(&me) {
+        CFG_MEMBER_BIT
+    } else {
+        0
+    };
+    r.write(0, u64::from(view.epoch) | member);
     r.write(1, view.chain.len() as u64);
     r.write(2, view.learners.len() as u64);
     for i in 0..MAX_NODES {
@@ -331,7 +337,6 @@ pub(crate) fn write_chain(dp: &mut DataPlane, h: RegHandle, view: &ChainView, me
             view.learners.get(i).map(|n| u64::from(n.0)).unwrap_or(0),
         );
     }
-    r.write(CFG_MEMBER, u64::from(view.chain.contains(&me)));
 }
 
 /// Decode a partitioned register's range table from its cells, read
@@ -432,17 +437,7 @@ mod tests {
     use super::*;
     use crate::config::RegisterSpec;
     use swishmem_pisa::MemoryBudget;
-
-    /// Read the configuration block into an owning [`ChainView`].
-    fn read_chain(dp: &DpView<'_>, h: RegHandle) -> ChainView {
-        let c = ChainRead::read(dp, h);
-        let (chain, learners) = c.write_order().split_at(c.chain_len());
-        ChainView {
-            epoch: c.epoch,
-            chain: chain.to_vec(),
-            learners: learners.to_vec(),
-        }
-    }
+    use swishmem_simnet::SimTime;
 
     fn specs() -> Vec<RegisterSpec> {
         vec![
@@ -509,30 +504,23 @@ mod tests {
             chain: vec![NodeId(0), NodeId(2), NodeId(1)],
             learners: vec![NodeId(3)],
         };
-        write_chain(&mut dp, h.cfgblk, &view, NodeId(2));
-        let got = read_chain(
-            &DpView::new(&mut dp, swishmem_simnet::SimTime::ZERO),
-            h.cfgblk,
-        );
-        assert_eq!(got, view);
-        assert_eq!(got.head(), Some(NodeId(0)));
-        assert_eq!(got.tail(), Some(NodeId(1)));
-        assert_eq!(
-            got.write_order(),
-            vec![NodeId(0), NodeId(2), NodeId(1), NodeId(3)]
-        );
-        // The packet path's allocation-free view agrees with the owning
-        // one, on this block and on an empty (not yet installed) one.
+        // The pipeline reads back the view the control plane installed,
+        // and whether its own switch is a chain member.
+        for (me, member) in [(NodeId(2), true), (NodeId(3), false)] {
+            write_chain(&mut dp, h.cfgblk, &view, me);
+            let dpv = DpView::new(&mut dp, SimTime::ZERO);
+            let c = ChainRead::read(&dpv, h.cfgblk);
+            assert_eq!((c.epoch, c.chain_len(), c.tail()), (7, 3, Some(NodeId(1))));
+            assert_eq!(c.write_order(), view.write_order());
+            assert_eq!(h.in_chain(&dpv), member);
+        }
+        // A block no view was installed in reads as an empty chain.
         let mut blank = DataPlane::standard();
         let hb = Handles::build(&mut blank, &[], &cfg, 2).unwrap();
-        for (dp, h) in [(&mut dp, &h), (&mut blank, &hb)] {
-            let dpv = DpView::new(dp, swishmem_simnet::SimTime::ZERO);
-            let (owned, fast) = (read_chain(&dpv, h.cfgblk), ChainRead::read(&dpv, h.cfgblk));
-            assert_eq!(fast.epoch, owned.epoch);
-            assert_eq!(fast.tail(), owned.tail());
-            assert_eq!(fast.chain_len(), owned.chain.len());
-            assert_eq!(fast.write_order(), owned.write_order());
-        }
+        let dpv = DpView::new(&mut blank, SimTime::ZERO);
+        let c = ChainRead::read(&dpv, hb.cfgblk);
+        assert_eq!((c.epoch, c.write_order(), c.tail()), (0, &[][..], None));
+        assert!(!hb.in_chain(&dpv));
     }
 
     #[test]
