@@ -21,7 +21,14 @@ cd "$(dirname "$0")/.."
 #     tail ack, pending clears; ero_tail_acks_and_feeds_learners_without_a_clear
 #     (an ERO tail sends no Clear); the partitioned_* cases (the last
 #     owner forwards to the migration destination, which acks; a
-#     non-owner drops the write as stale).
+#     non-owner drops the write as stale); learner_forwards_sro_reads_to_the_tail
+#     (a learner serves no SRO read itself); the engine-free cp_* tests
+#     step the writer's control plane through CpCtx::new: a write job
+#     goes to the head under a retry timer, the timer resends it, the
+#     write is abandoned after the retry cap, and an earlier ack
+#     releases the packet and voids the timer. linearizability
+#     a_rejoining_switch_never_unsees_a_committed_value probes a
+#     crashed and rejoining switch through its learner window.
 #   EWO merges (§6.2)               swishmem/prop — the lattice laws of
 #     each policy's MergePolicy::join, checked exhaustively over every
 #     pair and triple of small cells (gcounter_merge_*, windowed_merge_*,
@@ -48,7 +55,8 @@ cd "$(dirname "$0")/.."
 #     singleton_reconfigures_without_a_silent_switch (epoch-2 configs
 #     without the silent switch after failure_timeout) and
 #     replicas_elect_replica_zero_and_apply_bootstrap_at_one_slot (three
-#     replicas on an in-memory bus; only the leader sends ChainConfigs).
+#     replicas on an in-memory bus; only the leader sends ChainConfigs)
+#     and a_restarted_leader_journals_its_step_down_at_the_restart.
 #   consensus hardening (§13)       consensus_hardening —
 #     compaction_sweep_long_horizon recycles log slots without tripping
 #     SLOT_CAP; reconfiguration_under_fault_sweep converges every
@@ -88,7 +96,10 @@ cd "$(dirname "$0")/.."
 #     typed errors; swishmem-replay/scenario_packs — five oracle-armed
 #     packs pass clean and the sabotaged feed fails (the gate is live);
 #     swishmem-bench/cli — `capture` and `replay` exit 2 with usage on a
-#     malformed value, a non-positive `--speedup` or an unknown flag.
+#     malformed value, a non-positive `--speedup` or an unknown flag;
+#     swishmem-bench/replay_lab ring_ingest_matches_generator_driven_exactly
+#     — ring ingest gives the generator-driven replay's events and
+#     digest and allocates once more, never per record.
 echo "==> cargo build --release && cargo test -q (tier-1)"
 cargo build --release
 cargo test -q
@@ -115,20 +126,21 @@ cargo run -q --release -p swishmem-bench --bin experiments -- --quick >/dev/null
 #     as the plain echo (the wall-clock ratio is printed, not asserted).
 #   replay_lab (§15, E24 smoke): the replay deployment's golden digest,
 #     record count, event count and end time exactly, twice; ring ingest
-#     parity within its CI bound.
+#     against generator-driven injection, exactly (digest, events,
+#     allocations; the wall-clock ratio is printed, not asserted).
 #   alloc_budget ("Performance model"): 0 allocations per event on the bare
 #     engine, also in rounds that shift the clock into event-queue buckets
 #     unused before, <= 30 per EWO round, <= 8 per round of SRO read hits,
-#     <= 3 per SRO chain write; neither kind of round retains heap bytes
+#     <= 1 per SRO chain write; neither kind of round retains heap bytes
 #     per delivered packet; the wire check 0 per fixed-width frame and
 #     <= 1 per Sync; a fault_sweep-shaped run with oracles, spans, journal
-#     and wire check armed <= 9 per write.
+#     and wire check armed <= 7 per write.
 #   benchmark self-test: `benchmark/` is a separate package the workspace
 #     build never compiles; it must still build against the crates and
 #     catch every sabotaged reference.
 echo "==> cargo test --release --test trace_overhead (detached tracing + journaling: same events, same allocations)"
 cargo test -q --release -p swishmem-bench --test trace_overhead
-echo "==> cargo test --release --test replay_lab (E24 smoke: golden digest + ring parity)"
+echo "==> cargo test --release --test replay_lab (E24 smoke: golden digest + exact ring ingest)"
 cargo test -q --release -p swishmem-bench --test replay_lab
 echo "==> cargo test --release --test alloc_budget (per-packet allocation budget)"
 cargo test -q --release --test alloc_budget
