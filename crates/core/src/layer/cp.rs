@@ -726,13 +726,11 @@ impl SwishCp {
         }
         let (was_empty, n) = (self.snap_out.is_empty(), chunks.len());
         for (i, (reg, entries)) in chunks.into_iter().enumerate() {
-            let last = i + 1 == n;
-            let origin = self.me;
             let chunk = SnapshotChunk {
                 reg,
-                origin,
+                origin: self.me,
                 entries,
-                last,
+                last: i + 1 == n,
             };
             self.snap_out.push_back((target, chunk));
         }
