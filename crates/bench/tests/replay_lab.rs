@@ -75,7 +75,7 @@ fn replay_matches_golden() {
                 dep.sim.events_processed(),
                 dep.now().nanos()
             ),
-            (0x2644_a39c_5b84_37bc, 8_751, 35_536, 68_835_328),
+            (0x2c3a_9fac_8dce_b0fd, 8_751, 35_590, 68_835_328),
             "replay diverged from the golden"
         );
     }

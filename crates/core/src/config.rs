@@ -229,8 +229,9 @@ pub struct SwishConfig {
     pub clock: ClockMode,
     /// Live reconfiguration engine policy (partitioned registers only).
     pub reconfig: ReconfigPolicy,
-    /// Controller replicas (DESIGN.md §12). 1 = the paper's singleton
-    /// controller; 3+ runs an in-fabric consensus group with leader
+    /// Controller replicas (DESIGN.md §12): the size of the controller's
+    /// consensus group. 1 = the paper's single controller, a group of one
+    /// that decides each decree in the step proposing it; 3+ adds leader
     /// failover. Even values are rounded up by the deployment builder
     /// (an even group tolerates no more failures than the next odd size
     /// down, so they are never worth their cost).

@@ -9,20 +9,22 @@
 //! *learner*: it receives new writes and a snapshot stream, and is
 //! promoted to tail once it reports catch-up completion.
 //!
-//! # Replicated control plane (DESIGN.md §12)
+//! # One consensus group (DESIGN.md §12)
 //!
-//! The controller can run as a singleton (the paper's model) or as one
-//! replica of a consensus group. In replicated mode every state-changing
-//! decision — membership epochs, range-table commits, migration intents —
-//! is first chosen as a [`CtrlCmd`] decree through [`crate::consensus`]
+//! Every controller is one replica of a consensus group; the paper's
+//! single controller is the group of one. Every state-changing decision —
+//! membership epochs, range-table commits, migration intents — is first
+//! chosen as a [`CtrlCmd`] decree through [`crate::consensus`]
 //! (single-decree Paxos per log slot), then applied by every replica in
-//! slot order. Only the acting leader *emits* the resulting fabric
-//! messages; followers apply silently, so a failover promotes a replica
-//! whose state already equals the leader's applied prefix. The decision
-//! logic (failure detector, planner, migration driver) runs on the
-//! leader against the same replicated state plus replica-local soft
-//! state (heartbeat times, load counters) that every replica maintains
-//! from the switches' broadcasts.
+//! slot order. A group of one has a quorum of one: its proposer grants
+//! its own promise and accept locally, so a decree is chosen and applied
+//! in the step that proposed it, with no frame on the wire. Only the
+//! acting leader *emits* the resulting fabric messages; followers apply
+//! silently, so a failover promotes a replica whose state already equals
+//! the leader's applied prefix. The decision logic (failure detector,
+//! planner, migration driver) runs on the leader against the same
+//! replicated state plus replica-local soft state (heartbeat times, load
+//! counters) that every replica maintains from the switches' broadcasts.
 //!
 //! # One step behind a thin shell
 //!
@@ -72,10 +74,10 @@ pub enum ConfigEventKind {
     LearnerAdded(NodeId),
     /// A learner finished catch-up and became the tail.
     Promoted(NodeId),
-    /// A controller replica won an election (replicated mode only).
+    /// A controller replica won an election.
     LeaderElected(NodeId),
     /// A controller replica joined the consensus group (a committed
-    /// `AddReplica` decree; replicated mode only).
+    /// `AddReplica` decree).
     ReplicaAdded(NodeId),
     /// A controller replica left the consensus group.
     ReplicaRemoved(NodeId),
@@ -141,8 +143,8 @@ struct RangeMeta {
     cooldown_until: Option<SimTime>,
 }
 
-/// Replica-mode state: the consensus instance plus the apply cursor and
-/// election timing.
+/// A replica's consensus state: the consensus instance plus the apply
+/// cursor and election timing.
 struct Rep {
     cons: Consensus,
     /// Next slot to apply (slots below are applied into controller state).
@@ -173,6 +175,8 @@ struct Rep {
     /// trigger reached: whoever leads re-proposes until the group
     /// matches, so a decree racing a leader crash is never lost.
     pending_member: Vec<(NodeId, bool)>,
+    /// Whether a `REP_TICK` is pending (its timer is lost while down).
+    tick_armed: bool,
     msgs_sent: u64,
     elections: u64,
     suspect_events: u64,
@@ -181,6 +185,22 @@ struct Rep {
 }
 
 impl Rep {
+    /// True when no other member shares this replica's group: it has no
+    /// peer to beacon, hear from or wait on.
+    fn alone(&self) -> bool {
+        self.cons.group == [self.cons.me]
+    }
+
+    /// Arm the replica tick unless it is pending or this replica is
+    /// alone: a lone member's log housekeeping rides its liveness tick
+    /// (`CHECK_TIMER`) instead, so a group of one adds no event to a run.
+    fn arm_tick(&mut self, every: SimDuration, out: &mut Out) {
+        if !self.tick_armed && !self.alone() {
+            self.tick_armed = true;
+            out.timer(every, REP_TICK);
+        }
+    }
+
     /// Re-key peer liveness to the current group. A new member starts
     /// with a live baseline, so the leader-lease check does not count it
     /// dead.
@@ -220,10 +240,10 @@ const DETECTOR_PHI: u64 = 4;
 /// delayed beacon).
 const DETECTOR_FLOOR: SimDuration = SimDuration::millis(2);
 
-/// Replicated mode: how long after the last leader beacon a follower
-/// replica may keep answering directory lookups (the follower-read
-/// lease). Past it the follower drops lookups and the querier's retry
-/// finds another replica or the leader.
+/// How long after the last leader beacon a follower replica may keep
+/// answering directory lookups (the follower-read lease). Past it the
+/// follower drops lookups and the querier's retry finds another replica
+/// or the leader.
 pub(crate) const DIR_LEASE: SimDuration = SimDuration::millis(8);
 
 /// What the engine hands the controller, one [`Controller::step`] each.
@@ -291,8 +311,8 @@ impl Out {
     }
 }
 
-/// The controller node: a singleton, or one replica of the consensus
-/// group (see [`Controller::replica`]).
+/// The controller node: one replica of the consensus group (see
+/// [`Controller::replica`]).
 pub struct Controller {
     cfg: SwishConfig,
     switches: Vec<NodeId>,
@@ -318,7 +338,7 @@ pub struct Controller {
     /// NOT a faithful mirror after a snapshot install, so bootstrap
     /// dedup cannot scan it.
     boot_done: bool,
-    rep: Option<Rep>,
+    rep: Rep,
     /// The effect buffer each `Node` callback lends its step (reused, so
     /// a callback allocates nothing for it).
     fx: Vec<Effect>,
@@ -347,9 +367,41 @@ pub const PLANNER_COOLDOWN: SimDuration = SimDuration::millis(50);
 const RESYNC_INTERVAL: SimDuration = SimDuration::millis(10);
 
 impl Controller {
-    /// A singleton controller managing `switches` (initial chain =
-    /// declaration order) running the given register declarations.
-    pub fn new(cfg: SwishConfig, switches: Vec<NodeId>, specs: Vec<RegisterSpec>) -> Controller {
+    /// Controller replica `idx` of `group` (replica node ids, index
+    /// order), managing `switches` (initial chain = declaration order)
+    /// running the given register declarations. Replica 0 bootstraps the
+    /// group by electing itself at start; the others begin as followers.
+    /// The group of one, `[NodeId::CONTROLLER]`, is the paper's single
+    /// controller.
+    pub fn replica(
+        cfg: SwishConfig,
+        switches: Vec<NodeId>,
+        specs: Vec<RegisterSpec>,
+        idx: u8,
+        group: Vec<NodeId>,
+    ) -> Controller {
+        let me = group[idx as usize];
+        Controller::spare(cfg, switches, specs, idx, me, group)
+    }
+
+    /// A spare controller replica: consensus-capable but NOT a member of
+    /// `group` yet. It stays passive (never campaigns, gets no catch-up
+    /// traffic) until a committed `AddReplica` decree admits it — the
+    /// runtime path for replacing a dead replica.
+    pub fn spare(
+        cfg: SwishConfig,
+        switches: Vec<NodeId>,
+        specs: Vec<RegisterSpec>,
+        idx: u8,
+        me: NodeId,
+        group: Vec<NodeId>,
+    ) -> Controller {
+        let peer_hb = group
+            .iter()
+            .copied()
+            .filter(|&g| g != me)
+            .map(|g| (g, SimTime::ZERO))
+            .collect();
         Controller {
             cfg,
             switches: switches.clone(),
@@ -366,72 +418,25 @@ impl Controller {
             reconfig_log: Vec::new(),
             started: false,
             boot_done: false,
-            rep: None,
+            rep: Rep {
+                cons: Consensus::new(me, idx, group),
+                applied: 0,
+                last_leader_hb: SimTime::ZERO,
+                last_attempt: SimTime::ZERO,
+                peer_hb,
+                hb_gaps: Vec::new(),
+                suspected: false,
+                last_compact_upto: 0,
+                pending_member: Vec::new(),
+                tick_armed: false,
+                msgs_sent: 0,
+                elections: 0,
+                suspect_events: 0,
+                follower_reads: 0,
+                snapshot_bytes: 0,
+            },
             fx: Vec::new(),
         }
-    }
-
-    /// Controller replica `idx` of `group` (replica node ids, index
-    /// order). Replica 0 bootstraps the group by electing itself at
-    /// start; the others begin as followers.
-    pub fn replica(
-        cfg: SwishConfig,
-        switches: Vec<NodeId>,
-        specs: Vec<RegisterSpec>,
-        idx: u8,
-        group: Vec<NodeId>,
-    ) -> Controller {
-        let me = group[idx as usize];
-        Controller::replica_at(cfg, switches, specs, idx, me, group)
-    }
-
-    /// A spare controller replica: consensus-capable but NOT a member of
-    /// `group` yet. It stays passive (never campaigns, gets no catch-up
-    /// traffic) until a committed `AddReplica` decree admits it — the
-    /// runtime path for replacing a dead replica.
-    pub fn spare(
-        cfg: SwishConfig,
-        switches: Vec<NodeId>,
-        specs: Vec<RegisterSpec>,
-        idx: u8,
-        me: NodeId,
-        group: Vec<NodeId>,
-    ) -> Controller {
-        Controller::replica_at(cfg, switches, specs, idx, me, group)
-    }
-
-    fn replica_at(
-        cfg: SwishConfig,
-        switches: Vec<NodeId>,
-        specs: Vec<RegisterSpec>,
-        idx: u8,
-        me: NodeId,
-        group: Vec<NodeId>,
-    ) -> Controller {
-        let peer_hb = group
-            .iter()
-            .copied()
-            .filter(|&g| g != me)
-            .map(|g| (g, SimTime::ZERO))
-            .collect();
-        let mut c = Controller::new(cfg, switches, specs);
-        c.rep = Some(Rep {
-            cons: Consensus::new(me, idx, group),
-            applied: 0,
-            last_leader_hb: SimTime::ZERO,
-            last_attempt: SimTime::ZERO,
-            peer_hb,
-            hb_gaps: Vec::new(),
-            suspected: false,
-            last_compact_upto: 0,
-            pending_member: Vec::new(),
-            msgs_sent: 0,
-            elections: 0,
-            suspect_events: 0,
-            follower_reads: 0,
-            snapshot_bytes: 0,
-        });
-        c
     }
 
     /// Mutable access to the directory service, for declaring partitioned
@@ -461,60 +466,49 @@ impl Controller {
         &self.reconfig_log
     }
 
-    /// True if this node currently acts for the group: the singleton
-    /// always does; a replica only while it leads.
+    /// True while this replica leads its group. A group of one leads
+    /// from its start on.
     pub fn is_acting_leader(&self) -> bool {
-        self.rep
-            .as_ref()
-            .map(|r| r.cons.role == Role::Leader)
-            .unwrap_or(true)
+        self.rep.cons.role == Role::Leader
     }
 
-    /// The leader named by the committed log prefix (replicas), or
-    /// `None` for a singleton.
+    /// The leader named by the committed log prefix.
     pub fn leader_hint(&self) -> Option<NodeId> {
-        self.rep.as_ref().and_then(|r| r.cons.leader_hint)
+        self.rep.cons.leader_hint
     }
 
-    /// Consensus counters (zeros for a singleton).
+    /// This replica's consensus counters.
     pub fn consensus_metrics(&self) -> ConsensusMetrics {
-        match &self.rep {
-            None => ConsensusMetrics::default(),
-            Some(r) => ConsensusMetrics {
-                msgs_sent: r.msgs_sent,
-                leader_changes: r.cons.leader_changes,
-                elections: r.elections,
-                commit: r.cons.commit,
-                log_compactions: r.cons.compactions,
-                snapshot_bytes: r.snapshot_bytes,
-                suspect_events: r.suspect_events,
-                follower_reads: r.follower_reads,
-            },
+        let r = &self.rep;
+        ConsensusMetrics {
+            msgs_sent: r.msgs_sent,
+            leader_changes: r.cons.leader_changes,
+            elections: r.elections,
+            commit: r.cons.commit,
+            log_compactions: r.cons.compactions,
+            snapshot_bytes: r.snapshot_bytes,
+            suspect_events: r.suspect_events,
+            follower_reads: r.follower_reads,
         }
     }
 
     /// The sticky consensus-layer error, if this replica's log window
-    /// ever overflowed (`None` for singletons and healthy replicas). The
-    /// oracle suite polls this: overflow is a protocol violation once
-    /// compaction exists, not a panic.
+    /// ever overflowed. The oracle suite polls this: overflow is a
+    /// protocol violation once compaction exists, not a panic.
     pub fn consensus_error(&self) -> Option<ConsensusError> {
-        self.rep.as_ref().and_then(|r| r.cons.error)
+        self.rep.cons.error
     }
 
-    /// The consensus membership this replica currently believes (empty
-    /// for a singleton). Changes at runtime as `AddReplica` /
-    /// `RemoveReplica` decrees commit.
+    /// The consensus membership this replica currently believes. Changes
+    /// at runtime as `AddReplica` / `RemoveReplica` decrees commit.
     pub fn consensus_group(&self) -> Vec<NodeId> {
-        self.rep
-            .as_ref()
-            .map(|r| r.cons.group.clone())
-            .unwrap_or_default()
+        self.rep.cons.group.clone()
     }
 
-    /// The replica's consensus-log compaction boundary (0 for a
-    /// singleton or before the first compaction).
+    /// The replica's consensus-log compaction boundary (0 before the
+    /// first compaction).
     pub fn log_base(&self) -> u64 {
-        self.rep.as_ref().map(|r| r.cons.base()).unwrap_or(0)
+        self.rep.cons.base()
     }
 
     /// The controller's master range table for `reg`: directory owners
@@ -588,14 +582,11 @@ impl Controller {
     // Command submission and application
     // ------------------------------------------------------------------
 
-    /// Route a decision: a singleton applies it on the spot; a leading
-    /// replica proposes it as the next consensus decree (followers never
-    /// submit — their decisions are skipped at the call sites).
+    /// Propose a decision as the next consensus decree if leading
+    /// (followers never submit — their decisions are skipped at the call
+    /// sites). A group of one chooses and applies it within this call.
     fn submit(&mut self, cmd: CtrlCmd, out: &mut Out) {
-        let Some(rep) = self.rep.as_mut() else {
-            self.apply_cmd(cmd, out);
-            return;
-        };
+        let rep = &mut self.rep;
         if rep.cons.role != Role::Leader || rep.cons.has_pending(&cmd) {
             return;
         }
@@ -608,12 +599,7 @@ impl Controller {
     /// Every replica that saw the trigger keeps the intent; see
     /// [`Controller::flush_member_changes`].
     fn queue_member_change(&mut self, node: NodeId, add: bool, out: &mut Out) {
-        let Some(rep) = self.rep.as_mut() else {
-            // Singleton: membership decrees are meaningless; apply the
-            // no-op directly so the event log still records the request.
-            self.submit(member_cmd(node, add), out);
-            return;
-        };
+        let rep = &mut self.rep;
         if !rep.pending_member.contains(&(node, add)) {
             rep.pending_member.push((node, add));
         }
@@ -625,7 +611,7 @@ impl Controller {
     /// tick, so an intent survives leader crashes and churn: whichever
     /// replica leads next re-proposes it until the decree commits.
     fn flush_member_changes(&mut self, out: &mut Out) {
-        let Some(rep) = self.rep.as_mut() else { return };
+        let rep = &mut self.rep;
         rep.pending_member
             .retain(|&(node, add)| rep.cons.group.contains(&node) != add);
         if rep.cons.role != Role::Leader {
@@ -642,9 +628,7 @@ impl Controller {
     }
 
     fn send_consensus(&mut self, msgs: Outbox, out: &mut Out) {
-        if let Some(rep) = self.rep.as_mut() {
-            rep.msgs_sent += msgs.len() as u64;
-        }
+        self.rep.msgs_sent += msgs.len() as u64;
         for (to, msg) in msgs {
             out.send(to, msg);
         }
@@ -678,22 +662,16 @@ impl Controller {
     /// then apply every newly chosen decree, in slot order. Only the
     /// leader emits the resulting fabric messages and decree records.
     fn drain_chosen(&mut self, out: &mut Out) {
-        if let Some(rep) = self.rep.as_mut() {
-            rep.journal_notes(out);
-        }
-        loop {
-            let Some(rep) = self.rep.as_mut() else { return };
-            if rep.applied >= rep.cons.commit {
-                return;
-            }
-            let slot = rep.applied;
-            let cmd = rep.cons.chosen_at(slot).expect("slot below commit");
-            rep.applied += 1;
+        self.rep.journal_notes(out);
+        while self.rep.applied < self.rep.cons.commit {
+            let slot = self.rep.applied;
+            let cmd = self.rep.cons.chosen_at(slot).expect("slot below commit");
+            self.rep.applied += 1;
             out.journal(CtrlEvent::Applied {
                 slot,
                 tag: cmd_tag(&cmd),
             });
-            out.emit = rep.cons.role == Role::Leader;
+            out.emit = self.is_acting_leader();
             self.apply_cmd(cmd, out);
             self.journal_decree(slot, &cmd, out);
             out.emit = true;
@@ -801,7 +779,7 @@ impl Controller {
                 // makes the prefix recoverable is costed in wire bytes as
                 // if persisted to the snapshot register region.
                 let snap_len = SwishMsg::CtrlSnap(Box::new(self.make_snapshot())).wire_len() as u64;
-                let Some(rep) = self.rep.as_mut() else { return };
+                let rep = &mut self.rep;
                 if rep.cons.compact_to(upto) {
                     rep.snapshot_bytes += snap_len;
                     out.journal(CtrlEvent::Compact {
@@ -822,8 +800,7 @@ impl Controller {
     fn apply_replica_change(&mut self, node: NodeId, added: bool, out: &mut Out) {
         let now = out.now;
         let epoch = self.view.epoch;
-        let Some(rep) = self.rep.as_mut() else { return };
-        rep.rekey_peers(now);
+        self.rep.rekey_peers(now);
         self.events.push(ConfigEvent {
             time: now,
             epoch,
@@ -853,33 +830,24 @@ impl Controller {
                 members: self.group_members(),
             }),
         );
-        // Replicated mode: piggyback the leader announcement so a switch
-        // that missed a failover redirects its controller-bound traffic.
-        if let Some(rep) = &self.rep {
-            out.send(
-                sw,
-                SwishMsg::CtrlLead(CtrlLead {
-                    leader: rep.cons.me,
-                    ballot: rep.cons.bal,
-                }),
-            );
+        // Piggyback the leader announcement so a switch that missed a
+        // failover redirects its controller-bound traffic.
+        out.send(sw, SwishMsg::CtrlLead(self.lead()));
+    }
+
+    fn lead(&self) -> CtrlLead {
+        CtrlLead {
+            leader: self.rep.cons.me,
+            ballot: self.rep.cons.bal,
         }
     }
 
     fn announce_lead(&mut self, out: &mut Out) {
-        let Some(rep) = &self.rep else { return };
-        let lead = CtrlLead {
-            leader: rep.cons.me,
-            ballot: rep.cons.bal,
-        };
-        let mut sent = 0;
+        let lead = self.lead();
         for &sw in &self.switches {
             if out.send(sw, SwishMsg::CtrlLead(lead)) {
-                sent += 1;
+                self.rep.msgs_sent += 1;
             }
-        }
-        if let Some(rep) = self.rep.as_mut() {
-            rep.msgs_sent += sent;
         }
     }
 
@@ -901,7 +869,7 @@ impl Controller {
     }
 
     // ------------------------------------------------------------------
-    // Decisions (leader / singleton only)
+    // Decisions (leader only)
     // ------------------------------------------------------------------
 
     fn note_heartbeat(&mut self, from: NodeId, epoch: u32, out: &mut Out) {
@@ -1450,7 +1418,7 @@ impl Controller {
         let hb_interval = self.cfg.heartbeat_interval;
         let retry_pace = self.cfg.failure_timeout;
         let cfg = self.cfg;
-        let Some(rep) = self.rep.as_mut() else { return };
+        let rep = &mut self.rep;
         let now = out.now;
         let me = rep.cons.me;
         // Leader lease: a leader that cannot hear a quorum of peers
@@ -1460,7 +1428,7 @@ impl Controller {
         // lookup a *deposed-but-unaware* leader can serve is confined to
         // this window.)
         if rep.cons.role == Role::Leader {
-            let group = rep.cons.group.clone();
+            let group = &rep.cons.group;
             let heard = rep
                 .peer_hb
                 .iter()
@@ -1494,14 +1462,8 @@ impl Controller {
         self.send_consensus(msgs, out);
         self.drain_chosen(out);
         // An established leader decrees the initial configuration if the
-        // group has not bootstrapped yet (the singleton path does this
-        // directly at start; here it must ride the log).
-        if self
-            .rep
-            .as_ref()
-            .is_some_and(|r| r.cons.role == Role::Leader)
-            && !self.boot_done
-        {
+        // group has not bootstrapped yet.
+        if self.is_acting_leader() && !self.boot_done {
             self.submit(CtrlCmd::Bootstrap, out);
         }
         // Log compaction: once the window crosses the threshold and the
@@ -1509,15 +1471,14 @@ impl Controller {
         // boundary captures exactly the applied prefix), propose a
         // `Compact`. `last_compact_upto` suppresses re-proposing while
         // one is in flight.
-        let compact_upto = self.rep.as_ref().and_then(|r| {
-            (r.cons.role == Role::Leader
-                && r.applied == r.cons.commit
-                && r.cons.window_len() >= cfg.log_compact_threshold
-                && r.cons.commit > r.last_compact_upto)
-                .then_some(r.cons.commit)
-        });
-        if let Some(upto) = compact_upto {
-            self.rep.as_mut().expect("replica").last_compact_upto = upto;
+        let r = &mut self.rep;
+        if r.cons.role == Role::Leader
+            && r.applied == r.cons.commit
+            && r.cons.window_len() >= cfg.log_compact_threshold
+            && r.cons.commit > r.last_compact_upto
+        {
+            let upto = r.cons.commit;
+            r.last_compact_upto = upto;
             self.submit(CtrlCmd::Compact { upto }, out);
         }
         // Re-propose operator membership intents the group does not yet
@@ -1530,7 +1491,7 @@ impl Controller {
         // static `failure_timeout`. Staggered by position in the current
         // group so the first live member normally wins uncontested. A
         // spare (group does not contain us yet) never campaigns.
-        let Some(rep) = self.rep.as_mut() else { return };
+        let rep = &mut self.rep;
         let pos = rep.cons.group.iter().position(|&g| g == me);
         let stagger = hb_interval.0 * pos.unwrap_or(0) as u64;
         let timeout_ns = if cfg.adaptive_detector && rep.hb_gaps.len() >= 3 {
@@ -1567,13 +1528,12 @@ impl Controller {
                 self.drain_chosen(out);
             }
         }
-        out.timer(hb_interval, REP_TICK);
     }
 
     /// Record liveness contact with a fellow replica (feeds the leader
     /// lease in `rep_tick`).
     fn note_peer(&mut self, from: NodeId, now: SimTime) {
-        let Some(rep) = self.rep.as_mut() else { return };
+        let rep = &mut self.rep;
         let member = rep.cons.group.contains(&from);
         match rep.peer_hb.iter_mut().find(|(n, _)| *n == from) {
             Some((_, t)) => *t = now,
@@ -1585,7 +1545,7 @@ impl Controller {
     fn on_ctrl_hb(&mut self, hb: CtrlHb, out: &mut Out) {
         let now = out.now;
         self.note_peer(hb.from, now);
-        let Some(rep) = self.rep.as_mut() else { return };
+        let rep = &mut self.rep;
         if hb.leader {
             // Feed the failure detector with the beacon inter-arrival
             // gap. Gaps spanning elections or our own downtime would
@@ -1639,8 +1599,8 @@ impl Controller {
             self.send_consensus(vec![(hb.from, msg)], out);
         }
         if needs_replay {
-            let rep = self.rep.as_ref().expect("replica");
-            let learns: Vec<(NodeId, SwishMsg)> = rep
+            let learns: Vec<(NodeId, SwishMsg)> = self
+                .rep
                 .cons
                 .learns_since(hb.commit)
                 .into_iter()
@@ -1654,7 +1614,7 @@ impl Controller {
     /// consensus bookkeeping up to this replica's apply cursor plus the
     /// fabric view and the full partitioned-range tables.
     fn make_snapshot(&self) -> CtrlSnap {
-        let rep = self.rep.as_ref().expect("replica");
+        let rep = &self.rep;
         let mut regs = Vec::new();
         for spec in self.specs.iter().filter(|s| s.is_partitioned()) {
             let ranges = self
@@ -1707,7 +1667,7 @@ impl Controller {
     fn on_ctrl_snap(&mut self, s: CtrlSnap, out: &mut Out) {
         let now = out.now;
         self.note_peer(s.from, now);
-        let Some(rep) = self.rep.as_mut() else { return };
+        let rep = &mut self.rep;
         if !rep
             .cons
             .install_base(s.base, s.group.clone(), s.leader, s.leader_changes)
@@ -1810,9 +1770,7 @@ impl Controller {
     pub(crate) fn step(&mut self, input: Input, out: &mut Out) {
         // The consensus state machine records transition notes exactly
         // while a journal subscriber listens.
-        if let Some(rep) = self.rep.as_mut() {
-            rep.cons.notes_on = out.journaling;
-        }
+        self.rep.cons.notes_on = out.journaling;
         match input {
             Input::Start => self.start(out),
             Input::Packet(msg) => self.on_msg(msg, out),
@@ -1843,13 +1801,9 @@ impl Controller {
                 out.timer(PLAN_INTERVAL, PLAN_TIMER);
             }
         }
-        let Some(rep) = self.rep.as_mut() else {
-            // The singleton applies the initial configuration directly
-            // (a no-op on re-entry).
-            self.submit(CtrlCmd::Bootstrap, out);
-            return;
-        };
-        out.timer(hb_interval, REP_TICK);
+        let rep = &mut self.rep;
+        rep.tick_armed = false; // suppressed while down
+        rep.arm_tick(hb_interval, out);
         rep.last_leader_hb = now;
         rep.last_attempt = now;
         for (_, t) in rep.peer_hb.iter_mut() {
@@ -1863,9 +1817,12 @@ impl Controller {
             rep.restart_consensus(out);
             rep.hb_gaps.clear();
             rep.suspected = false;
-        } else if rep.cons.idx == 0 {
-            // Replica 0 bootstraps the group: elect, then decree the
-            // initial configuration (`Bootstrap` follows the win).
+        }
+        // Replica 0 bootstraps the group: elect, then decree the initial
+        // configuration (`Bootstrap` rides the next tick). A member with
+        // no other member to hear a beacon from campaigns at its restart
+        // too: alone, it leads again within this step.
+        if (!recovering && rep.cons.idx == 0) || rep.alone() {
             rep.elections += 1;
             let msgs = rep.cons.start_candidacy();
             self.send_consensus(msgs, out);
@@ -1878,24 +1835,23 @@ impl Controller {
         match msg {
             SwishMsg::Heartbeat(hb) => self.note_heartbeat(hb.from, hb.epoch, out),
             SwishMsg::DirLookup(q) => {
-                // Follower reads (replicated mode): a non-leading replica
+                // Follower reads: a non-leading replica
                 // may answer only under a fresh leader lease — a beacon
                 // within `DIR_LEASE` proves its applied prefix is at most
                 // one lease behind the leader's commits. Outside the
                 // lease the lookup is dropped; the querier's CP retry
-                // (which also re-targets) recovers. Singletons and
-                // leaders answer unconditionally.
-                if let Some(rep) = self.rep.as_mut() {
-                    if rep.cons.role != Role::Leader {
-                        if now.since(rep.last_leader_hb) > DIR_LEASE {
-                            return;
-                        }
-                        rep.follower_reads += 1;
-                        out.journal(CtrlEvent::FollowerRead {
-                            reg: q.reg,
-                            key: q.key,
-                        });
+                // (which also re-targets) recovers. A leader answers
+                // unconditionally.
+                let rep = &mut self.rep;
+                if rep.cons.role != Role::Leader {
+                    if now.since(rep.last_leader_hb) > DIR_LEASE {
+                        return;
                     }
+                    rep.follower_reads += 1;
+                    out.journal(CtrlEvent::FollowerRead {
+                        reg: q.reg,
+                        key: q.key,
+                    });
                 }
                 let owners = self.directory.lookup(q.reg, q.key, q.from);
                 out.send(
@@ -1950,8 +1906,7 @@ impl Controller {
             SwishMsg::CtrlHb(hb) => self.on_ctrl_hb(hb, out),
             SwishMsg::CtrlSnap(s) => self.on_ctrl_snap(*s, out),
             msg => {
-                let Some(rep) = self.rep.as_mut() else { return };
-                let Some((from, msgs)) = rep.cons.on_msg(msg) else {
+                let Some((from, msgs)) = self.rep.cons.on_msg(msg) else {
                     return;
                 };
                 self.note_peer(from, now);
@@ -1996,6 +1951,12 @@ impl Controller {
                 if self.is_acting_leader() {
                     self.check_liveness(out);
                 }
+                if self.rep.alone() {
+                    self.rep_tick(out);
+                } else {
+                    // A group that grew from one starts its replica tick.
+                    self.rep.arm_tick(self.cfg.heartbeat_interval, out);
+                }
                 out.timer(self.cfg.heartbeat_interval, CHECK_TIMER);
             }
             PLAN_TIMER => {
@@ -2012,7 +1973,11 @@ impl Controller {
                 }
                 out.timer(RESYNC_INTERVAL, RESYNC_TIMER);
             }
-            REP_TICK => self.rep_tick(out),
+            REP_TICK => {
+                self.rep.tick_armed = false;
+                self.rep_tick(out);
+                self.rep.arm_tick(self.cfg.heartbeat_interval, out);
+            }
             _ => {}
         }
     }
@@ -2057,17 +2022,23 @@ mod tests {
     use super::*;
     use swishmem_wire::swish::Heartbeat;
 
+    /// The paper's single controller: replica 0 of a group of one.
+    fn alone(switches: Vec<NodeId>) -> Controller {
+        let group = vec![NodeId::CONTROLLER];
+        Controller::replica(SwishConfig::default(), switches, vec![], 0, group)
+    }
+
     #[test]
     fn initial_view_uses_declaration_order() {
-        let c = Controller::new(
-            SwishConfig::default(),
-            vec![NodeId(2), NodeId(0), NodeId(1)],
-            vec![],
-        );
-        assert_eq!(c.view().chain, vec![NodeId(2), NodeId(0), NodeId(1)]);
+        let sw = vec![NodeId(2), NodeId(0), NodeId(1)];
+        let mut c = alone(sw.clone());
+        assert_eq!(c.view().chain, sw);
         assert_eq!(c.view().epoch, 0);
         assert!(c.events().is_empty());
-        assert!(c.is_acting_leader(), "singleton always acts");
+        assert!(!c.is_acting_leader(), "no replica leads before its start");
+        step(&mut c, Input::Start, SimTime::ZERO);
+        assert!(c.is_acting_leader(), "a group of one leads from its start");
+        assert_eq!((c.view().epoch, &c.view().chain), (1, &sw));
     }
 
     #[test]
@@ -2112,33 +2083,121 @@ mod tests {
         (chains, groups)
     }
 
+    /// True for a consensus frame: a group of one never sends one.
+    fn consensus_frame(e: &Effect) -> bool {
+        matches!(
+            e,
+            Effect::Send(
+                _,
+                SwishMsg::CtrlPrepare(_)
+                    | SwishMsg::CtrlPromise(_)
+                    | SwishMsg::CtrlAccept(_)
+                    | SwishMsg::CtrlAccepted(_)
+                    | SwishMsg::CtrlLearn(_)
+                    | SwishMsg::CtrlHb(_)
+            )
+        )
+    }
+
+    /// The slots of the decrees `fx` journals as applied, with their tags.
+    fn applied(fx: &[Effect]) -> Vec<(Slot, u16)> {
+        let slots = fx.iter().filter_map(|e| match e {
+            Effect::Journal(CtrlEvent::Applied { slot, tag }) => Some((*slot, *tag)),
+            _ => None,
+        });
+        slots.collect()
+    }
+
     #[test]
-    fn singleton_reconfigures_without_a_silent_switch() {
+    fn a_group_of_one_elects_at_start_with_no_consensus_frame() {
         let cfg = SwishConfig::default();
         let sw: Vec<NodeId> = (0..3).map(NodeId).collect();
-        let mut c = Controller::new(cfg, sw.clone(), vec![]);
+        let mut c = alone(sw.clone());
         let fx = step(&mut c, Input::Start, SimTime::ZERO);
+        assert!(!fx.iter().any(consensus_frame), "{fx:?}");
+        assert!(c.is_acting_leader());
+        assert_eq!(applied(&fx), vec![(0, 2)], "Reassert at slot 0");
+        let elected = ConfigEventKind::LeaderElected(NodeId::CONTROLLER);
+        assert_eq!(c.events().last().map(|e| &e.kind), Some(&elected));
+        // Epoch 1 reaches every switch with the leader announcement.
         let epoch1: Configs = sw.iter().map(|&s| (s, 1, sw.clone())).collect();
         assert_eq!(configs(&fx), (epoch1.clone(), epoch1));
+        let lead = |e: &&Effect| matches!(e, Effect::Send(_, SwishMsg::CtrlLead(l)) if l.leader == NodeId::CONTROLLER);
+        let leads = fx.iter().filter(lead).count();
+        assert_eq!(leads, 2 * sw.len(), "with each config, then announced");
+        // Alone, it arms no replica tick: `Bootstrap` rides its first
+        // liveness tick, one heartbeat later.
+        let tick = |e: &Effect| matches!(e, Effect::Timer(_, REP_TICK));
+        assert!(!fx.iter().any(tick), "{fx:?}");
+        let t = SimTime::ZERO + cfg.heartbeat_interval;
+        let fx = step(&mut c, Input::Timer(CHECK_TIMER), t);
+        assert!(!fx.iter().any(consensus_frame), "{fx:?}");
+        assert_eq!(applied(&fx), vec![(1, 1)], "Bootstrap at slot 1");
+        let rearm = Effect::Timer(cfg.heartbeat_interval, CHECK_TIMER);
+        assert_eq!(fx.last(), Some(&rearm));
+        assert!(!fx.iter().any(tick), "{fx:?}");
+        assert_eq!(c.view().epoch, 2);
+    }
+
+    #[test]
+    fn a_group_of_one_applies_a_failure_in_the_step_that_found_it() {
+        let cfg = SwishConfig::default();
+        let sw: Vec<NodeId> = (0..3).map(NodeId).collect();
+        let mut c = alone(sw.clone());
+        let fx = step(&mut c, Input::Start, SimTime::ZERO);
         assert_eq!(fx[0], Effect::Timer(cfg.heartbeat_interval, CHECK_TIMER));
+        let boot = SimTime::ZERO + cfg.heartbeat_interval;
+        step(&mut c, Input::Timer(CHECK_TIMER), boot);
         // Switches 0 and 1 heartbeat at the timeout; switch 2 stays silent.
         let t = SimTime::ZERO + cfg.failure_timeout;
         for from in [NodeId(0), NodeId(1)] {
-            let hb = SwishMsg::Heartbeat(Heartbeat { from, epoch: 1 });
+            let hb = SwishMsg::Heartbeat(Heartbeat { from, epoch: 2 });
             assert_eq!(step(&mut c, Input::Packet(hb), t), vec![]);
         }
         let fx = step(&mut c, Input::Timer(CHECK_TIMER), t + SimDuration(1));
+        assert!(!fx.iter().any(consensus_frame), "{fx:?}");
+        assert_eq!(applied(&fx), vec![(2, 3)], "Fail chosen and applied");
         let survivors = vec![NodeId(0), NodeId(1)];
         let (chains, groups) = configs(&fx);
         assert!(fx.contains(&Effect::SetGroup(survivors.clone())));
         for (to, epoch, members) in chains.iter().chain(&groups) {
-            assert_eq!((*epoch, members), (2, &survivors), "config to {to:?}");
+            assert_eq!((*epoch, members), (3, &survivors), "config to {to:?}");
         }
         let told: Vec<NodeId> = chains.iter().map(|c| c.0).collect();
         assert!(sw.iter().all(|s| told.contains(s)), "{told:?}");
         assert_eq!(c.view().chain, survivors);
         let last = c.events().last().map(|e| e.kind.clone());
         assert_eq!(last, Some(ConfigEventKind::Failed(NodeId(2))));
+    }
+
+    #[test]
+    fn a_restarted_group_of_one_leads_again_within_a_heartbeat() {
+        let cfg = SwishConfig::default();
+        let sw: Vec<NodeId> = (0..3).map(NodeId).collect();
+        let mut c = alone(sw.clone());
+        step(&mut c, Input::Start, SimTime::ZERO);
+        let t = SimTime::ZERO + cfg.heartbeat_interval;
+        step(&mut c, Input::Timer(CHECK_TIMER), t);
+        // A crash heals at 20 ms: no peer can send the beacon an election
+        // timeout waits for, so the lone member campaigns at its restart.
+        let t = SimTime(20_000_000);
+        let fx = step(&mut c, Input::Start, t);
+        assert!(c.is_acting_leader(), "{fx:?}");
+        assert!(!fx.iter().any(consensus_frame), "{fx:?}");
+        let step_down = fx
+            .iter()
+            .position(|e| matches!(e, Effect::Journal(CtrlEvent::StepDown { .. })));
+        let elected = fx
+            .iter()
+            .position(|e| matches!(e, Effect::Journal(CtrlEvent::LeaderElected { .. })));
+        assert!(step_down < elected && step_down.is_some(), "{fx:?}");
+        assert_eq!(applied(&fx), vec![(2, 2)], "Reassert at slot 2");
+        let epoch3: Configs = sw.iter().map(|&s| (s, 3, sw.clone())).collect();
+        assert_eq!(configs(&fx).0, epoch3);
+        let last = c.events().last().map(|e| (e.time, e.kind.clone()));
+        let elected = ConfigEventKind::LeaderElected(NodeId::CONTROLLER);
+        assert_eq!(last, Some((t, elected)));
+        assert_eq!(c.consensus_metrics().leader_changes, 0);
     }
 
     /// Three replicas on an in-memory bus: sends between replicas are

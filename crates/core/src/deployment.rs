@@ -112,10 +112,11 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Size of the controller replica group (default 1 = the classic
-    /// singleton controller). Even values are rounded up to the next odd
-    /// so a strict majority quorum exists. Shorthand for setting
-    /// [`SwishConfig::ctrl_replicas`] via [`Self::swish_config`].
+    /// Size of the controller replica group (default 1: the paper's
+    /// single controller, a consensus group of one). Even values are
+    /// rounded up to the next odd so a strict majority quorum exists.
+    /// Shorthand for setting [`SwishConfig::ctrl_replicas`] via
+    /// [`Self::swish_config`].
     pub fn ctrl_replicas(mut self, n: u8) -> Self {
         self.swish_cfg.ctrl_replicas = n;
         self
@@ -125,8 +126,7 @@ impl DeploymentBuilder {
     /// deployed and wired into the fabric but are NOT members of the
     /// initial consensus group: they stay passive until an `AddReplica`
     /// decree (see [`Deployment::schedule_ctrl_add`]) admits them at
-    /// runtime — the replacement pool for dead replicas. Requires
-    /// `ctrl_replicas > 1`.
+    /// runtime — the replacement pool for dead replicas.
     pub fn ctrl_spares(mut self, n: u8) -> Self {
         self.ctrl_spares = n;
         self
@@ -159,21 +159,10 @@ impl DeploymentBuilder {
         let mut skew_rng = StdRng::seed_from_u64(self.seed ^ 0x5eed_cafe);
         let switch_ids: Vec<NodeId> = (0..self.n_switches as u16).map(NodeId).collect();
         // Controller replica group (DESIGN.md §12): odd size, replica 0
-        // at NodeId::CONTROLLER so singleton addressing is unchanged.
-        let n_active = {
-            let r = usize::from(self.swish_cfg.ctrl_replicas.max(1));
-            if r % 2 == 0 {
-                r + 1
-            } else {
-                r
-            }
-        };
-        let n_spares = if n_active > 1 {
-            usize::from(self.ctrl_spares)
-        } else {
-            0
-        };
-        let n_ctrl = n_active + n_spares;
+        // at NodeId::CONTROLLER, so a group of one sits where the paper's
+        // single controller does.
+        let n_active = usize::from(self.swish_cfg.ctrl_replicas.max(1)) | 1;
+        let n_ctrl = n_active + usize::from(self.ctrl_spares);
         let ctrl_ids: Vec<NodeId> = (0..n_ctrl as u16).map(|i| NodeId(u16::MAX - i)).collect();
         let active_ids: Vec<NodeId> = ctrl_ids[..n_active].to_vec();
 
@@ -192,54 +181,25 @@ impl DeploymentBuilder {
             let clock = SwitchClock::new(id, self.swish_cfg.clock, skew);
             let program =
                 SwishProgram::new(id, self.swish_cfg, handles.clone(), app_factory(id), clock);
-            let mut cp = SwishCp::new(id, self.swish_cfg, NodeId::CONTROLLER, handles);
-            if n_active > 1 {
-                // Switches address the ACTIVE group only: spares hold no
-                // lease (no leader beacons reach them) so routing fabric
-                // lookups at them would only burn retries.
-                cp.set_ctrl_group(active_ids.clone());
-            }
+            // Switches address the ACTIVE group only: spares hold no lease
+            // (no leader beacons reach them) so routing fabric lookups at
+            // them would only burn retries.
+            let cp = SwishCp::new(id, self.swish_cfg, active_ids.clone(), handles);
             let mut sw = Switch::new(SwitchConfig::default(), dp, program, cp);
             sw.add_pktgen(self.swish_cfg.sync_period, SYNC_PKTGEN_TOKEN);
             sw.add_pktgen(PENDING_SWEEP_PERIOD, PENDING_SWEEP_PKTGEN_TOKEN);
             sim.add_node(id, Box::new(sw));
         }
 
-        if n_ctrl == 1 {
-            sim.add_node(
-                NodeId::CONTROLLER,
-                Box::new(Controller::new(
-                    self.swish_cfg,
-                    switch_ids.clone(),
-                    self.registers.clone(),
-                )),
-            );
-        } else {
-            for (i, &id) in active_ids.iter().enumerate() {
-                sim.add_node(
-                    id,
-                    Box::new(Controller::replica(
-                        self.swish_cfg,
-                        switch_ids.clone(),
-                        self.registers.clone(),
-                        i as u8,
-                        active_ids.clone(),
-                    )),
-                );
-            }
-            for (i, &id) in ctrl_ids.iter().enumerate().skip(n_active) {
-                sim.add_node(
-                    id,
-                    Box::new(Controller::spare(
-                        self.swish_cfg,
-                        switch_ids.clone(),
-                        self.registers.clone(),
-                        i as u8,
-                        id,
-                        active_ids.clone(),
-                    )),
-                );
-            }
+        for (i, &id) in ctrl_ids.iter().enumerate() {
+            let (cfg, switches, regs) =
+                (self.swish_cfg, switch_ids.clone(), self.registers.clone());
+            let ctrl = if i < n_active {
+                Controller::replica(cfg, switches, regs, i as u8, active_ids.clone())
+            } else {
+                Controller::spare(cfg, switches, regs, i as u8, id, active_ids.clone())
+            };
+            sim.add_node(id, Box::new(ctrl));
         }
 
         let mut hosts = Vec::with_capacity(self.n_hosts);
@@ -294,9 +254,7 @@ impl DeploymentBuilder {
         for &c in &ctrl_ids {
             sim.topology_mut().star(c, &switch_ids, self.link);
         }
-        if n_ctrl > 1 {
-            sim.topology_mut().full_mesh(&ctrl_ids, self.link);
-        }
+        sim.topology_mut().full_mesh(&ctrl_ids, self.link);
         for &h in &hosts {
             for &s in &switch_ids {
                 sim.topology_mut().connect(h, s, self.link);
@@ -451,8 +409,8 @@ impl Deployment {
             .sum()
     }
 
-    /// Controller node ids: `[NodeId::CONTROLLER]` for a singleton, the
-    /// replica group otherwise.
+    /// Controller node ids, replica index order: `[NodeId::CONTROLLER]`
+    /// for a group of one.
     pub fn controller_ids(&self) -> &[NodeId] {
         &self.ctrls
     }
@@ -486,8 +444,8 @@ impl Deployment {
         self.sim.node::<Controller>(self.acting_controller_id())
     }
 
-    /// Read front-end over the whole controller group (singleton or
-    /// replicated): per-replica access plus group-level summaries.
+    /// Read front-end over the whole controller group: per-replica access
+    /// plus group-level summaries.
     pub fn controller(&self) -> ReplicatedController<'_> {
         ReplicatedController {
             ids: &self.ctrls,
@@ -633,12 +591,6 @@ impl Deployment {
             0,
             NodeId(idx as u16),
         );
-    }
-
-    /// Controller replicas in the initial consensus group (spares are
-    /// deployed after this prefix of [`Deployment::controller_ids`]).
-    pub fn ctrl_active(&self) -> usize {
-        self.n_ctrl_active
     }
 
     /// Per-group applied sequence numbers of a chain register at switch
@@ -812,9 +764,8 @@ impl Deployment {
 
 /// Read front-end over the controller group (DESIGN.md §12): one place
 /// to ask group-level questions — who leads, what the quorum is, how
-/// much consensus traffic the group spent — whether the deployment runs
-/// the paper's singleton or a replica group. Obtained from
-/// [`Deployment::controller`].
+/// much consensus traffic the group spent — for a group of one as for
+/// three. Obtained from [`Deployment::controller`].
 pub struct ReplicatedController<'a> {
     ids: &'a [NodeId],
     n_active: usize,
@@ -828,12 +779,12 @@ impl<'a> ReplicatedController<'a> {
         self.ids
     }
 
-    /// Group size (1 for a singleton).
+    /// Controllers deployed, spares included (1 for a group of one).
     pub fn len(&self) -> usize {
         self.ids.len()
     }
 
-    /// True for a singleton group.
+    /// Always false: a deployment runs at least one controller.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
@@ -846,7 +797,6 @@ impl<'a> ReplicatedController<'a> {
         let group = self
             .leader()
             .map(|(_, l)| l.consensus_group().len())
-            .filter(|&n| n > 0)
             .unwrap_or(self.n_active);
         group / 2 + 1
     }

@@ -144,13 +144,13 @@ impl MigIn {
 pub struct SwishCp {
     me: NodeId,
     cfg: SwishConfig,
-    controller: NodeId,
-    /// Controller replica group (empty = singleton controller).
-    /// Heartbeats fan out to every member so all replicas track
-    /// liveness; decision-bound traffic follows `believed_leader`.
+    /// Controller replica group, never empty (`[NodeId::CONTROLLER]` for
+    /// a group of one). Heartbeats fan out to every member so all
+    /// replicas track liveness; decision-bound traffic follows
+    /// `believed_leader`.
     ctrl_group: Vec<NodeId>,
-    /// Highest-ballot leader announcement adopted so far (replicated
-    /// mode; equals `controller` for a singleton).
+    /// Highest-ballot leader announcement adopted so far (replica 0
+    /// until the first announcement).
     believed_leader: NodeId,
     /// Ballot of the adopted announcement (stale `CtrlLead`s lose).
     ctrl_ballot: u64,
@@ -180,14 +180,20 @@ pub struct SwishCp {
 }
 
 impl SwishCp {
-    /// Build the control app for switch `me`.
-    pub fn new(me: NodeId, cfg: SwishConfig, controller: NodeId, handles: Rc<Handles>) -> SwishCp {
+    /// Build the control app for switch `me`, run by the controller
+    /// replica group `ctrl_group` (DESIGN.md §12): heartbeats fan out to
+    /// every replica, decision traffic follows the announced leader.
+    pub fn new(
+        me: NodeId,
+        cfg: SwishConfig,
+        ctrl_group: Vec<NodeId>,
+        handles: Rc<Handles>,
+    ) -> SwishCp {
         SwishCp {
             me,
             cfg,
-            controller,
-            ctrl_group: Vec::new(),
-            believed_leader: controller,
+            believed_leader: ctrl_group[0],
+            ctrl_group,
             ctrl_ballot: 0,
             caught_up: false,
             handles,
@@ -206,16 +212,8 @@ impl SwishCp {
         }
     }
 
-    /// Run against a replicated controller group (DESIGN.md §12):
-    /// heartbeats fan out to every replica, decision traffic follows
-    /// the announced leader. Call before the simulation starts.
-    pub fn set_ctrl_group(&mut self, group: Vec<NodeId>) {
-        self.believed_leader = group.first().copied().unwrap_or(self.controller);
-        self.ctrl_group = group;
-    }
-
-    /// The controller node this switch currently addresses decisions to
-    /// (the singleton, or the last-announced replica leader).
+    /// The controller replica this switch currently addresses decisions
+    /// to (the last-announced leader).
     pub fn believed_leader(&self) -> NodeId {
         self.believed_leader
     }
@@ -227,14 +225,10 @@ impl SwishCp {
     }
 
     /// The controller replica this switch addresses a directory lookup
-    /// for `reg[key]` to. A singleton answers everything; against a
-    /// replica group, lookups spread deterministically by (switch, reg,
-    /// key) so followers absorb read load under their leader lease
+    /// for `reg[key]` to. Lookups spread deterministically by (switch,
+    /// reg, key) so followers absorb read load under their leader lease
     /// instead of funneling every query through the leader.
     pub fn dir_query_target(&self, reg: RegId, key: Key) -> NodeId {
-        if self.ctrl_group.is_empty() {
-            return self.controller;
-        }
         let h = u64::from(self.me.0)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(u64::from(reg) << 32 | u64::from(key));
@@ -261,17 +255,11 @@ impl SwishCp {
         let base = self.cfg.retry_timeout.as_nanos().max(1);
         let cap = RETRY_BACKOFF_MAX.as_nanos().max(base);
         let backed = base.saturating_mul(1u64 << attempts.min(20)).min(cap);
-        // Replicated mode folds the believed controller replica into the
-        // jitter stream: a failover re-shuffles retry phases per
-        // (switch, destination replica) so post-failover retry storms
-        // from many switches do not arrive in lockstep at the new
-        // leader. Singleton deployments keep the original stream (the
-        // golden determinism fingerprint depends on it).
-        let dest = if self.ctrl_group.is_empty() {
-            0
-        } else {
-            u64::from(self.believed_leader.0) << 36
-        };
+        // The believed controller replica is folded into the jitter
+        // stream: a failover re-shuffles retry phases per (switch,
+        // destination replica) so post-failover retry storms from many
+        // switches do not arrive in lockstep at the new leader.
+        let dest = u64::from(self.believed_leader.0) << 36;
         let h =
             splitmix64((u64::from(self.me.0) << 52) ^ dest ^ (write_id << 8) ^ u64::from(attempts));
         SimDuration::nanos(backed + h % (backed / 4 + 1))
@@ -749,21 +737,15 @@ impl SwishCp {
         }
     }
 
-    /// Send liveness heartbeats: the singleton controller, or every
-    /// member of the replica group (each replica runs its own failure
-    /// detector so the next leader starts with fresh observations).
+    /// Send liveness heartbeats to every member of the replica group
+    /// (each replica runs its own failure detector so the next leader
+    /// starts with fresh observations).
     fn send_heartbeats(&mut self, cp: &mut CpCtx<'_, CpItem>) {
         let hb = Heartbeat {
             from: self.me,
             epoch: self.view.epoch,
         };
-        let singleton = [self.controller];
-        let to = if self.ctrl_group.is_empty() {
-            &singleton[..]
-        } else {
-            &self.ctrl_group[..]
-        };
-        for &c in to {
+        for &c in &self.ctrl_group {
             self.metrics.heartbeats += 1;
             cp.packet_out(c, PacketBody::Swish(SwishMsg::Heartbeat(hb)));
         }
@@ -836,9 +818,7 @@ impl ControlApp for SwishCp {
                 // Adopt the highest-ballot leadership announcement;
                 // redirect controller-bound traffic to the new leader.
                 SwishMsg::CtrlLead(l)
-                    if !self.ctrl_group.is_empty()
-                        && l.ballot >= self.ctrl_ballot
-                        && self.ctrl_group.contains(&l.leader) =>
+                    if l.ballot >= self.ctrl_ballot && self.ctrl_group.contains(&l.leader) =>
                 {
                     self.ctrl_ballot = l.ballot;
                     self.believed_leader = l.leader;
@@ -885,7 +865,7 @@ impl ControlApp for SwishCp {
 
     fn reset(&mut self) {
         self.view = ChainView::default();
-        self.believed_leader = self.ctrl_group.first().copied().unwrap_or(self.controller);
+        self.believed_leader = self.ctrl_group[0];
         self.ctrl_ballot = 0;
         self.caught_up = false;
         self.jobs.clear();

@@ -69,7 +69,7 @@ fn rig_with(spec: RegisterSpec, me: u16, chain: &[u16], learners: &[u16]) -> Rig
     let clock = SwitchClock::new(NodeId(me), ClockMode::Synced { max_skew_ns: 0 }, 0);
     let app = Box::new(ReadKey5);
     let prog = SwishProgram::new(NodeId(me), cfg, handles.clone(), app, clock);
-    let cp = SwishCp::new(NodeId(me), cfg, NodeId(100), handles);
+    let cp = SwishCp::new(NodeId(me), cfg, vec![NodeId(100)], handles);
     let mut r = Rig { dp, prog, cp };
     let config = SwishMsg::Chain(ChainConfig {
         epoch: 1,

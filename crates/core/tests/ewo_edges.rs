@@ -52,7 +52,7 @@ fn rig_of(n: u16, me: u16, cfg: SwishConfig, spec: RegisterSpec, counter_nf: boo
         learners: vec![],
     });
     let (mut eff, mut timers) = (Effects::new(), Vec::new());
-    let mut cp = SwishCp::new(NodeId(me), cfg, NodeId(100), handles.clone());
+    let mut cp = SwishCp::new(NodeId(me), cfg, vec![NodeId(100)], handles.clone());
     let mut ctx = CpCtx::new(SimTime::ZERO, &mut dp, &mut eff, &mut timers);
     cp.on_item(CpItem::Proto(config), &mut ctx);
     let clock = SwitchClock::new(NodeId(me), ClockMode::Synced { max_skew_ns: 0 }, 0);

@@ -861,9 +861,8 @@ wire_table! {
         0x11 MigrateDone(MigrateDone) => Management,
         /// Per-range write-load telemetry.
         0x12 LoadReport(LoadReport) => Management,
-        // Replicated-control-plane messages are additive tags too:
-        // deployments with a singleton controller never emit them, so
-        // WIRE_VERSION stays 2.
+        // Controller-consensus messages are additive tags too: no
+        // existing layout changed, so WIRE_VERSION stays 2.
         /// Controller-consensus phase-1 request.
         0x13 CtrlPrepare(CtrlPrepare) => Management,
         /// Controller-consensus phase-1 reply. Boxed: control-plane only and
