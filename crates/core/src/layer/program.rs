@@ -177,9 +177,8 @@ impl SwishProgram {
         };
 
         if need_tail && may_redirect {
-            let chain = ChainRead::read(dp, self.handles.cfgblk);
-            if let Some(tail) = chain.tail() {
-                if tail != self.me {
+            match ChainRead::read(dp, self.handles.cfgblk).tail() {
+                Some(tail) if tail != self.me => {
                     // Discard this pass entirely; the tail re-executes the
                     // packet against committed state (§6.1).
                     self.metrics.reads_forwarded += 1;
@@ -194,8 +193,17 @@ impl SwishProgram {
                     );
                     return;
                 }
+                // Tail is us: serve locally.
+                Some(_) => {}
+                None => {
+                    // No chain installed: a switch that has adopted no
+                    // view since its start knows no tail to ask, and its
+                    // data plane may be a wiped one. Neither answer.
+                    self.metrics.reads_dropped += 1;
+                    eff.drop_packet();
+                    return;
+                }
             }
-            // Tail is us (or no chain installed yet): serve locally.
         }
         self.metrics.reads_local += 1;
 

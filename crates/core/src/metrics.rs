@@ -142,8 +142,12 @@ pub struct DpMetrics {
     pub nf_writes: u64,
     /// Reads served from the local replica.
     pub reads_local: u64,
-    /// Reads redirected to the tail because a pending bit was set (SRO).
+    /// Reads redirected to the tail because a pending bit was set or
+    /// this switch is not a chain member (SRO).
     pub reads_forwarded: u64,
+    /// SRO reads dropped because this switch had no chain installed (no
+    /// view adopted since its start).
+    pub reads_dropped: u64,
     /// Forwarded reads this switch served as tail.
     pub tail_reads_served: u64,
     /// EWO writes applied locally.

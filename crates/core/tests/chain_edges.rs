@@ -59,10 +59,9 @@ fn rig(me: u16, chain: &[u16], learners: &[u16]) -> Rig {
     rig_with(RegisterSpec::sro(0, "t", 64), me, chain, learners)
 }
 
-/// Switch `me` holding register 0 as `spec`, with `chain` and `learners`
-/// installed the way a switch adopts a view: its control plane takes the
-/// controller's epoch-1 `ChainConfig`.
-fn rig_with(spec: RegisterSpec, me: u16, chain: &[u16], learners: &[u16]) -> Rig {
+/// Switch `me` holding register 0 as `spec`, with no view adopted: its
+/// config block is empty, as at a restart.
+fn bare_rig(spec: RegisterSpec, me: u16) -> Rig {
     let cfg = SwishConfig::default();
     let mut dp = DataPlane::standard();
     let handles = Rc::new(Handles::build(&mut dp, &[spec], &cfg, 4).unwrap());
@@ -70,7 +69,14 @@ fn rig_with(spec: RegisterSpec, me: u16, chain: &[u16], learners: &[u16]) -> Rig
     let app = Box::new(ReadKey5);
     let prog = SwishProgram::new(NodeId(me), cfg, handles.clone(), app, clock);
     let cp = SwishCp::new(NodeId(me), cfg, vec![NodeId(100)], handles);
-    let mut r = Rig { dp, prog, cp };
+    Rig { dp, prog, cp }
+}
+
+/// Switch `me` holding register 0 as `spec`, with `chain` and `learners`
+/// installed the way a switch adopts a view: its control plane takes the
+/// controller's epoch-1 `ChainConfig`.
+fn rig_with(spec: RegisterSpec, me: u16, chain: &[u16], learners: &[u16]) -> Rig {
+    let mut r = bare_rig(spec, me);
     let config = SwishMsg::Chain(ChainConfig {
         epoch: 1,
         chain: chain.iter().map(|&n| NodeId(n)).collect(),
@@ -346,6 +352,24 @@ fn learner_forwards_sro_reads_to_the_tail() {
     }
     let m = r.prog.metrics();
     assert_eq!((m.reads_local, m.reads_forwarded), (0, 1));
+}
+
+#[test]
+fn a_switch_with_no_view_drops_sro_reads() {
+    // A restarted switch has adopted no view yet: it knows no tail to
+    // forward a read to, and its wiped data plane holds no committed
+    // write. Serving the read would return 0.
+    let mut r = bare_rig(RegisterSpec::sro(0, "t", 64), 1);
+    let fx = deliver(&mut r, read_at(1));
+    assert!(
+        matches!(fx[..], [Effect::Span { .. }, Effect::Drop]),
+        "{fx:?}"
+    );
+    let m = r.prog.metrics();
+    assert_eq!(
+        (m.reads_local, m.reads_forwarded, m.reads_dropped),
+        (0, 0, 1)
+    );
 }
 
 #[test]

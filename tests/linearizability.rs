@@ -254,8 +254,14 @@ fn write_and_wait(dep: &mut Deployment, trace: &TraceHandle, v: u32) {
     }
 }
 
-#[test]
-fn a_rejoining_switch_never_unsees_a_committed_value() {
+/// Ten writes commit at switch 0; then switch 1 crashes and restarts,
+/// its data plane wiped, while writes 11..=30 go on. A probe read reaches
+/// switch 1 every 5 µs for 500 µs, from its restart on if `from_restart`,
+/// else from the moment it adopts its learner view. Checks axiom 2
+/// across switches on every answer: no read returns a value older than
+/// one whose write completed before the read was issued. Returns the
+/// probes issued, answered, and dropped at switch 1.
+fn probe_a_rejoining_switch(from_restart: bool) -> (usize, usize, u64) {
     let mut dep = DeploymentBuilder::new(3)
         .hosts(2)
         .seed(12)
@@ -266,19 +272,20 @@ fn a_rejoining_switch_never_unsees_a_committed_value() {
     for v in 1..=10 {
         write_and_wait(&mut dep, &trace, v);
     }
-    // Switch 1 crashes and restarts: it rejoins as a learner, its wiped
-    // data plane refilled by a snapshot and the tail's forwards. Probe
-    // it with a read every 5 µs from the moment it adopts that view,
-    // while writes go on.
     let t = dep.now();
+    let restart = t + SimDuration::millis(1);
     dep.schedule_fail(t + SimDuration::micros(100), 1);
-    dep.schedule_recover(t + SimDuration::millis(1), 1);
+    dep.schedule_recover(restart, 1);
     let me = dep.switch_ids()[1];
-    while !dep.switch(1).cp_app().view().learners.contains(&me) {
-        assert!(dep.now() < t + SimDuration::millis(50), "no learner view");
-        dep.run_for(SimDuration::micros(5));
-    }
-    let from = dep.now();
+    let from = if from_restart {
+        restart
+    } else {
+        while !dep.switch(1).cp_app().view().learners.contains(&me) {
+            assert!(dep.now() < t + SimDuration::millis(50), "no learner view");
+            dep.run_for(SimDuration::micros(5));
+        }
+        dep.now()
+    };
     let issued: Vec<u64> = (0..100u64)
         .map(|i| (from + SimDuration::micros(i * 5)).nanos())
         .collect();
@@ -290,12 +297,9 @@ fn a_rejoining_switch_never_unsees_a_committed_value() {
     }
     dep.run_for(SimDuration::millis(20));
 
-    // Axiom 2 across switches: no read returns a value older than one
-    // whose write completed before the read was issued.
     let completed = completed_writes(&dep, &trace);
     let answers = answers(&dep, &trace);
-    assert_eq!(answers.len(), issued.len(), "every probe is answered");
-    for (_, d) in answers {
+    for &(_, d) in &answers {
         let at = issued[usize::from(d.flow.src_port) - 1];
         let committed = (completed.iter())
             .filter(|&&(t, _)| t < at)
@@ -309,4 +313,24 @@ fn a_rejoining_switch_never_unsees_a_committed_value() {
             d.payload_len
         );
     }
+    let dropped = dep.metrics(1).dp.reads_dropped;
+    (issued.len(), answers.len(), dropped)
+}
+
+#[test]
+fn a_rejoining_switch_never_unsees_a_committed_value() {
+    // Probed through its learner window, switch 1 answers every read.
+    assert_eq!(probe_a_rejoining_switch(false), (100, 100, 0));
+}
+
+#[test]
+fn a_restarted_switch_serves_no_read_before_it_adopts_a_view() {
+    // Probed from its restart, switch 1 first holds no view: it knows no
+    // tail and its data plane is wiped, so it drops those reads.
+    let (issued, answered, dropped) = probe_a_rejoining_switch(true);
+    assert!(
+        dropped > 0,
+        "the probe never reached the window before a view"
+    );
+    assert_eq!(answered + dropped as usize, issued);
 }
