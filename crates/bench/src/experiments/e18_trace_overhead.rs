@@ -4,9 +4,10 @@
 //! allocate a `TraceId` per packet (unconditional protocol work — the id
 //! rides the wire either way), but only one emits a span marker per
 //! packet with **no** span subscriber attached, the layer's common-case
-//! instrumentation density. The gate is <2% events/s regression — the
-//! compiled-in-but-disabled cost of instrumenting every protocol hot
-//! path (DESIGN.md §9).
+//! instrumentation density: the compiled-in-but-disabled cost of
+//! instrumenting every protocol hot path (DESIGN.md §9). The wall-clock
+//! overhead is host time, printed and never asserted; the exact gates
+//! (same events, same allocations) are in `tests/trace_overhead.rs`.
 
 use crate::scenarios::measure_pair;
 use crate::table::{ExperimentResult, Table};
@@ -37,11 +38,10 @@ pub fn run(quick: bool) -> ExperimentResult {
         format!("{:.3}x", traced / plain),
     ]);
 
-    let verdict = if overhead_pct < 2.0 { "PASS" } else { "FAIL" };
     let findings = vec![
         format!(
             "disabled tracing costs {overhead_pct:+.2}% events/s on the ping-pong engine \
-             workload (gate: <2% — {verdict})"
+             workload (host time, reported, not gated)"
         ),
         "span emission with no span subscriber is one family check; the protocol layers \
          stay instrumented in every build"
@@ -51,7 +51,8 @@ pub fn run(quick: bool) -> ExperimentResult {
         id: "E18".into(),
         title: "Tracing overhead: compiled-in, disabled".into(),
         paper_anchor: "DESIGN.md §9 (observability; passive-observer contract)".into(),
-        expectation: "<2% events/s regression with spans compiled in but no collector attached"
+        expectation: "spans compiled in but no collector attached cost ≈0% events/s \
+                      (host time; tests/trace_overhead.rs gates events and allocations exactly)"
             .into(),
         tables: vec![t],
         findings,

@@ -5,11 +5,13 @@
 //! estimator, `scenarios::measure_pair`): both do the same protocol work
 //! per packet, but only one hands a `CtrlEvent` to `Ctx::journal` with
 //! **no** journal subscriber — one family check, the controller's
-//! instrumentation density on its hottest paths. The gate is <2%
-//! events/s regression (DESIGN.md §14). A second table
-//! replays E22's leader-crash scenario with the journal attached and
-//! checks that the journal-reconstructed failover gap agrees with the
-//! controller's own election log to within 1 µs.
+//! instrumentation density on its hottest paths (DESIGN.md §14). The
+//! wall-clock overhead is host time, printed and never asserted; the
+//! exact gates are in `tests/trace_overhead.rs`. A second table replays
+//! E22's leader-crash scenario with the journal attached and asserts
+//! that the journal-reconstructed failover gap agrees with the
+//! controller's own election log to within 1 µs: simulated time, so a
+//! miss fails the run.
 
 use crate::scenarios::{crash_leader, election_gap, measure_pair, replicated_deployment};
 use crate::table::{ExperimentResult, Table};
@@ -92,23 +94,22 @@ pub fn run(quick: bool) -> ExperimentResult {
         }
     }
 
-    let overhead_verdict = if overhead_pct < 2.0 { "PASS" } else { "FAIL" };
-    let fidelity_verdict = if reconstructed == seeds.len() && worst_diff <= 1_000 {
-        "PASS"
-    } else {
-        "FAIL"
-    };
+    assert!(
+        reconstructed == seeds.len() && worst_diff <= 1_000,
+        "journal fidelity: {reconstructed}/{} seeds reconstructed, worst {worst_diff} ns",
+        seeds.len()
+    );
     let findings = vec![
         format!(
             "detached journaling costs {overhead_pct:+.2}% events/s on the ping-pong engine \
-             workload (gate: <2% — {overhead_verdict}); emission with no journal subscriber \
+             workload (host time, reported, not gated); emission with no journal subscriber \
              is one family check"
         ),
         format!(
             "the journal reconstructed the crash-to-election gap on {reconstructed}/{} seeds \
              with worst disagreement {worst_diff} ns against the controller's election log \
-             (gate: <=1 µs — {fidelity_verdict}); both stamp the same decree-apply instant, \
-             so the expected disagreement is zero",
+             (asserted <=1 µs); both stamp the same decree-apply instant, so the expected \
+             disagreement is zero",
             seeds.len()
         ),
     ];
@@ -116,8 +117,8 @@ pub fn run(quick: bool) -> ExperimentResult {
         id: "E23".into(),
         title: "Flight recorder: detached overhead and reconstruction fidelity".into(),
         paper_anchor: "DESIGN.md §14 (control-plane flight recorder)".into(),
-        expectation: "<2% events/s regression with journaling compiled in but detached; \
-                      journal failover gap within 1 µs of the election log"
+        expectation: "journaling compiled in but detached costs ≈0% events/s (host time); \
+                      journal failover gap within 1 µs of the election log (asserted)"
             .into(),
         tables: vec![t, acc],
         findings,
