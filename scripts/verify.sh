@@ -26,9 +26,14 @@ cd "$(dirname "$0")/.."
 #     step the writer's control plane through CpCtx::new: a write job
 #     goes to the head under a retry timer, the timer resends it, the
 #     write is abandoned after the retry cap, and an earlier ack
-#     releases the packet and voids the timer. linearizability
+#     releases the packet and voids the timer;
+#     a_switch_with_no_view_drops_sro_reads (a switch with an empty
+#     config block, as at a restart, neither serves nor forwards an SRO
+#     read). linearizability
 #     a_rejoining_switch_never_unsees_a_committed_value probes a
-#     crashed and rejoining switch through its learner window.
+#     crashed and rejoining switch through its learner window, and
+#     a_restarted_switch_serves_no_read_before_it_adopts_a_view from
+#     its restart on.
 #   EWO merges (§6.2)               swishmem/prop — the lattice laws of
 #     each policy's MergePolicy::join, checked exhaustively over every
 #     pair and triple of small cells (gcounter_merge_*, windowed_merge_*,
@@ -45,18 +50,23 @@ cd "$(dirname "$0")/.."
 #     into random fault schedules stay oracle-clean;
 #     swishmem/directory_invariants — range-table coverage and no-overlap
 #     under any operation sequence.
-#   replicated control plane (§12)  controller_failover — the 3-replica
+#   controller group (§12)          controller_failover — the 3-replica
 #     smoke (three_replica_smoke) plus the crash-during-migration sweep:
 #     the leader dies mid-Transferring and at the dual-owner boundary
 #     across >= 12 seeds; every run keeps all foreground writes, finishes
 #     the migration under the surviving quorum, and stays silent under
 #     the epoch-uniqueness / no-split-brain oracles; swishmem
-#     `controller::tests` drive Controller::step with no engine:
-#     singleton_reconfigures_without_a_silent_switch (epoch-2 configs
-#     without the silent switch after failure_timeout) and
-#     replicas_elect_replica_zero_and_apply_bootstrap_at_one_slot (three
-#     replicas on an in-memory bus; only the leader sends ChainConfigs)
-#     and a_restarted_leader_journals_its_step_down_at_the_restart.
+#     `controller::tests` drive Controller::step with no engine. The
+#     group of one: a_group_of_one_elects_at_start_with_no_consensus_frame
+#     (Reassert at start; a lone member arms no REP_TICK, so Bootstrap
+#     rides its first CHECK_TIMER),
+#     a_group_of_one_applies_a_failure_in_the_step_that_found_it
+#     (epoch-2 configs without the silent switch, in the CHECK_TIMER
+#     step) and a_restarted_group_of_one_leads_again_within_a_heartbeat
+#     (it campaigns at its restart). Three replicas on an in-memory bus:
+#     replicas_elect_replica_zero_and_apply_bootstrap_at_one_slot (only
+#     the leader sends ChainConfigs) and
+#     a_restarted_leader_journals_its_step_down_at_the_restart.
 #   consensus hardening (§13)       consensus_hardening —
 #     compaction_sweep_long_horizon recycles log slots without tripping
 #     SLOT_CAP; reconfiguration_under_fault_sweep converges every
