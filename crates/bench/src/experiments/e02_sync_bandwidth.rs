@@ -27,7 +27,7 @@ fn measure(state_keys: u32, period: SimDuration, window: SimDuration) -> (f64, f
         .swish_config(cfg)
         .memory(64 << 20) // allow large arrays for the sweep
         .register(RegisterSpec::ewo_counter(0, "state", state_keys))
-        .build(|_| Box::new(crate::scenarios::CounterNf));
+        .build(|_| Box::new(swishmem::probe::CounterNf));
     dep.settle();
     // Populate the array by driving real traffic through every switch, so
     // periodic sync packets carry live state (the paper's full-sync
@@ -43,7 +43,7 @@ fn measure(state_keys: u32, period: SimDuration, window: SimDuration) -> (f64, f
                 t0 + SimDuration::nanos(u64::from(k) * 300 + sw as u64 * 20),
                 sw,
                 0,
-                crate::scenarios::count_pkt((k % 65535) as u16, k),
+                swishmem::probe::count_pkt((k % 65535) as u16, k),
             );
         }
     }

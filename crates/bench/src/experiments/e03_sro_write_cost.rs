@@ -7,9 +7,10 @@
 //! independent of chain length; latency grows with chain length (one hop
 //! per link plus the CP punt at the writer).
 
-use crate::scenarios::{probe_deployment, udp_write};
+use crate::scenarios::probe_deployment;
 use crate::table::{f, ns, ExperimentResult, Table};
 use swishmem::prelude::*;
+use swishmem::probe::udp_write;
 use swishmem::{RegisterSpec, SwishConfig};
 
 struct Point {

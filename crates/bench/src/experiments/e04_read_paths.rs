@@ -13,9 +13,10 @@
 //! even though they were issued after the overlapping SRO probe had
 //! already committed at the tail (observable staleness).
 
-use crate::scenarios::{percentile, read_arrivals, tcp_read, udp_write};
+use crate::scenarios::{percentile, read_arrivals};
 use crate::table::{f, ns, ExperimentResult, Table};
 use swishmem::prelude::*;
+use swishmem::probe::{tcp_read, udp_write};
 use swishmem::{RegisterClass, RegisterSpec, SwishConfig};
 use swishmem_simnet::Trace;
 
@@ -39,7 +40,7 @@ fn measure(class: RegisterClass, offset: SimDuration, quick: bool) -> Out {
         .link(link)
         .swish_config(SwishConfig::default())
         .register(spec)
-        .build(|_| Box::new(crate::scenarios::ProbeNf));
+        .build(|_| Box::new(swishmem::probe::ProbeNf));
     let trace = Trace::new(1 << 22);
     dep.add_observer(trace.clone());
     dep.settle();

@@ -7,9 +7,9 @@
 //! staleness expressed in time: `(local - remote) / rate`. Swept over
 //! sync period × loss rate.
 
-use crate::scenarios::{count_pkt, CounterNf};
 use crate::table::{f, ExperimentResult, Table};
 use swishmem::prelude::*;
+use swishmem::probe::{count_pkt, CounterNf};
 use swishmem::{RegisterSpec, SwishConfig};
 
 fn measure(period: SimDuration, loss: f64, eager: bool, quick: bool) -> f64 {

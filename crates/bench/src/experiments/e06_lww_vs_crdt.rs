@@ -9,9 +9,9 @@
 //! count *decreases* (monotonicity violations), which LWW exhibits and
 //! the G-counter never does.
 
-use crate::scenarios::count_pkt;
 use crate::table::{f, ExperimentResult, Table};
 use swishmem::prelude::*;
+use swishmem::probe::count_pkt;
 use swishmem::{NfApp, NfDecision, RegisterSpec, SharedState, SwishConfig};
 
 /// Increments register 0 key 1 by one per packet (works for both LWW —

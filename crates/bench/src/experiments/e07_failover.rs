@@ -10,9 +10,10 @@
 //! increment from surviving switches is lost and the counter keeps
 //! serving.
 
-use crate::scenarios::{count_pkt, probe_deployment, udp_write, CounterNf};
+use crate::scenarios::probe_deployment;
 use crate::table::{ns, ExperimentResult, Table};
 use swishmem::prelude::*;
+use swishmem::probe::{count_pkt, udp_write, CounterNf};
 use swishmem::{ConfigEventKind, RegisterSpec, SwishConfig};
 use swishmem_simnet::Trace;
 use swishmem_wire::PacketBody;

@@ -10,10 +10,10 @@
 //! key are forwarded to the tail whenever another key in its group has a
 //! write in flight (false pending hits).
 
-use crate::scenarios::{tcp_read, udp_write};
 use crate::table::{f, ExperimentResult, Table};
 use swishmem::layer::Handles;
 use swishmem::prelude::*;
+use swishmem::probe::{tcp_read, udp_write};
 use swishmem::{RegisterSpec, SwishConfig};
 use swishmem_pisa::{DataPlane, MemoryBudget};
 
@@ -40,7 +40,7 @@ fn false_forward_rate(group: u32, quick: bool) -> f64 {
         .link(link)
         .swish_config(cfg)
         .register(RegisterSpec::sro(0, "t", 4096))
-        .build(|_| Box::new(crate::scenarios::ProbeNf));
+        .build(|_| Box::new(swishmem::probe::ProbeNf));
     dep.settle();
     let dur = SimDuration::millis(if quick { 20 } else { 60 });
     let t0 = dep.now();

@@ -8,9 +8,10 @@
 //! Catch-up time (recovery → promotion) vs populated state size, plus
 //! verification that the sequence guard never regresses a value.
 
-use crate::scenarios::{probe_deployment, udp_write};
+use crate::scenarios::probe_deployment;
 use crate::table::{ns, ExperimentResult, Table};
 use swishmem::prelude::*;
+use swishmem::probe::udp_write;
 use swishmem::{ConfigEventKind, RegisterSpec, SwishConfig};
 
 struct Out {

@@ -8,9 +8,9 @@
 //! workload and reports replication bandwidth against convergence lag —
 //! the exact trade-off curve the paper gestures at.
 
-use crate::scenarios::{count_pkt, CounterNf};
 use crate::table::{f, ExperimentResult, Table};
 use swishmem::prelude::*;
+use swishmem::probe::{count_pkt, CounterNf};
 use swishmem::{RegisterSpec, SwishConfig};
 use swishmem_simnet::TrafficClass;
 

@@ -15,24 +15,10 @@
 //! ceiling (~100k items/s), the CP path's gap diverges while the
 //! data-plane path stays flat.
 
-use crate::scenarios::{count_pkt, CounterNf};
 use crate::table::{f, ExperimentResult, Table};
 use swishmem::prelude::*;
-use swishmem::{NfApp, NfDecision, RegisterSpec, SharedState, SwishConfig};
-
-/// Counter NF over an SRO register: every packet performs `add` on a
-/// chain-replicated register, forcing the write through the control
-/// plane — the control-plane replication baseline.
-struct CpCounterNf;
-impl NfApp for CpCounterNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.add(0, u32::from(pkt.flow.dst_port), 1);
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
+use swishmem::probe::{count_pkt, CounterNf};
+use swishmem::{RegisterSpec, SwishConfig};
 
 struct Out {
     mean_gap_updates: f64,
@@ -51,13 +37,9 @@ fn measure(data_plane: bool, rate: f64, quick: bool) -> Out {
         .seed(61)
         .swish_config(SwishConfig::default())
         .register(spec)
-        .build(move |_| -> Box<dyn NfApp> {
-            if data_plane {
-                Box::new(CounterNf)
-            } else {
-                Box::new(CpCounterNf)
-            }
-        });
+        // On the SRO register every add is a chain write, so it crosses
+        // the switch CPU: the control-plane replication baseline.
+        .build(|_| Box::new(CounterNf));
     dep.settle();
     let dur = SimDuration::millis(if quick { 25 } else { 60 });
     let gap_ns = (1e9 / rate) as u64;

@@ -10,34 +10,9 @@
 //! clocks' different failure mode (causality only, arbitrary tiebreak).
 
 use crate::table::{f, ExperimentResult, Table};
-use std::net::Ipv4Addr;
 use swishmem::prelude::*;
-use swishmem::{ClockMode, NfApp, NfDecision, RegisterSpec, SharedState, SwishConfig};
-
-/// Writes `payload_len` into LWW register 0 at key `dst_port`.
-struct LwwWriteNf;
-impl NfApp for LwwWriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-fn wpkt(key: u16, val: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            800,
-            Ipv4Addr::new(10, 0, 0, 2),
-            key,
-        ),
-        0,
-        val,
-    )
-}
+use swishmem::probe::{udp_write, WriteNf};
+use swishmem::{ClockMode, RegisterSpec, SwishConfig};
 
 /// Fraction of key-pairs where the chronologically-later write lost.
 fn anomaly_rate(clock: ClockMode, gap: SimDuration, quick: bool) -> f64 {
@@ -53,14 +28,14 @@ fn anomaly_rate(clock: ClockMode, gap: SimDuration, quick: bool) -> f64 {
             .seed(100 + seed)
             .swish_config(cfg)
             .register(RegisterSpec::ewo_lww(0, "lww", u32::from(keys)))
-            .build(|_| Box::new(LwwWriteNf));
+            .build(|_| Box::new(WriteNf));
         dep.settle();
         let t0 = dep.now();
         for k in 0..keys {
             // Switch 0 writes 1 first; switch 1 writes 2 `gap` later.
             let tk = t0 + SimDuration::millis(u64::from(k));
-            dep.inject(tk, 0, 0, wpkt(k, 1));
-            dep.inject(tk + gap, 1, 0, wpkt(k, 2));
+            dep.inject(tk, 0, 0, udp_write(k, 1));
+            dep.inject(tk + gap, 1, 0, udp_write(k, 2));
         }
         dep.run_for(SimDuration::millis(u64::from(keys) + 100));
         for k in 0..keys {

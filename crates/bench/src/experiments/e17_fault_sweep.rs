@@ -5,10 +5,10 @@
 //! quantified: zero oracle violations, plus the cost the control plane
 //! paid to get there (retries, sheds, sweep repairs).
 
-use crate::scenarios::{udp_write, CounterNf, WriteNf};
 use crate::table::{ExperimentResult, Table};
 use swishmem::oracle::{OracleConfig, OracleSuite};
 use swishmem::prelude::*;
+use swishmem::probe::{udp_write, CounterNf, WriteNf};
 use swishmem::{NfApp, RegisterSpec};
 use swishmem_simnet::FaultGen;
 
@@ -55,8 +55,7 @@ fn sweep(kind: &str, seed: u64) -> SweepOutcome {
     }
     let ocfg = OracleConfig::new(t0 + horizon);
     let mut suite = OracleSuite::attach(&mut dep, ocfg);
-    let end = t0 + horizon + ocfg.convergence_grace + SimDuration::millis(100);
-    let violations = usize::from(suite.run(&mut dep, end).is_err());
+    let violations = usize::from(suite.run_settled(&mut dep).is_err());
     SweepOutcome {
         events: sched.len(),
         violations,

@@ -8,12 +8,12 @@
 //! disruption paid during the transfer, and the migration's wire cost —
 //! with every consistency oracle armed on the reconfiguring run.
 
-use crate::scenarios::{udp_write, WriteNf};
 use crate::table::{ExperimentResult, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use swishmem::oracle::{OracleConfig, OracleSuite};
 use swishmem::prelude::*;
+use swishmem::probe::{udp_write, WriteNf};
 use swishmem::{MigrationPhase, RegisterSpec};
 use swishmem_nf::workload::Zipf;
 
@@ -115,7 +115,7 @@ fn run_once(enabled: bool, quick: bool, marks: Option<(SimTime, SimTime)>) -> Ou
 
     let ocfg = OracleConfig::new(t0 + horizon);
     let mut suite = enabled.then(|| OracleSuite::attach(&mut dep, ocfg));
-    let end = t0 + horizon + ocfg.convergence_grace + SimDuration::millis(100);
+    let end = ocfg.settled_at();
 
     let mut begin_mark = None;
     let mut commit_mark = None;

@@ -9,9 +9,10 @@
 //! itself recovers. The steady-state consensus message overhead is
 //! reported from the no-crash runs.
 
-use crate::scenarios::{min_mean_max, udp_write, WriteNf};
+use crate::scenarios::min_mean_max;
 use crate::table::{ExperimentResult, Table};
 use swishmem::prelude::*;
+use swishmem::probe::{udp_write, WriteNf};
 use swishmem::{ConfigEventKind, Deployment, ReconfigEvent, RegisterSpec, TriggerOp};
 use swishmem_wire::NodeId as WireNodeId;
 

@@ -110,8 +110,7 @@ impl Explain {
         let mut suite = OracleSuite::attach(&mut dep, ocfg);
         suite.attach_journal(journal_tap.clone());
         inject_writes(&mut dep, t0, 60, WINDOW);
-        let end = t0 + WINDOW + ocfg.convergence_grace + SimDuration::millis(100);
-        let _ = suite.run(&mut dep, end);
+        let _ = suite.run_settled(&mut dep);
 
         let latency_samples: Vec<u64> = (0..switches.len())
             .flat_map(|i| dep.metrics(i).cp.write_latency.samples().to_vec())

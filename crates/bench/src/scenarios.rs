@@ -1,70 +1,14 @@
 //! Shared scenario building blocks for the experiments, `explain` and
-//! the replay tools: probe NFs with externally-observable reads, packet
-//! constructors, the replay and leader-crash deployments, the
-//! detached-observer echo, and measurement helpers.
+//! the replay tools: the replay, probe and leader-crash deployments, the
+//! detached-observer echo, and measurement helpers. The NFs and probe
+//! packets they drive come from [`swishmem::probe`].
 
-use std::net::Ipv4Addr;
 use std::time::Instant;
 use swishmem::prelude::*;
+use swishmem::probe::{count_pkt, udp_write, ProbeNf, WriteNf};
 use swishmem::{CtrlEvent, RegisterSpec, SharedState};
 use swishmem_simnet::{Ctx, Family, Node, Simulator, SpanPhase, Trace};
-use swishmem_wire::l4::TcpFlags;
 use swishmem_wire::{Packet, PacketBody, TraceId};
-
-/// A probe NF over one register:
-/// * UDP packet → `write(reg0, dst_port, payload_len)`, output to host 0;
-/// * TCP packet → `read(reg0, dst_port)`, value returned in the output
-///   packet's `flow_seq`, output to host 1.
-///
-/// Because the read value leaves the fabric in a packet, experiments can
-/// measure both read latency (inject → host arrival) and staleness
-/// (value seen vs value written).
-pub struct ProbeNf;
-
-impl swishmem::NfApp for ProbeNf {
-    fn process(
-        &mut self,
-        pkt: &DataPacket,
-        _ingress: NodeId,
-        st: &mut dyn SharedState,
-    ) -> swishmem::NfDecision {
-        let key = u32::from(pkt.flow.dst_port);
-        if pkt.flow.proto == 17 {
-            st.write(0, key, u64::from(pkt.payload_len));
-            swishmem::NfDecision::Forward {
-                dst: NodeId(HOST_BASE),
-                pkt: *pkt,
-            }
-        } else {
-            let v = st.read(0, key);
-            let mut out = *pkt;
-            out.flow_seq = v as u32;
-            swishmem::NfDecision::Forward {
-                dst: NodeId(HOST_BASE + 1),
-                pkt: out,
-            }
-        }
-    }
-}
-
-/// A counting NF: every packet adds 1 to EWO register 0 at key
-/// `dst_port`, forwarding to host 0.
-pub struct CounterNf;
-
-impl swishmem::NfApp for CounterNf {
-    fn process(
-        &mut self,
-        pkt: &DataPacket,
-        _ingress: NodeId,
-        st: &mut dyn SharedState,
-    ) -> swishmem::NfDecision {
-        st.add(0, u32::from(pkt.flow.dst_port), 1);
-        swishmem::NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
 
 /// The replay workload's NF: every packet adds 1 to EWO register 0 at
 /// key `dst % 256`, forwarding to host 0.
@@ -98,70 +42,7 @@ pub fn replay_deployment(seed: u64) -> Deployment {
     dep
 }
 
-/// A writing NF: every packet writes its `payload_len` into register 0
-/// at key `dst_port`, forwarding to host 0.
-pub struct WriteNf;
-
-impl swishmem::NfApp for WriteNf {
-    fn process(
-        &mut self,
-        pkt: &DataPacket,
-        _ingress: NodeId,
-        st: &mut dyn SharedState,
-    ) -> swishmem::NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        swishmem::NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-/// A UDP "write" probe packet: key = `port`, value = `val` (≤ 1400).
-pub fn udp_write(port: u16, val: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            999,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        0,
-        val,
-    )
-}
-
-/// A TCP "read" probe packet: key = `port`, tagged with `tag` in the
-/// source port for matching against host arrivals.
-pub fn tcp_read(port: u16, tag: u16) -> DataPacket {
-    DataPacket::tcp(
-        FlowKey::tcp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            tag,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        TcpFlags::data(),
-        0,
-        10,
-    )
-}
-
-/// A plain counting packet keyed by `port`.
-pub fn count_pkt(port: u16, seq: u32) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 3),
-            1000,
-            Ipv4Addr::new(10, 0, 0, 4),
-            port,
-        ),
-        seq,
-        64,
-    )
-}
-
-/// Build a ProbeNf deployment over one register of the given class.
+/// Build a [`ProbeNf`] deployment over one register of the given class.
 pub fn probe_deployment(n: usize, spec: RegisterSpec, cfg: SwishConfig) -> Deployment {
     DeploymentBuilder::new(n)
         .hosts(2)
@@ -361,6 +242,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swishmem::probe::tcp_read;
 
     #[test]
     fn probe_write_then_read_round_trip() {

@@ -54,6 +54,7 @@ pub mod directory;
 pub mod layer;
 pub mod metrics;
 pub mod oracle;
+pub mod probe;
 pub mod reconfig;
 pub mod telemetry;
 pub mod version;

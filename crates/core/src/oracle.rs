@@ -108,6 +108,13 @@ impl OracleConfig {
             convergence_grace: SimDuration::millis(150),
         }
     }
+
+    /// Where a settled run ends: `convergence_grace + 100 ms` past
+    /// `quiesce_at`, so the convergence oracle, armed at
+    /// `quiesce_at + convergence_grace`, polls for 100 ms.
+    pub fn settled_at(&self) -> SimTime {
+        self.quiesce_at + self.convergence_grace + SimDuration::millis(100)
+    }
 }
 
 /// Max reconstructed failover gap: old leader's last beacon (or
@@ -897,6 +904,11 @@ impl OracleSuite {
             Some(v) => Err(v.clone()),
             None => Ok(()),
         }
+    }
+
+    /// [`OracleSuite::run`] to [`OracleConfig::settled_at`].
+    pub fn run_settled(&mut self, dep: &mut Deployment) -> Result<(), Violation> {
+        self.run(dep, self.cfg.settled_at())
     }
 
     fn record(&mut self, at: SimTime, kind: ViolationKind) {
@@ -2225,6 +2237,32 @@ mod tests {
             assert!(suite.wire.borrow().dir_replies.is_empty(), "round {round}");
         }
         assert!(dep.dir_owners(0, 0, 11).is_some());
+    }
+
+    /// The settled run ends exactly `convergence_grace + 100 ms` past
+    /// `quiesce_at`, so the convergence oracle polls for 100 ms.
+    #[test]
+    fn a_settled_run_ends_100_ms_after_the_convergence_grace() {
+        use crate::config::RegisterSpec;
+        use crate::deployment::DeploymentBuilder;
+        use crate::probe::{udp_write, WriteNf};
+
+        let mut dep = DeploymentBuilder::new(3)
+            .hosts(1)
+            .register(RegisterSpec::sro(0, "t", 16))
+            .build(|_| Box::new(WriteNf));
+        dep.settle();
+        let t0 = dep.now();
+        for k in 0..8u16 {
+            let at = t0 + SimDuration::micros(u64::from(k) * 100);
+            dep.inject(at, usize::from(k % 3), 0, udp_write(k, 100 + k));
+        }
+        let cfg = OracleConfig::new(t0 + SimDuration::millis(10));
+        let mut suite = OracleSuite::attach(&mut dep, cfg);
+        assert_eq!(suite.run_settled(&mut dep), Ok(()));
+        let end = cfg.quiesce_at + cfg.convergence_grace + SimDuration::millis(100);
+        assert_eq!(dep.now(), end);
+        assert_eq!(dep.peek(2, 0, 7), 107);
     }
 
     #[test]

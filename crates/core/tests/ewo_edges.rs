@@ -6,27 +6,16 @@
 
 use std::net::Ipv4Addr;
 use std::rc::Rc;
-use swishmem::api::{ForwardAll, NfApp, NfDecision, SharedState};
+use swishmem::api::{ForwardAll, NfApp};
 use swishmem::layer::cp::SwishCp;
 use swishmem::layer::program::SwishProgram;
 use swishmem::layer::{CpItem, Handles, SYNC_PKTGEN_TOKEN};
+use swishmem::probe::CounterNf;
 use swishmem::{ClockMode, RegisterSpec, SwishConfig, SwitchClock};
 use swishmem_pisa::{ControlApp, CpCtx, DataPlane, DataPlaneProgram, DpView, Effect, Effects};
 use swishmem_simnet::{SimDuration, SimTime};
 use swishmem_wire::swish::{ChainConfig, SyncEntry, SyncUpdate, TraceId};
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, SwishMsg};
-
-/// Adds 1 to counter register 0 at key = dst_port.
-struct IncNf;
-impl NfApp for IncNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.add(0, u32::from(pkt.flow.dst_port), 1);
-        NfDecision::Forward {
-            dst: NodeId(1000),
-            pkt: *pkt,
-        }
-    }
-}
 
 struct Rig {
     dp: DataPlane,
@@ -57,7 +46,7 @@ fn rig_of(n: u16, me: u16, cfg: SwishConfig, spec: RegisterSpec, counter_nf: boo
     cp.on_item(CpItem::Proto(config), &mut ctx);
     let clock = SwitchClock::new(NodeId(me), ClockMode::Synced { max_skew_ns: 0 }, 0);
     let app: Box<dyn NfApp> = if counter_nf {
-        Box::new(IncNf)
+        Box::new(CounterNf)
     } else {
         Box::new(ForwardAll { dst: NodeId(1000) })
     };

@@ -4,33 +4,9 @@
 
 #![allow(clippy::field_reassign_with_default)] // configs read clearer as overrides
 
-use std::net::Ipv4Addr;
 use swishmem::prelude::*;
-use swishmem::{NfApp, NfDecision, RegisterSpec, SharedState, SwishConfig};
-
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-fn wpkt(key: u16, val: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            700,
-            Ipv4Addr::new(10, 0, 0, 2),
-            key,
-        ),
-        0,
-        val,
-    )
-}
+use swishmem::probe::{udp_write, WriteNf};
+use swishmem::{RegisterSpec, SwishConfig};
 
 #[test]
 fn grouped_keys_keep_independent_values() {
@@ -51,7 +27,7 @@ fn grouped_keys_keep_independent_values() {
             t0 + SimDuration::micros(u64::from(k) * 300),
             (k % 3) as usize,
             0,
-            wpkt(k, 100 + k),
+            udp_write(k, 100 + k),
         );
     }
     dep.run_for(SimDuration::millis(100));
@@ -88,7 +64,7 @@ fn sequential_rewrites_within_a_group_all_commit() {
                 t0 + SimDuration::millis(u64::from(round)) + SimDuration::micros(i as u64 * 300),
                 0,
                 0,
-                wpkt(*key, val),
+                udp_write(*key, val),
             );
             expect[i] = u64::from(val);
         }

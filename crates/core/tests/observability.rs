@@ -2,75 +2,17 @@
 //! SRO write path, tracing passivity at deployment level, and metrics
 //! aggregation.
 
-use std::net::Ipv4Addr;
 use swishmem::prelude::*;
+use swishmem::probe::{tcp_read, udp_write, ProbeNf};
 use swishmem::RegisterSpec;
 use swishmem_simnet::{FaultSchedule, SpanPhase};
-use swishmem_wire::l4::TcpFlags;
 use swishmem_wire::TraceId;
-
-/// NF: UDP writes payload_len into SRO reg 0 at key = dst_port; TCP reads
-/// the key and forwards the value to host 1.
-struct RwNf;
-
-impl NfApp for RwNf {
-    fn process(
-        &mut self,
-        pkt: &DataPacket,
-        _ingress: NodeId,
-        st: &mut dyn SharedState,
-    ) -> NfDecision {
-        let key = u32::from(pkt.flow.dst_port);
-        if pkt.flow.proto == 17 {
-            st.write(0, key, u64::from(pkt.payload_len));
-            NfDecision::Forward {
-                dst: NodeId(HOST_BASE),
-                pkt: *pkt,
-            }
-        } else {
-            let v = st.read(0, key);
-            let mut out = *pkt;
-            out.flow_seq = v as u32;
-            NfDecision::Forward {
-                dst: NodeId(HOST_BASE + 1),
-                pkt: out,
-            }
-        }
-    }
-}
-
-fn udp(port: u16, len: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            999,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        0,
-        len,
-    )
-}
-
-fn tcp(port: u16) -> DataPacket {
-    DataPacket::tcp(
-        FlowKey::tcp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            999,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        TcpFlags::data(),
-        0,
-        10,
-    )
-}
 
 fn sro_dep(seed: u64) -> Deployment {
     DeploymentBuilder::new(3)
         .seed(seed)
         .register(RegisterSpec::sro(0, "t", 64))
-        .build(|_| Box::new(RwNf))
+        .build(|_| Box::new(ProbeNf))
 }
 
 /// Drive a small SRO workload: 4 writes from two ingress switches, one
@@ -86,10 +28,10 @@ fn run_workload(dep: &mut Deployment) {
             t + SimDuration::millis(i as u64),
             port.0,
             0,
-            udp(port.1, 100 + i as u16),
+            udp_write(port.1, 100 + i as u16),
         );
     }
-    dep.inject(t + SimDuration::millis(10), 2, 0, tcp(7));
+    dep.inject(t + SimDuration::millis(10), 2, 0, tcp_read(7, 999));
     dep.run_for(SimDuration::millis(40));
 }
 
@@ -163,7 +105,7 @@ fn sro_span_phases_sum_to_write_latency() {
     let spans = dep.attach_tracing(100_000);
     dep.settle();
     let t = dep.now();
-    dep.inject(t, 1, 0, udp(5, 123)); // one write via switch 1
+    dep.inject(t, 1, 0, udp_write(5, 123)); // one write via switch 1
     dep.run_for(SimDuration::millis(30));
 
     let c = spans.borrow();
@@ -227,7 +169,7 @@ fn restarted_switch_never_reissues_a_trace_id() {
     dep.schedule_faults(t, &sched);
     for i in 0..40u64 {
         if !(20..22).contains(&i) {
-            dep.inject(t + SimDuration::millis(i), 1, 0, udp(i as u16, 100));
+            dep.inject(t + SimDuration::millis(i), 1, 0, udp_write(i as u16, 100));
         }
     }
     dep.run_for(SimDuration::millis(80));
@@ -254,10 +196,10 @@ fn redirected_read_trace_spans_both_switches() {
     let spans = dep.attach_tracing(100_000);
     dep.settle();
     let t = dep.now();
-    dep.inject(t, 0, 0, udp(5, 200));
+    dep.inject(t, 0, 0, udp_write(5, 200));
     dep.run_for(SimDuration::micros(80)); // write still in flight
     let t2 = dep.now();
-    dep.inject(t2, 0, 0, tcp(5));
+    dep.inject(t2, 0, 0, tcp_read(5, 999));
     dep.run_for(SimDuration::millis(20));
 
     if dep.sum_metric(|m| m.dp.reads_forwarded) == 0 {

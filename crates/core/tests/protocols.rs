@@ -1,75 +1,16 @@
 //! Core protocol tests: SRO chain replication, ERO local reads, EWO
 //! convergence, failover and recovery, exercised through full deployments.
 
-use std::net::Ipv4Addr;
 use swishmem::prelude::*;
+use swishmem::probe::{tcp_read, udp_write, CounterNf, ProbeNf};
 use swishmem::{ConfigEventKind, RegisterSpec};
 use swishmem_simnet::{DropReason, Trace, TraceHandle, TrafficClass};
-use swishmem_wire::l4::TcpFlags;
 use swishmem_wire::PacketBody;
-
-/// NF: UDP packets write their payload_len into SRO register 0 at key =
-/// dst_port; TCP packets read key = dst_port and forward the value in
-/// `flow_seq` to host 1 (so the observed value is externally visible).
-struct RwNf;
-
-impl NfApp for RwNf {
-    fn process(
-        &mut self,
-        pkt: &DataPacket,
-        _ingress: NodeId,
-        st: &mut dyn SharedState,
-    ) -> NfDecision {
-        let key = u32::from(pkt.flow.dst_port);
-        if pkt.flow.proto == 17 {
-            st.write(0, key, u64::from(pkt.payload_len));
-            NfDecision::Forward {
-                dst: NodeId(HOST_BASE),
-                pkt: *pkt,
-            }
-        } else {
-            let v = st.read(0, key);
-            let mut out = *pkt;
-            out.flow_seq = v as u32;
-            NfDecision::Forward {
-                dst: NodeId(HOST_BASE + 1),
-                pkt: out,
-            }
-        }
-    }
-}
-
-fn udp(port: u16, len: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            999,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        0,
-        len,
-    )
-}
-
-fn tcp(port: u16) -> DataPacket {
-    DataPacket::tcp(
-        FlowKey::tcp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            999,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        TcpFlags::data(),
-        0,
-        10,
-    )
-}
 
 fn sro_dep(n: usize) -> Deployment {
     DeploymentBuilder::new(n)
         .register(RegisterSpec::sro(0, "t", 64))
-        .build(|_| Box::new(RwNf))
+        .build(|_| Box::new(ProbeNf))
 }
 
 /// A packet trace of every delivery in the run, attached before it.
@@ -99,7 +40,7 @@ fn sro_write_replicates_to_every_switch() {
     let mut dep = sro_dep(3);
     dep.settle();
     let t = dep.now();
-    dep.inject(t, 1, 0, udp(7, 123)); // write via switch 1
+    dep.inject(t, 1, 0, udp_write(7, 123)); // write via switch 1
     dep.run_for(SimDuration::millis(20));
     for i in 0..3 {
         assert_eq!(dep.peek(i, 0, 7), 123, "switch {i} missing the write");
@@ -116,7 +57,7 @@ fn sro_output_packet_held_until_ack() {
     let mut dep = sro_dep(3);
     dep.settle();
     let t = dep.now();
-    dep.inject(t, 0, 0, udp(9, 50));
+    dep.inject(t, 0, 0, udp_write(9, 50));
     // Just after injection the packet must NOT have been released: chain
     // traversal plus control-plane costs take tens of microseconds.
     dep.run_for(SimDuration::micros(20));
@@ -134,11 +75,11 @@ fn sro_reads_are_local_when_no_write_in_flight() {
     let trace = trace(&mut dep);
     dep.settle();
     let t = dep.now();
-    dep.inject(t, 0, 0, udp(3, 77));
+    dep.inject(t, 0, 0, udp_write(3, 77));
     dep.run_for(SimDuration::millis(20));
     // Read at a non-tail switch (switch 0 is head of chain 0,1,2).
     let t = dep.now();
-    dep.inject(t, 0, 0, tcp(3));
+    dep.inject(t, 0, 0, tcp_read(3, 999));
     dep.run_for(SimDuration::millis(5));
     assert_eq!(values_read(&dep, &trace), [77]);
     let forwarded: u64 = (0..3).map(|i| dep.metrics(i).dp.reads_forwarded).sum();
@@ -151,13 +92,13 @@ fn sro_read_during_write_redirects_to_tail_and_sees_committed_value() {
     let trace = trace(&mut dep);
     dep.settle();
     let t = dep.now();
-    dep.inject(t, 0, 0, udp(5, 200));
+    dep.inject(t, 0, 0, udp_write(5, 200));
     // While the write is still in flight (control-plane punt takes ~45 µs,
     // chain propagation more), read the same key at the head. The pending
     // bit is set once the chain write passes switch 0.
     dep.run_for(SimDuration::micros(80));
     let t2 = dep.now();
-    dep.inject(t2, 0, 0, tcp(5));
+    dep.inject(t2, 0, 0, tcp_read(5, 999));
     dep.run_for(SimDuration::millis(20));
 
     let read = values_read(&dep, &trace);
@@ -174,13 +115,13 @@ fn sro_read_during_write_redirects_to_tail_and_sees_committed_value() {
 fn ero_never_redirects_reads() {
     let mut dep = DeploymentBuilder::new(3)
         .register(RegisterSpec::ero(0, "t", 64))
-        .build(|_| Box::new(RwNf));
+        .build(|_| Box::new(ProbeNf));
     dep.settle();
     let t = dep.now();
-    dep.inject(t, 0, 0, udp(5, 200));
+    dep.inject(t, 0, 0, udp_write(5, 200));
     dep.run_for(SimDuration::micros(60));
     let t2 = dep.now();
-    dep.inject(t2, 0, 0, tcp(5));
+    dep.inject(t2, 0, 0, tcp_read(5, 999));
     dep.run_for(SimDuration::millis(20));
     assert_eq!(dep.sum_metric(|m| m.dp.reads_forwarded), 0);
     // ERO allocates no pending bits at all.
@@ -188,28 +129,11 @@ fn ero_never_redirects_reads() {
     assert_eq!(sw.dp().budget().used_by_prefix("swish.t.pending"), 0);
 }
 
-/// NF: every UDP packet increments EWO counter 0 at key dst_port.
-struct CountNf;
-impl NfApp for CountNf {
-    fn process(
-        &mut self,
-        pkt: &DataPacket,
-        _ingress: NodeId,
-        st: &mut dyn SharedState,
-    ) -> NfDecision {
-        st.add(0, u32::from(pkt.flow.dst_port), 1);
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
 #[test]
 fn ewo_counters_converge_across_switches() {
     let mut dep = DeploymentBuilder::new(4)
         .register(RegisterSpec::ewo_counter(0, "cnt", 32))
-        .build(|_| Box::new(CountNf));
+        .build(|_| Box::new(CounterNf));
     dep.settle();
     let t = dep.now();
     // 10 increments spread over all 4 switches.
@@ -218,7 +142,7 @@ fn ewo_counters_converge_across_switches() {
             t + SimDuration::micros(i * 10),
             (i % 4) as usize,
             0,
-            udp(7, 10),
+            udp_write(7, 10),
         );
     }
     dep.run_for(SimDuration::millis(10));
@@ -240,11 +164,16 @@ fn ewo_converges_through_periodic_sync_alone_under_loss() {
         .link(LinkParams::lossy(0.3))
         .swish_config(cfg)
         .register(RegisterSpec::ewo_counter(0, "cnt", 8))
-        .build(|_| Box::new(CountNf));
+        .build(|_| Box::new(CounterNf));
     dep.settle();
     let t = dep.now();
     for i in 0..6u64 {
-        dep.inject(t + SimDuration::micros(i), (i % 3) as usize, 0, udp(1, 10));
+        dep.inject(
+            t + SimDuration::micros(i),
+            (i % 3) as usize,
+            0,
+            udp_write(1, 10),
+        );
     }
     // Plenty of sync rounds to beat 30% loss.
     dep.run_for(SimDuration::millis(200));
@@ -268,7 +197,7 @@ fn sro_failover_writes_block_then_resume() {
     dep.schedule_fail(t_fail, 2);
     // A write issued right after the failure cannot complete until the
     // controller reconfigures the chain.
-    dep.inject(t_fail + SimDuration::micros(100), 0, 0, udp(4, 44));
+    dep.inject(t_fail + SimDuration::micros(100), 0, 0, udp_write(4, 44));
     dep.run_for(SimDuration::millis(200));
     // The write eventually completed on the shortened chain.
     assert_eq!(dep.peek(0, 0, 4), 44);
@@ -299,7 +228,7 @@ fn recovered_switch_catches_up_via_snapshot_and_rejoins() {
             t0 + SimDuration::micros(u64::from(k) * 50),
             0,
             0,
-            udp(k, 100 + k),
+            udp_write(k, 100 + k),
         );
     }
     dep.run_for(SimDuration::millis(30));
@@ -329,7 +258,7 @@ fn recovered_switch_catches_up_via_snapshot_and_rejoins() {
     assert!(dep.metrics(2).dp.snapshot_applied >= 10);
     // And it serves reads again as tail: write once more, read at 2.
     let t = dep.now();
-    dep.inject(t, 2, 0, udp(50, 7));
+    dep.inject(t, 2, 0, udp_write(50, 7));
     dep.run_for(SimDuration::millis(20));
     assert_eq!(dep.peek(2, 0, 50), 7);
 }
@@ -338,7 +267,7 @@ fn recovered_switch_catches_up_via_snapshot_and_rejoins() {
 fn ewo_failover_needs_no_protocol() {
     let mut dep = DeploymentBuilder::new(3)
         .register(RegisterSpec::ewo_counter(0, "cnt", 8))
-        .build(|_| Box::new(CountNf));
+        .build(|_| Box::new(CounterNf));
     dep.settle();
     let t = dep.now();
     for i in 0..6u64 {
@@ -346,7 +275,7 @@ fn ewo_failover_needs_no_protocol() {
             t + SimDuration::micros(i * 5),
             (i % 3) as usize,
             0,
-            udp(1, 10),
+            udp_write(1, 10),
         );
     }
     dep.run_for(SimDuration::millis(10));
@@ -377,7 +306,7 @@ fn deterministic_deployments() {
             .seed(99)
             .link(LinkParams::lossy(0.1))
             .register(RegisterSpec::ewo_counter(0, "cnt", 8))
-            .build(|_| Box::new(CountNf));
+            .build(|_| Box::new(CounterNf));
         dep.settle();
         let t = dep.now();
         for i in 0..20u64 {
@@ -385,7 +314,7 @@ fn deterministic_deployments() {
                 t + SimDuration::micros(i * 3),
                 (i % 3) as usize,
                 0,
-                udp(1, 10),
+                udp_write(1, 10),
             );
         }
         dep.run_for(SimDuration::millis(50));

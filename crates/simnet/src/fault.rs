@@ -246,6 +246,20 @@ impl FaultSchedule {
             .unwrap_or(SimDuration::ZERO)
     }
 
+    /// The nodes this schedule crashes, each once, in the order of its
+    /// first crash. Link outages, degradations and triggers crash nothing.
+    pub fn crashed(&self) -> Vec<NodeId> {
+        let mut nodes = Vec::new();
+        for e in &self.events {
+            if let FaultAction::Crash { node } = e.action {
+                if !nodes.contains(&node) {
+                    nodes.push(node);
+                }
+            }
+        }
+        nodes
+    }
+
     /// Append a raw action at `at`.
     pub fn at(mut self, at: SimDuration, action: FaultAction) -> Self {
         self.push(at, action);
@@ -640,6 +654,22 @@ mod tests {
             .filter(|e| matches!(e.action, FaultAction::Restart { .. }))
             .count();
         assert_eq!(crashes, restarts);
+    }
+
+    #[test]
+    fn crashed_lists_each_victim_once_and_ignores_link_faults() {
+        let ms = SimDuration::millis;
+        let s = FaultSchedule::new()
+            .crash_for(B, ms(1), ms(1))
+            .link_outage(A, C, ms(2), ms(1))
+            .degrade_for(A, B, ms(2), ms(2), LinkOverlay::loss(0.5))
+            .crash_for(B, ms(5), ms(1));
+        assert_eq!(s.crashed(), vec![B]);
+        assert!(FaultSchedule::new()
+            .link_outage(A, B, ms(1), ms(1))
+            .degrade_for(B, C, ms(1), ms(1), LinkOverlay::jitter(ms(1)))
+            .crashed()
+            .is_empty());
     }
 
     #[test]

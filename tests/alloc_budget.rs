@@ -456,11 +456,10 @@ fn fault_sweep_shaped_run_stays_within_seven_allocations_per_write() {
     let cfg = OracleConfig::new(t0 + horizon);
     let mut suite = OracleSuite::attach(&mut dep, cfg);
     suite.attach_journal(journal);
-    let end = t0 + horizon + cfg.convergence_grace + SimDuration::millis(100);
     let mut verdict = Ok(());
     let allocs = allocations_in(|| {
         inject_writes(&mut dep);
-        verdict = suite.run(&mut dep, end);
+        verdict = suite.run_settled(&mut dep);
     });
     assert!(verdict.is_ok(), "{:?}", suite.violation_report());
     assert_eq!(dep.sum_metric(|m| m.cp.jobs_completed), WRITES);

@@ -4,44 +4,9 @@
 
 #![allow(clippy::field_reassign_with_default)] // configs read clearer as overrides
 
-use std::net::Ipv4Addr;
 use swishmem::prelude::*;
-use swishmem::{NfApp, NfDecision, RegisterSpec, SharedState, SwishConfig};
-
-struct CountNf;
-impl NfApp for CountNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.add(0, u32::from(pkt.flow.dst_port), 1);
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-fn count_pkt(port: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 3),
-            1000,
-            Ipv4Addr::new(10, 0, 0, 4),
-            port,
-        ),
-        0,
-        64,
-    )
-}
+use swishmem::probe::{count_pkt, CounterNf, WriteNf};
+use swishmem::{RegisterSpec, SwishConfig};
 
 #[test]
 fn ewo_converges_under_loss_jitter_and_corruption() {
@@ -63,7 +28,7 @@ fn ewo_converges_under_loss_jitter_and_corruption() {
             .seed(17)
             .link(link)
             .register(RegisterSpec::ewo_counter(0, "c", 64))
-            .build(|_| Box::new(CountNf));
+            .build(|_| Box::new(CounterNf));
         dep.settle();
         let t0 = dep.now();
         let n = 40u64;
@@ -72,7 +37,7 @@ fn ewo_converges_under_loss_jitter_and_corruption() {
                 t0 + SimDuration::micros(i * 30),
                 (i % 4) as usize,
                 0,
-                count_pkt(7),
+                count_pkt(7, 0),
             );
         }
         // Generous convergence budget: many sync periods.
@@ -102,7 +67,7 @@ fn sro_writes_complete_under_loss_via_retries() {
     let t0 = dep.now();
     let n = 50u16;
     for k in 0..n {
-        let mut p = count_pkt(k);
+        let mut p = count_pkt(k, 0);
         p.payload_len = 100 + k;
         dep.inject(t0 + SimDuration::micros(u64::from(k) * 200), 0, 0, p);
     }
@@ -138,11 +103,11 @@ fn corrupted_frames_are_dropped_not_processed() {
         .seed(23)
         .link(link)
         .register(RegisterSpec::ewo_counter(0, "c", 16))
-        .build(|_| Box::new(CountNf));
+        .build(|_| Box::new(CounterNf));
     dep.settle();
     let t0 = dep.now();
     for i in 0..30u64 {
-        dep.inject(t0 + SimDuration::micros(i * 50), 0, 0, count_pkt(1));
+        dep.inject(t0 + SimDuration::micros(i * 50), 0, 0, count_pkt(1, 0));
     }
     dep.run_for(SimDuration::millis(300));
     // Injections bypass links, so switch 0 counted all 30; switch 1's
@@ -181,7 +146,7 @@ fn lost_clears_repaired_by_tail_pending_sweep() {
     dep.settle();
     let t0 = dep.now();
     for k in 0..32u16 {
-        let mut p = count_pkt(k);
+        let mut p = count_pkt(k, 0);
         p.payload_len = 300 + k;
         dep.inject(t0 + SimDuration::micros(u64::from(k) * 300), 0, 0, p);
     }
@@ -223,7 +188,7 @@ fn determinism_holds_under_full_chaos() {
             .link(link)
             .register(RegisterSpec::ewo_counter(0, "c", 16))
             .register(RegisterSpec::sro(1, "t", 16))
-            .build(|_| Box::new(CountNf));
+            .build(|_| Box::new(CounterNf));
         dep.settle();
         let t0 = dep.now();
         dep.schedule_fail(t0 + SimDuration::millis(10), 1);
@@ -233,7 +198,7 @@ fn determinism_holds_under_full_chaos() {
                 t0 + SimDuration::micros(i * 111),
                 (i % 3) as usize,
                 0,
-                count_pkt(2),
+                count_pkt(2, 0),
             );
         }
         dep.run_for(SimDuration::millis(200));

@@ -13,39 +13,12 @@
 //!   — the phi-accrual detector beats the static timeout on real
 //!   crashes without false positives on slow-but-alive links.
 
-use std::net::Ipv4Addr;
 use swishmem::oracle::{OracleConfig, OracleSuite};
 use swishmem::prelude::*;
-use swishmem::{
-    ConfigEventKind, Deployment, NfApp, NfDecision, RegisterSpec, SharedState, TriggerOp,
-};
-use swishmem_simnet::{FaultAction, FaultGen, FaultSchedule, LinkOverlay};
+use swishmem::probe::{spared_writers, udp_write, WriteNf};
+use swishmem::{ConfigEventKind, Deployment, RegisterSpec, TriggerOp};
+use swishmem_simnet::{FaultGen, FaultSchedule, LinkOverlay};
 use swishmem_wire::NodeId as WireNodeId;
-
-/// `Set(payload_len)` per dst port against the partitioned register.
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-fn wpkt(port: u16, val: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            999,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        0,
-        val,
-    )
-}
 
 const KEYS: u32 = 48;
 
@@ -81,7 +54,7 @@ fn inject_writes(
             t0 + SimDuration::nanos(i * step),
             sw,
             0,
-            wpkt(key, 100 + i as u16),
+            udp_write(key, 100 + i as u16),
         );
     }
 }
@@ -120,8 +93,7 @@ fn compaction_sweep_long_horizon() {
     let quiescent = t0 + SimDuration::millis(340);
     let ocfg = OracleConfig::new(quiescent);
     let mut suite = OracleSuite::attach(&mut dep, ocfg);
-    let end = quiescent + ocfg.convergence_grace + SimDuration::millis(100);
-    if let Err(v) = suite.run(&mut dep, end) {
+    if let Err(v) = suite.run_settled(&mut dep) {
         panic!("oracle violation during compaction sweep: {v}");
     }
 
@@ -184,25 +156,13 @@ fn reconfiguration_under_fault_sweep() {
         let sched = FaultGen::new(seed).generate(&nodes, &links, horizon, 4);
         let sched_str = sched.to_string();
         dep.schedule_faults(t0, &sched);
-        let crash_victims: Vec<WireNodeId> = sched
-            .events()
-            .iter()
-            .filter_map(|e| match e.action {
-                FaultAction::Crash { node } => Some(node),
-                _ => None,
-            })
-            .collect();
-        let writers: Vec<usize> = (0..nodes.len())
-            .filter(|&i| !crash_victims.contains(&nodes[i]))
-            .collect();
-        let writers = if writers.is_empty() { vec![0] } else { writers };
+        let writers = spared_writers(&sched, &nodes);
         inject_writes(&mut dep, t0, 48, SimDuration::millis(40), &writers);
 
         let quiescent = t0 + horizon + SimDuration::millis(20);
         let ocfg = OracleConfig::new(quiescent);
         let mut suite = OracleSuite::attach(&mut dep, ocfg);
-        let end = quiescent + ocfg.convergence_grace + SimDuration::millis(100);
-        if let Err(v) = suite.run(&mut dep, end) {
+        if let Err(v) = suite.run_settled(&mut dep) {
             panic!("seed {seed}: oracle violation during replica replacement: {v}\n{sched_str}");
         }
 
@@ -309,8 +269,7 @@ fn membership_decree_racing_leader_crash_converges() {
         // Phase 2 — re-issuing the decree after the dust settles must
         // admit the spare everywhere (idempotent if it already landed).
         dep.schedule_ctrl_add(dep.now() + SimDuration::millis(2), 3);
-        let end = quiescent + ocfg.convergence_grace + SimDuration::millis(100);
-        if let Err(v) = suite.run(&mut dep, end) {
+        if let Err(v) = suite.run_settled(&mut dep) {
             panic!("seed {seed}: oracle violation after decree re-issue: {v}");
         }
         assert_eq!(
@@ -359,14 +318,13 @@ fn follower_lease_blocks_stale_reads_across_partition() {
     let quiescent = t0 + SimDuration::millis(55);
     let ocfg = OracleConfig::new(quiescent);
     let mut suite = OracleSuite::attach(&mut dep, ocfg);
-    let end = quiescent + ocfg.convergence_grace + SimDuration::millis(100);
     // Observe the mid-partition outcome before the healed re-lookup can
     // overwrite the cache entry.
     if let Err(v) = suite.run(&mut dep, t0 + SimDuration::millis(40)) {
         panic!("oracle violation at the lease edge: {v}");
     }
     let served_while_cut = dep.dir_owners(0, 0, 7).is_some();
-    if let Err(v) = suite.run(&mut dep, end) {
+    if let Err(v) = suite.run_settled(&mut dep) {
         panic!("oracle violation at the lease edge: {v}");
     }
 
@@ -419,8 +377,7 @@ fn gray_links_cause_no_spurious_elections() {
     let quiescent = t0 + SimDuration::millis(70);
     let ocfg = OracleConfig::new(quiescent);
     let mut suite = OracleSuite::attach(&mut dep, ocfg);
-    let end = quiescent + ocfg.convergence_grace + SimDuration::millis(100);
-    if let Err(v) = suite.run(&mut dep, end) {
+    if let Err(v) = suite.run_settled(&mut dep) {
         panic!("oracle violation under gray links: {v}");
     }
 

@@ -9,40 +9,14 @@
 //! silent. Failover gaps are measured from the committed
 //! `LeaderElected` log entries.
 
-use std::net::Ipv4Addr;
 use swishmem::oracle::{OracleConfig, OracleSuite};
 use swishmem::prelude::*;
+use swishmem::probe::{spared_writers, udp_write, WriteNf};
 use swishmem::{
-    trigger_token_op, ConfigEventKind, Deployment, NfApp, NfDecision, ReconfigEvent, RegisterSpec,
-    SharedState, TriggerOp,
+    trigger_token_op, ConfigEventKind, Deployment, ReconfigEvent, RegisterSpec, TriggerOp,
 };
 use swishmem_simnet::{FaultAction, FaultGen};
 use swishmem_wire::NodeId as WireNodeId;
-
-/// `Set(payload_len)` per dst port against the partitioned register.
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-fn wpkt(port: u16, val: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            999,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        0,
-        val,
-    )
-}
 
 const KEYS: u32 = 48;
 
@@ -69,7 +43,7 @@ fn inject_writes(dep: &mut Deployment, t0: SimTime, n: u64, window: SimDuration)
             t0 + SimDuration::nanos(i * step),
             (i % 3) as usize,
             0,
-            wpkt(key, val),
+            udp_write(key, val),
         );
     }
 }
@@ -134,8 +108,7 @@ fn leader_crash_fails_over_and_writes_complete() {
     let quiescent = t0 + SimDuration::millis(60);
     let ocfg = OracleConfig::new(quiescent);
     let mut suite = OracleSuite::attach(&mut dep, ocfg);
-    let end = quiescent + ocfg.convergence_grace + SimDuration::millis(100);
-    if let Err(v) = suite.run(&mut dep, end) {
+    if let Err(v) = suite.run_settled(&mut dep) {
         panic!("oracle violation during leader failover: {v}");
     }
 
@@ -205,8 +178,7 @@ fn run_crash_at(seed: u64, t_crash: SimTime, label: &str) -> SimDuration {
     let quiescent = t0 + SimDuration::millis(70);
     let ocfg = OracleConfig::new(quiescent);
     let mut suite = OracleSuite::attach(&mut dep, ocfg);
-    let end = quiescent + ocfg.convergence_grace + SimDuration::millis(100);
-    if let Err(v) = suite.run(&mut dep, end) {
+    if let Err(v) = suite.run_settled(&mut dep) {
         panic!("seed {seed} ({label}): oracle violation: {v}");
     }
 
@@ -298,18 +270,7 @@ fn randomized_fault_sweep_with_replica_crashes() {
             .count();
 
         // Writers the schedule never crashes, so every write must land.
-        let crash_victims: Vec<WireNodeId> = sched
-            .events()
-            .iter()
-            .filter_map(|e| match e.action {
-                FaultAction::Crash { node } => Some(node),
-                _ => None,
-            })
-            .collect();
-        let writers: Vec<usize> = (0..nodes.len())
-            .filter(|&i| !crash_victims.contains(&nodes[i]))
-            .collect();
-        let writers = if writers.is_empty() { vec![0] } else { writers };
+        let writers = spared_writers(&sched, &nodes);
         for i in 0..48u64 {
             let key = (i % u64::from(KEYS)) as u16;
             let sw = writers[(i as usize) % writers.len()];
@@ -317,14 +278,13 @@ fn randomized_fault_sweep_with_replica_crashes() {
                 t0 + SimDuration::micros(i * 1000),
                 sw,
                 0,
-                wpkt(key, 100 + i as u16),
+                udp_write(key, 100 + i as u16),
             );
         }
 
         let ocfg = OracleConfig::new(t0 + horizon);
         let mut suite = OracleSuite::attach(&mut dep, ocfg);
-        let end = t0 + horizon + ocfg.convergence_grace + SimDuration::millis(100);
-        if let Err(v) = suite.run(&mut dep, end) {
+        if let Err(v) = suite.run_settled(&mut dep) {
             panic!(
                 "oracle violation: {v}\n\
                  replay: replicated sweep seed={seed} episodes=5 triggers=2 \

@@ -5,50 +5,13 @@
 //! (`FaultGen::new(seed)` regenerates the identical schedule, and the
 //! deployment seed fixes every other random choice).
 
-use std::net::Ipv4Addr;
 use swishmem::oracle::{OracleConfig, OracleSuite, Violation, ViolationKind};
 use swishmem::prelude::*;
-use swishmem::{NfApp, NfDecision, RegisterSpec, SharedState, TriggerOp};
-use swishmem_simnet::{FaultAction, FaultGen};
+use swishmem::probe::{spared_writers, udp_write, CounterNf, WriteNf};
+use swishmem::{NfApp, RegisterSpec, TriggerOp};
+use swishmem_simnet::FaultGen;
 use swishmem_wire::swish::{MigrateChunk, SnapEntry, SnapshotChunk};
-use swishmem_wire::{NodeId as WireNodeId, Packet, SwishMsg};
-
-/// Linearizable/eventual chain writes: `Set(payload_len)` per dst port.
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-/// EWO G-counter increments per dst port.
-struct CountNf;
-impl NfApp for CountNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.add(0, u32::from(pkt.flow.dst_port), 1);
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-fn wpkt(port: u16, val: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            999,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        0,
-        val,
-    )
-}
+use swishmem_wire::{Packet, SwishMsg};
 
 const KEYS: u32 = 16;
 const EPISODES: usize = 4;
@@ -69,7 +32,7 @@ fn run_sweep(kind: &str, seed: u64) {
         .register(spec)
         .build(move |_| -> Box<dyn NfApp> {
             if is_ewo {
-                Box::new(CountNf)
+                Box::new(CounterNf)
             } else {
                 Box::new(WriteNf)
             }
@@ -85,34 +48,23 @@ fn run_sweep(kind: &str, seed: u64) {
     let sched_str = sched.to_string();
     dep.schedule_faults(t0, &sched);
 
-    // Prefer writers the schedule never crashes: a surviving writer
-    // retries every write to completion, so the convergence oracle gets
-    // maximal coverage (writes from crashed writers are legally lost and
-    // their groups get excluded via orphan tracking).
-    let crash_victims: Vec<WireNodeId> = sched
-        .events()
-        .iter()
-        .filter_map(|e| match e.action {
-            FaultAction::Crash { node } => Some(node),
-            _ => None,
-        })
-        .collect();
-    let writers: Vec<usize> = (0..nodes.len())
-        .filter(|&i| !crash_victims.contains(&nodes[i]))
-        .collect();
-    let writers = if writers.is_empty() { vec![0] } else { writers };
+    let writers = spared_writers(&sched, &nodes);
 
     for i in 0..48u64 {
         let key = (i % u64::from(KEYS)) as u16;
         let val = 100 + i as u16;
         let sw = writers[(i as usize) % writers.len()];
-        dep.inject(t0 + SimDuration::micros(i * 1000), sw, 0, wpkt(key, val));
+        dep.inject(
+            t0 + SimDuration::micros(i * 1000),
+            sw,
+            0,
+            udp_write(key, val),
+        );
     }
 
     let ocfg = OracleConfig::new(t0 + horizon);
     let mut suite = OracleSuite::attach(&mut dep, ocfg);
-    let end = t0 + horizon + ocfg.convergence_grace + SimDuration::millis(100);
-    if let Err(v) = suite.run(&mut dep, end) {
+    if let Err(v) = suite.run_settled(&mut dep) {
         panic!(
             "oracle violation: {v}\n\
              replay: kind={kind} seed={seed} episodes={EPISODES} horizon={horizon}\n\
@@ -190,7 +142,7 @@ fn oracles_quiet_on_healthy_run() {
             t0 + SimDuration::micros(i * 500),
             (i % 3) as usize,
             0,
-            wpkt(key, 100 + i as u16),
+            udp_write(key, 100 + i as u16),
         );
     }
     let ocfg = OracleConfig::new(t0 + SimDuration::millis(20));
@@ -234,7 +186,7 @@ fn forged_snapshot_run(victim: usize) -> (Deployment, Result<(), Violation>) {
             t0 + SimDuration::micros(i * 500),
             (i % 3) as usize,
             0,
-            wpkt(i as u16, 100 + i as u16),
+            udp_write(i as u16, 100 + i as u16),
         );
     }
     let ocfg = OracleConfig::new(t0 + SimDuration::millis(20));
@@ -312,7 +264,7 @@ fn convergence_oracle_names_a_diverged_range_owner() {
             t0 + SimDuration::micros(u64::from(key) * 100),
             0,
             0,
-            wpkt(key, 300 + key),
+            udp_write(key, 300 + key),
         );
     }
     // Grow the first range to two owners, so it has a member to diverge.

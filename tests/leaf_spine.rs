@@ -5,8 +5,8 @@
 
 #![allow(clippy::field_reassign_with_default)] // configs read clearer as overrides
 
-use std::net::Ipv4Addr;
 use swishmem::prelude::*;
+use swishmem::probe::udp_write;
 use swishmem::{Fabric, NfApp, NfDecision, RegisterSpec, SharedState};
 use swishmem_simnet::Trace;
 use swishmem_wire::NodeId as N;
@@ -50,19 +50,6 @@ fn deployment(spines: usize) -> Deployment {
     dep
 }
 
-fn wpkt(port: u16, val: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            900,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        0,
-        val,
-    )
-}
-
 #[test]
 fn sro_chain_works_across_spines() {
     let mut dep = deployment(2);
@@ -70,7 +57,7 @@ fn sro_chain_works_across_spines() {
     let trace = Trace::new(1 << 16);
     dep.sim.add_observer(trace.clone());
     let t = dep.now();
-    dep.inject(t, 1, 0, wpkt(7, 123));
+    dep.inject(t, 1, 0, udp_write(7, 123));
     dep.run_for(SimDuration::millis(30));
     for i in 0..4 {
         assert_eq!(dep.peek(i, 0, 7), 123, "switch {i}");
@@ -93,7 +80,7 @@ fn ewo_converges_across_spines() {
             t + SimDuration::micros(i * 20),
             (i % 4) as usize,
             0,
-            wpkt(3, 0),
+            udp_write(3, 0),
         );
     }
     dep.run_for(SimDuration::millis(30));
@@ -120,7 +107,7 @@ fn spine_failure_breaks_only_pinned_pairs() {
         .unwrap();
     // EWO write at leaf `via1.0`: its eager mirror to `via1.1` survives.
     let t = dep.now();
-    dep.inject(t, via1.0 as usize, 0, wpkt(9, 0));
+    dep.inject(t, via1.0 as usize, 0, udp_write(9, 0));
     dep.run_for(SimDuration::millis(5));
     assert_eq!(
         dep.peek(via1.1 as usize, 1, 9),
@@ -154,13 +141,13 @@ fn full_mesh_and_leaf_spine_agree_on_final_state() {
                 t + SimDuration::millis(u64::from(k)),
                 usize::from(k % 3),
                 0,
-                wpkt(k, 50 + k),
+                udp_write(k, 50 + k),
             );
             dep.inject(
                 t + SimDuration::millis(u64::from(k)) + SimDuration::micros(7),
                 usize::from((k + 1) % 3),
                 0,
-                wpkt(k, 0), // counter-only packet
+                udp_write(k, 0), // counter-only packet
             );
         }
         dep.run_for(SimDuration::millis(100));

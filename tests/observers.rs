@@ -12,36 +12,14 @@
 //! `NetObserver`s, the journal hash (over each record's time, node and
 //! rendered event) before the journal became a typed stream.
 
-use std::net::Ipv4Addr;
 use swishmem::oracle::{OracleConfig, OracleSuite, POLL_INTERVAL};
 use swishmem::prelude::*;
-use swishmem::{Deployment, NfApp, NfDecision, RegisterSpec, SharedState};
+use swishmem::probe::{udp_write, WriteNf};
+use swishmem::{Deployment, RegisterSpec};
 use swishmem_simnet::{FaultGen, Trace};
 
 const KEYS: u32 = 16;
 const SEED: u64 = 2525;
-
-/// SRO chain writes: `Set(payload_len)` per dst port.
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-fn wpkt(port: u16, val: u16) -> DataPacket {
-    let flow = FlowKey::udp(
-        Ipv4Addr::new(10, 0, 0, 1),
-        999,
-        Ipv4Addr::new(10, 0, 0, 2),
-        port,
-    );
-    DataPacket::udp(flow, 0, val)
-}
 
 /// What a run leaves behind that attaching a tap must not move.
 #[derive(Debug, PartialEq, Eq)]
@@ -122,7 +100,7 @@ fn run(observed: bool) -> (Outcome, Option<Seen>) {
             t0 + SimDuration::micros(i * 1000),
             (i % 3) as usize,
             0,
-            wpkt(key, 100 + i as u16),
+            udp_write(key, 100 + i as u16),
         );
     }
     let ocfg = OracleConfig::new(t0 + horizon);

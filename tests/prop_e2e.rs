@@ -4,44 +4,9 @@
 #![allow(clippy::field_reassign_with_default)] // configs read clearer as overrides
 
 use proptest::prelude::*;
-use std::net::Ipv4Addr;
 use swishmem::prelude::*;
-use swishmem::{NfApp, NfDecision, RegisterSpec, SharedState};
-
-struct CountNf;
-impl NfApp for CountNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.add(0, u32::from(pkt.flow.dst_port), 1);
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-fn pkt(port: u16, len: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            999,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        0,
-        len,
-    )
-}
+use swishmem::probe::{udp_write, CounterNf, WriteNf};
+use swishmem::RegisterSpec;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
@@ -61,13 +26,13 @@ proptest! {
             .seed(seed)
             .link(LinkParams::lossy(loss).with_latency(SimDuration::micros(2)))
             .register(RegisterSpec::ewo_counter(0, "c", 8))
-            .build(|_| Box::new(CountNf));
+            .build(|_| Box::new(CounterNf));
         dep.settle();
         let t0 = dep.now();
         let mut oracle = [0u64; 8];
         for (i, &(key, jitter)) in ops.iter().enumerate() {
             let sw = i % n_switches;
-            dep.inject(t0 + SimDuration::micros(i as u64 * 40 + jitter / 100), sw, 0, pkt(key, 10));
+            dep.inject(t0 + SimDuration::micros(i as u64 * 40 + jitter / 100), sw, 0, udp_write(key, 10));
             oracle[key as usize] += 1;
         }
         dep.run_for(SimDuration::millis(400));
@@ -101,7 +66,7 @@ proptest! {
         for (i, &(key, val)) in ops.iter().enumerate() {
             // Writes spaced >= 1 ms per key: totally ordered, so the
             // oracle is simply the last write.
-            dep.inject(t0 + SimDuration::millis(i as u64), i % 3, 0, pkt(key, val));
+            dep.inject(t0 + SimDuration::millis(i as u64), i % 3, 0, udp_write(key, val));
             written.entry(key).or_default().push(u64::from(val));
         }
         dep.run_for(SimDuration::millis(ops.len() as u64 + 100));
@@ -128,13 +93,13 @@ proptest! {
             .seed(seed)
             .register(RegisterSpec::ewo_counter(0, "c", 8))
             .register(RegisterSpec::sro(1, "t", 8))
-            .build(|_| Box::new(CountNf));
+            .build(|_| Box::new(CounterNf));
         dep.settle();
         let t0 = dep.now();
         dep.schedule_fail(t0 + SimDuration::millis(fail_at), victim);
         dep.schedule_recover(t0 + SimDuration::millis(fail_at + recover_after), victim);
         for i in 0..50u64 {
-            dep.inject(t0 + SimDuration::micros(i * 777), (i % 3) as usize, 0, pkt(1, 10));
+            dep.inject(t0 + SimDuration::micros(i * 777), (i % 3) as usize, 0, udp_write(1, 10));
         }
         dep.run_for(SimDuration::millis(200));
         // Survivors converge on one value for key 1.

@@ -7,37 +7,11 @@
 //! shrink, and the telemetry-driven planner moving a hot range onto its
 //! talker.
 
-use std::net::Ipv4Addr;
 use swishmem::prelude::*;
+use swishmem::probe::{udp_write, WriteNf};
 use swishmem::{
-    controller::PLANNER_COOLDOWN, MigrationPhase, NfApp, NfDecision, ReconfigEvent, RegisterSpec,
-    SharedState, TriggerOp,
+    controller::PLANNER_COOLDOWN, MigrationPhase, ReconfigEvent, RegisterSpec, TriggerOp,
 };
-
-/// `Set(payload_len)` per dst port against register 0.
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-fn wpkt(port: u16, val: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            999,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        0,
-        val,
-    )
-}
 
 const KEYS: u32 = 48;
 
@@ -66,7 +40,7 @@ fn reconfig_disabled_is_invisible_without_partitioned_registers() {
                 t0 + SimDuration::micros(i * 500),
                 (i % 3) as usize,
                 0,
-                wpkt((i % 16) as u16, 100 + i as u16),
+                udp_write((i % 16) as u16, 100 + i as u16),
             );
         }
         dep.run_for(SimDuration::millis(30));
@@ -146,7 +120,7 @@ fn partitioned_writes_route_to_range_owner() {
             t0 + SimDuration::micros(i as u64 * 200),
             1,
             0,
-            wpkt(*key, 500 + *key),
+            udp_write(*key, 500 + *key),
         );
     }
     dep.run_for(SimDuration::millis(10));
@@ -176,7 +150,7 @@ fn triggered_move_transfers_state_and_flips_ownership() {
             t0 + SimDuration::micros(u64::from(key) * 100),
             0,
             0,
-            wpkt(key, 700 + key),
+            udp_write(key, 700 + key),
         );
     }
     dep.run_for(SimDuration::millis(5));
@@ -238,7 +212,7 @@ fn triggered_move_transfers_state_and_flips_ownership() {
 
     // New owner sequences fresh writes.
     let t2 = dep.now();
-    dep.inject(t2 + SimDuration::micros(10), 1, 0, wpkt(3, 999));
+    dep.inject(t2 + SimDuration::micros(10), 1, 0, udp_write(3, 999));
     dep.run_for(SimDuration::millis(5));
     assert_eq!(
         dep.peek(dst_idx, 0, 3),
@@ -264,7 +238,7 @@ fn write_availability_maintained_during_transfer() {
             t0 + SimDuration::micros(i * 150),
             1,
             0,
-            wpkt(key, 100 + i as u16),
+            udp_write(key, 100 + i as u16),
         );
     }
     dep.run_for(SimDuration::millis(40));
@@ -296,7 +270,7 @@ fn replica_group_grows_and_shrinks() {
             t0 + SimDuration::micros(u64::from(key) * 100),
             0,
             0,
-            wpkt(key, 300 + key),
+            udp_write(key, 300 + key),
         );
     }
     dep.run_for(SimDuration::millis(5));
@@ -318,7 +292,7 @@ fn replica_group_grows_and_shrinks() {
 
     // Writes replicate to both owners now (mini-chain of two).
     let t2 = dep.now();
-    dep.inject(t2 + SimDuration::micros(10), 1, 0, wpkt(2, 888));
+    dep.inject(t2 + SimDuration::micros(10), 1, 0, udp_write(2, 888));
     dep.run_for(SimDuration::millis(5));
     let p = dep.switch_index(original[0]).unwrap();
     assert_eq!(dep.peek(p, 0, 2), 888, "primary applied");
@@ -361,7 +335,7 @@ fn planner_moves_hot_range_to_talker() {
             t0 + SimDuration::micros(i * 200),
             talker,
             0,
-            wpkt(key, 100 + i as u16),
+            udp_write(key, 100 + i as u16),
         );
     }
     dep.run_for(SimDuration::millis(80));

@@ -6,37 +6,12 @@
 //! epochs) and per-range convergence. A violation aborts with the seed
 //! and the printed schedule, which replays the run bit-for-bit.
 
-use std::net::Ipv4Addr;
 use swishmem::oracle::{OracleConfig, OracleSuite};
 use swishmem::prelude::*;
-use swishmem::{trigger_token_op, NfApp, NfDecision, RegisterSpec, SharedState, TriggerOp};
+use swishmem::probe::{spared_writers, udp_write, WriteNf};
+use swishmem::{trigger_token_op, RegisterSpec, TriggerOp};
 use swishmem_simnet::{FaultAction, FaultGen};
 use swishmem_wire::NodeId as WireNodeId;
-
-/// `Set(payload_len)` per dst port against the partitioned register.
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-fn wpkt(port: u16, val: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            999,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        0,
-        val,
-    )
-}
 
 const KEYS: u32 = 48;
 const EPISODES: usize = 3;
@@ -74,32 +49,23 @@ fn run_migration_sweep(seed: u64) -> usize {
     let sched_str = sched.to_string();
     dep.schedule_faults(t0, &sched);
 
-    // Prefer writers the schedule never crashes so every write retries to
-    // completion and the convergence oracle gets maximal coverage.
-    let crash_victims: Vec<WireNodeId> = sched
-        .events()
-        .iter()
-        .filter_map(|e| match e.action {
-            FaultAction::Crash { node } => Some(node),
-            _ => None,
-        })
-        .collect();
-    let writers: Vec<usize> = (0..nodes.len())
-        .filter(|&i| !crash_victims.contains(&nodes[i]))
-        .collect();
-    let writers = if writers.is_empty() { vec![0] } else { writers };
+    let writers = spared_writers(&sched, &nodes);
 
     for i in 0..48u64 {
         let key = (i % u64::from(KEYS)) as u16;
         let val = 100 + i as u16;
         let sw = writers[(i as usize) % writers.len()];
-        dep.inject(t0 + SimDuration::micros(i * 1000), sw, 0, wpkt(key, val));
+        dep.inject(
+            t0 + SimDuration::micros(i * 1000),
+            sw,
+            0,
+            udp_write(key, val),
+        );
     }
 
     let ocfg = OracleConfig::new(t0 + horizon);
     let mut suite = OracleSuite::attach(&mut dep, ocfg);
-    let end = t0 + horizon + ocfg.convergence_grace + SimDuration::millis(100);
-    if let Err(v) = suite.run(&mut dep, end) {
+    if let Err(v) = suite.run_settled(&mut dep) {
         panic!(
             "oracle violation: {v}\n\
              replay: migration sweep seed={seed} episodes={EPISODES} \

@@ -3,37 +3,11 @@
 
 #![allow(clippy::field_reassign_with_default)] // configs read clearer as overrides
 
-use std::net::Ipv4Addr;
 use swishmem::oracle::{OracleConfig, OracleSuite};
 use swishmem::prelude::*;
-use swishmem::{ConfigEventKind, NfApp, NfDecision, RegisterSpec, SharedState};
+use swishmem::probe::{udp_write, WriteNf};
+use swishmem::{ConfigEventKind, RegisterSpec};
 use swishmem_simnet::FaultSchedule;
-
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        if pkt.flow.proto == 17 {
-            st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        }
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-fn wpkt(port: u16, val: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            999,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        0,
-        val,
-    )
-}
 
 #[test]
 fn three_failure_recovery_cycles_preserve_state() {
@@ -57,7 +31,7 @@ fn three_failure_recovery_cycles_preserve_state() {
                 t + SimDuration::micros(u64::from(j) * 200),
                 writer,
                 0,
-                wpkt(key, val),
+                udp_write(key, val),
             );
             expected.push((key, val));
         }
@@ -75,7 +49,7 @@ fn three_failure_recovery_cycles_preserve_state() {
                 t + SimDuration::micros(u64::from(j) * 200),
                 writer,
                 0,
-                wpkt(key, val % 1400),
+                udp_write(key, val % 1400),
             );
             expected.push((key, val % 1400));
         }
@@ -126,7 +100,7 @@ fn writes_survive_head_failure() {
             t0 + SimDuration::micros(u64::from(i) * 400),
             1,
             0,
-            wpkt(i, 200 + i),
+            udp_write(i, 200 + i),
         );
     }
     dep.run_for(SimDuration::millis(300));
@@ -208,15 +182,14 @@ fn repeated_tail_crashes_clear_pending_within_bound() {
             t0 + SimDuration::micros(i * 2000),
             0,
             0,
-            wpkt((i % 32) as u16, 100 + i as u16),
+            udp_write((i % 32) as u16, 100 + i as u16),
         );
     }
 
     let horizon = SimDuration::millis(165);
     let ocfg = OracleConfig::new(t0 + horizon);
     let mut suite = OracleSuite::attach(&mut dep, ocfg);
-    let end = t0 + horizon + ocfg.convergence_grace + SimDuration::millis(100);
-    if let Err(v) = suite.run(&mut dep, end) {
+    if let Err(v) = suite.run_settled(&mut dep) {
         panic!("oracle violation: {v}\nreplay: seed={seed}\n{sched_str}");
     }
 

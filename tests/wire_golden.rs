@@ -16,9 +16,9 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::net::Ipv4Addr;
 use std::rc::Rc;
 use swishmem::prelude::*;
+use swishmem::probe::udp_write;
 use swishmem::{NfApp, NfDecision, RegisterSpec, SharedState, TriggerOp};
 use swishmem_simnet::{FaultGen, NetEvent, NetObserver, TrafficClass};
 use swishmem_wire::ethernet::ETHERNET_HEADER_LEN;
@@ -48,19 +48,6 @@ impl NfApp for MixNf {
             pkt: *pkt,
         }
     }
-}
-
-fn wpkt(port: u16, val: u16) -> DataPacket {
-    DataPacket::udp(
-        FlowKey::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            999,
-            Ipv4Addr::new(10, 0, 0, 2),
-            port,
-        ),
-        0,
-        val,
-    )
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -143,7 +130,7 @@ fn golden_run() -> Golden {
             t0 + SimDuration::micros(i * 700),
             (i % 3) as usize,
             0,
-            wpkt(key, 100 + i as u16),
+            udp_write(key, 100 + i as u16),
         );
     }
     // A same-key burst across switches, 10 µs apart: some reads land on
@@ -153,7 +140,7 @@ fn golden_run() -> Golden {
             t0 + ms(20) + SimDuration::micros(i * 10),
             (i % 3) as usize,
             0,
-            wpkt(9, 201),
+            udp_write(9, 201),
         );
     }
     dep.run_for(ms(260));
