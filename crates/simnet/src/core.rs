@@ -208,7 +208,6 @@ impl Simulator {
             let mut ctx = Ctx {
                 now: self.now,
                 node: id,
-                rng: &mut self.rng,
                 commands: &mut commands,
                 tracing: self.sink.wants(Family::Span),
                 journaling: self.sink.wants(Family::Journal),

@@ -5,8 +5,6 @@ use crate::journal::{CtrlEvent, JournalRecord};
 use crate::observe::NetEvent;
 use crate::span::{SpanEvent, SpanPhase};
 use crate::time::{SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::Rng;
 use swishmem_wire::{NodeId, PacketBody, TraceId};
 
 /// A multicast group identifier.
@@ -42,7 +40,6 @@ pub(crate) enum Command {
 pub struct Ctx<'a> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
-    pub(crate) rng: &'a mut StdRng,
     pub(crate) commands: &'a mut Vec<Command>,
     /// The engine's observation sink: span markers and journal records
     /// go there, and only while some observer subscribes to them.
@@ -95,11 +92,6 @@ impl<'a> Ctx<'a> {
     /// controller owns the multicast tree).
     pub fn set_group(&mut self, group: GroupId, members: Vec<NodeId>) {
         self.commands.push(Command::SetGroup { group, members });
-    }
-
-    /// Deterministic randomness (seeded at simulator construction).
-    pub fn rng(&mut self) -> &mut impl Rng {
-        &mut *self.rng
     }
 
     /// Emit a span phase marker for `trace` at the current time.
