@@ -15,7 +15,13 @@ cd "$(dirname "$0")/.."
 #     schedule needed to replay it. Its convergence_oracle_names_* tests
 #     are the oracle's negative controls: one forged state-transfer chunk
 #     at a non-tail member, at the tail and at a range's second owner
-#     must give the pinned Diverged / InventedValue verdict.
+#     must give the pinned Diverged / InventedValue verdict. The probe
+#     kit (swishmem::probe) that the sweeps share: swishmem `oracle::tests`
+#     a_settled_run_ends_100_ms_after_the_convergence_grace (the settled
+#     run's end) and swishmem-simnet `fault::tests`
+#     crashed_lists_each_victim_once_and_ignores_link_faults (the query
+#     behind spared_writers); swishmem-bench `scenarios::tests`
+#     probe_write_then_read_round_trip (a ProbeNf read returns the write).
 #   chain protocol (§6.1, §6.3)     swishmem/chain_edges — the one chain
 #     step driven message by message: head sequencing, monotonic apply,
 #     tail ack, pending clears; ero_tail_acks_and_feeds_learners_without_a_clear
@@ -169,3 +175,9 @@ echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
 echo "verify: all gates passed"
+
+# The Rust line count outside shims/ that ROADMAP 2(d) tracks: a change
+# reads its net lines as the difference from its parent's count.
+if git rev-parse --git-dir >/dev/null 2>&1; then
+    echo "rust lines outside shims/: $(git ls-files '*.rs' | grep -v '^shims/' | xargs wc -l | tail -n 1 | awk '{print $1}')"
+fi
